@@ -84,7 +84,7 @@ def test_runtime_scaling(benchmark):
     assert verify_tally(group, authority, board, serial_result, executor=executors["process:4"])
     parallel_verify = time.perf_counter() - verify_start
     verify_start = time.perf_counter()
-    assert verify_tally(group, authority, board, serial_result, batch=False)
+    assert verify_tally(group, authority, board, serial_result, audit_spec="eager")
     exact_verify = time.perf_counter() - verify_start
     print(
         f"verify_tally: batched+process {format_seconds(parallel_verify)}"

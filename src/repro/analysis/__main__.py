@@ -23,7 +23,7 @@ DEFAULT_BASELINE = "analysis-baseline.json"
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Domain-aware static analysis for the repro codebase (REP001-REP006).",
+        description="Domain-aware static analysis for the repro codebase (REP001-REP007).",
     )
     parser.add_argument(
         "paths",

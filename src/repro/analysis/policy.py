@@ -19,6 +19,7 @@ The shape of the table encodes the threat model:
 - **Bench, baselines, usability, peripherals** are harnesses and simulation
   shims — deliberately relaxed so lint pressure lands on the paths that
   carry guarantees, not on scaffolding.
+- **REP007** runs on every ``repro/`` path but ``repro/spec.py``, the reader.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from repro.analysis.rules import Rule, rule_instances
 
 __all__ = ["POLICY", "DEFAULT_RULES", "rules_for_path", "rule_ids_for_path"]
 
-_ALL = frozenset({"REP001", "REP002", "REP003", "REP004", "REP005", "REP006"})
+_ALL = frozenset({"REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007"})
 
 #: Ordered (glob, rule ids) rows; first match wins.
 POLICY: List[Tuple[str, FrozenSet[str]]] = [
+    # The knob table and its typed reader: the one place the environment is read.
+    ("repro/spec.py", frozenset({"REP003", "REP006"})),
     # The restricted unpickler lives here — the single sanctioned
     # deserialization site.  Everything else stays strict.
     ("repro/cluster/protocol.py", _ALL - {"REP003"}),
@@ -50,23 +53,23 @@ POLICY: List[Tuple[str, FrozenSet[str]]] = [
     ("repro/election/*", _ALL - {"REP001", "REP004"}),
     ("repro/voting/*", _ALL - {"REP004", "REP005"}),
     ("repro/security/*", _ALL - {"REP004", "REP005"}),
-    ("repro/runtime/*", frozenset({"REP003", "REP004", "REP005", "REP006"})),
-    ("repro/audit/*", frozenset({"REP003", "REP005", "REP006"})),
+    ("repro/runtime/*", frozenset({"REP003", "REP004", "REP005", "REP006", "REP007"})),
+    ("repro/audit/*", frozenset({"REP003", "REP005", "REP006", "REP007"})),
     # Telemetry measures wall clocks and owns the name registry; hold it to
     # pickle-safety, lock-discipline, and exception-hygiene only.
-    ("repro/telemetry/*", frozenset({"REP003", "REP004", "REP006"})),
-    ("repro/analysis/*", frozenset({"REP003", "REP006"})),
+    ("repro/telemetry/*", frozenset({"REP003", "REP004", "REP006", "REP007"})),
+    ("repro/analysis/*", frozenset({"REP003", "REP006", "REP007"})),
     # Harness / simulation scaffolding: relaxed on purpose.
-    ("repro/bench/*", frozenset({"REP003"})),
-    ("repro/baselines/*", frozenset({"REP003"})),
-    ("repro/usability/*", frozenset({"REP003"})),
-    ("repro/peripherals/*", frozenset({"REP003"})),
+    ("repro/bench/*", frozenset({"REP003", "REP007"})),
+    ("repro/baselines/*", frozenset({"REP003", "REP007"})),
+    ("repro/usability/*", frozenset({"REP003", "REP007"})),
+    ("repro/peripherals/*", frozenset({"REP003", "REP007"})),
     ("benchmarks/*", frozenset({"REP003"})),
     ("tests/*", frozenset()),  # fixtures may violate rules on purpose
 ]
 
 #: Rules for paths no row matches (top-level modules like repro/errors.py).
-DEFAULT_RULES: FrozenSet[str] = frozenset({"REP003", "REP006"})
+DEFAULT_RULES: FrozenSet[str] = frozenset({"REP003", "REP006", "REP007"})
 
 _CACHE: Dict[str, Tuple[Rule, ...]] = {}
 

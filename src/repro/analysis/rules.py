@@ -1,4 +1,4 @@
-"""The domain rule catalog: REP001–REP006.
+"""The domain rule catalog: REP001–REP007.
 
 Each rule is a pure function of one parsed file (an
 :class:`~repro.analysis.engine.AnalysisContext`); which files a rule runs on
@@ -28,6 +28,7 @@ __all__ = [
     "LockDisciplineRule",
     "TelemetryNameRule",
     "ExceptionHygieneRule",
+    "EnvRegistryRule",
     "rule_instances",
 ]
 
@@ -544,6 +545,51 @@ class ExceptionHygieneRule(Rule):
                     handler,
                     f"{domain_hits[0]} swallowed with a pass-body handler — "
                     f"propagate it, log it, or pair the try with a finally",
+                )
+
+
+# ------------------------------------------------ REP007: env registry
+
+
+@_register
+class EnvRegistryRule(Rule):
+    rule_id = "REP007"
+    summary = "environment variables are read only through repro.spec's knob table"
+    rationale = (
+        "Every REPRO_* variable is one typed row of repro.spec.KNOBS; a "
+        "private os.environ.get elsewhere is a setting the generated "
+        "reference and the garbage-value error never see.  Writes that hand "
+        "a spec to child processes, and passing the whole environment to a "
+        "subprocess, are not keyed reads and stay unflagged."
+    )
+
+    @staticmethod
+    def _is_environ(node: ast.AST) -> bool:
+        """``os.environ``, or the bare name from ``from os import environ``."""
+        return isinstance(node, (ast.Attribute, ast.Name)) and _terminal_name(node) == "environ"
+
+    def _keyed_read(self, node: ast.AST) -> bool:
+        if isinstance(node, ast.Call):
+            func = node.func
+            return _terminal_name(func) == "getenv" or (
+                isinstance(func, ast.Attribute) and func.attr in ("get", "setdefault") and self._is_environ(func.value)
+            )
+        if isinstance(node, ast.Subscript):
+            return isinstance(node.ctx, ast.Load) and self._is_environ(node.value)
+        if isinstance(node, ast.Compare):
+            return any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops) and any(
+                self._is_environ(comparator) for comparator in node.comparators
+            )
+        return False
+
+    def check(self, context: AnalysisContext) -> Iterator[Finding]:
+        for node in ast.walk(context.tree):
+            if self._keyed_read(node):
+                yield context.finding(
+                    self.rule_id,
+                    node,
+                    "environment read outside repro.spec — declare the variable "
+                    "in repro.spec.KNOBS and read it with repro.spec.env()",
                 )
 
 

@@ -34,9 +34,7 @@ streaming runs of the same plan over valid evidence produce equal reports,
 which the mutation suite in ``tests/audit`` pins down.
 
 Strategies are selected per election via ``ElectionConfig.audit_spec``
-(``"eager"``, ``"batched[:chunk]"`` or ``"stream[:shard[:depth]]"``) through
-:func:`verifier_from_spec`, mirroring ``executor_spec`` / ``board_spec`` /
-``pipeline_spec``.
+through :func:`verifier_from_spec` (forms: :data:`repro.spec.AUDIT`).
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ from repro import telemetry
 from repro.runtime.executor import Executor
 from repro.runtime.pipeline import Shard, Stage, StopPipeline, StreamPipeline, iter_shards
 from repro.runtime.sharding import parallel_map
+from repro.spec import AUDIT
 
 #: The audit API version this module defines.  Consumers that need a newer
 #: check vocabulary can gate on it instead of failing deep inside a plan.
@@ -285,29 +284,24 @@ class BatchedVerifier(Verifier):
 
 
 class _ShardVerifyStage(Stage):
-    """Verify one shard of checks (batched or eager semantics within the shard)."""
+    """Verify one shard of checks with the batched fold."""
 
     name = "verify-checks"
 
-    def __init__(self, chunk_size: int, batch: bool):
+    def __init__(self, chunk_size: int):
         self.chunk_size = chunk_size
-        self.batch = batch
 
     def process(self, shard: Shard):
-        from repro.audit.kinds import evaluate_batched, verdict_one
+        from repro.audit.kinds import evaluate_batched
 
-        if self.batch:
-            yield Shard(shard.index, evaluate_batched(shard.items, chunk_size=self.chunk_size))
-        else:
-            yield Shard(shard.index, [_result_for(check, verdict_one(check)) for check in shard.items])
+        yield Shard(shard.index, evaluate_batched(shard.items, chunk_size=self.chunk_size))
 
 
 class StreamingVerifier(Verifier):
     """Checks ride pipeline shards; the sink cancels at the first failure.
 
     Each shard is verified with the batched fold (so the per-shard cost
-    matches :class:`BatchedVerifier` at ``chunk = shard_size``; pass
-    ``batch=False`` for the exact reference equations per check), shards
+    matches :class:`BatchedVerifier` at ``chunk = shard_size``), shards
     flow through a bounded-queue :class:`~repro.runtime.pipeline.
     StreamPipeline`, and a failing shard stops the stream: the report
     contains every result up to and including the failing shard, in plan
@@ -320,13 +314,11 @@ class StreamingVerifier(Verifier):
         self,
         shard_size: int = DEFAULT_STREAM_SHARD,
         queue_depth: int = DEFAULT_STREAM_DEPTH,
-        batch: bool = True,
     ):
         if shard_size < 1:
             raise ValueError("audit stream shard size must be >= 1")
         self.shard_size = shard_size
         self.queue_depth = queue_depth
-        self.batch = batch
 
     def _execute(self, checks: List[Check]) -> List[CheckResult]:
         if not checks:
@@ -339,7 +331,7 @@ class StreamingVerifier(Verifier):
                 raise StopPipeline()
 
         StreamPipeline(
-            [_ShardVerifyStage(self.shard_size, self.batch)],
+            [_ShardVerifyStage(self.shard_size)],
             queue_depth=self.queue_depth,
             name="audit",
         ).run(iter_shards(checks, self.shard_size), consume=_consume)
@@ -359,13 +351,6 @@ def _verify_check_shard(checks: Sequence[Check]) -> List[CheckResult]:
     return evaluate_batched(list(checks))
 
 
-def _verify_check_shard_eager(checks: Sequence[Check]) -> List[CheckResult]:
-    """The eager-reference twin of :func:`_verify_check_shard`."""
-    from repro.audit.kinds import verdict_one
-
-    return [_result_for(check, verdict_one(check)) for check in checks]
-
-
 class DistributedVerifier(Verifier):
     """Fan contiguous check shards out over the executor surface and merge.
 
@@ -375,8 +360,7 @@ class DistributedVerifier(Verifier):
     its :class:`CheckResult`s.  Shard results concatenate in plan order, so
     the merged :class:`AuditReport` fingerprints identically to the eager,
     batched and streaming strategies on the same plan; only worker
-    placement (and the wall clock) moves.  ``batch=False`` runs the exact
-    reference predicate per check inside each shard instead of the fold.
+    placement (and the wall clock) moves.
     """
 
     strategy = "dist"
@@ -385,65 +369,32 @@ class DistributedVerifier(Verifier):
         self,
         shard_size: int = DEFAULT_DIST_SHARD,
         executor: Optional[Executor] = None,
-        batch: bool = True,
     ):
         if shard_size < 1:
             raise ValueError("audit dist shard size must be >= 1")
         self.shard_size = shard_size
         self.executor = executor
-        self.batch = batch
 
     def _execute(self, checks: List[Check]) -> List[CheckResult]:
         if not checks:
             return []
         shards = [checks[start:start + self.shard_size] for start in range(0, len(checks), self.shard_size)]
-        worker_fn = _verify_check_shard if self.batch else _verify_check_shard_eager
-        shard_results = parallel_map(worker_fn, shards, executor=self.executor, chunksize=1)
+        shard_results = parallel_map(_verify_check_shard, shards, executor=self.executor, chunksize=1)
         return [result for shard in shard_results for result in shard]
 
 
 def verifier_from_spec(spec: Optional[str], executor: Optional[Executor] = None) -> Verifier:
-    """Build a verifier from a config string (mirrors ``executor_from_spec``).
-
-    Accepted forms::
-
-        "eager"                     reference one-by-one checking (the default)
-        "batched"                   RLC folding with bisection on failure
-        "batched:512"               … folding up to 512 same-kind checks per equation
-        "stream"                    batched shards + first-failure cancellation
-        "stream:32"                 … 32 checks per shard
-        "stream:32:8"               … with an 8-shard queue bound
-        "dist"                      contiguous check shards over the executor
-        "dist:256"                  … 256 checks per shard (one task each)
+    """Build a verifier from an ``audit_spec`` (forms: :data:`repro.spec.AUDIT`).
 
     The ``dist`` strategy pairs with a cluster ``executor`` to run check
     shards on remote workers; with an in-process executor it degrades to
     sharded batched verification.
     """
-    def _parse_int(text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"invalid audit spec {spec!r}") from None
-
-    text = (spec or "eager").strip().lower()
-    kind, _, rest = text.partition(":")
-    if kind == "eager":
-        if rest:
-            raise ValueError(f"the eager strategy takes no parameters: {spec!r}")
+    head, given = AUDIT.parse(spec)
+    if head == "eager":
         return EagerVerifier(executor=executor)
-    if kind == "batched":
-        chunk = _parse_int(rest) if rest else DEFAULT_CHUNK_SIZE
-        return BatchedVerifier(chunk_size=chunk, executor=executor)
-    if kind in ("stream", "streaming"):
-        shard_text, _, depth_text = rest.partition(":")
-        shard = _parse_int(shard_text) if shard_text else DEFAULT_STREAM_SHARD
-        depth = _parse_int(depth_text) if depth_text else DEFAULT_STREAM_DEPTH
-        return StreamingVerifier(shard_size=shard, queue_depth=depth)
-    if kind in ("dist", "distributed"):
-        shard = _parse_int(rest) if rest else DEFAULT_DIST_SHARD
-        return DistributedVerifier(shard_size=shard, executor=executor)
-    raise ValueError(
-        f"unknown audit spec {spec!r}; expected 'eager', 'batched[:chunk]', "
-        f"'stream[:shard[:depth]]' or 'dist[:shard]'"
-    )
+    if head == "batched":
+        return BatchedVerifier(executor=executor, **given)
+    if head == "stream":
+        return StreamingVerifier(**given)
+    return DistributedVerifier(executor=executor, **given)

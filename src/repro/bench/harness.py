@@ -9,11 +9,12 @@ number).
 from __future__ import annotations
 
 import json
-import os
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
+
+from repro.spec import env
 
 
 def median(values: Sequence[float]) -> float:
@@ -85,7 +86,7 @@ def emit_bench_json(name: str, payload: Dict[str, object]) -> Optional[Path]:
     captured stdout.  A no-op (returning ``None``) when the variable is
     unset, so local runs and plain pytest invocations stay side-effect free.
     """
-    directory = os.environ.get("REPRO_BENCH_JSON_DIR")
+    directory = env("REPRO_BENCH_JSON_DIR")
     if not directory:
         return None
     target = Path(directory)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import os
 import secrets
 import socket
 import threading
@@ -62,6 +61,7 @@ from repro.cluster.protocol import (
     welcome_mac,
 )
 from repro.errors import ClusterError
+from repro.spec import env
 
 #: Module logger policy: per-task scheduling chatter (dispatch, result
 #: delivery) stays at DEBUG; worker lifecycle that an operator must see —
@@ -84,16 +84,12 @@ DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 #: Default bound on waiting for worker enrollment (overridable per call and,
 #: fleet-wide, via the environment).  The single source of truth —
 #: :mod:`repro.cluster.executor` imports this rather than re-reading the env.
-DEFAULT_ENROLL_TIMEOUT = float(os.environ.get("REPRO_CLUSTER_ENROLL_TIMEOUT", "120"))
+DEFAULT_ENROLL_TIMEOUT: float = env("REPRO_CLUSTER_ENROLL_TIMEOUT")
 
 #: Default bound on one in-flight task before its worker is presumed stuck
-#: (``None`` disables).  Spec-built executors read the environment knob
-#: ``REPRO_CLUSTER_TASK_TIMEOUT`` (seconds).
-DEFAULT_TASK_TIMEOUT: Optional[float] = (
-    float(os.environ["REPRO_CLUSTER_TASK_TIMEOUT"])
-    if os.environ.get("REPRO_CLUSTER_TASK_TIMEOUT")
-    else None
-)
+#: and the shard is reassigned (``None`` disables): a deadlocked work function
+#: keeps heartbeating, so only this timeout can unstick it.
+DEFAULT_TASK_TIMEOUT: Optional[float] = env("REPRO_CLUSTER_TASK_TIMEOUT")
 
 #: How many times one task may be reassigned before its group fails — a
 #: backstop against a poison shard that crashes every worker serving it,

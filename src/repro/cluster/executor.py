@@ -7,15 +7,14 @@ select thread or process pools — every ``parallel_map``/``parallel_starmap``
 call site in the tally, mixnet, filter, decrypt and audit layers works
 unchanged:
 
-* ``"remote:host:port[,host:port…]"`` — listen on the given address(es) and
-  dispatch to whatever worker daemons enroll
-  (``python -m repro.cluster.worker --connect host:port`` on each machine,
-  with ``REPRO_CLUSTER_SECRET`` shared out of band);
-* ``"cluster:N"`` — loopback convenience for tests, CI and benchmarks: bind
-  an ephemeral port, generate a fresh secret, and auto-spawn ``N`` local
-  worker subprocesses that enroll against it.  Workers spawn lazily (on
-  ``warm()`` or first dispatch), so config code can attach warm material —
-  group factories, hot bases — before any worker enrolls.
+* ``remote`` — listen on the given address(es) and dispatch to whatever
+  worker daemons enroll (``python -m repro.cluster.worker --connect
+  host:port`` on each machine, ``REPRO_CLUSTER_SECRET`` shared out of band);
+* ``cluster`` — loopback convenience for tests, CI and benchmarks: bind an
+  ephemeral port, generate a fresh secret, and auto-spawn local worker
+  subprocesses that enroll against it.  Workers spawn lazily (on ``warm()``
+  or first dispatch), so config code can attach warm material — group
+  factories, hot bases — before any worker enrolls.
 
 Dispatch always goes through the coordinator, even with a single enrolled
 worker: ``cluster:1`` measures true remoting overhead (the bench gate), and
@@ -38,7 +37,7 @@ from repro.cluster.coordinator import (
     DEFAULT_TASK_TIMEOUT,
     ClusterCoordinator,
 )
-from repro.cluster.protocol import decode_secret, format_address, parse_address
+from repro.cluster.protocol import decode_secret, format_address
 from repro import telemetry
 from repro.errors import ClusterError
 from repro.runtime.executor import (
@@ -47,6 +46,7 @@ from repro.runtime.executor import (
     _star_chunk,
     chunk_evenly,
 )
+from repro.spec import EXECUTOR, env
 
 #: Chunks handed out per worker slot; matches the in-process backends'
 #: load-balancing granularity so chunk boundaries (and therefore nothing
@@ -67,13 +67,13 @@ def spawn_local_worker(
     injected as hex through ``REPRO_CLUSTER_SECRET`` — via the environment,
     not argv, so it never shows up in process listings.
     """
-    env = dict(os.environ)
-    env["REPRO_CLUSTER_SECRET"] = secret.hex()
+    child_env = dict(os.environ)
+    child_env["REPRO_CLUSTER_SECRET"] = secret.hex()
     # Workers must not inherit the parent's telemetry spec: a jsonl spec
     # would have every worker write the coordinator's trace file directly
     # (double-counting what the RESULT piggyback already merges).  The
     # coordinator's WELCOME flag turns worker-side buffering on instead.
-    env.pop("REPRO_TELEMETRY", None)
+    child_env.pop("REPRO_TELEMETRY", None)
     command = [
         sys.executable, "-m", "repro.cluster.worker",
         "--connect", format_address(address),
@@ -81,7 +81,7 @@ def spawn_local_worker(
     ]
     if worker_id:
         command += ["--id", worker_id]
-    return subprocess.Popen(command, env=env)
+    return subprocess.Popen(command, env=child_env)
 
 
 class RemoteExecutor(Executor):
@@ -280,48 +280,22 @@ class RemoteExecutor(Executor):
 
 
 def remote_executor_from_spec(spec: str) -> RemoteExecutor:
-    """Build a :class:`RemoteExecutor` from an ``executor_spec`` string.
-
-    Accepted forms::
-
-        "cluster:N"                   auto-spawn N loopback worker subprocesses
-        "remote:host:port"            listen at host:port for worker enrollment
-        "remote:h1:p1,h2:p2"          … on several interfaces/ports
+    """Build the executor of a ``cluster``/``remote`` head of :data:`repro.spec.EXECUTOR`.
 
     ``remote`` coordinators take their enrollment secret from
-    ``REPRO_CLUSTER_SECRET`` (hex); ``cluster`` coordinators generate a
-    fresh one per executor and hand it to their spawned workers through the
-    environment.  Two more environment knobs tune spec-built executors:
-    ``REPRO_CLUSTER_ENROLL_TIMEOUT`` (seconds to wait for the worker floor,
-    default 120) and ``REPRO_CLUSTER_TASK_TIMEOUT`` (seconds an in-flight
-    task may run before its worker is presumed stuck and the shard is
-    reassigned; unset disables — a deadlocked work function keeps
-    heartbeating, so only this timeout can unstick it).
+    ``REPRO_CLUSTER_SECRET``; ``cluster`` coordinators generate a fresh one
+    and hand it to their spawned workers through the environment.
     """
-    text = (spec or "").strip()
-    kind, _, rest = text.partition(":")
-    kind = kind.lower()
-    if kind == "cluster":
-        try:
-            count = int(rest)
-        except ValueError:
-            raise ValueError(f"invalid worker count in executor spec {spec!r}") from None
-        if count < 1:
-            raise ValueError("cluster worker count must be >= 1")
-        secret = secrets.token_bytes(32)
+    head, given = EXECUTOR.parse(spec)
+    if head == "cluster":
+        count = given["num_workers"]
         return RemoteExecutor(
             listen=(("127.0.0.1", 0),),
-            secret=secret,
+            secret=secrets.token_bytes(32),
             min_workers=count,
             spawn_workers=count,
         )
-    if kind == "remote":
-        if not rest:
-            raise ValueError(f"executor spec {spec!r} needs at least one host:port")
-        try:
-            addresses = tuple(parse_address(part) for part in rest.split(",") if part)
-        except ClusterError as exc:
-            raise ValueError(str(exc)) from None
-        secret = decode_secret(os.environ.get("REPRO_CLUSTER_SECRET"))
-        return RemoteExecutor(listen=addresses, secret=secret, min_workers=1)
-    raise ValueError(f"unknown remote executor spec {spec!r}")
+    if head == "remote":
+        secret = decode_secret(env("REPRO_CLUSTER_SECRET"))
+        return RemoteExecutor(listen=given["listen"], secret=secret, min_workers=1)
+    raise ValueError(f"executor spec {spec!r} is not served by repro.cluster")

@@ -43,6 +43,7 @@ from typing import Any, Optional
 
 from repro.crypto.mac import mac_sign, mac_verify
 from repro.errors import ClusterError
+from repro.spec import parse_host_port
 
 #: Bump on any incompatible change to the frame format or handshake.
 PROTOCOL_VERSION = 1
@@ -303,17 +304,11 @@ def verify_welcome(secret: bytes, worker_nonce: bytes, worker_id: str, tag: byte
 
 
 def parse_address(text: str) -> "tuple[str, int]":
-    """Parse ``host:port`` (the worker CLI and spec-string address grammar)."""
-    host, separator, port_text = text.rpartition(":")
-    if not separator or not host:
-        raise ClusterError(f"invalid cluster address {text!r}; expected host:port")
+    """Parse the worker CLI's ``host:port`` (the spec grammar's address form)."""
     try:
-        port = int(port_text)
-    except ValueError:
-        raise ClusterError(f"invalid port in cluster address {text!r}") from None
-    if not 0 <= port <= 65535:
-        raise ClusterError(f"port out of range in cluster address {text!r}")
-    return host, port
+        return parse_host_port(text)
+    except ValueError as exc:
+        raise ClusterError(f"invalid cluster address: {exc}") from None
 
 
 def format_address(address: "tuple[str, int]") -> str:

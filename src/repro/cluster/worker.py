@@ -60,6 +60,7 @@ from repro.cluster.protocol import (
     verify_welcome,
 )
 from repro.errors import ClusterError
+from repro.spec import EXECUTOR, env
 
 CONNECT_TIMEOUT_SECONDS = 30.0
 
@@ -313,11 +314,11 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(default REPRO_CLUSTER_SECRET; secrets never appear in argv)",
     )
     args = parser.parse_args(argv)
-    if args.executor.strip().lower().partition(":")[0] in ("remote", "cluster"):
+    if EXECUTOR.parse(args.executor)[0] in ("remote", "cluster"):
         parser.error("worker-local executors must be serial, thread[:N] or process[:N]")
     daemon = WorkerDaemon(
         address=parse_address(args.connect),
-        secret=decode_secret(os.environ.get(args.secret_env)),
+        secret=decode_secret(env("REPRO_CLUSTER_SECRET", var=args.secret_env)),
         executor=executor_from_spec(args.executor),
         worker_id=args.id,
     )

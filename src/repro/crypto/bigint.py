@@ -20,16 +20,15 @@ published transcript is bit-identical across backends (``mpz`` round-trips
 exactly through ``int``), which the cross-backend test matrix pins down.  A
 cluster can therefore mix workers with and without gmpy2 freely.
 
-Selection:
+Selection (forms: :data:`repro.spec.BIGINT`):
 
-* the ``REPRO_BIGINT`` environment variable (``auto`` | ``python`` |
-  ``gmpy2``) picks the backend for the whole process, resolved lazily on
-  first use and inherited by forked/spawned workers;
-* ``auto`` (the default) uses gmpy2 when importable, else pure Python;
-* :attr:`repro.election.config.ElectionConfig.bigint_spec` validates the
-  same grammar per election — it never silently switches a live process
-  (groups already constructed keep their arithmetic), it only *checks* that
-  the requested backend is the active one and fails loudly otherwise.
+* the ``REPRO_BIGINT`` environment variable picks the backend for the whole
+  process, resolved lazily on first use and inherited by forked/spawned
+  workers; ``auto`` (the default) uses gmpy2 when importable, else pure Python;
+* :attr:`repro.election.config.ElectionConfig.bigint_spec` never switches a
+  live process (groups already constructed keep their arithmetic), it only
+  *checks* that the requested backend is the active one and fails loudly
+  otherwise.
 
 Tests that genuinely need to switch backends mid-process use
 :func:`set_active_backend`, which clears the registered group/table caches
@@ -38,21 +37,17 @@ so later group constructions pick up the new arithmetic.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
-from repro.errors import ReproError
+from repro.errors import BigIntError
+from repro.spec import BIGINT, env
 
 #: Environment variable consulted (once, lazily) for the process-wide backend.
 ENV_VAR = "REPRO_BIGINT"
 
 #: The spec value meaning "fastest available backend".
 AUTO = "auto"
-
-
-class BigIntError(ReproError):
-    """A big-integer backend was requested but cannot be used."""
 
 
 @dataclass(frozen=True)
@@ -121,18 +116,13 @@ def resolve_backend(spec: str = AUTO) -> BigIntBackend:
     Python; an explicit name is honoured exactly or raises
     :class:`BigIntError`.
     """
-    name = (spec or AUTO).strip().lower()
+    name = BIGINT.parse(spec)[0]
     if name == AUTO:
         try:
             return _gmpy2_backend()
         except BigIntError:
             return _python_backend()
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise BigIntError(
-            f"unknown bigint backend {spec!r} (expected one of: auto, python, gmpy2)"
-        )
-    return factory()
+    return _FACTORIES[name]()
 
 
 _active: Optional[BigIntBackend] = None
@@ -152,7 +142,7 @@ def active_backend() -> BigIntBackend:
     """The process-wide backend, resolved from ``REPRO_BIGINT`` on first use."""
     global _active
     if _active is None:
-        _active = resolve_backend(os.environ.get(ENV_VAR, AUTO))
+        _active = resolve_backend(env(ENV_VAR))
     return _active
 
 
@@ -184,13 +174,9 @@ def require(spec: str) -> BigIntBackend:
     demands — fail loudly with the fix rather than silently running slower
     or half-switched.
     """
-    name = (spec or AUTO).strip().lower()
+    name = BIGINT.parse(spec)[0]
     if name == AUTO:
         return active_backend()
-    if name not in _FACTORIES:
-        raise BigIntError(
-            f"unknown bigint backend {spec!r} (expected one of: auto, python, gmpy2)"
-        )
     active = active_backend()
     if active.name != name:
         raise BigIntError(

@@ -311,6 +311,9 @@ def testing_group() -> ModPGroup:
     return _group_from_params("modp-toy-INSECURE", _TOY_P, _TOY_Q, _quadratic_residue_generator(_TOY_P))
 
 
+testing_group.__test__ = False  # type: ignore[attr-defined]  # test modules import it; pytest must not collect it
+
+
 def _reset_group_caches() -> None:
     """Drop the canonical group instances (bigint backend switched).
 

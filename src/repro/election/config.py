@@ -14,6 +14,7 @@ from repro.ledger.api import LedgerBackend, board_from_spec
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.runtime.executor import Executor, executor_from_spec
 from repro.runtime.pipeline import PipelineSpec, pipeline_from_spec
+from repro.spec import GATEWAY, GRAMMARS, TELEMETRY
 
 
 @dataclass
@@ -24,82 +25,22 @@ class ElectionConfig:
     benchmarks override ``group`` with Ed25519 or the 2048-bit group and raise
     ``proof_rounds`` when measuring realistic costs.
 
-    ``executor_spec`` selects the :mod:`repro.runtime` backend the tally's
-    parallel stages run on — ``"serial"`` (default), ``"thread[:N]"`` or
-    ``"process[:N]"`` with ``N`` workers (defaulting to the CPUs available);
-    the multi-node forms ``"cluster:N"`` (auto-spawn ``N`` loopback worker
-    subprocesses — tests, CI, benchmarks) and
-    ``"remote:host:port[,host:port…]"`` (listen for
-    ``python -m repro.cluster.worker`` daemons, authenticated by the
-    ``REPRO_CLUSTER_SECRET`` signed hello) dispatch the same shards to
-    :mod:`repro.cluster` workers on other processes or machines.  Every
-    backend produces bit-identical results; only the wall clock moves.
+    The seven ``*_spec`` strings are the whole deployment surface; their
+    forms are declared in :mod:`repro.spec` and listed under "Configuration
+    surface" in ``docs/architecture.md``.  All are parsed at construction, so
+    a typo fails here and not after the tally has run.  Every choice publishes
+    bit-identical results; only the wall clock and durability move.
 
-    ``board_spec`` selects the :mod:`repro.ledger` backend the bulletin board
-    stores its three sub-ledgers on — ``"memory"`` (default, thread-safe
-    in-process), ``"sqlite[:path]"`` (persistent) or ``"batched[:N[:inner]]"``
-    (write-behind ingestion batching; see
-    :func:`repro.ledger.api.board_from_spec`).  Every backend accepts the
-    same append commands and produces bit-identical hash chains; only
-    ingestion latency and durability move.
-
-    ``pipeline_spec`` selects the tally's dataflow schedule — ``"serial"``
-    (default: each phase runs to completion) or
-    ``"stream[:shard_size[:queue_depth]]"`` (ballot shards flow through the
-    signature check, all mixers, tagging, the join and decryption
-    concurrently; see :func:`repro.runtime.pipeline.pipeline_from_spec`).
-    Both schedules publish bit-identical results; only the wall clock moves.
-
-    ``audit_spec`` selects the :mod:`repro.audit` verification strategy —
-    ``"batched[:chunk]"`` (default, matching the historical ``batch=True``
-    verification path: same-kind checks folded into RLC batch equations,
-    bisected on failure to exact per-check verdicts), ``"eager"`` (reference
-    one-by-one checking), ``"stream[:shard[:depth]]"`` (check shards with
-    first-failure cancellation) or ``"dist[:shard]"`` (contiguous check
-    shards shipped one task each over the configured executor — with a
-    cluster ``executor_spec`` the shards verify on remote workers and merge
-    into one report).  Every strategy produces bit-identical
-    :class:`~repro.audit.api.AuditReport` outcomes; only the wall clock (and
-    how soon a corrupted transcript stops the audit) moves.
-
-    ``audit_evidence`` makes the tally publish tagging-chain and
-    decryption-share transcripts (:class:`repro.audit.evidence.TallyEvidence`)
-    on its result, so external auditors can re-check filtering and decryption
-    — a few extra exponentiations per ciphertext per member, hence opt-in.
-
-    ``telemetry_spec`` selects the :mod:`repro.telemetry` observability sink
-    — ``"off"`` (default: every span and counter is a no-op), ``"mem"``
-    (buffer events in process memory; read them back through
-    :func:`repro.telemetry.snapshot`) or ``"jsonl:<path>"`` (append one JSON
-    event per line, summarizable with ``python -m repro.telemetry summarize``).
-    Cluster executors propagate collection to their workers automatically
-    (worker spans ride back on RESULT frames), and process pools re-attach
-    through the ``REPRO_TELEMETRY`` environment variable.  Telemetry never
-    changes results; it only records where the wall clock went.
-
-    ``gateway_spec`` optionally exposes the election over HTTP through
-    :mod:`repro.gateway` — ``"off"`` (default: no network surface),
-    ``"serve"`` (loopback, ephemeral port), ``"serve:8080"`` or
-    ``"serve:0.0.0.0:8080"``.  :meth:`make_gateway` builds (but does not
-    start) a :class:`repro.gateway.routes.GatewayServer` whose tenants reuse
-    this config's board, executor and audit specs; ``python -m repro.gateway``
-    is the standalone CLI over the same machinery.
-
-    ``bigint_spec`` pins the :mod:`repro.crypto.bigint` arithmetic backend
-    the mod-p groups must be running on — ``"auto"`` (default: whatever the
-    process resolved, gmpy2 when importable else pure Python), ``"python"``
-    or ``"gmpy2"``.  Unlike the other specs this one does not *construct*
-    anything: backends are process-wide (selected once via the
-    ``REPRO_BIGINT`` environment variable before the first group exists), so
-    :meth:`make_group` merely validates that the active backend matches and
-    raises :class:`~repro.crypto.bigint.BigIntError` on a mismatch instead
-    of silently running on the wrong arithmetic.  Every backend produces
-    bit-identical transcripts; only the wall clock moves.
-
-    The spec grammars above are the whole deployment surface of a simulated
-    election; ``docs/architecture.md`` maps the subsystems they select
-    between and ``docs/performance.md`` explains which knob moves which
-    benchmark.
+    - ``executor_spec``: backend the tally's parallel stages run on.
+    - ``board_spec``: storage of the bulletin board's three sub-ledgers.
+    - ``pipeline_spec``: serial or streaming schedule of the tally dataflow.
+    - ``audit_spec``: verification strategy of :mod:`repro.audit`.
+    - ``audit_evidence``: publish :class:`repro.audit.evidence.TallyEvidence`
+      for external auditors (extra exponentiations per ciphertext, so opt-in).
+    - ``telemetry_spec``: observability sink; ``off`` leaves ambient state alone.
+    - ``bigint_spec``: arithmetic backend :meth:`make_group` checks the process
+      already runs on (``REPRO_BIGINT`` selects it); never switched.
+    - ``gateway_spec``: HTTP front door :meth:`make_gateway` builds (not starts).
     """
 
     num_voters: int = 10
@@ -121,6 +62,10 @@ class ElectionConfig:
     bigint_spec: str = "auto"
     gateway_spec: str = "off"
 
+    def __post_init__(self) -> None:
+        for grammar in GRAMMARS:
+            grammar.parse(getattr(self, grammar.field))
+
     def voter_ids(self) -> List[str]:
         width = max(4, len(str(self.num_voters)))
         return [f"voter-{index:0{width}d}" for index in range(self.num_voters)]
@@ -138,7 +83,7 @@ class ElectionConfig:
         caller who attached a sink directly (or through ``REPRO_TELEMETRY``)
         is not silently disconnected by constructing a default config.
         """
-        if self.telemetry_spec and self.telemetry_spec != "off":
+        if TELEMETRY.parse(self.telemetry_spec)[0] != "off":
             telemetry.configure(self.telemetry_spec)
 
     def make_executor(self) -> Executor:
@@ -173,9 +118,10 @@ class ElectionConfig:
         Imported lazily — an election that never serves HTTP never pays for
         the gateway package.
         """
-        from repro.gateway.routes import server_from_spec
+        head, given = GATEWAY.parse(self.gateway_spec)
+        if head == "off":
+            return None
+        from repro.gateway.routes import GatewayServer
         from repro.gateway.service import service_from_config
 
-        if (self.gateway_spec or "off").strip().lower() == "off":
-            return None
-        return server_from_spec(self.gateway_spec, service_from_config(self))
+        return GatewayServer(service_from_config(self), **given)

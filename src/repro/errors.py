@@ -36,3 +36,7 @@ class ClusterError(ReproError):
 
 class GatewayError(ReproError):
     """A gateway (HTTP front door) operation failed server-side."""
+
+
+class BigIntError(ReproError):
+    """A big-integer backend was requested but cannot be used."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import os
 import signal
 import sys
 from typing import Dict, List, Optional
@@ -30,6 +29,7 @@ from repro.gateway.governor import GovernorConfig
 from repro.gateway.routes import GatewayServer
 from repro.gateway.schemas import CreateElectionRequest
 from repro.gateway.service import GatewayService, ServiceConfig
+from repro.spec import env
 
 
 def _parse_election(text: str) -> CreateElectionRequest:
@@ -127,7 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     spec = args.telemetry
     if spec is None:
-        spec = os.environ.get(telemetry.TELEMETRY_ENV) or "mem"
+        spec = env(telemetry.TELEMETRY_ENV) or "mem"
     if spec and spec != "off":
         telemetry.configure(spec)
     return asyncio.run(_serve(args))

@@ -20,17 +20,18 @@ All state is owned by the event loop thread; nothing here takes locks.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
+
+from repro.spec import KNOBS, env
 
 #: Environment knobs (also set by the CLI flags); the stress CI leg
 #: randomizes these to shake schedule-dependent admission bugs out.
 BATCH_SIZE_ENV = "REPRO_GATEWAY_BATCH_SIZE"
 QUEUE_DEPTH_ENV = "REPRO_GATEWAY_QUEUE_DEPTH"
 
-DEFAULT_BATCH_SIZE = 64
-DEFAULT_QUEUE_DEPTH = 1024
+DEFAULT_BATCH_SIZE: int = KNOBS[BATCH_SIZE_ENV].default
+DEFAULT_QUEUE_DEPTH: int = KNOBS[QUEUE_DEPTH_ENV].default
 DEFAULT_BATCH_WINDOW_SECONDS = 0.002
 
 #: Rate limits are deliberately generous by default — the gateway's job is
@@ -43,19 +44,6 @@ DEFAULT_CLIENT_BURST = 512.0
 #: Cap on distinct per-client buckets kept per tenant (oldest evicted), so a
 #: client-id-spinning adversary cannot grow memory without bound.
 MAX_TRACKED_CLIENTS = 4_096
-
-
-def _env_int(name: str, default: int) -> int:
-    text = os.environ.get(name)
-    if not text:
-        return default
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
 
 
 @dataclass
@@ -74,8 +62,8 @@ class GovernorConfig:
     def from_env(cls, **overrides: float) -> "GovernorConfig":
         """Defaults, then environment, then explicit keyword overrides."""
         config = cls(
-            batch_size=_env_int(BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE),
-            queue_depth=_env_int(QUEUE_DEPTH_ENV, DEFAULT_QUEUE_DEPTH),
+            batch_size=env(BATCH_SIZE_ENV),
+            queue_depth=env(QUEUE_DEPTH_ENV),
         )
         for name, value in overrides.items():
             if not hasattr(config, name):

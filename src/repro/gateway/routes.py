@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Type, Union
 
@@ -59,6 +58,7 @@ from repro.gateway.service import (
     ShedError,
     UnknownElectionError,
 )
+from repro.spec import GATEWAY, env
 
 #: What one handler returns: status code + a schema body (or raw text for
 #: the Prometheus exposition endpoint and the debug ops plane).
@@ -72,7 +72,7 @@ DEBUG_ENV = "REPRO_GATEWAY_DEBUG"
 
 
 def debug_enabled() -> bool:
-    return os.environ.get(DEBUG_ENV, "") == "1"
+    return env(DEBUG_ENV)
 
 
 @dataclass(frozen=True)
@@ -572,34 +572,11 @@ class GatewayServer:
 
 
 def server_from_spec(spec: str, service: GatewayService) -> Optional[GatewayServer]:
-    """Build a server from a ``gateway_spec`` string.
+    """Build a server from a ``gateway_spec`` (forms: :data:`repro.spec.GATEWAY`).
 
-    Accepted forms::
-
-        "off"                    no gateway (the default)
-        "serve"                  loopback, ephemeral port
-        "serve:8080"             loopback, fixed port
-        "serve:0.0.0.0:8080"     explicit bind host and port
+    ``None`` for ``off``; loopback and an ephemeral port unless given.
     """
-    text = (spec or "off").strip()
-    kind, _, rest = text.partition(":")
-    if kind.lower() == "off":
-        if rest:
-            raise GatewayError(f"gateway spec 'off' takes no parameters: {spec!r}")
+    head, given = GATEWAY.parse(spec)
+    if head == "off":
         return None
-    if kind.lower() != "serve":
-        raise GatewayError(
-            f"unknown gateway spec {spec!r} (expected off or serve[:host][:port])"
-        )
-    host, port = "127.0.0.1", 0
-    if rest:
-        host_text, separator, port_text = rest.rpartition(":")
-        if separator:
-            host = host_text or host
-        else:
-            port_text = rest
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise GatewayError(f"bad port in gateway spec {spec!r}") from None
-    return GatewayServer(service, host=host, port=port)
+    return GatewayServer(service, **given)

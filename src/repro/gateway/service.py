@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.crypto.registry import group_by_name
+from repro.election.config import ElectionConfig
 from repro.errors import GatewayError
 from repro.gateway.governor import GovernorConfig, TenantGovernor
 from repro.gateway.schemas import (
@@ -598,24 +599,20 @@ def _bucket_level(bucket: Any, now: float) -> Optional[Dict[str, float]]:
     }
 
 
-def service_from_config(config: Any) -> GatewayService:
-    """Build a :class:`GatewayService` from an :class:`ElectionConfig`-like object.
+def service_from_config(config: ElectionConfig) -> GatewayService:
+    """Build a :class:`GatewayService` whose tenants reuse an election's specs.
 
-    Maps the election's deployment specs (board, executor, audit, group
-    factory, mixing/proof parameters) onto a :class:`ServiceConfig`; the
-    ``gateway_spec`` grammar itself is parsed by
-    :func:`repro.gateway.routes.server_from_spec`.
+    Maps the config's board, executor and audit specs, its group and its
+    mixing/proof parameters onto a :class:`ServiceConfig`.
     """
-    group = config.group_factory()
-    group_name = getattr(group, "name", None) or "toy"
     return GatewayService(
         ServiceConfig(
-            group_name=group_name,
-            board_spec=getattr(config, "board_spec", "memory"),
-            executor_spec=getattr(config, "executor_spec", "serial"),
-            audit_spec=getattr(config, "audit_spec", "batched"),
-            num_mixers=getattr(config, "num_mixers", 2),
-            proof_rounds=getattr(config, "proof_rounds", 2),
+            group_name=config.group_factory().name,
+            board_spec=config.board_spec,
+            executor_spec=config.executor_spec,
+            audit_spec=config.audit_spec,
+            num_mixers=config.num_mixers,
+            proof_rounds=config.proof_rounds,
             governor=GovernorConfig.from_env(),
         )
     )

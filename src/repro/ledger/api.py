@@ -15,11 +15,10 @@ independently of tallying:
 * **A read facade.**  :class:`BoardView` exposes exactly the read surface
   the tally pipeline, universal verification and the coercion adversary
   consume — no append methods, no backend internals.
-* **Pluggable backends.**  :func:`board_from_spec` mirrors
-  ``executor_from_spec`` from :mod:`repro.runtime`: ``"memory"`` (thread-safe
-  in-process store), ``"sqlite[:path]"`` (persistent), and
-  ``"batched[:size[:inner-spec]]"`` (write-behind ingestion decorator,
-  :class:`repro.ledger.backends.batched.BatchedBoard`).
+* **Pluggable backends.**  :func:`board_from_spec` builds the thread-safe
+  in-process store, the persistent SQLite backend or the write-behind
+  ingestion decorator (:class:`repro.ledger.backends.batched.BatchedBoard`)
+  from a ``board_spec`` string (forms: :data:`repro.spec.BOARD`).
 
 Every backend must be observationally equivalent: the same sequence of
 accepted append commands yields bit-identical hash chains and identical read
@@ -44,6 +43,7 @@ from repro.ledger.records import (
     EnvelopeUsageRecord,
     RegistrationRecord,
 )
+from repro.spec import BOARD
 
 #: The ledger API version this module defines.  Backends advertise the
 #: version they implement via :attr:`LedgerBackend.api_version`; consumers
@@ -368,41 +368,19 @@ def as_board_view(board: Union["BoardView", LedgerBackend, object]) -> BoardView
 
 
 def board_from_spec(spec: str, group: Optional[Any] = None) -> LedgerBackend:
-    """Build a ledger backend from a config string (mirrors ``executor_from_spec``).
+    """Build a ledger backend from a ``board_spec`` (forms: :data:`repro.spec.BOARD`).
 
-    Accepted forms::
-
-        "memory"                    thread-safe in-process store (the default)
-        "sqlite"                    SQLite backend on a private in-memory database
-        "sqlite:/path/to/board.db"  SQLite backend persisted at the given path
-        "batched"                   write-behind decorator over a memory backend
-        "batched:256"               … flushing every 256 buffered records
-        "batched:256:sqlite:/p.db"  … over any inner backend spec
-
-    ``group`` is the election group, required by the SQLite backend to decode
-    persisted records when reopening an existing database.
+    ``group`` is the election group, required by the SQLite backend to
+    decode persisted records when reopening an existing database.
     """
     from repro.ledger.backends.batched import BatchedBoard
     from repro.ledger.backends.memory import MemoryBackend
     from repro.ledger.backends.sqlite import SQLiteBackend
 
-    text = (spec or "").strip()
-    kind, _, rest = text.partition(":")
-    kind = kind.lower()
-    if kind == "memory":
-        if rest:
-            raise LedgerError(f"memory board takes no parameters: {spec!r}")
+    head, given = BOARD.parse(spec)
+    if head == "memory":
         return MemoryBackend()
-    if kind == "sqlite":
-        return SQLiteBackend(path=rest or ":memory:", group=group)
-    if kind == "batched":
-        size_text, _, inner_spec = rest.partition(":")
-        try:
-            batch_size = int(size_text) if size_text else BatchedBoard.DEFAULT_BATCH_SIZE
-        except ValueError:
-            raise LedgerError(f"bad batch size in board spec {spec!r}") from None
-        inner = board_from_spec(inner_spec or "memory", group=group)
-        return BatchedBoard(inner, batch_size=batch_size)
-    raise LedgerError(
-        f"unknown board spec {spec!r} (expected memory, sqlite[:path] or batched[:N[:inner]])"
-    )
+    if head == "sqlite":
+        return SQLiteBackend(group=group, **given)
+    inner = board_from_spec(given.pop("inner", "memory"), group=group)
+    return BatchedBoard(inner, **given)

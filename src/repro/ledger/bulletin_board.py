@@ -21,8 +21,7 @@ identically on every backend.
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, List, Optional, Sequence
 
 from repro.ledger.api import (
     BallotPage,
@@ -50,20 +49,6 @@ __all__ = [
     "BallotRecord",
 ]
 
-#: Legacy private attributes, now backend state.  Accessing them on the
-#: facade returns a snapshot and warns once per attribute per process.
-_DEPRECATED_INTERNALS: Dict[str, Callable[[LedgerBackend], Any]] = {
-    "_ballots": lambda backend: list(backend.read_ballots().records),
-    "_registrations": lambda backend: backend.registration_records(),
-    "_active_registration": lambda backend: {
-        record.voter_id: record for record in backend.active_registrations()
-    },
-    "_eligible_voters": lambda backend: backend.eligible_voters(),
-    "_envelope_commitments": lambda backend: backend.envelope_commitments(),
-    "_used_challenges": lambda backend: backend.used_challenges(),
-}
-_warned_internals: Set[str] = set()
-
 
 class BulletinBoard:
     """The ledger ``L`` with its three sub-ledgers and typed accessors.
@@ -88,31 +73,6 @@ class BulletinBoard:
     def view(self) -> BoardView:
         """The read-only facade tally/audit stages should hold."""
         return BoardView(self._backend)
-
-    # Deprecation shim ----------------------------------------------------------
-
-    def __getattr__(self, name: str) -> Any:
-        if name != "_backend" and name in _DEPRECATED_INTERNALS:
-            if name not in _warned_internals:
-                _warned_internals.add(name)
-                warnings.warn(
-                    f"BulletinBoard.{name} is backend state now; use the "
-                    "LedgerBackend/BoardView read API instead (this returns a snapshot)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            return _DEPRECATED_INTERNALS[name](self.__dict__["_backend"])
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        # Reads of legacy internals get a warning + snapshot; writes would
-        # silently shadow the shim with a stale list, so they are refused.
-        if name in _DEPRECATED_INTERNALS:
-            raise AttributeError(
-                f"BulletinBoard.{name} is backend state; mutate the board through "
-                "its append commands (post_ballot, post_registration, ...)"
-            )
-        super().__setattr__(name, value)
 
     # Electoral roll ------------------------------------------------------------
 

@@ -34,6 +34,7 @@ import time
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.spec import EXECUTOR
 
 
 def available_workers() -> int:
@@ -313,42 +314,16 @@ def resolve_executor(executor: Optional[Executor]) -> Executor:
     return executor if executor is not None else _default_executor
 
 
-#: Spec prefixes served by :mod:`repro.cluster` (imported lazily so the
-#: runtime layer never pays for — or cyclically depends on — the cluster
-#: package unless a remote spec is actually requested).
-_REMOTE_BACKENDS = ("remote", "cluster")
-
-
 def executor_from_spec(spec: str) -> Executor:
-    """Build an executor from a config string.
+    """Build an executor from an ``executor_spec`` (forms: :data:`repro.spec.EXECUTOR`).
 
-    Accepted forms: ``"serial"``, ``"thread"``, ``"thread:8"``, ``"process"``,
-    ``"process:4"`` (worker counts default to the CPUs available to the
-    process), plus the multi-node forms ``"cluster:N"`` (auto-spawn ``N``
-    loopback worker subprocesses — tests, CI, benchmarks) and
-    ``"remote:host:port[,host:port…]"`` (listen for
-    ``python -m repro.cluster.worker`` daemons to enroll); see
-    :func:`repro.cluster.executor.remote_executor_from_spec`.
+    Worker counts default to the CPUs available.  The multi-node heads live
+    in :mod:`repro.cluster`, imported lazily so the runtime layer never pays
+    for — or cyclically depends on — it unless a remote spec is requested.
     """
-    text = (spec or "serial").strip().lower()
-    backend, _, count_text = text.partition(":")
-    if backend in _REMOTE_BACKENDS:
+    head, given = EXECUTOR.parse(spec)
+    if head in ("cluster", "remote"):
         from repro.cluster.executor import remote_executor_from_spec
 
-        return remote_executor_from_spec(text)
-    if backend not in _BACKENDS:
-        expected = sorted(_BACKENDS) + sorted(_REMOTE_BACKENDS)
-        raise ValueError(f"unknown executor backend {backend!r}; expected one of {expected}")
-    if backend == "serial":
-        if count_text:
-            raise ValueError("the serial backend does not take a worker count")
-        return SerialExecutor()
-    workers: Optional[int] = None
-    if count_text:
-        try:
-            workers = int(count_text)
-        except ValueError as exc:
-            raise ValueError(f"invalid worker count in executor spec {spec!r}") from exc
-        if workers < 1:
-            raise ValueError("executor worker count must be >= 1")
-    return _BACKENDS[backend](num_workers=workers)
+        return remote_executor_from_spec(spec)
+    return _BACKENDS[head](**given)

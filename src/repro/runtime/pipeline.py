@@ -59,6 +59,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 from repro import telemetry
 from repro.runtime.executor import Executor
 from repro.runtime.sharding import parallel_map
+from repro.spec import PIPELINE
 
 #: How long a blocked queue operation waits before re-checking cancellation.
 _POLL_SECONDS = 0.05
@@ -391,7 +392,7 @@ class StreamPipeline:
 
 
 # ---------------------------------------------------------------------------
-# Spec parsing (mirrors executor_from_spec / board_from_spec)
+# Spec parsing
 # ---------------------------------------------------------------------------
 
 
@@ -417,29 +418,7 @@ class PipelineSpec:
             raise ValueError("pipeline queue depth must be >= 1")
 
 
-#: The serial reference schedule (what ``pipeline_spec="serial"`` selects).
-SERIAL_PIPELINE = PipelineSpec(streaming=False)
-
-
 def pipeline_from_spec(spec: Optional[str]) -> PipelineSpec:
-    """Build a :class:`PipelineSpec` from a config string.
-
-    Accepted forms: ``"serial"`` (the default reference schedule) and
-    ``"stream"``, ``"stream:<shard_size>"``,
-    ``"stream:<shard_size>:<queue_depth>"``.
-    """
-    text = (spec or "serial").strip().lower()
-    kind, _, rest = text.partition(":")
-    if kind in ("serial", "off"):
-        if rest:
-            raise ValueError(f"the serial pipeline takes no parameters: {spec!r}")
-        return SERIAL_PIPELINE
-    if kind != "stream":
-        raise ValueError(f"unknown pipeline spec {spec!r}; expected 'serial' or 'stream[:shard[:depth]]'")
-    size_text, _, depth_text = rest.partition(":")
-    try:
-        shard_size = int(size_text) if size_text else DEFAULT_SHARD_SIZE
-        queue_depth = int(depth_text) if depth_text else DEFAULT_QUEUE_DEPTH
-    except ValueError as exc:
-        raise ValueError(f"invalid pipeline spec {spec!r}") from exc
-    return PipelineSpec(streaming=True, shard_size=shard_size, queue_depth=queue_depth)
+    """Build a :class:`PipelineSpec` from a ``pipeline_spec`` (forms: :data:`repro.spec.PIPELINE`)."""
+    head, given = PIPELINE.parse(spec)
+    return PipelineSpec(streaming=head == "stream", **given)

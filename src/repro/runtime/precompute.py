@@ -54,6 +54,7 @@ from repro.crypto import bigint as _bigint_module
 from repro.crypto import elgamal as _elgamal_module
 from repro.crypto import group as _group_module
 from repro.crypto.group import Group, GroupElement
+from repro.spec import env
 
 MIN_ORDER_BITS = 192
 DEFAULT_WINDOW_BITS = 5
@@ -418,8 +419,7 @@ _bigint_module.register_reset_hook(clear_tables)
 
 # Honour the environment switch at import so forked workers, CLI runs and CI
 # jobs share one cache directory without any plumbing.
-if os.environ.get("REPRO_PRECOMPUTE_CACHE"):
-    set_disk_cache(os.environ["REPRO_PRECOMPUTE_CACHE"])
+set_disk_cache(env("REPRO_PRECOMPUTE_CACHE"))
 
 
 def _warm_main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CI entry point
@@ -433,7 +433,7 @@ def _warm_main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - C
     parser = argparse.ArgumentParser(description="Warm the fixed-base table disk cache.")
     parser.add_argument(
         "--cache-dir",
-        default=os.environ.get("REPRO_PRECOMPUTE_CACHE") or str(Path.home() / ".cache" / "repro-votegral" / "precompute"),
+        default=env("REPRO_PRECOMPUTE_CACHE") or str(Path.home() / ".cache" / "repro-votegral" / "precompute"),
         help="cache directory (default: $REPRO_PRECOMPUTE_CACHE or ~/.cache/repro-votegral/precompute)",
     )
     parser.add_argument(

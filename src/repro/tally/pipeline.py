@@ -75,7 +75,6 @@ from repro.tally.mixnet import (
     plan_tuple_cascade,
     streaming_tuple_mix_cascade,
     tuple_mix_cascade,
-    verify_tuple_cascade,
 )
 
 
@@ -219,7 +218,6 @@ class TallyPipeline:
     authority: DistributedKeyGeneration
     num_mixers: int = 4
     proof_rounds: int = 8
-    verify_internally: bool = False
     executor: Optional[Executor] = None
     tagging: Optional[TaggingAuthority] = None
     pipeline: Optional[PipelineSpec] = None
@@ -362,8 +360,6 @@ class TallyPipeline:
         else:
             ballot_cascade = TupleCascade(stages=[])
 
-        self._self_verify(registration_inputs, registration_cascade, ballot_inputs, ballot_cascade, ex)
-
         mixed_registrations = [item[0] for item in (registration_cascade.outputs or registration_inputs)]
         mixed_pairs: List[Tuple[ElGamalCiphertext, ElGamalCiphertext]] = [
             (item[0], item[1]) for item in ballot_cascade.outputs
@@ -438,7 +434,6 @@ class TallyPipeline:
         votes: List[DecryptedVote] = [vote for shard in vote_shards for vote in shard.items]
 
         ballot_cascade = TupleCascade(stages=[stage.result for stage in mixer_stages])
-        self._self_verify(registration_inputs, registration_cascade, ballot_inputs, ballot_cascade, ex)
 
         filter_result = join_stage.joiner.result()
         counts = aggregate(votes, num_options)
@@ -461,18 +456,6 @@ class TallyPipeline:
             self.elgamal, self.authority.public_key, inputs, self.num_mixers, self.proof_rounds,
             executor=ex,
         )
-
-    def _self_verify(self, registration_inputs, registration_cascade, ballot_inputs, ballot_cascade, ex) -> None:
-        if not self.verify_internally:
-            return
-        if not verify_tuple_cascade(
-            self.elgamal, self.authority.public_key, registration_inputs, registration_cascade, executor=ex
-        ):
-            raise TallyError("registration mix cascade failed self-verification")
-        if ballot_inputs and not verify_tuple_cascade(
-            self.elgamal, self.authority.public_key, ballot_inputs, ballot_cascade, executor=ex
-        ):
-            raise TallyError("ballot mix cascade failed self-verification")
 
     def _evidence(
         self, tagging, mixed_registrations, mixed_pairs, filter_result
@@ -525,8 +508,7 @@ def verify_tally(
     election_id: str = "default",
     rotations=None,
     executor: Optional[Executor] = None,
-    batch: bool = True,
-    pipeline: Optional[PipelineSpec] = None,
+    audit_spec: str = "batched",
 ) -> bool:
     """Universal verification: re-check the published tally against the ledger.
 
@@ -536,28 +518,15 @@ def verify_tally(
     uses), then executes the full :func:`~repro.audit.checks.
     tally_audit_plan` — chain walks, both mix cascades, the published
     tagging/decryption evidence when the result carries one, and the count
-    invariants.  ``batch=True`` selects the batched strategy (shuffle
-    openings, tag chains and decryption shares folded into RLC equations);
-    ``batch=False`` the eager reference strategy; a streaming ``pipeline``
-    rides check shards through the pipeline scheduler and cancels at the
-    first failed check.  Auditors who want the failure locus instead of a
-    bool call ``audit_tally`` directly and keep the
+    invariants — under the strategy ``audit_spec`` names (the same grammar
+    as ``ElectionConfig.audit_spec``).  Auditors who want the failure locus
+    instead of a bool call ``audit_tally`` directly and keep the
     :class:`~repro.audit.api.AuditReport`.
     """
-    from repro.audit.api import BatchedVerifier, EagerVerifier, StreamingVerifier
     from repro.audit.checks import audit_tally
 
     ex = resolve_executor(executor)
-    spec = pipeline if pipeline is not None else PipelineSpec(streaming=False)
-    if spec.streaming:
-        verifier = StreamingVerifier(
-            shard_size=spec.shard_size, queue_depth=spec.queue_depth, batch=batch
-        )
-    elif batch:
-        verifier = BatchedVerifier(executor=ex)
-    else:
-        verifier = EagerVerifier(executor=ex)
     return audit_tally(
         group, authority, board, result,
-        election_id=election_id, rotations=rotations, verifier=verifier, executor=ex,
+        election_id=election_id, rotations=rotations, verifier=audit_spec, executor=ex,
     ).ok

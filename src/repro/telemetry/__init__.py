@@ -1,17 +1,12 @@
 """repro.telemetry — dependency-free tracing + metrics for the whole stack.
 
-Selected via ``ElectionConfig.telemetry_spec`` (default ``"off"``) or
-directly with :func:`configure`.  The spec grammar mirrors the other
-``*_spec`` knobs:
-
-- ``"off"`` — disabled.  Every primitive short-circuits: this is the mode
-  the tier-1 suite and production-default runs pay for, and it is gated to
-  ≤1.02× tally overhead by ``benchmarks/bench_telemetry_overhead.py``.
-- ``"mem"`` — buffer events in-process (tests, single-process tallies, and
-  cluster workers, whose events ride home on RESULT frames).
-- ``"jsonl:<path>"`` — stream events to an append-only JSONL trace shared by
-  every process; render it later with
-  ``python -m repro.telemetry summarize <trace.jsonl>``.
+Selected via ``ElectionConfig.telemetry_spec`` or directly with
+:func:`configure` (forms: :data:`repro.spec.TELEMETRY`).  ``off``, the
+default, short-circuits every primitive and is gated to ≤1.02× tally
+overhead by ``benchmarks/bench_telemetry_overhead.py``; ``mem`` buffers
+events in-process (tests, and cluster workers, whose events ride home on
+RESULT frames); ``jsonl`` streams them to an append-only trace shared by
+every process (``python -m repro.telemetry summarize <trace.jsonl>``).
 
 State is process-global and lazily attached: :func:`configure` exports
 ``REPRO_TELEMETRY`` so pool children and spawned cluster workers that import
@@ -34,6 +29,7 @@ import os
 import threading
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.spec import env
 from repro.telemetry.context import (
     SAMPLE_ENV,
     TRACEPARENT_HEADER,
@@ -137,7 +133,7 @@ def _resolve() -> Optional[Telemetry]:
         return state
     with _state_lock:
         if _state is _UNSET:
-            _attach_locked(telemetry_from_spec(os.environ.get(TELEMETRY_ENV, SPEC_OFF)))
+            _attach_locked(telemetry_from_spec(env(TELEMETRY_ENV)))
         return _state
 
 

@@ -31,9 +31,10 @@ sampled.
 from __future__ import annotations
 
 import contextvars
-import os
 import secrets
 from typing import Any, NamedTuple, Optional
+
+from repro.spec import env
 
 #: Env knob: head-sampling probability in [0, 1].  Read per mint, so tests
 #: and long-lived gateways can flip it without restarting.
@@ -102,27 +103,17 @@ def new_trace_id() -> str:
     return secrets.token_hex(16)
 
 
-# Parse memo for sample_rate(): (raw env string, parsed rate).  The env var
-# is still *read* on every mint — only the float parse/clamp is cached — so
-# flipping the knob on a live process keeps working.
-_RATE_MEMO = ("", 1.0)
-
-
 def sample_rate() -> float:
-    """The head-sampling probability from ``REPRO_TELEMETRY_SAMPLE``."""
-    global _RATE_MEMO
-    raw = os.environ.get(SAMPLE_ENV)
-    if not raw:
-        return 1.0
-    memo_raw, memo_rate = _RATE_MEMO
-    if raw == memo_raw:
-        return memo_rate
+    """The head-sampling probability from ``REPRO_TELEMETRY_SAMPLE``.
+
+    Read on every mint, so flipping the knob on a live process keeps
+    working; a value that does not parse samples everything rather than
+    failing the request being traced.
+    """
     try:
-        rate = min(1.0, max(0.0, float(raw)))
+        return env(SAMPLE_ENV)
     except ValueError:
-        rate = 1.0
-    _RATE_MEMO = (raw, rate)
-    return rate
+        return 1.0
 
 
 def trace_is_sampled(trace_id: str, rate: Optional[float] = None) -> bool:

@@ -38,6 +38,7 @@ import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.spec import TELEMETRY
 from repro.telemetry.context import (
     TraceContext,
     attach,
@@ -537,30 +538,15 @@ def _jsonable(value: Any) -> Any:
 
 
 def telemetry_from_spec(spec: Optional[str]) -> Optional[Telemetry]:
-    """Build a :class:`Telemetry` from a spec string; ``None`` means off.
-
-    Grammar (mirrors ``executor_spec``/``board_spec``):
-
-    - ``"off"`` (or empty) — disabled; every primitive is a no-op.
-    - ``"mem"`` — buffer events in-process (single-process runs, tests).
-    - ``"jsonl:<path>"`` — stream events to an append-only JSONL trace file
-      shared by every process in the run.
-    """
-    if spec is None:
+    """Build a :class:`Telemetry` from a ``telemetry_spec`` (forms:
+    :data:`repro.spec.TELEMETRY`); ``None`` means off."""
+    head, given = TELEMETRY.parse(spec)
+    if head == SPEC_OFF:
         return None
-    text = spec.strip()
-    if text in ("", SPEC_OFF):
-        return None
-    if text == "mem":
-        return Telemetry(MemSink(), text)
-    if text.startswith("jsonl:"):
-        path = text[len("jsonl:"):]
-        if not path:
-            raise ValueError("jsonl telemetry spec needs a path: 'jsonl:<path>'")
-        return Telemetry(JsonlSink(path), text)
-    raise ValueError(
-        f"unknown telemetry spec {spec!r}; expected 'off', 'mem', or 'jsonl:<path>'"
-    )
+    if head == "mem":
+        return Telemetry(MemSink(), "mem")
+    path = given["path"]
+    return Telemetry(JsonlSink(path), f"jsonl:{path}")
 
 
 # Re-exported for facade convenience; the canonical home is context.py.

@@ -92,7 +92,7 @@ class TestOutputFormats:
     def test_list_rules_names_all_six(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
+        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007"):
             assert rule_id in out
 
 
@@ -106,4 +106,4 @@ class TestRepositoryGate:
         assert result.returncode == 0, result.stdout + result.stderr
         report = json.loads(result.stdout)
         assert report["ok"] is True
-        assert len(report["rules_run"]) == 6
+        assert len(report["rules_run"]) == 7

@@ -101,7 +101,7 @@ class TestBaseline:
 class TestPolicy:
     def test_cluster_gets_the_full_set(self):
         assert rule_ids_for_path("repro/cluster/worker.py") == {
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
+            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
         }
 
     def test_protocol_module_exempt_from_pickle_rule_only(self):

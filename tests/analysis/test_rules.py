@@ -14,7 +14,7 @@ def run_rule(rule_id, source, path="repro/cluster/module.py"):
 
 
 def test_registry_has_the_six_domain_rules():
-    assert ALL_RULES == ["REP001", "REP002", "REP003", "REP004", "REP005", "REP006"]
+    assert ALL_RULES == ["REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007"]
     for rule_id in ALL_RULES:
         rule = RULE_REGISTRY[rule_id]
         assert rule.rule_id == rule_id
@@ -280,3 +280,44 @@ class TestExceptionHygiene:
                     raise
         """)
         assert findings == []
+
+
+class TestEnvRegistry:
+    def test_keyed_environment_reads_flagged(self):
+        findings = run_rule("REP007", """\
+            import os
+            from os import environ, getenv
+
+            def settings():
+                a = os.environ.get("REPRO_BIGINT", "auto")
+                b = os.environ["REPRO_TELEMETRY"]
+                c = os.getenv("REPRO_TELEMETRY_SAMPLE")
+                d = "REPRO_GATEWAY_DEBUG" in os.environ
+                e = environ.get("HOME")
+                f = getenv("HOME")
+                return a, b, c, d, e, f
+        """)
+        assert [f.rule_id for f in findings] == ["REP007"] * 6
+        assert all("repro.spec.env()" in f.message for f in findings)
+
+    def test_typed_reader_writes_and_whole_environment_copies_clean(self):
+        findings = run_rule("REP007", """\
+            import os
+            import subprocess
+            from repro.spec import env
+
+            def spawn(command, spec):
+                os.environ["REPRO_TELEMETRY"] = spec
+                os.environ.pop("REPRO_TELEMETRY_SAMPLE", None)
+                child_env = dict(os.environ)
+                child_env.pop("REPRO_TELEMETRY", None)
+                return subprocess.Popen(command, env=child_env), env("REPRO_BIGINT")
+        """)
+        assert findings == []
+
+    def test_the_reader_itself_is_exempt_by_policy(self):
+        from repro.analysis.policy import rule_ids_for_path
+
+        assert "REP007" not in rule_ids_for_path("repro/spec.py")
+        assert "REP007" in rule_ids_for_path("repro/bench/harness.py")
+        assert "REP007" in rule_ids_for_path("repro/errors.py")

@@ -160,14 +160,13 @@ class TestAuditElection:
         assert "evidence.join-consistent" in failing
 
     def test_verify_tally_shim_parity(self, voted_election):
-        from repro.runtime.pipeline import PipelineSpec
         from repro.tally.pipeline import verify_tally
 
         election, result = voted_election
         args = (election.group, election.setup.authority, election.setup.board, result)
         assert verify_tally(*args)
-        assert verify_tally(*args, batch=False)
-        assert verify_tally(*args, pipeline=PipelineSpec(streaming=True, shard_size=4))
+        assert verify_tally(*args, audit_spec="eager")
+        assert verify_tally(*args, audit_spec="stream:4")
         tampered = replace(result, counts={**result.counts, 0: result.counts[0] + 5})
         assert not verify_tally(election.group, election.setup.authority, election.setup.board, tampered)
 

@@ -6,7 +6,9 @@ Two checks over ``docs/*.md`` (plus the README):
   (external ``http(s)`` links are out of scope — CI must not flake on the
   network);
 * every fenced code block containing doctest examples (``>>>``) executes
-  cleanly via :mod:`doctest`, so the documented API calls cannot rot.
+  cleanly via :mod:`doctest`, so the documented API calls cannot rot;
+* the spec-grammar and knob tables in ``docs/architecture.md`` are exactly
+  what ``python -m repro.spec`` prints.
 """
 
 from __future__ import annotations
@@ -63,3 +65,15 @@ def test_fenced_examples_run(doc):
         test = parser.get_doctest(block, {}, f"{doc.name}[{index}]", str(doc), 0)
         runner.run(test)
     assert runner.failures == 0, f"{doc.name}: {runner.failures} doctest failure(s)"
+
+
+def test_configuration_surface_tables_are_the_generated_reference():
+    from repro.spec import reference_markdown
+
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text()
+    begin = "<!-- begin generated: python -m repro.spec -->\n"
+    generated = text.split(begin, 1)[1].split("<!-- end generated -->", 1)[0]
+    assert generated == reference_markdown(), (
+        "docs/architecture.md drifted from repro.spec; paste the output of "
+        "`python -m repro.spec` between the generated markers"
+    )

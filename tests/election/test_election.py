@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.election import ElectionConfig, VotegralElection
-from repro.errors import ProtocolError
+from repro.errors import BigIntError, GatewayError, LedgerError, ProtocolError
 from repro.ledger import BatchedBoard, MemoryBackend, SQLiteBackend
 
 
@@ -19,6 +19,25 @@ class TestElectionConfig:
     def test_group_factory(self):
         config = ElectionConfig()
         assert config.make_group().order > 2
+
+    @pytest.mark.parametrize(
+        "field,bad,error",
+        [
+            ("executor_spec", "thread:zero", ValueError),
+            ("board_spec", "batched:8:bogus", LedgerError),
+            ("pipeline_spec", "stream:0", ValueError),
+            ("audit_spec", "batchd", ValueError),
+            ("audit_spec", "stream:2:0", ValueError),
+            ("telemetry_spec", "jsonl:", ValueError),
+            ("bigint_spec", "gmp", BigIntError),
+            ("gateway_spec", "serve:70000", GatewayError),
+        ],
+    )
+    def test_a_malformed_spec_fails_at_construction_naming_the_field(self, field, bad, error):
+        # Before: the typo surfaced only when the phase that uses the spec ran —
+        # for audit_spec, after setup, registration, voting and the whole tally.
+        with pytest.raises(error, match=field):
+            ElectionConfig(**{field: bad})
 
 
 class TestFullElection:

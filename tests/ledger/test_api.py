@@ -192,36 +192,3 @@ class TestBoardFromSpec:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(LedgerError):
             board_from_spec(spec)
-
-
-class TestDeprecationShim:
-    def test_internal_attribute_access_warns_and_returns_snapshot(self, group, keypair):
-        import repro.ledger.bulletin_board as bb_module
-
-        bb_module._warned_internals.discard("_ballots")
-        board = BulletinBoard()
-        record = make_ballot(group, keypair, 1)
-        board.post_ballot(record)
-        with pytest.warns(DeprecationWarning):
-            snapshot = board._ballots
-        assert snapshot == [record]
-        # Second access is silent (warn-once) but still served.
-        import warnings
-
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            board._ballots
-        assert not [w for w in captured if w.category is DeprecationWarning]
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            BulletinBoard()._no_such_attribute
-
-    def test_writes_to_shimmed_internals_are_refused(self, group, keypair):
-        board = BulletinBoard()
-        board.post_ballot(make_ballot(group, keypair, 0))
-        # A silent shadow would freeze reads on a stale list; refuse instead.
-        with pytest.raises(AttributeError):
-            board._ballots = []
-        board.post_ballot(make_ballot(group, keypair, 1))
-        assert board.num_ballots == 2

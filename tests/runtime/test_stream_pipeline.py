@@ -304,7 +304,6 @@ def test_randomized_schedules_stay_deterministic():
 def test_pipeline_spec_defaults():
     assert pipeline_from_spec(None) == PipelineSpec(streaming=False)
     assert pipeline_from_spec("serial").streaming is False
-    assert pipeline_from_spec("off").streaming is False
 
 
 def test_pipeline_spec_streaming_forms():

@@ -50,6 +50,7 @@ SHARD_SIZE = int(os.environ.get("REPRO_PIPELINE_SHARD_SIZE", "2"))
 QUEUE_DEPTH = int(os.environ.get("REPRO_PIPELINE_QUEUE_DEPTH", "2"))
 
 STREAM_SPEC = PipelineSpec(streaming=True, shard_size=SHARD_SIZE, queue_depth=QUEUE_DEPTH)
+STREAM_AUDIT = f"stream:{SHARD_SIZE}:{QUEUE_DEPTH}"
 
 
 def _seeded_randomness(monkeypatch, seed: int) -> None:
@@ -162,7 +163,7 @@ def test_streamed_tally_bit_identical(monkeypatch, voted_election, backends, bac
     )
     assert verify_tally(
         group, voted_election.setup.authority, voted_election.setup.board, reference,
-        voted_election.config.election_id, executor=backends[backend], pipeline=STREAM_SPEC,
+        voted_election.config.election_id, executor=backends[backend], audit_spec=STREAM_AUDIT,
     )
 
 
@@ -190,7 +191,7 @@ def test_streamed_tally_on_sqlite_board(monkeypatch, tmp_path):
     assert election.setup.board.verify_all_chains()
     assert verify_tally(
         election.group, election.setup.authority, election.setup.board, streamed,
-        config.election_id, pipeline=STREAM_SPEC,
+        config.election_id, audit_spec=STREAM_AUDIT,
     )
     election.close()
 
