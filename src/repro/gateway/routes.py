@@ -9,8 +9,9 @@ logic lives here.
 
 Error mapping is centralized in :func:`dispatch`: schema failures become 400
 bodies carrying per-field errors, governor shedding becomes 429 +
-``Retry-After``, drain mode becomes 503, unknown tenants 404 and status
-conflicts 409 — every non-2xx body is an :class:`ErrorBody`.
+``Retry-After``, drain mode becomes 503, unknown tenants 404, status
+conflicts 409 and anything else a handler raises 500 — every non-2xx body is
+an :class:`ErrorBody` and the connection stays usable.
 """
 
 from __future__ import annotations
@@ -409,36 +410,34 @@ async def dispatch(
     return status, body, headers, content_type
 
 
+#: Domain errors with a status of their own; 429/503 also carry ``Retry-After``.
+_ERROR_STATUS = ((UnknownElectionError, 404), (ConflictError, 409), (ShedError, 429), (DrainingError, 503))
+
+
+def _map_error(error: Exception) -> Tuple[int, bytes, Dict[str, str]]:
+    """The one place an exception out of a handler becomes an HTTP error."""
+    if isinstance(error, SchemaError):
+        return _error_response(400, "request failed validation", field_errors=error.field_errors)
+    for kind, status in _ERROR_STATUS:
+        if isinstance(error, kind):
+            return _error_response(status, str(error), retry_after=getattr(error, "retry_after_seconds", None))
+    # Last resort: a failure nobody mapped — a GatewayError says what went
+    # wrong, a handler bug only its type — costs one 500, not the connection
+    # (an escaped exception kills the task and the client sees a reset).
+    telemetry.counter("gateway.errors")
+    return _error_response(
+        500, str(error) if isinstance(error, GatewayError) else f"internal error ({type(error).__name__})"
+    )
+
+
 async def _execute_route(
     service: GatewayService, request: Request, matched: Route, params: Dict[str, str]
 ) -> Tuple[int, bytes, Dict[str, str], str]:
-    """Run one matched route's handler and map domain errors to HTTP."""
+    """Run one matched route's handler and map whatever it raises to HTTP."""
     try:
         status, payload = await matched.handler(service, request, params)
-    except SchemaError as error:
-        status, body, headers = _error_response(
-            400, "request failed validation", field_errors=error.field_errors
-        )
-        return status, body, headers, "application/json"
-    except UnknownElectionError as error:
-        status, body, headers = _error_response(404, str(error))
-        return status, body, headers, "application/json"
-    except ConflictError as error:
-        status, body, headers = _error_response(409, str(error))
-        return status, body, headers, "application/json"
-    except ShedError as error:
-        status, body, headers = _error_response(
-            429, str(error), retry_after=error.retry_after_seconds
-        )
-        return status, body, headers, "application/json"
-    except DrainingError as error:
-        status, body, headers = _error_response(
-            503, str(error), retry_after=error.retry_after_seconds
-        )
-        return status, body, headers, "application/json"
-    except GatewayError as error:
-        telemetry.counter("gateway.errors")
-        status, body, headers = _error_response(500, str(error))
+    except Exception as error:
+        status, body, headers = _map_error(error)
         return status, body, headers, "application/json"
     if isinstance(payload, Schema):
         return status, payload.to_json().encode(), {}, "application/json"

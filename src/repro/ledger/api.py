@@ -41,6 +41,7 @@ from repro.ledger.records import (
     BallotRecord,
     EnvelopeCommitmentRecord,
     EnvelopeUsageRecord,
+    LedgerRecord,
     RegistrationRecord,
 )
 from repro.spec import BOARD
@@ -110,6 +111,16 @@ class LedgerBackend(abc.ABC):
 
     @abc.abstractmethod
     def append_ballot(self, record: BallotRecord) -> int: ...
+
+    def append(self, record: LedgerRecord) -> int:
+        """Issue the typed append command of ``record``'s type."""
+        if isinstance(record, BallotRecord):
+            return self.append_ballot(record)
+        if isinstance(record, RegistrationRecord):
+            return self.append_registration(record)
+        if isinstance(record, EnvelopeCommitmentRecord):
+            return self.append_envelope_commitment(record)
+        return self.append_envelope_usage(record)
 
     def append_ballots(
         self, records: Sequence[BallotRecord], payloads: Optional[Sequence[bytes]] = None

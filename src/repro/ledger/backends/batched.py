@@ -31,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, cast
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro import telemetry
 from repro.crypto.hashing import sha256
@@ -47,12 +47,6 @@ from repro.ledger.records import (
 )
 
 _GENESIS_BATCH = b"\x00" * 32
-
-# Command kinds in the pending buffer.
-_REGISTRATION = 0
-_ENVELOPE_COMMITMENT = 1
-_ENVELOPE_USAGE = 2
-_BALLOT = 3
 
 
 @dataclass(frozen=True)
@@ -97,18 +91,18 @@ class BatchedBoard(LedgerBackend):
         self.batch_size = batch_size
         self.flush_interval = flush_interval
         self._lock = threading.RLock()
-        self._pending: List[Tuple[int, LedgerRecord]] = []
+        self._pending: List[LedgerRecord] = []
         self._pending_challenges: Set[bytes] = set()
         self._pending_active: Dict[str, RegistrationRecord] = {}
         self._batches: List[BatchSummary] = []
         self._batch_digest = _GENESIS_BATCH
         # Stream counts = inner counts + buffered, so provisional sequence
         # numbers equal the ones the inner backend will assign at flush.
-        self._counts = {
-            _REGISTRATION: len(inner.registration_records()),
-            _ENVELOPE_COMMITMENT: inner.num_envelope_commitments,
-            _ENVELOPE_USAGE: inner.num_challenges_used,
-            _BALLOT: inner.num_ballots,
+        self._counts: Dict[type, int] = {
+            RegistrationRecord: len(inner.registration_records()),
+            EnvelopeCommitmentRecord: inner.num_envelope_commitments,
+            EnvelopeUsageRecord: inner.num_challenges_used,
+            BallotRecord: inner.num_ballots,
         }
         self._flusher: Optional[threading.Thread] = None
         self._stop_flusher = threading.Event()
@@ -147,34 +141,24 @@ class BatchedBoard(LedgerBackend):
             with telemetry.span("ledger.flush", backend="batched", records=len(pending)):
                 self._flush_locked(pending)
 
-    def _flush_locked(self, pending: List[Tuple[int, LedgerRecord]]) -> None:
-        payloads = [record.payload() for _, record in pending]
+    def _flush_locked(self, pending: List[LedgerRecord]) -> None:
+        payloads = [record.payload() for record in pending]
         # Replay in order; runs of consecutive ballots take the bulk path,
         # reusing the payloads the batch digest will hash below.
         applied = 0
         run: List[BallotRecord] = []
         run_payloads: List[bytes] = []
         try:
-            for (kind, record), payload in zip(pending, payloads):
-                # The kind tag (set by the typed append commands) identifies
-                # the union member, which mypy cannot narrow from — hence the
-                # casts.
-                if kind == _BALLOT:
-                    run.append(cast(BallotRecord, record))
+            for record, payload in zip(pending, payloads):
+                if isinstance(record, BallotRecord):
+                    run.append(record)
                     run_payloads.append(payload)
                     continue
                 if run:
                     self.inner.append_ballots(run, payloads=run_payloads)
                     applied += len(run)
                     run, run_payloads = [], []
-                if kind == _REGISTRATION:
-                    self.inner.append_registration(cast(RegistrationRecord, record))
-                elif kind == _ENVELOPE_COMMITMENT:
-                    self.inner.append_envelope_commitment(
-                        cast(EnvelopeCommitmentRecord, record)
-                    )
-                else:
-                    self.inner.append_envelope_usage(cast(EnvelopeUsageRecord, record))
+                self.inner.append(record)
                 applied += 1
             if run:
                 self.inner.append_ballots(run, payloads=run_payloads)
@@ -208,20 +192,21 @@ class BatchedBoard(LedgerBackend):
     def _rebuild_pending_caches(self) -> None:
         """Recompute the eager-validation caches from the surviving buffer."""
         self._pending_challenges = {
-            cast(EnvelopeUsageRecord, record).challenge_hash
-            for kind, record in self._pending
-            if kind == _ENVELOPE_USAGE
+            record.challenge_hash
+            for record in self._pending
+            if isinstance(record, EnvelopeUsageRecord)
         }
         self._pending_active = {
-            cast(RegistrationRecord, record).voter_id: cast(RegistrationRecord, record)
-            for kind, record in self._pending
-            if kind == _REGISTRATION
+            record.voter_id: record
+            for record in self._pending
+            if isinstance(record, RegistrationRecord)
         }
 
-    def _buffer(self, kind: int, record: LedgerRecord) -> int:
+    def _buffer(self, record: LedgerRecord) -> int:
+        kind = type(record)
         seq = self._counts[kind]
         self._counts[kind] = seq + 1
-        self._pending.append((kind, record))
+        self._pending.append(record)
         self._start_flusher_locked()
         if len(self._pending) >= self.batch_size:
             self.flush()
@@ -258,11 +243,11 @@ class BatchedBoard(LedgerBackend):
             if not self.inner.is_eligible(record.voter_id):
                 raise LedgerError(f"voter {record.voter_id} is not on the electoral roll")
             self._pending_active[record.voter_id] = record
-            return self._buffer(_REGISTRATION, record)
+            return self._buffer(record)
 
     def append_envelope_commitment(self, record: EnvelopeCommitmentRecord) -> int:
         with self._lock:
-            return self._buffer(_ENVELOPE_COMMITMENT, record)
+            return self._buffer(record)
 
     def append_envelope_usage(self, record: EnvelopeUsageRecord) -> int:
         with self._lock:
@@ -272,17 +257,17 @@ class BatchedBoard(LedgerBackend):
             ):
                 raise LedgerError("envelope challenge already used: possible duplicate envelopes")
             self._pending_challenges.add(record.challenge_hash)
-            return self._buffer(_ENVELOPE_USAGE, record)
+            return self._buffer(record)
 
     def append_ballot(self, record: BallotRecord) -> int:
         with self._lock:
-            return self._buffer(_BALLOT, record)
+            return self._buffer(record)
 
     def append_ballots(
         self, records: Sequence[BallotRecord], payloads: Optional[Sequence[bytes]] = None
     ) -> List[int]:
         with self._lock:
-            return [self._buffer(_BALLOT, record) for record in records]
+            return [self._buffer(record) for record in records]
 
     def try_append_ballots(self, records: Sequence[BallotRecord]) -> Optional[List[int]]:
         """Buffer ``records`` only if that is guaranteed cheap: the lock is
@@ -295,7 +280,7 @@ class BatchedBoard(LedgerBackend):
         try:
             if len(self._pending) + len(records) >= self.batch_size:
                 return None
-            return [self._buffer(_BALLOT, record) for record in records]
+            return [self._buffer(record) for record in records]
         finally:
             self._lock.release()
 

@@ -15,53 +15,57 @@ exercising the full SQL path in tests without touching disk.
 from __future__ import annotations
 
 import sqlite3
-from typing import Any, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.crypto.group import Group
 from repro.errors import LedgerError
-from repro.ledger import codec
 from repro.ledger.backends.memory import MemoryBackend
 from repro.ledger.records import (
+    RECORD_TYPES,
     BallotRecord,
     EnvelopeCommitmentRecord,
     EnvelopeUsageRecord,
+    LedgerRecord,
+    Record,
     RegistrationRecord,
 )
+
+T = TypeVar("T", bound=Record)
 
 # Every row carries ``commit_seq`` — the board-wide commit position — because
 # the hash chains commit to the *interleaving* of streams (roll entries and
 # registrations share L_R; commitments and usages share L_E).  Restore replays
 # rows in commit_seq order so reopened chains are bit-identical to the
-# pre-restart ones.
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key TEXT PRIMARY KEY, value TEXT NOT NULL
-);
+# pre-restart ones.  There are no indexes: every read is served by the
+# in-memory store and SQLite is only read by full-table SELECT at restore.
+_ROLL_SCHEMA = """
 CREATE TABLE IF NOT EXISTS roll (
     commit_seq INTEGER PRIMARY KEY, seq INTEGER NOT NULL, voter_id TEXT NOT NULL UNIQUE
-);
-CREATE TABLE IF NOT EXISTS registrations (
-    commit_seq INTEGER PRIMARY KEY, seq INTEGER NOT NULL, voter_id TEXT NOT NULL,
-    credential_c1 BLOB NOT NULL, credential_c2 BLOB NOT NULL,
-    kiosk_pk BLOB NOT NULL, kiosk_sig BLOB NOT NULL,
-    official_pk BLOB NOT NULL, official_sig BLOB NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_registrations_voter ON registrations (voter_id);
-CREATE TABLE IF NOT EXISTS envelope_commitments (
-    commit_seq INTEGER PRIMARY KEY, seq INTEGER NOT NULL, printer_pk BLOB NOT NULL,
-    challenge_hash BLOB NOT NULL, printer_sig BLOB NOT NULL
-);
-CREATE TABLE IF NOT EXISTS envelope_usages (
-    commit_seq INTEGER PRIMARY KEY, seq INTEGER NOT NULL,
-    challenge BLOB NOT NULL, challenge_hash BLOB NOT NULL
-);
-CREATE TABLE IF NOT EXISTS ballots (
-    commit_seq INTEGER PRIMARY KEY, seq INTEGER NOT NULL, election_id TEXT NOT NULL,
-    credential_pk BLOB NOT NULL, ciphertext_c1 BLOB NOT NULL,
-    ciphertext_c2 BLOB NOT NULL, signature BLOB NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_ballots_election ON ballots (election_id);
-"""
+)"""
+_ROLL_SELECT = "SELECT commit_seq, voter_id FROM roll"
+
+
+class _Statements(NamedTuple):
+    """The SQL of one record type's table, derived from ``Record.COLUMNS``."""
+
+    create: str
+    insert: str
+    select: str
+
+
+def _statements(record_type: Type[Record]) -> _Statements:
+    table = record_type.TABLE
+    names = ", ".join(name for name, _ in record_type.COLUMNS)
+    columns = "".join(f", {name} {sql} NOT NULL" for name, sql in record_type.COLUMNS)
+    return _Statements(
+        f"CREATE TABLE IF NOT EXISTS {table} (commit_seq INTEGER PRIMARY KEY, seq INTEGER NOT NULL{columns})",
+        f"INSERT INTO {table} (commit_seq, seq, {names}) VALUES (?, ?{', ?' * len(record_type.COLUMNS)})",
+        f"SELECT commit_seq, {names} FROM {table}",
+    )
+
+
+_SQL: Dict[Type[Record], _Statements] = {kind: _statements(kind) for kind in RECORD_TYPES}
 
 
 class SQLiteBackend(MemoryBackend):
@@ -78,8 +82,6 @@ class SQLiteBackend(MemoryBackend):
         # The backend lock (not SQLite's) serializes access; the connection
         # may then be shared across ingestion threads safely.
         self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
         self._restoring = False
         self._commit_seq = 0
         self._restore()
@@ -92,49 +94,44 @@ class SQLiteBackend(MemoryBackend):
     # ------------------------------------------------------------- restore
 
     def _restore(self) -> None:
-        commands: List[Tuple[int, str, Tuple[Any, ...]]] = []
-        for row in self._conn.execute("SELECT commit_seq, voter_id FROM roll"):
-            commands.append((row[0], "roll", row[1:]))
-        for row in self._conn.execute(
-            "SELECT commit_seq, voter_id, credential_c1, credential_c2, kiosk_pk, kiosk_sig, "
-            "official_pk, official_sig FROM registrations"
-        ):
-            commands.append((row[0], "registration", row[1:]))
-        for row in self._conn.execute(
-            "SELECT commit_seq, printer_pk, challenge_hash, printer_sig FROM envelope_commitments"
-        ):
-            commands.append((row[0], "commitment", row[1:]))
-        for row in self._conn.execute(
-            "SELECT commit_seq, challenge, challenge_hash FROM envelope_usages"
-        ):
-            commands.append((row[0], "usage", row[1:]))
-        for row in self._conn.execute(
-            "SELECT commit_seq, election_id, credential_pk, ciphertext_c1, ciphertext_c2, "
-            "signature FROM ballots"
-        ):
-            commands.append((row[0], "ballot", row[1:]))
+        """Create missing tables, then replay every persisted command in commit order.
+
+        Anything unreadable — a damaged file, a row that is not the strict
+        encoding of a record — is a :class:`LedgerError` naming the table
+        (and the row's ``commit_seq``), never a silently different board.
+        """
+        sources: List[Tuple[Optional[Type[LedgerRecord]], str, str, str]] = [(None, "roll", _ROLL_SCHEMA, _ROLL_SELECT)]
+        sources += [(kind, kind.TABLE, _SQL[kind].create, _SQL[kind].select) for kind in RECORD_TYPES]
+        commands: List[Tuple[int, Optional[Type[LedgerRecord]], str, Tuple[Any, ...]]] = []
+        for kind, table, create, select in sources:
+            try:
+                self._conn.execute(create)
+                commands += [(row[0], kind, table, row[1:]) for row in self._conn.execute(select)]
+            except sqlite3.Error as error:
+                raise LedgerError(f"board database {self._path!r}: table {table} is unreadable: {error}") from error
+        self._conn.commit()
         if not commands:
             return
         if self._group is None:
             raise LedgerError(
-                f"board database {self._path!r} holds records; pass the election "
-                "group so they can be decoded"
+                f"board database {self._path!r} holds records; pass the election group so they can be decoded"
             )
         group = self._group
-        commands.sort(key=lambda command: command[0])
+        commands.sort(key=itemgetter(0))
         self._restoring = True
         try:
-            for _, kind, row in commands:
-                if kind == "roll":
-                    self.publish_electoral_roll([row[0]])
-                elif kind == "registration":
-                    self.append_registration(codec.decode_registration(group, row))
-                elif kind == "commitment":
-                    self.append_envelope_commitment(codec.decode_envelope_commitment(group, row))
-                elif kind == "usage":
-                    self.append_envelope_usage(codec.decode_envelope_usage(row))
-                else:
-                    self.append_ballot(codec.decode_ballot(group, row))
+            for commit_seq, kind, table, row in commands:
+                try:
+                    if kind is None:
+                        if not isinstance(row[0], str):
+                            raise LedgerError("voter_id: expected str")
+                        self.publish_electoral_roll(row)
+                    else:
+                        self.append(kind.from_row(group, row))
+                except LedgerError as error:
+                    raise LedgerError(
+                        f"board database {self._path!r}: table {table}, commit_seq {commit_seq}: {error}"
+                    ) from None
         finally:
             self._restoring = False
         self._commit_seq = commands[-1][0] + 1
@@ -149,61 +146,38 @@ class SQLiteBackend(MemoryBackend):
                 return
             self._conn.executemany(
                 "INSERT INTO roll (commit_seq, seq, voter_id) VALUES (?, ?, ?)",
-                [
-                    (self._next_commit_seq(), base + offset, voter_id)
-                    for offset, voter_id in enumerate(voter_ids)
-                ],
+                [(self._next_commit_seq(), base + offset, voter_id) for offset, voter_id in enumerate(voter_ids)],
             )
             self._conn.commit()
 
-    def append_registration(self, record: RegistrationRecord) -> int:
+    def _persist(self, seqs: Sequence[int], records: Sequence[Record]) -> None:
+        """Write records the in-memory store just accepted (all of one type)
+        through to their table; replayed records are already there."""
+        if self._restoring:
+            return
+        self._conn.executemany(
+            _SQL[type(records[0])].insert,
+            [(self._next_commit_seq(), seq) + record.to_row() for seq, record in zip(seqs, records)],
+        )
+        self._conn.commit()
+
+    def _through(self, append: Callable[[T], int], record: T) -> int:
         with self._lock:
-            seq = super().append_registration(record)
-            if not self._restoring:
-                self._conn.execute(
-                    "INSERT INTO registrations (commit_seq, seq, voter_id, credential_c1, "
-                    "credential_c2, kiosk_pk, kiosk_sig, official_pk, official_sig) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (self._next_commit_seq(), seq) + codec.encode_registration(record),
-                )
-                self._conn.commit()
+            seq = append(record)
+            self._persist((seq,), (record,))
             return seq
+
+    def append_registration(self, record: RegistrationRecord) -> int:
+        return self._through(super().append_registration, record)
 
     def append_envelope_commitment(self, record: EnvelopeCommitmentRecord) -> int:
-        with self._lock:
-            seq = super().append_envelope_commitment(record)
-            if not self._restoring:
-                self._conn.execute(
-                    "INSERT INTO envelope_commitments (commit_seq, seq, printer_pk, "
-                    "challenge_hash, printer_sig) VALUES (?, ?, ?, ?, ?)",
-                    (self._next_commit_seq(), seq) + codec.encode_envelope_commitment(record),
-                )
-                self._conn.commit()
-            return seq
+        return self._through(super().append_envelope_commitment, record)
 
     def append_envelope_usage(self, record: EnvelopeUsageRecord) -> int:
-        with self._lock:
-            seq = super().append_envelope_usage(record)
-            if not self._restoring:
-                self._conn.execute(
-                    "INSERT INTO envelope_usages (commit_seq, seq, challenge, challenge_hash) "
-                    "VALUES (?, ?, ?, ?)",
-                    (self._next_commit_seq(), seq) + codec.encode_envelope_usage(record),
-                )
-                self._conn.commit()
-            return seq
+        return self._through(super().append_envelope_usage, record)
 
     def append_ballot(self, record: BallotRecord) -> int:
-        with self._lock:
-            seq = super().append_ballot(record)
-            if not self._restoring:
-                self._conn.execute(
-                    "INSERT INTO ballots (commit_seq, seq, election_id, credential_pk, "
-                    "ciphertext_c1, ciphertext_c2, signature) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (self._next_commit_seq(), seq) + codec.encode_ballot(record),
-                )
-                self._conn.commit()
-            return seq
+        return self._through(super().append_ballot, record)
 
     def append_ballots(
         self, records: Sequence[BallotRecord], payloads: Optional[Sequence[bytes]] = None
@@ -212,16 +186,7 @@ class SQLiteBackend(MemoryBackend):
             return []
         with self._lock:
             seqs = super().append_ballots(records, payloads=payloads)
-            if not self._restoring:
-                self._conn.executemany(
-                    "INSERT INTO ballots (commit_seq, seq, election_id, credential_pk, "
-                    "ciphertext_c1, ciphertext_c2, signature) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    [
-                        (self._next_commit_seq(), seq) + codec.encode_ballot(record)
-                        for seq, record in zip(seqs, records)
-                    ],
-                )
-                self._conn.commit()
+            self._persist(seqs, records)
             return seqs
 
     # ------------------------------------------------------------- lifecycle

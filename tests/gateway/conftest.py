@@ -9,6 +9,7 @@ exactly how a real client would.  ``gateway.run(coro)`` gives tests direct
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
 
 import pytest
@@ -24,6 +25,11 @@ class GatewayFixture:
 
     def __init__(self, config: ServiceConfig) -> None:
         self.loop = asyncio.new_event_loop()
+        # Exceptions no task or callback handled (a crashed connection
+        # handler, a never-awaited failure) only print a traceback by
+        # default; record them so close() can fail the test that caused them.
+        self.unhandled: list = []
+        self.loop.set_exception_handler(lambda loop, context: self.unhandled.append(context))
         self.thread = threading.Thread(target=self._run_loop, daemon=True)
         self.thread.start()
         self.service = GatewayService(config)
@@ -49,7 +55,9 @@ class GatewayFixture:
         self.run(self.server.stop())
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=30)
+        gc.collect()  # "exception was never retrieved" is reported on collection
         self.loop.close()
+        assert not self.unhandled, f"unhandled exceptions on the gateway loop: {self.unhandled}"
 
 
 @pytest.fixture()
