@@ -45,6 +45,13 @@ def _contains(collection, value) -> bool:
     return value in collection
 
 
+def _count_check(name: str, actual: int, pinned: Optional[int], floor: int) -> Check:
+    """A public size: exactly ``pinned`` when the auditor supplies it, else ``>= floor``."""
+    if pinned is None:
+        return Check("predicate", name, (_int_le, floor, actual))
+    return Check("predicate", name, (_values_equal, actual, pinned))
+
+
 def _product_binds(factors: Sequence[GroupElement], expected: GroupElement) -> bool:
     """Do the member public keys multiply to the collective authority key?"""
     if not factors:
@@ -174,30 +181,45 @@ def cascade_checks(
     inputs: Sequence,
     cascade,
     label: str = "cascade",
+    num_mixers: Optional[int] = None,
+    proof_rounds: Optional[int] = None,
 ) -> List[Check]:
-    """Every proof obligation of a mix cascade: per-stage coins + per-round openings.
+    """Every obligation of a mix cascade — the only place a mix proof is judged.
 
+    Shape first, as integer predicates: ``{label}.stages``, then per stage
+    ``{label}[i].width`` (a mixer neither drops nor adds items) and
+    ``{label}[i].rounds`` — a transcript with no rounds has no proof to fail,
+    so the round count *is* the soundness parameter.  ``num_mixers`` /
+    ``proof_rounds`` are the auditor's own election parameters (never read
+    from the published result) and are pinned exactly when given; without
+    them the floor applies: non-empty inputs need a stage, every stage a round.
+
+    Then the proofs: per-stage Fiat–Shamir coins and per-round openings.
     Under the batched strategy the ``shuffle-round`` checks of *all* stages
     fold their re-encryption openings into one RLC product per public key —
     the largest single saving in tally verification.
     """
     from repro.tally.mixnet import round_mapping_sides
 
-    checks: List[Check] = []
+    shape = [_count_check(f"{label}.stages", len(cascade.stages), num_mixers, min(1, len(inputs)))]
+    proofs: List[Check] = []
     current = list(inputs)
     for stage_index, stage in enumerate(cascade.stages):
-        checks.append(Check("shuffle-coins", f"{label}[{stage_index}].coins", (tuple(current), stage)))
+        here = f"{label}[{stage_index}]"
+        shape.append(Check("predicate", f"{here}.width", (_values_equal, len(stage.outputs), len(current))))
+        shape.append(_count_check(f"{here}.rounds", len(stage.rounds), proof_rounds, 1))
+        proofs.append(Check("shuffle-coins", f"{here}.coins", (tuple(current), stage)))
         for round_index, round_ in enumerate(stage.rounds):
             sources, targets = round_mapping_sides(current, stage.outputs, round_)
-            checks.append(
+            proofs.append(
                 Check(
                     "shuffle-round",
-                    f"{label}[{stage_index}].round[{round_index}]",
+                    f"{here}.round[{round_index}]",
                     (elgamal, public_key, tuple(sources), tuple(targets), round_.opening),
                 )
             )
         current = stage.outputs
-    return checks
+    return shape + proofs
 
 
 def chain_checks(board, label: str = "ledger") -> List[Check]:
@@ -413,13 +435,17 @@ def tally_audit_plan(
     rotations=None,
     executor: Optional[Executor] = None,
     include_chains: bool = True,
+    num_mixers: Optional[int] = None,
+    proof_rounds: Optional[int] = None,
 ) -> AuditPlan:
     """Everything :func:`repro.tally.pipeline.verify_tally` used to check, as a plan.
 
     Re-derives the mix inputs from the ledger through the cursor API exactly
     as the tally did (signature-checked, deduplicated, rotation-resolved),
-    then adds chain checks, both cascades' proof obligations, the published
-    evidence bundle (when the result carries one) and the count invariants.
+    then adds chain checks, both cascades' obligations (shape pinned to the
+    auditor's ``num_mixers`` / ``proof_rounds`` when given, see
+    :func:`cascade_checks`), the published evidence bundle (when the result
+    carries one) and the count invariants.
     """
     from repro.tally.pipeline import TallyPipeline
 
@@ -437,41 +463,42 @@ def tally_audit_plan(
     plan.extend(
         cascade_checks(
             elgamal, authority.public_key, registration_inputs, result.registration_cascade,
-            label="registration-mix",
+            label="registration-mix", num_mixers=num_mixers, proof_rounds=proof_rounds,
         )
     )
     mixed_registrations = [
         item[0] for item in (result.registration_cascade.outputs or registration_inputs)
     ]
 
-    if result.ballot_cascade.stages:
-        valid_records = TallyPipeline(group, authority)._valid_ballots(
-            view, election_id, executor=executor
-        )
-        if rotations is not None:
-            valid_records = [
-                record for record in valid_records
-                if not rotations.is_retired(record.credential_public_key)
-            ]
-
-        def _credential_key(record):
-            if rotations is None:
-                return record.credential_public_key
-            return rotations.resolve(record.credential_public_key)
-
-        ballot_inputs = [
-            (
-                ElGamalCiphertext(record.ciphertext_c1, record.ciphertext_c2),
-                elgamal.encrypt(authority.public_key, _credential_key(record), randomness=0),
-            )
-            for record in valid_records
+    # Re-derived whatever the result claims: an empty published ballot
+    # cascade must not get to void the ballots on the ledger.
+    valid_records = TallyPipeline(group, authority)._valid_ballots(view, election_id, executor=executor)
+    if rotations is not None:
+        valid_records = [
+            record for record in valid_records
+            if not rotations.is_retired(record.credential_public_key)
         ]
-        plan.extend(
-            cascade_checks(
-                elgamal, authority.public_key, ballot_inputs, result.ballot_cascade,
-                label="ballot-mix",
-            )
+
+    def _credential_key(record):
+        if rotations is None:
+            return record.credential_public_key
+        return rotations.resolve(record.credential_public_key)
+
+    ballot_inputs = [
+        (
+            ElGamalCiphertext(record.ciphertext_c1, record.ciphertext_c2),
+            elgamal.encrypt(authority.public_key, _credential_key(record), randomness=0),
         )
+        for record in valid_records
+    ]
+    plan.extend(
+        cascade_checks(
+            elgamal, authority.public_key, ballot_inputs, result.ballot_cascade,
+            label="ballot-mix",
+            # The tally publishes no ballot cascade at all when no ballot is valid.
+            num_mixers=num_mixers if ballot_inputs else 0, proof_rounds=proof_rounds,
+        )
+    )
 
     if getattr(result, "evidence", None) is not None:
         plan.extend(
@@ -511,16 +538,21 @@ def audit_tally(
     rotations=None,
     verifier: Union[Verifier, str, None] = None,
     executor: Optional[Executor] = None,
+    num_mixers: Optional[int] = None,
+    proof_rounds: Optional[int] = None,
 ) -> AuditReport:
     """Re-check a published tally against the ledger; returns the full report.
 
     ``verifier`` is a strategy spec (``"eager"``, ``"batched[:chunk]"``,
     ``"stream[:shard[:depth]]"``) or a ready :class:`Verifier`; the three
     strategies produce bit-identical report outcomes on valid elections.
+    ``num_mixers`` / ``proof_rounds`` are the election's public soundness
+    parameters as the auditor knows them (see :func:`cascade_checks`).
     """
     plan = tally_audit_plan(
         group, authority, board, result,
         election_id=election_id, rotations=rotations, executor=executor,
+        num_mixers=num_mixers, proof_rounds=proof_rounds,
     )
     return _resolve_verifier(verifier, executor).run(plan)
 
@@ -542,7 +574,8 @@ def audit_election(
     given); with ``rotations``, every rotation record; with ``authority``
     and a published ``result``, the complete tally re-verification of
     :func:`tally_audit_plan` — all through the read-only cursor API, in one
-    plan, under the strategy from ``verifier`` or ``config.audit_spec``.
+    plan, under the strategy from ``verifier`` or ``config.audit_spec``, with
+    both cascades pinned to ``config.num_mixers`` / ``config.proof_rounds``.
     """
     view = as_board_view(board)
     plan = AuditPlan()
@@ -566,6 +599,8 @@ def audit_election(
                 rotations=rotations,
                 executor=executor,
                 include_chains=False,
+                num_mixers=getattr(config, "num_mixers", None),
+                proof_rounds=getattr(config, "proof_rounds", None),
             )
         )
     if verifier is None and config is not None:

@@ -206,7 +206,7 @@ def _dlog_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
 def _shuffle_round_one(elgamal, public_key, sources, targets, opening) -> bool:
     from repro.tally.mixnet import check_round_mapping
 
-    return check_round_mapping(elgamal, public_key, sources, targets, opening, batch=False)
+    return check_round_mapping(elgamal, public_key, sources, targets, opening)
 
 
 def _shuffle_round_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:

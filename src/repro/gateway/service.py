@@ -346,7 +346,10 @@ class ElectionTenant:
 
         started = time.monotonic()
         config = ElectionConfig(
-            election_id=self.election_id, audit_spec=self.service_config.audit_spec
+            election_id=self.election_id,
+            audit_spec=self.service_config.audit_spec,
+            num_mixers=self.service_config.num_mixers,
+            proof_rounds=self.service_config.proof_rounds,
         )
         report = audit_election(
             self.setup.board,

@@ -22,7 +22,7 @@ slower on the L-class devices, and print rendering specifically ≈380 % slower
   cost that makes each QR scan ≈0.95 s on average.
 
 The multipliers are calibrated against the published medians, not measured on
-the original hardware; DESIGN.md records this substitution.
+the original hardware; ``docs/architecture.md`` ("Substitutions") records this.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ After the voting deadline the tally service:
    anyone can re-verify the tally from the ledger alone.
 """
 
-from repro.tally.mixnet import TupleShuffle, shuffle_tuples_with_proof, verify_tuple_shuffle, tuple_mix_cascade
+from repro.tally.mixnet import TupleShuffle, shuffle_tuples_with_proof, tuple_mix_cascade, verify_tuple_cascade
 from repro.tally.filter import FilterResult, filter_ballots, deduplicate_ballots
 from repro.tally.decrypt import DecryptedVote, decrypt_votes
 from repro.tally.pipeline import TallyPipeline, TallyResult, verify_tally
@@ -25,8 +25,8 @@ from repro.tally.pipeline import TallyPipeline, TallyResult, verify_tally
 __all__ = [
     "TupleShuffle",
     "shuffle_tuples_with_proof",
-    "verify_tuple_shuffle",
     "tuple_mix_cascade",
+    "verify_tuple_cascade",
     "FilterResult",
     "filter_ballots",
     "deduplicate_ballots",

@@ -1,15 +1,38 @@
-"""Verifiable mixing of ciphertext tuples.
+"""Verifiable mixing of ciphertext tuples (the mix cascade, §4.2).
 
 The tally mixes *pairs* — ``(encrypted vote, encrypted credential key)`` — so
 the anonymizing permutation must be applied consistently across the tuple
-while each component is independently re-encrypted.  This module generalizes
-the shadow-mix proof of :mod:`repro.crypto.shuffle` from single ciphertexts to
-fixed-arity tuples; the proof structure (commit to K shadow mixes, open the
-input- or output-side mapping per Fiat–Shamir coin) is identical.
+while each component is independently re-encrypted; registration tags ride
+the same code as 1-tuples.
+
+The paper's prototype links against a C implementation of the Bayer–Groth
+argument; re-implementing Bayer–Groth's polynomial machinery in Python is out
+of scope, so this module provides a classic *shadow-mix (cut-and-choose)*
+proof of shuffle instead:
+
+* the mixer publishes the shuffled, re-encrypted output;
+* it also publishes ``K`` independent "shadow" shuffles of the same input;
+* a Fiat–Shamir coin per shadow (derived only after *all* shadows are
+  committed) asks the mixer to open either the input→shadow mapping or the
+  shadow→output mapping (never both), revealing the permutation and
+  re-encryption randomness of that half;
+* a cheating mixer survives each round with probability ½, so the soundness
+  error is 2^-K.
+
+The proof is linear in ``n·K``, so the asymptotics that drive Figure 5b
+(linear per mix for Votegral/Swiss Post/VoteAgain vs. quadratic PETs for
+Civitas) are preserved; the substitution is recorded in
+``docs/architecture.md`` ("Substitutions").
+
+This module *produces* proofs.  Judging one is the audit layer's job:
+:func:`repro.audit.checks.cascade_checks` is the only place a published
+cascade becomes checks, and :func:`verify_tuple_cascade` is a bool shim over
+it.
 """
 
 from __future__ import annotations
 
+import secrets
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -17,17 +40,12 @@ from repro import telemetry
 from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
 from repro.crypto.group import GroupElement
 from repro.crypto.hashing import sha256
-from repro.crypto.shuffle import DEFAULT_SOUNDNESS_ROUNDS, random_permutation
-from repro.errors import VerificationError
-from repro.runtime.batch import batch_reencryption_verify
-from repro.runtime.executor import Executor, SerialExecutor, resolve_executor
+from repro.runtime.executor import Executor, resolve_executor
 from repro.runtime.pipeline import (
-    MapStage,
     PipelineSpec,
     Shard,
     ShardReassembler,
     Stage,
-    StopPipeline,
     StreamPipeline,
     iter_shards,
     shard_boundaries,
@@ -35,6 +53,17 @@ from repro.runtime.pipeline import (
 from repro.runtime.sharding import parallel_starmap
 
 CiphertextTuple = Tuple[ElGamalCiphertext, ...]
+
+DEFAULT_SOUNDNESS_ROUNDS = 16
+
+
+def random_permutation(n: int) -> List[int]:
+    """A uniformly random permutation of range(n) (Fisher–Yates)."""
+    permutation = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = secrets.randbelow(i + 1)
+        permutation[i], permutation[j] = permutation[j], permutation[i]
+    return permutation
 
 
 @dataclass(frozen=True)
@@ -233,33 +262,17 @@ def check_round_mapping(
     sources: Sequence[CiphertextTuple],
     targets: Sequence[CiphertextTuple],
     opening: TupleOpening,
-    batch: bool = True,
 ) -> bool:
-    """Check one revealed opening maps ``sources`` onto ``targets``.
+    """The eager reference predicate: re-encrypt every item and compare.
 
-    ``batch=False`` is the reference path (re-encrypt every item and
-    compare); ``batch=True`` replaces the per-item equations with one
-    random-linear-combination product over every (component, item) pair —
-    two full-width exponentiations for the whole opening instead of two per
-    ciphertext component.
+    (The batched strategy folds the same :func:`round_mapping_items` of many
+    openings into one random-linear-combination product instead.)
     """
-    if batch and len(sources) > 1:
-        items = round_mapping_items(sources, targets, opening)
-        if items is None:
-            return False
-        return batch_reencryption_verify(elgamal, public_key, items)
-    if sorted(opening.permutation) != list(range(len(sources))):
-        return False
-    if len(opening.randomness) != len(sources) or len(targets) != len(sources):
-        return False
-    for position, source_index in enumerate(opening.permutation):
-        source_tuple = sources[source_index]
-        if len(targets[position]) != len(source_tuple) or len(opening.randomness[position]) != len(source_tuple):
-            return False
-        expected = _reencrypt_tuple(elgamal, public_key, source_tuple, opening.randomness[position])
-        if expected != targets[position]:
-            return False
-    return True
+    items = round_mapping_items(sources, targets, opening)
+    return items is not None and all(
+        elgamal.reencrypt(public_key, source, randomness) == target
+        for source, target, randomness in items
+    )
 
 
 def round_mapping_sides(
@@ -278,38 +291,6 @@ def shuffle_coins_ok(inputs: Sequence[CiphertextTuple], shuffle: TupleShuffle) -
     shadows = [round_.shadow for round_ in shuffle.rounds]
     coins = _challenge_bits(inputs, shuffle.outputs, shadows)
     return all(round_.opens_input_side == coins[index] for index, round_ in enumerate(shuffle.rounds))
-
-
-def _verify_round(
-    elgamal: ElGamal,
-    public_key: GroupElement,
-    inputs: Sequence[CiphertextTuple],
-    outputs: Sequence[CiphertextTuple],
-    round_: TupleShadowRound,
-    batch: bool,
-) -> bool:
-    sources, targets = round_mapping_sides(inputs, outputs, round_)
-    return check_round_mapping(elgamal, public_key, sources, targets, round_.opening, batch=batch)
-
-
-def verify_tuple_shuffle(
-    elgamal: ElGamal,
-    public_key: GroupElement,
-    inputs: Sequence[CiphertextTuple],
-    shuffle: TupleShuffle,
-    executor: Optional[Executor] = None,
-    batch: bool = True,
-) -> bool:
-    """Verify a tuple-shuffle proof (shadow rounds checked in parallel)."""
-    if not shuffle_coins_ok(inputs, shuffle):
-        return False
-    verdicts = parallel_starmap(
-        _verify_round,
-        [(elgamal, public_key, inputs, shuffle.outputs, round_, batch) for round_ in shuffle.rounds],
-        executor=executor,
-        chunksize=1,
-    )
-    return all(verdicts)
 
 
 @dataclass(frozen=True)
@@ -341,57 +322,29 @@ def tuple_mix_cascade(
     return TupleCascade(stages=stages)
 
 
-def _verify_stage(
-    elgamal: ElGamal,
-    public_key: GroupElement,
-    inputs: Sequence[CiphertextTuple],
-    stage: TupleShuffle,
-    batch: bool,
-) -> bool:
-    # Runs inside a worker: keep nested execution strictly serial so a forked
-    # pool object is never re-entered from a child process.
-    return verify_tuple_shuffle(elgamal, public_key, inputs, stage, executor=SerialExecutor(), batch=batch)
-
-
 def verify_tuple_cascade(
     elgamal: ElGamal,
     public_key: GroupElement,
     inputs: Sequence[CiphertextTuple],
     cascade: TupleCascade,
     executor: Optional[Executor] = None,
-    batch: bool = True,
+    audit_spec: str = "batched",
+    num_mixers: Optional[int] = None,
+    proof_rounds: Optional[int] = None,
 ) -> bool:
-    """Verify every stage of a cascade (bool-returning shim over the audit API).
+    """Is ``cascade`` a valid mix of ``inputs``?  Bool shim over the audit API.
 
-    Unlike mixing, verification has no stage-to-stage data dependency — the
-    claimed inputs of every stage are already in the published transcript —
-    so the whole cascade becomes a flat :class:`~repro.audit.api.AuditPlan`
-    of coin and opening checks.  ``batch=True`` runs the batched strategy
-    (openings of *all* rounds of *all* stages folded into the RLC
-    re-encryption verifier); ``batch=False`` runs the eager reference
-    strategy check-by-check.  Callers that want the failure locus instead of
-    a bare bool should build the same plan via
-    :func:`repro.audit.checks.cascade_checks` and keep the report.
+    Builds :func:`repro.audit.checks.cascade_checks` and runs it under the
+    strategy ``audit_spec`` names (the ``ElectionConfig.audit_spec``
+    grammar); callers that want the failure locus keep the report instead.
     """
-    from repro.audit.api import AuditPlan, BatchedVerifier, EagerVerifier
+    from repro.audit.api import AuditPlan, verifier_from_spec
     from repro.audit.checks import cascade_checks
 
-    plan = AuditPlan(cascade_checks(elgamal, public_key, inputs, cascade))
-    if batch:
-        verifier = BatchedVerifier(executor=executor)
-    else:
-        verifier = EagerVerifier(executor=executor)
-    return verifier.run(plan).ok
-
-
-def assert_valid_cascade(
-    elgamal: ElGamal,
-    public_key: GroupElement,
-    inputs: Sequence[CiphertextTuple],
-    cascade: TupleCascade,
-) -> None:
-    if not verify_tuple_cascade(elgamal, public_key, inputs, cascade):
-        raise VerificationError("tuple mix cascade failed verification")
+    checks = cascade_checks(
+        elgamal, public_key, inputs, cascade, num_mixers=num_mixers, proof_rounds=proof_rounds
+    )
+    return verifier_from_spec(audit_spec, executor).run(AuditPlan(checks)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -570,56 +523,3 @@ def streaming_tuple_mix_cascade(
         iter_shards(items, spec.shard_size)
     )
     return TupleCascade(stages=[stage.result for stage in stages])
-
-
-def _verify_stage_args(args) -> bool:
-    """Unpack one whole-stage verification task — module-level for pickling."""
-    return _verify_stage(*args)
-
-
-def streaming_verify_tuple_cascade(
-    elgamal: ElGamal,
-    public_key: GroupElement,
-    inputs: Sequence[CiphertextTuple],
-    cascade: TupleCascade,
-    executor: Optional[Executor] = None,
-    pipeline: Optional[PipelineSpec] = None,
-    batch: bool = True,
-) -> bool:
-    """Stage-parallel cascade verification with first-failure cancellation.
-
-    Streams the per-stage shuffle checks (the same task granularity — and
-    thus the same one-copy-of-inputs-per-stage serialization cost — as
-    :func:`verify_tuple_cascade`) through the pipeline scheduler, and
-    cancels outstanding stages as soon as one fails: an auditor rejecting a
-    corrupted transcript pays for the failing stage, not the whole cascade.
-    """
-    spec = pipeline if pipeline is not None else PipelineSpec(streaming=True)
-    if not spec.streaming:
-        return verify_tuple_cascade(elgamal, public_key, inputs, cascade, executor=executor, batch=batch)
-    tasks = []
-    current = list(inputs)
-    for stage in cascade.stages:
-        tasks.append((elgamal, public_key, current, stage, batch))
-        current = stage.outputs
-    if not tasks:
-        return True
-    ex = resolve_executor(executor)
-    ex.warm()
-    verdicts: List[bool] = []
-
-    def _stop_on_failure(shard: Shard) -> None:
-        verdicts.extend(shard.items)
-        if not all(shard.items):
-            raise StopPipeline()
-
-    # One shard per worker-complement of stages: the executor fans out within
-    # a shard (full parallelism, like the serial verifier), cancellation cuts
-    # between shards.
-    shard_size = min(max(1, ex.num_workers), len(tasks))
-    StreamPipeline(
-        [MapStage(_verify_stage_args, executor=ex, name="verify-stage", chunksize=1)],
-        queue_depth=spec.queue_depth,
-        name="verify-cascade",
-    ).run(iter_shards(tasks, shard_size), consume=_stop_on_failure)
-    return len(verdicts) == len(tasks) and all(verdicts)

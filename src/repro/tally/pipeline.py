@@ -509,6 +509,8 @@ def verify_tally(
     rotations=None,
     executor: Optional[Executor] = None,
     audit_spec: str = "batched",
+    num_mixers: Optional[int] = None,
+    proof_rounds: Optional[int] = None,
 ) -> bool:
     """Universal verification: re-check the published tally against the ledger.
 
@@ -519,9 +521,10 @@ def verify_tally(
     tally_audit_plan` — chain walks, both mix cascades, the published
     tagging/decryption evidence when the result carries one, and the count
     invariants — under the strategy ``audit_spec`` names (the same grammar
-    as ``ElectionConfig.audit_spec``).  Auditors who want the failure locus
-    instead of a bool call ``audit_tally`` directly and keep the
-    :class:`~repro.audit.api.AuditReport`.
+    as ``ElectionConfig.audit_spec``), with the cascades' shape pinned to the
+    auditor's ``num_mixers`` / ``proof_rounds`` when given.  Auditors who
+    want the failure locus instead of a bool call ``audit_tally`` directly
+    and keep the :class:`~repro.audit.api.AuditReport`.
     """
     from repro.audit.checks import audit_tally
 
@@ -529,4 +532,5 @@ def verify_tally(
     return audit_tally(
         group, authority, board, result,
         election_id=election_id, rotations=rotations, verifier=audit_spec, executor=ex,
+        num_mixers=num_mixers, proof_rounds=proof_rounds,
     ).ok

@@ -12,21 +12,32 @@ the eager report on everything it checked.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 
 from repro.audit.api import AuditPlan, BatchedVerifier, EagerVerifier, StreamingVerifier
-from repro.audit.checks import ballot_checks, cascade_checks, decryption_checks
+from repro.audit.checks import audit_election, audit_tally, ballot_checks, cascade_checks, decryption_checks
 from repro.audit.evidence import decryption_transcript
 from repro.audit.api import Check
-from repro.crypto.elgamal import ElGamal
+from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
 from repro.crypto.schnorr import schnorr_keygen
 from repro.crypto.tagging import TaggingAuthority
+from repro.election import ElectionConfig, VotegralElection
 from repro.ledger.backends.batched import BatchSummary, BatchedBoard
 from repro.ledger.backends.memory import MemoryBackend
 from repro.ledger.log import AppendOnlyLog
-from repro.tally.mixnet import TupleCascade, TupleOpening, tuple_mix_cascade
+from repro.tally.decrypt import aggregate, decrypt_votes
+from repro.tally.filter import filter_ballots
+from repro.tally.mixnet import (
+    TupleCascade,
+    TupleOpening,
+    TupleShuffle,
+    tuple_mix_cascade,
+    verify_tuple_cascade,
+)
+from repro.tally.pipeline import TallyPipeline, verify_tally
 from repro.voting.ballot import make_ballot
 
 STRATEGIES = {
@@ -138,7 +149,8 @@ class TestShuffleTranscriptMutations:
         )
 
     def test_swapped_stages_fail_at_first_bad_coin_check(self, group, dkg):
-        elgamal, inputs, cascade = self._cascade(group, dkg)
+        # A swapped stage passes all of its own checks with probability 2^-2R.
+        elgamal, inputs, cascade = self._cascade(group, dkg, rounds=8)
         tampered = TupleCascade(stages=[cascade.stages[1], cascade.stages[0]])
         locus = _assert_same_rejection(
             _run_all(lambda: AuditPlan(cascade_checks(elgamal, dkg.public_key, inputs, tampered)))
@@ -332,3 +344,264 @@ class TestRegistrationAuditNamesLocus:
         assert not report.ok
         locus = record.old_public_key.to_bytes().hex()[:12]
         assert report.first_failure.name == f"rotation[{locus}].signature"
+
+
+# ---------------------------------------------------------------------------
+# Enumerated structural mutations of the published mix cascades
+# ---------------------------------------------------------------------------
+#
+# One verifier, so its structural mutation space can be listed instead of
+# sampled: for both cascades and every stage, each way a transcript can lose
+# or gain rounds, stages or items is rejected at the locus that names it,
+# with the same first failure under every strategy.
+
+SPECS = ("eager", "batched:8", "stream:4:1", "dist:4")
+FULL_PLAN_SPECS = ("eager", "batched:8", "dist:4")  # stream stops at the first failing shard
+MIXERS = 3
+# Every mutation below but one fails an integer predicate.  Swapping two
+# stages keeps the shape, and a swapped stage passes all of its own proof
+# checks with probability 2^-2R (its coins coincide and every round opens
+# the output side): eight rounds put that below 2^-16 per case.
+ROUNDS = 8
+CASCADES = {"registration-mix": "registration_cascade", "ballot-mix": "ballot_cascade"}
+
+
+@pytest.fixture(scope="module")
+def tallied():
+    """One small election and its honest tally: (election, tagging, result)."""
+    config = ElectionConfig(num_voters=4, num_options=2, num_mixers=MIXERS, proof_rounds=ROUNDS)
+    election = VotegralElection(config)
+    election.run_setup()
+    election.run_registration()
+    election.run_voting(rng=random.Random(17))
+    tagging = TaggingAuthority.create(election.group, election.setup.authority.num_members)
+    result = TallyPipeline(
+        election.group, election.setup.authority, MIXERS, ROUNDS, tagging=tagging
+    ).run(election.setup.board, config.num_options, config.election_id)
+    yield election, tagging, result
+    election.close()
+
+
+def _audit(election, result, spec, pinned=True):
+    pins = {"num_mixers": MIXERS, "proof_rounds": ROUNDS} if pinned else {}
+    return audit_tally(
+        election.group, election.setup.authority, election.setup.board, result,
+        election_id=election.config.election_id, verifier=spec, **pins,
+    )
+
+
+def _assert_rejected_alike(reports, locus=None, prefix=None):
+    """Every strategy rejects at one locus; the full-plan strategies fingerprint alike."""
+    eager = reports["eager"]
+    for spec, report in reports.items():
+        assert not report.ok, f"{spec} accepted the mutation"
+        assert report.first_failure == eager.first_failure, spec
+        assert eager.results[: len(report.results)] == report.results, spec
+    assert len({reports[spec].fingerprint() for spec in FULL_PLAN_SPECS}) == 1
+    name = eager.first_failure.name
+    assert (name == locus) if locus is not None else name.startswith(prefix), name
+    return eager.first_failure
+
+
+def _restage(stages, index, **changes):
+    return stages[:index] + [replace(stages[index], **changes)] + stages[index + 1:]
+
+
+#: name → (stages, stage index → mutated stages, expected locus template).
+STAGE_MUTATIONS = {
+    "drop-all-rounds": (lambda s, i: _restage(s, i, rounds=[]), "{label}[{i}].rounds"),
+    "drop-one-round": (lambda s, i: _restage(s, i, rounds=s[i].rounds[:-1]), "{label}[{i}].rounds"),
+    "drop-stage": (lambda s, i: s[:i] + s[i + 1:], "{label}.stages"),
+    "duplicate-stage": (lambda s, i: s[: i + 1] + s[i:], "{label}.stages"),
+    "truncate-outputs": (lambda s, i: _restage(s, i, outputs=s[i].outputs[:-1]), "{label}[{i}].width"),
+    "extend-outputs": (lambda s, i: _restage(s, i, outputs=s[i].outputs + s[i].outputs[:1]), "{label}[{i}].width"),
+}
+
+
+class TestCascadeStructureMutations:
+    def test_honest_tally_accepted_identically_pinned_and_unpinned(self, tallied):
+        election, _, result = tallied
+        for pinned in (True, False):
+            reports = [_audit(election, result, spec, pinned) for spec in SPECS]
+            assert all(report.ok for report in reports), [r.summary() for r in reports]
+            assert len({report.fingerprint() for report in reports}) == 1
+
+    @pytest.mark.parametrize("mutation", sorted(STAGE_MUTATIONS))
+    @pytest.mark.parametrize("index", range(MIXERS))
+    @pytest.mark.parametrize("label", sorted(CASCADES))
+    def test_stage_mutation_rejected_at_its_locus(self, tallied, label, index, mutation):
+        election, _, result = tallied
+        mutate, locus = STAGE_MUTATIONS[mutation]
+        stages = mutate(list(getattr(result, CASCADES[label]).stages), index)
+        forged = replace(result, **{CASCADES[label]: TupleCascade(stages=stages)})
+        failure = _assert_rejected_alike(
+            {spec: _audit(election, forged, spec) for spec in SPECS},
+            locus=locus.format(label=label, i=index),
+        )
+        assert failure.kind == "predicate"
+
+    @pytest.mark.parametrize("index", range(MIXERS - 1))
+    @pytest.mark.parametrize("label", sorted(CASCADES))
+    def test_swapped_stages_fail_the_first_swapped_proof(self, tallied, label, index):
+        """Shape intact (counts, widths, rounds all match): only the proofs can tell."""
+        election, _, result = tallied
+        stages = list(getattr(result, CASCADES[label]).stages)
+        stages[index], stages[index + 1] = stages[index + 1], stages[index]
+        forged = replace(result, **{CASCADES[label]: TupleCascade(stages=stages)})
+        for pinned in (True, False):
+            failure = _assert_rejected_alike(
+                {spec: _audit(election, forged, spec, pinned) for spec in SPECS},
+                prefix=f"{label}[{index}].",
+            )
+            assert failure.kind in ("shuffle-coins", "shuffle-round")
+
+    def test_truncated_and_extended_outputs_rejected_unpinned_too(self, tallied):
+        election, _, result = tallied
+        for mutation in ("truncate-outputs", "extend-outputs", "drop-all-rounds"):
+            mutate, locus = STAGE_MUTATIONS[mutation]
+            forged = replace(
+                result, ballot_cascade=TupleCascade(stages=mutate(list(result.ballot_cascade.stages), 1))
+            )
+            _assert_rejected_alike(
+                {spec: _audit(election, forged, spec, pinned=False) for spec in SPECS},
+                locus=locus.format(label="ballot-mix", i=1),
+            )
+
+
+def _republish(election, tagging, result, ballot_cascade):
+    """What a cheating tally service publishes around a forged ballot cascade.
+
+    Filter, decryption and counts are honestly recomputed *from the forged
+    outputs*, so every downstream invariant holds and only the cascade's own
+    obligations stand between the forgery and ``ok``.
+    """
+    authority = election.setup.authority
+    mixed_registrations = [item[0] for item in result.registration_cascade.outputs]
+    filter_result = filter_ballots(
+        authority, tagging, [(vote, credential) for vote, credential in ballot_cascade.outputs],
+        mixed_registrations, verify=False,
+    )
+    votes = decrypt_votes(authority, filter_result.counted, result.num_options, verify=False)
+    return replace(
+        result,
+        ballot_cascade=ballot_cascade,
+        filter_result=filter_result,
+        votes=votes,
+        counts=aggregate(votes, result.num_options),
+        num_counted=len(filter_result.counted),
+        num_discarded=filter_result.discarded + filter_result.duplicate_tags,
+    )
+
+
+def _ballot_inputs(election):
+    """The ballot-mix inputs as any auditor re-derives them from the ledger."""
+    authority = election.setup.authority
+    elgamal = ElGamal(election.group)
+    records = TallyPipeline(election.group, authority)._valid_ballots(
+        election.setup.board, election.config.election_id
+    )
+    return elgamal, [
+        (
+            ElGamalCiphertext(record.ciphertext_c1, record.ciphertext_c2),
+            elgamal.encrypt(authority.public_key, record.credential_public_key, randomness=0),
+        )
+        for record in records
+    ]
+
+
+class TestZeroRoundForgery:
+    """One stage with ``rounds=[]`` (or no stage at all): accepted by every verifier before."""
+
+    #: forgery → the locus an auditor without the election parameters reports;
+    #: one who pins them reports ``ballot-mix.stages`` for all three.
+    UNPINNED_LOCUS = {
+        "substituted": "ballot-mix[0].rounds",
+        "wrong-length": "ballot-mix[0].width",
+        "empty": "ballot-mix.stages",
+    }
+
+    def _forged(self, election, tagging, result, name):
+        """(re-derived ballot inputs, the forged cascade, the result published around it)."""
+        elgamal, inputs = _ballot_inputs(election)
+        public_key = election.setup.authority.public_key
+        stolen = [
+            (elgamal.encrypt(public_key, election.group.encode_int(0)), credential)
+            for _, credential in inputs
+        ]
+        cascade = {
+            "substituted": TupleCascade(stages=[TupleShuffle(outputs=stolen, rounds=[])]),
+            "wrong-length": TupleCascade(stages=[TupleShuffle(outputs=stolen[:-1], rounds=[])]),
+            "empty": TupleCascade(stages=[]),
+        }[name]
+        return inputs, cascade, _republish(election, tagging, result, cascade)
+
+    def test_the_forgeries_change_the_outcome_and_are_otherwise_consistent(self, tallied):
+        election, tagging, result = tallied
+        _, _, stolen = self._forged(election, tagging, result, "substituted")
+        assert stolen.counts == {0: result.num_counted, 1: 0} != result.counts
+        report = _audit(election, stolen, "eager", pinned=False)
+        assert [failure.name for failure in report.failures] == ["ballot-mix[0].rounds"]
+        _, _, voided = self._forged(election, tagging, result, "empty")
+        assert voided.num_counted == 0 and sum(voided.counts.values()) == 0
+        report = _audit(election, voided, "eager", pinned=False)
+        assert [failure.name for failure in report.failures] == ["ballot-mix.stages"]
+
+    @pytest.mark.parametrize("name", sorted(UNPINNED_LOCUS))
+    def test_rejected_by_every_front_door_under_every_strategy(self, tallied, name):
+        election, tagging, result = tallied
+        inputs, cascade, forged = self._forged(election, tagging, result, name)
+        setup, config = election.setup, election.config
+        for pinned, locus in ((True, "ballot-mix.stages"), (False, self.UNPINNED_LOCUS[name])):
+            pins = {"num_mixers": MIXERS, "proof_rounds": ROUNDS} if pinned else {}
+            _assert_rejected_alike(
+                {spec: _audit(election, forged, spec, pinned) for spec in SPECS}, locus=locus
+            )
+            _assert_rejected_alike(
+                {
+                    spec: audit_election(
+                        setup.board, config if pinned else None, authority=setup.authority,
+                        result=forged, verifier=spec,
+                    )
+                    for spec in SPECS
+                },
+                locus=locus,
+            )
+            for spec in SPECS:
+                assert not verify_tally(
+                    election.group, setup.authority, setup.board, forged, config.election_id,
+                    audit_spec=spec, **pins,
+                ), spec
+                assert not verify_tuple_cascade(
+                    ElGamal(election.group), setup.authority.public_key, inputs, cascade,
+                    audit_spec=spec, **pins,
+                ), spec
+
+    def test_pinned_parameters_reject_a_weaker_honest_proof(self, tallied):
+        """Fewer mixers or rounds than configured is a valid proof of a weaker claim."""
+        election, _, result = tallied
+        assert _audit(election, result, "batched", pinned=False).ok
+        for pins, locus in (
+            ({"num_mixers": MIXERS + 1}, "registration-mix.stages"),
+            ({"proof_rounds": ROUNDS + 1}, "registration-mix[0].rounds"),
+        ):
+            reports = {
+                spec: audit_tally(
+                    election.group, election.setup.authority, election.setup.board, result,
+                    verifier=spec, **pins,
+                )
+                for spec in SPECS
+            }
+            _assert_rejected_alike(reports, locus=locus)
+
+    def test_zero_mixers_counts_nothing_and_audits_ok_only_when_pinned_as_zero(self, tallied):
+        election, tagging, _ = tallied
+        setup, config = election.setup, election.config
+        result = TallyPipeline(election.group, setup.authority, 0, ROUNDS, tagging=tagging).run(
+            setup.board, config.num_options, config.election_id
+        )
+        assert result.num_counted == 0
+        assert audit_tally(
+            election.group, setup.authority, setup.board, result, num_mixers=0, proof_rounds=ROUNDS
+        ).ok
+        unpinned = audit_tally(election.group, setup.authority, setup.board, result)
+        assert unpinned.first_failure.name == "registration-mix.stages"

@@ -62,6 +62,36 @@ def test_full_election_over_http_only(gateway):
     client.close()
 
 
+def test_gateway_audit_pins_the_service_mix_parameters(make_gateway):
+    """The tenant's audit pins the cascades to *its* ``num_mixers`` / ``proof_rounds``.
+
+    Neither value is an ``ElectionConfig`` default, so an audit that pinned
+    anything but the service's own parameters rejects this honest election
+    at ``registration-mix.stages``.
+    """
+    from repro.gateway.client import CastingSession
+
+    fixture = make_gateway(
+        ServiceConfig(num_mixers=3, proof_rounds=1, governor=GovernorConfig.from_env())
+    )
+    client = fixture.client(client_id="pins")
+    client.create_election("pinned", 3, 2)
+    session = CastingSession(client, "pinned")
+    session.refresh()
+    voters = [f"voter-{index:04d}" for index in range(3)]
+    for voter_id in voters:
+        session.register(voter_id)
+    session.cast([(session.real_credential(voter_id), 1) for voter_id in voters])
+    client.close_election("pinned")
+    assert client.tally("pinned").counts == {"0": 0, "1": 3}
+    report = client.audit_report("pinned")
+    assert report.ok, report.failures
+    tenant = fixture.service.tenants["pinned"]
+    assert len(tenant.tally_result.ballot_cascade.stages) == 3
+    assert all(len(stage.rounds) == 1 for stage in tenant.tally_result.ballot_cascade.stages)
+    client.close()
+
+
 def test_concurrent_http_casts_match_in_process_chain(gateway, group):
     """The HTTP-admitted ballot chain is byte-identical to in-process appends.
 

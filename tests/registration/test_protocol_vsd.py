@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import VerificationError
+from repro.errors import ProtocolError, VerificationError
 from repro.peripherals.clock import Component
 from repro.registration.materials import CredentialState
 from repro.registration.protocol import RegistrationSession, run_registration
@@ -90,7 +90,13 @@ class TestActivationChecks:
         ticket = session.official.check_in(voter.voter_id)
         kiosk_session = session.kiosk.authorize(ticket)
         session.kiosk.begin_real_credential(kiosk_session)
-        envelope = voter.pick_envelope(session.booth_envelopes, symbol=kiosk_session.pending_symbol)
+        try:
+            envelope = voter.pick_envelope(session.booth_envelopes, symbol=kiosk_session.pending_symbol)
+        except ProtocolError:
+            # The booth's random stock lacks the printed symbol (0.8^20, about
+            # 1 run in 90): top up and retry, exactly as ``register`` does.
+            session.restock_booth(len(session.booth_envelopes) + 2 * small_setup.min_envelopes_per_booth)
+            envelope = voter.pick_envelope(session.booth_envelopes, symbol=kiosk_session.pending_symbol)
         receipt = session.kiosk.complete_real_credential(kiosk_session, envelope)
         credential = voter.assemble_credential(receipt, envelope, is_real=True, observed_sound_order=True)
         vsd = self._fresh_vsd(small_setup, "alice")

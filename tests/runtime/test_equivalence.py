@@ -192,10 +192,11 @@ class TestTamperedCascadesRejected:
             for record in valid_records
         ]
         for name, executor in backends.items():
-            for batch in (True, False):
+            for audit_spec in ("eager", "batched"):
                 assert not mixnet.verify_tuple_cascade(
-                    pipeline.elgamal, authority.public_key, ballot_inputs, forged, executor=executor, batch=batch
-                ), f"forged cascade accepted ({name}, batch={batch})"
+                    pipeline.elgamal, authority.public_key, ballot_inputs, forged,
+                    executor=executor, audit_spec=audit_spec,
+                ), f"forged cascade accepted ({name}, {audit_spec})"
         assert mixnet.verify_tuple_cascade(
             pipeline.elgamal, authority.public_key, ballot_inputs, result.ballot_cascade
         )

@@ -7,12 +7,18 @@ from repro.crypto.tagging import TaggingAuthority
 from repro.ledger.bulletin_board import BallotRecord
 from repro.tally.filter import deduplicate_ballots, filter_ballots
 from repro.tally.mixnet import (
+    TupleCascade,
     TupleShuffle,
+    random_permutation,
     shuffle_tuples_with_proof,
     tuple_mix_cascade,
     verify_tuple_cascade,
-    verify_tuple_shuffle,
 )
+
+
+def _verify_shuffle(elgamal, public_key, inputs, shuffle, **kwargs):
+    """One shuffle is a one-stage cascade: there is no second verifier."""
+    return verify_tuple_cascade(elgamal, public_key, inputs, TupleCascade(stages=[shuffle]), **kwargs)
 
 
 @pytest.fixture()
@@ -27,10 +33,29 @@ def pairs(group, elgamal, dkg):
     ]
 
 
+@pytest.fixture()
+def singles(group, elgamal, dkg):
+    """Five distinct plaintexts as 1-tuples — the registration-tag arity."""
+    return [(elgamal.encrypt(dkg.public_key, group.power(value)),) for value in range(5)]
+
+
+def _plaintexts(group, dkg, items):
+    return sorted(group.decode_int(dkg.decrypt(item[0])) for item in items)
+
+
+class TestPermutation:
+    def test_random_permutation_is_a_permutation(self):
+        for n in [1, 2, 5, 20]:
+            assert sorted(random_permutation(n)) == list(range(n))
+
+    def test_zero_length(self):
+        assert random_permutation(0) == []
+
+
 class TestTupleShuffle:
     def test_honest_shuffle_verifies(self, elgamal, dkg, pairs):
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, pairs, rounds=6)
-        assert verify_tuple_shuffle(elgamal, dkg.public_key, pairs, shuffled)
+        assert _verify_shuffle(elgamal, dkg.public_key, pairs, shuffled)
 
     def test_pairs_stay_linked(self, group, elgamal, dkg, pairs):
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, pairs, rounds=4)
@@ -52,17 +77,96 @@ class TestTupleShuffle:
         outputs = list(shuffled.outputs)
         outputs[0] = (outputs[0][0], elgamal.encrypt(dkg.public_key, group.power(999)))
         tampered = TupleShuffle(outputs=outputs, rounds=shuffled.rounds)
-        assert not verify_tuple_shuffle(elgamal, dkg.public_key, pairs, tampered)
+        assert not _verify_shuffle(elgamal, dkg.public_key, pairs, tampered)
 
     def test_cascade(self, elgamal, dkg, pairs):
         cascade = tuple_mix_cascade(elgamal, dkg.public_key, pairs, num_mixers=3, rounds=3)
         assert len(cascade.stages) == 3
         assert verify_tuple_cascade(elgamal, dkg.public_key, pairs, cascade)
+        assert verify_tuple_cascade(elgamal, dkg.public_key, pairs, cascade, num_mixers=3, proof_rounds=3)
+        assert not verify_tuple_cascade(elgamal, dkg.public_key, pairs, cascade, num_mixers=4)
+        assert not verify_tuple_cascade(elgamal, dkg.public_key, pairs, cascade, proof_rounds=4)
 
     def test_single_tuples(self, group, elgamal, dkg):
         singles = [(elgamal.encrypt(dkg.public_key, group.power(value)),) for value in range(3)]
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=4)
-        assert verify_tuple_shuffle(elgamal, dkg.public_key, singles, shuffled)
+        assert _verify_shuffle(elgamal, dkg.public_key, singles, shuffled)
+
+    @pytest.mark.parametrize("audit_spec", ["eager", "batched", "stream:4:1", "dist:4"])
+    def test_shuffle_without_rounds_proves_nothing(self, group, elgamal, dkg, pairs, audit_spec):
+        """``rounds=[]`` with any outputs used to verify under every entry point."""
+        substituted = [
+            (elgamal.encrypt(dkg.public_key, group.encode_int(1)), credential) for _, credential in pairs
+        ]
+        for outputs in (substituted, substituted[:2], []):
+            forged = TupleShuffle(outputs=outputs, rounds=[])
+            assert not _verify_shuffle(elgamal, dkg.public_key, pairs, forged, audit_spec=audit_spec)
+        assert not verify_tuple_cascade(
+            elgamal, dkg.public_key, pairs, TupleCascade(stages=[]), audit_spec=audit_spec
+        )
+
+
+class TestSingleCiphertextShuffle:
+    """Arity 1 (what ``crypto/shuffle.py`` used to fork): same code, same verifier."""
+
+    def test_preserves_multiset_of_plaintexts(self, group, elgamal, dkg, singles):
+        shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=2)
+        assert _plaintexts(group, dkg, shuffled.outputs) == list(range(5))
+
+    def test_outputs_differ_from_inputs(self, elgamal, dkg, singles):
+        shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=2)
+        assert all(output not in singles for output in shuffled.outputs)
+
+    def test_honest_shuffle_verifies_with_one_round_per_requested_bit(self, elgamal, dkg, singles):
+        shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=6)
+        assert len(shuffled.rounds) == 6
+        assert _verify_shuffle(elgamal, dkg.public_key, singles, shuffled, proof_rounds=6)
+
+    def test_tampered_output_rejected(self, group, elgamal, dkg, singles):
+        shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=8)
+        outputs = [(elgamal.encrypt(dkg.public_key, group.power(99)),)] + shuffled.outputs[1:]
+        tampered = TupleShuffle(outputs=outputs, rounds=shuffled.rounds)
+        assert not _verify_shuffle(elgamal, dkg.public_key, singles, tampered)
+
+    def test_reordered_output_rejected(self, elgamal, dkg, singles):
+        shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=8)
+        reordered = TupleShuffle(outputs=list(reversed(shuffled.outputs)), rounds=shuffled.rounds)
+        assert not _verify_shuffle(elgamal, dkg.public_key, singles, reordered)
+
+    def test_proof_bound_to_inputs(self, group, elgamal, dkg, singles):
+        shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=8)
+        others = [(elgamal.encrypt(dkg.public_key, group.power(value + 10)),) for value in range(5)]
+        assert not _verify_shuffle(elgamal, dkg.public_key, others, shuffled)
+
+    def test_single_element_shuffle(self, group, elgamal, dkg):
+        single = [(elgamal.encrypt(dkg.public_key, group.power(1)),)]
+        shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, single, rounds=4)
+        assert _verify_shuffle(elgamal, dkg.public_key, single, shuffled)
+
+    def test_empty_inputs(self, elgamal, dkg):
+        cascade = tuple_mix_cascade(elgamal, dkg.public_key, [], num_mixers=2, rounds=2)
+        assert cascade.outputs == []
+        assert verify_tuple_cascade(elgamal, dkg.public_key, [], cascade, num_mixers=2, proof_rounds=2)
+        assert TupleCascade(stages=[]).outputs == []
+        assert verify_tuple_cascade(elgamal, dkg.public_key, [], TupleCascade(stages=[]))
+
+    def test_cascade_verifies_and_preserves_plaintexts(self, group, elgamal, dkg, singles):
+        cascade = tuple_mix_cascade(elgamal, dkg.public_key, singles, num_mixers=3, rounds=4)
+        assert verify_tuple_cascade(elgamal, dkg.public_key, singles, cascade)
+        assert _plaintexts(group, dkg, cascade.outputs) == list(range(5))
+
+    def test_cascade_has_one_stage_per_mixer(self, elgamal, dkg, singles):
+        cascade = tuple_mix_cascade(elgamal, dkg.public_key, singles, num_mixers=4, rounds=2)
+        assert len(cascade.stages) == 4
+
+    def test_tampered_middle_stage_detected(self, group, elgamal, dkg, singles):
+        cascade = tuple_mix_cascade(elgamal, dkg.public_key, singles, num_mixers=2, rounds=4)
+        tampered_stage = TupleShuffle(
+            outputs=[(elgamal.encrypt(dkg.public_key, group.power(7)),)] * len(singles),
+            rounds=cascade.stages[0].rounds,
+        )
+        tampered = TupleCascade(stages=[tampered_stage, cascade.stages[1]])
+        assert not verify_tuple_cascade(elgamal, dkg.public_key, singles, tampered)
 
 
 class TestDeduplication:

@@ -25,6 +25,8 @@ import time
 
 import pytest
 
+from repro.audit.api import AuditPlan, EagerVerifier, verifier_from_spec
+from repro.audit.checks import cascade_checks
 from repro.crypto.elgamal import ElGamal
 from repro.crypto.group import Group
 from repro.crypto.tagging import TaggingAuthority
@@ -35,7 +37,6 @@ from repro.tally import mixnet
 from repro.tally.mixnet import (
     TupleCascade,
     streaming_tuple_mix_cascade,
-    streaming_verify_tuple_cascade,
     tuple_mix_cascade,
     verify_tuple_cascade,
 )
@@ -129,8 +130,8 @@ def test_streaming_cascade_bit_identical(monkeypatch, voted_election, backends, 
     )
     assert streamed == serial
     assert verify_tuple_cascade(elgamal, public_key, inputs, streamed)
-    assert streaming_verify_tuple_cascade(
-        elgamal, public_key, inputs, serial, executor=backends[backend], pipeline=STREAM_SPEC
+    assert verify_tuple_cascade(
+        elgamal, public_key, inputs, serial, executor=backends[backend], audit_spec=STREAM_AUDIT
     )
 
 
@@ -293,34 +294,22 @@ def test_midstream_tally_failure_propagates(voted_election):
         )
 
 
-class _CountingExecutor(SerialExecutor):
-    """Counts the items mapped through it (to observe cancelled work)."""
-
-    def __init__(self):
-        self.items = 0
-
-    def map(self, fn, items, chunksize=None):
-        work = list(items)
-        self.items += len(work)
-        return super().map(fn, work, chunksize=chunksize)
-
-
 def test_streaming_verify_cancels_after_first_failure(voted_election):
     group = voted_election.group
     elgamal, public_key, inputs = _cascade_inputs(group, count=6)
     many_mixers = 6
-    cascade = tuple_mix_cascade(elgamal, public_key, inputs, many_mixers, PROOF_ROUNDS)
+    # Six rounds: a swapped stage survives all of its own checks with
+    # probability 2^-2R (coins coincide and every round opens the output side).
+    cascade = tuple_mix_cascade(elgamal, public_key, inputs, many_mixers, rounds=6)
     # Corrupt the transcript: swap two stages so the first stage's proof no
     # longer matches its claimed inputs.
     corrupted = TupleCascade(stages=[cascade.stages[1], cascade.stages[0]] + cascade.stages[2:])
-    counting = _CountingExecutor()
-    verdict = streaming_verify_tuple_cascade(
-        elgamal, public_key, inputs, corrupted,
-        executor=counting,
-        pipeline=PipelineSpec(streaming=True, shard_size=1, queue_depth=1),
-    )
-    assert verdict is False
-    # First-failure cancellation: with one stage-check per shard (serial
-    # executor) and queue depth 1, at most the failing shard, one queued
-    # shard and one in-hand shard can ever be verified.
-    assert counting.items <= 3 < many_mixers
+    plan = AuditPlan(cascade_checks(elgamal, public_key, inputs, corrupted))
+    report = verifier_from_spec("stream:1:1").run(plan)
+    assert not report.ok
+    assert report.first_failure.name.startswith("cascade[0].")
+    # First-failure cancellation: the auditor pays for the shards up to the
+    # failing one (plus at most the queued and the in-hand shard), not for
+    # the other five stages' proofs.
+    assert len(report.results) < len(plan)
+    assert report.results == EagerVerifier().run(plan).results[: len(report.results)]
