@@ -21,14 +21,23 @@ the bundle is *self-describing*: an auditor needs the bundle, the board and
 the claimed result — no live authority objects, no secrets.
 
 Generation is opt-in (``TallyPipeline(collect_evidence=True)`` /
-``ElectionConfig.audit_evidence``) because the tagging-step proofs cost a
-few extra exponentiations per ciphertext per member.
+``ElectionConfig.audit_evidence``) and makes the tally about 1.5x a
+proof-less one: with M authority members a tag costs 6M variable-base
+exponentiations with its proofs, 4M without (a decryption costs 2M either
+way).  Every published value is computed *once, with its proof*: the tally's
+workers run :func:`tag_chain_material` / :func:`decryption_material` in place
+of the proof-less derivation, the join and the vote decoding read the
+plaintext (the last entry) off that result, and :func:`build_tally_evidence`
+only assembles.  The material is what the caller lacks, as one flat tuple of
+group elements and ints; the statement side (source ciphertext, generator,
+commitments, public shares) never travels back, and elements travel as
+elements — decoding an Ed25519 point costs a subgroup-check multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import DecryptionShare, ElGamal, ElGamalCiphertext
@@ -81,38 +90,73 @@ class TallyEvidence:
     decryptions: Tuple[DecryptionTranscript, ...]
 
 
-def decryption_transcript(
-    dkg: DistributedKeyGeneration, ciphertext: ElGamalCiphertext
-) -> DecryptionTranscript:
-    """Produce the publishable transcript of one threshold decryption."""
+#: Entries one member's :class:`DecryptionShare` takes in proof material.
+_SHARE_FIELDS = 4
+
+
+def decryption_material(dkg: DistributedKeyGeneration, ciphertext: ElGamalCiphertext, verify: bool = False) -> tuple:
+    """Threshold-decrypt once: every member's four share fields, then the plaintext.
+
+    ``verify`` checks the shares before combining them, as ``dkg.decrypt`` does.
+    """
     elgamal = ElGamal(dkg.group)
+    shares = [member.decryption_share(elgamal, ciphertext) for member in dkg.members]
+    plaintext = elgamal.combine_decryption_shares(ciphertext, dkg.member_public_keys, shares, verify=verify)
+    fields = [f for s in shares for f in (s.share, s.commitment_g, s.commitment_c1, s.response)]
+    return (*fields, plaintext)
+
+
+def decryption_transcript(
+    dkg: DistributedKeyGeneration, ciphertext: ElGamalCiphertext, material: Optional[Sequence] = None
+) -> DecryptionTranscript:
+    """The publishable transcript of one threshold decryption.
+
+    ``material`` is the :func:`decryption_material` result a worker already
+    computed for ``ciphertext``; without one the decryption runs here.
+    """
+    if material is None:
+        material = decryption_material(dkg, ciphertext)
     return DecryptionTranscript(
         ciphertext=ciphertext,
-        public_shares=tuple(member.public for member in dkg.members),
-        shares=tuple(member.decryption_share(elgamal, ciphertext) for member in dkg.members),
+        public_shares=tuple(dkg.member_public_keys),
+        shares=tuple(
+            DecryptionShare(*material[at : at + _SHARE_FIELDS])
+            for at in range(0, len(material) - 1, _SHARE_FIELDS)
+        ),
     )
+
+
+def tag_chain_material(
+    dkg: DistributedKeyGeneration, tagging: TaggingAuthority, ciphertext: ElGamalCiphertext, verify: bool = False
+) -> tuple:
+    """Derive one blinded tag once, with its proofs: step material, then the decryption's.
+
+    The blinded value (and hence the tag, the last entry) is bit-identical to
+    the proof-less :meth:`TaggingAuthority.blind_and_decrypt` — same
+    exponentiation chain, proof nonces never touch the output.
+    """
+    blinded, steps = tagging.blinding_material(ciphertext)
+    return (*steps, *decryption_material(dkg, blinded, verify))
 
 
 def tag_chain_evidence(
     dkg: DistributedKeyGeneration,
     tagging: TaggingAuthority,
     ciphertext: ElGamalCiphertext,
+    material: Optional[Sequence] = None,
 ) -> TagChainEvidence:
-    """Blind ``ciphertext`` with per-step proofs and transcribe its decryption.
-
-    The blinded value (and hence the tag) is bit-identical to the proof-less
-    path the filter takes — same exponentiation chain, proof nonces never
-    touch the output — so evidence generated after the fact matches the
-    published tag byte lists exactly.
-    """
-    blinded, steps = tagging.blind_ciphertext_with_proof(ciphertext)
-    decryption = decryption_transcript(dkg, blinded)
+    """The publishable evidence of one blinded-tag derivation (``material`` as above)."""
+    if material is None:
+        material = tag_chain_material(dkg, tagging, ciphertext)
+    split = len(material) - (_SHARE_FIELDS * dkg.num_members + 1)
+    steps = tagging.steps_from_material(ciphertext, material[:split])
+    blinded = steps[-1].after if steps else ciphertext
     return TagChainEvidence(
         source=ciphertext,
         steps=tuple(steps),
         blinded=blinded,
-        decryption=decryption,
-        tag=decryption.plaintext(),
+        decryption=decryption_transcript(dkg, blinded, material[split:]),
+        tag=material[-1],
     )
 
 
@@ -122,19 +166,29 @@ def build_tally_evidence(
     mixed_registrations: Sequence[ElGamalCiphertext],
     mixed_ballot_credentials: Sequence[ElGamalCiphertext],
     counted: Sequence[ElGamalCiphertext],
+    tag_material: Sequence[Sequence],
+    vote_material: Sequence[Sequence],
 ) -> TallyEvidence:
-    """Assemble the full evidence bundle for one tally run."""
-    registration_tags: List[TagChainEvidence] = [
-        tag_chain_evidence(dkg, tagging, ciphertext) for ciphertext in mixed_registrations
-    ]
-    ballot_tags: List[TagChainEvidence] = [
-        tag_chain_evidence(dkg, tagging, ciphertext) for ciphertext in mixed_ballot_credentials
-    ]
-    decryptions = [decryption_transcript(dkg, ciphertext) for ciphertext in counted]
+    """Assemble the bundle from the material the tally's workers returned.
+
+    ``tag_material`` holds one :func:`tag_chain_material` result per mixed
+    registration, then per mixed ballot credential; ``vote_material`` one
+    :func:`decryption_material` result per counted vote.  Nothing is derived.
+    """
+    sources = [*mixed_registrations, *mixed_ballot_credentials]
+    if len(tag_material) != len(sources) or len(vote_material) != len(counted):
+        raise ValueError("proof material does not cover every tag and counted vote")
+    chains = tuple(
+        tag_chain_evidence(dkg, tagging, ciphertext, material)
+        for ciphertext, material in zip(sources, tag_material)
+    )
     return TallyEvidence(
         tagging_commitments=tuple(tagging.commitments),
         member_public_keys=tuple(dkg.member_public_keys),
-        registration_tags=tuple(registration_tags),
-        ballot_tags=tuple(ballot_tags),
-        decryptions=tuple(decryptions),
+        registration_tags=chains[: len(mixed_registrations)],
+        ballot_tags=chains[len(mixed_registrations) :],
+        decryptions=tuple(
+            decryption_transcript(dkg, ciphertext, material)
+            for ciphertext, material in zip(counted, vote_material)
+        ),
     )

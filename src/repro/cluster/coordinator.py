@@ -522,6 +522,7 @@ class ClusterCoordinator:
             if not worker.alive:
                 return
             worker.alive = False
+            closing = self._closed
             self._workers.pop(worker.worker_id, None)
             orphans = sorted(worker.in_flight.values(), key=lambda task: task.index)
             worker.in_flight.clear()
@@ -551,10 +552,12 @@ class ClusterCoordinator:
                 self._tasks.clear()
                 self._pending.clear()
             self._cond.notify_all()
-        # Orderly teardown retires every worker; that is routine (DEBUG).
+        # Orderly teardown retires every worker, and a worker that closes its
+        # socket on SHUTDOWN can get its reader thread here first ("connection
+        # lost"): once the coordinator is closed either is routine (DEBUG).
         # Losing a worker mid-run is an operator-visible event (WARNING),
         # logged with the identity and exactly which task keys moved.
-        if reason == "coordinator shutdown":
+        if closing:
             logger.debug("worker %s retired (%s)", worker.worker_id, reason)
         else:
             logger.warning(

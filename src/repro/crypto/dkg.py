@@ -39,7 +39,7 @@ class AuthorityShare:
     backup_shares: List[Share] = field(default_factory=list)
 
     def decryption_share(self, elgamal: ElGamal, ciphertext: ElGamalCiphertext) -> DecryptionShare:
-        return elgamal.decryption_share(self.secret, ciphertext)
+        return elgamal.decryption_share(self.secret, ciphertext, public_share=self.public)
 
 
 @dataclass

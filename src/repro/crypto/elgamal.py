@@ -154,18 +154,26 @@ class ElGamal:
 
     # Threshold decryption -----------------------------------------------------
 
-    def decryption_share(self, secret_share: int, ciphertext: ElGamalCiphertext) -> DecryptionShare:
+    def decryption_share(
+        self,
+        secret_share: int,
+        ciphertext: ElGamalCiphertext,
+        public_share: Optional[GroupElement] = None,
+    ) -> DecryptionShare:
         """Produce ``c1^sk_i`` with a Chaum–Pedersen proof of correctness.
 
         The proof shows log_g(pk_i) == log_c1(share), i.e. the member used the
-        same secret it committed to at DKG time.
+        same secret it committed to at DKG time.  ``public_share`` is that
+        commitment ``g^sk_i`` (it enters the challenge hash); a caller that
+        holds it passes it in, otherwise it is recomputed here.
         """
         group = self.group
         w = group.random_scalar()
         commitment_g = group.power(w)
         commitment_c1 = ciphertext.c1 ** w
         share = ciphertext.c1 ** secret_share
-        public_share = group.power(secret_share)
+        if public_share is None:
+            public_share = group.power(secret_share)
         challenge = group.hash_to_scalar(
             b"elgamal-decryption-share",
             public_share.to_bytes(),

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.chaum_pedersen import (
+    ChaumPedersenCommit,
     ChaumPedersenStatement,
     ChaumPedersenTranscript,
     chaum_pedersen_verify,
@@ -38,6 +39,9 @@ from repro.errors import VerificationError
 #: Fiat–Shamir domain tags for the two tagging-proof families.
 TAG_CONTEXT = b"deterministic-tag"
 CIPHERTEXT_TAG_CONTEXT = b"deterministic-tag-ciphertext"
+
+#: Entries one member's step takes in :meth:`TaggingAuthority.blinding_material`.
+_STEP_FIELDS = 10
 
 
 @dataclass(frozen=True)
@@ -121,36 +125,66 @@ class TaggingAuthority:
             current = current.exponentiate(secret)
         return current
 
-    def blind_ciphertext_with_proof(
-        self, ciphertext: ElGamalCiphertext
-    ) -> Tuple[ElGamalCiphertext, List["CiphertextTaggingStep"]]:
-        """Like :meth:`blind_ciphertext`, but each member's step ships proofs.
+    def blinding_material(self, ciphertext: ElGamalCiphertext) -> Tuple[ElGamalCiphertext, tuple]:
+        """Blind ``ciphertext`` as :meth:`blind_ciphertext` does, proving every member's step.
 
         Per member, two Chaum–Pedersen transcripts show that *both* ciphertext
         components were raised to the same exponent the member committed to
         (``commitment = g^{z_i}``) — this is the transcript the paper's
         "publicly verifiable filtering" claim needs for the ciphertext side of
         the tag join, published as audit evidence by the tally when
-        ``collect_evidence`` is on.  The blinded output is bit-identical to
-        :meth:`blind_ciphertext` (same exponentiation chain; only proof nonces
-        differ and they never touch the output).
+        ``collect_evidence`` is on.  Returned are the blinded ciphertext and
+        what the prover adds to the statement, flat — per member the blinded
+        pair, then per proof its commit pair, challenge and response (ten
+        entries) — so a worker ships nothing its caller holds;
+        :meth:`steps_from_material` rebuilds the steps.
+
+        Cost per member: the two blinding exponentiations plus one
+        variable-base and one fixed-base (generator) exponentiation per proof
+        commit — 4 variable-base where the proof-less chain spends 2.  The
+        tally runs this *instead of* :meth:`blind_ciphertext`, never after it.
         """
+        generator = self.group.generator
+        current = ciphertext
+        fields: list = []
+        for secret, commitment in zip(self.secrets, self.commitments):
+            after = current.exponentiate(secret)
+            fields += (after.c1, after.c2)
+            for before_part, after_part in ((current.c1, after.c1), (current.c2, after.c2)):
+                statement = ChaumPedersenStatement(before_part, generator, after_part, commitment)
+                proof = fiat_shamir_prove(statement, secret, context=CIPHERTEXT_TAG_CONTEXT)
+                fields += (proof.commit.commit_g, proof.commit.commit_h, proof.challenge, proof.response)
+            current = after
+        return current, tuple(fields)
+
+    def steps_from_material(
+        self, ciphertext: ElGamalCiphertext, material: Sequence
+    ) -> List["CiphertextTaggingStep"]:
+        """The publishable steps behind one :meth:`blinding_material` result for ``ciphertext``."""
+        generator = self.group.generator
         current = ciphertext
         steps: List[CiphertextTaggingStep] = []
-        for index, (secret, commitment) in enumerate(zip(self.secrets, self.commitments), start=1):
-            after = current.exponentiate(secret)
-            proofs = []
-            for before_part, after_part in ((current.c1, after.c1), (current.c2, after.c2)):
-                statement = ChaumPedersenStatement(
-                    base_g=before_part,
-                    base_h=self.group.generator,
-                    value_g=after_part,
-                    value_h=commitment,
+        for index, commitment in enumerate(self.commitments, start=1):
+            fields = material[_STEP_FIELDS * (index - 1) : _STEP_FIELDS * index]
+            after = ElGamalCiphertext(fields[0], fields[1])
+            proofs = [
+                ChaumPedersenTranscript(
+                    ChaumPedersenStatement(before_part, generator, after_part, commitment),
+                    ChaumPedersenCommit(*fields[at : at + 2]),
+                    *fields[at + 2 : at + 4],
                 )
-                proofs.append(fiat_shamir_prove(statement, secret, context=CIPHERTEXT_TAG_CONTEXT))
+                for before_part, after_part, at in ((current.c1, after.c1, 2), (current.c2, after.c2, 6))
+            ]
             steps.append(CiphertextTaggingStep(index, current, after, commitment, proofs[0], proofs[1]))
             current = after
-        return current, steps
+        return steps
+
+    def blind_ciphertext_with_proof(
+        self, ciphertext: ElGamalCiphertext
+    ) -> Tuple[ElGamalCiphertext, List["CiphertextTaggingStep"]]:
+        """Like :meth:`blind_ciphertext`, but each member's step ships proofs (bit-identical output)."""
+        blinded, material = self.blinding_material(ciphertext)
+        return blinded, self.steps_from_material(ciphertext, material)
 
     def blind_and_decrypt(
         self,

@@ -36,7 +36,9 @@ class ElectionConfig:
     - ``pipeline_spec``: serial or streaming schedule of the tally dataflow.
     - ``audit_spec``: verification strategy of :mod:`repro.audit`.
     - ``audit_evidence``: publish :class:`repro.audit.evidence.TallyEvidence`
-      for external auditors (extra exponentiations per ciphertext, so opt-in).
+      for external auditors (each tag is then derived once, with its proofs:
+      6M variable-base exponentiations for M members where 4M suffice
+      without, a tally about 1.5x the proof-less one, so opt-in).
     - ``telemetry_spec``: observability sink; ``off`` leaves ambient state alone.
     - ``bigint_spec``: arithmetic backend :meth:`make_group` checks the process
       already runs on (``REPRO_BIGINT`` selects it); never switched.

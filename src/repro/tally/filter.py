@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.audit.evidence import tag_chain_material
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.tagging import TaggingAuthority
@@ -54,6 +55,29 @@ def _blinded_tag_bytes(
 ) -> bytes:
     """One tag derivation — module-level so process executors can run it."""
     return tagging.blind_and_decrypt(dkg, ciphertext, verify=verify).to_bytes()
+
+
+def blinded_tags(
+    dkg: DistributedKeyGeneration,
+    tagging: TaggingAuthority,
+    ciphertexts: Sequence[ElGamalCiphertext],
+    verify: bool = False,
+    executor: Optional[Executor] = None,
+    proofs: Optional[List[tuple]] = None,
+) -> List[bytes]:
+    """The blinded tag of every ciphertext, fanned out over the executor.
+
+    Given a ``proofs`` list, each tag is derived once, *with* its proofs
+    (:func:`~repro.audit.evidence.tag_chain_material`): the tag is read off
+    that result and the material is appended to ``proofs``.  Same bytes either way.
+    """
+    if proofs is None:
+        jobs = [(tagging, dkg, ciphertext, verify) for ciphertext in ciphertexts]
+        return parallel_starmap(_blinded_tag_bytes, jobs, executor=executor)
+    jobs = [(dkg, tagging, ciphertext, verify) for ciphertext in ciphertexts]
+    material = parallel_starmap(tag_chain_material, jobs, executor=executor)
+    proofs.extend(material)
+    return [chain[-1].to_bytes() for chain in material]
 
 
 class TagJoiner:
@@ -112,6 +136,7 @@ def filter_ballots(
     mixed_registration_tags: Sequence[ElGamalCiphertext],
     verify: bool = True,
     executor: Optional[Executor] = None,
+    proofs: Optional[List[tuple]] = None,
 ) -> FilterResult:
     """Match mixed ballots against mixed registration tags.
 
@@ -122,13 +147,13 @@ def filter_ballots(
     at most one ballot per registration tag.
 
     Tag derivation is independent per ciphertext, so both sides fan out over
-    the executor in one batch; the join itself stays serial (it is a linear
-    hash join, §7.4).
+    the executor in one batch (registrations first; ``proofs`` as in
+    :func:`blinded_tags`); the join itself stays serial (it is a linear hash
+    join, §7.4).
     """
-    tag_jobs = [(tagging, dkg, ciphertext, verify) for ciphertext in mixed_registration_tags]
-    tag_jobs += [(tagging, dkg, credential_ciphertext, verify) for _, credential_ciphertext in mixed_pairs]
-    with telemetry.span("tally.tag", items=len(tag_jobs)):
-        all_tags = parallel_starmap(_blinded_tag_bytes, tag_jobs, executor=executor)
+    ciphertexts = [*mixed_registration_tags, *(credential for _, credential in mixed_pairs)]
+    with telemetry.span("tally.tag", items=len(ciphertexts)):
+        all_tags = blinded_tags(dkg, tagging, ciphertexts, verify, executor, proofs)
     registration_tags = all_tags[: len(mixed_registration_tags)]
     pair_tags = all_tags[len(mixed_registration_tags) :]
 

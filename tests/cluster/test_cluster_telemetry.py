@@ -11,8 +11,10 @@ operator can feed to ``python -m repro.telemetry summarize``.
 
 from __future__ import annotations
 
+import logging
 import os
 import threading
+import time
 
 import pytest
 
@@ -99,9 +101,39 @@ def test_worker_task_spans_parent_under_the_dispatch_span():
         executor.close()
 
 
-def test_worker_kill_mid_shard_keeps_survivor_spans_in_snapshot():
+def test_orderly_close_is_not_a_worker_loss(caplog, monkeypatch):
+    """SHUTDOWN makes each worker close its socket, and its reader thread may
+    see that before ``shutdown`` retires the worker itself: once the
+    coordinator is closed that is routine — no WARNING, no loss counted."""
+    caplog.set_level(logging.DEBUG, logger="repro.cluster.coordinator")
+    telemetry.configure("mem", propagate=False)
+    executor = executor_from_spec("cluster:2")
+    retire = executor.coordinator._retire
+
+    def reader_thread_wins(worker, reason):
+        if reason == "coordinator shutdown":
+            time.sleep(0.3)  # the worker has closed and its reader retired it by now
+        retire(worker, reason)
+
+    monkeypatch.setattr(executor.coordinator, "_retire", reader_thread_wins)
+    try:
+        executor.warm()
+        assert executor.map(cluster_tasks.square, list(range(12))) == [v * v for v in range(12)]
+    finally:
+        executor.close()
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("retired (connection lost)" in message for message in messages) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+    # Only the zero-valued series the coordinator pre-registers: no worker-labelled loss.
+    lost = [key for key in telemetry.snapshot().counters if key[0] == "cluster.worker.lost"]
+    assert lost == [("cluster.worker.lost", ())]
+    assert telemetry.snapshot().counter_total("cluster.worker.lost") == 0
+
+
+def test_worker_kill_mid_shard_keeps_survivor_spans_in_snapshot(caplog):
     """Kill one worker mid-shard: the group completes on the survivor, the
-    reassignment is counted, and the survivor's spans still merge."""
+    reassignment is counted (and warned about), and the survivor's spans still merge."""
+    caplog.set_level(logging.WARNING, logger="repro.cluster.coordinator")
     telemetry.configure("mem", propagate=False)
     executor = executor_from_spec("cluster:2")
     try:
@@ -115,6 +147,7 @@ def test_worker_kill_mid_shard_keeps_survivor_spans_in_snapshot():
         # The victim's death was observed and its in-flight shards moved.
         assert snapshot.counter_total("cluster.worker.lost") >= 1
         assert snapshot.counter_total("cluster.reassign") >= 1
+        assert any("lost" in r.getMessage() for r in caplog.records if r.levelno == logging.WARNING)
         # The survivor's task spans kept arriving after the kill.
         task_workers = {span["attrs"].get("worker") for span in snapshot.spans_named("cluster.task")}
         assert "local-1" in task_workers
