@@ -41,7 +41,7 @@ def _stuffing_success_without_duplicate_check(num_envelopes: int, stuffed: int, 
     return wins / trials
 
 
-def test_ablation_of_booth_defenses(benchmark):
+def test_ablation_of_booth_defenses():
     table = ResultTable(
         title="Ablation — what each TRIP defence buys",
         columns=["defence", "with", "without", "metric"],
@@ -84,7 +84,3 @@ def test_ablation_of_booth_defenses(benchmark):
         "check-out / activation outcome (see security tests)",
     )
     table.print()
-
-    benchmark.pedantic(
-        lambda: iv_adversary_success_bound(20, distribution), rounds=1, iterations=1
-    )

@@ -46,8 +46,8 @@ def _median_by_phase_component(outcomes, cpu: bool = False) -> Dict[str, Dict[Co
     }
 
 
-def test_fig4a_wall_clock_by_phase_and_component(benchmark, paper_curve):
-    """Regenerate Fig. 4a and benchmark one H1 scripted registration."""
+def test_fig4a_wall_clock_by_phase_and_component(paper_curve):
+    """Regenerate Fig. 4a."""
     results: Dict[str, Dict[str, Dict[Component, float]]] = {}
     for profile_key in HARDWARE_PROFILES:
         outcomes = _scripted_registrations(paper_curve, profile_key, RUNS_PER_PROFILE)
@@ -80,12 +80,3 @@ def test_fig4a_wall_clock_by_phase_and_component(benchmark, paper_curve):
         total = sum(per_phase_totals.values())
         assert total < 25.0, "voter-observable latency stays within booth time scales"
         assert max(per_phase_totals.values()) < 8.0, "no single phase exceeds the paper's ≈6.5 s envelope by far"
-
-    # pytest-benchmark target: one full scripted registration on H1.
-    setup = ElectionSetup.run(paper_curve, ["bench-voter"], num_authority_members=4)
-
-    def one_registration():
-        voter_id = f"bench-voter"
-        return run_registration(setup, Voter(voter_id, num_fake_credentials=1), "H1")
-
-    benchmark.pedantic(one_registration, rounds=1, iterations=1)

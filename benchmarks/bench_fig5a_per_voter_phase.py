@@ -22,22 +22,12 @@ from repro.baselines import ALL_SYSTEMS, PhaseName
 from repro.bench.harness import ResultTable, format_seconds
 
 POPULATIONS = [100, 1_000_000]
-SAMPLE = 40
-# Civitas runs over the 2048-bit group; a smaller sample keeps the bench quick
-# without changing the fitted per-voter/per-pair constants meaningfully.
-CIVITAS_SAMPLE = 12
 
 
-def _system(name, cls, group):
-    return cls(group) if name != "Civitas" else cls()
-
-
-def test_fig5a_per_voter_latency(benchmark, ec_equivalent_group):
+def test_fig5a_per_voter_latency(baseline_systems):
     per_voter: Dict[str, Dict[str, Dict[int, float]]] = {}
-    for name, cls in ALL_SYSTEMS.items():
+    for name, (system, sample) in baseline_systems.items():
         per_voter[name] = {}
-        system = _system(name, cls, ec_equivalent_group)
-        sample = CIVITAS_SAMPLE if name == "Civitas" else SAMPLE
         for phase in PhaseName:
             per_voter[name][phase.value] = {}
             for population in POPULATIONS:
@@ -68,11 +58,3 @@ def test_fig5a_per_voter_latency(benchmark, ec_equivalent_group):
         small = per_voter[name]["Voting"][100]
         large = per_voter[name]["Voting"][1_000_000]
         assert large == pytest.approx(small, rel=0.6)
-
-    benchmark.pedantic(
-        lambda: _system("TRIP-Core", ALL_SYSTEMS["TRIP-Core"], ec_equivalent_group).measure_phase(
-            PhaseName.REGISTRATION, 20
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -20,22 +20,14 @@ from repro.baselines import ALL_SYSTEMS, PhaseName
 from repro.bench.harness import SeriesPoint, series_to_table
 
 POPULATIONS = [100, 1_000, 10_000, 100_000, 1_000_000]
-SAMPLE = 40
-CIVITAS_SAMPLE = 12
 SECONDS_PER_YEAR = 365.25 * 86400
 
 
-def _system(name, cls, group):
-    return cls(group) if name != "Civitas" else cls()
-
-
-def test_fig5b_tally_scaling(benchmark, ec_equivalent_group):
+def test_fig5b_tally_scaling(baseline_systems):
     points: List[SeriesPoint] = []
     totals: Dict[str, Dict[int, float]] = {}
-    for name, cls in ALL_SYSTEMS.items():
+    for name, (system, sample) in baseline_systems.items():
         totals[name] = {}
-        system = _system(name, cls, ec_equivalent_group)
-        sample = CIVITAS_SAMPLE if name == "Civitas" else SAMPLE
         for population in POPULATIONS:
             measurement = system.estimate_phase(PhaseName.TALLY, population, sample_voters=sample)
             totals[name][population] = measurement.wall_seconds
@@ -57,11 +49,3 @@ def test_fig5b_tally_scaling(benchmark, ec_equivalent_group):
     # Linear systems scale ~10× per decade of voters; Civitas ~100×.
     assert totals["TRIP-Core"][1_000_000] / totals["TRIP-Core"][100_000] == pytest.approx(10, rel=0.4)
     assert totals["Civitas"][1_000_000] / totals["Civitas"][100_000] == pytest.approx(100, rel=0.5)
-
-    benchmark.pedantic(
-        lambda: _system("TRIP-Core", ALL_SYSTEMS["TRIP-Core"], ec_equivalent_group).measure_phase(
-            PhaseName.TALLY, 30
-        ),
-        rounds=1,
-        iterations=1,
-    )

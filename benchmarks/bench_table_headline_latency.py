@@ -20,7 +20,7 @@ from repro.registration.voter import Voter
 PAPER_TOTALS = {"L1": 19.7, "H1": 15.8}
 
 
-def test_headline_registration_latency(benchmark, paper_curve):
+def test_headline_registration_latency(paper_curve):
     voter_ids = [f"headline-{key}" for key in HARDWARE_PROFILES]
     setup = ElectionSetup.run(paper_curve, voter_ids, num_authority_members=4)
 
@@ -61,9 +61,3 @@ def test_headline_registration_latency(benchmark, paper_curve):
     for stats in measured.values():
         assert stats["qr_share"] >= 0.695
         assert 5.0 <= stats["scan"] <= 9.0  # ≈7 s of QR scanning per run
-
-    benchmark.pedantic(
-        lambda: run_registration(setup, Voter("headline-L1", num_fake_credentials=1), "L1"),
-        rounds=1,
-        iterations=1,
-    )

@@ -26,7 +26,7 @@ BEHAVIOURS = {
 }
 
 
-def test_theorem_iv_bound_table(benchmark):
+def test_theorem_iv_bound_table():
     table = ResultTable(
         title="Theorem IV — envelope-stuffing success probability (analytic vs Monte-Carlo)",
         columns=["booth envelopes n_E", "voter behaviour D_c", "bound", "best k", "empirical", "P over 20 voters"],
@@ -56,7 +56,3 @@ def test_theorem_iv_bound_table(benchmark):
     for label, distribution in BEHAVIOURS.items():
         assert iv_adversary_success_bound(100, distribution) <= iv_adversary_success_bound(10, distribution) + 1e-12
     assert iv_adversary_success_bound(100, {2: 1.0}) < iv_adversary_success_bound(10, {2: 1.0})
-
-    benchmark.pedantic(
-        lambda: iv_adversary_success_bound(50, uniform_credential_distribution(4)), rounds=1, iterations=1
-    )

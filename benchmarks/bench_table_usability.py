@@ -26,10 +26,8 @@ PAPER = {
 }
 
 
-def test_usability_study_table(benchmark):
-    results = benchmark.pedantic(
-        lambda: UsabilityStudy(participants=150, seed=7).run(), rounds=1, iterations=1
-    )
+def test_usability_study_table():
+    results = UsabilityStudy(participants=150, seed=7).run()
 
     table = ResultTable(
         title="§7.5 — usability study: simulated vs. published",

@@ -1,17 +1,25 @@
-"""Shared fixtures for the benchmark suite (pytest-benchmark).
+"""Shared fixtures for the paper-figure scripts.
 
-Each benchmark module regenerates one table or figure of the paper's
-evaluation (§7); the printed tables appear in the captured output (run with
-``pytest benchmarks/ --benchmark-only -s`` to see them inline) and the
-pytest-benchmark statistics cover the underlying operations.
+Each ``bench_*.py`` module regenerates one table or figure of the paper's
+evaluation (§7) as a plain pytest test: it prints the table (run with ``-s``
+to see it inline) and asserts the figure's shape.  The figures' numbers come
+from the simulated peripheral clocks and the baselines' cost models, so no
+timing plugin is involved; the systems benchmark is ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines import ALL_SYSTEMS
 from repro.crypto.ed25519 import ed25519_group
-from repro.crypto.modp_group import modp_group_256, testing_group
+from repro.crypto.modp_group import modp_group_256
+
+#: Voters each Fig. 5 system is measured on before its cost model extrapolates.
+SAMPLE = 40
+# Civitas runs over the 2048-bit group; a smaller sample keeps the bench quick
+# without changing the fitted per-voter/per-pair constants meaningfully.
+CIVITAS_SAMPLE = 12
 
 
 @pytest.fixture(scope="session")
@@ -20,12 +28,14 @@ def paper_curve():
     return ed25519_group()
 
 
-@pytest.fixture(scope="session")
-def ec_equivalent_group():
-    """A 256-bit group standing in for elliptic curves in cross-system figures."""
-    return modp_group_256()
+@pytest.fixture
+def baseline_systems():
+    """Fig. 5's four systems, each with the voter sample its phases are measured on.
 
-
-@pytest.fixture(scope="session")
-def fast_group():
-    return testing_group()
+    A 256-bit mod-p group stands in for elliptic curves in the cross-system figures.
+    """
+    group = modp_group_256()
+    return {
+        name: (cls(), CIVITAS_SAMPLE) if name == "Civitas" else (cls(group), SAMPLE)
+        for name, cls in ALL_SYSTEMS.items()
+    }

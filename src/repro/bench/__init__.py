@@ -1,13 +1,10 @@
-"""Benchmark harness helpers: workload generation and table/series formatting."""
+"""Table and series formatting shared by the paper-figure scripts."""
 
-from repro.bench.harness import SeriesPoint, ResultTable, format_seconds, median
-from repro.bench.workloads import registration_workload, election_workload
+from repro.bench.harness import ResultTable, SeriesPoint, format_seconds, series_to_table
 
 __all__ = [
-    "SeriesPoint",
     "ResultTable",
+    "SeriesPoint",
     "format_seconds",
-    "median",
-    "registration_workload",
-    "election_workload",
+    "series_to_table",
 ]

@@ -1,6 +1,6 @@
-"""Formatting and aggregation helpers shared by the benchmark scripts.
+"""Formatting helpers shared by the paper-figure scripts.
 
-The benchmarks print the same rows/series the paper's figures report; these
+The scripts print the same rows/series the paper's figures report; these
 helpers keep that presentation uniform (a plain-text table per figure, with a
 "paper" column next to the "measured" column where the paper states a
 number).
@@ -8,18 +8,8 @@ number).
 
 from __future__ import annotations
 
-import json
-import statistics
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
-
-from repro.spec import env
-
-
-def median(values: Sequence[float]) -> float:
-    """The median of a non-empty sequence."""
-    return statistics.median(values)
+from typing import Dict, Iterable, List
 
 
 def format_seconds(seconds: float) -> str:
@@ -76,48 +66,6 @@ class ResultTable:
 
     def print(self) -> None:  # pragma: no cover - console output
         print("\n" + self.render() + "\n")
-
-
-def emit_bench_json(name: str, payload: Dict[str, object]) -> Optional[Path]:
-    """Write machine-readable results to ``$REPRO_BENCH_JSON_DIR/BENCH_<name>.json``.
-
-    CI sets ``REPRO_BENCH_JSON_DIR`` and uploads the resulting files as build
-    artifacts, so perf regressions are diagnosable from numbers rather than
-    captured stdout.  A no-op (returning ``None``) when the variable is
-    unset, so local runs and plain pytest invocations stay side-effect free.
-    """
-    directory = env("REPRO_BENCH_JSON_DIR")
-    if not directory:
-        return None
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    path = target / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
-    return path
-
-
-def format_speedup(baseline_seconds: float, value_seconds: float) -> str:
-    """Render ``baseline/value`` as a speedup factor (e.g. ``3.2x``)."""
-    if value_seconds <= 0:
-        return "-"
-    return f"{baseline_seconds / value_seconds:.2f}x"
-
-
-def speedup_table(
-    title: str,
-    baseline_label: str,
-    timings: "Dict[str, float]",
-) -> ResultTable:
-    """A table of wall-clock timings with a speedup column vs. a baseline.
-
-    ``timings`` maps a configuration label (e.g. ``"process:4"``) to wall
-    seconds; the entry named ``baseline_label`` anchors the speedup column.
-    """
-    baseline = timings[baseline_label]
-    table = ResultTable(title=title, columns=["backend", "wall clock", "speedup"])
-    for label, seconds in timings.items():
-        table.add_row(label, format_seconds(seconds), format_speedup(baseline, seconds))
-    return table
 
 
 def series_to_table(title: str, points: Iterable[SeriesPoint], x_label: str = "voters") -> ResultTable:

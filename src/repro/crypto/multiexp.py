@@ -100,7 +100,8 @@ def plan_multi_exponentiation(
 
     The model only has to rank alternatives, not predict wall time, so the
     constants are deliberately coarse (calibrated once on the 2048-bit
-    group; see ``benchmarks/bench_multiexp.py`` for the measured curves).
+    group; ``crypto.multiexp.self_s`` and ``audit_s`` on the
+    ``tally_modp2048`` workload of ``benchmarks/e2e`` are the measurement).
     """
     if num_terms < 1 or max_scalar_bits < 1:
         return MultiExpPlan("naive", 1, 0.0)

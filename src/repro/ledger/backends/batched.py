@@ -14,8 +14,8 @@ Because the inner backend receives the exact same command sequence, a flushed
 ``BatchedBoard`` is bit-for-bit identical to an unbatched board: same records,
 same hash chains, same heads.  What batching buys is ingestion latency — the
 per-append work drops to a lock-protected list push, with payload hashing and
-chain extension amortized over whole batches (see
-``benchmarks/bench_board_ingestion.py``).
+chain extension amortized over whole batches (``cast_ms_per_ballot`` and
+``ledger.append.self_s`` on the ``cast_bulk`` workload of ``benchmarks/e2e``).
 
 Validation stays eager where deferral would change observable behavior:
 ineligible registrations and duplicate envelope challenges raise at append

@@ -211,8 +211,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "Bound on casts waiting for admission before requests are shed with 429."),
     Knob("REPRO_GATEWAY_DEBUG", "flag (1 = on)", False, "repro.gateway.routes",
          "Serve the `/v1/debug/*` ops-plane routes (404 otherwise)."),
-    Knob("REPRO_BENCH_JSON_DIR", "path", None, "repro.bench.harness",
-         "Directory `emit_bench_json` writes `BENCH_<name>.json` into; unset writes nothing."),
     # Read only by the tests, from the CI stress and tier-1 jobs; each test module has its own default.
     Knob("REPRO_PIPELINE_SHARD_SIZE", "int>=1", None, "tests/runtime, tests/tally", "Randomized pipeline shard size."),
     Knob("REPRO_PIPELINE_QUEUE_DEPTH", "int>=1", None, "tests/runtime, tests/tally", "Randomized queue depth."),

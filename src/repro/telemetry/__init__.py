@@ -2,11 +2,13 @@
 
 Selected via ``ElectionConfig.telemetry_spec`` or directly with
 :func:`configure` (forms: :data:`repro.spec.TELEMETRY`).  ``off``, the
-default, short-circuits every primitive and is gated to ≤1.02× tally
-overhead by ``benchmarks/bench_telemetry_overhead.py``; ``mem`` buffers
-events in-process (tests, and cluster workers, whose events ride home on
-RESULT frames); ``jsonl`` streams them to an append-only trace shared by
-every process (``python -m repro.telemetry summarize <trace.jsonl>``).
+default, short-circuits every primitive (pinned as counts by
+``tests/telemetry/test_instrumentation.py``; recording costs what
+``trace_overhead_ratio`` of ``benchmarks/e2e`` reads, on every workload);
+``mem`` buffers events in-process (tests, and cluster workers, whose events
+ride home on RESULT frames); ``jsonl`` streams them to an append-only trace
+shared by every process (``python -m repro.telemetry summarize
+<trace.jsonl>``).
 
 State is process-global and lazily attached: :func:`configure` exports
 ``REPRO_TELEMETRY`` so pool children and spawned cluster workers that import

@@ -14,7 +14,10 @@ from repro.audit.api import (
     StreamingVerifier,
     verifier_from_spec,
 )
+from repro.crypto.chaum_pedersen import ChaumPedersenStatement, fiat_shamir_prove
+from repro.crypto.group import Group
 from repro.crypto.hashing import sha256
+from repro.crypto.modp_group import modp_group_256
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 
 
@@ -36,6 +39,22 @@ def _signature_checks(group, count, bad=()):
         if index in bad:
             message = sha256(b"tampered", index.to_bytes(4, "big"))
         checks.append(Check("schnorr", f"sig[{index}]", (public, message, signature)))
+    return checks
+
+
+def _chaum_pedersen_checks(group, count):
+    base_h = group.hash_to_element(b"audit-test second base")
+    checks = []
+    for index in range(count):
+        witness = group.random_scalar()
+        statement = ChaumPedersenStatement(
+            base_g=group.generator,
+            base_h=base_h,
+            value_g=group.power(witness),
+            value_h=base_h ** witness,
+        )
+        transcript = fiat_shamir_prove(statement, witness, context=b"audit-test")
+        checks.append(Check("chaum-pedersen", f"cp[{index}]", (transcript, b"audit-test")))
     return checks
 
 
@@ -88,6 +107,38 @@ class TestStrategies:
         batched = BatchedVerifier(chunk_size=5).run(plan)
         assert eager.ok and batched.ok
         assert eager == batched
+
+    def test_batched_spends_at_most_half_the_eager_exponentiations(self, monkeypatch):
+        """What batching buys, as a count: one random-linear-combination
+        product per chunk per kind does the work of one verification per
+        check.  (A 256-bit group: the toy group's multi-exp stays naive.)"""
+        group = modp_group_256()
+        plan = AuditPlan(_signature_checks(group, 16) + _chaum_pedersen_checks(group, 16))
+        element_type = type(group.generator)
+        exponentiate, multi_exponentiate = element_type.exponentiate, Group.multi_exponentiate
+        spent, products = [], []
+        monkeypatch.setattr(
+            element_type, "exponentiate",
+            lambda element, scalar: spent.append(1) or exponentiate(element, scalar),
+        )
+        monkeypatch.setattr(
+            Group, "multi_exponentiate",
+            lambda self, bases, scalars: products.append(len(bases)) or multi_exponentiate(self, bases, scalars),
+        )
+
+        def run(verifier):
+            del spent[:], products[:]
+            report = verifier.run(plan)
+            assert report.ok
+            return report.fingerprint(), len(spent), len(products)
+
+        eager_fingerprint, eager_spent, eager_products = run(EagerVerifier())
+        batched_fingerprint, batched_spent, batched_products = run(BatchedVerifier())
+        assert batched_fingerprint == eager_fingerprint
+        assert eager_spent >= 2 * len(plan) and eager_products == 0
+        assert 2 * batched_spent <= eager_spent
+        # Two kinds, one chunk each: a product per side of a folded equation.
+        assert 1 <= batched_products <= 4
 
     def test_batched_bisects_to_exact_verdicts(self, group):
         bad = {3, 7}

@@ -11,11 +11,13 @@ from __future__ import annotations
 import os
 import time
 
+from repro.spec import env
+
 #: The CI stress job's geometry knobs, parsed once for the whole suite
 #: (conftest.py and the test modules import these instead of re-reading
 #: the environment with potentially divergent defaults).
-CLUSTER_WORKERS = max(1, int(os.environ.get("REPRO_CLUSTER_WORKERS", "2")))
-CLUSTER_PAGE_SIZE = max(1, int(os.environ.get("REPRO_CLUSTER_PAGE_SIZE", "3")))
+CLUSTER_WORKERS = env("REPRO_CLUSTER_WORKERS") or 2
+CLUSTER_PAGE_SIZE = env("REPRO_CLUSTER_PAGE_SIZE") or 3
 
 
 def echo(value):

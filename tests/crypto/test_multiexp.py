@@ -7,6 +7,8 @@ both algorithms can be checked exhaustively and fast), and through the real
 group backends where the planner picks the algorithm.
 """
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -246,3 +248,56 @@ class TestNaiveEquivalenceProperty:
         bases = [group.power(seed) for seed, _ in terms]
         scalars = [scalar for _, scalar in terms]
         assert group.multi_exponentiate(bases, scalars) == _naive_fold(group, bases, scalars)
+
+
+# ----------------------------------------------- operation counts, not seconds
+
+
+def _counting(ops):
+    """``ops`` with every group operation tallied (``advance`` by k = k squarings)."""
+    spent = [0]
+
+    def multiply(a, b):
+        spent[0] += 1
+        return ops.multiply(a, b)
+
+    def advance(a, k):
+        spent[0] += k
+        return ops.advance(a, k)
+
+    def invert(a):
+        spent[0] += 1
+        return ops.invert(a)
+
+    return GroupOps(ops.identity, multiply, advance, invert), spent
+
+
+def _square_and_multiply_each_term(ops, values, scalars):
+    """The per-term loop the kernels replace: one binary ladder per base."""
+    result = ops.identity
+    for value, scalar in zip(values, scalars):
+        term = value
+        for bit in bin(scalar)[3:]:
+            term = ops.advance(term, 1)
+            if bit == "1":
+                term = ops.multiply(term, value)
+        result = ops.multiply(result, term)
+    return result
+
+
+class TestKernelOperationCounts:
+    @pytest.mark.parametrize("kernel", [straus_multi_exponentiate, pippenger_multi_exponentiate])
+    @pytest.mark.parametrize("num_terms", [64, 128])
+    def test_kernels_spend_at_most_half_the_naive_group_operations(self, kernel, num_terms):
+        """The planner's estimate is pinned above; this pins what the kernels do."""
+        rng = random.Random(num_terms)
+        values = [rng.randrange(1, _M) for _ in range(num_terms)]
+        scalars = [rng.getrandbits(2047) | 1 << 2046 for _ in range(num_terms)]
+        window = plan_multi_exponentiation(num_terms, 2047).window
+
+        naive_ops, naive_spent = _counting(ADDITIVE)
+        kernel_ops, kernel_spent = _counting(ADDITIVE)
+        expected = _additive_expected(values, scalars)
+        assert _square_and_multiply_each_term(naive_ops, values, scalars) == expected
+        assert kernel(kernel_ops, values, scalars, window) == expected
+        assert 2 * kernel_spent[0] <= naive_spent[0]

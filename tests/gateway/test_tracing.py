@@ -22,6 +22,7 @@ from repro.gateway.client import CastingSession, GatewayClientError
 from repro.gateway.governor import GovernorConfig
 from repro.gateway.routes import DEBUG_ENV
 from repro.gateway.service import ServiceConfig
+from repro.spec import env
 from repro.telemetry import TelemetrySnapshot
 from repro.telemetry.__main__ import main as telemetry_cli
 
@@ -81,7 +82,7 @@ def test_one_cast_is_one_trace_from_sdk_to_ledger_flush(make_gateway, tmp_path):
 
     # CI points this at its artifact directory: every run ships the real
     # end-to-end trace this test just pinned, plus its rendered waterfall.
-    export_dir = os.environ.get("REPRO_TRACE_EXPORT_DIR")
+    export_dir = env("REPRO_TRACE_EXPORT_DIR")
     if export_dir:
         target = Path(export_dir)
         target.mkdir(parents=True, exist_ok=True)

@@ -205,3 +205,48 @@ class TestBatchedEqualsUnbatched:
         page = backend.read_ballots()
         assert page.records == [record]
         assert backend.num_pending == 0
+
+
+class TestBatchingAmortizesAppends:
+    class _CountingBackend(MemoryBackend):
+        """Records how ballots reach the inner backend."""
+
+        def __init__(self):
+            super().__init__()
+            self.single_appends = 0
+            self.bulk_appends = []  # (records, payloads handed along) per call
+
+        def append_ballot(self, record):
+            self.single_appends += 1
+            return super().append_ballot(record)
+
+        def append_ballots(self, records, payloads=None):
+            self.bulk_appends.append((len(records), None if payloads is None else len(payloads)))
+            return super().append_ballots(records, payloads=payloads)
+
+    def test_ballots_reach_the_inner_backend_one_bulk_append_per_batch(
+        self, group, keypair, monkeypatch
+    ):
+        """What batching buys, as counts: N appends become ⌈N/batch⌉ bulk
+        appends that carry the payloads the batch digest already hashed."""
+        num_ballots, batch_size = 1_000, 64
+        num_batches = -(-num_ballots // batch_size)
+        records = [make_ballot(group, keypair, index) for index in range(num_ballots)]
+        payload_calls = []
+        payload = BallotRecord.payload
+        monkeypatch.setattr(
+            BallotRecord, "payload", lambda record: payload_calls.append(1) or payload(record)
+        )
+
+        inner = self._CountingBackend()
+        board = BatchedBoard(inner, batch_size=batch_size)
+        for record in records:
+            board.append_ballot(record)
+        board.flush()
+
+        assert inner.num_ballots == num_ballots
+        assert inner.single_appends == 0
+        assert len(inner.bulk_appends) == len(board.batches) == num_batches
+        assert sum(count for count, _ in inner.bulk_appends) == num_ballots
+        assert all(count == supplied for count, supplied in inner.bulk_appends)
+        assert len(payload_calls) == num_ballots

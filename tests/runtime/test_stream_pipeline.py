@@ -8,7 +8,6 @@ interleavings systematically rather than by luck of one scheduler).
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -30,10 +29,11 @@ from repro.runtime.pipeline import (
     pipeline_from_spec,
     shard_boundaries,
 )
+from repro.spec import env
 
 #: Randomized by the CI stress job; the defaults keep local runs deterministic.
-SHARD_SIZE = int(os.environ.get("REPRO_PIPELINE_SHARD_SIZE", "3"))
-QUEUE_DEPTH = int(os.environ.get("REPRO_PIPELINE_QUEUE_DEPTH", "2"))
+SHARD_SIZE = env("REPRO_PIPELINE_SHARD_SIZE") or 3
+QUEUE_DEPTH = env("REPRO_PIPELINE_QUEUE_DEPTH") or 2
 
 
 def _double(x):
@@ -286,7 +286,7 @@ def test_stateful_stage_with_tail_emission():
 
 def test_randomized_schedules_stay_deterministic():
     """Many random shard/queue geometries must all produce the serial answer."""
-    rng = random.Random(int(os.environ.get("REPRO_STRESS_ITERATION", "0")) + 1234)
+    rng = random.Random((env("REPRO_STRESS_ITERATION") or 0) + 1234)
     items = list(range(200))
     expected = [(2 * x + 1) for x in items]
     for _ in range(5):

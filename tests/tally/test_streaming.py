@@ -19,7 +19,6 @@ The CI stress job reruns this module with randomized
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
@@ -33,6 +32,7 @@ from repro.crypto.tagging import TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
 from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.runtime.pipeline import PipelineSpec
+from repro.spec import env
 from repro.tally import mixnet
 from repro.tally.mixnet import (
     TupleCascade,
@@ -47,8 +47,8 @@ NUM_OPTIONS = 2
 NUM_MIXERS = 3
 PROOF_ROUNDS = 2
 
-SHARD_SIZE = int(os.environ.get("REPRO_PIPELINE_SHARD_SIZE", "2"))
-QUEUE_DEPTH = int(os.environ.get("REPRO_PIPELINE_QUEUE_DEPTH", "2"))
+SHARD_SIZE = env("REPRO_PIPELINE_SHARD_SIZE") or 2
+QUEUE_DEPTH = env("REPRO_PIPELINE_QUEUE_DEPTH") or 2
 
 STREAM_SPEC = PipelineSpec(streaming=True, shard_size=SHARD_SIZE, queue_depth=QUEUE_DEPTH)
 STREAM_AUDIT = f"stream:{SHARD_SIZE}:{QUEUE_DEPTH}"

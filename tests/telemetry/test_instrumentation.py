@@ -84,3 +84,26 @@ def test_summarize_cli(tmp_path, capsys):
     assert "repro_cluster_dispatch_total" in out
 
     assert telemetry_cli(["summarize", str(tmp_path / "missing.jsonl")]) == 2
+
+
+def test_off_never_reaches_the_span_machinery(monkeypatch):
+    """Telemetry ``off``, as counts rather than a timing ratio: a whole
+    election allocates no span id, attaches no context, opens no trace and
+    records nothing."""
+    from repro.telemetry import core
+
+    calls = []
+    for name in ("_new_span_id", "attach", "new_trace"):
+        monkeypatch.setattr(
+            core, name,
+            lambda *args, _name=name, _original=getattr(core, name): (
+                calls.append(_name) or _original(*args)
+            ),
+        )
+    config = ElectionConfig(num_voters=4, num_mixers=2, proof_rounds=2, telemetry_spec="off")
+    outcome = VotegralElection(config).run()
+    assert outcome.counts_match_intent
+    assert calls == []
+    assert core._ACTIVE_SPANS == {}
+    snapshot = telemetry.snapshot()
+    assert not (snapshot.spans or snapshot.counters or snapshot.gauges or snapshot.histograms)
