@@ -21,10 +21,14 @@ the bundle is *self-describing*: an auditor needs the bundle, the board and
 the claimed result — no live authority objects, no secrets.
 
 Generation is opt-in (``TallyPipeline(collect_evidence=True)`` /
-``ElectionConfig.audit_evidence``) and makes the tally about 1.5x a
-proof-less one: with M authority members a tag costs 6M variable-base
-exponentiations with its proofs, 4M without (a decryption costs 2M either
-way).  Every published value is computed *once, with its proof*: the tally's
+``ElectionConfig.audit_evidence``) and makes the tally about 1.2x a
+proof-less one: with M authority members a tag raises ciphertext parts to 6M
+exponents with its proofs, 4M without (a decryption to 2M either way), and
+each part is raised *once* for all of its exponents — ``2M + 1`` shared-base
+ladders per tag, one per counted vote, every ``g**nonce`` off the generator
+table (``docs/performance.md``, "2b. Shared-base powers", has the budget and
+when the planner declines).  Every published value is computed *once, with
+its proof*: the tally's
 workers run :func:`tag_chain_material` / :func:`decryption_material` in place
 of the proof-less derivation, the join and the vote decoding read the
 plaintext (the last entry) off that result, and :func:`build_tally_evidence`
@@ -99,9 +103,10 @@ def decryption_material(dkg: DistributedKeyGeneration, ciphertext: ElGamalCipher
 
     ``verify`` checks the shares before combining them, as ``dkg.decrypt`` does.
     """
-    elgamal = ElGamal(dkg.group)
-    shares = [member.decryption_share(elgamal, ciphertext) for member in dkg.members]
-    plaintext = elgamal.combine_decryption_shares(ciphertext, dkg.member_public_keys, shares, verify=verify)
+    shares = dkg.decryption_shares(ciphertext)
+    plaintext = ElGamal(dkg.group).combine_decryption_shares(
+        ciphertext, dkg.member_public_keys, shares, verify=verify
+    )
     fields = [f for s in shares for f in (s.share, s.commitment_g, s.commitment_c1, s.response)]
     return (*fields, plaintext)
 

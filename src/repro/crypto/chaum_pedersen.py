@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.crypto.elgamal import hot_power
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import scalar_bytes
 from repro.errors import ProtocolError
@@ -104,15 +105,25 @@ class ChaumPedersenProver:
         self._nonce: Optional[int] = None
         self._commit: Optional[ChaumPedersenCommit] = None
 
-    def commit(self, nonce: Optional[int] = None) -> ChaumPedersenCommit:
-        """First move: choose y and output (g^y, h^y)."""
+    def commit(
+        self, nonce: Optional[int] = None, commit_g: Optional[GroupElement] = None
+    ) -> ChaumPedersenCommit:
+        """First move: choose y and output (g^y, h^y).
+
+        Both powers go through :func:`~repro.crypto.elgamal.hot_power`, so
+        the generator and a warmed ``A_pk`` cost a table lookup.  A caller
+        that already holds ``base_g ** nonce`` — it raised ``base_g`` to
+        several exponents at once — passes it as ``commit_g`` with the nonce.
+        """
         if self._commit is not None:
             raise ProtocolError("commit was already produced for this proof")
+        if commit_g is not None and nonce is None:
+            raise ProtocolError("a precomputed commit needs the nonce it was computed from")
         group = self.statement.group
         self._nonce = nonce if nonce is not None else group.random_scalar()
         self._commit = ChaumPedersenCommit(
-            commit_g=self.statement.base_g ** self._nonce,
-            commit_h=self.statement.base_h ** self._nonce,
+            commit_g=commit_g if commit_g is not None else hot_power(self.statement.base_g, self._nonce),
+            commit_h=hot_power(self.statement.base_h, self._nonce),
         )
         return self._commit
 
@@ -146,8 +157,8 @@ def simulate_chaum_pedersen(
     r = response if response is not None else group.random_scalar()
     e = challenge % group.order
     commit = ChaumPedersenCommit(
-        commit_g=(statement.base_g ** r) * (statement.value_g ** e),
-        commit_h=(statement.base_h ** r) * (statement.value_h ** e),
+        commit_g=hot_power(statement.base_g, r) * (statement.value_g ** e),
+        commit_h=hot_power(statement.base_h, r) * (statement.value_h ** e),
     )
     return ChaumPedersenTranscript(statement=statement, commit=commit, challenge=e, response=r)
 

@@ -15,7 +15,7 @@ key no single member knows:
 
 Decryption never reconstructs the secret: each member contributes a
 decryption share ``c1^{a_i}`` with a Chaum–Pedersen correctness proof
-(:meth:`repro.crypto.elgamal.ElGamal.decryption_share`).
+(:meth:`repro.crypto.elgamal.ElGamal.decryption_shares`).
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class DistributedKeyGeneration:
         verify: bool = True,
     ) -> GroupElement:
         """Jointly decrypt ``ciphertext`` using all (or the listed) members."""
-        elgamal = ElGamal(self.group)
         indices = list(participating) if participating is not None else [m.index for m in self.members]
         by_index: Dict[int, AuthorityShare] = {m.index: m for m in self.members}
         missing = [i for i in indices if i not in by_index]
@@ -98,9 +97,26 @@ class DistributedKeyGeneration:
                 "additive DKG requires all members for decryption; "
                 "use member backup shares to recover absentees"
             )
-        shares = [by_index[i].decryption_share(elgamal, ciphertext) for i in indices]
-        publics = [by_index[i].public for i in indices]
-        return elgamal.combine_decryption_shares(ciphertext, publics, shares, verify=verify)
+        members = [by_index[i] for i in indices]
+        shares = self.decryption_shares(ciphertext, members)
+        publics = [member.public for member in members]
+        return ElGamal(self.group).combine_decryption_shares(ciphertext, publics, shares, verify=verify)
+
+    def decryption_shares(
+        self, ciphertext: ElGamalCiphertext, members: Optional[Sequence[AuthorityShare]] = None
+    ) -> List[DecryptionShare]:
+        """Every (listed) member's proven decryption share, in member order.
+
+        One :meth:`ElGamal.decryption_shares <repro.crypto.elgamal.ElGamal.
+        decryption_shares>` call: the members are simulated in one process,
+        so their ``2M`` powers of ``c1`` share one squaring ladder.
+        """
+        members = self.members if members is None else members
+        return ElGamal(self.group).decryption_shares(
+            [member.secret for member in members],
+            ciphertext,
+            [member.public for member in members],
+        )
 
     def decrypt_int(self, ciphertext: ElGamalCiphertext, max_value: int = 10_000) -> int:
         """Decrypt an exponentially-encoded integer."""

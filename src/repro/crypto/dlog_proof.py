@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.crypto.elgamal import hot_power
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import scalar_bytes
 
@@ -51,9 +52,9 @@ def prove_dlog(
 ) -> DlogProof:
     """Prove knowledge of ``witness`` such that ``value = base^witness``."""
     group = base.group
-    value = base ** witness
+    value = hot_power(base, witness)
     k = nonce if nonce is not None else group.random_scalar()
-    commitment = base ** k
+    commitment = hot_power(base, k)
     challenge = _challenge(group, base, value, commitment, context)
     response = (k + challenge * witness) % group.order
     return DlogProof(base=base, value=value, commitment=commitment, response=response)

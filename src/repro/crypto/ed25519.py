@@ -26,7 +26,13 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from repro.crypto.group import Group, GroupElement
-from repro.crypto.multiexp import GroupOps, execute_plan, plan_multi_exponentiation
+from repro.crypto.multiexp import (
+    GroupOps,
+    execute_plan,
+    plan_multi_exponentiation,
+    plan_shared_base_powers,
+    shared_base_powers,
+)
 
 # Field and curve constants ---------------------------------------------------
 
@@ -132,6 +138,24 @@ def _decode(data: bytes) -> Extended:
         raise ValueError("y coordinate out of range")
     x = _recover_x(y, sign)
     return (x, y, 1, (x * y) % _P)
+
+
+def _ext_advance(point: Extended, k: int) -> Extended:
+    for _ in range(k):
+        point = _ext_double(point)
+    return point
+
+
+#: The multi-exponentiation kernels' view of the curve: raw ``(X, Y, Z, T)``
+#: tuples, no :class:`Ed25519Element` wrappers.  Negation is one field
+#: negation, which is what the planners are told an inversion costs.
+_EXTENDED_OPS = GroupOps(
+    identity=_IDENTITY_EXT,
+    multiply=_ext_add,
+    advance=_ext_advance,
+    invert=_ext_negate,
+)
+_NEGATE_COST = 0.1
 
 
 class Ed25519Element(GroupElement):
@@ -241,32 +265,36 @@ class Ed25519Group(Group):
         values: List[Extended] = [base._point for base, _ in terms]  # type: ignore[attr-defined]
         scalars = [scalar for _, scalar in terms]
         max_bits = max(scalar.bit_length() for scalar in scalars)
-
-        def advance(point: Extended, k: int) -> Extended:
-            for _ in range(k):
-                point = _ext_double(point)
-            return point
-
-        ops = GroupOps(
-            identity=_IDENTITY_EXT,
-            multiply=_ext_add,
-            advance=advance,
-            invert=_ext_negate,
-        )
         plan = plan_multi_exponentiation(
             len(terms),
             max_bits,
             exponentiate_cost=1.5 * max_bits,
-            invert_cost=0.1,
+            invert_cost=_NEGATE_COST,
         )
         result = execute_plan(
-            ops,
+            _EXTENDED_OPS,
             values,
             scalars,
             plan,
             lambda point, scalar: _ext_scalar_mul(scalar, point),
         )
         return Ed25519Element(result, self)
+
+    def _shared_base_powers(self, base: GroupElement, scalars: Sequence[int]) -> List[GroupElement]:
+        """One ladder of extended-coordinate rungs, signed digits (negation is free).
+
+        Against the ≈1.5·|q| additions of a double-and-add power the ladder
+        wins from two scalars up; a lone scalar stays on
+        :meth:`Ed25519Element.exponentiate`.
+        """
+        max_bits = max((scalar.bit_length() for scalar in scalars), default=0)
+        plan = plan_shared_base_powers(
+            len(scalars), max_bits, exponentiate_cost=1.5 * max_bits, invert_cost=_NEGATE_COST
+        )
+        if plan.algorithm == "naive":
+            return [base.exponentiate(scalar) for scalar in scalars]
+        points = shared_base_powers(_EXTENDED_OPS, base._point, scalars, plan.window)  # type: ignore[attr-defined]
+        return [Ed25519Element(point, self) for point in points]
 
     def __reduce__(self):
         # Resolve to the per-process singleton on unpickling so elements that

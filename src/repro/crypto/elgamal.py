@@ -18,27 +18,49 @@ The implementation exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.crypto.group import Group, GroupElement
 from repro.errors import VerificationError
 
 # Optional fixed-base accelerator for ``base ** scalar`` on hot bases (the
-# election public key, above all).  Installed by importing
+# election public key, above all), and the predicate saying which bases
+# already have a table.  Installed by importing
 # :mod:`repro.runtime.precompute`; left unset, the reference path runs.
 _element_power_hook = None
+_has_table_hook = None
 
 
-def set_element_power_hook(hook) -> None:
-    """Install (or clear, with ``None``) the fixed-base exponentiation hook."""
-    global _element_power_hook
+def set_element_power_hook(hook, has_table=None) -> None:
+    """Install (or clear, with ``None``) the fixed-base exponentiation hooks."""
+    global _element_power_hook, _has_table_hook
     _element_power_hook = hook
+    _has_table_hook = has_table
 
 
 def _power(base: GroupElement, scalar: int) -> GroupElement:
     hook = _element_power_hook
     if hook is not None:
         return hook(base, scalar)
+    return base.exponentiate(scalar)
+
+
+def hot_power(base: GroupElement, scalar: int) -> GroupElement:
+    """``base ** scalar`` for a prover, off a fixed-base table when one is warm.
+
+    A Σ-protocol's bases are hot in one protocol and one-shot in the next:
+    the kiosk proves on ``(g, A_pk)``, a tag chain on a ciphertext part.  The
+    generator goes through :meth:`Group.power <repro.crypto.group.Group.
+    power>` and a base that *already has* a table through :func:`_power`;
+    any other base is exponentiated plainly and leaves no trace — it is not
+    counted towards an automatic table build, so a proof never causes one.
+    Verifiers do not come here: they are the eager reference.
+    """
+    if base == base.group.generator:
+        return base.group.power(scalar)
+    has_table = _has_table_hook
+    if has_table is not None and has_table(base):
+        return _power(base, scalar)
     return base.exponentiate(scalar)
 
 
@@ -154,36 +176,57 @@ class ElGamal:
 
     # Threshold decryption -----------------------------------------------------
 
+    def decryption_shares(
+        self,
+        secret_shares: Sequence[int],
+        ciphertext: ElGamalCiphertext,
+        public_shares: Optional[Sequence[GroupElement]] = None,
+    ) -> List[DecryptionShare]:
+        """Every member's ``c1^sk_i`` with its Chaum–Pedersen proof of correctness.
+
+        Each proof shows log_g(pk_i) == log_c1(share_i), i.e. the member used
+        the same secret it committed to at DKG time.  ``public_shares`` are
+        those commitments ``g^sk_i`` (they enter the challenge hashes); a
+        caller that holds them passes them in, otherwise they are recomputed.
+
+        This is the one threshold-share routine: all ``2M`` powers of ``c1``
+        — every member's proof nonce ``w_i``, then every secret — come off
+        one :meth:`~repro.crypto.group.Group.shared_base_powers` call, the
+        ``g^w_i`` off the generator table.  Nonces are drawn first, one per
+        member in member order, which is the order a member-by-member loop
+        draws them in.
+        """
+        group = self.group
+        nonces = [group.random_scalar() for _ in secret_shares]
+        powers = group.shared_base_powers(ciphertext.c1, [*nonces, *secret_shares])
+        if public_shares is None:
+            public_shares = [group.power(secret_share) for secret_share in secret_shares]
+        shares: List[DecryptionShare] = []
+        for w, secret_share, public_share, commitment_c1, share in zip(
+            nonces, secret_shares, public_shares, powers, powers[len(nonces) :]
+        ):
+            commitment_g = group.power(w)
+            challenge = group.hash_to_scalar(
+                b"elgamal-decryption-share",
+                public_share.to_bytes(),
+                share.to_bytes(),
+                commitment_g.to_bytes(),
+                commitment_c1.to_bytes(),
+                ciphertext.to_bytes(),
+            )
+            response = (w + challenge * secret_share) % group.order
+            shares.append(DecryptionShare(share, commitment_g, commitment_c1, response))
+        return shares
+
     def decryption_share(
         self,
         secret_share: int,
         ciphertext: ElGamalCiphertext,
         public_share: Optional[GroupElement] = None,
     ) -> DecryptionShare:
-        """Produce ``c1^sk_i`` with a Chaum–Pedersen proof of correctness.
-
-        The proof shows log_g(pk_i) == log_c1(share), i.e. the member used the
-        same secret it committed to at DKG time.  ``public_share`` is that
-        commitment ``g^sk_i`` (it enters the challenge hash); a caller that
-        holds it passes it in, otherwise it is recomputed here.
-        """
-        group = self.group
-        w = group.random_scalar()
-        commitment_g = group.power(w)
-        commitment_c1 = ciphertext.c1 ** w
-        share = ciphertext.c1 ** secret_share
-        if public_share is None:
-            public_share = group.power(secret_share)
-        challenge = group.hash_to_scalar(
-            b"elgamal-decryption-share",
-            public_share.to_bytes(),
-            share.to_bytes(),
-            commitment_g.to_bytes(),
-            commitment_c1.to_bytes(),
-            ciphertext.to_bytes(),
-        )
-        response = (w + challenge * secret_share) % group.order
-        return DecryptionShare(share, commitment_g, commitment_c1, response)
+        """One member's share: :meth:`decryption_shares` for a single secret."""
+        public_shares = None if public_share is None else [public_share]
+        return self.decryption_shares([secret_share], ciphertext, public_shares)[0]
 
     def verify_decryption_share(
         self,

@@ -250,6 +250,33 @@ class Group(abc.ABC):
         )
         return execute_plan(ops, values, scalars, plan, lambda base, scalar: base.exponentiate(scalar))
 
+    def shared_base_powers(self, base: GroupElement, scalars: Sequence[int]) -> List[GroupElement]:
+        """``[base ** s for s in scalars]``, raising ``base`` once for all of them.
+
+        A tag chain and a threshold decryption raise one ciphertext part to
+        many exponents (a member's secret *and* its proof nonce; every
+        member's share secret and share nonce).  Above the planner's
+        crossover (:func:`~repro.crypto.multiexp.plan_shared_base_powers`:
+        from ``K`` and the scalar bit length alone) the ``K`` powers share one
+        squaring ladder that lives for this call; below it — one scalar, the
+        small test groups — each is the plain :meth:`GroupElement.exponentiate`.
+
+        Results equal the per-scalar exponentiations exactly: scalars are
+        reduced mod the group order here, so backends see ``[0, q)`` only.
+        """
+        order = self.order
+        return self._shared_base_powers(base, [scalar % order for scalar in scalars])
+
+    def _shared_base_powers(self, base: GroupElement, scalars: Sequence[int]) -> List[GroupElement]:
+        """Evaluate reduced scalars on one base (backend hook).
+
+        The default is the per-scalar loop — correct for any backend.
+        Concrete groups override it with :func:`~repro.crypto.multiexp.
+        shared_base_powers` on their native values and their own cost
+        constants, as they do for :meth:`_multi_exponentiate_terms`.
+        """
+        return [base.exponentiate(scalar) for scalar in scalars]
+
 
 @dataclass(frozen=True)
 class GroupDescription:

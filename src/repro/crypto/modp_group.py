@@ -22,13 +22,23 @@ from typing import Any, List, Sequence, Tuple
 
 from repro.crypto import bigint
 from repro.crypto.group import Group, GroupElement
-from repro.crypto.multiexp import GroupOps, execute_plan, plan_multi_exponentiation
+from repro.crypto.multiexp import (
+    GroupOps,
+    execute_plan,
+    plan_multi_exponentiation,
+    plan_shared_base_powers,
+    shared_base_powers,
+)
 
 #: Below this subgroup-order size, CPython's native ``pow`` beats any
 #: Python-level multi-exponentiation (interpreter overhead dominates small
 #: bigint arithmetic), so `multi_exponentiate` stays on the naive per-term
 #: loop.  Mirrors ``repro.runtime.precompute.MIN_ORDER_BITS``.
 MULTIEXP_MIN_ORDER_BITS = 192
+
+#: A modular squaring (and a native ``pow`` advancing the shared chain) in
+#: units of one interpreted multiplication, as the planners are told.
+_SQUARE_COST = 0.8
 
 
 class ModPElement(GroupElement):
@@ -160,7 +170,7 @@ class ModPGroup(Group):
         instead of ``k`` interpreted squarings, and feeds the planner cost
         constants calibrated for CPython bigints: a native full
         exponentiation costs ≈0.87·|q| mulmod-units at 2048 bits (less at
-        smaller sizes, interpolated below), a squaring ≈0.8 of a
+        smaller sizes, see :meth:`_native_pow_cost`), a squaring ≈0.8 of a
         multiplication, a modular inverse ≈25.
 
         Below :data:`MULTIEXP_MIN_ORDER_BITS` the naive native-pow loop is
@@ -177,32 +187,64 @@ class ModPGroup(Group):
         values: List[Any] = [base.value for base, _ in terms]
         scalars = [scalar for _, scalar in terms]
         max_bits = max(scalar.bit_length() for scalar in scalars)
-        ops = GroupOps(
-            identity=backend.convert(1),
-            multiply=lambda a, b: (a * b) % modulus,
-            advance=lambda a, k: backend.powmod(a, 1 << k, modulus),
-            invert=lambda a: backend.invert(a, modulus),
-        )
-        # Native pow's advantage over interpreted mulmod grows as operands
-        # shrink (C loop vs. bytecode): ≈0.87·bits at 2048 bits, roughly
-        # 0.3·bits around 256 bits.  Linear interpolation is plenty — the
-        # planner only needs the naive/Straus/Pippenger ordering right.
-        exponentiate_cost = max_bits * (0.3 + 0.57 * min(1.0, modulus.bit_length() / 2048))
         plan = plan_multi_exponentiation(
             len(terms),
             max_bits,
-            exponentiate_cost=exponentiate_cost,
-            square_cost=0.8,
+            exponentiate_cost=self._native_pow_cost(max_bits),
+            square_cost=_SQUARE_COST,
             invert_cost=25.0,
         )
         result = execute_plan(
-            ops,
+            self._residue_ops(invertible=True),
             values,
             scalars,
             plan,
             lambda value, scalar: backend.powmod(value, scalar, modulus),
         )
         return ModPElement(result, self)
+
+    def _residue_ops(self, invertible: bool) -> GroupOps:
+        """The kernels' operations on bare backend integers mod ``p``."""
+        modulus = self.modulus
+        backend = self._backend
+        return GroupOps(
+            identity=backend.convert(1),
+            multiply=lambda a, b: (a * b) % modulus,
+            advance=lambda a, k: backend.powmod(a, 1 << k, modulus),
+            invert=(lambda a: backend.invert(a, modulus)) if invertible else None,
+        )
+
+    def _native_pow_cost(self, scalar_bits: int) -> float:
+        """One native ``pow`` in mulmod-units, for the planners.
+
+        Native pow's advantage over interpreted mulmod grows as operands
+        shrink (C loop vs. bytecode): ≈0.87·bits at 2048 bits, roughly
+        0.3·bits around 256 bits.  Linear interpolation is plenty — the
+        planners only need the ordering of the alternatives right.
+        """
+        return scalar_bits * (0.3 + 0.57 * min(1.0, self.modulus.bit_length() / 2048))
+
+    def _shared_base_powers(self, base: GroupElement, scalars: Sequence[int]) -> List[GroupElement]:
+        """One ladder of raw residues, every rung one native ``powmod``.
+
+        Same constants as the multi-exp above.  No inversion hook: signed
+        digits would cost a modular inverse per rung, which a handful of
+        scalars never repays.  Below :data:`MULTIEXP_MIN_ORDER_BITS`, and
+        wherever the planner declines, each power is the element's own
+        :meth:`~ModPElement.exponentiate`.
+        """
+        max_bits = max((scalar.bit_length() for scalar in scalars), default=0)
+        if self._order.bit_length() >= MULTIEXP_MIN_ORDER_BITS:
+            plan = plan_shared_base_powers(
+                len(scalars),
+                max_bits,
+                exponentiate_cost=self._native_pow_cost(max_bits),
+                square_cost=_SQUARE_COST,
+            )
+            if plan.algorithm == "ladder":
+                values = shared_base_powers(self._residue_ops(invertible=False), base.value, scalars, plan.window)  # type: ignore[attr-defined]
+                return [ModPElement(value, self) for value in values]
+        return [base.exponentiate(scalar) for scalar in scalars]
 
     def __reduce__(self):
         # Groups are compared by identity (``is``) in element operations, so

@@ -1,4 +1,4 @@
-"""Straus and Pippenger multi-exponentiation kernels.
+"""Straus, Pippenger and shared-base multi-exponentiation kernels.
 
 Computing ``∏ bases[i] ** scalars[i]`` term by term costs one full
 exponentiation per term — ``n · 1.5·|q|`` group operations for a naive
@@ -20,6 +20,17 @@ for a window of ``w`` bits:
   halves the bucket count; the bucket cost is independent of ``n``, so
   Pippenger wins for large batches.
 
+A third kernel turns the shape around — *few bases, many exponents*:
+
+* **Shared-base powers** (:func:`shared_base_powers`) raise one base to ``K``
+  scalars.  The ladder ``base^(2^(w·i))`` is built once; each scalar drops
+  rung ``i`` into the bucket of its ``i``-th digit and folds its buckets with
+  the same running-suffix-sum Pippenger uses per window.  The squaring chain
+  — most of a plain exponentiation — is paid once instead of ``K`` times
+  (a tag chain step is ``K = 2``, a threshold decryption among ``M`` members
+  ``K = 2M``).  :func:`plan_shared_base_powers` decides naive-or-ladder and
+  the window from ``K`` and the scalar bit length.
+
 The kernels are written against a tiny :class:`GroupOps` parameterisation
 instead of :class:`~repro.crypto.group.GroupElement` so each backend can run
 them on its native representation — raw integers mod ``p`` for the Schnorr
@@ -29,7 +40,8 @@ elements for any other backend.  :func:`plan_multi_exponentiation` picks the
 algorithm and window width from a calibrated operation-count model, so
 callers simply hand every ``(base, scalar)`` term to
 :meth:`Group.multi_exponentiate <repro.crypto.group.Group.multi_exponentiate>`
-and let the crossover decide.
+(or one base and its scalars to :meth:`Group.shared_base_powers
+<repro.crypto.group.Group.shared_base_powers>`) and let the crossover decide.
 
 This module deliberately has no imports from the rest of the package: the
 kernels are pure algorithms over an abstract multiply/advance/invert triple.
@@ -74,7 +86,7 @@ class GroupOps:
 class MultiExpPlan:
     """The planner's verdict: which algorithm at which window width."""
 
-    algorithm: str  # "naive" | "straus" | "pippenger"
+    algorithm: str  # "naive" | "straus" | "pippenger" | "ladder" (shared-base plans)
     window: int
     estimated_operations: float
 
@@ -131,6 +143,44 @@ def plan_multi_exponentiation(
             pippenger_cost = squarings + num_windows * (num_terms + 2.0 * (1 << window))
         if pippenger_cost < best.estimated_operations:
             best = MultiExpPlan("pippenger", window, pippenger_cost)
+    return best
+
+
+def plan_shared_base_powers(
+    num_scalars: int,
+    max_scalar_bits: int,
+    *,
+    exponentiate_cost: Optional[float] = None,
+    square_cost: float = 1.0,
+    invert_cost: Optional[float] = None,
+) -> MultiExpPlan:
+    """Choose between ``K`` plain exponentiations of one base and a shared ladder.
+
+    Units and cost constants are :func:`plan_multi_exponentiation`'s.  The
+    ladder ``base^(2^(w·i))`` is paid once — the squaring chain, plus one
+    inversion per rung when ``invert_cost`` allows signed digits — and every
+    scalar then costs one multiplication per non-zero digit and one bucket
+    fold (≤ ``2·2^w`` multiplications, half that signed).  One scalar shares
+    nothing, so ``K ≤ 1`` is always naive; so is any ``K`` the model says
+    the ladder loses (small operands under a native ``pow``).
+    """
+    if exponentiate_cost is None:
+        exponentiate_cost = 1.5 * max_scalar_bits
+    best = MultiExpPlan("naive", 1, max(num_scalars, 0) * exponentiate_cost)
+    if num_scalars <= 1 or max_scalar_bits < 1:
+        return best
+    for window in range(1, MAX_WINDOW_BITS + 1):
+        num_windows = -(-max_scalar_bits // window)
+        ladder_cost = (num_windows - 1) * window * square_cost
+        if invert_cost is not None and window >= 2:
+            ladder_cost += num_windows * invert_cost
+            num_buckets = 1 << (window - 1)
+        else:
+            num_buckets = 1 << window
+        per_scalar = num_windows * (1.0 - 0.5**window) + 2.0 * num_buckets
+        cost = ladder_cost + num_scalars * per_scalar
+        if cost < best.estimated_operations:
+            best = MultiExpPlan("ladder", window, cost)
     return best
 
 
@@ -201,6 +251,25 @@ def _signed_digits(scalar: int, window: int) -> List[int]:
     return digits
 
 
+def _fold_buckets(
+    multiply: Callable[[Value, Value], Value], buckets: Sequence[Optional[Value]]
+) -> Optional[Value]:
+    """``∏ buckets[d] ** d`` by the running-suffix-sum identity, ``None`` when every bucket is empty.
+
+    ``Σ d·B_d = Σ_d Σ_{j≥d} B_j``: one pass from the highest digit down, at
+    most two multiplications per bucket.  ``buckets[0]`` is never read.
+    """
+    running: Optional[Value] = None
+    total: Optional[Value] = None
+    for digit in range(len(buckets) - 1, 0, -1):
+        bucket = buckets[digit]
+        if bucket is not None:
+            running = bucket if running is None else multiply(running, bucket)
+        if running is not None:
+            total = running if total is None else multiply(total, running)
+    return total
+
+
 def pippenger_multi_exponentiate(
     ops: GroupOps,
     values: Sequence[Value],
@@ -255,17 +324,68 @@ def pippenger_multi_exponentiate(
                 if digit:
                     entry = buckets[digit]
                     buckets[digit] = value if entry is None else multiply(entry, value)
-        running: Optional[Value] = None
-        window_sum: Optional[Value] = None
-        for digit in range(num_buckets - 1, 0, -1):
-            bucket = buckets[digit]
-            if bucket is not None:
-                running = bucket if running is None else multiply(running, bucket)
-            if running is not None:
-                window_sum = running if window_sum is None else multiply(window_sum, running)
+        window_sum = _fold_buckets(multiply, buckets)
         if window_sum is not None:
             result = window_sum if result is None else multiply(result, window_sum)
     return ops.identity if result is None else result
+
+
+def shared_base_powers(
+    ops: GroupOps,
+    base: Value,
+    scalars: Sequence[int],
+    window: int,
+) -> List[Value]:
+    """``[base ** s for s in scalars]`` over one shared squaring ladder.
+
+    Few bases, many exponents — Pippenger with the roles turned.  The rungs
+    ``base^(2^(window·i))`` are built once, one ``ops.advance(rung, window)``
+    each (so a backend with a native ``pow`` keeps every squaring inside
+    it); each scalar then drops rung ``i`` into the bucket of its ``i``-th
+    digit and folds its buckets exactly as one Pippenger window does.  There
+    a window's buckets collect many bases; here a scalar's buckets collect
+    many rungs.
+
+    Scalars must already be reduced to non-negative integers.  With
+    ``ops.invert`` (and ``window >= 2``) digits are signed and the buckets
+    halve, at one inversion per rung — leave it out where that cannot
+    amortise.  The ladder is local: nothing outlives the call.
+    """
+    if window < 1:
+        raise ValueError("window width must be at least one bit")
+    if not scalars:
+        return []
+    multiply = ops.multiply
+    signed = ops.invert is not None and window >= 2
+    if signed:
+        digit_lists = [_signed_digits(scalar, window) for scalar in scalars]
+        num_buckets = (1 << (window - 1)) + 1
+    else:
+        mask = (1 << window) - 1
+        digit_lists = [
+            [(scalar >> shift) & mask for shift in range(0, scalar.bit_length(), window)]
+            for scalar in scalars
+        ]
+        num_buckets = 1 << window
+    ladder: List[Value] = [base]
+    for _ in range(1, max(len(digits) for digits in digit_lists)):
+        ladder.append(ops.advance(ladder[-1], window))
+    if signed:
+        assert ops.invert is not None
+        inverses = [ops.invert(rung) for rung in ladder]
+    powers: List[Value] = []
+    for digits in digit_lists:
+        buckets: List[Optional[Value]] = [None] * num_buckets
+        for index, digit in enumerate(digits):
+            if digit > 0:
+                entry = buckets[digit]
+                buckets[digit] = ladder[index] if entry is None else multiply(entry, ladder[index])
+            elif digit < 0:
+                entry = buckets[-digit]
+                buckets[-digit] = inverses[index] if entry is None else multiply(entry, inverses[index])
+        power = _fold_buckets(multiply, buckets)
+        powers.append(ops.identity if power is None else power)
+    return powers
 
 
 def execute_plan(

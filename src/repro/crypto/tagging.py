@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.chaum_pedersen import (
     ChaumPedersenCommit,
+    ChaumPedersenProver,
     ChaumPedersenStatement,
     ChaumPedersenTranscript,
     chaum_pedersen_verify,
@@ -139,22 +140,36 @@ class TaggingAuthority:
         entries) — so a worker ships nothing its caller holds;
         :meth:`steps_from_material` rebuilds the steps.
 
-        Cost per member: the two blinding exponentiations plus one
-        variable-base and one fixed-base (generator) exponentiation per proof
-        commit — 4 variable-base where the proof-less chain spends 2.  The
-        tally runs this *instead of* :meth:`blind_ciphertext`, never after it.
+        Per member each ciphertext part is raised *once* for both of its
+        exponents — the member's secret and that part's proof nonce come off
+        one :meth:`~repro.crypto.group.Group.shared_base_powers` ladder —
+        and the prover's two ``g**nonce`` come off the generator table: no
+        plain exponentiation where the planner takes the ladder (the budget
+        is in ``docs/performance.md``, "2b. Shared-base powers").  Nonces
+        are drawn c1's first, then c2's, member by member, as
+        :func:`~repro.crypto.chaum_pedersen.fiat_shamir_prove` would draw
+        them, and the transcripts are that function's.  The tally runs this
+        *instead of* :meth:`blind_ciphertext`, never after it.
         """
-        generator = self.group.generator
+        group = self.group
+        generator = group.generator
         current = ciphertext
         fields: list = []
         for secret, commitment in zip(self.secrets, self.commitments):
-            after = current.exponentiate(secret)
-            fields += (after.c1, after.c2)
-            for before_part, after_part in ((current.c1, after.c1), (current.c2, after.c2)):
-                statement = ChaumPedersenStatement(before_part, generator, after_part, commitment)
-                proof = fiat_shamir_prove(statement, secret, context=CIPHERTEXT_TAG_CONTEXT)
-                fields += (proof.commit.commit_g, proof.commit.commit_h, proof.challenge, proof.response)
-            current = after
+            parts: list = []
+            proofs: list = []
+            for before_part in (current.c1, current.c2):
+                nonce = group.random_scalar()
+                after_part, commit_g = group.shared_base_powers(before_part, (secret, nonce))
+                prover = ChaumPedersenProver(
+                    ChaumPedersenStatement(before_part, generator, after_part, commitment), secret
+                )
+                commit = prover.commit(nonce, commit_g)
+                proof = prover.respond(fiat_shamir_challenge(prover.statement, commit, CIPHERTEXT_TAG_CONTEXT))
+                parts.append(after_part)
+                proofs += (commit.commit_g, commit.commit_h, proof.challenge, proof.response)
+            fields += (*parts, *proofs)
+            current = ElGamalCiphertext(*parts)
         return current, tuple(fields)
 
     def steps_from_material(

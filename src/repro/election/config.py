@@ -37,8 +37,9 @@ class ElectionConfig:
     - ``audit_spec``: verification strategy of :mod:`repro.audit`.
     - ``audit_evidence``: publish :class:`repro.audit.evidence.TallyEvidence`
       for external auditors (each tag is then derived once, with its proofs:
-      6M variable-base exponentiations for M members where 4M suffice
-      without, a tally about 1.5x the proof-less one, so opt-in).
+      6M exponents on ciphertext parts for M members where 4M suffice
+      without, each part raised once for all of them — a tally about 1.2x
+      the proof-less one, so opt-in; ``docs/performance.md`` section 2b).
     - ``telemetry_spec``: observability sink; ``off`` leaves ambient state alone.
     - ``bigint_spec``: arithmetic backend :meth:`make_group` checks the process
       already runs on (``REPRO_BIGINT`` selects it); never switched.

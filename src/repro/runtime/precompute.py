@@ -23,7 +23,9 @@ calls :func:`warm_fixed_base` up front.
 Acceleration is transparent:
 
 * :func:`element_power` is the drop-in replacement for ``base ** scalar``
-  used by :mod:`repro.crypto.elgamal`;
+  used by :mod:`repro.crypto.elgamal`; provers reach it through
+  :func:`repro.crypto.elgamal.hot_power`, which asks :func:`has_table` first
+  so a one-shot proof base is never counted or built;
 * importing this module installs a generator-power hook into
   :mod:`repro.crypto.group`, so every ``group.power(x)`` call in the code
   base benefits without modification.
@@ -337,6 +339,11 @@ def warm_fixed_base(base: GroupElement, window_bits: int = DEFAULT_WINDOW_BITS) 
     return table
 
 
+def has_table(base: GroupElement) -> bool:
+    """Whether ``base`` would be served from a table right now (a pure lookup)."""
+    return bool(_tables) and _accelerable(base.group) and _base_key(base) in _tables
+
+
 def element_power(base: GroupElement, scalar: int) -> GroupElement:
     """``base ** scalar``, through a fixed-base table once ``base`` proves hot."""
     if not _accelerable(base.group):
@@ -411,7 +418,7 @@ def _generator_power(group: Group, scalar: int) -> Optional[GroupElement]:
 # importing this module (or any part of repro.runtime) activates acceleration
 # process-wide, and clearing the hooks restores the reference paths.
 _group_module.set_power_accelerator(_generator_power)
-_elgamal_module.set_element_power_hook(element_power)
+_elgamal_module.set_element_power_hook(element_power, has_table)
 
 # Cached tables hold elements of the pre-switch group singletons, so a bigint
 # backend switch (test/tooling hook) must drop them alongside the groups.

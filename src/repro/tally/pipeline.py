@@ -224,9 +224,11 @@ class TallyPipeline:
     #: Publish tagging-chain and decryption-share transcripts on the result
     #: (:class:`repro.audit.evidence.TallyEvidence`) so external auditors can
     #: re-check filtering and decryption.  Each tag and vote is then derived
-    #: once, with its proofs, on the executor: 6M variable-base
-    #: exponentiations per tag for M authority members where the proof-less
-    #: path spends 4M (about 1.5x a proof-less tally), hence opt-in.
+    #: once, with its proofs, on the executor: per tag 6M exponents on
+    #: ciphertext parts for M authority members where the proof-less path
+    #: has 4M, each part raised once for all of its exponents (about 1.2x a
+    #: proof-less tally; docs/performance.md, "2b. Shared-base powers"),
+    #: hence opt-in.
     collect_evidence: bool = False
     #: Ballot-ledger shard size for the cursor-based reads below.
     read_page_size: int = 1024

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.crypto.dlog_proof import DlogProof, prove_dlog
-from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
+from repro.crypto.elgamal import ElGamal, ElGamalCiphertext, hot_power
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import scalar_bytes, sha256
 from repro.crypto.schnorr import SchnorrSignature, SigningKeyPair, schnorr_sign
@@ -118,15 +118,15 @@ def prove_wellformedness(
         challenge = group.random_scalar()
         response = group.random_scalar()
         target = ciphertext.c2 * group.encode_int(option).inverse()
-        commitments_g[option] = (group.generator ** response) * (ciphertext.c1 ** challenge)
-        commitments_h[option] = (public_key ** response) * (target ** challenge)
+        commitments_g[option] = group.power(response) * (ciphertext.c1 ** challenge)
+        commitments_h[option] = hot_power(public_key, response) * (target ** challenge)
         challenges[option] = challenge
         responses[option] = response
 
     # Honest branch for the real choice.
     nonce = group.random_scalar()
-    commitments_g[choice] = group.generator ** nonce
-    commitments_h[choice] = public_key ** nonce
+    commitments_g[choice] = group.power(nonce)
+    commitments_h[choice] = hot_power(public_key, nonce)
 
     total = _or_proof_challenge(group, ciphertext, public_key, commitments_g, commitments_h)
     used = sum(challenges[o] for o in range(num_options) if o != choice) % order

@@ -1,5 +1,6 @@
-"""Tests for the Straus/Pippenger multi-exponentiation kernels and their
-integration behind :meth:`Group.multi_exponentiate`.
+"""Tests for the Straus/Pippenger multi-exponentiation kernels, the
+shared-base (one base, many exponents) kernel, and their integration behind
+:meth:`Group.multi_exponentiate` / :meth:`Group.shared_base_powers`.
 
 The kernels are exercised twice over: directly, on a toy additive group
 where ``∏ b_i^{e_i}`` is just ``Σ e_i·b_i mod m`` (so every window width and
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crypto.ed25519 import ed25519_group
-from repro.crypto.modp_group import modp_group_256, testing_group
+from repro.crypto.modp_group import MULTIEXP_MIN_ORDER_BITS, ModPElement, modp_group_256, testing_group
 from repro.crypto.multiexp import (
     GroupOps,
     MAX_WINDOW_BITS,
@@ -21,6 +22,8 @@ from repro.crypto.multiexp import (
     collapse_terms,
     pippenger_multi_exponentiate,
     plan_multi_exponentiation,
+    plan_shared_base_powers,
+    shared_base_powers,
     straus_multi_exponentiate,
 )
 
@@ -92,6 +95,21 @@ class TestKernels:
         result = pippenger_multi_exponentiate(ADDITIVE, [3, 5], [7, 9], 1)
         assert result == (3 * 7 + 5 * 9) % _M
 
+    @FAST
+    @given(
+        base=st.integers(0, _M - 1),
+        scalars=st.lists(st.integers(0, 2**64), min_size=0, max_size=9),
+        window=st.integers(1, 8),
+        signed=st.booleans(),
+    )
+    def test_shared_base_powers_match_each_scalar(self, base, scalars, window, signed):
+        ops = ADDITIVE if signed else ADDITIVE_NO_INVERT
+        assert shared_base_powers(ops, base, scalars, window) == [base * scalar % _M for scalar in scalars]
+
+    def test_shared_base_powers_rejects_zero_window(self):
+        with pytest.raises(ValueError):
+            shared_base_powers(ADDITIVE, 1, [1], 0)
+
 
 class TestSignedDigits:
     @FAST
@@ -134,6 +152,32 @@ class TestPlanner:
         naive_cost = 64 * 1.5 * 2048
         plan = plan_multi_exponentiation(64, 2048)
         assert plan.estimated_operations < naive_cost
+
+
+class TestSharedBasePlanner:
+    def test_one_scalar_shares_nothing(self):
+        for num_scalars in (0, 1):
+            plan = plan_shared_base_powers(num_scalars, 2047, exponentiate_cost=0.87 * 2047, square_cost=0.8)
+            assert plan.algorithm == "naive"
+        assert plan_shared_base_powers(4, 0).algorithm == "naive"
+
+    def test_two_full_width_scalars_already_share_a_ladder(self):
+        # The costs ModPGroup passes at 2048 bits and Ed25519Group at 253.
+        assert plan_shared_base_powers(2, 2047, exponentiate_cost=0.87 * 2047, square_cost=0.8).algorithm == "ladder"
+        assert plan_shared_base_powers(2, 253, exponentiate_cost=1.5 * 253, invert_cost=0.1).algorithm == "ladder"
+
+    def test_estimate_is_monotone_in_the_number_of_scalars(self):
+        estimates = [
+            plan_shared_base_powers(k, 2047, exponentiate_cost=0.87 * 2047, square_cost=0.8).estimated_operations
+            for k in range(0, 33)
+        ]
+        assert estimates == sorted(estimates) and len(set(estimates)) == len(estimates)
+
+    def test_estimate_never_exceeds_the_naive_cost(self):
+        for k in (2, 4, 8, 64):
+            plan = plan_shared_base_powers(k, 2047, exponentiate_cost=0.87 * 2047, square_cost=0.8)
+            assert plan.estimated_operations < k * 0.87 * 2047
+            assert 1 <= plan.window <= MAX_WINDOW_BITS
 
 
 class TestCollapseTerms:
@@ -250,6 +294,24 @@ class TestNaiveEquivalenceProperty:
         assert group.multi_exponentiate(bases, scalars) == _naive_fold(group, bases, scalars)
 
 
+class TestGroupSharedBasePowers:
+    """Where :meth:`Group.shared_base_powers` declines (``tests/property`` has equality on every group)."""
+
+    def test_modp_keeps_native_pow_below_the_order_floor(self, monkeypatch):
+        """Small groups, and whatever else the planner declines, still call ``exponentiate``."""
+        calls = []
+        exponentiate = ModPElement.exponentiate
+        monkeypatch.setattr(
+            ModPElement, "exponentiate", lambda self, scalar: calls.append(scalar) or exponentiate(self, scalar)
+        )
+        toy = testing_group()
+        assert toy.order.bit_length() < MULTIEXP_MIN_ORDER_BITS
+        base, scalars = toy.power(9), [toy.order - 2, 3, 5, 7, 11, 13, 17, 19]
+        del calls[:]
+        toy.shared_base_powers(base, scalars)
+        assert calls == scalars
+
+
 # ----------------------------------------------- operation counts, not seconds
 
 
@@ -300,4 +362,22 @@ class TestKernelOperationCounts:
         expected = _additive_expected(values, scalars)
         assert _square_and_multiply_each_term(naive_ops, values, scalars) == expected
         assert kernel(kernel_ops, values, scalars, window) == expected
+        assert 2 * kernel_spent[0] <= naive_spent[0]
+
+    @pytest.mark.parametrize("num_scalars", [2, 4, 8])
+    def test_shared_base_ladder_spends_at_most_half_the_naive_group_operations(self, num_scalars):
+        """One base, K exponents: K ladders' worth of squarings become one."""
+        rng = random.Random(num_scalars)
+        base = rng.randrange(1, _M)
+        scalars = [rng.getrandbits(2047) | 1 << 2046 for _ in range(num_scalars)]
+        plan = plan_shared_base_powers(num_scalars, 2047, invert_cost=1.0)  # _counting charges an inversion 1
+        assert plan.algorithm == "ladder"
+
+        naive_ops, naive_spent = _counting(ADDITIVE)
+        kernel_ops, kernel_spent = _counting(ADDITIVE)
+        expected = [base * scalar % _M for scalar in scalars]
+        assert [
+            _square_and_multiply_each_term(naive_ops, [base], [scalar]) for scalar in scalars
+        ] == expected
+        assert shared_base_powers(kernel_ops, base, scalars, plan.window) == expected
         assert 2 * kernel_spent[0] <= naive_spent[0]

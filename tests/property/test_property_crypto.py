@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on the cryptographic substrate."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crypto.chaum_pedersen import (
@@ -8,8 +9,9 @@ from repro.crypto.chaum_pedersen import (
     chaum_pedersen_verify,
     simulate_chaum_pedersen,
 )
+from repro.crypto.ed25519 import ed25519_group
 from repro.crypto.elgamal import ElGamal
-from repro.crypto.modp_group import testing_group
+from repro.crypto.modp_group import modp_group_256, modp_group_2048, testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign, schnorr_verify
 from repro.crypto.shamir import reconstruct_secret, split_secret
 
@@ -45,6 +47,49 @@ class TestGroupProperties:
     @given(a=scalars, b=scalars)
     def test_diffie_hellman_symmetry(self, a, b):
         assert GROUP.power(a) ** b == GROUP.power(b) ** a
+
+
+#: How a drawn seed becomes a scalar: the edges of ``[0, q)`` and both sides of them.
+_SCALAR_KINDS = {
+    "zero": lambda q, seed: 0,
+    "one": lambda q, seed: 1,
+    "q-1": lambda q, seed: q - 1,
+    "q": lambda q, seed: q,
+    "q+1": lambda q, seed: q + 1,
+    "negative": lambda q, seed: -(seed % q) - 1,
+    ">2q": lambda q, seed: 2 * q + 1 + seed % q,
+    "random": lambda q, seed: seed % q,
+}
+_BASE_KINDS = {
+    "identity": lambda group, seed: group.identity,
+    "generator": lambda group, seed: group.generator,
+    "element": lambda group, seed: group.generator.exponentiate(seed % group.order),
+}
+
+
+class TestSharedBasePowersProperties:
+    """``group.shared_base_powers`` is ``[base.exponentiate(s) for s in scalars]``, whatever the planner picks."""
+
+    @pytest.mark.parametrize(
+        "group_factory", [testing_group, modp_group_256, modp_group_2048, ed25519_group],
+        ids=["toy", "modp256", "modp2048", "ed25519"],
+    )
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        base_kind=st.sampled_from(sorted(_BASE_KINDS)),
+        base_seed=st.integers(1, 2**256),
+        draws=st.lists(
+            st.tuples(st.sampled_from(sorted(_SCALAR_KINDS)), st.integers(0, 2**2050)), min_size=0, max_size=8
+        ),
+        repeat=st.booleans(),
+    )
+    def test_equals_per_scalar_exponentiation(self, group_factory, base_kind, base_seed, draws, repeat):
+        group = group_factory()
+        base = _BASE_KINDS[base_kind](group, base_seed)
+        exponents = [_SCALAR_KINDS[kind](group.order, seed) for kind, seed in draws]
+        if repeat and exponents:
+            exponents.append(exponents[0])  # K in 0..9, one scalar twice
+        assert group.shared_base_powers(base, exponents) == [base.exponentiate(s) for s in exponents]
 
 
 class TestElGamalProperties:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.crypto.modp_group import modp_group_256, testing_group as toy_group
+from repro.crypto.modp_group import ModPElement, modp_group_256, testing_group as toy_group
 from repro.runtime import precompute
 from repro.runtime.precompute import (
     AUTO_BUILD_THRESHOLD,
@@ -142,3 +142,85 @@ class TestTransparentCache:
         warm_fixed_base(big_group.generator)
         accelerated = elgamal.encrypt(keypair.public, message, randomness=randomness)
         assert accelerated == reference
+
+
+class TestProversUseWarmTables:
+    """``hot_power``: provers read tables that exist, and never cause one."""
+
+    @staticmethod
+    def _count_powers(monkeypatch):
+        calls = {"table": 0, "plain": 0}
+        table_power, exponentiate = FixedBaseTable.power, ModPElement.exponentiate
+
+        def counted_table_power(self, scalar):
+            calls["table"] += 1
+            return table_power(self, scalar)
+
+        def counted_exponentiate(self, scalar):
+            calls["plain"] += 1
+            return exponentiate(self, scalar)
+
+        monkeypatch.setattr(FixedBaseTable, "power", counted_table_power)
+        monkeypatch.setattr(ModPElement, "exponentiate", counted_exponentiate)
+        return calls
+
+    def test_kiosk_proofs_on_warm_bases_cost_no_plain_exponentiation_on_them(self, big_group, monkeypatch):
+        from repro.crypto.chaum_pedersen import (
+            ChaumPedersenProver, ChaumPedersenStatement, chaum_pedersen_verify, simulate_chaum_pedersen,
+        )
+
+        authority_key = big_group.generator.exponentiate(777)
+        warm_fixed_base(big_group.generator)
+        warm_fixed_base(authority_key)
+        x = 424242
+        statement = ChaumPedersenStatement(
+            big_group.generator, authority_key, big_group.generator.exponentiate(x), authority_key.exponentiate(x)
+        )
+        calls = self._count_powers(monkeypatch)
+
+        prover = ChaumPedersenProver(statement, x)
+        prover.commit(nonce=99)
+        real = prover.respond(12345)
+        assert calls == {"table": 2, "plain": 0}
+        fake = simulate_chaum_pedersen(statement, challenge=12345, response=678)
+        assert calls == {"table": 4, "plain": 2}  # value_g ** e and value_h ** e stay plain
+
+        monkeypatch.undo()
+        set_precompute_enabled(False)
+        reference = ChaumPedersenProver(statement, x)
+        reference.commit(nonce=99)
+        assert reference.respond(12345) == real
+        assert simulate_chaum_pedersen(statement, challenge=12345, response=678) == fake
+        assert chaum_pedersen_verify(real) and chaum_pedersen_verify(fake)
+
+    def test_a_cold_proof_base_is_neither_counted_nor_built(self, big_group):
+        from repro.crypto.chaum_pedersen import ChaumPedersenStatement, fiat_shamir_prove, fiat_shamir_verify
+        from repro.crypto.dlog_proof import prove_dlog, verify_dlog
+        from repro.crypto.elgamal import hot_power
+
+        cold = big_group.hash_to_element(b"a ciphertext part")
+        other = big_group.hash_to_element(b"another")
+        for _ in range(2 * AUTO_BUILD_THRESHOLD):
+            statement = ChaumPedersenStatement(cold, other, cold.exponentiate(5), other.exponentiate(5))
+            assert fiat_shamir_verify(fiat_shamir_prove(statement, 5))
+            assert verify_dlog(prove_dlog(cold, 5))
+            assert hot_power(cold, 9) == cold.exponentiate(9)
+        assert num_cached_tables() == 0
+        assert not precompute._usage
+        assert not precompute.has_table(cold)
+
+    def test_ballot_proofs_read_the_election_key_table(self, big_group, monkeypatch):
+        from repro.crypto.schnorr import schnorr_keygen
+        from repro.voting.ballot import make_ballot, verify_ballot
+
+        authority_key = big_group.generator.exponentiate(31337)
+        warm_fixed_base(big_group.generator)
+        warm_fixed_base(authority_key)
+        credential = schnorr_keygen(big_group)
+        calls = self._count_powers(monkeypatch)
+        ballot = make_ballot(big_group, authority_key, credential, choice=1, num_options=3)
+        # Plain: c1 ** challenge and target ** challenge for each of the two
+        # simulated options; everything on g or the election key is a lookup.
+        assert calls["plain"] == 4
+        monkeypatch.undo()
+        assert verify_ballot(big_group, authority_key, ballot, 3)
