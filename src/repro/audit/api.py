@@ -233,10 +233,6 @@ class Verifier(abc.ABC):
             elapsed_seconds=span.elapsed_seconds,
         )
 
-    def verify(self, plan: AuditPlan) -> bool:
-        """Bool convenience for shim call sites."""
-        return self.run(plan).ok
-
 
 def _result_for(check: Check, verdict: bool) -> CheckResult:
     return CheckResult(

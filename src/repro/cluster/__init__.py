@@ -1,4 +1,4 @@
-"""Multi-node tally and audit: remote-worker executors fed by ledger cursors.
+"""Multi-node tally and audit: remote-worker executors behind ``executor_spec``.
 
 The last ROADMAP scaling item made concrete: :mod:`repro.runtime`'s
 sharding layer is location-transparent, the ledger exposes cursor-paged
@@ -13,9 +13,7 @@ piece, workers on other machines:
   ``executor_spec`` strings ``"remote:host:port[,…]"`` and ``"cluster:N"``;
 * :mod:`repro.cluster.worker` — the daemon
   (``python -m repro.cluster.worker --connect host:port``) that warms
-  precompute tables before serving shards on a local executor;
-* :mod:`repro.cluster.feeds` — cursor-native work feeds (ledger pages as
-  tasks, cumulative cursor acks).
+  precompute tables before serving shards on a local executor.
 
 Security model in one line: the signed hello keeps strangers out, but the
 pickle codec trusts everyone inside — run clusters on trusted networks
@@ -26,7 +24,6 @@ from typing import Any
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.executor import RemoteExecutor, remote_executor_from_spec, spawn_local_worker
-from repro.cluster.feeds import CursorAckTracker, cluster_valid_ballots, supports_cursor_tasks
 from repro.cluster.protocol import (
     PROTOCOL_VERSION,
     Codec,
@@ -51,17 +48,14 @@ def __getattr__(name: str) -> Any:
 __all__ = [
     "ClusterCoordinator",
     "Codec",
-    "CursorAckTracker",
     "Frame",
     "FrameKind",
     "PROTOCOL_VERSION",
     "PickleCodec",
     "RemoteExecutor",
     "WorkerDaemon",
-    "cluster_valid_ballots",
     "recv_frame",
     "remote_executor_from_spec",
     "send_frame",
     "spawn_local_worker",
-    "supports_cursor_tasks",
 ]

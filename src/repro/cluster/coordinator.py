@@ -31,8 +31,7 @@ encoded ``(mode, fn, payload)`` triples — across the enrolled workers:
 
 The coordinator never initiates work functions itself — it is transport and
 scheduling only.  :class:`~repro.cluster.executor.RemoteExecutor` adapts it
-to the executor contract; :mod:`repro.cluster.feeds` drives it directly with
-cursor-keyed shards.
+to the executor contract.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.cluster.protocol import (
@@ -125,13 +124,12 @@ class _Task:
 class _TaskGroup:
     """One :meth:`ClusterCoordinator.run_tasks` call's tasks and outcome."""
 
-    __slots__ = ("tasks", "remaining", "error", "on_result")
+    __slots__ = ("tasks", "remaining", "error")
 
-    def __init__(self, size: int, on_result: Optional[Callable[[int, Any], None]]) -> None:
+    def __init__(self, size: int) -> None:
         self.tasks: List[_Task] = []
         self.remaining = size
         self.error: Optional[BaseException] = None
-        self.on_result = on_result
 
 
 class _Worker:
@@ -461,23 +459,7 @@ class ClusterCoordinator:
             if task.assigned_to is not None:
                 task.assigned_to.in_flight.pop(key, None)
                 task.assigned_to = None
-            group = task.group
-            callback = group.on_result
-        # The callback runs outside the lock but *before* the group's
-        # remaining-count drops: run_tasks only returns once every delivered
-        # result's callback has finished (a feed's final cursor ack must be
-        # visible when the call returns).  A raising callback is a caller
-        # bug, charged to the caller's group — never to the worker whose
-        # read loop happened to deliver the result.
-        if callback is not None:
-            try:
-                callback(task.index, value)
-            except BaseException as exc:  # noqa: BLE001 - surfaced to run_tasks
-                self._cancel_group(group, exc)
-                self._pump()
-                return
-        with self._cond:
-            group.remaining -= 1
+            task.group.remaining -= 1
             self._cond.notify_all()
         self._pump()
 
@@ -641,19 +623,12 @@ class ClusterCoordinator:
             if not dead:
                 return
 
-    def run_tasks(
-        self,
-        payloads: Sequence[Tuple[Any, ...]],
-        on_result: Optional[Callable[[int, Any], None]] = None,
-    ) -> List[Any]:
+    def run_tasks(self, payloads: Sequence[Tuple[Any, ...]]) -> List[Any]:
         """Execute ``payloads`` across the cluster; results in payload order.
 
         Each payload is a ``(mode, fn, data)`` triple as understood by the
         worker daemon (``"map"``/``"star"`` run ``data`` through the
         worker's local executor; ``"call"`` invokes ``fn(*data)`` once).
-        ``on_result`` is invoked as ``on_result(index, value)`` when a
-        task's first result arrives — out of index order, from coordinator
-        threads — which is how cursor feeds ack shards as they land.
 
         Raises the first task exception unchanged (matching the in-process
         executor contract) or :class:`ClusterError` when the cluster cannot
@@ -667,7 +642,7 @@ class ClusterCoordinator:
         # RemoteExecutor's executor.map), so worker spans parent under it.
         context = telemetry.current_context() if telemetry.enabled() else None
         trace = context.to_traceparent() if context is not None else ""
-        group = _TaskGroup(len(payloads), on_result)
+        group = _TaskGroup(len(payloads))
         with self._cond:
             if self._closed:
                 raise ClusterError("coordinator is shut down")

@@ -249,24 +249,6 @@ class RemoteExecutor(Executor):
             return self.coordinator.run_tasks([("star", fn, chunk) for chunk in chunks])
         return self.coordinator.run_tasks([("call", applier, (fn, chunk)) for chunk in chunks])
 
-    def submit_calls(
-        self,
-        fn: Callable[..., Any],
-        argument_tuples: Sequence[Tuple[Any, ...]],
-        on_result: Optional[Callable[[int, Any], None]] = None,
-    ) -> List[Any]:
-        """One remote invocation per argument tuple; results in input order.
-
-        The cursor feeds' entry point: each ledger page (or audit check
-        shard) becomes exactly one TASK frame, and ``on_result`` fires as
-        results land so the feed can advance its ack watermark before the
-        whole group completes.
-        """
-        self.warm()
-        return self.coordinator.run_tasks(
-            [("call", fn, tuple(args)) for args in argument_tuples], on_result=on_result
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RemoteExecutor(address={format_address(self.coordinator.address)}, "

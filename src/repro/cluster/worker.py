@@ -18,7 +18,7 @@ local :class:`~repro.runtime.executor.Executor`:
 * **Local execution.**  ``"map"``/``"star"`` tasks run through the local
   executor (``--executor serial|thread[:N]|process[:N]``), so one daemon
   can fan a shard across a whole host's cores; ``"call"`` tasks invoke a
-  single function (the cursor feeds use this, one call per ledger page).
+  single function once.
 * **Error transparency.**  A task exception is pickled back in an
   ``ERROR`` frame (falling back to a :class:`~repro.errors.ClusterError`
   carrying the repr when the exception itself will not pickle), so the
@@ -61,6 +61,13 @@ from repro.cluster.protocol import (
 )
 from repro.errors import ClusterError
 from repro.spec import EXECUTOR, env
+
+# Shard functions arrive pickled by module path.  The record model and the
+# RLC batch verifier sit under nearly every tally and audit shard; importing
+# them while the daemon starts keeps that cost ahead of the ready heartbeat
+# instead of inside the first TASK.
+import repro.ledger.records  # noqa: F401
+import repro.runtime.batch  # noqa: F401
 
 CONNECT_TIMEOUT_SECONDS = 30.0
 

@@ -2,9 +2,9 @@
 
 ``python -m repro.gateway`` serves versioned JSON routes (and a WebSocket
 audit stream) over :class:`~repro.gateway.service.GatewayService` — a
-multi-tenant registry of elections whose ballot casts are admitted in
-micro-batches into a write-behind :class:`~repro.ledger.backends.batched.
-BatchedBoard`, rate-limited and load-shed by :mod:`repro.gateway.governor`.
+multi-tenant registry of elections whose ballot casts are appended to a
+write-behind :class:`~repro.ledger.backends.batched.BatchedBoard`,
+rate-limited and load-shed by :mod:`repro.gateway.governor`.
 See ``docs/gateway.md`` for the route table, schema versioning policy and a
 curl quickstart.
 """

@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ID:VOTERS:OPTIONS",
         help="pre-provision an election (repeatable)",
     )
-    parser.add_argument("--batch-size", type=int, default=None, help="micro-batch size")
+    parser.add_argument("--batch-size", type=int, default=None, help="ballots per tenant-board flush")
     parser.add_argument("--queue-depth", type=int, default=None, help="admission queue bound")
     parser.add_argument(
         "--telemetry",

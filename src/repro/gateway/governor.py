@@ -8,11 +8,11 @@ resource envelope is enforced here, before any crypto or ledger work runs:
   allowing bursts up to the bucket size.  Buckets take the current monotonic
   time as an argument — the governor never reads an ambient clock, which
   keeps it trivially testable and REP002-clean.
-* **Bounded admission queues** cap the number of casts waiting for a
-  micro-batch flush.  When the queue is full the request is **shed**: a 429
-  with a ``Retry-After`` hint derived from the observed drain rate, instead
-  of an unbounded queue that converts overload into latency for everyone.
-* **Drain mode** rejects new work with 503 while in-flight batches finish —
+* **A bounded admission queue** caps the number of casts admitted but not
+  yet acknowledged by the ledger.  When it is full the request is **shed**:
+  a 429 with a ``Retry-After`` hint, instead of an unbounded queue that
+  converts overload into latency for everyone.
+* **Drain mode** rejects new work with 503 while in-flight appends finish —
   the graceful-shutdown half of load shedding.
 
 All state is owned by the event loop thread; nothing here takes locks.
@@ -26,13 +26,16 @@ from typing import Dict, Optional, Tuple
 from repro.spec import KNOBS, env
 
 #: Environment knobs (also set by the CLI flags); the stress CI leg
-#: randomizes these to shake schedule-dependent admission bugs out.
+#: randomizes these to shake schedule-dependent flush bugs out.
 BATCH_SIZE_ENV = "REPRO_GATEWAY_BATCH_SIZE"
 QUEUE_DEPTH_ENV = "REPRO_GATEWAY_QUEUE_DEPTH"
 
 DEFAULT_BATCH_SIZE: int = KNOBS[BATCH_SIZE_ENV].default
 DEFAULT_QUEUE_DEPTH: int = KNOBS[QUEUE_DEPTH_ENV].default
-DEFAULT_BATCH_WINDOW_SECONDS = 0.002
+
+#: ``Retry-After`` of a cast shed on queue depth: long enough for a board
+#: flush to acknowledge what is in flight.
+QUEUE_FULL_RETRY_SECONDS = 0.05
 
 #: Rate limits are deliberately generous by default — the gateway's job is
 #: surviving overload, not metering honest traffic.  Tests dial these down.
@@ -52,7 +55,6 @@ class GovernorConfig:
 
     batch_size: int = DEFAULT_BATCH_SIZE
     queue_depth: int = DEFAULT_QUEUE_DEPTH
-    batch_window_seconds: float = DEFAULT_BATCH_WINDOW_SECONDS
     tenant_rate: float = DEFAULT_TENANT_RATE
     tenant_burst: float = DEFAULT_TENANT_BURST
     client_rate: float = DEFAULT_CLIENT_RATE
@@ -117,8 +119,8 @@ class TenantGovernor:
     config: GovernorConfig
     tenant_bucket: Optional[TokenBucket] = None
     client_buckets: Dict[str, TokenBucket] = field(default_factory=dict)
-    #: Casts currently queued for micro-batch admission (mirrors the
-    #: asyncio queue's depth; kept here so shedding needs no queue peek).
+    #: Casts admitted and not yet acknowledged by the ledger (the tenant
+    #: adds on admission and subtracts when the append returns).
     queued: int = 0
     shed_total: int = 0
     admitted_total: int = 0
@@ -139,11 +141,9 @@ class TenantGovernor:
             return Admission(False, retry_after_seconds=client_wait, reason="client rate limit")
         if self.queued + count > self.config.queue_depth:
             self.shed_total += count
-            # Honest estimate: the queue drains one batch per window, so a
-            # full queue clears in roughly depth/batch windows.
-            windows = max(1.0, self.config.queue_depth / max(1, self.config.batch_size))
-            retry = max(0.05, windows * self.config.batch_window_seconds)
-            return Admission(False, retry_after_seconds=retry, reason="admission queue full")
+            return Admission(
+                False, retry_after_seconds=QUEUE_FULL_RETRY_SECONDS, reason="admission queue full"
+            )
         self.admitted_total += count
         return Admission(True)
 

@@ -249,7 +249,7 @@ ROUTES: Tuple[Route, ...] = (
         "POST",
         "/v1/elections/{election_id}/ballots",
         "cast",
-        "Cast 1..256 ballots; admitted as micro-batches into the ledger.",
+        "Cast 1..256 ballots in one append; batch_size ballots per tenant-board flush.",
         _cast,
         request_schema=CastRequest,
         response_schema=CastResponse,
@@ -258,7 +258,7 @@ ROUTES: Tuple[Route, ...] = (
         "POST",
         "/v1/elections/{election_id}/close",
         "close_election",
-        "Stop admission, drain the queue, flush the board chains.",
+        "Stop admission, wait out in-flight casts, flush the board chains.",
         _close_election,
         response_schema=ElectionInfo,
     ),
@@ -304,7 +304,7 @@ ROUTES: Tuple[Route, ...] = (
         "GET",
         "/v1/debug/queues",
         "debug_queues",
-        "Cast-queue depth and admitter liveness per tenant (debug only).",
+        "Admitted-but-unacknowledged casts and in-flight appends per tenant (debug only).",
         _debug_queues,
     ),
     Route(

@@ -1,22 +1,20 @@
-"""The gateway's domain layer: tenants, micro-batch admission, and drain.
+"""The gateway's domain layer: tenants, cast admission, and drain.
 
 One :class:`GatewayService` hosts many **tenants** — fully independent
-elections, each with its own bulletin board, authority, registrar, admission
-queue and governor.  The HTTP layer (:mod:`repro.gateway.routes`) is a thin
-adapter over this class, so every behaviour here is testable without a
-socket.
+elections, each with its own bulletin board, authority, registrar and
+governor.  The HTTP layer (:mod:`repro.gateway.routes`) is a thin adapter
+over this class, so every behaviour here is testable without a socket.
 
-The cast path is the part worth reading twice.  A ``POST .../ballots`` does
-not append to the ledger synchronously; it runs the governor's admission
-checks, parks each ballot on the tenant's queue with a future, and awaits
-the futures.  A single **admitter** coroutine per tenant collects queued
-ballots into micro-batches (up to ``batch_size`` records or
-``batch_window_seconds``, whichever first) and posts each batch through the
-existing :class:`~repro.ledger.backends.batched.AsyncIngestionFrontend` into
-a :class:`~repro.ledger.backends.batched.BatchedBoard`.  Concurrent HTTP
-clients therefore share flush work exactly like in-process bulk callers do —
-and because admission order is append order, the resulting hash chain is
-byte-identical to casting the same records in-process.
+The cast path has one batcher and one sequencer, and both are the tenant's
+:class:`~repro.ledger.backends.batched.BatchedBoard`.  A ``POST .../ballots``
+runs the governor's admission checks and then awaits one append of the
+request's records through the
+:class:`~repro.ledger.backends.batched.AsyncIngestionFrontend`: a plain
+buffer push runs inline, an append that would trip a flush runs on a worker
+thread, so the event loop never chains or writes.  The board's lock orders
+concurrent requests, a request's records stay contiguous, and each receipt is
+the ballot's ledger position — the resulting hash chain is byte-identical to
+casting the same records in-process.
 
 Threading model: all mutable state is owned by the event loop.  Blocking
 domain work (setup, registration, tally, audit) runs in worker threads via
@@ -53,7 +51,6 @@ from repro.gateway.schemas import (
 from repro.ledger.api import board_from_spec
 from repro.ledger.backends.batched import AsyncIngestionFrontend, BatchedBoard
 from repro.ledger.bulletin_board import BulletinBoard
-from repro.ledger.records import BallotRecord
 from repro.registration.protocol import RegistrationSession
 from repro.registration.setup import ElectionSetup
 from repro.registration.voter import Voter
@@ -102,14 +99,8 @@ class ServiceConfig:
     governor: GovernorConfig = field(default_factory=GovernorConfig.from_env)
 
 
-# Each queued cast carries the trace context of the HTTP request that
-# enqueued it, so the admitter's batch span can parent into the originating
-# request even though it runs on a different task.
-_CastItem = Tuple[BallotRecord, "asyncio.Future[int]", Optional[telemetry.TraceContext]]
-
-
 class ElectionTenant:
-    """One hosted election: board, actors, admission queue, and status."""
+    """One hosted election: board, actors, governor, and status."""
 
     def __init__(
         self,
@@ -131,89 +122,15 @@ class ElectionTenant:
         self.status = STATUS_OPEN
         self.governor = TenantGovernor(config=service_config.governor)
         self.frontend = AsyncIngestionFrontend(setup.board.backend)
-        # Unbounded on purpose: the governor bounds depth *before* anything
-        # is enqueued, so puts never block and never need a lock.
-        self._pending: "asyncio.Queue[Optional[_CastItem]]" = asyncio.Queue()
-        self._admitter: Optional["asyncio.Task[None]"] = None
+        #: Cast requests awaiting their append; ``_quiet`` is set whenever
+        #: there are none, which is what close and shutdown wait on.
+        self._in_flight = 0
+        self._quiet = asyncio.Event()
+        self._quiet.set()
         self._registration_gate = asyncio.Lock()
         self._subscribers: List["asyncio.Queue[Optional[AuditStreamEvent]]"] = []
         self.tally_result: Optional[TallyResult] = None
         self._audit_cache: Optional[Tuple[Tuple[str, int], AuditReportWire]] = None
-
-    # ------------------------------------------------------------------ admitter
-
-    def start(self) -> None:
-        self._admitter = asyncio.get_running_loop().create_task(self._admit_loop())
-
-    async def _admit_loop(self) -> None:
-        """Collect queued casts into micro-batches and post them as one append."""
-        config = self.service_config.governor
-        stopping = False
-        while not stopping:
-            item = await self._pending.get()
-            if item is None:
-                break
-            batch: List[_CastItem] = [item]
-            deadline = time.monotonic() + config.batch_window_seconds
-            while len(batch) < config.batch_size:
-                # Prefer whatever is already queued; only wait out the window
-                # when the queue momentarily runs dry.
-                if self._pending.empty():
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        extra = await asyncio.wait_for(self._pending.get(), timeout=remaining)
-                    except asyncio.TimeoutError:
-                        break
-                else:
-                    extra = self._pending.get_nowait()
-                if extra is None:
-                    stopping = True
-                    break
-                batch.append(extra)
-            await self._admit_batch(batch)
-        # Drain mode: flush anything still buffered down to the inner chains.
-        await self.frontend.drain()
-
-    async def _admit_batch(self, batch: List[_CastItem]) -> None:
-        records = [record for record, _, _ in batch]
-        # A batch mixes casts from many requests; the span parents under the
-        # first traced one and records how many distinct traces it covers.
-        contexts = [context for _, _, context in batch if context is not None]
-        trace_ids = {context.trace_id for context in contexts}
-        token = telemetry.attach(contexts[0]) if contexts else None
-        try:
-            with telemetry.span(
-                "gateway.batch.admit",
-                election=self.election_id,
-                size=len(batch),
-                traces=len(trace_ids),
-            ):
-                seqs = await self.frontend.post_ballots(records)
-        except Exception as error:
-            telemetry.counter("gateway.errors", len(batch))
-            for _, future, _ in batch:
-                if not future.done():
-                    future.set_exception(GatewayError(f"ledger append failed: {error}"))
-            return
-        finally:
-            if token is not None:
-                telemetry.detach(token)
-            self.governor.queued -= len(batch)
-            telemetry.gauge("gateway.queue.depth", self.governor.queued, election=self.election_id)
-        telemetry.histogram("gateway.batch.size", len(batch), election=self.election_id)
-        telemetry.counter("gateway.casts", len(batch))
-        for (_, future, _), seq in zip(batch, seqs):
-            if not future.done():
-                future.set_result(seq)
-
-    async def stop_admitter(self) -> None:
-        if self._admitter is None:
-            return
-        self._pending.put_nowait(None)
-        await self._admitter
-        self._admitter = None
 
     # ------------------------------------------------------------------ casting
 
@@ -231,18 +148,43 @@ class ElectionTenant:
                 raise SchemaError(
                     {f"ballots[{index}].election_id": f"ballot is for {record.election_id!r}"}
                 )
-        admission = self.governor.admit_cast(client_key, len(records), time.monotonic())
+        count = len(records)
+        admission = self.governor.admit_cast(client_key, count, time.monotonic())
         if not admission.allowed:
-            telemetry.counter("gateway.shed", len(records))
+            telemetry.counter("gateway.shed", count)
             raise ShedError(admission.reason, admission.retry_after_seconds)
-        loop = asyncio.get_running_loop()
-        futures: List["asyncio.Future[int]"] = [loop.create_future() for _ in records]
-        self.governor.queued += len(records)
+        # No await between the checks above and this bookkeeping: a cast is
+        # either refused or counted before close/shutdown can observe quiet.
+        self.governor.queued += count
+        self._in_flight += 1
+        self._quiet.clear()
         telemetry.gauge("gateway.queue.depth", self.governor.queued, election=self.election_id)
-        context = telemetry.current_context()
-        for record, future in zip(records, futures):
-            self._pending.put_nowait((record, future, context))
-        return list(await asyncio.gather(*futures))
+        try:
+            with telemetry.span("gateway.batch.admit", election=self.election_id, size=count):
+                seqs = await self.frontend.post_ballots(records)
+        except Exception as error:
+            telemetry.counter("gateway.errors", count)
+            raise GatewayError(f"ledger append failed: {error}") from error
+        finally:
+            self.governor.queued -= count
+            self._in_flight -= 1
+            if not self._in_flight:
+                self._quiet.set()
+            telemetry.gauge("gateway.queue.depth", self.governor.queued, election=self.election_id)
+        telemetry.histogram("gateway.batch.size", count, election=self.election_id)
+        telemetry.counter("gateway.casts", count)
+        return seqs
+
+    async def stop_admitter(self) -> None:
+        """Quiesce the cast path, then drain.
+
+        Waits for every admitted append to be acknowledged — a request whose
+        client has gone away still runs to its receipt — and then flushes
+        whatever the board still buffers down to the inner chains.  Callers
+        stop admission first (``close`` by status, ``shutdown`` by draining).
+        """
+        await self._quiet.wait()
+        await self.frontend.drain()
 
     # ------------------------------------------------------------- registration
 
@@ -382,7 +324,7 @@ class ElectionTenant:
         return wire
 
     async def shutdown(self) -> None:
-        """Drain the admission queue, flush the board, release resources."""
+        """Wait out in-flight casts, flush the board, release resources."""
         await self.stop_admitter()
         for queue in self._subscribers:
             queue.put_nowait(None)
@@ -459,7 +401,6 @@ class GatewayService:
             await tenant.shutdown()
             raise ConflictError(f"election {request.election_id!r} already exists")
         self.tenants[request.election_id] = tenant
-        tenant.start()
         return tenant.info()
 
     def _build_tenant(self, request: CreateElectionRequest, group_name: str) -> ElectionTenant:
@@ -526,14 +467,12 @@ class GatewayService:
     # -------------------------------------------------------------- ops plane
 
     def debug_queues(self) -> Dict[str, Any]:
-        """Cast-queue depth per tenant (`GET /v1/debug/queues`)."""
+        """Unacknowledged casts per tenant (`GET /v1/debug/queues`)."""
         queues: Dict[str, Any] = {}
         for election_id, tenant in sorted(self.tenants.items()):
             queues[election_id] = {
                 "queued": tenant.governor.queued,
-                "pending": tenant._pending.qsize(),
-                "admitter_running": tenant._admitter is not None
-                and not tenant._admitter.done(),
+                "in_flight": tenant._in_flight,
             }
         return {"draining": self.draining, "queues": queues}
 
@@ -582,7 +521,7 @@ class GatewayService:
             raise DrainingError()
 
     async def shutdown(self) -> None:
-        """Graceful drain: refuse new work, finish queued casts, flush boards."""
+        """Graceful drain: refuse new work, finish admitted casts, flush boards."""
         if self.draining:
             return
         self.draining = True

@@ -206,9 +206,9 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "How long to wait for the worker floor to enroll (read at import)."),
     Knob("REPRO_CLUSTER_TASK_TIMEOUT", "seconds>=0.001", None, "repro.cluster.coordinator",
          "How long one in-flight task may run before its shard is reassigned (read at import); unset disables."),
-    Knob("REPRO_GATEWAY_BATCH_SIZE", "int>=1", 64, "repro.gateway.governor", "Casts admitted per micro-batch."),
+    Knob("REPRO_GATEWAY_BATCH_SIZE", "int>=1", 64, "repro.gateway.governor", "Ballots per tenant-board flush."),
     Knob("REPRO_GATEWAY_QUEUE_DEPTH", "int>=1", 1024, "repro.gateway.governor",
-         "Bound on casts waiting for admission before requests are shed with 429."),
+         "Bound on casts admitted but not yet acknowledged before requests are shed with 429."),
     Knob("REPRO_GATEWAY_DEBUG", "flag (1 = on)", False, "repro.gateway.routes",
          "Serve the `/v1/debug/*` ops-plane routes (404 otherwise)."),
     # Read only by the tests, from the CI stress and tier-1 jobs; each test module has its own default.

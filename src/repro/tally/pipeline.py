@@ -254,23 +254,12 @@ class TallyPipeline:
         equation when every signature is valid (the common case), bisection
         to isolate forgeries otherwise.  With a streaming ``pipeline``, the
         cursor reads and the signature checks overlap (the reader fetches
-        page *k+1* while page *k* verifies).  On a cluster executor the
-        pages themselves become the distribution unit: each cursor page
-        ships to a remote worker as one task, acked by cursor as results
-        land (:func:`repro.cluster.feeds.cluster_valid_ballots`), so board
-        sharding and worker placement stay independent.
+        page *k+1* while page *k* verifies).
         """
         view = as_board_view(board)
         ex = executor if executor is not None else self.executor
         spec = pipeline if pipeline is not None else self.pipeline
         streaming = spec is not None and spec.streaming
-        if not streaming and callable(getattr(ex, "submit_calls", None)):
-            from repro.cluster.feeds import cluster_valid_ballots
-
-            valid, _tracker = cluster_valid_ballots(
-                view, election_id, ex, page_size=self.read_page_size
-            )
-            return deduplicate_ballots(valid)
         if streaming:
             pages = (
                 Shard(index, page.records)

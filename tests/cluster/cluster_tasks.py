@@ -9,6 +9,7 @@ before any worker spawns.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 from repro.spec import env
@@ -57,9 +58,8 @@ def worker_pid(_value=None):
     return os.getpid()
 
 
-def page_total(records):
-    """A 'call'-mode page reducer used by the feed tests."""
-    return sum(records)
+def module_loaded(name):
+    return name in sys.modules
 
 
 def stuck_once(marker_path, value):

@@ -4,8 +4,7 @@ The CI stress job randomizes ``REPRO_CLUSTER_WORKERS`` (how many loopback
 worker subprocesses the shared cluster spawns) and
 ``REPRO_CLUSTER_PAGE_SIZE`` (the ledger cursor page size the tally tests
 read with), mirroring the pipeline stress pattern — schedule-dependent
-bugs in dispatch, reassignment and cursor acking rarely show on one lucky
-geometry.
+bugs in dispatch and reassignment rarely show on one lucky geometry.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from cluster_tasks import CLUSTER_WORKERS
 
 from repro.audit.api import DistributedVerifier
 from repro.audit.checks import audit_tally
-from repro.cluster.feeds import cluster_valid_ballots
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import ElGamal
 from repro.crypto.group import Group
@@ -30,7 +29,6 @@ from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.crypto.tagging import TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
 from repro.errors import ClusterError
-from repro.ledger.api import as_board_view
 from repro.ledger.backends.memory import MemoryBackend
 from repro.ledger.backends.sqlite import SQLiteBackend
 from repro.ledger.bulletin_board import BulletinBoard
@@ -179,25 +177,6 @@ class TestBitIdentityMatrix:
             boards["memory"].registration_log.head()
             == boards["sqlite"].registration_log.head()
         )
-
-    def test_cursor_feed_matches_local_read_and_acks_to_the_end(
-        self, group, workload, boards, cluster_executor
-    ):
-        authority, _, _, _, ballots = workload
-        view = as_board_view(boards["memory"])
-        local = TallyPipeline(group, authority, read_page_size=PAGE_SIZE)._valid_ballots(
-            view, "default", executor=None
-        )
-        valid, tracker = cluster_valid_ballots(
-            view, "default", cluster_executor, page_size=PAGE_SIZE
-        )
-        from repro.tally.filter import deduplicate_ballots
-
-        assert deduplicate_ballots(valid) == local
-        assert tracker.num_pending == 0
-        # The watermark reached the cursor a resumed read would continue from.
-        final_page = view.read_ballots(since=0, limit=len(ballots) + 1)
-        assert tracker.acked_cursor == final_page.next_cursor
 
 
 class TestClusterElectionEndToEnd:

@@ -75,27 +75,12 @@ class TestExecutorContract:
             cluster_executor.map(cluster_tasks.boom_unpicklable, [1])
         assert cluster_executor.map(cluster_tasks.echo, [7]) == [7]
 
-    def test_submit_calls_acks_in_any_order(self, cluster_executor):
-        acked = []
-        results = cluster_executor.submit_calls(
-            cluster_tasks.page_total,
-            [([1, 2],), ([3],), ([4, 5, 6],)],
-            on_result=lambda index, value: acked.append((index, value)),
-        )
-        assert results == [3, 3, 15]
-        assert sorted(acked) == [(0, 3), (1, 3), (2, 15)]
-
-    def test_raising_on_result_fails_the_call_not_the_worker(self, cluster_executor):
-        def bad_callback(index, value):
-            raise RuntimeError("ack checkpoint failed")
-
-        with pytest.raises(RuntimeError, match="ack checkpoint failed"):
-            cluster_executor.submit_calls(
-                cluster_tasks.echo, [(1,), (2,)], on_result=bad_callback
-            )
-        # A caller-side callback bug must not cost a healthy connection.
-        assert cluster_executor.coordinator.num_workers == CLUSTER_WORKERS
-        assert cluster_executor.map(cluster_tasks.echo, [5]) == [5]
+    def test_workers_start_with_their_shard_dependencies_loaded(self, cluster_executor):
+        """The record model and the batch verifier are imported before a
+        worker is ready, not inside its first tally shard (nothing this
+        module ships imports either)."""
+        names = ["repro.ledger.records", "repro.runtime.batch"]
+        assert cluster_executor.map(cluster_tasks.module_loaded, names, chunksize=1) == [True, True]
 
     def test_concurrent_task_groups_multiplex(self, cluster_executor):
         """Several threads sharing one executor — the pipeline-stage shape."""
@@ -271,7 +256,7 @@ class TestFaultTolerance:
         try:
             executor.warm()
             marker = str(tmp_path / "stuck.marker")
-            assert executor.submit_calls(cluster_tasks.stuck_once, [(marker, 42)]) == [42]
+            assert executor.starmap(cluster_tasks.stuck_once, [(marker, 42)]) == [42]
             assert executor.coordinator.num_workers == 1  # the stuck one was retired
         finally:
             executor.close()

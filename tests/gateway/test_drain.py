@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
+import http.client
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -53,6 +56,61 @@ def test_queued_casts_resolve_during_drain(gateway):
     gateway.run(gateway.service.shutdown())
     board = gateway.service.tenants["drain-queue"].setup.board
     assert board.num_ballots == 2
+    client.close()
+
+
+def test_close_awaits_a_cast_whose_client_hung_up(gateway):
+    """An admitted cast outlives its connection: it lands exactly once, and
+    ``close_election`` does not return before it has."""
+    from repro.gateway.schemas import CastRequest
+    from repro.ledger.backends.batched import AsyncIngestionFrontend
+
+    class GatedFrontend(AsyncIngestionFrontend):
+        """Holds every append until the test releases it."""
+
+        def __init__(self, board) -> None:
+            super().__init__(board)
+            self.entered = threading.Event()
+            self.release = threading.Event()
+
+        async def post_ballots(self, records):
+            self.entered.set()
+            await asyncio.to_thread(self.release.wait, 30)
+            return await super().post_ballots(records)
+
+    client = gateway.client(client_id="drain3")
+    client.create_election("hung-up", 2, 2)
+    session = CastingSession(client, "hung-up")
+    session.refresh()
+    wire = session.make_ballot_wire(session.register("voter-0000").credentials[0], 1)
+    tenant = gateway.service.tenants["hung-up"]
+    tenant.frontend = frontend = GatedFrontend(tenant.setup.board.backend)
+
+    # Send the cast, then hang up while its append is still in flight.
+    connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
+    connection.request(
+        "POST", "/v1/elections/hung-up/ballots",
+        body=CastRequest(ballots=[wire]).to_json().encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    assert frontend.entered.wait(timeout=30)
+    connection.close()
+
+    closed = []
+    closer = threading.Thread(target=lambda: closed.append(client.close_election("hung-up")))
+    closer.start()
+    closer.join(timeout=0.2)
+    assert closer.is_alive(), "close_election returned with an append still in flight"
+    assert tenant.governor.queued == 1
+
+    frontend.release.set()
+    closer.join(timeout=30)
+    assert not closer.is_alive()
+    assert closed[0].status == "closed"
+    assert closed[0].num_ballots == 1
+    assert closed[0].pending_casts == 0
+    assert tenant.governor.queued == 0
+    assert len(tenant.setup.board.ballots("hung-up")) == 1
     client.close()
 
 

@@ -64,10 +64,10 @@ def test_governor_sheds_per_client_independently():
     assert governor.admit_cast("client-b", 2, now=0.0).allowed
 
 
-def test_governor_sheds_on_queue_depth_with_drain_estimate():
+def test_governor_sheds_on_queue_depth_with_the_flush_floor():
     config = GovernorConfig(
         tenant_rate=1e9, tenant_burst=1e9, client_rate=1e9, client_burst=1e9,
-        queue_depth=10, batch_size=5, batch_window_seconds=0.01,
+        queue_depth=10, batch_size=5,
     )
     governor = TenantGovernor(config=config)
     assert governor.admit_cast("c", 8, now=0.0).allowed
@@ -75,7 +75,7 @@ def test_governor_sheds_on_queue_depth_with_drain_estimate():
     verdict = governor.admit_cast("c", 4, now=0.0)
     assert not verdict.allowed
     assert verdict.reason == "admission queue full"
-    assert verdict.retry_after_seconds >= 0.02
+    assert verdict.retry_after_seconds == 0.05
 
 
 def test_client_bucket_eviction_is_bounded():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -92,35 +93,47 @@ def test_gateway_audit_pins_the_service_mix_parameters(make_gateway):
     client.close()
 
 
-def test_concurrent_http_casts_match_in_process_chain(gateway, group):
-    """The HTTP-admitted ballot chain is byte-identical to in-process appends.
+@pytest.mark.parametrize("connections", [1, 4])
+@pytest.mark.parametrize("batch_size", [1, 2, 64])
+def test_concurrent_http_casts_match_in_process_chain(make_gateway, group, batch_size, connections):
+    """The HTTP-cast ballot chain is byte-identical to in-process appends.
 
-    Multiple client threads cast concurrently through the micro-batching
-    admitter; replaying the ledger's records in ledger order through a plain
-    in-process board must produce the same hash chain head.
+    Client connections cast concurrently — one-ballot requests, then one
+    two-ballot request each — at board flush sizes where every append, every
+    other append and no append trips a flush.  Receipts are unique and
+    contiguous, each is its ballot's ledger position, and replaying the
+    ledger's records in ledger order through a plain in-process board must
+    produce the same hash chain head.
     """
     from repro.gateway.client import CastingSession
 
-    client = gateway.client(client_id="main")
+    fixture = make_gateway(ServiceConfig(governor=GovernorConfig(batch_size=batch_size)))
+    client = fixture.client(client_id="main")
     client.create_election("identity", 12, 2)
     session = CastingSession(client, "identity")
     session.refresh()
-    credentials = [session.register(f"voter-{i:04d}").credentials[0] for i in range(8)]
+    credentials = [session.register(f"voter-{i:04d}").credentials[0] for i in range(12)]
     wires = [session.make_ballot_wire(credential, i % 2) for i, credential in enumerate(credentials)]
 
     errors = []
+    receipts = {}  # index into ``wires`` -> ledger sequence number
 
     def cast_worker(worker_index: int) -> None:
-        worker = GatewayClient(port=gateway.port, client_id=f"worker-{worker_index}")
+        worker = GatewayClient(port=fixture.port, client_id=f"worker-{worker_index}")
         try:
-            chunk = wires[worker_index * 2 : worker_index * 2 + 2]
-            worker.cast_ballots("identity", chunk)
+            mine = list(range(worker_index, len(wires), connections))
+            requests = [[index] for index in mine[:-2]] + [mine[-2:]]
+            for indices in requests:
+                seqs = worker.cast_ballots("identity", [wires[i] for i in indices]).ledger_seqs
+                # A request's ballots are contiguous on the ledger.
+                assert seqs == list(range(seqs[0], seqs[0] + len(indices)))
+                receipts.update(zip(indices, seqs))
         except Exception as error:  # surfaced below; pytest needs the main thread
             errors.append(error)
         finally:
             worker.close()
 
-    threads = [threading.Thread(target=cast_worker, args=(index,)) for index in range(4)]
+    threads = [threading.Thread(target=cast_worker, args=(index,)) for index in range(connections)]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -129,13 +142,19 @@ def test_concurrent_http_casts_match_in_process_chain(gateway, group):
 
     client.close_election("identity")
 
-    tenant = gateway.service.tenants["identity"]
+    tenant = fixture.service.tenants["identity"]
     http_board = tenant.setup.board
-    assert http_board.num_ballots == 8
+    assert http_board.num_ballots == 12
+    assert tenant.governor.queued == 0
 
-    # Replay the HTTP-admitted records, in ledger order, through a fresh
-    # in-process board: the chains must match byte for byte.
+    # Every receipt is the ballot's ledger position; together they are 0..11.
     records = http_board.ballots("identity")
+    assert sorted(receipts.values()) == list(range(12))
+    for index, seq in receipts.items():
+        assert records[seq] == ballot_from_wire(group, wires[index])
+
+    # Replay the HTTP-cast records, in ledger order, through a fresh
+    # in-process board: the chains must match byte for byte.
     replay_board = BulletinBoard()
     replay_board.post_ballots(records)
     http_head = http_board.ballot_log.head()
@@ -147,6 +166,48 @@ def test_concurrent_http_casts_match_in_process_chain(gateway, group):
     # the identical record, so the wire hop cannot have changed payloads.
     for record in records:
         assert ballot_from_wire(group, ballot_to_wire(record)) == record
+    client.close()
+
+
+def test_healthz_answers_while_a_flush_is_running(make_gateway, monkeypatch):
+    """The event loop never runs a flush: ``/healthz`` answers during one."""
+    from repro.gateway.client import CastingSession
+    from repro.ledger.backends.memory import MemoryBackend
+
+    flushing = threading.Event()
+
+    class SlowBackend(MemoryBackend):
+        def append_ballots(self, records, payloads=None):
+            flushing.set()
+            time.sleep(0.05)
+            return super().append_ballots(records, payloads=payloads)
+
+    monkeypatch.setattr(
+        "repro.gateway.service.board_from_spec", lambda spec, group=None: SlowBackend()
+    )
+    # batch_size=1: every cast's append trips the board's flush.
+    fixture = make_gateway(ServiceConfig(governor=GovernorConfig(batch_size=1)))
+    client = fixture.client(client_id="caster")
+    client.create_election("slow", 2, 2)
+    session = CastingSession(client, "slow")
+    session.refresh()
+    wire = session.make_ballot_wire(session.register("voter-0000").credentials[0], 1)
+    probe = fixture.client(client_id="probe")
+    probe.health()  # connect before anything is timed
+
+    outcome = []
+    caster = threading.Thread(target=lambda: outcome.append(client.cast_ballots("slow", [wire])))
+    caster.start()
+    assert flushing.wait(timeout=30)
+    started = time.perf_counter()
+    health = probe.health()
+    elapsed = time.perf_counter() - started
+    caster.join(timeout=30)
+
+    assert health.status == "ok"
+    assert elapsed < 0.025, f"/healthz took {elapsed * 1e3:.1f} ms during a 50 ms flush"
+    assert outcome and outcome[0].ledger_seqs == [0]
+    probe.close()
     client.close()
 
 
