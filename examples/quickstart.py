@@ -13,9 +13,10 @@ Walks through the paper's workflow at the smallest possible scale:
 Run with:  python examples/quickstart.py
 """
 
+from repro.audit.checks import audit_tally
 from repro.crypto.modp_group import testing_group
 from repro.registration import ElectionSetup, Voter, run_registration
-from repro.tally.pipeline import TallyPipeline, verify_tally
+from repro.tally.pipeline import TallyPipeline
 from repro.voting.client import VotingClient
 
 
@@ -60,9 +61,10 @@ def main() -> None:
     # --- Tally ---------------------------------------------------------------
     pipeline = TallyPipeline(group, setup.authority, num_mixers=4, proof_rounds=8)
     result = pipeline.run(setup.board, num_options=2)
-    verified = verify_tally(group, setup.authority, setup.board, result)
+    report = audit_tally(group, setup.authority, setup.board, result, num_mixers=4, proof_rounds=8)
     print(f"tally: counts = {result.counts}, counted = {result.num_counted}, "
-          f"discarded fakes = {result.num_discarded}, universally verified = {verified}")
+          f"discarded fakes = {result.num_discarded}, "
+          f"universally verified = {report.ok} ({report.num_checks} checks)")
 
 
 if __name__ == "__main__":

@@ -438,7 +438,7 @@ def tally_audit_plan(
     num_mixers: Optional[int] = None,
     proof_rounds: Optional[int] = None,
 ) -> AuditPlan:
-    """Everything :func:`repro.tally.pipeline.verify_tally` used to check, as a plan.
+    """Universal verification of a published tally against the ledger, as a plan.
 
     Re-derives the mix inputs from the ledger through the cursor API exactly
     as the tally did (signature-checked, deduplicated, rotation-resolved),

@@ -98,14 +98,15 @@ class TallyEvidence:
 _SHARE_FIELDS = 4
 
 
-def decryption_material(dkg: DistributedKeyGeneration, ciphertext: ElGamalCiphertext, verify: bool = False) -> tuple:
+def decryption_material(dkg: DistributedKeyGeneration, ciphertext: ElGamalCiphertext) -> tuple:
     """Threshold-decrypt once: every member's four share fields, then the plaintext.
 
-    ``verify`` checks the shares before combining them, as ``dkg.decrypt`` does.
+    The shares are this call's own, so they are combined unchecked; judging
+    them is the audit's ``decryption-share`` kind.
     """
     shares = dkg.decryption_shares(ciphertext)
     plaintext = ElGamal(dkg.group).combine_decryption_shares(
-        ciphertext, dkg.member_public_keys, shares, verify=verify
+        ciphertext, dkg.member_public_keys, shares, verify=False
     )
     fields = [f for s in shares for f in (s.share, s.commitment_g, s.commitment_c1, s.response)]
     return (*fields, plaintext)
@@ -132,7 +133,7 @@ def decryption_transcript(
 
 
 def tag_chain_material(
-    dkg: DistributedKeyGeneration, tagging: TaggingAuthority, ciphertext: ElGamalCiphertext, verify: bool = False
+    dkg: DistributedKeyGeneration, tagging: TaggingAuthority, ciphertext: ElGamalCiphertext
 ) -> tuple:
     """Derive one blinded tag once, with its proofs: step material, then the decryption's.
 
@@ -141,7 +142,7 @@ def tag_chain_material(
     exponentiation chain, proof nonces never touch the output.
     """
     blinded, steps = tagging.blinding_material(ciphertext)
-    return (*steps, *decryption_material(dkg, blinded, verify))
+    return (*steps, *decryption_material(dkg, blinded))
 
 
 def tag_chain_evidence(

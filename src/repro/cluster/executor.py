@@ -62,8 +62,8 @@ def spawn_local_worker(
 ) -> "subprocess.Popen[bytes]":
     """Spawn one worker daemon subprocess enrolled against ``address``.
 
-    The child inherits the parent environment (so ``PYTHONPATH`` and
-    ``REPRO_PRECOMPUTE_CACHE`` carry over) with the enrollment secret
+    The child inherits the parent environment (so ``PYTHONPATH`` carries
+    over) with the enrollment secret
     injected as hex through ``REPRO_CLUSTER_SECRET`` — via the environment,
     not argv, so it never shows up in process listings.
     """

@@ -6,11 +6,9 @@ before it works**, and then executes ``TASK`` frames one at a time on a
 local :class:`~repro.runtime.executor.Executor`:
 
 * **Warm-before-TASK.**  Enrollment is only complete once the worker has
-  honoured ``REPRO_PRECOMPUTE_CACHE`` (importing :mod:`repro.runtime.
-  precompute` installs the disk cache from the environment, exactly as in
-  the parent process), built or loaded the fixed-base tables the
-  coordinator advertised in ``WELCOME`` (group generators and hot bases
-  like the election public key), and pre-spawned its local executor pool
+  built the fixed-base tables the coordinator advertised in ``WELCOME``
+  (group generators and hot bases like the election public key) and
+  pre-spawned its local executor pool
   (:meth:`~repro.runtime.executor.Executor.warm` — so a process-backed
   worker forks while still single-threaded).  The first ``HEARTBEAT`` it
   sends is the ready signal the coordinator gates dispatch on; a freshly
@@ -38,8 +36,6 @@ import sys
 import threading
 from typing import Any, List, Optional, Tuple
 
-# Importing the precompute module honours REPRO_PRECOMPUTE_CACHE at import
-# time — the satellite portability contract for freshly spawned workers.
 from repro import telemetry
 from repro.runtime import precompute
 from repro.runtime.executor import Executor, executor_from_spec
@@ -177,8 +173,7 @@ class WorkerDaemon:
 
         # Only now — with the coordinator authenticated — accept the
         # arbitrary-picklable warm payload, and warm before any TASK:
-        # precompute tables (disk-cached when REPRO_PRECOMPUTE_CACHE points
-        # somewhere) and the local pool.
+        # precompute tables and the local pool.
         warm = expect_frame(sock, FrameKind.WARM, self.codec).payload or {}
         for factory in warm.get("groups", ()):
             try:

@@ -38,9 +38,6 @@ class AuthorityShare:
     public: GroupElement
     backup_shares: List[Share] = field(default_factory=list)
 
-    def decryption_share(self, elgamal: ElGamal, ciphertext: ElGamalCiphertext) -> DecryptionShare:
-        return elgamal.decryption_share(self.secret, ciphertext, public_share=self.public)
-
 
 @dataclass
 class DistributedKeyGeneration:

@@ -9,7 +9,7 @@ The implementation exposes:
 
 * key generation, encryption, decryption;
 * re-encryption (used by the mix cascade);
-* the multiplicative homomorphism (used for blinding and PETs);
+* the multiplicative homomorphism (used for blinding);
 * decryption *shares* with Chaum–Pedersen correctness proofs, so a threshold
   of authority members can jointly decrypt with a publicly verifiable
   transcript.
@@ -95,7 +95,7 @@ class ElGamalCiphertext:
         return ElGamalCiphertext(self.c1 * other.c1, self.c2 * other.c2)
 
     def exponentiate(self, scalar: int) -> "ElGamalCiphertext":
-        """Raise the plaintext to ``scalar`` (used for blinding and PETs)."""
+        """Raise the plaintext to ``scalar`` (used for blinding)."""
         return ElGamalCiphertext(self.c1 ** scalar, self.c2 ** scalar)
 
     def __eq__(self, other: object) -> bool:
@@ -217,16 +217,6 @@ class ElGamal:
             response = (w + challenge * secret_share) % group.order
             shares.append(DecryptionShare(share, commitment_g, commitment_c1, response))
         return shares
-
-    def decryption_share(
-        self,
-        secret_share: int,
-        ciphertext: ElGamalCiphertext,
-        public_share: Optional[GroupElement] = None,
-    ) -> DecryptionShare:
-        """One member's share: :meth:`decryption_shares` for a single secret."""
-        public_shares = None if public_share is None else [public_share]
-        return self.decryption_shares([secret_share], ciphertext, public_shares)[0]
 
     def verify_decryption_share(
         self,

@@ -2,7 +2,7 @@
 
 Groups carry a ``name`` attribute (``"modp-2048"``, ``"ed25519"``, the toy
 ``"modp-toy-INSECURE"``), and several surfaces resolve a name back to the
-canonical factory: the precompute warm CLI, the gateway's ``ElectionInfo``
+canonical factory: the gateway's tenants and its ``ElectionInfo``
 schema (clients rebuild the election group from the name the service
 advertises), and the benchmark scripts.  Keeping the mapping here — instead
 of a private dict per call site — means a new group preset becomes usable

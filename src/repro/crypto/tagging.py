@@ -202,14 +202,10 @@ class TaggingAuthority:
         return blinded, self.steps_from_material(ciphertext, material)
 
     def blind_and_decrypt(
-        self,
-        dkg: DistributedKeyGeneration,
-        ciphertext: ElGamalCiphertext,
-        verify: bool = True,
+        self, dkg: DistributedKeyGeneration, ciphertext: ElGamalCiphertext
     ) -> GroupElement:
         """Blind a registration tag ciphertext and threshold-decrypt it."""
-        blinded = self.blind_ciphertext(ciphertext)
-        return dkg.decrypt(blinded, verify=verify)
+        return dkg.decrypt(self.blind_ciphertext(ciphertext), verify=False)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,7 @@ class VotegralElection:
         self.executor = self.config.make_executor()
         self.pipeline_spec = self.config.make_pipeline()
         self.setup: Optional[ElectionSetup] = None
+        self._session: Optional[RegistrationSession] = None
         self.clients: Dict[str, VotingClient] = {}
         self.outcomes: List[RegistrationOutcome] = []
         self.timing = PhaseTiming()
@@ -115,16 +116,25 @@ class VotegralElection:
         self.timing.setup_seconds = time.perf_counter() - start
         return self.setup
 
+    def register_voter(self, voter_id: str, activate: bool = True) -> RegistrationOutcome:
+        """Walk one voter through TRIP at this election's registrar site.
+
+        The site (one kiosk, one official, one booth supply) opens with the
+        first voter; nothing is kept per voter.
+        """
+        if self._session is None:
+            self._session = RegistrationSession(
+                setup=self.setup, profile=hardware_profile(self.config.hardware_profile)
+            )
+        voter = Voter(voter_id, num_fake_credentials=self.config.fake_credentials_per_voter)
+        return self._session.register(voter, activate=activate)
+
     def run_registration(self, activate: bool = True) -> List[RegistrationOutcome]:
         if self.setup is None:
             self.run_setup()
         start = time.perf_counter()
-        session = RegistrationSession(
-            setup=self.setup, profile=hardware_profile(self.config.hardware_profile)
-        )
         for voter_id in self.config.voter_ids():
-            voter = Voter(voter_id, num_fake_credentials=self.config.fake_credentials_per_voter)
-            outcome = session.register(voter, activate=activate)
+            outcome = self.register_voter(voter_id, activate=activate)
             self.outcomes.append(outcome)
             client = VotingClient(
                 group=self.group,
@@ -171,10 +181,8 @@ class VotegralElection:
         self._intended = choices
         return choices
 
-    def run_tally(self, verify: bool = True) -> TallyResult:
-        if self.setup is None or self.setup.board.num_ballots == 0:
-            raise ProtocolError("voting must happen before tallying")
-        start = time.perf_counter()
+    def tally(self) -> TallyResult:
+        """Run the tally pipeline over whatever the board holds."""
         pipeline = TallyPipeline(
             group=self.group,
             authority=self.setup.authority,
@@ -184,19 +192,29 @@ class VotegralElection:
             pipeline=self.pipeline_spec,
             collect_evidence=self.config.audit_evidence,
         )
-        result = pipeline.run(self.setup.board, self.config.num_options, self.config.election_id)
+        return pipeline.run(self.setup.board, self.config.num_options, self.config.election_id)
+
+    def audit(self, result: Optional[TallyResult] = None) -> AuditReport:
+        """The external-auditor path: chains, registration records and, given a
+        published ``result``, the full tally re-verification, under the
+        configured strategy."""
+        return audit_election(
+            self.setup.board,
+            self.config,
+            authority=self.setup.authority,
+            result=result,
+            kiosk_public_keys=self.setup.registrar.kiosk_public_keys,
+            executor=self.executor,
+        )
+
+    def run_tally(self, verify: bool = True) -> TallyResult:
+        if self.setup is None or self.setup.board.num_ballots == 0:
+            raise ProtocolError("voting must happen before tallying")
+        start = time.perf_counter()
+        result = self.tally()
         self.timing.tally_seconds = time.perf_counter() - start
         if verify:
-            # The external-auditor path: chains, registration records and the
-            # full tally re-verification, under the configured strategy.
-            self.audit_report = audit_election(
-                self.setup.board,
-                self.config,
-                authority=self.setup.authority,
-                result=result,
-                kiosk_public_keys=self.setup.registrar.kiosk_public_keys,
-                executor=self.executor,
-            )
+            self.audit_report = self.audit(result)
             self._verified = self.audit_report.ok
         else:
             self._verified = False

@@ -1,8 +1,10 @@
 """The gateway's domain layer: tenants, cast admission, and drain.
 
 One :class:`GatewayService` hosts many **tenants** — fully independent
-elections, each with its own bulletin board, authority, registrar and
-governor.  The HTTP layer (:mod:`repro.gateway.routes`) is a thin adapter
+elections.  A tenant is a :class:`~repro.election.pipeline.VotegralElection`
+behind a governor: setup, registration, tally and audit are that object's
+phases, so what the service runs is the pipeline the in-process driver
+runs.  The HTTP layer (:mod:`repro.gateway.routes`) is a thin adapter
 over this class, so every behaviour here is testable without a socket.
 
 The cast path has one batcher and one sequencer, and both are the tenant's
@@ -25,6 +27,7 @@ calls.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -32,6 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import telemetry
 from repro.crypto.registry import group_by_name
 from repro.election.config import ElectionConfig
+from repro.election.pipeline import VotegralElection
 from repro.errors import GatewayError
 from repro.gateway.governor import GovernorConfig, TenantGovernor
 from repro.gateway.schemas import (
@@ -48,14 +52,9 @@ from repro.gateway.schemas import (
     TallyResponse,
     ballot_from_wire,
 )
-from repro.ledger.api import board_from_spec
-from repro.ledger.backends.batched import AsyncIngestionFrontend, BatchedBoard
-from repro.ledger.bulletin_board import BulletinBoard
-from repro.registration.protocol import RegistrationSession
-from repro.registration.setup import ElectionSetup
-from repro.registration.voter import Voter
-from repro.runtime.executor import executor_from_spec
-from repro.tally.pipeline import TallyPipeline, TallyResult
+from repro.ledger.backends.batched import AsyncIngestionFrontend
+from repro.spec import BOARD
+from repro.tally.pipeline import TallyResult
 
 STATUS_OPEN = "open"
 STATUS_CLOSED = "closed"
@@ -98,30 +97,43 @@ class ServiceConfig:
     proof_rounds: int = 2
     governor: GovernorConfig = field(default_factory=GovernorConfig.from_env)
 
+    def election_config(self, request: CreateElectionRequest, group_name: str) -> ElectionConfig:
+        """The one mapping from this service and a create request to an election.
+
+        Every tenant board is write-behind batched (the cast path's one
+        batcher): a spec that is not already ``batched`` is wrapped at the
+        governor's batch size.
+        """
+        board_spec = self.board_spec
+        if BOARD.parse(board_spec)[0] != "batched":
+            board_spec = f"batched:{self.governor.batch_size}:{board_spec}"
+        return ElectionConfig(
+            num_voters=request.num_voters,
+            num_options=request.num_options,
+            num_authority_members=request.num_authority_members or 3,
+            num_mixers=self.num_mixers,
+            proof_rounds=self.proof_rounds,
+            election_id=request.election_id,
+            group_factory=functools.partial(group_by_name, group_name),
+            executor_spec=self.executor_spec,
+            board_spec=board_spec,
+            audit_spec=self.audit_spec,
+        )
+
 
 class ElectionTenant:
-    """One hosted election: board, actors, governor, and status."""
+    """One hosted election: a set-up :class:`VotegralElection` behind a governor."""
 
     def __init__(
-        self,
-        election_id: str,
-        group_name: str,
-        setup: ElectionSetup,
-        session: RegistrationSession,
-        num_voters: int,
-        num_options: int,
-        service_config: ServiceConfig,
+        self, election: VotegralElection, group_name: str, governor: GovernorConfig
     ) -> None:
-        self.election_id = election_id
+        self.election = election
+        self.election_id = election.config.election_id
         self.group_name = group_name
-        self.setup = setup
-        self.session = session
-        self.num_voters = num_voters
-        self.num_options = num_options
-        self.service_config = service_config
+        self.setup = election.setup
         self.status = STATUS_OPEN
-        self.governor = TenantGovernor(config=service_config.governor)
-        self.frontend = AsyncIngestionFrontend(setup.board.backend)
+        self.governor = TenantGovernor(config=governor)
+        self.frontend = AsyncIngestionFrontend(self.setup.board.backend)
         #: Cast requests awaiting their append; ``_quiet`` is set whenever
         #: there are none, which is what close and shutdown wait on.
         self._in_flight = 0
@@ -205,12 +217,9 @@ class ElectionTenant:
             return await asyncio.to_thread(self._register_blocking, request.voter_id)
 
     def _register_blocking(self, voter_id: str) -> RegisterResponse:
-        outcome = self.session.register(Voter(voter_id=voter_id))
-        log = self.setup.board.registration_log
-        payload = outcome.record.payload()
-        ledger_seq = max(
-            entry.index for entry in log.entries() if entry.payload == payload
-        )
+        outcome = self.election.register_voter(voter_id)
+        # The roll's entries head the registration log, one per eligible voter.
+        ledger_seq = self.election.config.num_voters + outcome.ledger_seq
         credentials = [
             CredentialWire(
                 voter_id=voter_id,
@@ -236,7 +245,7 @@ class ElectionTenant:
         if self.status == STATUS_OPEN:
             raise ConflictError(f"election {self.election_id!r} must be closed before tallying")
         if self.tally_result is None:
-            self.tally_result = await asyncio.to_thread(self._tally_blocking)
+            self.tally_result = await asyncio.to_thread(self.election.tally)
             self.status = STATUS_TALLIED
             self._publish(
                 AuditStreamEvent(event="status", election_id=self.election_id, status=self.status)
@@ -252,17 +261,6 @@ class ElectionTenant:
             num_discarded=result.num_discarded,
             winner=result.winner(),
         )
-
-    def _tally_blocking(self) -> TallyResult:
-        executor = executor_from_spec(self.service_config.executor_spec)
-        pipeline = TallyPipeline(
-            group=self.setup.group,
-            authority=self.setup.authority,
-            num_mixers=self.service_config.num_mixers,
-            proof_rounds=self.service_config.proof_rounds,
-            executor=executor,
-        )
-        return pipeline.run(self.setup.board, self.num_options, election_id=self.election_id)
 
     async def audit_report(self) -> AuditReportWire:
         if self.status == STATUS_OPEN:
@@ -283,27 +281,12 @@ class ElectionTenant:
         return wire
 
     def _audit_blocking(self) -> AuditReportWire:
-        from repro.audit.checks import audit_election
-        from repro.election.config import ElectionConfig
-
         started = time.monotonic()
-        config = ElectionConfig(
-            election_id=self.election_id,
-            audit_spec=self.service_config.audit_spec,
-            num_mixers=self.service_config.num_mixers,
-            proof_rounds=self.service_config.proof_rounds,
-        )
-        report = audit_election(
-            self.setup.board,
-            config=config,
-            authority=self.setup.authority,
-            result=self.tally_result,
-            kiosk_public_keys=self.setup.registrar.kiosk_public_keys,
-        )
+        report = self.election.audit(self.tally_result)
         wire = AuditReportWire(
             election_id=self.election_id,
             ok=report.ok,
-            strategy=self.service_config.audit_spec,
+            strategy=self.election.config.audit_spec,
             num_checks=report.num_checks,
             num_failed=report.num_failed,
             fingerprint=report.fingerprint(),
@@ -324,25 +307,26 @@ class ElectionTenant:
         return wire
 
     async def shutdown(self) -> None:
-        """Wait out in-flight casts, flush the board, release resources."""
+        """Wait out in-flight casts, flush the board, release executor and board."""
         await self.stop_admitter()
         for queue in self._subscribers:
             queue.put_nowait(None)
         self._subscribers.clear()
-        await asyncio.to_thread(self.setup.board.close)
+        await asyncio.to_thread(self.election.close)
 
     # ------------------------------------------------------------------ queries
 
     def info(self) -> ElectionInfo:
         board = self.setup.board
+        config = self.election.config
         return ElectionInfo(
             election_id=self.election_id,
             status=self.status,
             group=self.group_name,
             generator=self.setup.group.generator.to_bytes(),
             authority_public_key=self.setup.authority_public_key.to_bytes(),
-            num_options=self.num_options,
-            num_voters=self.num_voters,
+            num_options=config.num_options,
+            num_voters=config.num_voters,
             num_registered=board.num_registered,
             num_ballots=board.num_ballots,
             pending_casts=self.governor.queued,
@@ -404,29 +388,13 @@ class GatewayService:
         return tenant.info()
 
     def _build_tenant(self, request: CreateElectionRequest, group_name: str) -> ElectionTenant:
-        group = group_by_name(group_name)
-        backend = board_from_spec(self.config.board_spec, group=group)
-        if not isinstance(backend, BatchedBoard):
-            backend = BatchedBoard(backend, batch_size=self.config.governor.batch_size)
-        board = BulletinBoard(backend)
-        width = max(4, len(str(request.num_voters)))
-        voter_ids = [f"voter-{index:0{width}d}" for index in range(request.num_voters)]
-        setup = ElectionSetup.run(
-            group,
-            voter_ids,
-            num_authority_members=request.num_authority_members or 3,
-            board=board,
-        )
-        session = RegistrationSession(setup=setup)
-        return ElectionTenant(
-            election_id=request.election_id,
-            group_name=group_name,
-            setup=setup,
-            session=session,
-            num_voters=request.num_voters,
-            num_options=request.num_options,
-            service_config=self.config,
-        )
+        election = VotegralElection(self.config.election_config(request, group_name))
+        try:
+            election.run_setup()
+        except BaseException:
+            election.close()
+            raise
+        return ElectionTenant(election, group_name, self.config.governor)
 
     # ---------------------------------------------------------------- handlers
 
@@ -502,8 +470,8 @@ class GatewayService:
             tenants[election_id] = {
                 "status": tenant.status,
                 "group": tenant.group_name,
-                "num_voters": tenant.num_voters,
-                "num_options": tenant.num_options,
+                "num_voters": tenant.election.config.num_voters,
+                "num_options": tenant.election.config.num_options,
                 "num_registered": board.num_registered,
                 "num_ballots": board.num_ballots,
                 "queued": tenant.governor.queued,

@@ -66,6 +66,8 @@ class RegistrationOfficial:
     latency: LatencyLedger = field(default_factory=LatencyLedger)
     issued_tickets: List[CheckInTicket] = field(default_factory=list)
     notifications: List[str] = field(default_factory=list)
+    #: The sequence number the registration ledger gave the latest check-out.
+    last_ledger_seq: int = -1
 
     def __post_init__(self) -> None:
         self._scanner = CodeScanner(profile=self.profile, ledger=self.latency)
@@ -136,7 +138,7 @@ class RegistrationOfficial:
             official_public_key=self.keypair.public,
             official_signature=official_signature,
         )
-        self.board.post_registration(record)
+        self.last_ledger_seq = self.board.post_registration(record)
         return record
 
     def _notify(self, voter_id: str) -> None:

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.crypto.group import Group
-from repro.errors import ProtocolError
 from repro.ledger.records import RegistrationRecord
 from repro.peripherals.clock import LatencyLedger
 from repro.peripherals.hardware import HardwareProfile, hardware_profile
 from repro.registration.kiosk import Kiosk, KioskSession
-from repro.registration.materials import Envelope
+from repro.registration.materials import Envelope, EnvelopeSymbol
 from repro.registration.official import RegistrationOfficial
 from repro.registration.setup import ElectionSetup
 from repro.registration.vsd import ActivationReport, VoterSupportingDevice
@@ -35,6 +34,8 @@ class RegistrationOutcome:
     activation_reports: List[ActivationReport]
     vsd: VoterSupportingDevice
     latency: LatencyLedger
+    #: The sequence number the registration ledger's append gave ``record``.
+    ledger_seq: int = -1
 
     @property
     def all_activated(self) -> bool:
@@ -96,6 +97,19 @@ class RegistrationSession:
             self.setup.restock_envelopes(needed - len(self.setup.envelope_supply) + 10)
         self.booth_envelopes.extend(self.setup.take_envelopes(needed))
 
+    def pick_envelope_with(self, symbol: EnvelopeSymbol) -> Envelope:
+        """The voter's pick among the booth envelopes bearing ``symbol``.
+
+        The stock's symbols are random, so it can lack the one the kiosk
+        printed; an official then brings in one envelope *of that symbol*,
+        which makes the pick total.
+        """
+        if all(envelope.symbol != symbol for envelope in self.booth_envelopes):
+            self.booth_envelopes.extend(
+                self.setup.envelope_printers[0].print_envelopes(1, symbols=[symbol])
+            )
+        return Voter.pick_envelope(self.booth_envelopes, symbol=symbol)
+
     def _consume_envelope(self, envelope: Envelope) -> None:
         self.booth_envelopes.remove(envelope)
 
@@ -127,13 +141,7 @@ class RegistrationSession:
 
         # 3. Real credential (sound order).
         self.kiosk.begin_real_credential(session)
-        try:
-            real_envelope = voter.pick_envelope(self.booth_envelopes, symbol=session.pending_symbol)
-        except ProtocolError:
-            # No envelope with the printed symbol left in the booth: an
-            # official tops up the supply and the voter tries again.
-            self.restock_booth(len(self.booth_envelopes) + 2 * self.setup.min_envelopes_per_booth)
-            real_envelope = voter.pick_envelope(self.booth_envelopes, symbol=session.pending_symbol)
+        real_envelope = self.pick_envelope_with(session.pending_symbol)
         receipt = self.kiosk.complete_real_credential(session, real_envelope)
         self._consume_envelope(real_envelope)
         voter.assemble_credential(
@@ -184,6 +192,7 @@ class RegistrationSession:
             activation_reports=reports,
             vsd=vsd,
             latency=latency,
+            ledger_seq=self.official.last_ledger_seq,
         )
 
 

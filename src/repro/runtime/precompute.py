@@ -34,38 +34,26 @@ Small groups (below :data:`MIN_ORDER_BITS` of order) are left untouched —
 CPython's native ``pow`` beats any Python-level table there, and the test
 suite's toy group stays on the exact reference path.
 
-Tables are pure public data (powers of a public base), so they can be
-**persisted**: point :func:`set_disk_cache` (or the
-``REPRO_PRECOMPUTE_CACHE`` environment variable) at a directory and every
-table built is serialized there, keyed by group, base and window width.
-Process pools and repeated runs then load the table (one decode pass)
-instead of rebuilding it (``⌈bits/w⌉ · 2^w`` group operations) — CI warms
-the cache once per workspace via ``python -m repro.runtime.precompute``.
+Tables live in memory only: decoding a stored table re-validates every
+element, which on Ed25519 (a subgroup scalar multiplication each) costs far
+more than building it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from collections import OrderedDict
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto import bigint as _bigint_module
 from repro.crypto import elgamal as _elgamal_module
 from repro.crypto import group as _group_module
 from repro.crypto.group import Group, GroupElement
-from repro.spec import env
 
 MIN_ORDER_BITS = 192
 DEFAULT_WINDOW_BITS = 5
 AUTO_BUILD_THRESHOLD = 8
 MAX_TABLES = 32
 _MAX_TRACKED_BASES = 4096
-
-#: Bump when the on-disk layout changes; stale entries are simply ignored.
-DISK_FORMAT_VERSION = 1
 
 _BaseKey = Tuple[int, bytes]
 
@@ -96,19 +84,6 @@ class FixedBaseTable:
             rows.append(row)
             row_base = current  # row_base ** radix
         self._rows = rows
-
-    @classmethod
-    def from_rows(
-        cls, base: GroupElement, window_bits: int, rows: Sequence[Sequence[GroupElement]]
-    ) -> "FixedBaseTable":
-        """Rebuild a table from previously computed rows (disk-cache load)."""
-        table = cls.__new__(cls)
-        table.base = base
-        table.window_bits = window_bits
-        table._order = base.group.order
-        table._identity = base.group.identity
-        table._rows = [list(row) for row in rows]
-        return table
 
     @property
     def num_group_elements(self) -> int:
@@ -175,150 +150,11 @@ def _base_key(base: GroupElement) -> _BaseKey:
     return (id(base.group), base.to_bytes())
 
 
-# ---------------------------------------------------------------------------
-# Disk cache: tables are public data, so persist them across processes/runs
-# ---------------------------------------------------------------------------
-
-_disk_cache_dir: Optional[Path] = None
-_disk_hits = 0
-_disk_misses = 0
-
-
-def set_disk_cache(path: Optional[os.PathLike]) -> Optional[Path]:
-    """Point the table disk cache at ``path`` (``None`` disables it).
-
-    Returns the previous cache directory.  The directory is created lazily on
-    first write; loads and saves are best-effort — any I/O or decode problem
-    silently falls back to an in-memory build, so a corrupt or unwritable
-    cache can never break a tally.
-    """
-    global _disk_cache_dir
-    previous = _disk_cache_dir
-    # expanduser: CI and shells hand in "~/.cache/..." unexpanded via env vars.
-    _disk_cache_dir = Path(path).expanduser() if path is not None else None
-    return previous
-
-
-def disk_cache_dir() -> Optional[Path]:
-    return _disk_cache_dir
-
-
-def disk_cache_stats() -> Tuple[int, int]:
-    """``(hits, misses)`` of disk-cache lookups since process start."""
-    return (_disk_hits, _disk_misses)
-
-
-def _cache_file(group: Group, base_bytes: bytes, window_bits: int) -> Optional[Path]:
-    if _disk_cache_dir is None:
-        return None
-    digest = hashlib.sha256(
-        b"|".join(
-            [
-                b"fixed-base-table",
-                str(DISK_FORMAT_VERSION).encode(),
-                group.name.encode(),
-                str(group.order).encode(),
-                base_bytes,
-                str(window_bits).encode(),
-            ]
-        )
-    ).hexdigest()
-    return _disk_cache_dir / f"table-{digest}.json"
-
-
-def _save_table(table: FixedBaseTable) -> bool:
-    """Serialize ``table`` into the disk cache; returns True on success.
-
-    The format is plain JSON over hex strings — deliberately *not* pickle,
-    so a crafted cache entry can corrupt at worst a lookup (caught below and
-    by universal verification), never execute code at load time.
-    """
-    group = table.base.group
-    path = _cache_file(group, table.base.to_bytes(), table.window_bits)
-    if path is None:
-        return False
-    payload = {
-        "format": DISK_FORMAT_VERSION,
-        "group": group.name,
-        "order": str(group.order),
-        "base": table.base.to_bytes().hex(),
-        "window_bits": table.window_bits,
-        "rows": [[element.to_bytes().hex() for element in row] for row in table._rows],
-    }
-    temporary = path.with_suffix(f".tmp.{os.getpid()}")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(temporary, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(temporary, path)  # atomic: concurrent writers race benignly
-        return True
-    except (OSError, TypeError, ValueError):
-        # Best-effort by contract: an unwritable directory must never break
-        # the tally that triggered the build.
-        try:
-            temporary.unlink()
-        except OSError:
-            pass
-        return False
-
-
-def _load_table(base: GroupElement, window_bits: int) -> Optional[FixedBaseTable]:
-    """Deserialize the table for ``base`` from the disk cache, if present.
-
-    Validates the payload's identity fields and shape, decodes every element
-    through the group's canonical decoder, and spot-checks the layout (row 0
-    digit 1 must be the base itself).  A fully-consistent forgery beyond that
-    would still be caught downstream: wrong powers produce wrong proofs,
-    which universal verification rejects.
-    """
-    global _disk_hits, _disk_misses
-    group = base.group
-    path = _cache_file(group, base.to_bytes(), window_bits)
-    if path is None:
-        return None
-    try:
-        with open(path, "r") as handle:
-            payload = json.load(handle)
-        if (
-            payload["format"] != DISK_FORMAT_VERSION
-            or payload["group"] != group.name
-            or payload["order"] != str(group.order)
-            or payload["base"] != base.to_bytes().hex()
-            or payload["window_bits"] != window_bits
-        ):
-            _disk_misses += 1
-            return None
-        radix = 1 << window_bits
-        digits = (group.order.bit_length() + window_bits - 1) // window_bits
-        raw_rows = payload["rows"]
-        if len(raw_rows) != digits or any(len(row) != radix for row in raw_rows):
-            _disk_misses += 1
-            return None
-        rows = [[group.element_from_bytes(bytes.fromhex(data)) for data in row] for row in raw_rows]
-        if rows[0][1] != base or any(row[0] != group.identity for row in rows):
-            _disk_misses += 1
-            return None
-        _disk_hits += 1
-        return FixedBaseTable.from_rows(base, window_bits, rows)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, EOFError, TypeError):
-        _disk_misses += 1
-        return None
-
-
 def _install_table(key: _BaseKey, table: FixedBaseTable) -> None:
     while len(_tables) >= MAX_TABLES:
         _tables.popitem(last=False)  # evict least recently used
     _tables[key] = table
     _usage.pop(key, None)
-
-
-def _build_or_load(base: GroupElement, window_bits: int) -> FixedBaseTable:
-    """Load the table from the disk cache when possible, else build and save it."""
-    table = _load_table(base, window_bits)
-    if table is None:
-        table = FixedBaseTable(base, window_bits)
-        _save_table(table)
-    return table
 
 
 def warm_fixed_base(base: GroupElement, window_bits: int = DEFAULT_WINDOW_BITS) -> Optional[FixedBaseTable]:
@@ -332,7 +168,7 @@ def warm_fixed_base(base: GroupElement, window_bits: int = DEFAULT_WINDOW_BITS) 
     key = _base_key(base)
     table = _tables.get(key)
     if table is None:
-        table = _build_or_load(base, window_bits)
+        table = FixedBaseTable(base, window_bits)
         _install_table(key, table)
     else:
         _tables.move_to_end(key)
@@ -353,7 +189,7 @@ def element_power(base: GroupElement, scalar: int) -> GroupElement:
     if table is None:
         count = _usage.get(key, 0) + 1
         if count >= AUTO_BUILD_THRESHOLD:
-            table = _build_or_load(base, DEFAULT_WINDOW_BITS)
+            table = FixedBaseTable(base, DEFAULT_WINDOW_BITS)
             _install_table(key, table)
         else:
             if len(_usage) >= _MAX_TRACKED_BASES:
@@ -423,47 +259,3 @@ _elgamal_module.set_element_power_hook(element_power, has_table)
 # Cached tables hold elements of the pre-switch group singletons, so a bigint
 # backend switch (test/tooling hook) must drop them alongside the groups.
 _bigint_module.register_reset_hook(clear_tables)
-
-# Honour the environment switch at import so forked workers, CLI runs and CI
-# jobs share one cache directory without any plumbing.
-set_disk_cache(env("REPRO_PRECOMPUTE_CACHE"))
-
-
-def _warm_main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CI entry point
-    """``python -m repro.runtime.precompute``: pre-build generator tables.
-
-    CI warms the cache once per (pip-cached) workspace so every subsequent
-    test/bench process loads the large-group generator tables from disk.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Warm the fixed-base table disk cache.")
-    parser.add_argument(
-        "--cache-dir",
-        default=env("REPRO_PRECOMPUTE_CACHE") or str(Path.home() / ".cache" / "repro-votegral" / "precompute"),
-        help="cache directory (default: $REPRO_PRECOMPUTE_CACHE or ~/.cache/repro-votegral/precompute)",
-    )
-    parser.add_argument(
-        "--groups",
-        nargs="*",
-        default=["modp-2048", "modp-3072"],
-        choices=["modp-2048", "modp-3072", "modp-256", "ed25519"],
-        help="which groups' generator tables to warm",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.crypto.registry import group_by_name
-
-    set_disk_cache(args.cache_dir)
-    for name in args.groups:
-        group = group_by_name(name)
-        table = warm_fixed_base(group.generator)
-        status = "skipped (small group)" if table is None else f"{table.num_group_elements} elements"
-        print(f"warmed {name}: {status}")
-    hits, misses = disk_cache_stats()
-    print(f"disk cache at {args.cache_dir}: {hits} hit(s), {misses} miss(es)")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(_warm_main())

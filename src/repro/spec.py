@@ -194,8 +194,6 @@ class Knob(NamedTuple):
 KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_BIGINT", "str", "auto", "repro.crypto.bigint",
          "Process-wide big-integer backend (a `bigint_spec` form), resolved once on first use."),
-    Knob("REPRO_PRECOMPUTE_CACHE", "path", None, "repro.runtime.precompute",
-         "Directory of the fixed-base table disk cache; unset keeps tables in memory only."),
     Knob("REPRO_TELEMETRY", "str", None, "repro.telemetry",
          "A `telemetry_spec` form child processes attach to; written by `telemetry.configure`. Unset means off."),
     Knob("REPRO_TELEMETRY_SAMPLE", "rate 0-1 (clamped)", 1.0, "repro.telemetry.context",

@@ -17,16 +17,15 @@ After the voting deadline the tally service:
    anyone can re-verify the tally from the ledger alone.
 """
 
-from repro.tally.mixnet import TupleShuffle, shuffle_tuples_with_proof, tuple_mix_cascade, verify_tuple_cascade
+from repro.tally.mixnet import TupleShuffle, shuffle_tuples_with_proof, tuple_mix_cascade
 from repro.tally.filter import FilterResult, filter_ballots, deduplicate_ballots
 from repro.tally.decrypt import DecryptedVote, decrypt_votes
-from repro.tally.pipeline import TallyPipeline, TallyResult, verify_tally
+from repro.tally.pipeline import TallyPipeline, TallyResult
 
 __all__ = [
     "TupleShuffle",
     "shuffle_tuples_with_proof",
     "tuple_mix_cascade",
-    "verify_tuple_cascade",
     "FilterResult",
     "filter_ballots",
     "deduplicate_ballots",
@@ -34,5 +33,4 @@ __all__ = [
     "decrypt_votes",
     "TallyPipeline",
     "TallyResult",
-    "verify_tally",
 ]

@@ -34,17 +34,15 @@ def _decrypt_one(
     dkg: DistributedKeyGeneration,
     ciphertext: ElGamalCiphertext,
     num_options: int,
-    verify: bool,
 ) -> DecryptedVote:
     """Decrypt one ballot — module-level so process executors can run it."""
-    return _decode_choice(dkg, dkg.decrypt(ciphertext, verify=verify), num_options)
+    return _decode_choice(dkg, dkg.decrypt(ciphertext, verify=False), num_options)
 
 
 def decrypt_batch(
     dkg: DistributedKeyGeneration,
     ciphertexts: Sequence[ElGamalCiphertext],
     num_options: int,
-    verify: bool = False,
     executor: Optional[Executor] = None,
     proofs: Optional[List[tuple]] = None,
 ) -> List[DecryptedVote]:
@@ -55,9 +53,9 @@ def decrypt_batch(
     decoded from that result and the material is appended to ``proofs``.
     """
     if proofs is None:
-        jobs = [(dkg, ciphertext, num_options, verify) for ciphertext in ciphertexts]
+        jobs = [(dkg, ciphertext, num_options) for ciphertext in ciphertexts]
         return parallel_starmap(_decrypt_one, jobs, executor=executor)
-    jobs = [(dkg, ciphertext, verify) for ciphertext in ciphertexts]
+    jobs = [(dkg, ciphertext) for ciphertext in ciphertexts]
     material = parallel_starmap(decryption_material, jobs, executor=executor)
     proofs.extend(material)
     return [_decode_choice(dkg, fields[-1], num_options) for fields in material]
@@ -67,7 +65,6 @@ def decrypt_votes(
     dkg: DistributedKeyGeneration,
     ciphertexts: Sequence[ElGamalCiphertext],
     num_options: int,
-    verify: bool = True,
     executor: Optional[Executor] = None,
     proofs: Optional[List[tuple]] = None,
 ) -> List[DecryptedVote]:
@@ -77,7 +74,7 @@ def decrypt_votes(
     executor; ballot order (and thus the published vote list) is preserved.
     """
     with telemetry.span("tally.decrypt", items=len(ciphertexts)):
-        return decrypt_batch(dkg, ciphertexts, num_options, verify, executor, proofs)
+        return decrypt_batch(dkg, ciphertexts, num_options, executor, proofs)
 
 
 def aggregate(votes: Sequence[DecryptedVote], num_options: int) -> Dict[int, int]:

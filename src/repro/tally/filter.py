@@ -51,17 +51,15 @@ def _blinded_tag_bytes(
     tagging: TaggingAuthority,
     dkg: DistributedKeyGeneration,
     ciphertext: ElGamalCiphertext,
-    verify: bool,
 ) -> bytes:
     """One tag derivation — module-level so process executors can run it."""
-    return tagging.blind_and_decrypt(dkg, ciphertext, verify=verify).to_bytes()
+    return tagging.blind_and_decrypt(dkg, ciphertext).to_bytes()
 
 
 def blinded_tags(
     dkg: DistributedKeyGeneration,
     tagging: TaggingAuthority,
     ciphertexts: Sequence[ElGamalCiphertext],
-    verify: bool = False,
     executor: Optional[Executor] = None,
     proofs: Optional[List[tuple]] = None,
 ) -> List[bytes]:
@@ -72,9 +70,9 @@ def blinded_tags(
     that result and the material is appended to ``proofs``.  Same bytes either way.
     """
     if proofs is None:
-        jobs = [(tagging, dkg, ciphertext, verify) for ciphertext in ciphertexts]
+        jobs = [(tagging, dkg, ciphertext) for ciphertext in ciphertexts]
         return parallel_starmap(_blinded_tag_bytes, jobs, executor=executor)
-    jobs = [(dkg, tagging, ciphertext, verify) for ciphertext in ciphertexts]
+    jobs = [(dkg, tagging, ciphertext) for ciphertext in ciphertexts]
     material = parallel_starmap(tag_chain_material, jobs, executor=executor)
     proofs.extend(material)
     return [chain[-1].to_bytes() for chain in material]
@@ -134,7 +132,6 @@ def filter_ballots(
     tagging: TaggingAuthority,
     mixed_pairs: Sequence[Tuple[ElGamalCiphertext, ElGamalCiphertext]],
     mixed_registration_tags: Sequence[ElGamalCiphertext],
-    verify: bool = True,
     executor: Optional[Executor] = None,
     proofs: Optional[List[tuple]] = None,
 ) -> FilterResult:
@@ -153,7 +150,7 @@ def filter_ballots(
     """
     ciphertexts = [*mixed_registration_tags, *(credential for _, credential in mixed_pairs)]
     with telemetry.span("tally.tag", items=len(ciphertexts)):
-        all_tags = blinded_tags(dkg, tagging, ciphertexts, verify, executor, proofs)
+        all_tags = blinded_tags(dkg, tagging, ciphertexts, executor, proofs)
     registration_tags = all_tags[: len(mixed_registration_tags)]
     pair_tags = all_tags[len(mixed_registration_tags) :]
 

@@ -26,8 +26,8 @@ Civitas) are preserved; the substitution is recorded in
 
 This module *produces* proofs.  Judging one is the audit layer's job:
 :func:`repro.audit.checks.cascade_checks` is the only place a published
-cascade becomes checks, and :func:`verify_tuple_cascade` is a bool shim over
-it.
+cascade becomes checks, and a verifier's :class:`~repro.audit.api.AuditReport`
+the only verdict.
 """
 
 from __future__ import annotations
@@ -320,31 +320,6 @@ def tuple_mix_cascade(
         stages.append(stage)
         current = stage.outputs
     return TupleCascade(stages=stages)
-
-
-def verify_tuple_cascade(
-    elgamal: ElGamal,
-    public_key: GroupElement,
-    inputs: Sequence[CiphertextTuple],
-    cascade: TupleCascade,
-    executor: Optional[Executor] = None,
-    audit_spec: str = "batched",
-    num_mixers: Optional[int] = None,
-    proof_rounds: Optional[int] = None,
-) -> bool:
-    """Is ``cascade`` a valid mix of ``inputs``?  Bool shim over the audit API.
-
-    Builds :func:`repro.audit.checks.cascade_checks` and runs it under the
-    strategy ``audit_spec`` names (the ``ElectionConfig.audit_spec``
-    grammar); callers that want the failure locus keep the report instead.
-    """
-    from repro.audit.api import AuditPlan, verifier_from_spec
-    from repro.audit.checks import cascade_checks
-
-    checks = cascade_checks(
-        elgamal, public_key, inputs, cascade, num_mixers=num_mixers, proof_rounds=proof_rounds
-    )
-    return verifier_from_spec(audit_spec, executor).run(AuditPlan(checks)).ok
 
 
 # ---------------------------------------------------------------------------

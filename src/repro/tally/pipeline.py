@@ -4,7 +4,7 @@
 and produces a :class:`TallyResult`: per-candidate totals plus every proof an
 auditor needs (ballot validity filter, the two mix cascades, the tagging
 chains implicit in the filter, and the threshold-decryption shares are
-re-checkable through :func:`verify_tally`).
+re-checked by :func:`repro.audit.checks.audit_tally`).
 
 Two schedules produce that result, selected by ``pipeline``
 (:class:`~repro.runtime.pipeline.PipelineSpec`, configured per election via
@@ -363,11 +363,11 @@ class TallyPipeline:
         )
         tag_proofs, vote_proofs = ([], []) if self.collect_evidence else (None, None)
         filter_result = filter_ballots(
-            self.authority, tagging, mixed_pairs, mixed_registrations, verify=False, executor=ex, proofs=tag_proofs
+            self.authority, tagging, mixed_pairs, mixed_registrations, executor=ex, proofs=tag_proofs
         )
 
         votes = decrypt_votes(
-            self.authority, filter_result.counted, num_options, verify=False, executor=ex, proofs=vote_proofs
+            self.authority, filter_result.counted, num_options, executor=ex, proofs=vote_proofs
         )
         return self._result(
             view, ballots, registration_cascade, ballot_cascade, filter_result, votes, num_options,
@@ -482,38 +482,3 @@ class TallyPipeline:
 #: Anything the tally can read a board from: the facade, a raw backend, or a view.
 Board = Union[BulletinBoard, LedgerBackend, BoardView]
 
-
-def verify_tally(
-    group: Group,
-    authority: DistributedKeyGeneration,
-    board: Board,
-    result: TallyResult,
-    election_id: str = "default",
-    rotations=None,
-    executor: Optional[Executor] = None,
-    audit_spec: str = "batched",
-    num_mixers: Optional[int] = None,
-    proof_rounds: Optional[int] = None,
-) -> bool:
-    """Universal verification: re-check the published tally against the ledger.
-
-    A bool-returning shim over :func:`repro.audit.checks.audit_tally`: the
-    auditor re-derives the mix inputs from the ledger (through the same
-    read-only :class:`~repro.ledger.api.BoardView` cursor API the tally
-    uses), then executes the full :func:`~repro.audit.checks.
-    tally_audit_plan` — chain walks, both mix cascades, the published
-    tagging/decryption evidence when the result carries one, and the count
-    invariants — under the strategy ``audit_spec`` names (the same grammar
-    as ``ElectionConfig.audit_spec``), with the cascades' shape pinned to the
-    auditor's ``num_mixers`` / ``proof_rounds`` when given.  Auditors who
-    want the failure locus instead of a bool call ``audit_tally`` directly
-    and keep the :class:`~repro.audit.api.AuditReport`.
-    """
-    from repro.audit.checks import audit_tally
-
-    ex = resolve_executor(executor)
-    return audit_tally(
-        group, authority, board, result,
-        election_id=election_id, rotations=rotations, verifier=audit_spec, executor=ex,
-        num_mixers=num_mixers, proof_rounds=proof_rounds,
-    ).ok

@@ -12,8 +12,7 @@ shared by every process (``python -m repro.telemetry summarize
 
 State is process-global and lazily attached: :func:`configure` exports
 ``REPRO_TELEMETRY`` so pool children and spawned cluster workers that import
-this module resolve the same spec on first use — the same environment path
-``REPRO_PRECOMPUTE_CACHE`` travels.  Usage::
+this module resolve the same spec on first use.  Usage::
 
     from repro import telemetry
 

@@ -25,8 +25,7 @@ Design constraints, in order of importance:
    workers) interleave *lines*, never bytes within a line.
 4. **Children re-attach via the environment.**  ``configure()`` exports
    ``REPRO_TELEMETRY``; any subprocess that imports this module lazily
-   resolves the same spec on first use — the same propagation path
-   ``REPRO_PRECOMPUTE_CACHE`` uses to reach pool and cluster workers.
+   resolves the same spec on first use.
 """
 
 from __future__ import annotations

@@ -159,16 +159,17 @@ class TestAuditElection:
         failing = {result_.name for result_ in report.failures}
         assert "evidence.join-consistent" in failing
 
-    def test_verify_tally_shim_parity(self, voted_election):
-        from repro.tally.pipeline import verify_tally
-
+    @pytest.mark.parametrize("spec", ["batched", "eager", "stream:4", "dist:4"])
+    def test_every_strategy_reports_the_same_verdict(self, voted_election, spec):
         election, result = voted_election
-        args = (election.group, election.setup.authority, election.setup.board, result)
-        assert verify_tally(*args)
-        assert verify_tally(*args, audit_spec="eager")
-        assert verify_tally(*args, audit_spec="stream:4")
+        args = (election.group, election.setup.authority, election.setup.board)
+        honest = audit_tally(*args, result, verifier=spec)
+        assert honest.ok
+        assert honest.fingerprint() == audit_tally(*args, result).fingerprint()
         tampered = replace(result, counts={**result.counts, 0: result.counts[0] + 5})
-        assert not verify_tally(election.group, election.setup.authority, election.setup.board, tampered)
+        report = audit_tally(*args, tampered, verifier=spec)
+        assert not report.ok
+        assert report.first_failure == audit_tally(*args, tampered).first_failure
 
     def test_audit_without_result_checks_board_only(self, voted_election):
         election, _ = voted_election

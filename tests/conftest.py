@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.audit.api import AuditPlan, verifier_from_spec
+from repro.audit.checks import cascade_checks
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import ElGamal
 from repro.crypto.modp_group import testing_group
@@ -25,6 +27,21 @@ def group():
 @pytest.fixture(scope="session")
 def elgamal(group):
     return ElGamal(group)
+
+
+@pytest.fixture(scope="session")
+def cascade_report():
+    """``report(elgamal, public_key, inputs, cascade, ...)``: one cascade, judged.
+
+    The audit layer is the only judge of a mix proof, so a test that wants a
+    verdict on a cascade runs its checks and reads the report.
+    """
+
+    def report(elgamal, public_key, inputs, cascade, executor=None, audit_spec="batched", **pinned):
+        checks = cascade_checks(elgamal, public_key, inputs, cascade, **pinned)
+        return verifier_from_spec(audit_spec, executor).run(AuditPlan(checks))
+
+    return report
 
 
 @pytest.fixture()

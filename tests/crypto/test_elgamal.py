@@ -86,20 +86,20 @@ class TestDecryptionShares:
     def test_share_verifies(self, group, elgamal):
         keys = elgamal.keygen()
         ciphertext = elgamal.encrypt(keys.public, group.power(3))
-        share = elgamal.decryption_share(keys.secret, ciphertext)
+        share = elgamal.decryption_shares([keys.secret], ciphertext)[0]
         assert elgamal.verify_decryption_share(keys.public, ciphertext, share)
 
     def test_share_with_wrong_secret_fails_verification(self, group, elgamal):
         keys = elgamal.keygen()
         other = elgamal.keygen()
         ciphertext = elgamal.encrypt(keys.public, group.power(3))
-        bogus = elgamal.decryption_share(other.secret, ciphertext)
+        bogus = elgamal.decryption_shares([other.secret], ciphertext)[0]
         assert not elgamal.verify_decryption_share(keys.public, ciphertext, bogus)
 
     def test_combine_requires_valid_shares(self, group, elgamal, dkg):
         message = group.power(21)
         ciphertext = elgamal.encrypt(dkg.public_key, message)
-        shares = [member.decryption_share(elgamal, ciphertext) for member in dkg.members]
+        shares = dkg.decryption_shares(ciphertext)
         publics = [member.public for member in dkg.members]
         assert elgamal.combine_decryption_shares(ciphertext, publics, shares) == message
         # Corrupt one share: verification must reject it.
@@ -108,7 +108,7 @@ class TestDecryptionShares:
 
     def test_combine_share_count_mismatch(self, group, elgamal, dkg):
         ciphertext = elgamal.encrypt(dkg.public_key, group.power(1))
-        shares = [member.decryption_share(elgamal, ciphertext) for member in dkg.members]
+        shares = dkg.decryption_shares(ciphertext)
         with pytest.raises(ValueError):
             elgamal.combine_decryption_shares(ciphertext, [dkg.members[0].public], shares)
 

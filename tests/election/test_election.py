@@ -71,6 +71,47 @@ class TestFullElection:
         with pytest.raises(ProtocolError):
             election.run_tally()
 
+    def test_register_voter_keeps_nothing_per_voter(self):
+        """One registrar site per election, opened with the first voter; the
+        outcomes and clients are ``run_registration``'s business."""
+        config = ElectionConfig(num_voters=3, fake_credentials_per_voter=2)
+        election = VotegralElection(config)
+        election.run_setup()
+        assert election._session is None
+        first = election.register_voter("voter-0002")
+        site = election._session
+        second = election.register_voter("voter-0000", activate=False)
+        assert election._session is site
+        assert (first.ledger_seq, second.ledger_seq) == (0, 1)
+        assert len(first.voter.credentials) == 3 and first.real_activated
+        assert second.activation_reports == []
+        assert election.outcomes == [] and election.clients == {}
+        assert election.setup.board.num_registered == 2
+
+    def test_run_registration_registers_the_roll_through_register_voter(self):
+        config = ElectionConfig(num_voters=3)
+        election = VotegralElection(config)
+        outcomes = election.run_registration()
+        assert [outcome.voter.voter_id for outcome in outcomes] == config.voter_ids()
+        assert [outcome.ledger_seq for outcome in outcomes] == [0, 1, 2]
+        assert list(election.clients) == config.voter_ids()
+
+    def test_run_tally_is_a_guard_and_a_clock_around_tally_and_audit(self):
+        config = ElectionConfig(num_voters=3, proof_rounds=2, num_mixers=2)
+        with VotegralElection(config) as election:
+            election.run_voting(rng=random.Random(3), fake_vote_probability=0.0)
+            unverified = election.run_tally(verify=False)
+            assert election.audit_report is None and election.timing.tally_seconds > 0
+            # The two calls it makes, made directly: no guard, no timing.
+            before = election.timing.tally_seconds
+            result = election.tally()
+            report = election.audit(result)
+            assert election.timing.tally_seconds == before
+            assert result.counts == unverified.counts
+            assert report.ok and election.audit_report is None
+            # Without a result the audit covers the board alone.
+            assert election.audit().num_checks < report.num_checks
+
     def test_phase_timings_recorded(self):
         config = ElectionConfig(num_voters=3, proof_rounds=2, num_mixers=2)
         election = VotegralElection(config)

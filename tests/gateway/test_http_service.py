@@ -182,9 +182,8 @@ def test_healthz_answers_while_a_flush_is_running(make_gateway, monkeypatch):
             time.sleep(0.05)
             return super().append_ballots(records, payloads=payloads)
 
-    monkeypatch.setattr(
-        "repro.gateway.service.board_from_spec", lambda spec, group=None: SlowBackend()
-    )
+    # The tenant's board is ``batched:1:memory``; make that inner backend slow.
+    monkeypatch.setattr("repro.ledger.backends.memory.MemoryBackend", SlowBackend)
     # batch_size=1: every cast's append trips the board's flush.
     fixture = make_gateway(ServiceConfig(governor=GovernorConfig(batch_size=1)))
     client = fixture.client(client_id="caster")

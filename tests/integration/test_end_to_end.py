@@ -4,7 +4,8 @@
 from repro.election import ElectionConfig, VotegralElection
 from repro.registration.protocol import RegistrationSession, run_registration
 from repro.registration.voter import Voter
-from repro.tally.pipeline import TallyPipeline, verify_tally
+from repro.audit.checks import audit_tally
+from repro.tally.pipeline import TallyPipeline
 from repro.voting.client import VotingClient
 
 
@@ -61,7 +62,7 @@ class TestCoercedVoterScenario:
         result = pipeline.run(small_setup.board, num_options=2)
         assert result.counts == {0: 1, 1: 2}          # Alice's real vote counted
         assert result.num_discarded == 1              # the coerced decoy did not
-        assert verify_tally(small_setup.group, small_setup.authority, small_setup.board, result)
+        assert audit_tally(small_setup.group, small_setup.authority, small_setup.board, result).ok
 
     def test_reregistration_invalidates_stolen_credential(self, small_setup):
         """Impersonation recovery (Appendix J): after re-registering, ballots

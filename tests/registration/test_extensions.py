@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.audit.checks import audit_tally
 from repro.crypto.schnorr import SigningKeyPair, schnorr_keygen
 from repro.errors import ProtocolError, VerificationError
 from repro.registration.extensions import (
@@ -17,7 +18,7 @@ from repro.registration.kiosk import Kiosk
 from repro.registration.official import RegistrationOfficial
 from repro.registration.protocol import RegistrationSession, run_registration
 from repro.registration.voter import Voter
-from repro.tally.pipeline import TallyPipeline, verify_tally
+from repro.tally.pipeline import TallyPipeline
 from repro.voting.ballot import make_ballot
 from repro.voting.client import VotingClient
 
@@ -101,7 +102,7 @@ class TestCredentialRotation:
         pipeline = TallyPipeline(group, small_setup.authority, num_mixers=2, proof_rounds=2)
         result = pipeline.run(small_setup.board, num_options=2, rotations=registry)
         assert result.counts == {0: 0, 1: 1}
-        assert verify_tally(group, small_setup.authority, small_setup.board, result, rotations=registry)
+        assert audit_tally(group, small_setup.authority, small_setup.board, result, rotations=registry).ok
 
     def test_fake_credentials_rotate_identically(self, small_setup):
         """Rotation must not leak realness: fake credentials rotate the same way."""

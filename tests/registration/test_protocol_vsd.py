@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import ProtocolError, VerificationError
+from repro.errors import VerificationError
 from repro.peripherals.clock import Component
-from repro.registration.materials import CredentialState
+from repro.registration.materials import CredentialState, EnvelopeSymbol
 from repro.registration.protocol import RegistrationSession, run_registration
 from repro.registration.voter import Voter
 from repro.registration.vsd import VoterSupportingDevice
@@ -35,6 +35,25 @@ class TestRegistrationWorkflow:
         assert first.real_activated and second.real_activated
         # Per-outcome latency must not accumulate across voters.
         assert abs(first.total_wall_seconds - second.total_wall_seconds) < first.total_wall_seconds
+
+    def test_a_booth_without_the_printed_symbol_is_restocked_with_it(self, small_setup, monkeypatch):
+        """The kiosk prints a star; the booth holds circles only.  One star
+        envelope is brought in, so the voter's pick cannot miss."""
+        printer = small_setup.envelope_printers[0]
+        circles = printer.print_envelopes(25, symbols=[EnvelopeSymbol.CIRCLE] * 25)
+        session = RegistrationSession(setup=small_setup, booth_envelopes=list(circles))
+        monkeypatch.setattr(EnvelopeSymbol, "random", classmethod(lambda cls: EnvelopeSymbol.STAR))
+        outcome = session.register(Voter("alice", num_fake_credentials=1))
+        assert outcome.real_activated
+        assert outcome.voter.real_credential().envelope.symbol is EnvelopeSymbol.STAR
+        # 25 circles + the one star, less the real and the fake credential's envelopes.
+        assert len(session.booth_envelopes) == 24
+        assert all(envelope.symbol is EnvelopeSymbol.CIRCLE for envelope in session.booth_envelopes)
+
+    def test_outcome_carries_the_ledgers_sequence_number(self, small_setup):
+        session = RegistrationSession(setup=small_setup)
+        seqs = [session.register(Voter(voter_id)).ledger_seq for voter_id in ("carol", "alice")]
+        assert seqs == [0, 1]
 
     def test_latency_covers_all_phases(self, small_setup):
         outcome = run_registration(small_setup, Voter("carol", num_fake_credentials=1))
@@ -90,13 +109,7 @@ class TestActivationChecks:
         ticket = session.official.check_in(voter.voter_id)
         kiosk_session = session.kiosk.authorize(ticket)
         session.kiosk.begin_real_credential(kiosk_session)
-        try:
-            envelope = voter.pick_envelope(session.booth_envelopes, symbol=kiosk_session.pending_symbol)
-        except ProtocolError:
-            # The booth's random stock lacks the printed symbol (0.8^20, about
-            # 1 run in 90): top up and retry, exactly as ``register`` does.
-            session.restock_booth(len(session.booth_envelopes) + 2 * small_setup.min_envelopes_per_booth)
-            envelope = voter.pick_envelope(session.booth_envelopes, symbol=kiosk_session.pending_symbol)
+        envelope = session.pick_envelope_with(kiosk_session.pending_symbol)
         receipt = session.kiosk.complete_real_credential(kiosk_session, envelope)
         credential = voter.assemble_credential(receipt, envelope, is_real=True, observed_sound_order=True)
         vsd = self._fresh_vsd(small_setup, "alice")

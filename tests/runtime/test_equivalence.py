@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.audit.checks import audit_tally
 from repro.crypto.group import Group
 from repro.crypto.tagging import TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
@@ -26,7 +27,7 @@ from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecut
 from repro.tally import mixnet
 from repro.tally.decrypt import decrypt_votes
 from repro.tally.filter import filter_ballots
-from repro.tally.pipeline import TallyPipeline, verify_tally
+from repro.tally.pipeline import TallyPipeline
 
 NUM_VOTERS = 5
 NUM_OPTIONS = 2
@@ -99,14 +100,14 @@ class TestFullPipelineBitIdentical:
         tagging = TaggingAuthority.create(voted_election.group, voted_election.setup.authority.num_members)
         for name, executor in backends.items():
             result = _run_tally(voted_election, executor, tagging)
-            assert verify_tally(
+            assert audit_tally(
                 voted_election.group,
                 voted_election.setup.authority,
                 voted_election.setup.board,
                 result,
                 voted_election.config.election_id,
                 executor=executor,
-            ), f"{name} tally failed universal verification"
+            ).ok, f"{name} tally failed universal verification"
             assert sum(result.counts.values()) == NUM_VOTERS
 
 
@@ -140,7 +141,7 @@ class TestStageDeterminism:
         reference = None
         for executor in backends.values():
             outcome = filter_ballots(
-                authority, tagging, mixed_pairs, mixed_registrations, verify=False, executor=executor
+                authority, tagging, mixed_pairs, mixed_registrations, executor=executor
             )
             if reference is None:
                 reference = outcome
@@ -150,14 +151,14 @@ class TestStageDeterminism:
         authority, _, _, _, result = mixed_stage_inputs
         reference = None
         for executor in backends.values():
-            votes = decrypt_votes(authority, result.filter_result.counted, NUM_OPTIONS, verify=False, executor=executor)
+            votes = decrypt_votes(authority, result.filter_result.counted, NUM_OPTIONS, executor=executor)
             if reference is None:
                 reference = votes
             assert votes == reference
 
 
 class TestTamperedCascadesRejected:
-    def test_batched_cascade_verification_rejects_tampering(self, voted_election, backends):
+    def test_batched_cascade_verification_rejects_tampering(self, voted_election, backends, cascade_report):
         """Swapping two mixed outputs must fail verification on every backend,
         with the batched openings check and with the exact reference check.
 
@@ -193,10 +194,10 @@ class TestTamperedCascadesRejected:
         ]
         for name, executor in backends.items():
             for audit_spec in ("eager", "batched"):
-                assert not mixnet.verify_tuple_cascade(
+                assert not cascade_report(
                     pipeline.elgamal, authority.public_key, ballot_inputs, forged,
                     executor=executor, audit_spec=audit_spec,
-                ), f"forged cascade accepted ({name}, {audit_spec})"
-        assert mixnet.verify_tuple_cascade(
+                ).ok, f"forged cascade accepted ({name}, {audit_spec})"
+        assert cascade_report(
             pipeline.elgamal, authority.public_key, ballot_inputs, result.ballot_cascade
-        )
+        ).ok

@@ -12,13 +12,12 @@ from repro.tally.mixnet import (
     random_permutation,
     shuffle_tuples_with_proof,
     tuple_mix_cascade,
-    verify_tuple_cascade,
 )
 
 
-def _verify_shuffle(elgamal, public_key, inputs, shuffle, **kwargs):
+def _alone(shuffle):
     """One shuffle is a one-stage cascade: there is no second verifier."""
-    return verify_tuple_cascade(elgamal, public_key, inputs, TupleCascade(stages=[shuffle]), **kwargs)
+    return TupleCascade(stages=[shuffle])
 
 
 @pytest.fixture()
@@ -53,9 +52,9 @@ class TestPermutation:
 
 
 class TestTupleShuffle:
-    def test_honest_shuffle_verifies(self, elgamal, dkg, pairs):
+    def test_honest_shuffle_verifies(self, elgamal, dkg, pairs, cascade_report):
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, pairs, rounds=6)
-        assert _verify_shuffle(elgamal, dkg.public_key, pairs, shuffled)
+        assert cascade_report(elgamal, dkg.public_key, pairs, _alone(shuffled)).ok
 
     def test_pairs_stay_linked(self, group, elgamal, dkg, pairs):
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, pairs, rounds=4)
@@ -72,38 +71,48 @@ class TestTupleShuffle:
         )
         assert decrypted == original
 
-    def test_tampered_output_rejected(self, group, elgamal, dkg, pairs):
+    def test_tampered_output_rejected(self, group, elgamal, dkg, pairs, cascade_report):
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, pairs, rounds=6)
         outputs = list(shuffled.outputs)
         outputs[0] = (outputs[0][0], elgamal.encrypt(dkg.public_key, group.power(999)))
         tampered = TupleShuffle(outputs=outputs, rounds=shuffled.rounds)
-        assert not _verify_shuffle(elgamal, dkg.public_key, pairs, tampered)
+        assert not cascade_report(elgamal, dkg.public_key, pairs, _alone(tampered)).ok
 
-    def test_cascade(self, elgamal, dkg, pairs):
+    @pytest.mark.parametrize(
+        "pinned, locus",
+        [
+            ({}, None),
+            ({"num_mixers": 3, "proof_rounds": 3}, None),
+            ({"num_mixers": 4}, "cascade.stages"),
+            ({"proof_rounds": 4}, "cascade[0].rounds"),
+        ],
+    )
+    def test_cascade(self, elgamal, dkg, pairs, cascade_report, pinned, locus):
+        """An honest cascade passes unpinned and pinned to its own shape, and
+        is a proof of a weaker claim when the auditor expected more."""
         cascade = tuple_mix_cascade(elgamal, dkg.public_key, pairs, num_mixers=3, rounds=3)
         assert len(cascade.stages) == 3
-        assert verify_tuple_cascade(elgamal, dkg.public_key, pairs, cascade)
-        assert verify_tuple_cascade(elgamal, dkg.public_key, pairs, cascade, num_mixers=3, proof_rounds=3)
-        assert not verify_tuple_cascade(elgamal, dkg.public_key, pairs, cascade, num_mixers=4)
-        assert not verify_tuple_cascade(elgamal, dkg.public_key, pairs, cascade, proof_rounds=4)
+        report = cascade_report(elgamal, dkg.public_key, pairs, cascade, **pinned)
+        assert report.ok == (locus is None)
+        assert locus is None or report.first_failure.name == locus
 
-    def test_single_tuples(self, group, elgamal, dkg):
+    def test_single_tuples(self, group, elgamal, dkg, cascade_report):
         singles = [(elgamal.encrypt(dkg.public_key, group.power(value)),) for value in range(3)]
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=4)
-        assert _verify_shuffle(elgamal, dkg.public_key, singles, shuffled)
+        assert cascade_report(elgamal, dkg.public_key, singles, _alone(shuffled)).ok
 
     @pytest.mark.parametrize("audit_spec", ["eager", "batched", "stream:4:1", "dist:4"])
-    def test_shuffle_without_rounds_proves_nothing(self, group, elgamal, dkg, pairs, audit_spec):
+    def test_shuffle_without_rounds_proves_nothing(self, group, elgamal, dkg, pairs, audit_spec, cascade_report):
         """``rounds=[]`` with any outputs used to verify under every entry point."""
         substituted = [
             (elgamal.encrypt(dkg.public_key, group.encode_int(1)), credential) for _, credential in pairs
         ]
         for outputs in (substituted, substituted[:2], []):
             forged = TupleShuffle(outputs=outputs, rounds=[])
-            assert not _verify_shuffle(elgamal, dkg.public_key, pairs, forged, audit_spec=audit_spec)
-        assert not verify_tuple_cascade(
+            assert not cascade_report(elgamal, dkg.public_key, pairs, _alone(forged), audit_spec=audit_spec).ok
+        assert not cascade_report(
             elgamal, dkg.public_key, pairs, TupleCascade(stages=[]), audit_spec=audit_spec
-        )
+        ).ok
 
 
 class TestSingleCiphertextShuffle:
@@ -117,56 +126,56 @@ class TestSingleCiphertextShuffle:
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=2)
         assert all(output not in singles for output in shuffled.outputs)
 
-    def test_honest_shuffle_verifies_with_one_round_per_requested_bit(self, elgamal, dkg, singles):
+    def test_honest_shuffle_verifies_with_one_round_per_requested_bit(self, elgamal, dkg, singles, cascade_report):
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=6)
         assert len(shuffled.rounds) == 6
-        assert _verify_shuffle(elgamal, dkg.public_key, singles, shuffled, proof_rounds=6)
+        assert cascade_report(elgamal, dkg.public_key, singles, _alone(shuffled), proof_rounds=6).ok
 
-    def test_tampered_output_rejected(self, group, elgamal, dkg, singles):
+    def test_tampered_output_rejected(self, group, elgamal, dkg, singles, cascade_report):
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=8)
         outputs = [(elgamal.encrypt(dkg.public_key, group.power(99)),)] + shuffled.outputs[1:]
         tampered = TupleShuffle(outputs=outputs, rounds=shuffled.rounds)
-        assert not _verify_shuffle(elgamal, dkg.public_key, singles, tampered)
+        assert not cascade_report(elgamal, dkg.public_key, singles, _alone(tampered)).ok
 
-    def test_reordered_output_rejected(self, elgamal, dkg, singles):
+    def test_reordered_output_rejected(self, elgamal, dkg, singles, cascade_report):
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=8)
         reordered = TupleShuffle(outputs=list(reversed(shuffled.outputs)), rounds=shuffled.rounds)
-        assert not _verify_shuffle(elgamal, dkg.public_key, singles, reordered)
+        assert not cascade_report(elgamal, dkg.public_key, singles, _alone(reordered)).ok
 
-    def test_proof_bound_to_inputs(self, group, elgamal, dkg, singles):
+    def test_proof_bound_to_inputs(self, group, elgamal, dkg, singles, cascade_report):
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, singles, rounds=8)
         others = [(elgamal.encrypt(dkg.public_key, group.power(value + 10)),) for value in range(5)]
-        assert not _verify_shuffle(elgamal, dkg.public_key, others, shuffled)
+        assert not cascade_report(elgamal, dkg.public_key, others, _alone(shuffled)).ok
 
-    def test_single_element_shuffle(self, group, elgamal, dkg):
+    def test_single_element_shuffle(self, group, elgamal, dkg, cascade_report):
         single = [(elgamal.encrypt(dkg.public_key, group.power(1)),)]
         shuffled = shuffle_tuples_with_proof(elgamal, dkg.public_key, single, rounds=4)
-        assert _verify_shuffle(elgamal, dkg.public_key, single, shuffled)
+        assert cascade_report(elgamal, dkg.public_key, single, _alone(shuffled)).ok
 
-    def test_empty_inputs(self, elgamal, dkg):
+    def test_empty_inputs(self, elgamal, dkg, cascade_report):
         cascade = tuple_mix_cascade(elgamal, dkg.public_key, [], num_mixers=2, rounds=2)
         assert cascade.outputs == []
-        assert verify_tuple_cascade(elgamal, dkg.public_key, [], cascade, num_mixers=2, proof_rounds=2)
+        assert cascade_report(elgamal, dkg.public_key, [], cascade, num_mixers=2, proof_rounds=2).ok
         assert TupleCascade(stages=[]).outputs == []
-        assert verify_tuple_cascade(elgamal, dkg.public_key, [], TupleCascade(stages=[]))
+        assert cascade_report(elgamal, dkg.public_key, [], TupleCascade(stages=[])).ok
 
-    def test_cascade_verifies_and_preserves_plaintexts(self, group, elgamal, dkg, singles):
+    def test_cascade_verifies_and_preserves_plaintexts(self, group, elgamal, dkg, singles, cascade_report):
         cascade = tuple_mix_cascade(elgamal, dkg.public_key, singles, num_mixers=3, rounds=4)
-        assert verify_tuple_cascade(elgamal, dkg.public_key, singles, cascade)
+        assert cascade_report(elgamal, dkg.public_key, singles, cascade).ok
         assert _plaintexts(group, dkg, cascade.outputs) == list(range(5))
 
     def test_cascade_has_one_stage_per_mixer(self, elgamal, dkg, singles):
         cascade = tuple_mix_cascade(elgamal, dkg.public_key, singles, num_mixers=4, rounds=2)
         assert len(cascade.stages) == 4
 
-    def test_tampered_middle_stage_detected(self, group, elgamal, dkg, singles):
+    def test_tampered_middle_stage_detected(self, group, elgamal, dkg, singles, cascade_report):
         cascade = tuple_mix_cascade(elgamal, dkg.public_key, singles, num_mixers=2, rounds=4)
         tampered_stage = TupleShuffle(
             outputs=[(elgamal.encrypt(dkg.public_key, group.power(7)),)] * len(singles),
             rounds=cascade.stages[0].rounds,
         )
         tampered = TupleCascade(stages=[tampered_stage, cascade.stages[1]])
-        assert not verify_tuple_cascade(elgamal, dkg.public_key, singles, tampered)
+        assert not cascade_report(elgamal, dkg.public_key, singles, tampered).ok
 
 
 class TestDeduplication:
@@ -207,7 +216,7 @@ class TestTagFiltering:
             (elgamal.encrypt(dkg.public_key, group.encode_int(1)), elgamal.encrypt(dkg.public_key, real.public)),
             (elgamal.encrypt(dkg.public_key, group.encode_int(0)), elgamal.encrypt(dkg.public_key, fake.public)),
         ]
-        result = filter_ballots(dkg, tagging, mixed_pairs, [registration_tag], verify=False)
+        result = filter_ballots(dkg, tagging, mixed_pairs, [registration_tag])
         assert len(result.counted) == 1
         assert result.discarded == 1
         assert group.decode_int(dkg.decrypt(result.counted[0])) == 1
@@ -221,7 +230,7 @@ class TestTagFiltering:
             elgamal.encrypt(dkg.public_key, group.encode_int(v)),
             elgamal.encrypt(dkg.public_key, real.public),
         )
-        result = filter_ballots(dkg, tagging, [pair(1), pair(0)], [registration_tag], verify=False)
+        result = filter_ballots(dkg, tagging, [pair(1), pair(0)], [registration_tag])
         assert len(result.counted) == 1
         assert result.duplicate_tags == 1
 
@@ -231,7 +240,7 @@ class TestTagFiltering:
         pairs = [
             (elgamal.encrypt(dkg.public_key, group.encode_int(0)), elgamal.encrypt(dkg.public_key, fake.public))
         ]
-        result = filter_ballots(dkg, tagging, pairs, [], verify=False)
+        result = filter_ballots(dkg, tagging, pairs, [])
         assert result.counted == []
         assert result.discarded == 1
 
@@ -242,5 +251,5 @@ class TestTagFiltering:
         pairs = [
             (elgamal.encrypt(dkg.public_key, group.encode_int(1)), elgamal.encrypt(dkg.public_key, real.public))
         ]
-        result = filter_ballots(dkg, tagging, pairs, [registration_tag], verify=False)
+        result = filter_ballots(dkg, tagging, pairs, [registration_tag])
         assert result.ballot_tags[0] == result.registration_tags[0]

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.audit.checks import audit_tally
 from repro.errors import TallyError
 from repro.registration.protocol import RegistrationSession
 from repro.registration.voter import Voter
 from repro.tally.decrypt import aggregate, decrypt_votes
-from repro.tally.pipeline import TallyPipeline, verify_tally
+from repro.tally.pipeline import TallyPipeline
 from repro.voting.client import VotingClient
+
+AUDIT_SPECS = ("eager", "batched", "stream:4")
 
 
 def _register_and_vote(setup, votes, fake_votes=None):
@@ -34,13 +37,13 @@ def _register_and_vote(setup, votes, fake_votes=None):
 class TestDecryptHelpers:
     def test_decrypt_and_aggregate(self, group, elgamal, dkg):
         ciphertexts = [elgamal.encrypt_int(dkg.public_key, value) for value in (0, 1, 1)]
-        votes = decrypt_votes(dkg, ciphertexts, num_options=2, verify=False)
+        votes = decrypt_votes(dkg, ciphertexts, num_options=2)
         assert aggregate(votes, 2) == {0: 1, 1: 2}
 
     def test_invalid_plaintext_raises(self, group, elgamal, dkg):
         bogus = [elgamal.encrypt(dkg.public_key, group.power(500))]
         with pytest.raises(TallyError):
-            decrypt_votes(dkg, bogus, num_options=2, verify=False)
+            decrypt_votes(dkg, bogus, num_options=2)
 
 
 class TestTallyPipeline:
@@ -67,18 +70,26 @@ class TestTallyPipeline:
         result = pipeline.run(small_setup.board, num_options=2)
         assert result.counts == {0: 0, 1: 1}
 
-    def test_universal_verification_accepts_honest_tally(self, small_setup):
+    @pytest.mark.parametrize("spec", AUDIT_SPECS)
+    def test_universal_verification_accepts_honest_tally(self, small_setup, spec):
         _register_and_vote(small_setup, {"alice": 1, "bob": 0})
         pipeline = TallyPipeline(small_setup.group, small_setup.authority, num_mixers=2, proof_rounds=4)
         result = pipeline.run(small_setup.board, num_options=2)
-        assert verify_tally(small_setup.group, small_setup.authority, small_setup.board, result)
+        report = audit_tally(
+            small_setup.group, small_setup.authority, small_setup.board, result, verifier=spec
+        )
+        assert report.ok, report.failures
 
-    def test_universal_verification_rejects_tampered_counts(self, small_setup):
+    @pytest.mark.parametrize("spec", AUDIT_SPECS)
+    def test_universal_verification_rejects_tampered_counts(self, small_setup, spec):
         _register_and_vote(small_setup, {"alice": 1, "bob": 0})
         pipeline = TallyPipeline(small_setup.group, small_setup.authority, num_mixers=2, proof_rounds=4)
         result = pipeline.run(small_setup.board, num_options=2)
         result.counts[1] += 5
-        assert not verify_tally(small_setup.group, small_setup.authority, small_setup.board, result)
+        report = audit_tally(
+            small_setup.group, small_setup.authority, small_setup.board, result, verifier=spec
+        )
+        assert [failure.name for failure in report.failures] == ["tally.counts-sum"]
 
     def test_winner_helper(self, small_setup):
         _register_and_vote(small_setup, {"alice": 1, "bob": 1, "carol": 0})

@@ -25,7 +25,7 @@ import time
 import pytest
 
 from repro.audit.api import AuditPlan, EagerVerifier, verifier_from_spec
-from repro.audit.checks import cascade_checks
+from repro.audit.checks import audit_tally, cascade_checks
 from repro.crypto.elgamal import ElGamal
 from repro.crypto.group import Group
 from repro.crypto.tagging import TaggingAuthority
@@ -38,9 +38,8 @@ from repro.tally.mixnet import (
     TupleCascade,
     streaming_tuple_mix_cascade,
     tuple_mix_cascade,
-    verify_tuple_cascade,
 )
-from repro.tally.pipeline import TallyPipeline, verify_tally
+from repro.tally.pipeline import TallyPipeline
 
 NUM_VOTERS = 5
 NUM_OPTIONS = 2
@@ -117,7 +116,7 @@ def _cascade_inputs(group, count=9):
 
 
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_streaming_cascade_bit_identical(monkeypatch, voted_election, backends, backend):
+def test_streaming_cascade_bit_identical(monkeypatch, voted_election, backends, backend, cascade_report):
     group = voted_election.group
     elgamal, public_key, inputs = _cascade_inputs(group)
 
@@ -129,17 +128,17 @@ def test_streaming_cascade_bit_identical(monkeypatch, voted_election, backends, 
         executor=backends[backend], pipeline=STREAM_SPEC,
     )
     assert streamed == serial
-    assert verify_tuple_cascade(elgamal, public_key, inputs, streamed)
-    assert verify_tuple_cascade(
+    assert cascade_report(elgamal, public_key, inputs, streamed).ok
+    assert cascade_report(
         elgamal, public_key, inputs, serial, executor=backends[backend], audit_spec=STREAM_AUDIT
-    )
+    ).ok
 
 
-def test_streaming_cascade_empty_and_single():
+def test_streaming_cascade_empty_and_single(cascade_report):
     group = VotegralElection(ElectionConfig(num_voters=1)).group
     elgamal, public_key, inputs = _cascade_inputs(group, count=1)
     streamed = streaming_tuple_mix_cascade(elgamal, public_key, inputs, 2, PROOF_ROUNDS, pipeline=STREAM_SPEC)
-    assert verify_tuple_cascade(elgamal, public_key, inputs, streamed)
+    assert cascade_report(elgamal, public_key, inputs, streamed).ok
     empty = streaming_tuple_mix_cascade(elgamal, public_key, [], 2, PROOF_ROUNDS, pipeline=STREAM_SPEC)
     assert empty.outputs == []
 
@@ -158,14 +157,14 @@ def test_streamed_tally_bit_identical(monkeypatch, voted_election, backends, bac
     streamed = _run_tally(voted_election, backends[backend], tagging, pipeline=STREAM_SPEC)
 
     assert streamed == reference  # counts, cascades+proofs, filter transcript, votes
-    assert verify_tally(
+    assert audit_tally(
         group, voted_election.setup.authority, voted_election.setup.board, streamed,
         voted_election.config.election_id,
-    )
-    assert verify_tally(
+    ).ok
+    assert audit_tally(
         group, voted_election.setup.authority, voted_election.setup.board, reference,
-        voted_election.config.election_id, executor=backends[backend], audit_spec=STREAM_AUDIT,
-    )
+        voted_election.config.election_id, executor=backends[backend], verifier=STREAM_AUDIT,
+    ).ok
 
 
 def test_streamed_tally_on_sqlite_board(monkeypatch, tmp_path):
@@ -190,10 +189,10 @@ def test_streamed_tally_on_sqlite_board(monkeypatch, tmp_path):
     assert streamed == reference
     # The tally only reads: every hash chain must still verify afterwards.
     assert election.setup.board.verify_all_chains()
-    assert verify_tally(
+    assert audit_tally(
         election.group, election.setup.authority, election.setup.board, streamed,
-        config.election_id, audit_spec=STREAM_AUDIT,
-    )
+        config.election_id, verifier=STREAM_AUDIT,
+    ).ok
     election.close()
 
 

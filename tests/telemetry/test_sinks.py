@@ -63,8 +63,7 @@ def test_read_jsonl_skips_torn_lines(tmp_path):
 def test_subprocess_reattaches_from_environment(tmp_path):
     """A child process with ``REPRO_TELEMETRY`` set joins the same trace.
 
-    This is the process-pool propagation contract (same path as
-    ``REPRO_PRECOMPUTE_CACHE``): the parent configures, the environment
+    This is the process-pool propagation contract: the parent configures, the environment
     carries the spec, and the child's lazy resolve attaches the jsonl sink —
     its spans stream in live and its counters flush at exit.
     """

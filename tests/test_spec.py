@@ -198,9 +198,9 @@ def test_every_knob_reads_unset_set_and_garbage(knob, monkeypatch):
 
 def test_knob_table_counts_and_ownership():
     owners = [knob.owner for knob in spec.KNOBS.values()]
-    assert len([owner for owner in owners if owner.startswith("repro.")]) == 10
+    assert len([owner for owner in owners if owner.startswith("repro.")]) == 9
     assert len([owner for owner in owners if owner.startswith("tests/")]) == 6
-    assert len(owners) == 16 and all(knob.doc for knob in spec.KNOBS.values())
+    assert len(owners) == 15 and all(knob.doc for knob in spec.KNOBS.values())
 
 
 def test_undeclared_variables_cannot_be_read():
