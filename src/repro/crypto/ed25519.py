@@ -13,32 +13,32 @@ point.  Arbitrary decoded points are checked for subgroup membership
 (cofactor-8 check) so small-subgroup elements are rejected, which is what the
 kyber suite does for protocol-facing points.
 
-Scalar multiplication uses extended homogeneous coordinates with a simple
-double-and-add ladder — a few milliseconds per multiplication in CPython,
-which is plenty for the protocol tests and the latency benchmarks (the bench
-harness also supports the mod-p backends when raw throughput matters).
+Arithmetic is on extended homogeneous coordinates ``(X, Y, Z, T)``: a unified
+addition (nine field products), a dedicated doubling that reads no ``T``
+(dbl-2008-hwcd, seven products inside a run of doublings), and Euclid's
+``pow(z, -1, p)`` for the one inversion an encode or a decode needs.  The
+plain power is :func:`repro.crypto.multiexp.signed_window_power` over those
+operations — 253 doublings and about fifty additions, ≈1.1 ms in CPython —
+and the same four operations (:data:`_EXTENDED_OPS`) are what Straus,
+Pippenger, the shared-base ladder and the fixed-base tables run on.  Every
+coordinate leaves a kernel reduced to ``[0, p)``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.crypto.group import Group, GroupElement
-from repro.crypto.multiexp import (
-    GroupOps,
-    execute_plan,
-    plan_multi_exponentiation,
-    plan_shared_base_powers,
-    shared_base_powers,
-)
+from repro.crypto.multiexp import GroupOps, KernelCosts, signed_window_power
 
 # Field and curve constants ---------------------------------------------------
 
 _P = 2**255 - 19
 _Q = 2**252 + 27742317777372353535851937790883648493
 _D = (-121665 * pow(121666, -1, _P)) % _P
+_D2 = 2 * _D % _P
 
 _BASE_Y = (4 * pow(5, -1, _P)) % _P
 
@@ -51,7 +51,7 @@ def _recover_x(y: int, sign: int) -> int:
     if y >= _P:
         raise ValueError("y coordinate out of range")
     y2 = (y * y) % _P
-    x2 = (y2 - 1) * pow(_D * y2 + 1, _P - 2, _P) % _P
+    x2 = (y2 - 1) * pow(_D * y2 + 1, -1, _P) % _P
     if x2 == 0:
         if sign:
             raise ValueError("point decoding failed: x is zero with sign bit set")
@@ -76,34 +76,46 @@ Extended = Tuple[int, int, int, int]
 
 
 def _ext_add(p: Extended, q: Extended) -> Extended:
-    """Unified point addition on the twisted Edwards curve (a = -1)."""
+    """Unified point addition on the twisted Edwards curve (a = -1).
+
+    Sums and differences stay unreduced (within ``±2p``); the four closing
+    products bring every coordinate back into ``[0, p)``.
+    """
     x1, y1, z1, t1 = p
     x2, y2, z2, t2 = q
-    a = ((y1 - x1) * (y2 - x2)) % _P
-    b = ((y1 + x1) * (y2 + x2)) % _P
-    c = (2 * t1 * t2 * _D) % _P
-    d = (2 * z1 * z2) % _P
-    e = (b - a) % _P
-    f = (d - c) % _P
-    g = (d + c) % _P
-    h = (b + a) % _P
+    a = (y1 - x1) * (y2 - x2) % _P
+    b = (y1 + x1) * (y2 + x2) % _P
+    c = t1 * t2 * _D2 % _P
+    d = 2 * z1 * z2 % _P
+    e = b - a
+    f = d - c
+    g = d + c
+    h = b + a
     return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
 
 
+def _ext_advance(point: Extended, k: int) -> Extended:
+    """``point`` doubled ``k`` times (dbl-2008-hwcd with a = -1).
+
+    A doubling reads no ``T``, so a run of them forms it once, at the end:
+    seven products a doubling and one a run, against nine for an addition.
+    """
+    if k < 1:
+        return point
+    x, y, z, _ = point
+    for _ in range(k):
+        a = x * x
+        b = y * y
+        e = 2 * x * y % _P
+        g = (b - a) % _P
+        f = (g - 2 * z * z) % _P
+        h = -(a + b) % _P
+        x, y, z = e * f % _P, g * h % _P, f * g % _P
+    return (x, y, z, e * h % _P)
+
+
 def _ext_double(p: Extended) -> Extended:
-    return _ext_add(p, p)
-
-
-def _ext_scalar_mul(scalar: int, point: Extended) -> Extended:
-    scalar %= _Q
-    result = _IDENTITY_EXT
-    addend = point
-    while scalar:
-        if scalar & 1:
-            result = _ext_add(result, addend)
-        addend = _ext_double(addend)
-        scalar >>= 1
-    return result
+    return _ext_advance(p, 1)
 
 
 def _ext_negate(p: Extended) -> Extended:
@@ -113,7 +125,7 @@ def _ext_negate(p: Extended) -> Extended:
 
 def _ext_to_affine(p: Extended) -> Tuple[int, int]:
     x, y, z, _ = p
-    zinv = pow(z, _P - 2, _P)
+    zinv = pow(z, -1, _P)
     return (x * zinv % _P, y * zinv % _P)
 
 
@@ -140,22 +152,40 @@ def _decode(data: bytes) -> Extended:
     return (x, y, 1, (x * y) % _P)
 
 
-def _ext_advance(point: Extended, k: int) -> Extended:
-    for _ in range(k):
-        point = _ext_double(point)
-    return point
-
-
-#: The multi-exponentiation kernels' view of the curve: raw ``(X, Y, Z, T)``
-#: tuples, no :class:`Ed25519Element` wrappers.  Negation is one field
-#: negation, which is what the planners are told an inversion costs.
+#: The kernels' view of the curve: raw ``(X, Y, Z, T)`` tuples, no
+#: :class:`Ed25519Element` wrappers.  No ``power``: the plain power *is* the
+#: signed-window kernel over these four.
 _EXTENDED_OPS = GroupOps(
     identity=_IDENTITY_EXT,
     multiply=_ext_add,
     advance=_ext_advance,
     invert=_ext_negate,
 )
-_NEGATE_COST = 0.1
+
+
+def _ext_scalar_mul(scalar: int, point: Extended) -> Extended:
+    """``scalar · point`` for a non-negative scalar, taken as given (the subgroup check passes ``_Q`` itself)."""
+    return signed_window_power(_EXTENDED_OPS, point, scalar)
+
+
+#: What the planners are told, in units of one :func:`_ext_add`.  Measured
+#: once (CPython 3.11, 2 vCPUs, best of 7) and checked in — nothing is timed
+#: at import:
+#:
+#:     _ext_add                       3.8 µs   1
+#:     doubling, alone / in a run     3.5 / 3.1 µs   0.8
+#:     _ext_negate                    0.2 µs   0.05 (told 0.1)
+#:     plain power, 253-bit scalar    1.13 ms  246 (the kernel's own count: 253)
+#:
+#: No ``exponentiate``: the plain power is the signed-window kernel, which the
+#: planners price from its operation count.  Negation is nearly free, so
+#: Pippenger and the shared-base ladder both sign their digits; against
+#: K = 2 / 4 / 8 plain powers a ladder runs at 0.65× / 0.46× / 0.36×.
+_COSTS = KernelCosts(square=0.8, invert=0.1, ladder_invert=0.1)
+
+#: Encodings remembered by :meth:`Ed25519Group.element_from_bytes` before it
+#: starts over (the keys of a few thousand QR codes; nothing tunes it).
+_MAX_DECODED = 4096
 
 
 class Ed25519Element(GroupElement):
@@ -178,7 +208,7 @@ class Ed25519Element(GroupElement):
         return Ed25519Element(_ext_add(self._point, other._point), self._group)
 
     def exponentiate(self, scalar: int) -> "Ed25519Element":
-        return Ed25519Element(_ext_scalar_mul(scalar, self._point), self._group)
+        return Ed25519Element(_ext_scalar_mul(scalar % _Q, self._point), self._group)
 
     def inverse(self) -> "Ed25519Element":
         return Ed25519Element(_ext_negate(self._point), self._group)
@@ -202,10 +232,12 @@ class Ed25519Group(Group):
     """The prime-order subgroup of edwards25519 as a :class:`Group`."""
 
     name = "edwards25519"
+    kernel_ops = _EXTENDED_OPS
 
     def __init__(self) -> None:
         self._generator = Ed25519Element(_BASE_EXT, self)
         self._identity = Ed25519Element(_IDENTITY_EXT, self)
+        self._decoded: Dict[bytes, Ed25519Element] = {}
 
     @property
     def order(self) -> int:
@@ -220,11 +252,25 @@ class Ed25519Group(Group):
         return self._identity
 
     def element_from_bytes(self, data: bytes) -> Ed25519Element:
-        point = _decode(data)
-        element = Ed25519Element(point, self)
-        # Reject points outside the prime-order subgroup (cofactor check).
-        if not _ext_equal(_ext_scalar_mul(_Q, point), _IDENTITY_EXT):
-            raise ValueError("point is not in the prime-order subgroup")
+        """Decode a point and check it lies in the prime-order subgroup.
+
+        The check is a scalar multiplication by the (unreduced) group order,
+        several times the cost of the decoding itself, and the same few keys
+        recur in every QR code — so accepted encodings are remembered, up to
+        :data:`_MAX_DECODED` of them.  An accepted encoding is canonical, so
+        the element starts out knowing its bytes.
+        """
+        data = bytes(data)
+        element = self._decoded.get(data)
+        if element is None:
+            point = _decode(data)
+            if not _ext_equal(_ext_scalar_mul(_Q, point), _IDENTITY_EXT):
+                raise ValueError("point is not in the prime-order subgroup")
+            element = Ed25519Element(point, self)
+            element._encoding = data
+            if len(self._decoded) >= _MAX_DECODED:
+                self._decoded.clear()
+            self._decoded[data] = element
         return element
 
     def hash_to_element(self, data: bytes) -> Ed25519Element:
@@ -243,58 +289,20 @@ class Ed25519Group(Group):
             except ValueError:
                 counter += 1
                 continue
-            cleared = _ext_scalar_mul(8, point)
+            cleared = _ext_advance(point, 3)
             if _ext_equal(cleared, _IDENTITY_EXT):
                 counter += 1
                 continue
             return Ed25519Element(cleared, self)
 
-    def _multi_exponentiate_terms(
-        self, terms: Sequence[Tuple[GroupElement, int]]
-    ) -> Ed25519Element:
-        """Straus/Pippenger directly on extended coordinates.
+    def kernel_costs(self, scalar_bits: int) -> Optional[KernelCosts]:
+        return _COSTS
 
-        Working on raw ``(X, Y, Z, T)`` tuples skips the per-step
-        :class:`Ed25519Element` wrapper churn.  Point negation is a single
-        field negation, so inversion is effectively free and the planner is
-        told so — signed-digit Pippenger (half the buckets) becomes
-        attractive at much smaller batch sizes than for mod-p groups.  The
-        naive alternative is the double-and-add ladder above (≈1.5·|q|
-        additions per term), so multi-exp wins from two terms up.
-        """
-        values: List[Extended] = [base._point for base, _ in terms]  # type: ignore[attr-defined]
-        scalars = [scalar for _, scalar in terms]
-        max_bits = max(scalar.bit_length() for scalar in scalars)
-        plan = plan_multi_exponentiation(
-            len(terms),
-            max_bits,
-            exponentiate_cost=1.5 * max_bits,
-            invert_cost=_NEGATE_COST,
-        )
-        result = execute_plan(
-            _EXTENDED_OPS,
-            values,
-            scalars,
-            plan,
-            lambda point, scalar: _ext_scalar_mul(scalar, point),
-        )
-        return Ed25519Element(result, self)
+    def wrap(self, value: Extended) -> Ed25519Element:
+        return Ed25519Element(value, self)
 
-    def _shared_base_powers(self, base: GroupElement, scalars: Sequence[int]) -> List[GroupElement]:
-        """One ladder of extended-coordinate rungs, signed digits (negation is free).
-
-        Against the ≈1.5·|q| additions of a double-and-add power the ladder
-        wins from two scalars up; a lone scalar stays on
-        :meth:`Ed25519Element.exponentiate`.
-        """
-        max_bits = max((scalar.bit_length() for scalar in scalars), default=0)
-        plan = plan_shared_base_powers(
-            len(scalars), max_bits, exponentiate_cost=1.5 * max_bits, invert_cost=_NEGATE_COST
-        )
-        if plan.algorithm == "naive":
-            return [base.exponentiate(scalar) for scalar in scalars]
-        points = shared_base_powers(_EXTENDED_OPS, base._point, scalars, plan.window)  # type: ignore[attr-defined]
-        return [Ed25519Element(point, self) for point in points]
+    def unwrap(self, element: GroupElement) -> Extended:
+        return element._point  # type: ignore[attr-defined]
 
     def __reduce__(self):
         # Resolve to the per-process singleton on unpickling so elements that

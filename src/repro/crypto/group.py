@@ -22,14 +22,17 @@ from __future__ import annotations
 import abc
 import hashlib
 import secrets
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.crypto.multiexp import (
     GroupOps,
+    KernelCosts,
     collapse_terms,
     execute_plan,
     plan_multi_exponentiation,
+    plan_shared_base_powers,
+    shared_base_powers,
 )
 
 # An optional accelerator for generator exponentiations, installed by
@@ -211,9 +214,9 @@ class Group(abc.ABC):
         term list yields the identity.  ``bases`` and ``scalars`` must have
         equal length (:class:`ValueError` otherwise).
 
-        Backends override :meth:`_multi_exponentiate_terms` to run the same
-        algorithms on their native representation; this entry point owns the
-        term normalisation so every backend agrees on edge cases.
+        The evaluation runs on the backend's native values (the seam below);
+        this entry point owns the term normalisation so every backend agrees
+        on edge cases.
         """
         terms = collapse_terms(self.order, bases, scalars, key=lambda base: base.to_bytes())
         if not terms:
@@ -221,34 +224,22 @@ class Group(abc.ABC):
         if len(terms) == 1:
             base, scalar = terms[0]
             return base.exponentiate(scalar)
-        return self._multi_exponentiate_terms(terms)
-
-    def _multi_exponentiate_terms(
-        self, terms: Sequence[Tuple[GroupElement, int]]
-    ) -> GroupElement:
-        """Evaluate normalised ``(base, scalar)`` terms (backend hook).
-
-        The default runs the kernels over :class:`GroupElement` operations,
-        assuming a double-and-add ladder for the naive alternative — correct
-        for any backend.  Concrete groups override this with their native
-        value types and calibrated cost constants.
-        """
-        values: List[GroupElement] = [base for base, _ in terms]
-        scalars = [scalar for _, scalar in terms]
-        max_bits = max(scalar.bit_length() for scalar in scalars)
-        ops = GroupOps(
-            identity=self.identity,
-            multiply=lambda a, b: a.operate(b),
-            advance=lambda a, k: a.exponentiate(1 << k),
-            invert=lambda a: a.inverse(),
-        )
+        max_bits = max(scalar.bit_length() for _, scalar in terms)
+        costs = self.kernel_costs(max_bits)
+        if costs is None:
+            accumulator = self.identity
+            for base, scalar in terms:
+                accumulator = accumulator.operate(base.exponentiate(scalar))
+            return accumulator
         plan = plan_multi_exponentiation(
             len(terms),
             max_bits,
-            exponentiate_cost=1.5 * max_bits,
-            invert_cost=10.0,
+            exponentiate_cost=costs.exponentiate,
+            square_cost=costs.square,
+            invert_cost=costs.invert,
         )
-        return execute_plan(ops, values, scalars, plan, lambda base, scalar: base.exponentiate(scalar))
+        values = [self.unwrap(base) for base, _ in terms]
+        return self.wrap(execute_plan(self.kernel_ops, values, [scalar for _, scalar in terms], plan))
 
     def shared_base_powers(self, base: GroupElement, scalars: Sequence[int]) -> List[GroupElement]:
         """``[base ** s for s in scalars]``, raising ``base`` once for all of them.
@@ -258,24 +249,62 @@ class Group(abc.ABC):
         member's share secret and share nonce).  Above the planner's
         crossover (:func:`~repro.crypto.multiexp.plan_shared_base_powers`:
         from ``K`` and the scalar bit length alone) the ``K`` powers share one
-        squaring ladder that lives for this call; below it — one scalar, the
-        small test groups — each is the plain :meth:`GroupElement.exponentiate`.
+        squaring ladder of native values that lives for this call; below it
+        — one scalar, the small test groups — each is the plain
+        :meth:`GroupElement.exponentiate`.
 
         Results equal the per-scalar exponentiations exactly: scalars are
-        reduced mod the group order here, so backends see ``[0, q)`` only.
+        reduced mod the group order here, so the kernel sees ``[0, q)`` only.
         """
         order = self.order
-        return self._shared_base_powers(base, [scalar % order for scalar in scalars])
-
-    def _shared_base_powers(self, base: GroupElement, scalars: Sequence[int]) -> List[GroupElement]:
-        """Evaluate reduced scalars on one base (backend hook).
-
-        The default is the per-scalar loop — correct for any backend.
-        Concrete groups override it with :func:`~repro.crypto.multiexp.
-        shared_base_powers` on their native values and their own cost
-        constants, as they do for :meth:`_multi_exponentiate_terms`.
-        """
+        scalars = [scalar % order for scalar in scalars]
+        max_bits = max((scalar.bit_length() for scalar in scalars), default=0)
+        costs = self.kernel_costs(max_bits)
+        if costs is not None:
+            plan = plan_shared_base_powers(
+                len(scalars),
+                max_bits,
+                exponentiate_cost=costs.exponentiate,
+                square_cost=costs.square,
+                invert_cost=costs.ladder_invert,
+            )
+            if plan.algorithm == "ladder":
+                ops = self.kernel_ops
+                if costs.ladder_invert is None:
+                    ops = replace(ops, invert=None)
+                return [self.wrap(value) for value in shared_base_powers(ops, self.unwrap(base), scalars, plan.window)]
         return [base.exponentiate(scalar) for scalar in scalars]
+
+    # The native-kernel seam -------------------------------------------------
+    #
+    # All four kernels — plain power, multi-exp, shared-base ladder and
+    # :class:`repro.runtime.precompute.FixedBaseTable` — run on the values
+    # below and wrap once at the end.  A backend declares its operations, how
+    # an element wraps and unwraps, and what the operations cost; the
+    # defaults run the kernels over the elements themselves.
+
+    @property
+    def kernel_ops(self) -> GroupOps:
+        """The group's operations on its native value type."""
+        return GroupOps(
+            identity=self.identity,
+            multiply=lambda a, b: a.operate(b),
+            advance=lambda a, k: a.exponentiate(1 << k),
+            invert=lambda a: a.inverse(),
+            power=lambda a, scalar: a.exponentiate(scalar),
+        )
+
+    def kernel_costs(self, scalar_bits: int) -> Optional[KernelCosts]:
+        """What the planners are told at this scalar width; ``None`` keeps every power plain."""
+        return KernelCosts(invert=10.0)
+
+    def wrap(self, value: Any) -> GroupElement:
+        """The element holding native ``value`` (a kernel's result)."""
+        return value
+
+    def unwrap(self, element: GroupElement) -> Any:
+        """The native value of one of this group's elements."""
+        return element
 
 
 @dataclass(frozen=True)

@@ -18,27 +18,17 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Optional
 
 from repro.crypto import bigint
 from repro.crypto.group import Group, GroupElement
-from repro.crypto.multiexp import (
-    GroupOps,
-    execute_plan,
-    plan_multi_exponentiation,
-    plan_shared_base_powers,
-    shared_base_powers,
-)
+from repro.crypto.multiexp import GroupOps, KernelCosts
 
 #: Below this subgroup-order size, CPython's native ``pow`` beats any
 #: Python-level multi-exponentiation (interpreter overhead dominates small
 #: bigint arithmetic), so `multi_exponentiate` stays on the naive per-term
 #: loop.  Mirrors ``repro.runtime.precompute.MIN_ORDER_BITS``.
 MULTIEXP_MIN_ORDER_BITS = 192
-
-#: A modular squaring (and a native ``pow`` advancing the shared chain) in
-#: units of one interpreted multiplication, as the planners are told.
-_SQUARE_COST = 0.8
 
 
 class ModPElement(GroupElement):
@@ -122,6 +112,18 @@ class ModPGroup(Group):
         self.element_bytes = (int(modulus).bit_length() + 7) // 8
         self._generator = ModPElement(generator, self)
         self._identity = ModPElement(1, self)
+        # The kernels' view of the group: bare backend integers mod ``p`` (no
+        # per-step :class:`ModPElement` churn), the shared squaring chain
+        # advanced by one native ``powmod(acc, 2**k, p)`` instead of ``k``
+        # interpreted squarings.
+        backend, modulus = self._backend, self.modulus
+        self._kernel_ops = GroupOps(
+            identity=backend.convert(1),
+            multiply=lambda a, b: (a * b) % modulus,
+            advance=lambda a, k: backend.powmod(a, 1 << k, modulus),
+            invert=lambda a: backend.invert(a, modulus),
+            power=lambda a, scalar: backend.powmod(a, scalar, modulus),
+        )
         if self._backend.powmod(self._generator.value, order, self.modulus) != 1:
             raise ValueError("generator does not have the declared order")
 
@@ -159,92 +161,53 @@ class ModPGroup(Group):
         """Subgroup membership test: x^q == 1 mod p."""
         return self._backend.powmod(element.value, self._order, self.modulus) == 1
 
-    def _multi_exponentiate_terms(
-        self, terms: Sequence[Tuple[GroupElement, int]]
-    ) -> ModPElement:
-        """Straus/Pippenger over raw residues with backend-native inner ops.
+    @property
+    def kernel_ops(self) -> GroupOps:
+        return self._kernel_ops
 
-        Runs the kernels on bare backend integers rather than
-        :class:`ModPElement` wrappers (no per-step object churn), advances
-        the shared squaring chain with one native ``powmod(acc, 2**k, p)``
-        instead of ``k`` interpreted squarings, and feeds the planner cost
-        constants calibrated for CPython bigints: a native full
-        exponentiation costs ≈0.87·|q| mulmod-units at 2048 bits (less at
-        smaller sizes, see :meth:`_native_pow_cost`), a squaring ≈0.8 of a
-        multiplication, a modular inverse ≈25.
+    def kernel_costs(self, scalar_bits: int) -> Optional[KernelCosts]:
+        """Planner constants calibrated for bigints: a squaring (and a native
+        ``pow`` advancing the shared chain) ≈0.8 of an interpreted mulmod, a
+        modular inverse ≈25 — dear enough that the shared-base ladder, which
+        would invert every rung, keeps unsigned digits.
 
-        Below :data:`MULTIEXP_MIN_ORDER_BITS` the naive native-pow loop is
+        Below :data:`MULTIEXP_MIN_ORDER_BITS` the native-pow loop is
         unbeatable from Python, so small (toy/test) groups keep it.
         """
-        modulus = self.modulus
-        backend = self._backend
-        bits = self._order.bit_length()
-        if bits < MULTIEXP_MIN_ORDER_BITS:
-            accumulator = self._identity
-            for base, scalar in terms:
-                accumulator = accumulator.operate(base.exponentiate(scalar))
-            return accumulator
-        values: List[Any] = [base.value for base, _ in terms]
-        scalars = [scalar for _, scalar in terms]
-        max_bits = max(scalar.bit_length() for scalar in scalars)
-        plan = plan_multi_exponentiation(
-            len(terms),
-            max_bits,
-            exponentiate_cost=self._native_pow_cost(max_bits),
-            square_cost=_SQUARE_COST,
-            invert_cost=25.0,
-        )
-        result = execute_plan(
-            self._residue_ops(invertible=True),
-            values,
-            scalars,
-            plan,
-            lambda value, scalar: backend.powmod(value, scalar, modulus),
-        )
-        return ModPElement(result, self)
+        if self._order.bit_length() < MULTIEXP_MIN_ORDER_BITS:
+            return None
+        return KernelCosts(exponentiate=self._native_pow_cost(scalar_bits), square=0.8, invert=25.0)
 
-    def _residue_ops(self, invertible: bool) -> GroupOps:
-        """The kernels' operations on bare backend integers mod ``p``."""
-        modulus = self.modulus
-        backend = self._backend
-        return GroupOps(
-            identity=backend.convert(1),
-            multiply=lambda a, b: (a * b) % modulus,
-            advance=lambda a, k: backend.powmod(a, 1 << k, modulus),
-            invert=(lambda a: backend.invert(a, modulus)) if invertible else None,
-        )
+    def wrap(self, value: Any) -> ModPElement:
+        return ModPElement(value, self)
+
+    def unwrap(self, element: GroupElement) -> Any:
+        return element.value  # type: ignore[attr-defined]
 
     def _native_pow_cost(self, scalar_bits: int) -> float:
-        """One native ``pow`` in mulmod-units, for the planners.
+        """One native ``pow`` in units of ``kernel_ops.multiply``, for the planners.
 
-        Native pow's advantage over interpreted mulmod grows as operands
-        shrink (C loop vs. bytecode): ≈0.87·bits at 2048 bits, roughly
-        0.3·bits around 256 bits.  Linear interpolation is plenty — the
-        planners only need the ordering of the alternatives right.
+        Measured once (CPython 3.11, 2 vCPUs, ``REPRO_BIGINT=python``, best of
+        7) and checked in — nothing is timed at import:
+
+        ========  =========  ============  =================
+        modulus   a·b % p    pow(a, s, p)  pow / mulmod / |s|
+        ========  =========  ============  =================
+        256 bit   0.48 µs    125 µs        1.02
+        2048 bit  12.4 µs    26.0 ms       1.03
+        3072 bit  24.4 µs    79.5 ms       1.06
+        ========  =========  ============  =================
+
+        One multiplication a scalar bit at every size: CPython's ``pow`` is a
+        sliding window over the same ``long`` multiplication the kernels call,
+        so a shared ladder already pays at 255 bits (0.82× / 0.59× / 0.44× of
+        K = 2 / 4 / 8 native powers).  gmpy2 is not installed where the table
+        was taken; its constants stand as first calibrated (0.87·bits at 2048
+        bits, falling to 0.3·bits for small moduli).
         """
-        return scalar_bits * (0.3 + 0.57 * min(1.0, self.modulus.bit_length() / 2048))
-
-    def _shared_base_powers(self, base: GroupElement, scalars: Sequence[int]) -> List[GroupElement]:
-        """One ladder of raw residues, every rung one native ``powmod``.
-
-        Same constants as the multi-exp above.  No inversion hook: signed
-        digits would cost a modular inverse per rung, which a handful of
-        scalars never repays.  Below :data:`MULTIEXP_MIN_ORDER_BITS`, and
-        wherever the planner declines, each power is the element's own
-        :meth:`~ModPElement.exponentiate`.
-        """
-        max_bits = max((scalar.bit_length() for scalar in scalars), default=0)
-        if self._order.bit_length() >= MULTIEXP_MIN_ORDER_BITS:
-            plan = plan_shared_base_powers(
-                len(scalars),
-                max_bits,
-                exponentiate_cost=self._native_pow_cost(max_bits),
-                square_cost=_SQUARE_COST,
-            )
-            if plan.algorithm == "ladder":
-                values = shared_base_powers(self._residue_ops(invertible=False), base.value, scalars, plan.window)  # type: ignore[attr-defined]
-                return [ModPElement(value, self) for value in values]
-        return [base.exponentiate(scalar) for scalar in scalars]
+        if self._backend.name == "gmpy2":
+            return scalar_bits * (0.3 + 0.57 * min(1.0, self.modulus.bit_length() / 2048))
+        return float(scalar_bits)
 
     def __reduce__(self):
         # Groups are compared by identity (``is``) in element operations, so

@@ -1,8 +1,8 @@
-"""Straus, Pippenger and shared-base multi-exponentiation kernels.
+"""Straus, Pippenger, shared-base and signed-window exponentiation kernels.
 
 Computing ``∏ bases[i] ** scalars[i]`` term by term costs one full
-exponentiation per term — ``n · 1.5·|q|`` group operations for a naive
-double-and-add ladder, or ``n`` native ``pow`` calls for the mod-p backends.
+exponentiation per term — ``n · 1.2·|q|`` group operations on the
+signed-window power below, or ``n`` native ``pow`` calls for the mod-p backends.
 Both classic multi-exponentiation algorithms share the *squaring chain*
 across all terms, so the per-term cost drops to roughly ``|q|/w`` operations
 for a window of ``w`` bits:
@@ -30,6 +30,15 @@ A third kernel turns the shape around — *few bases, many exponents*:
   (a tag chain step is ``K = 2``, a threshold decryption among ``M`` members
   ``K = 2M``).  :func:`plan_shared_base_powers` decides naive-or-ladder and
   the window from ``K`` and the scalar bit length.
+
+The fourth kernel is the *plain* power of a backend without a native one:
+
+* **Signed-window power** (:func:`signed_window_power`) raises one base to
+  one scalar on its width-5 non-adjacent form: ``|q|`` squarings, one
+  multiplication by an odd power ``base^±1 … base^±15`` per non-zero digit
+  (one in six) and seven to build those powers — ``≈ 1.2·|q|`` operations
+  where the binary ladder spends ``1.5·|q|``.  It is the curve's ``**`` and
+  the naive branch of the other three.
 
 The kernels are written against a tiny :class:`GroupOps` parameterisation
 instead of :class:`~repro.crypto.group.GroupElement` so each backend can run
@@ -61,6 +70,10 @@ MAX_WINDOW_BITS = 16
 #: Pippenger, whose memory is ``O(n + 2^window)``.
 MAX_STRAUS_TABLE_ENTRIES = 1 << 16
 
+#: Width of the non-adjacent form :func:`signed_window_power` recodes on: the
+#: count ``bits/(w+1) + 2^(w-2)`` bottoms out at 5 for 253-bit scalars.
+POWER_WINDOW_BITS = 5
+
 Value = Any
 
 
@@ -74,12 +87,33 @@ class GroupOps:
     (``pow(v, 1 << k, p)``) instead of ``k`` Python-level squarings.
     ``invert`` is optional; when present, Pippenger uses signed digits
     (half the buckets at the price of one inversion per distinct base).
+    ``power(v, s)`` is the backend's plain ``v ** s`` for ``s >= 0`` (a native
+    ``pow``); left ``None``, :func:`signed_window_power` over the other four.
     """
 
     identity: Value
     multiply: Callable[[Value, Value], Value]
     advance: Callable[[Value, int], Value]
     invert: Optional[Callable[[Value], Value]] = None
+    power: Optional[Callable[[Value, int], Value]] = None
+
+
+@dataclass(frozen=True)
+class KernelCosts:
+    """What a backend tells the planners, in units of one ``GroupOps.multiply``.
+
+    ``exponentiate`` is one plain power at the scalar width asked about
+    (``None``: :func:`signed_window_cost`, the kernel a backend without a
+    native power runs), ``square`` one squaring of the shared chain,
+    ``invert`` one inversion (``None``: too dear for signed digits).
+    ``ladder_invert`` is the same for the shared-base ladder, which inverts
+    every *rung* and so only signs its digits where inversion is nearly free.
+    """
+
+    exponentiate: Optional[float] = None
+    square: float = 1.0
+    invert: Optional[float] = None
+    ladder_invert: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -102,9 +136,9 @@ def plan_multi_exponentiation(
     """Choose algorithm and window width from an operation-count model.
 
     All costs are in units of one group multiplication.  ``exponentiate_cost``
-    is the price of a single naive ``base ** scalar`` (defaults to the
-    ``1.5·bits`` of a double-and-add ladder; mod-p backends pass a smaller
-    value because CPython's native ``pow`` uses a sliding window).
+    is the price of a single naive ``base ** scalar`` (defaults to
+    :func:`signed_window_cost`, the plain power of a backend without a native
+    one; mod-p backends pass what their native ``pow`` measures).
     ``square_cost`` discounts the shared squaring chain (mod-p squaring and
     native ``pow`` advancement are cheaper than a generic multiplication).
     ``invert_cost`` enables the signed-digit Pippenger variant; leave ``None``
@@ -118,7 +152,7 @@ def plan_multi_exponentiation(
     if num_terms < 1 or max_scalar_bits < 1:
         return MultiExpPlan("naive", 1, 0.0)
     if exponentiate_cost is None:
-        exponentiate_cost = 1.5 * max_scalar_bits
+        exponentiate_cost = signed_window_cost(max_scalar_bits, square_cost)
     best = MultiExpPlan("naive", 1, num_terms * exponentiate_cost)
     squarings = max_scalar_bits * square_cost
     for window in range(1, MAX_WINDOW_BITS + 1):
@@ -165,7 +199,7 @@ def plan_shared_base_powers(
     the ladder loses (small operands under a native ``pow``).
     """
     if exponentiate_cost is None:
-        exponentiate_cost = 1.5 * max_scalar_bits
+        exponentiate_cost = signed_window_cost(max_scalar_bits, square_cost)
     best = MultiExpPlan("naive", 1, max(num_scalars, 0) * exponentiate_cost)
     if num_scalars <= 1 or max_scalar_bits < 1:
         return best
@@ -388,21 +422,70 @@ def shared_base_powers(
     return powers
 
 
+def signed_window_cost(scalar_bits: int, square_cost: float = 1.0) -> float:
+    """What :func:`signed_window_power` spends on a ``scalar_bits``-bit scalar, for the planners."""
+    return scalar_bits * square_cost + scalar_bits / (POWER_WINDOW_BITS + 1) + (1 << (POWER_WINDOW_BITS - 2))
+
+
+def signed_window_power(ops: GroupOps, value: Value, scalar: int) -> Value:
+    """``value ** scalar`` on the width-:data:`POWER_WINDOW_BITS` non-adjacent form of ``scalar``.
+
+    The scalar must be non-negative and is **not** reduced — a subgroup check
+    raises to the group order itself.  Recoding leaves every non-zero digit
+    odd, below ``2^(w-1)`` in magnitude and followed by at least ``w - 1``
+    zeros, so one scalar costs its bit length in squarings (taken a run at a
+    time through ``ops.advance``), one multiplication per non-zero digit by
+    ``value^±1, value^±3, …`` and the few multiplications that build exactly
+    the odd powers the digits name.  Needs ``ops.invert``.
+    """
+    if ops.invert is None:
+        raise ValueError("the signed-window power needs an inversion")
+    radix = 1 << POWER_WINDOW_BITS
+    digits: List[int] = []  # least significant first
+    while scalar:
+        digit = 0
+        if scalar & 1:
+            digit = scalar & (radix - 1)
+            if digit >= radix >> 1:
+                digit -= radix
+            scalar -= digit
+        digits.append(digit)
+        scalar >>= 1
+    if not digits:
+        return ops.identity
+    multiply = ops.multiply
+    odd_powers = [value]  # value^1, value^3, value^5, …
+    top = max(map(abs, digits))
+    if top > 1:
+        square = ops.advance(value, 1)
+        for _ in range(top >> 1):
+            odd_powers.append(multiply(odd_powers[-1], square))
+    inverses = [ops.invert(power) for power in odd_powers]
+    result: Optional[Value] = None
+    run = 0  # squarings owed since the last non-zero digit
+    for digit in reversed(digits):
+        run += 1
+        if digit:
+            entry = odd_powers[digit >> 1] if digit > 0 else inverses[-digit >> 1]
+            result = entry if result is None else multiply(ops.advance(result, run), entry)
+            run = 0
+    return ops.advance(result, run) if run else result
+
+
 def execute_plan(
     ops: GroupOps,
     values: Sequence[Value],
     scalars: Sequence[int],
     plan: MultiExpPlan,
-    exponentiate: Callable[[Value, int], Value],
 ) -> Value:
-    """Run ``plan`` over the terms; ``exponentiate`` backs the naive branch."""
+    """Run ``plan`` over the terms; the naive branch is one plain power per term."""
     if plan.algorithm == "straus":
         return straus_multi_exponentiate(ops, values, scalars, plan.window)
     if plan.algorithm == "pippenger":
         return pippenger_multi_exponentiate(ops, values, scalars, plan.window)
     result: Optional[Value] = None
     for value, scalar in zip(values, scalars):
-        term = exponentiate(value, scalar)
+        term = ops.power(value, scalar) if ops.power else signed_window_power(ops, value, scalar)
         result = term if result is None else ops.multiply(result, term)
     return ops.identity if result is None else result
 

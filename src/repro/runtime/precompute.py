@@ -13,7 +13,10 @@ The table for a base ``B`` with window width ``w`` stores
     T[i][j] = B^(j · 2^(w·i))        for j in [1, 2^w)
 
 so ``B^e = ∏_i T[i][digit_i(e)]`` where ``digit_i`` is the i-th ``w``-bit
-digit of ``e``.  Building a table costs about ``⌈bits/w⌉ · 2^w`` group
+digit of ``e``.  Rows hold the group's *native* values (raw residues mod
+``p``, extended Edwards tuples — :attr:`Group.kernel_ops
+<repro.crypto.group.Group.kernel_ops>`, the seam the multi-exponentiation
+kernels run on) and a power wraps its result once, at the end.  Building a table costs about ``⌈bits/w⌉ · 2^w`` group
 operations and therefore only pays off for bases that are reused; the module
 keeps a small usage counter per base and builds a table automatically once a
 base has been exponentiated :data:`AUTO_BUILD_THRESHOLD` times.  Setup code
@@ -35,8 +38,9 @@ CPython's native ``pow`` beats any Python-level table there, and the test
 suite's toy group stays on the exact reference path.
 
 Tables live in memory only: decoding a stored table re-validates every
-element, which on Ed25519 (a subgroup scalar multiplication each) costs far
-more than building it.
+element, which on Ed25519 costs far more than building it — the square root
+of point decompression alone (0.24 ms an element, what PR 21 measured) and,
+now that the subgroup check really multiplies by the order, 1.2–1.4 ms.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ _BaseKey = Tuple[int, bytes]
 class FixedBaseTable:
     """A windowed precomputation table for one fixed base."""
 
-    __slots__ = ("base", "window_bits", "_rows", "_order", "_identity")
+    __slots__ = ("base", "window_bits", "_rows")
 
     def __init__(self, base: GroupElement, window_bits: int = DEFAULT_WINDOW_BITS):
         if window_bits < 1:
@@ -69,18 +73,18 @@ class FixedBaseTable:
         group = base.group
         self.base = base
         self.window_bits = window_bits
-        self._order = group.order
-        self._identity = group.identity
+        ops = group.kernel_ops
+        multiply = ops.multiply
         radix = 1 << window_bits
-        digits = (self._order.bit_length() + window_bits - 1) // window_bits
-        rows: List[List[GroupElement]] = []
-        row_base = base
+        digits = (group.order.bit_length() + window_bits - 1) // window_bits
+        rows: List[list] = []
+        row_base = group.unwrap(base)
         for _ in range(digits):
-            row: List[GroupElement] = [self._identity]
+            row = [ops.identity]
             current = row_base
             for _ in range(1, radix):
                 row.append(current)
-                current = current.operate(row_base)
+                current = multiply(current, row_base)
             rows.append(row)
             row_base = current  # row_base ** radix
         self._rows = rows
@@ -92,17 +96,20 @@ class FixedBaseTable:
 
     def power(self, scalar: int) -> GroupElement:
         """``base ** scalar`` via table lookups and multiplications."""
-        exponent = scalar % self._order
-        accumulator = self._identity
-        mask = (1 << self.window_bits) - 1
-        index = 0
-        while exponent:
+        group = self.base.group
+        multiply = group.kernel_ops.multiply
+        exponent = scalar % group.order
+        accumulator = None
+        window_bits = self.window_bits
+        mask = (1 << window_bits) - 1
+        for row in self._rows:
+            if not exponent:
+                break
             digit = exponent & mask
             if digit:
-                accumulator = accumulator.operate(self._rows[index][digit])
-            exponent >>= self.window_bits
-            index += 1
-        return accumulator
+                accumulator = row[digit] if accumulator is None else multiply(accumulator, row[digit])
+            exponent >>= window_bits
+        return group.identity if accumulator is None else group.wrap(accumulator)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the Straus/Pippenger multi-exponentiation kernels, the
-shared-base (one base, many exponents) kernel, and their integration behind
-:meth:`Group.multi_exponentiate` / :meth:`Group.shared_base_powers`.
+shared-base (one base, many exponents) kernel, the signed-window plain power,
+and their integration behind :meth:`Group.multi_exponentiate` /
+:meth:`Group.shared_base_powers`.
 
 The kernels are exercised twice over: directly, on a toy additive group
 where ``∏ b_i^{e_i}`` is just ``Σ e_i·b_i mod m`` (so every window width and
@@ -13,8 +14,15 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.crypto.ed25519 import ed25519_group
-from repro.crypto.modp_group import MULTIEXP_MIN_ORDER_BITS, ModPElement, modp_group_256, testing_group
+from repro.crypto.ed25519 import Ed25519Group, ed25519_group
+from repro.crypto.group import Group
+from repro.crypto.modp_group import (
+    MULTIEXP_MIN_ORDER_BITS,
+    ModPElement,
+    modp_group_256,
+    modp_group_2048,
+    testing_group,
+)
 from repro.crypto.multiexp import (
     GroupOps,
     MAX_WINDOW_BITS,
@@ -24,6 +32,8 @@ from repro.crypto.multiexp import (
     plan_multi_exponentiation,
     plan_shared_base_powers,
     shared_base_powers,
+    signed_window_cost,
+    signed_window_power,
     straus_multi_exponentiate,
 )
 
@@ -110,6 +120,16 @@ class TestKernels:
         with pytest.raises(ValueError):
             shared_base_powers(ADDITIVE, 1, [1], 0)
 
+    @FAST
+    @given(base=st.integers(0, _M - 1), scalar=st.one_of(st.integers(0, 40), st.integers(0, 2**300)))
+    def test_signed_window_power_matches_the_product(self, base, scalar):
+        # Not reduced by anything: the kernel takes the scalar as given.
+        assert signed_window_power(ADDITIVE, base, scalar) == base * scalar % _M
+
+    def test_signed_window_power_needs_an_inversion(self):
+        with pytest.raises(ValueError):
+            signed_window_power(ADDITIVE_NO_INVERT, 3, 5)
+
 
 class TestSignedDigits:
     @FAST
@@ -180,6 +200,50 @@ class TestSharedBasePlanner:
             assert 1 <= plan.window <= MAX_WINDOW_BITS
 
 
+def _verdicts(costs, bits, exponentiate_cost=None):
+    """(algorithm, window) of every plan a tally asks for at this width, under ``costs``."""
+    exponentiate_cost = costs.exponentiate if exponentiate_cost is None else exponentiate_cost
+    ladders = [
+        plan_shared_base_powers(
+            k, bits, exponentiate_cost=exponentiate_cost, square_cost=costs.square, invert_cost=costs.ladder_invert
+        )
+        for k in (2, 4, 8, 16)
+    ]
+    products = [
+        plan_multi_exponentiation(
+            n, bits, exponentiate_cost=exponentiate_cost, square_cost=costs.square, invert_cost=costs.invert
+        )
+        for n in (2, 4, 16, 64, 1024)
+    ]
+    return [(plan.algorithm, plan.window) for plan in ladders + products]
+
+
+class TestBackendCrossovers:
+    """The constants each backend declares put the crossovers where they were measured."""
+
+    def test_modp256_takes_the_ladder_from_two_scalars_up(self):
+        group = modp_group_256()
+        if group._backend.name != "python":
+            pytest.skip("the measured constant is the python backend's")
+        verdicts = _verdicts(group.kernel_costs(255), 255)
+        assert [algorithm for algorithm, _ in verdicts[:4]] == ["ladder"] * 4
+        assert all(algorithm != "naive" for algorithm, _ in verdicts[4:])
+
+    def test_modp2048_verdicts_are_those_of_the_old_constant(self):
+        costs = modp_group_2048().kernel_costs(2047)
+        assert _verdicts(costs, 2047) == _verdicts(costs, 2047, exponentiate_cost=0.87 * 2047)
+        assert all(algorithm != "naive" for algorithm, _ in _verdicts(costs, 2047))
+
+    def test_small_groups_decline_every_kernel(self):
+        assert testing_group().kernel_costs(62) is None
+
+    def test_the_curve_prices_its_power_from_the_signed_window_count(self):
+        costs = ed25519_group().kernel_costs(253)
+        assert costs.exponentiate is None and costs.ladder_invert is not None
+        assert signed_window_cost(253, costs.square) < 1.5 * 253 * costs.square
+        assert [algorithm for algorithm, _ in _verdicts(costs, 253)[:4]] == ["ladder"] * 4
+
+
 class TestCollapseTerms:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -237,6 +301,25 @@ class TestGroupMultiExponentiate:
         base = any_group.power(42)
         with pytest.raises(ValueError):
             any_group.multi_exponentiate([base], [1, 2])
+
+
+class TestGenericSeam:
+    """A backend that declares nothing still runs the kernels, over its elements."""
+
+    class PlainGroup(Ed25519Group):
+        kernel_ops = Group.kernel_ops
+        kernel_costs = Group.kernel_costs
+        wrap = Group.wrap
+        unwrap = Group.unwrap
+
+    def test_defaults_agree_with_the_native_backend(self):
+        plain, native = self.PlainGroup(), ed25519_group()
+        rng = random.Random(22)
+        scalars = [rng.randrange(native.order) for _ in range(5)]
+        bases = [native.power(rng.randrange(native.order)) for _ in range(5)]
+        assert plain.multi_exponentiate(bases, scalars) == native.multi_exponentiate(bases, scalars)
+        assert plain.shared_base_powers(bases[0], scalars) == native.shared_base_powers(bases[0], scalars)
+        assert signed_window_power(plain.kernel_ops, bases[0], scalars[0]) == bases[0] ** scalars[0]
 
 
 def _naive_fold(group, bases, scalars):
@@ -315,7 +398,7 @@ class TestGroupSharedBasePowers:
 # ----------------------------------------------- operation counts, not seconds
 
 
-def _counting(ops):
+def _counting(ops, charge_squarings=True):
     """``ops`` with every group operation tallied (``advance`` by k = k squarings)."""
     spent = [0]
 
@@ -324,7 +407,7 @@ def _counting(ops):
         return ops.multiply(a, b)
 
     def advance(a, k):
-        spent[0] += k
+        spent[0] += k * charge_squarings
         return ops.advance(a, k)
 
     def invert(a):
@@ -381,3 +464,22 @@ class TestKernelOperationCounts:
         ] == expected
         assert shared_base_powers(kernel_ops, base, scalars, plan.window) == expected
         assert 2 * kernel_spent[0] <= naive_spent[0]
+
+    @pytest.mark.parametrize("charge_squarings, share", [(True, 0.85), (False, 0.5)])
+    def test_signed_window_power_against_the_binary_ladder(self, charge_squarings, share):
+        """253 bits: the squarings stay (two thirds of a ladder), the multiplications fall from ~127 to ~50.
+
+        The squarings alone are 0.67 of the ladder's operations, so the
+        whole power cannot fall below that; 0.8× is what the recoding gives
+        (here with the eight inversions of the odd powers charged in full).
+        """
+        rng = random.Random(253)
+        naive_ops, naive_spent = _counting(ADDITIVE, charge_squarings)
+        kernel_ops, kernel_spent = _counting(ADDITIVE, charge_squarings)
+        for _ in range(8):
+            base, scalar = rng.randrange(1, _M), rng.getrandbits(253) | 1 << 252
+            assert _square_and_multiply_each_term(naive_ops, [base], [scalar]) == base * scalar % _M
+            assert signed_window_power(kernel_ops, base, scalar) == base * scalar % _M
+        assert kernel_spent[0] <= share * naive_spent[0]
+        if charge_squarings:  # what the planners are told, the inversions apart
+            assert abs(kernel_spent[0] / 8 - 8 - signed_window_cost(253)) <= 4

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on the cryptographic substrate."""
 
+import functools
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from repro.crypto.elgamal import ElGamal
 from repro.crypto.modp_group import modp_group_256, modp_group_2048, testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign, schnorr_verify
 from repro.crypto.shamir import reconstruct_secret, split_secret
+from repro.runtime.precompute import FixedBaseTable
 
 GROUP = testing_group()
 ELGAMAL = ElGamal(GROUP)
@@ -56,7 +59,10 @@ _SCALAR_KINDS = {
     "q-1": lambda q, seed: q - 1,
     "q": lambda q, seed: q,
     "q+1": lambda q, seed: q + 1,
+    "minus-one": lambda q, seed: -1,
     "negative": lambda q, seed: -(seed % q) - 1,
+    "2^252-1": lambda q, seed: 2**252 - 1,
+    "2^252+1": lambda q, seed: 2**252 + 1,
     ">2q": lambda q, seed: 2 * q + 1 + seed % q,
     "random": lambda q, seed: seed % q,
 }
@@ -90,6 +96,57 @@ class TestSharedBasePowersProperties:
         if repeat and exponents:
             exponents.append(exponents[0])  # K in 0..9, one scalar twice
         assert group.shared_base_powers(base, exponents) == [base.exponentiate(s) for s in exponents]
+
+
+def _binary_ladder(base, scalar):
+    """The reference: most-significant-bit-first double-and-add through ``operate`` alone."""
+    result = base.group.identity
+    for bit in bin(scalar % base.group.order)[2:]:
+        result = result.operate(result)
+        if bit == "1":
+            result = result.operate(base)
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def _differential_base(group_factory):
+    """One non-generator base a group, with its tables at three window widths."""
+    base = group_factory().hash_to_element(b"differential")
+    return base, [FixedBaseTable(base, window_bits=window) for window in (1, 4, 5)]
+
+
+class TestKernelsAgainstABinaryLadder:
+    """Plain power, fixed-base table, shared-base ladder and one-term multi-exp are one function."""
+
+    GROUPS = pytest.mark.parametrize(
+        "group_factory", [testing_group, modp_group_256, ed25519_group], ids=["toy", "modp256", "ed25519"]
+    )
+
+    @staticmethod
+    def _check(group_factory, scalars):
+        group = group_factory()
+        base, tables = _differential_base(group_factory)
+        expected = [_binary_ladder(base, scalar) for scalar in scalars]
+        assert [base.exponentiate(scalar) for scalar in scalars] == expected
+        assert [base ** scalar for scalar in scalars] == expected
+        for table in tables:
+            assert [table.power(scalar) for scalar in scalars] == expected
+        assert group.shared_base_powers(base, scalars) == expected
+        assert [group.multi_exponentiate([base], [scalar]) for scalar in scalars] == expected
+        assert [element.to_bytes() for element in group.shared_base_powers(base, scalars)] == [
+            element.to_bytes() for element in expected
+        ]
+
+    @GROUPS
+    def test_on_the_edges_of_the_scalar_range(self, group_factory):
+        order = group_factory().order
+        self._check(group_factory, [kind(order, 12345) for _, kind in sorted(_SCALAR_KINDS.items())])
+
+    @GROUPS
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seeds=st.lists(st.integers(-(2**260), 2**260), min_size=1, max_size=3))
+    def test_on_random_scalars(self, group_factory, seeds):
+        self._check(group_factory, seeds)
 
 
 class TestElGamalProperties:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.crypto.ed25519 import ed25519_group
 from repro.crypto.modp_group import ModPElement, modp_group_256, testing_group as toy_group
 from repro.runtime import precompute
 from repro.runtime.precompute import (
@@ -65,6 +66,23 @@ class TestFixedBaseTable:
     def test_rejects_zero_window(self, big_group):
         with pytest.raises(ValueError):
             FixedBaseTable(big_group.generator, window_bits=0)
+
+    @pytest.mark.parametrize("group_factory", [modp_group_256, ed25519_group], ids=["modp256", "ed25519"])
+    def test_rows_are_native_values_and_a_power_wraps_once(self, group_factory, monkeypatch):
+        """Built and walked on the group's kernel ops: no element is made per step."""
+        group = group_factory()
+        base = group.hash_to_element(b"native rows")
+        element_type = type(base)
+        monkeypatch.setattr(element_type, "operate", None)  # any per-step wrapping would raise TypeError
+        table = FixedBaseTable(base, window_bits=4)
+        native = group.unwrap(base)
+        assert table._rows[0][1] == native and type(table._rows[0][1]) is type(native)
+        assert table.num_group_elements == 16 * -(-group.order.bit_length() // 4)
+        wrapped = []
+        monkeypatch.setattr(type(group), "wrap", lambda self, value: wrapped.append(value) or element_type(value, self))
+        assert table.power(group.order - 7) == base.exponentiate(-7)
+        assert len(wrapped) == 1
+        assert table.power(0) == group.identity and table.power(group.order) == group.identity
 
 
 class TestTransparentCache:
