@@ -197,7 +197,7 @@ class RemoteExecutor(Executor):
     @property
     def num_workers(self) -> int:
         # Before enrollment (lazy spawn) report the configured complement so
-        # shard-count heuristics (default_shards) plan for the real cluster.
+        # chunk-count heuristics plan for the real cluster.
         enrolled = self.coordinator.total_slots
         if enrolled:
             return enrolled

@@ -33,7 +33,8 @@ class ElectionConfig:
 
     - ``executor_spec``: backend the tally's parallel stages run on.
     - ``board_spec``: storage of the bulletin board's three sub-ledgers.
-    - ``pipeline_spec``: serial or streaming schedule of the tally dataflow.
+    - ``pipeline_spec``: ``stream`` reads the ballot ledger a page ahead of the
+      tally's signature check; the tally's phases run one after another either way.
     - ``audit_spec``: verification strategy of :mod:`repro.audit`.
     - ``audit_evidence``: publish :class:`repro.audit.evidence.TallyEvidence`
       for external auditors (each tag is then derived once, with its proofs:

@@ -98,10 +98,12 @@ class MemoryBackend(LedgerBackend):
             if record.voter_id not in self._eligible_set:
                 raise LedgerError(f"voter {record.voter_id} is not on the electoral roll")
             seq = len(self._registrations)
-            self._registration_log.append(record.payload())
             self._registrations.append(record)
             self._registrations_by_voter.setdefault(record.voter_id, []).append(record)
             self._active_registration[record.voter_id] = record
+            # Last: the log's observers (a voter's device watching for
+            # registrations in its name) look the record up by voter.
+            self._registration_log.append(record.payload())
             return seq
 
     def append_envelope_commitment(self, record: EnvelopeCommitmentRecord) -> int:

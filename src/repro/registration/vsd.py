@@ -91,10 +91,8 @@ class VoterSupportingDevice:
 
     @property
     def has_unexpected_registration(self) -> bool:
-        """True if more registration events were observed than the voter initiated."""
-        return len(self.registration_notifications) > len(
-            {n for n in self.registration_notifications}
-        )
+        """True once the device has seen a registration event beyond the one it took part in."""
+        return len(self.registration_notifications) > 1
 
     # Activation ----------------------------------------------------------------------
 

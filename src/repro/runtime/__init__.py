@@ -19,11 +19,10 @@ accelerations that compose with any backend:
 * :mod:`repro.runtime.sharding` — how per-ballot work is split across
   workers so parallel output stays bit-identical to the serial reference;
 * :mod:`repro.runtime.pipeline` — a streaming shard pipeline (bounded
-  per-stage queues, order-preserving reassembly, backpressure, error
-  propagation/cancellation) that lets the mix cascade and the
-  filter→mix→decrypt path overlap stages instead of running phase barriers
-  (configure per election via
-  :attr:`repro.election.config.ElectionConfig.pipeline_spec`).
+  per-stage queues, backpressure, error propagation/cancellation): the
+  tally's ledger read runs a page ahead of its signature check through it
+  (:attr:`repro.election.config.ElectionConfig.pipeline_spec`), and the
+  ``stream`` audit strategy verifies shard by shard.
 
 Importing this package installs the fixed-base accelerator hook; everything
 else is opt-in per call (``executor=...``) or per election (config).
@@ -41,10 +40,8 @@ from repro.runtime.executor import (
     set_default_executor,
 )
 from repro.runtime.pipeline import (
-    MapStage,
     PipelineSpec,
     Shard,
-    ShardReassembler,
     Stage,
     StopPipeline,
     StreamPipeline,
@@ -79,8 +76,6 @@ __all__ = [
     "clear_tables",
     "Shard",
     "Stage",
-    "MapStage",
-    "ShardReassembler",
     "StreamPipeline",
     "StopPipeline",
     "PipelineSpec",

@@ -45,9 +45,9 @@ from repro.crypto.dlog_proof import DlogProof, dlog_challenge
 from repro.crypto.elgamal import DecryptionShare, ElGamal, ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.schnorr import SchnorrSignature, schnorr_challenge, schnorr_verify
-from repro.runtime.executor import Executor
+from repro.runtime.executor import Executor, chunk_evenly
 from repro.runtime.precompute import multi_element_power
-from repro.runtime.sharding import merge_shards, parallel_map, shard_contiguous
+from repro.runtime.sharding import parallel_map
 
 DEFAULT_WEIGHT_BITS = 128
 DEFAULT_SIGNATURE_CHUNK = 64
@@ -155,8 +155,9 @@ def verify_signatures(
     """Per-item Schnorr verdicts with batch fast path and executor fan-out."""
     if not items:
         return []
-    shards = shard_contiguous(list(items), max(1, (len(items) + chunk_size - 1) // chunk_size))
-    return merge_shards(parallel_map(_verify_signature_chunk, shards, executor=executor, chunksize=1))
+    shards = chunk_evenly(list(items), max(1, (len(items) + chunk_size - 1) // chunk_size))
+    verdicts = parallel_map(_verify_signature_chunk, shards, executor=executor, chunksize=1)
+    return [verdict for shard in verdicts for verdict in shard]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Streaming shard pipeline: a bounded-queue stage scheduler.
 
-The tally's heavy phases form a linear dataflow — read ballot shards off the
-ledger, push them through ``num_mixers`` shuffle stages, derive blinded tags,
-join against the registration tags, decrypt the survivors.  Before this
-module, each phase ran to completion before the next started, so adding a
-mixer multiplied wall-clock latency.  :class:`StreamPipeline` runs every
-stage in its own thread, connected by bounded FIFO queues, so stage *i+1*
-works on shard *k* while stage *i* works on shard *k+1* — the classic
-producer/consumer pipelining that hides per-stage latency behind overlap.
+:class:`StreamPipeline` runs every stage in its own thread, connected by
+bounded FIFO queues, so a stage works on shard *k* while the source (or the
+stage before it) produces shard *k+1* — the classic producer/consumer
+pipelining that hides one side's latency behind the other's.  Two users,
+both one stage long: the tally's ledger read (``ballot-read``: the
+cursor-paged reader runs ahead of the signature check under
+``pipeline_spec="stream"``) and the ``stream`` audit strategy (check shards
+verify while the sink folds verdicts and may stop at the first failure).
+The tally's *phases* do not overlap through this module: each already fans
+out n-wide over the executor, which leaves overlap nothing to win
+(``docs/performance.md``, layer 5).
 
 Design points:
 
@@ -17,29 +20,20 @@ Design points:
   executor.Executor`; the pipeline composes with the executor layer rather
   than replacing it (stage threads overlap, executors parallelize within a
   stage's shard).  That composition includes the multi-node backend: a
-  :class:`~repro.cluster.executor.RemoteExecutor` handed to stages is
-  safe to share — its coordinator multiplexes concurrent task groups from
-  several stage threads — so a streaming cascade's mixers can each fan
-  their shard across the same worker fleet.
+  :class:`~repro.cluster.executor.RemoteExecutor` handed to a stage is safe
+  to share with the caller's thread — its coordinator multiplexes concurrent
+  task groups.
 * **Backpressure.**  Every inter-stage queue is bounded by ``queue_depth``
   shards; a fast producer blocks instead of buffering the whole stream, so
   memory stays proportional to ``num_stages × queue_depth × shard_size``.
 * **Order preservation.**  Queues are FIFO and stages emit in order, so the
-  sink observes shards in index order; :class:`ShardReassembler` helps
-  stages whose work completes out of order (a shuffle scatters source items
-  across output positions) release contiguous shards as soon as they are
-  whole.
+  sink observes shards in index order.
 * **Error propagation and cancellation.**  The first exception raised by any
   stage (or the source, or the consumer callback) cancels the whole
   pipeline: every blocked put/get is woken, every worker thread joins, and
   :meth:`StreamPipeline.run` re-raises the original exception unchanged.  A
   consumer can also end the stream early by raising :class:`StopPipeline`
   (used by streaming verification to stop on the first failed check).
-* **Post-stream finalization.**  A stage's :meth:`Stage.finalize` runs
-  *after* its end-of-stream marker has been handed downstream, so expensive
-  side-products (a mixer's shadow shuffles and proof) overlap with
-  downstream consumption of the main output instead of serializing the
-  cascade.
 
 The scheduler is deliberately deterministic from the outside: given the same
 source shards and stages, the collected output is identical regardless of
@@ -57,15 +51,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.runtime.executor import Executor
-from repro.runtime.sharding import parallel_map
 from repro.spec import PIPELINE
 
 #: How long a blocked queue operation waits before re-checking cancellation.
 _POLL_SECONDS = 0.05
-
-#: Default number of items per shard when a spec does not say otherwise.
-DEFAULT_SHARD_SIZE = 32
 
 #: Default bound (in shards) on every inter-stage queue.
 DEFAULT_QUEUE_DEPTH = 4
@@ -111,28 +100,12 @@ class Stage(abc.ABC):
     """One stage of a :class:`StreamPipeline`.
 
     The scheduler calls, in order and from a single dedicated thread:
-    ``process(shard)`` for every input shard; ``finish()`` once the input
-    stream ends (emit any buffered tail shards); then — after the stage's
-    end-of-stream marker has been handed downstream — ``finalize()`` for
-    post-stream work whose results leave through a side channel (e.g. a
-    mixer's proof).  ``process``/``finish`` yield output shards; a stage must
-    emit shards in index order (use :class:`ShardReassembler` when work
-    completes out of order).
+    ``process(shard)`` for every input shard, then ``finish()`` once the
+    input stream ends (emit any buffered tail shards).  Both yield output
+    shards, which a stage must emit in index order.
     """
 
     name: str = "stage"
-
-    #: Bound by the scheduler before the run starts; long-running ``finalize``
-    #: implementations should poll :meth:`should_abort` between work units so
-    #: a failure elsewhere in the pipeline does not wait on doomed work.
-    _should_abort: Callable[[], bool] = staticmethod(lambda: False)
-
-    def bind_abort(self, should_abort: Callable[[], bool]) -> None:
-        self._should_abort = should_abort
-
-    def should_abort(self) -> bool:
-        """Has the pipeline been cancelled (error or :class:`StopPipeline`)?"""
-        return self._should_abort()
 
     @abc.abstractmethod
     def process(self, shard: Shard) -> Iterable[Shard]:
@@ -141,72 +114,6 @@ class Stage(abc.ABC):
     def finish(self) -> Iterable[Shard]:
         """Input stream ended: yield any remaining output shards."""
         return ()
-
-    def finalize(self) -> None:
-        """Post-stream hook, run after downstream has the end-of-stream marker."""
-
-
-class MapStage(Stage):
-    """A stateless 1:1 stage: apply ``fn`` to every item of every shard.
-
-    ``fn`` runs through :func:`repro.runtime.sharding.parallel_map`, so a
-    thread/process executor parallelizes *within* the shard while the
-    pipeline overlaps *across* stages.  ``fn`` must be module-level when the
-    executor is process-backed (pickling).
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[Any], Any],
-        executor: Optional[Executor] = None,
-        name: Optional[str] = None,
-        chunksize: Optional[int] = None,
-    ):
-        self.fn = fn
-        self.executor = executor
-        self.chunksize = chunksize
-        self.name = name or getattr(fn, "__name__", "map")
-
-    def process(self, shard: Shard) -> Iterable[Shard]:
-        yield Shard(shard.index, parallel_map(self.fn, shard.items, executor=self.executor, chunksize=self.chunksize))
-
-
-class ShardReassembler:
-    """Order-preserving reassembly of out-of-order item completions.
-
-    Built from the stream's shard boundaries; :meth:`add` records a completed
-    item at an absolute position and returns every shard that became both
-    complete and next-in-order.  Used by stages (like a shuffle) whose output
-    positions fill in scattered order but must leave in stream order.
-    """
-
-    def __init__(self, boundaries: Sequence[Tuple[int, int]]):
-        self._boundaries = list(boundaries)
-        total = self._boundaries[-1][1] if self._boundaries else 0
-        self._slots: List[Any] = [None] * total
-        self._missing = [end - start for start, end in self._boundaries]
-        self._shard_of = [0] * total
-        for index, (start, end) in enumerate(self._boundaries):
-            for position in range(start, end):
-                self._shard_of[position] = index
-        self._next_shard = 0
-
-    def add(self, position: int, value: Any) -> List[Shard]:
-        """Record ``value`` at ``position``; return newly releasable shards."""
-        self._slots[position] = value
-        shard_index = self._shard_of[position]
-        self._missing[shard_index] -= 1
-        released: List[Shard] = []
-        while self._next_shard < len(self._boundaries) and self._missing[self._next_shard] == 0:
-            start, end = self._boundaries[self._next_shard]
-            released.append(Shard(self._next_shard, self._slots[start:end]))
-            self._next_shard += 1
-        return released
-
-    @property
-    def pending_shards(self) -> int:
-        """How many shards have not been released yet."""
-        return len(self._boundaries) - self._next_shard
 
 
 class StreamPipeline:
@@ -291,13 +198,6 @@ class StreamPipeline:
                         for shard in stage.finish():
                             self._put(out, shard, stage.name)
                     self._put(out, sentinel)
-                    # Post-stream work runs with downstream already unblocked:
-                    # this is what lets a mixer compute its shadow proof while
-                    # the next mixer consumes the main output.  Skipped when
-                    # the pipeline is already dead.
-                    if not self._cancel.is_set():
-                        with telemetry.span("pipeline.finalize", pipeline=self.name, stage=stage.name):
-                            stage.finalize()
                     return
                 # The span covers shard service time *including* any blocked
                 # put downstream — stalls are separated out by the
@@ -340,8 +240,6 @@ class StreamPipeline:
             raise RuntimeError("a StreamPipeline instance can only run once")
         self._ran = True
         self._context = telemetry.current_context() if telemetry.enabled() else None
-        for stage in self.stages:
-            stage.bind_abort(self._cancel.is_set)
         sentinel = object()
         queues: List["queue.Queue"] = [queue.Queue(maxsize=self.queue_depth) for _ in range(len(self.stages) + 1)]
         threads = [
@@ -379,9 +277,8 @@ class StreamPipeline:
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             self._record_error(exc)
         finally:
-            # Wake anything still blocked, then wait for every thread: stage
-            # finalize() work is part of the pipeline's contract, so run()
-            # only returns once all side-channel results are in place.
+            # Wake anything still blocked, then wait for every thread: run()
+            # leaves no thread of its own behind, on success or on error.
             if self._error is not None or stopped:
                 self._cancel.set()
             for thread in threads:
@@ -398,22 +295,18 @@ class StreamPipeline:
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """How the tally's dataflow should be scheduled.
+    """Whether the tally's ledger read overlaps its signature check.
 
-    ``streaming=False`` is the serial reference path (each phase runs to
-    completion).  With ``streaming=True``, shards of ``shard_size`` items
-    flow through the stages concurrently, with every inter-stage queue
-    bounded at ``queue_depth`` shards.  Both schedules produce bit-identical
-    published output; only the wall clock moves.
+    ``streaming=False`` reads a page, checks it, reads the next.  With
+    ``streaming=True`` the cursor-paged reader runs ahead of the check, at
+    most ``queue_depth`` pages in flight.  The published output is
+    bit-identical; only the wall clock moves.
     """
 
     streaming: bool = False
-    shard_size: int = DEFAULT_SHARD_SIZE
     queue_depth: int = DEFAULT_QUEUE_DEPTH
 
     def __post_init__(self) -> None:
-        if self.shard_size < 1:
-            raise ValueError("pipeline shard size must be >= 1")
         if self.queue_depth < 1:
             raise ValueError("pipeline queue depth must be >= 1")
 

@@ -4,10 +4,10 @@ The tally stages are data-parallel over ballots, registrations, shuffle
 rounds, or cascade stages.  This module centralizes how that work is split
 so every stage shards the same way:
 
-* contiguous, order-preserving shards (:func:`shard_contiguous`) — results
-  concatenate back into ledger order, which keeps parallel output
-  bit-identical to the serial reference; signature checking shards this way
-  so each worker batch-verifies one shard;
+* contiguous, order-preserving shards (:func:`~repro.runtime.executor.
+  chunk_evenly`) — results concatenate back into ledger order, which keeps
+  parallel output bit-identical to the serial reference; signature checking
+  shards this way so each worker batch-verifies one shard;
 * :func:`parallel_map` / :func:`parallel_starmap` — the one-line fan-out used
   by ``filter_ballots``, ``decrypt_votes``, the mix cascade (prove and
   verify sides) and :func:`repro.runtime.batch.verify_signatures`; they
@@ -21,29 +21,9 @@ travel inside each task tuple and are deduplicated per chunk by pickling.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.runtime.executor import Executor, chunk_evenly, resolve_executor
-
-
-def shard_contiguous(items: Sequence[Any], num_shards: int) -> List[List[Any]]:
-    """Split ``items`` into contiguous shards; concatenation restores order."""
-    return chunk_evenly(items, num_shards)
-
-
-def merge_shards(shards: Iterable[Sequence[Any]]) -> List[Any]:
-    """Concatenate shard results back into a single ordered list."""
-    merged: List[Any] = []
-    for shard in shards:
-        merged.extend(shard)
-    return merged
-
-
-def default_shards(executor: Executor, num_items: int) -> int:
-    """A reasonable shard count: a few shards per worker, never empty ones."""
-    if num_items <= 1 or executor.num_workers <= 1:
-        return 1
-    return min(num_items, executor.num_workers * 4)
+from repro.runtime.executor import Executor, resolve_executor
 
 
 def parallel_map(

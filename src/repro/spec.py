@@ -155,8 +155,8 @@ BOARD = Grammar(
      "batched": (Arg("batch_size", "int>=1"), Arg("inner", "inner-spec"))},
 )
 PIPELINE = Grammar(
-    "pipeline_spec", "tally dataflow schedule", "serial", "serial", ValueError,
-    {"serial": (), "stream": (_SHARD, _DEPTH)},
+    "pipeline_spec", "whether the tally's paged ledger read runs ahead of its signature check",
+    "serial", "serial", ValueError, {"serial": (), "stream": (_DEPTH,)},
 )
 AUDIT = Grammar(
     "audit_spec", "`repro.audit` verification strategy", "batched", "eager", ValueError,
@@ -210,7 +210,7 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_GATEWAY_DEBUG", "flag (1 = on)", False, "repro.gateway.routes",
          "Serve the `/v1/debug/*` ops-plane routes (404 otherwise)."),
     # Read only by the tests, from the CI stress and tier-1 jobs; each test module has its own default.
-    Knob("REPRO_PIPELINE_SHARD_SIZE", "int>=1", None, "tests/runtime, tests/tally", "Randomized pipeline shard size."),
+    Knob("REPRO_PIPELINE_SHARD_SIZE", "int>=1", None, "tests/runtime", "Randomized pipeline shard size."),
     Knob("REPRO_PIPELINE_QUEUE_DEPTH", "int>=1", None, "tests/runtime, tests/tally", "Randomized queue depth."),
     Knob("REPRO_STRESS_ITERATION", "int>=1", None, "tests/runtime", "Stress iteration, mixed into the test's seed."),
     Knob("REPRO_CLUSTER_WORKERS", "int>=1", None, "tests/cluster", "Randomized loopback worker count (default 2)."),

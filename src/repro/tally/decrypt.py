@@ -30,37 +30,6 @@ def _decode_choice(dkg: DistributedKeyGeneration, plaintext: GroupElement, num_o
     return DecryptedVote(choice=choice)
 
 
-def _decrypt_one(
-    dkg: DistributedKeyGeneration,
-    ciphertext: ElGamalCiphertext,
-    num_options: int,
-) -> DecryptedVote:
-    """Decrypt one ballot — module-level so process executors can run it."""
-    return _decode_choice(dkg, dkg.decrypt(ciphertext, verify=False), num_options)
-
-
-def decrypt_batch(
-    dkg: DistributedKeyGeneration,
-    ciphertexts: Sequence[ElGamalCiphertext],
-    num_options: int,
-    executor: Optional[Executor] = None,
-    proofs: Optional[List[tuple]] = None,
-) -> List[DecryptedVote]:
-    """Decrypt and decode ``ciphertexts`` over the executor, in order.
-
-    Given a ``proofs`` list, each vote is decrypted once, keeping its share
-    proofs (:func:`~repro.audit.evidence.decryption_material`): the vote is
-    decoded from that result and the material is appended to ``proofs``.
-    """
-    if proofs is None:
-        jobs = [(dkg, ciphertext, num_options) for ciphertext in ciphertexts]
-        return parallel_starmap(_decrypt_one, jobs, executor=executor)
-    jobs = [(dkg, ciphertext) for ciphertext in ciphertexts]
-    material = parallel_starmap(decryption_material, jobs, executor=executor)
-    proofs.extend(material)
-    return [_decode_choice(dkg, fields[-1], num_options) for fields in material]
-
-
 def decrypt_votes(
     dkg: DistributedKeyGeneration,
     ciphertexts: Sequence[ElGamalCiphertext],
@@ -72,9 +41,17 @@ def decrypt_votes(
 
     Each ballot decrypts independently, so the work shards across the
     executor; ballot order (and thus the published vote list) is preserved.
+    Every vote is decrypted once, by the routine that proves each member's
+    share as it computes it (:func:`~repro.audit.evidence.decryption_material`);
+    the vote is decoded from that result, and a ``proofs`` list, when given,
+    is extended with the material.
     """
     with telemetry.span("tally.decrypt", items=len(ciphertexts)):
-        return decrypt_batch(dkg, ciphertexts, num_options, executor, proofs)
+        jobs = [(dkg, ciphertext) for ciphertext in ciphertexts]
+        material = parallel_starmap(decryption_material, jobs, executor=executor)
+        if proofs is not None:
+            proofs.extend(material)
+        return [_decode_choice(dkg, fields[-1], num_options) for fields in material]
 
 
 def aggregate(votes: Sequence[DecryptedVote], num_options: int) -> Dict[int, int]:

@@ -83,9 +83,9 @@ class TagJoiner:
 
     First match wins (at most one counted ballot per registration tag);
     further ballots with a known registration tag count as duplicates, the
-    rest are discarded.  Both the serial :func:`filter_ballots` and the
-    streaming tally's join stage feed this one implementation, so the two
-    schedules cannot drift apart semantically.
+    rest are discarded.  The tally's :func:`filter_ballots` and the audit's
+    evidence-join check feed this one implementation, so what is published
+    and what is re-checked cannot drift apart semantically.
     """
 
     def __init__(self, registration_tags: Sequence[bytes]):
@@ -101,8 +101,6 @@ class TagJoiner:
         self, tagged_votes: Sequence[Tuple[ElGamalCiphertext, bytes]]
     ) -> List[ElGamalCiphertext]:
         """Join a batch of (vote ciphertext, blinded tag); return the newly counted votes."""
-        # Both the serial filter and the streaming join stage land here, so
-        # this one span is the "tally.join" phase under either schedule.
         with telemetry.span("tally.join", items=len(tagged_votes)):
             newly_counted: List[ElGamalCiphertext] = []
             for vote_ciphertext, tag_bytes in tagged_votes:

@@ -40,16 +40,7 @@ from repro import telemetry
 from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
 from repro.crypto.group import GroupElement
 from repro.crypto.hashing import sha256
-from repro.runtime.executor import Executor, resolve_executor
-from repro.runtime.pipeline import (
-    PipelineSpec,
-    Shard,
-    ShardReassembler,
-    Stage,
-    StreamPipeline,
-    iter_shards,
-    shard_boundaries,
-)
+from repro.runtime.executor import Executor
 from repro.runtime.sharding import parallel_starmap
 
 CiphertextTuple = Tuple[ElGamalCiphertext, ...]
@@ -164,9 +155,8 @@ def _build_tuple_shuffle(
     """Assemble the cut-and-choose proof from pre-computed re-encryptions.
 
     ``plans[0]`` is the real shuffle's plan, ``plans[1:]`` the shadow plans.
-    Deterministic given its arguments — both the serial and the streaming
-    cascade build their proofs through this one function, which is what makes
-    the two paths bit-identical for a fixed randomness tape.
+    Deterministic given its arguments: the plans are the only randomness, so
+    a fixed randomness tape fixes the proof whatever executor re-encrypted.
     """
     rounds = len(shadows)
     permutation, randomness = plans[0]
@@ -320,181 +310,3 @@ def tuple_mix_cascade(
         stages.append(stage)
         current = stage.outputs
     return TupleCascade(stages=stages)
-
-
-# ---------------------------------------------------------------------------
-# Streaming cascade: shards flow through all mixers concurrently
-# ---------------------------------------------------------------------------
-#
-# The serial cascade is a chain of full barriers: mixer i+1 cannot start until
-# mixer i has finished *all* of its work, including the `rounds` shadow
-# shuffles that only matter for the proof.  But the data dependency between
-# mixers is the main output alone — and every permutation and every piece of
-# randomness is drawn up front in the calling thread (`_plan_shuffle`), so
-# mixer i's main output is a pure function of its input the moment its plan
-# exists.  The streaming cascade exploits exactly that:
-#
-# * all `num_mixers × (rounds + 1)` plans are drawn first, in the same order
-#   the serial cascade would draw them (same randomness-tape consumption,
-#   hence bit-identical output);
-# * each mixer is a pipeline `Stage` that re-encrypts its *main* output as
-#   input shards arrive and releases completed output shards downstream
-#   through a `ShardReassembler` (the permutation scatters sources across
-#   output positions, so shards complete out of order);
-# * the shadow shuffles and the cut-and-choose proof — `rounds/(rounds+1)` of
-#   the mixer's work — happen in `finalize()`, *after* the stage has passed
-#   end-of-stream downstream, so mixer i's proof computation overlaps with
-#   mixer i+1's main output computation.
-#
-# With enough workers the cascade's critical path drops from
-# `num_mixers · (rounds + 1)` units to roughly `num_mixers + rounds` units.
-
-
-def plan_tuple_cascade(
-    elgamal: ElGamal,
-    num_items: int,
-    arity: int,
-    num_mixers: int,
-    rounds: int = DEFAULT_SOUNDNESS_ROUNDS,
-) -> List[List[ShufflePlan]]:
-    """Draw every mixer's shuffle plans up front, in serial-cascade order.
-
-    Must run in the calling thread before any re-encryption is scheduled:
-    the draw order (mixer by mixer, real plan first, then the shadows) is
-    exactly the order the serial cascade consumes the randomness tape in,
-    which is what keeps streamed output bit-identical to serial output.
-    """
-    return [
-        [_plan_shuffle(elgamal, num_items, arity) for _ in range(rounds + 1)]
-        for _ in range(num_mixers)
-    ]
-
-
-class MixerStage(Stage):
-    """One mixer of the cascade as a streaming pipeline stage.
-
-    ``process`` re-encrypts the main-plan positions fed by each arriving
-    input shard and releases completed output shards in order; ``finalize``
-    computes the shadow shuffles and assembles the proof into
-    :attr:`result` after downstream has the full output stream.
-    """
-
-    def __init__(
-        self,
-        elgamal: ElGamal,
-        public_key: GroupElement,
-        plans: Sequence[ShufflePlan],
-        boundaries: Sequence[Tuple[int, int]],
-        executor: Optional[Executor] = None,
-        name: str = "mixer",
-    ):
-        self.name = name
-        self.elgamal = elgamal
-        self.public_key = public_key
-        self.plans = list(plans)
-        self.executor = executor
-        num_items = boundaries[-1][1] if boundaries else 0
-        self._num_items = num_items
-        self._inverse_main = _inverse_permutation(self.plans[0][0])
-        self._inputs: List[Optional[CiphertextTuple]] = [None] * num_items
-        self._outputs: List[Optional[CiphertextTuple]] = [None] * num_items
-        self._reassembler = ShardReassembler(boundaries)
-        self._offset = 0
-        #: The assembled shuffle (with proof); populated by ``finalize``.
-        self.result: Optional[TupleShuffle] = None
-
-    def process(self, shard: Shard):
-        # The streaming half of the "tally.mix" phase span (the serial
-        # cascade emits it around each whole shuffle instead).
-        with telemetry.span("tally.mix", mixer=self.name, shard=shard.index, items=len(shard)):
-            yield from self._process(shard)
-
-    def _process(self, shard: Shard):
-        start = self._offset
-        self._offset += len(shard.items)
-        if self._offset > self._num_items:
-            raise ValueError("mixer stage received more items than planned")
-        main_randomness = self.plans[0][1]
-        positions = [self._inverse_main[start + offset] for offset in range(len(shard.items))]
-        tasks = [
-            (self.elgamal, self.public_key, item, main_randomness[position])
-            for item, position in zip(shard.items, positions)
-        ]
-        reencrypted = parallel_starmap(_reencrypt_tuple, tasks, executor=self.executor)
-        for offset, item in enumerate(shard.items):
-            self._inputs[start + offset] = item
-        for position, value in zip(positions, reencrypted):
-            self._outputs[position] = value
-            for ready in self._reassembler.add(position, value):
-                yield ready
-
-    def finish(self):
-        if self._offset != self._num_items or self._reassembler.pending_shards:
-            raise ValueError(
-                f"mixer stage saw {self._offset} of {self._num_items} planned items"
-            )
-        return ()
-
-    def finalize(self) -> None:
-        # Shadow shuffles + proof: the bulk of the work, overlapped with
-        # downstream consumption of the main output emitted above.  Polls for
-        # cancellation between rounds so a failure elsewhere in the pipeline
-        # is not stuck waiting on doomed proof work.
-        inputs = self._inputs
-        shadows: List[List[CiphertextTuple]] = []
-        for shadow_permutation, shadow_randomness in self.plans[1:]:
-            if self.should_abort():
-                return
-            tasks = [
-                (self.elgamal, self.public_key, inputs[source], shadow_randomness[position])
-                for position, source in enumerate(shadow_permutation)
-            ]
-            shadows.append(parallel_starmap(_reencrypt_tuple, tasks, executor=self.executor))
-        if self.should_abort():
-            return
-        self.result = _build_tuple_shuffle(self.elgamal, inputs, self._outputs, shadows, self.plans)
-
-
-def make_mixer_stages(
-    elgamal: ElGamal,
-    public_key: GroupElement,
-    plans: Sequence[Sequence[ShufflePlan]],
-    boundaries: Sequence[Tuple[int, int]],
-    executor: Optional[Executor] = None,
-) -> List[MixerStage]:
-    """Build the cascade's mixer stages from pre-drawn plans."""
-    return [
-        MixerStage(elgamal, public_key, mixer_plans, boundaries, executor=executor, name=f"mixer-{index}")
-        for index, mixer_plans in enumerate(plans)
-    ]
-
-
-def streaming_tuple_mix_cascade(
-    elgamal: ElGamal,
-    public_key: GroupElement,
-    inputs: Sequence[CiphertextTuple],
-    num_mixers: int,
-    rounds: int = DEFAULT_SOUNDNESS_ROUNDS,
-    executor: Optional[Executor] = None,
-    pipeline: Optional[PipelineSpec] = None,
-) -> TupleCascade:
-    """The streaming counterpart of :func:`tuple_mix_cascade`.
-
-    Bit-identical to the serial cascade for a fixed randomness tape (plans
-    are drawn up front in serial order; everything downstream of the draws is
-    deterministic), but mixers overlap: mixer *i+1* consumes output shards
-    while mixer *i* still computes its shadow proof.
-    """
-    items = list(inputs)
-    spec = pipeline if pipeline is not None else PipelineSpec(streaming=True)
-    if not spec.streaming or not items or num_mixers == 0:
-        return tuple_mix_cascade(elgamal, public_key, items, num_mixers, rounds, executor=executor)
-    ex = resolve_executor(executor)
-    ex.warm()  # fork any process pool before pipeline threads exist
-    plans = plan_tuple_cascade(elgamal, len(items), len(items[0]), num_mixers, rounds)
-    boundaries = shard_boundaries(len(items), spec.shard_size)
-    stages = make_mixer_stages(elgamal, public_key, plans, boundaries, executor=ex)
-    StreamPipeline(stages, queue_depth=spec.queue_depth, name="mix-cascade").run(
-        iter_shards(items, spec.shard_size)
-    )
-    return TupleCascade(stages=[stage.result for stage in stages])

@@ -6,32 +6,29 @@ auditor needs (ballot validity filter, the two mix cascades, the tagging
 chains implicit in the filter, and the threshold-decryption shares are
 re-checked by :func:`repro.audit.checks.audit_tally`).
 
-Two schedules produce that result, selected by ``pipeline``
-(:class:`~repro.runtime.pipeline.PipelineSpec`, configured per election via
-``ElectionConfig.pipeline_spec``):
+There is one schedule, the paper's four linear phases (§4.2, §7.4, Fig. 5b):
+read + signature-check the ballots, mix registrations and ballots, filter
+(tag + join), decrypt.  Each phase fans out n-wide over the executor and runs
+to completion before the next starts — once a phase has at least as many
+items as there are workers no core is left idle for a neighbouring phase to
+use, so overlapping phases would only add small tasks and thread contention
+(measured in ``docs/performance.md``, layer 5).
 
-* **serial** (the reference): each phase runs to completion — read + check
-  ballots, mix, filter, decrypt;
-* **streaming**: cursor-paged ballot shards from the ledger flow through a
-  :class:`~repro.runtime.pipeline.StreamPipeline` whose stages are the
-  signature check, every mixer of the cascade, blinded-tag derivation, the
-  tag join, and threshold decryption — so mixer *i+1* (and everything
-  downstream) works on shard *k* while mixer *i* works on shard *k+1* and
-  computes its shadow proofs.
+``pipeline`` (:class:`~repro.runtime.pipeline.PipelineSpec`, configured per
+election via ``ElectionConfig.pipeline_spec``) selects one thing, inside the
+first phase: with ``stream[:queue_depth]`` the cursor-paged ledger read runs
+one page ahead of the signature check through a one-stage
+:class:`~repro.runtime.pipeline.StreamPipeline` (``ballot-read``), at most
+``queue_depth`` pages in flight.  Nothing published depends on it: all
+randomness that shapes the output (shuffle plans, tagging secrets) is drawn
+in the calling thread in one order, and everything downstream of those draws
+is deterministic.  Only proof *nonces* (decryption-share and tagging
+Chaum–Pedersen commitments, RLC batch coefficients) are drawn inside workers,
+and none of them appear in the result.
 
-Both schedules are bit-identical in everything published: all randomness
-that shapes the output (shuffle plans, tagging secrets) is drawn in the
-calling thread in the same order on both paths, and everything downstream of
-those draws is deterministic.  Only proof *nonces* (decryption-share and
-tagging Chaum–Pedersen commitments, RLC batch coefficients) are drawn inside
-workers, and none of them appear in the result.
-
-One real barrier remains and is worth documenting: ballot deduplication is
+The read cannot stream any further than that: ballot deduplication is
 last-write-wins per credential, and the shuffle permutations need the final
-ballot count, so the mix cannot start before the ledger read completes.  The
-streaming path therefore makes one cursor-paged pass for signature checking
-and dedup (itself pipelined), then streams the deduplicated shards through
-the cascade.
+ballot count, so the mix cannot start before the ledger read completes.
 """
 
 from __future__ import annotations
@@ -52,29 +49,14 @@ from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import BallotRecord
 from repro.runtime.batch import verify_signatures
 from repro.runtime.executor import Executor, resolve_executor
-from repro.runtime.pipeline import (
-    PipelineSpec,
-    Shard,
-    Stage,
-    StreamPipeline,
-    iter_shards,
-    shard_boundaries,
-)
-from repro.tally.decrypt import DecryptedVote, aggregate, decrypt_batch, decrypt_votes
-from repro.tally.filter import (
-    FilterResult,
-    TagJoiner,
-    blinded_tags,
-    deduplicate_ballots,
-    filter_ballots,
-)
-from repro.tally.mixnet import (
-    TupleCascade,
-    make_mixer_stages,
-    plan_tuple_cascade,
-    streaming_tuple_mix_cascade,
-    tuple_mix_cascade,
-)
+from repro.runtime.pipeline import PipelineSpec, Shard, Stage, StreamPipeline
+from repro.tally.decrypt import DecryptedVote, aggregate, decrypt_votes
+from repro.tally.filter import FilterResult, deduplicate_ballots, filter_ballots
+from repro.tally.mixnet import TupleCascade, tuple_mix_cascade
+
+# Never called: benchmarks/e2e/layers.py:42 installs a wrapper on this name
+# and may not change in a non-[benchmark] PR (ROADMAP item 1(b) removes both).
+streaming_tuple_mix_cascade = tuple_mix_cascade
 
 
 @dataclass
@@ -124,8 +106,14 @@ def _ballot_signature_items(records: List[BallotRecord]) -> List[Tuple]:
     return items
 
 
+def _signed_records(records: List[BallotRecord], executor: Optional[Executor]) -> List[BallotRecord]:
+    """Batch-verify one cursor page of ballots; keep the validly signed records."""
+    verdicts = verify_signatures(_ballot_signature_items(records), executor=executor)
+    return [record for record, ok in zip(records, verdicts) if ok]
+
+
 class _SignaturePageStage(Stage):
-    """Batch-verify one cursor page of ballots; emit the valid records."""
+    """:func:`_signed_records` as the one stage of the ``ballot-read`` pipeline."""
 
     name = "sig-check"
 
@@ -133,70 +121,7 @@ class _SignaturePageStage(Stage):
         self.executor = executor
 
     def process(self, shard: Shard):
-        verdicts = verify_signatures(_ballot_signature_items(shard.items), executor=self.executor)
-        yield Shard(shard.index, [record for record, ok in zip(shard.items, verdicts) if ok])
-
-
-@dataclass(eq=False)
-class _TagStage(Stage):
-    """Derive the blinded tag for each mixed (vote, credential) pair.
-
-    ``proofs`` as in :func:`~repro.tally.filter.blinded_tags`; shards arrive
-    in index order on the stage's one thread, so it fills in mixed-pair order.
-    """
-
-    tagging: TaggingAuthority
-    dkg: DistributedKeyGeneration
-    executor: Optional[Executor]
-    proofs: Optional[List[tuple]] = None
-    name = "blind-tags"
-
-    def process(self, shard: Shard):
-        credentials = [credential for _, credential in shard.items]
-        with telemetry.span("tally.tag", shard=shard.index, items=len(shard)):
-            tags = blinded_tags(
-                self.dkg, self.tagging, credentials, executor=self.executor, proofs=self.proofs
-            )
-        yield Shard(shard.index, [(vote, tag) for (vote, _), tag in zip(shard.items, tags)])
-
-
-class _JoinStage(Stage):
-    """The linear hash join of ballot tags against registration tags (§7.4).
-
-    Stateful and strictly in-order (it consumes one shard at a time from its
-    input queue); the join semantics live in the shared
-    :class:`~repro.tally.filter.TagJoiner`, the same implementation the
-    serial :func:`~repro.tally.filter.filter_ballots` uses — the two
-    schedules cannot drift apart.
-    """
-
-    name = "tag-join"
-
-    def __init__(self, registration_tags: List[bytes]):
-        self.joiner = TagJoiner(registration_tags)
-
-    def process(self, shard: Shard):
-        counted = self.joiner.feed(shard.items)
-        if counted:
-            yield Shard(shard.index, counted)
-
-
-@dataclass(eq=False)
-class _DecryptStage(Stage):
-    """Threshold-decrypt the counted vote ciphertexts (``proofs`` fills in counted order)."""
-
-    dkg: DistributedKeyGeneration
-    num_options: int
-    executor: Optional[Executor]
-    proofs: Optional[List[tuple]] = None
-    name = "decrypt"
-
-    def process(self, shard: Shard):
-        with telemetry.span("tally.decrypt", shard=shard.index, items=len(shard)):
-            votes = decrypt_batch(
-                self.dkg, shard.items, self.num_options, executor=self.executor, proofs=self.proofs
-            )
-        yield Shard(shard.index, votes)
+        yield Shard(shard.index, _signed_records(shard.items, self.executor))
 
 
 @dataclass
@@ -210,8 +135,8 @@ class TallyPipeline:
     fresh one is drawn per run (reusing a tagging exponent across elections
     would link ballots), but injection enables deterministic replay and lets
     an auditor re-run filtering against a disclosed tagging transcript.
-    ``pipeline`` selects the serial or streaming schedule (see the module
-    docstring); both publish bit-identical results.
+    ``pipeline`` says whether the ledger read runs a page ahead of the
+    signature check (see the module docstring); the result is bit-identical.
     """
 
     group: Group
@@ -243,40 +168,30 @@ class TallyPipeline:
         board: "Board",
         election_id: str,
         executor: Optional[Executor] = None,
-        pipeline: Optional[PipelineSpec] = None,
     ) -> List[BallotRecord]:
         """Signature-check and deduplicate the ballots on the ledger.
 
-        The ledger is consumed through cursor-based shard reads — ingestion
+        The ledger is consumed through cursor-based page reads — ingestion
         can keep appending behind the cursor without this stage ever holding
-        more than bookkeeping state per shard.  Signatures are checked with
-        the random-linear-combination batch verifier per shard: one batched
+        more than bookkeeping state per page.  Signatures are checked with
+        the random-linear-combination batch verifier per page: one batched
         equation when every signature is valid (the common case), bisection
         to isolate forgeries otherwise.  With a streaming ``pipeline``, the
         cursor reads and the signature checks overlap (the reader fetches
         page *k+1* while page *k* verifies).
         """
-        view = as_board_view(board)
         ex = executor if executor is not None else self.executor
-        spec = pipeline if pipeline is not None else self.pipeline
-        streaming = spec is not None and spec.streaming
-        if streaming:
-            pages = (
-                Shard(index, page.records)
-                for index, page in enumerate(
-                    view.iter_ballot_pages(election_id=election_id, page_size=self.read_page_size)
-                )
-            )
+        pages = as_board_view(board).iter_ballot_pages(
+            election_id=election_id, page_size=self.read_page_size
+        )
+        if self.pipeline is not None and self.pipeline.streaming:
             shards = StreamPipeline(
-                [_SignaturePageStage(ex)], queue_depth=spec.queue_depth, name="ballot-read"
-            ).run(pages)
-            valid = [record for shard in shards for record in shard.items]
-            return deduplicate_ballots(valid)
-        valid: List[BallotRecord] = []
-        for page in view.iter_ballot_pages(election_id=election_id, page_size=self.read_page_size):
-            verdicts = verify_signatures(_ballot_signature_items(page.records), executor=ex)
-            valid.extend(record for record, ok in zip(page.records, verdicts) if ok)
-        return deduplicate_ballots(valid)
+                [_SignaturePageStage(ex)], queue_depth=self.pipeline.queue_depth, name="ballot-read"
+            ).run(Shard(index, page.records) for index, page in enumerate(pages))
+            checked = (shard.items for shard in shards)
+        else:
+            checked = (_signed_records(page.records, ex) for page in pages)
+        return deduplicate_ballots([record for page in checked for record in page])
 
     # ------------------------------------------------------------------ main run
 
@@ -299,10 +214,9 @@ class TallyPipeline:
         rotated away from are dropped.
         """
         ex = resolve_executor(self.executor)
-        spec = self.pipeline if self.pipeline is not None else PipelineSpec(streaming=False)
-        if spec.streaming or ex.name == "remote":
+        if (self.pipeline is not None and self.pipeline.streaming) or ex.name == "remote":
             # Fork/spawn any worker pool while this is still the only thread;
-            # the first pipeline (the ledger read below) starts stage threads.
+            # a streaming ledger read (below) starts a reader and a stage thread.
             # For a remote executor this is the enrollment barrier: every
             # worker has warmed its precompute tables before the first shard.
             ex.warm()
@@ -312,9 +226,9 @@ class TallyPipeline:
             raise TallyError("no active registrations: nothing to tally")
         # One of the five tally phase spans (sig-check / mix / tag / join /
         # decrypt); the other four are emitted at the point of work in
-        # mixnet/filter/decrypt so both schedules produce the same names.
+        # mixnet/filter/decrypt.
         with telemetry.span("tally.sig-check", election=election_id):
-            ballots = self._valid_ballots(view, election_id, executor=ex, pipeline=spec)
+            ballots = self._valid_ballots(view, election_id, executor=ex)
         if rotations is not None:
             ballots = [b for b in ballots if not rotations.is_retired(b.credential_public_key)]
 
@@ -339,19 +253,8 @@ class TallyPipeline:
             for record in ballots
         ]
 
-        # num_mixers == 0 must take the serial path: an empty cascade publishes
-        # no mixed pairs, so nothing is counted — the streaming stages would
-        # otherwise feed raw ballots straight into tagging.
-        if spec.streaming and ballot_inputs and self.num_mixers > 0:
-            return self._run_streaming(
-                view, ballots, registration_inputs, ballot_inputs, num_options, spec, ex
-            )
-
-        registration_cascade = self._mix(registration_inputs, spec, ex)
-        if ballot_inputs:
-            ballot_cascade = self._mix(ballot_inputs, spec, ex)
-        else:
-            ballot_cascade = TupleCascade(stages=[])
+        registration_cascade = self._mix(registration_inputs, ex)
+        ballot_cascade = self._mix(ballot_inputs, ex) if ballot_inputs else TupleCascade(stages=[])
 
         mixed_registrations = [item[0] for item in (registration_cascade.outputs or registration_inputs)]
         mixed_pairs: List[Tuple[ElGamalCiphertext, ElGamalCiphertext]] = [
@@ -374,74 +277,9 @@ class TallyPipeline:
             tagging, mixed_registrations, tag_proofs, vote_proofs,
         )
 
-    # ------------------------------------------------------------------ streaming run
-
-    def _run_streaming(
-        self,
-        view: BoardView,
-        ballots: List[BallotRecord],
-        registration_inputs,
-        ballot_inputs,
-        num_options: int,
-        spec: PipelineSpec,
-        ex: Executor,
-    ) -> TallyResult:
-        """The streaming schedule: one pipeline from mix input to decrypted vote.
-
-        Randomness-tape discipline (what keeps this bit-identical to the
-        serial path): the draws that shape published output happen in this
-        thread in serial-path order — registration-cascade plans, then
-        ballot-cascade plans, then the tagging secrets.  The pipeline itself
-        only computes deterministic functions of those draws.
-        """
-        public_key = self.authority.public_key
-        registration_cascade = streaming_tuple_mix_cascade(
-            self.elgamal, public_key, registration_inputs, self.num_mixers, self.proof_rounds,
-            executor=ex, pipeline=spec,
-        )
-        mixed_registrations = [item[0] for item in (registration_cascade.outputs or registration_inputs)]
-
-        plans = plan_tuple_cascade(
-            self.elgamal, len(ballot_inputs), len(ballot_inputs[0]), self.num_mixers, self.proof_rounds
-        )
-        tagging = self.tagging if self.tagging is not None else TaggingAuthority.create(
-            self.group, self.authority.num_members
-        )
-        # Registration tags first, then the tag stage's shards: the order
-        # filter_ballots fills the same list in on the serial schedule.
-        tag_proofs, vote_proofs = ([], []) if self.collect_evidence else (None, None)
-        registration_tags = blinded_tags(
-            self.authority, tagging, mixed_registrations, executor=ex, proofs=tag_proofs
-        )
-
-        boundaries = shard_boundaries(len(ballot_inputs), spec.shard_size)
-        mixer_stages = make_mixer_stages(self.elgamal, public_key, plans, boundaries, executor=ex)
-        join_stage = _JoinStage(registration_tags)
-        stages = mixer_stages + [
-            _TagStage(tagging, self.authority, ex, tag_proofs),
-            join_stage,
-            _DecryptStage(self.authority, num_options, ex, vote_proofs),
-        ]
-        vote_shards = StreamPipeline(stages, queue_depth=spec.queue_depth, name="tally").run(
-            iter_shards(ballot_inputs, spec.shard_size)
-        )
-        votes: List[DecryptedVote] = [vote for shard in vote_shards for vote in shard.items]
-
-        ballot_cascade = TupleCascade(stages=[stage.result for stage in mixer_stages])
-
-        return self._result(
-            view, ballots, registration_cascade, ballot_cascade, join_stage.joiner.result(), votes, num_options,
-            tagging, mixed_registrations, tag_proofs, vote_proofs,
-        )
-
     # ------------------------------------------------------------------ helpers
 
-    def _mix(self, inputs, spec: PipelineSpec, ex: Executor) -> TupleCascade:
-        if spec.streaming and inputs:
-            return streaming_tuple_mix_cascade(
-                self.elgamal, self.authority.public_key, inputs, self.num_mixers, self.proof_rounds,
-                executor=ex, pipeline=spec,
-            )
+    def _mix(self, inputs, ex: Executor) -> TupleCascade:
         return tuple_mix_cascade(
             self.elgamal, self.authority.public_key, inputs, self.num_mixers, self.proof_rounds,
             executor=ex,

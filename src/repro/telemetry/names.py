@@ -4,8 +4,8 @@ Every ``telemetry.span`` / ``counter`` / ``gauge`` / ``histogram`` call site
 must pass a string literal drawn from this module (enforced statically by
 ``repro.analysis`` rule REP005).  Two properties hang off that discipline:
 
-- **Schedule-independent traces.**  The serial, streaming, and cluster
-  schedules of the same tally must emit identical span names, or trace
+- **Schedule-independent traces.**  The same tally on a serial, pooled or
+  cluster executor must emit identical span names, or trace
   diffing (and the bench gates built on span aggregates) silently compares
   different things.  A literal drawn from one registry cannot drift per
   schedule the way an interpolated name can.
@@ -38,7 +38,6 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
         "ledger.append",
         "ledger.flush",
         "ledger.read",
-        "pipeline.finalize",
         "pipeline.finish",
         "pipeline.stage",
         "tally.decrypt",

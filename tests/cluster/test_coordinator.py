@@ -25,7 +25,7 @@ from repro.cluster.protocol import (
 from repro.cluster.worker import WorkerDaemon, main as worker_main
 from repro.errors import ClusterError
 from repro.runtime.executor import SerialExecutor, executor_from_spec
-from repro.runtime.pipeline import MapStage, StreamPipeline, iter_shards
+from repro.runtime.pipeline import Shard, Stage, StreamPipeline, iter_shards
 
 
 class TestExecutorContract:
@@ -102,9 +102,13 @@ class TestExecutorContract:
             assert outcomes[f"t{i}"] == [x * x for x in range(10 * i, 10 * i + 20)]
 
     def test_stream_pipeline_stage_runs_on_remote_executor(self, cluster_executor):
-        shards = StreamPipeline(
-            [MapStage(cluster_tasks.square, executor=cluster_executor)], name="remote-map"
-        ).run(iter_shards(list(range(30)), 7))
+        class SquareStage(Stage):
+            name = "square"
+
+            def process(self, shard):
+                yield Shard(shard.index, cluster_executor.map(cluster_tasks.square, shard.items))
+
+        shards = StreamPipeline([SquareStage()], name="remote-map").run(iter_shards(list(range(30)), 7))
         flat = [item for shard in shards for item in shard.items]
         assert flat == [i * i for i in range(30)]
 

@@ -26,6 +26,7 @@ class TestElectionConfig:
             ("executor_spec", "thread:zero", ValueError),
             ("board_spec", "batched:8:bogus", LedgerError),
             ("pipeline_spec", "stream:0", ValueError),
+            ("pipeline_spec", "stream:32:4", ValueError),
             ("audit_spec", "batchd", ValueError),
             ("audit_spec", "stream:2:0", ValueError),
             ("telemetry_spec", "jsonl:", ValueError),

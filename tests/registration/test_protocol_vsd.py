@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.crypto.hashing import sha256
+from repro.election import ElectionConfig, VotegralElection
 from repro.errors import VerificationError
+from repro.ledger.log import AppendOnlyLog
 from repro.peripherals.clock import Component
 from repro.registration.materials import CredentialState, EnvelopeSymbol
 from repro.registration.protocol import RegistrationSession, run_registration
@@ -82,6 +85,57 @@ class TestRegistrationWorkflow:
     def test_registration_notification_sent(self, small_setup):
         outcome = run_registration(small_setup, Voter("alice"))
         assert outcome.vsd.registration_notifications
+
+
+class TestRegistrationAlarm:
+    """Appendix J's impersonation defence: a device that watches the ledger
+    learns of every registration event in its voter's name."""
+
+    BOARDS = ("memory", "sqlite::memory:", "batched:2:memory")
+
+    @staticmethod
+    def _election(board_spec):
+        election = VotegralElection(
+            ElectionConfig(num_voters=2, num_mixers=1, proof_rounds=1, board_spec=board_spec)
+        )
+        election.run_setup()
+        return election
+
+    @pytest.mark.parametrize("board_spec", BOARDS)
+    def test_a_second_registration_in_the_voters_name_rings(self, board_spec):
+        with self._election(board_spec) as election:
+            device = election.register_voter("voter-0000").vsd
+            assert len(device.registration_notifications) == 1
+            assert not device.has_unexpected_registration
+
+            election.register_voter("voter-0001")  # a stranger registers: silence
+            assert len(device.registration_notifications) == 1
+            assert not device.has_unexpected_registration
+
+            impostor = election.register_voter("voter-0000").vsd
+            election.setup.board.flush()
+            assert len(device.registration_notifications) == 2
+            assert device.has_unexpected_registration
+            # The impostor's own device took part in the one event it has seen.
+            assert not impostor.has_unexpected_registration
+
+    @pytest.mark.parametrize("board_spec", BOARDS)
+    def test_the_registration_chain_is_the_roll_then_each_record_in_order(self, board_spec):
+        """Observers run after the record is visible; the chain is unmoved."""
+        with self._election(board_spec) as election:
+            for voter_id in ("voter-0000", "voter-0001", "voter-0000"):
+                election.register_voter(voter_id)
+            board = election.setup.board
+            board.flush()
+            records = board.registration_history("voter-0000")
+            records.insert(1, board.registration_for("voter-0001"))
+            expected = AppendOnlyLog("L_R")
+            for voter_id in board.eligible_voters:
+                expected.append(sha256(b"eligible-voter", voter_id.encode()))
+            for record in records:
+                expected.append(record.payload())
+            assert board.registration_log.head() == expected.head()
+            assert board.verify_all_chains()
 
 
 class TestActivationChecks:

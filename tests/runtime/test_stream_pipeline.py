@@ -17,11 +17,8 @@ import pytest
 from repro.runtime.executor import SerialExecutor, ThreadExecutor
 from repro.runtime.pipeline import (
     DEFAULT_QUEUE_DEPTH,
-    DEFAULT_SHARD_SIZE,
-    MapStage,
     PipelineSpec,
     Shard,
-    ShardReassembler,
     Stage,
     StopPipeline,
     StreamPipeline,
@@ -48,6 +45,18 @@ def _collect(shards):
     return [item for shard in shards for item in shard.items]
 
 
+class MapStage(Stage):
+    """A stateless 1:1 stage: apply ``fn`` to every item of every shard."""
+
+    def __init__(self, fn, executor=None):
+        self.fn = fn
+        self.executor = executor or SerialExecutor()
+        self.name = fn.__name__
+
+    def process(self, shard):
+        yield Shard(shard.index, self.executor.map(self.fn, shard.items))
+
+
 # ----------------------------------------------------------------- sharding
 
 
@@ -65,27 +74,6 @@ def test_iter_shards_roundtrip():
     assert [shard.index for shard in shards] == list(range(len(shards)))
     assert _collect(shards) == items
     assert all(len(shard) <= SHARD_SIZE for shard in shards)
-
-
-def test_reassembler_releases_in_order():
-    boundaries = shard_boundaries(7, 3)
-    reassembler = ShardReassembler(boundaries)
-    released = []
-    for position in reversed(range(7)):  # worst case: everything arrives backwards
-        released.extend(reassembler.add(position, position * 10))
-    assert [shard.index for shard in released] == [0, 1, 2]
-    assert _collect(released) == [position * 10 for position in range(7)]
-    assert reassembler.pending_shards == 0
-
-
-def test_reassembler_partial_pending():
-    reassembler = ShardReassembler(shard_boundaries(4, 2))
-    assert reassembler.add(3, "d") == []  # shard 1 incomplete, shard 0 missing
-    assert reassembler.add(2, "c") == []  # shard 1 complete but shard 0 blocks it
-    assert reassembler.pending_shards == 2
-    assert reassembler.add(0, "a") == []
-    released = reassembler.add(1, "b")
-    assert [shard.index for shard in released] == [0, 1]
 
 
 # ----------------------------------------------------------------- pipelines
@@ -211,50 +199,6 @@ def test_stop_pipeline_cancels_remaining_work():
     assert len(collected) < 100
 
 
-class _FinalizingStage(Stage):
-    """Emits its shards untouched; finalize waits for the downstream signal."""
-
-    name = "finalizing"
-
-    def __init__(self, downstream_done: threading.Event):
-        self.downstream_done = downstream_done
-        self.finalized_after_downstream = False
-
-    def process(self, shard):
-        yield shard
-
-    def finalize(self):
-        # If finalize ran before the end-of-stream marker reached downstream,
-        # this would deadlock; the wait timeout turns that into a failure.
-        self.finalized_after_downstream = self.downstream_done.wait(timeout=5)
-
-
-class _SignallingStage(Stage):
-    name = "signalling"
-
-    def __init__(self, done: threading.Event):
-        self.done = done
-
-    def process(self, shard):
-        yield shard
-
-    def finish(self):
-        self.done.set()
-        return ()
-
-
-def test_finalize_overlaps_downstream():
-    """finalize() must run after downstream already has the whole stream."""
-    done = threading.Event()
-    upstream = _FinalizingStage(done)
-    downstream = _SignallingStage(done)
-    shards = StreamPipeline([upstream, downstream], queue_depth=QUEUE_DEPTH).run(
-        iter_shards(list(range(12)), 3)
-    )
-    assert _collect(shards) == list(range(12))
-    assert upstream.finalized_after_downstream
-
-
 def test_stateful_stage_with_tail_emission():
     class Batcher(Stage):
         """Re-batches items into pairs, emitting the remainder at finish()."""
@@ -307,13 +251,13 @@ def test_pipeline_spec_defaults():
 
 
 def test_pipeline_spec_streaming_forms():
-    spec = pipeline_from_spec("stream")
-    assert spec == PipelineSpec(True, DEFAULT_SHARD_SIZE, DEFAULT_QUEUE_DEPTH)
-    assert pipeline_from_spec("stream:64") == PipelineSpec(True, 64, DEFAULT_QUEUE_DEPTH)
-    assert pipeline_from_spec("stream:64:8") == PipelineSpec(True, 64, 8)
+    assert pipeline_from_spec("stream") == PipelineSpec(True, DEFAULT_QUEUE_DEPTH)
+    assert pipeline_from_spec("stream:") == PipelineSpec(True, DEFAULT_QUEUE_DEPTH)
+    assert pipeline_from_spec("stream:16") == PipelineSpec(True, 16)
+    assert pipeline_from_spec("Stream:4") == PipelineSpec(streaming=True, queue_depth=4)
 
 
-@pytest.mark.parametrize("bad", ["serial:2", "stream:x", "stream:0", "stream:4:0", "warp"])
+@pytest.mark.parametrize("bad", ["serial:2", "stream:x", "stream:0", "stream:4:2", "warp"])
 def test_pipeline_spec_rejects_garbage(bad):
     with pytest.raises(ValueError):
         pipeline_from_spec(bad)

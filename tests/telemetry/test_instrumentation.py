@@ -6,6 +6,7 @@ from repro import telemetry
 from repro.election.config import ElectionConfig
 from repro.election.pipeline import VotegralElection
 from repro.runtime.executor import executor_from_spec
+from repro.runtime.pipeline import StreamPipeline
 from repro.telemetry.__main__ import main as telemetry_cli
 
 PHASES = {"tally.sig-check", "tally.mix", "tally.tag", "tally.join", "tally.decrypt"}
@@ -28,20 +29,53 @@ def test_serial_election_emits_all_five_phase_spans():
     assert snapshot.spans_named("audit.run")
 
 
-def test_streaming_election_emits_phase_spans_and_queue_gauges():
-    config = ElectionConfig(
-        num_voters=4, num_mixers=2, proof_rounds=2,
-        pipeline_spec="stream:2", telemetry_spec="mem",
+def _phase_spans(snapshot, exclude=()):
+    """(name, attribute names) of every tally phase span, sorted."""
+    return sorted(
+        (span["name"], tuple(sorted(span["attrs"])))
+        for span in snapshot.spans
+        if span["name"] in PHASES - set(exclude)
     )
-    outcome = VotegralElection(config).run()
-    assert outcome.counts_match_intent
-    snapshot = telemetry.snapshot()
-    assert PHASES <= set(snapshot.span_names())
-    assert snapshot.spans_named("pipeline.stage")
-    # The bounded queues sampled their depth; the high-water mark survives.
-    assert snapshot.gauge_high_water("pipeline.queue.depth") is not None
-    stages = {span["attrs"]["stage"] for span in snapshot.spans_named("pipeline.stage")}
-    assert len(stages) >= 2  # several distinct stages reported shard latency
+
+
+def test_stream_opens_one_ballot_read_pipeline_and_keeps_the_serial_phase_spans(monkeypatch):
+    """``stream`` moves the ledger read onto the one-stage ``ballot-read``
+    pipeline and nothing else: tag, join, decrypt and every mixer emit their
+    spans from the call sites the serial schedule uses (one span each, the
+    same attributes — no per-shard stage spans)."""
+    opened = []
+    run = StreamPipeline.run
+
+    def recording_run(self, *args, **kwargs):
+        opened.append((self.name, [stage.name for stage in self.stages]))
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamPipeline, "run", recording_run)
+
+    shapes = {}
+    for spec in ("serial", "stream:2"):
+        config = ElectionConfig(
+            num_voters=4, num_mixers=2, proof_rounds=2, pipeline_spec=spec, telemetry_spec="mem",
+        )
+        outcome = VotegralElection(config).run()
+        assert outcome.counts_match_intent
+        shapes[spec] = telemetry.snapshot()
+        telemetry.configure("off")
+
+    assert opened == [("ballot-read", ["sig-check"])]  # one pipeline, under stream only
+    serial, streamed = shapes["serial"], shapes["stream:2"]
+    assert PHASES <= set(streamed.span_names())
+    assert _phase_spans(streamed) == _phase_spans(serial)
+    assert [name for name, _ in _phase_spans(streamed, exclude={"tally.mix", "tally.sig-check"})] == [
+        "tally.decrypt", "tally.join", "tally.tag",
+    ]
+    assert not serial.spans_named("pipeline.stage")
+    stages = {
+        (span["attrs"]["pipeline"], span["attrs"]["stage"]) for span in streamed.spans_named("pipeline.stage")
+    }
+    assert stages == {("ballot-read", "sig-check")}
+    # The bounded queue sampled its depth; the high-water mark survives.
+    assert streamed.gauge_high_water("pipeline.queue.depth") is not None
 
 
 def test_executor_map_span_nests_under_caller_across_backends():

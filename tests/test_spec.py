@@ -41,10 +41,9 @@ VALID = [
     (spec.PIPELINE, None, "serial", {}),
     (spec.PIPELINE, "serial", "serial", {}),
     (spec.PIPELINE, "stream", "stream", {}),
-    (spec.PIPELINE, "Stream:64", "stream", {"shard_size": 64}),
-    (spec.PIPELINE, "stream:64:8", "stream", {"shard_size": 64, "queue_depth": 8}),
-    (spec.PIPELINE, "stream::8", "stream", {"queue_depth": 8}),
-    (spec.PIPELINE, "stream:64:", "stream", {"shard_size": 64}),
+    (spec.PIPELINE, "stream:", "stream", {}),
+    (spec.PIPELINE, "Stream:16", "stream", {"queue_depth": 16}),
+    (spec.PIPELINE, "stream:4", "stream", {"queue_depth": 4}),
     (spec.AUDIT, None, "eager", {}),
     (spec.AUDIT, "eager", "eager", {}),
     (spec.AUDIT, "eager:", "eager", {}),
@@ -100,8 +99,8 @@ INVALID = [
     (spec.PIPELINE, "serial:2", "extra arg"),
     (spec.PIPELINE, "stream:x", "non-int"),
     (spec.PIPELINE, "stream:0", "<1"),
-    (spec.PIPELINE, "stream:4:0", "<1"),
-    (spec.PIPELINE, "stream:4:2:1", "extra arg"),
+    (spec.PIPELINE, "stream:4:2", "extra arg"),
+    (spec.PIPELINE, "stream::8", "extra arg"),
     (spec.AUDIT, "batchd", "unknown head"),
     (spec.AUDIT, "streaming", "unknown head"),
     (spec.AUDIT, "distributed", "unknown head"),
