@@ -45,6 +45,10 @@ def _contains(collection, value) -> bool:
     return value in collection
 
 
+def _is_present(value) -> bool:
+    return value is not None
+
+
 def _count_check(name: str, actual: int, pinned: Optional[int], floor: int) -> Check:
     """A public size: exactly ``pinned`` when the auditor supplies it, else ``>= floor``."""
     if pinned is None:
@@ -164,6 +168,54 @@ def registration_record_checks(
         )
     )
     return checks
+
+
+def registration_activation_checks(
+    commit_code,
+    response_code,
+    envelope,
+    credential_public: GroupElement,
+    transcript,
+    kiosk_public_keys: Sequence[GroupElement],
+    envelope_commitment,
+    label: str = "activation",
+) -> List[Check]:
+    """What a voter's device re-checks on the three QR codes of a paper credential (Fig. 11).
+
+    In the order the device reports them: the kiosk is an authorised one, its
+    signatures on the commit and response codes, the printer's signature on
+    the envelope challenge, that the printer committed to the challenge on
+    ``L_E`` (``envelope_commitment`` is what the ledger holds for it, or
+    ``None``), and ``transcript``, the Chaum–Pedersen transcript the three
+    codes add up to.  Under the batched strategy the three signatures are one
+    fold — both of the kiosk key's land in one term — and the transcript's
+    two equations another, ``g`` and ``A_pk`` off their tables.
+    """
+    kiosk_key = response_code.kiosk_public_key
+    return [
+        Check("predicate", f"{label}.kiosk-authorized", (_contains, tuple(kiosk_public_keys), kiosk_key)),
+        Check(
+            "schnorr",
+            f"{label}.commit-signature",
+            (kiosk_key, commit_code.signed_message(), commit_code.kiosk_signature),
+        ),
+        Check(
+            "schnorr",
+            f"{label}.response-signature",
+            (
+                kiosk_key,
+                response_code.signed_message(credential_public, envelope.challenge, response_code.zkp_response),
+                response_code.kiosk_signature,
+            ),
+        ),
+        Check(
+            "schnorr",
+            f"{label}.printer-signature",
+            (envelope.printer_public_key, envelope.challenge_hash, envelope.printer_signature),
+        ),
+        Check("predicate", f"{label}.envelope-committed", (_is_present, envelope_commitment)),
+        Check("chaum-pedersen", f"{label}.zkp", (transcript,)),
+    ]
 
 
 def rotation_checks(record, label: Optional[str] = None) -> List[Check]:

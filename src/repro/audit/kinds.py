@@ -102,21 +102,26 @@ def verdict_one(check: "Check") -> bool:
 def _bisect_verdicts(
     kind: CheckKind, evidences: Sequence[Tuple[Any, ...]]
 ) -> List[bool]:
-    """Exact per-evidence verdicts: fold fast path, bisect only on rejection."""
+    """Exact per-evidence verdicts: fold fast path, bisect only on rejection.
+
+    A lone evidence folds too — its equations share one multi-exponentiation
+    where the reference predicate takes a plain power each — and a lone
+    rejection is the reference predicate's to pronounce.
+    """
     if not evidences:
         return []
-    if len(evidences) == 1:
-        return [bool(kind.verify_one(*evidences[0]))]
     assert kind.fold is not None
     if kind.fold(evidences):
         return [True] * len(evidences)
+    if len(evidences) == 1:
+        return [bool(kind.verify_one(*evidences[0]))]
     middle = len(evidences) // 2
     return _bisect_verdicts(kind, evidences[:middle]) + _bisect_verdicts(kind, evidences[middle:])
 
 
 def chunk_verdicts(kind: CheckKind, evidences: Sequence[Tuple[Any, ...]]) -> List[bool]:
     """Per-evidence verdicts for one same-kind chunk (folded when possible)."""
-    if kind.fold is None or len(evidences) <= 1:
+    if kind.fold is None:
         return [bool(kind.verify_one(*evidence)) for evidence in evidences]
     return _bisect_verdicts(kind, evidences)
 

@@ -26,7 +26,7 @@ discrete logarithms (ZKPoE, Appendix E.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.crypto.elgamal import hot_power
 from repro.crypto.group import Group, GroupElement
@@ -141,10 +141,35 @@ class ChaumPedersenProver:
         )
 
 
+def simulated_commit(
+    base_g: GroupElement,
+    base_h: GroupElement,
+    witness: int,
+    offset: int,
+    challenge: int,
+    response: int,
+) -> ChaumPedersenCommit:
+    """The simulator's commit for a statement whose maker is the one simulating.
+
+    For ``C1 = g^x`` and ``X = h^x · g^δ`` — a ciphertext the prover encrypted
+    itself, divided by a value that is off by ``g^δ`` — the simulated commit
+    ``(g^r · C1^e, h^r · X^e)`` is ``(g^(r + x·e), h^(r + x·e) · g^(δ·e))``:
+    the same two elements from :func:`~repro.crypto.elgamal.hot_power` alone,
+    with no power of ``C1`` or ``X``.
+    """
+    order = base_g.group.order
+    shared = (response + witness * challenge) % order
+    return ChaumPedersenCommit(
+        commit_g=hot_power(base_g, shared),
+        commit_h=hot_power(base_h, shared) * hot_power(base_g, offset * challenge % order),
+    )
+
+
 def simulate_chaum_pedersen(
     statement: ChaumPedersenStatement,
     challenge: int,
     response: Optional[int] = None,
+    witness: Optional[Tuple[int, int]] = None,
 ) -> ChaumPedersenTranscript:
     """Honest-verifier simulator: forge a verifying transcript from the challenge.
 
@@ -152,14 +177,21 @@ def simulate_chaum_pedersen(
     random and back-compute the commit ``(g^r·C1^e, h^r·X^e)``.  The resulting
     transcript satisfies the verification equations even though no witness is
     known — this is exactly how the kiosk prints fake credentials (Fig. 9b).
+
+    A simulator that built the statement passes ``witness = (x, δ)`` with
+    ``C1 = g^x`` and ``X = h^x · g^δ`` and gets the same commit off the two
+    bases (:func:`simulated_commit`).
     """
     group = statement.group
     r = response if response is not None else group.random_scalar()
     e = challenge % group.order
-    commit = ChaumPedersenCommit(
-        commit_g=hot_power(statement.base_g, r) * (statement.value_g ** e),
-        commit_h=hot_power(statement.base_h, r) * (statement.value_h ** e),
-    )
+    if witness is not None:
+        commit = simulated_commit(statement.base_g, statement.base_h, *witness, e, r)
+    else:
+        commit = ChaumPedersenCommit(
+            commit_g=hot_power(statement.base_g, r) * (statement.value_g ** e),
+            commit_h=hot_power(statement.base_h, r) * (statement.value_h ** e),
+        )
     return ChaumPedersenTranscript(statement=statement, commit=commit, challenge=e, response=r)
 
 

@@ -298,6 +298,13 @@ class Group(abc.ABC):
         """What the planners are told at this scalar width; ``None`` keeps every power plain."""
         return KernelCosts(invert=10.0)
 
+    #: Whether :meth:`element_from_bytes` *proves* that what it returns lies
+    #: in the order-``q`` subgroup.  A random-linear-combination fold judges
+    #: decoded elements exactly like the per-item equations only when it does:
+    #: with odd weights, two commitments each shifted by the same order-2
+    #: element cancel in the folded product and fail one by one.
+    decode_proves_membership: bool = False
+
     def wrap(self, value: Any) -> GroupElement:
         """The element holding native ``value`` (a kernel's result)."""
         return value

@@ -144,6 +144,8 @@ class ModPGroup(Group):
         return ModPElement(value, self)
 
     def element_from_bytes(self, data: bytes) -> ModPElement:
+        """Decode a field element; the range is checked, ``x^q = 1`` is not
+        (ROADMAP 8(iv)), so :attr:`decode_proves_membership` stays false."""
         value = int.from_bytes(data, "big")
         if not 1 <= value < self.modulus:
             raise ValueError("encoded value outside the field")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Type, Union
 
@@ -60,6 +61,8 @@ from repro.gateway.service import (
     UnknownElectionError,
 )
 from repro.spec import GATEWAY, env
+
+logger = logging.getLogger(__name__)
 
 #: What one handler returns: status code + a schema body (or raw text for
 #: the Prometheus exposition endpoint and the debug ops plane).
@@ -424,9 +427,18 @@ def _map_error(error: Exception) -> Tuple[int, bytes, Dict[str, str]]:
     # Last resort: a failure nobody mapped — a GatewayError says what went
     # wrong, a handler bug only its type — costs one 500, not the connection
     # (an escaped exception kills the task and the client sees a reset).
-    telemetry.counter("gateway.errors")
+    # The body names the type at most; the traceback goes to the log, in one
+    # record that carries the request's trace id when telemetry minted one.
+    error_type = type(error).__name__
+    telemetry.counter("gateway.errors", type=error_type)
+    context = telemetry.current_context()
+    trace_id = context.trace_id if context is not None else None
+    logger.error(
+        "unmapped %s in a gateway handler (trace %s)", error_type, trace_id or "-",
+        exc_info=error, extra={"trace_id": trace_id},
+    )
     return _error_response(
-        500, str(error) if isinstance(error, GatewayError) else f"internal error ({type(error).__name__})"
+        500, str(error) if isinstance(error, GatewayError) else f"internal error ({error_type})"
     )
 
 

@@ -235,7 +235,13 @@ class Kiosk:
 
                 fake_credential = schnorr_keygen(self.group)
                 statement = self._statement(session.public_credential, fake_credential.public)
-                transcript = simulate_chaum_pedersen(statement, decoded.challenge)
+                # The kiosk encrypted c_pc itself: C1 = g^x and
+                # X = A_pk^x · g^(sk_real − sk_fake).  A session without that
+                # witness (in-booth delegation) simulates from the statement.
+                witness = None
+                if session.encryption_randomness is not None and session.real_secret is not None:
+                    witness = (session.encryption_randomness, session.real_secret - fake_credential.secret)
+                transcript = simulate_chaum_pedersen(statement, decoded.challenge, witness=witness)
                 sigma.record(Move.COMMIT)
                 sigma.record(Move.RESPONSE)
 

@@ -12,6 +12,13 @@ and re-verifies everything the voter could not check in the booth:
 5. that the envelope challenge has not been used before (duplicate-envelope
    detection), publishing it on ``L_E`` afterwards.
 
+Checks 1–3 are an audit plan (:func:`repro.audit.checks.
+registration_activation_checks`): on a group whose decoder proves subgroup
+membership the batched strategy folds them — three multi-exponentiations
+where the per-item predicates take seven plain powers — and on any other
+group, or once a fold rejects, those predicates decide, so
+:attr:`ActivationReport.failed_check` names the same check either way.
+
 The VSD also monitors the registration ledger and notifies the voter of any
 registration event for their identity — the impersonation defence of
 Appendix J.
@@ -22,13 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.crypto.chaum_pedersen import (
-    ChaumPedersenStatement,
-    ChaumPedersenTranscript,
-    chaum_pedersen_verify,
-)
+from repro.crypto.chaum_pedersen import ChaumPedersenStatement, ChaumPedersenTranscript
 from repro.crypto.group import Group, GroupElement
-from repro.crypto.schnorr import schnorr_verify
 from repro.errors import LedgerError, VerificationError
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import EnvelopeUsageRecord
@@ -41,9 +43,19 @@ from repro.registration.materials import (
     Envelope,
     PaperCredential,
     ResponseCode,
-    commit_message,
-    response_message,
 )
+
+
+#: What :attr:`ActivationReport.failed_check` reads for each check of
+#: :func:`repro.audit.checks.registration_activation_checks`, by its name.
+_FAILED_CHECKS = {
+    "activation.kiosk-authorized": "kiosk key not authorized",
+    "activation.commit-signature": "kiosk signature on commit code invalid",
+    "activation.response-signature": "kiosk signature on response code invalid",
+    "activation.printer-signature": "printer signature on envelope invalid",
+    "activation.envelope-committed": "envelope challenge not committed on the ledger",
+    "activation.zkp": "ZKP transcript failed verification",
+}
 
 
 @dataclass(frozen=True)
@@ -117,48 +129,47 @@ class VoterSupportingDevice:
         response_code: ResponseCode,
         envelope: Envelope,
     ) -> ActivationReport:
+        # Imported here: ``repro.audit.checks`` imports this package.
+        from repro.audit.checks import registration_activation_checks
+        from repro.audit.kinds import evaluate_batched, verdict_one
+
         group = self.group
         credential_public = group.power(response_code.credential_secret)
-
-        # (1) Receipt integrity: kiosk signatures on commit and response codes.
-        if response_code.kiosk_public_key not in self.kiosk_public_keys:
-            return ActivationReport(False, "kiosk key not authorized")
-        if not schnorr_verify(
-            response_code.kiosk_public_key,
-            commit_message(commit_code.voter_id, commit_code.public_credential, commit_code.commit),
-            commit_code.kiosk_signature,
-        ):
-            return ActivationReport(False, "kiosk signature on commit code invalid")
-        if not schnorr_verify(
-            response_code.kiosk_public_key,
-            response_message(credential_public, envelope.challenge, response_code.zkp_response),
-            response_code.kiosk_signature,
-        ):
-            return ActivationReport(False, "kiosk signature on response code invalid")
-
-        # (2) Envelope integrity: printer signature on H(e).
-        if not schnorr_verify(
-            envelope.printer_public_key, envelope.challenge_hash, envelope.printer_signature
-        ):
-            return ActivationReport(False, "printer signature on envelope invalid")
-        if self.board.envelope_commitment(envelope.challenge_hash) is None:
-            return ActivationReport(False, "envelope challenge not committed on the ledger")
-
-        # (3) The ZKP transcript verifies.
-        statement = ChaumPedersenStatement(
-            base_g=group.generator,
-            base_h=self.authority_public_key,
-            value_g=commit_code.public_credential.c1,
-            value_h=commit_code.public_credential.c2 * credential_public.inverse(),
-        )
         transcript = ChaumPedersenTranscript(
-            statement=statement,
+            statement=ChaumPedersenStatement(
+                base_g=group.generator,
+                base_h=self.authority_public_key,
+                value_g=commit_code.public_credential.c1,
+                value_h=commit_code.public_credential.c2 * credential_public.inverse(),
+            ),
             commit=commit_code.commit,
             challenge=envelope.challenge,
             response=response_code.zkp_response,
         )
-        if not chaum_pedersen_verify(transcript):
-            return ActivationReport(False, "ZKP transcript failed verification")
+
+        # (1)-(3) Receipt integrity (kiosk signatures on the commit and
+        # response codes), envelope integrity (printer signature on H(e), which
+        # the ledger holds) and the ZKP transcript, as one audit plan.  Where
+        # decoding a QR code proved every element a member of the prime-order
+        # subgroup, the plan folds (one multi-exponentiation for the three
+        # signatures, two for the transcript) and a rejected fold bisects to
+        # the per-item predicates; elsewhere those predicates judge each check.
+        checks = registration_activation_checks(
+            commit_code,
+            response_code,
+            envelope,
+            credential_public,
+            transcript,
+            self.kiosk_public_keys,
+            self.board.envelope_commitment(envelope.challenge_hash),
+        )
+        if group.decode_proves_membership:
+            verdicts = (result.ok for result in evaluate_batched(checks))
+        else:
+            verdicts = map(verdict_one, checks)  # lazily: stop at the first failure
+        for check, verdict in zip(checks, verdicts):
+            if not verdict:
+                return ActivationReport(False, _FAILED_CHECKS[check.name])
 
         # (4) Ledger cross-check: active registration record matches.
         record = self.board.registration_for(commit_code.voter_id)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.crypto.chaum_pedersen import simulated_commit
 from repro.crypto.dlog_proof import DlogProof, prove_dlog
 from repro.crypto.elgamal import ElGamal, ElGamalCiphertext, hot_power
 from repro.crypto.group import Group, GroupElement
@@ -102,7 +103,13 @@ def prove_wellformedness(
     randomness: int,
     num_options: int,
 ) -> BallotProof:
-    """Prove that ``ciphertext`` encrypts ``g^m`` for some ``m`` in [0, num_options)."""
+    """Prove that ``ciphertext`` encrypts ``g^m`` for some ``m`` in [0, num_options).
+
+    ``ciphertext`` is ``encrypt_int(public_key, choice, randomness)``.  The
+    prover therefore knows the discrete logs every branch is about, and the
+    simulated branches too are powers of ``g`` and ``public_key`` only:
+    ``3·(num_options − 1) + 2`` hot powers, none on a ciphertext part.
+    """
     if not 0 <= choice < num_options:
         raise ValueError("choice outside the candidate range")
     order = group.order
@@ -117,9 +124,10 @@ def prove_wellformedness(
             continue
         challenge = group.random_scalar()
         response = group.random_scalar()
-        target = ciphertext.c2 * group.encode_int(option).inverse()
-        commitments_g[option] = group.power(response) * (ciphertext.c1 ** challenge)
-        commitments_h[option] = hot_power(public_key, response) * (target ** challenge)
+        # c1 = g^randomness and c2 / g^option = pk^randomness · g^(choice − option).
+        commit = simulated_commit(group.generator, public_key, randomness, choice - option, challenge, response)
+        commitments_g[option] = commit.commit_g
+        commitments_h[option] = commit.commit_h
         challenges[option] = challenge
         responses[option] = response
 

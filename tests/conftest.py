@@ -7,15 +7,20 @@ and 2048-bit backends directly to validate the real parameter sets.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.audit.api import AuditPlan, verifier_from_spec
 from repro.audit.checks import cascade_checks
 from repro.crypto.dkg import DistributedKeyGeneration
+from repro.crypto.ed25519 import Ed25519Element
 from repro.crypto.elgamal import ElGamal
-from repro.crypto.modp_group import testing_group
+from repro.crypto.group import Group
+from repro.crypto.modp_group import ModPElement, testing_group
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.registration.setup import ElectionSetup
+from repro.runtime.precompute import FixedBaseTable
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +69,24 @@ def small_setup(group):
         num_authority_members=3,
         envelopes_per_voter=4,
     )
+
+
+@pytest.fixture
+def powers(monkeypatch):
+    """Every power taken, by route: ``plain`` exponentiations, ``table`` powers, ``multiexp`` calls."""
+    counts: Counter = Counter()
+
+    def counted(holder, attr, key):
+        original = getattr(holder, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(holder, attr, wrapper)
+
+    for element_type in (ModPElement, Ed25519Element):
+        counted(element_type, "exponentiate", "plain")
+    counted(FixedBaseTable, "power", "table")
+    counted(Group, "multi_exponentiate", "multiexp")
+    return counts

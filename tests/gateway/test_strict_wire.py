@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 
 import pytest
 
 from repro import telemetry
+from repro.errors import ProtocolError
 from repro.gateway.client import CastingSession
 from repro.gateway.schemas import BallotWire, CastRequest, SchemaError, ballot_from_wire
 
@@ -142,6 +144,35 @@ def test_a_raising_handler_is_a_500_and_the_connection_survives(gateway, monkeyp
         assert "RuntimeError" in body["error"] and "handler bug" not in body["error"]
         assert_connection_still_serves(connection)
         assert telemetry.snapshot().counter_total("gateway.errors") == 1
+    finally:
+        connection.close()
+        telemetry.configure("off")
+
+
+def test_an_unmapped_error_leaves_its_traceback_in_one_log_record(gateway, monkeypatch, caplog):
+    """The body says ``internal error (<Type>)``; the frame that raised is in the log, once."""
+
+    def metrics_that_break_protocol():
+        raise ProtocolError("respond() called before commit(): unsound order")
+
+    monkeypatch.setattr(gateway.service, "metrics", metrics_that_break_protocol)
+    telemetry.configure("mem", propagate=False)
+    connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
+    try:
+        with caplog.at_level(logging.ERROR, logger="repro.gateway.routes"):
+            connection.request("GET", "/metrics")
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        assert response.status == 500 and body["error"] == "internal error (ProtocolError)"
+        assert_connection_still_serves(connection)
+
+        (record,) = [r for r in caplog.records if r.name == "repro.gateway.routes"]
+        assert record.exc_info is not None and record.exc_info[0] is ProtocolError
+        traceback_text = logging.Formatter().formatException(record.exc_info)
+        assert "metrics_that_break_protocol" in traceback_text and "unsound order" in traceback_text
+        # The request's trace: minted by the dispatcher, on the record and in its message.
+        assert len(record.trace_id) == 32 and record.trace_id in record.getMessage()
+        assert telemetry.snapshot().counter_total("gateway.errors", type="ProtocolError") == 1
     finally:
         connection.close()
         telemetry.configure("off")

@@ -202,6 +202,9 @@ class TestProversUseWarmTables:
         assert calls == {"table": 2, "plain": 0}
         fake = simulate_chaum_pedersen(statement, challenge=12345, response=678)
         assert calls == {"table": 4, "plain": 2}  # value_g ** e and value_h ** e stay plain
+        # A simulator that made the statement (C1 = g^x, X = h^x · g^0) needs neither.
+        assert simulate_chaum_pedersen(statement, challenge=12345, response=678, witness=(x, 0)) == fake
+        assert calls == {"table": 7, "plain": 2}
 
         monkeypatch.undo()
         set_precompute_enabled(False)
@@ -237,8 +240,8 @@ class TestProversUseWarmTables:
         credential = schnorr_keygen(big_group)
         calls = self._count_powers(monkeypatch)
         ballot = make_ballot(big_group, authority_key, credential, choice=1, num_options=3)
-        # Plain: c1 ** challenge and target ** challenge for each of the two
-        # simulated options; everything on g or the election key is a lookup.
-        assert calls["plain"] == 4
+        # The voter knows the encryption randomness, so even the two simulated
+        # options are powers of g and the election key: every one is a lookup.
+        assert calls == {"table": 14, "plain": 0}
         monkeypatch.undo()
         assert verify_ballot(big_group, authority_key, ballot, 3)
