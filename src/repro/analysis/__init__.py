@@ -4,7 +4,7 @@ A dependency-free lint engine built on :mod:`ast` that machine-checks the
 invariants the rest of the codebase enforces only by convention: secrets
 never reach log lines (REP001), protocol/tally/crypto paths stay
 bit-deterministic (REP002), ``pickle.loads`` stays inside the restricted
-unpickler (REP003), no blocking I/O or pool fan-out runs under a lock
+unpickler (REP003), no blocking I/O or executor fan-out runs under a lock
 (REP004), telemetry names come from the central registry (REP005),
 domain exceptions are never silently swallowed (REP006), and environment
 variables are read only through the knob table in ``repro.spec`` (REP007).

@@ -336,8 +336,8 @@ class LockDisciplineRule(Rule):
     rule_id = "REP004"
     summary = "no executor fan-out, queue puts, socket I/O, or subprocess spawn under a held lock"
     rationale = (
-        "The pool, pipeline, and cluster layers all take locks; a blocking "
-        "call (bounded-queue put, socket send, pool.map waiting on workers "
+        "The pipeline, ledger and cluster layers all take locks; a blocking "
+        "call (bounded-queue put, socket send, executor.map waiting on workers "
         "that need the same lock) inside a `with lock:` body is a deadlock "
         "waiting for the right schedule.  Leaf locks that exist only to "
         "serialize one socket write are the known exception — annotate them "

@@ -46,9 +46,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.runtime.executor import Executor
+from repro.runtime.executor import Executor, resolve_executor
 from repro.runtime.pipeline import Shard, Stage, StopPipeline, StreamPipeline, iter_shards
-from repro.runtime.sharding import parallel_map
 from repro.spec import AUDIT
 
 #: The audit API version this module defines.  Consumers that need a newer
@@ -258,7 +257,7 @@ class EagerVerifier(Verifier):
     def _execute(self, checks: List[Check]) -> List[CheckResult]:
         from repro.audit.kinds import verdict_one
 
-        verdicts = parallel_map(verdict_one, checks, executor=self.executor)
+        verdicts = resolve_executor(self.executor).map(verdict_one, checks)
         return [_result_for(check, verdict) for check, verdict in zip(checks, verdicts)]
 
 
@@ -375,7 +374,7 @@ class DistributedVerifier(Verifier):
         if not checks:
             return []
         shards = [checks[start:start + self.shard_size] for start in range(0, len(checks), self.shard_size)]
-        shard_results = parallel_map(_verify_check_shard, shards, executor=self.executor, chunksize=1)
+        shard_results = resolve_executor(self.executor).map(_verify_check_shard, shards, chunksize=1)
         return [result for shard in shard_results for result in shard]
 
 

@@ -278,7 +278,7 @@ def chain_checks(board, label: str = "ledger") -> List[Check]:
     """One chain-walk check per sub-ledger, plus the ingest-batch chain if any.
 
     Evidence is a snapshot of the log entries (not the live log), so chain
-    checks survive pickling into process workers and keep auditing what was
+    checks survive pickling into cluster workers and keep auditing what was
     read even if the board keeps ingesting.
     """
     view = as_board_view(board)

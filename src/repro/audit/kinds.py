@@ -21,7 +21,7 @@ closes the "batch verification everywhere" roadmap item: every hot
 
 Evidence tuples contain only picklable values (group elements, dataclass
 transcripts, snapshots — never live objects with callbacks), so plans can
-fan out across process executors.
+fan out across cluster workers.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from repro.runtime.batch import (
     batch_schnorr_verify,
     decryption_share_transcript,
 )
-from repro.runtime.executor import Executor
-from repro.runtime.sharding import parallel_map, parallel_starmap
+from repro.runtime.executor import Executor, resolve_executor
 
 if TYPE_CHECKING:  # avoid importing the api module at runtime here
     from repro.audit.api import Check, CheckResult  # noqa: F401
@@ -148,6 +147,7 @@ def evaluate_batched(
     """
     from repro.audit.api import _result_for
 
+    ex = resolve_executor(executor)
     verdicts: List[Optional[bool]] = [None] * len(checks)
     by_kind: Dict[str, List[int]] = {}
     for index, check in enumerate(checks):
@@ -155,17 +155,14 @@ def evaluate_batched(
     for kind_name, indices in by_kind.items():
         kind = get_kind(kind_name)
         if kind.fold is None:
-            outcomes = parallel_map(
-                verdict_one, [checks[i] for i in indices], executor=executor
-            )
+            outcomes = ex.map(verdict_one, [checks[i] for i in indices])
             for i, outcome in zip(indices, outcomes):
                 verdicts[i] = bool(outcome)
             continue
         chunks = [indices[start : start + chunk_size] for start in range(0, len(indices), chunk_size)]
-        outcome_lists = parallel_starmap(
+        outcome_lists = ex.starmap(
             _chunk_verdicts_named,
             [(kind_name, [checks[i].evidence for i in chunk]) for chunk in chunks],
-            executor=executor,
             chunksize=1,
         )
         for chunk, outcomes in zip(chunks, outcome_lists):

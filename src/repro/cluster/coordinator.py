@@ -19,7 +19,7 @@ encoded ``(mode, fn, payload)`` triples — across the enrolled workers:
   coordinator-side, per the :mod:`repro.tally.mixnet` tape discipline).
 * **Failure semantics.**  A *task* exception on a worker (an ``ERROR``
   frame) is an application error: it fails that :meth:`run_tasks` call and
-  propagates to the caller unchanged, matching the in-process executors.
+  propagates to the caller unchanged, matching the serial executor.
   A *transport* failure (socket death, missed heartbeats, task timeout) is
   a scheduling event: the worker is retired and its tasks reassigned.
   When the last live worker is lost with tasks outstanding, every waiting
@@ -98,7 +98,7 @@ MAX_TASK_ATTEMPTS = 16
 
 
 class _Task:
-    """One dispatchable unit: an idempotent key plus its payload and slot."""
+    """One dispatchable unit: an idempotent key plus its payload and position."""
 
     __slots__ = ("key", "payload", "group", "index", "done", "result",
                  "assigned_to", "dispatched_at", "attempts", "trace")
@@ -133,24 +133,19 @@ class _TaskGroup:
 
 
 class _Worker:
-    """Coordinator-side state for one enrolled worker connection."""
+    """Coordinator-side state for one enrolled worker connection.
 
-    __slots__ = ("worker_id", "conn", "address", "slots", "alive",
-                 "last_seen", "last_result_at", "send_lock", "in_flight")
+    A worker is one serial slot: at most one task is in flight on it.
+    """
 
-    def __init__(
-        self, worker_id: str, conn: socket.socket, address: Tuple[str, int], slots: int
-    ) -> None:
+    __slots__ = ("worker_id", "conn", "address", "alive", "last_seen", "send_lock", "in_flight")
+
+    def __init__(self, worker_id: str, conn: socket.socket, address: Tuple[str, int]) -> None:
         self.worker_id = worker_id
         self.conn = conn
         self.address = address
-        self.slots = max(1, slots)
         self.alive = True
         self.last_seen = time.monotonic()
-        #: When this worker last returned a RESULT/ERROR frame — the clock
-        #: the task timeout runs against (workers serve their in-flight
-        #: queue sequentially, so dispatch age alone would count queue wait).
-        self.last_result_at = time.monotonic()
         self.send_lock = threading.Lock()
         self.in_flight: Dict[int, _Task] = {}
 
@@ -234,11 +229,6 @@ class ClusterCoordinator:
         with self._lock:
             return len(self._workers)
 
-    @property
-    def total_slots(self) -> int:
-        with self._lock:
-            return sum(worker.slots for worker in self._workers.values())
-
     def worker_ids(self) -> List[str]:
         with self._lock:
             return sorted(self._workers)
@@ -320,10 +310,6 @@ class ClusterCoordinator:
             payload = hello.payload if isinstance(hello.payload, dict) else {}
             version = payload.get("protocol_version")
             worker_id = str(payload.get("worker_id") or f"worker-{next(self._worker_ids)}")
-            try:
-                slots = int(payload.get("slots") or 1)
-            except (TypeError, ValueError):
-                slots = 1
             if version != PROTOCOL_VERSION:
                 self._reject(conn, f"protocol version mismatch: worker v{version}, coordinator v{PROTOCOL_VERSION}")
                 return
@@ -331,7 +317,7 @@ class ClusterCoordinator:
                 tag = payload.get("mac")
                 if not isinstance(tag, bytes):
                     tag = b""
-                if not verify_hello(self._secret, nonce, worker_id, slots, tag):
+                if not verify_hello(self._secret, nonce, worker_id, tag):
                     self._reject(conn, "enrollment MAC verification failed")
                     return
             # Reserve the identity before WELCOME goes out: two concurrent
@@ -364,8 +350,8 @@ class ClusterCoordinator:
             with self._lock:
                 warm = {"groups": list(self._warm_groups), "bases": list(self._warm_bases)}
             send_frame(conn, Frame(FrameKind.WARM, warm), self._codec)
-            # The worker warms its precompute tables and executor pool now;
-            # its first HEARTBEAT is the ready signal that gates dispatch.
+            # The worker warms its precompute tables now; its first
+            # HEARTBEAT is the ready signal that gates dispatch.
             expect_frame(conn, FrameKind.HEARTBEAT, self._codec)
             conn.settimeout(None)
         except Exception:  # noqa: BLE001 - any malformed pre-auth input
@@ -383,10 +369,9 @@ class ClusterCoordinator:
 
         # Identity and address only — never the nonce, MAC, or secret the
         # handshake frames carried (see the module logger policy above).
-        logger.info("worker %s enrolled from %s:%s (%d slot(s))",
-                    worker_id, address[0], address[1], slots)
+        logger.info("worker %s enrolled from %s:%s", worker_id, address[0], address[1])
         telemetry.counter("cluster.enroll", worker=worker_id)
-        worker = _Worker(worker_id, conn, address, slots)
+        worker = _Worker(worker_id, conn, address)
         with self._cond:
             self._enrolling_ids.discard(worker_id)
             if self._closed:
@@ -425,7 +410,6 @@ class ClusterCoordinator:
                 frame = recv_frame(worker.conn, self._codec)
                 worker.last_seen = time.monotonic()
                 if frame.kind is FrameKind.RESULT:
-                    worker.last_result_at = worker.last_seen
                     # Telemetry-enabled workers piggyback their drained span
                     # and metric events as an optional third payload element.
                     payload = frame.payload
@@ -435,7 +419,6 @@ class ClusterCoordinator:
                     logger.debug("result for task %s from worker %s", key, worker.worker_id)
                     self._complete(key, value)
                 elif frame.kind is FrameKind.ERROR:
-                    worker.last_result_at = worker.last_seen
                     key, error = frame.payload
                     self._fail(key, error)
                 elif frame.kind is FrameKind.HEARTBEAT:
@@ -568,23 +551,18 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ dispatch
 
     def _assign(self) -> List[Tuple[_Worker, _Task]]:
-        """Pair pending tasks with free worker slots (called under the lock)."""
+        """Pair pending tasks with idle workers (called under the lock).
+
+        At most one task is in flight per worker; idle workers are taken in
+        enrollment order (dict order).
+        """
         assignments: List[Tuple[_Worker, _Task]] = []
-        if not self._pending:
-            return assignments
-        workers = [w for w in self._workers.values() if w.alive]
-        if not workers:
-            return assignments
-        # Least-loaded first keeps shard latency flat across heterogeneous
-        # workers; ties break on enrollment order (dict order).
-        while self._pending:
-            workers.sort(key=lambda w: len(w.in_flight) / w.slots)
-            target = workers[0]
-            if len(target.in_flight) >= target.slots:
-                break
+        idle = deque(w for w in self._workers.values() if w.alive and not w.in_flight)
+        while self._pending and idle:
             task = self._pending.popleft()
             if task.done:
                 continue
+            target = idle.popleft()
             task.assigned_to = target
             task.dispatched_at = time.monotonic()
             target.in_flight[task.key] = task
@@ -627,11 +605,11 @@ class ClusterCoordinator:
         """Execute ``payloads`` across the cluster; results in payload order.
 
         Each payload is a ``(mode, fn, data)`` triple as understood by the
-        worker daemon (``"map"``/``"star"`` run ``data`` through the
-        worker's local executor; ``"call"`` invokes ``fn(*data)`` once).
+        worker daemon: ``"map"`` returns ``[fn(x) for x in data]``,
+        ``"star"`` returns ``[fn(*a) for a in data]``.
 
-        Raises the first task exception unchanged (matching the in-process
-        executor contract) or :class:`ClusterError` when the cluster cannot
+        Raises the first task exception unchanged (matching the serial
+        executor) or :class:`ClusterError` when the cluster cannot
         finish the group (all workers lost, or shutdown mid-run).
         """
         payloads = list(payloads)
@@ -675,14 +653,10 @@ class ClusterCoordinator:
                     if now - worker.last_seen > self._heartbeat_timeout:
                         stale.append((worker, "heartbeat timeout"))
                     elif self._task_timeout is not None and worker.in_flight:
-                        # Workers serve in-flight tasks sequentially, so the
-                        # currently-executing task started at its dispatch or
-                        # at the worker's previous result — whichever is
-                        # later.  Timing from dispatch alone would charge
-                        # queued tasks their predecessors' runtimes and
-                        # retire perfectly healthy workers.
-                        oldest = min(task.dispatched_at for task in worker.in_flight.values())
-                        if now - max(oldest, worker.last_result_at) > self._task_timeout:
+                        # One task in flight per worker: it has been running
+                        # since its dispatch.
+                        started = min(task.dispatched_at for task in worker.in_flight.values())
+                        if now - started > self._task_timeout:
                             stale.append((worker, "task timeout"))
             for worker, reason in stale:
                 self._retire(worker, reason)
@@ -723,6 +697,5 @@ class ClusterCoordinator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ClusterCoordinator(addresses={self.addresses}, "
-            f"workers={self.num_workers}, slots={self.total_slots})"
+            f"ClusterCoordinator(addresses={self.addresses}, workers={self.num_workers})"
         )

@@ -2,14 +2,14 @@
 
 This module adapts :class:`~repro.cluster.coordinator.ClusterCoordinator`
 to the :class:`~repro.runtime.executor.Executor` surface, so
-``executor_spec`` strings select multi-node execution exactly the way they
-select thread or process pools — every ``parallel_map``/``parallel_starmap``
-call site in the tally, mixnet, filter, decrypt and audit layers works
-unchanged:
+``executor_spec`` strings select multi-process execution and every
+``map``/``starmap`` call site in the tally, mixnet, filter, decrypt and
+audit layers works unchanged:
 
 * ``remote`` — listen on the given address(es) and dispatch to whatever
   worker daemons enroll (``python -m repro.cluster.worker --connect
-  host:port`` on each machine, ``REPRO_CLUSTER_SECRET`` shared out of band);
+  host:port``, one per core on each machine, ``REPRO_CLUSTER_SECRET``
+  shared out of band);
 * ``cluster`` — loopback convenience for tests, CI and benchmarks: bind an
   ephemeral port, generate a fresh secret, and auto-spawn local worker
   subprocesses that enroll against it.  Workers spawn lazily (on ``warm()``
@@ -40,24 +40,17 @@ from repro.cluster.coordinator import (
 from repro.cluster.protocol import decode_secret, format_address
 from repro import telemetry
 from repro.errors import ClusterError
-from repro.runtime.executor import (
-    Executor,
-    _apply_chunk,
-    _star_chunk,
-    chunk_evenly,
-)
+from repro.runtime.executor import Executor, chunk_evenly
 from repro.spec import EXECUTOR, env
 
-#: Chunks handed out per worker slot; matches the in-process backends'
-#: load-balancing granularity so chunk boundaries (and therefore nothing
-#: observable) are the only difference between backends.
-CHUNKS_PER_SLOT = 4
+#: Chunks handed out per worker: fine enough for load balancing, coarse
+#: enough to amortize dispatch.  Chunk boundaries are not observable.
+CHUNKS_PER_WORKER = 4
 
 
 def spawn_local_worker(
     address: Tuple[str, int],
     secret: bytes,
-    executor_spec: str = "serial",
     worker_id: Optional[str] = None,
 ) -> "subprocess.Popen[bytes]":
     """Spawn one worker daemon subprocess enrolled against ``address``.
@@ -77,7 +70,6 @@ def spawn_local_worker(
     command = [
         sys.executable, "-m", "repro.cluster.worker",
         "--connect", format_address(address),
-        "--executor", executor_spec,
     ]
     if worker_id:
         command += ["--id", worker_id]
@@ -98,7 +90,6 @@ class RemoteExecutor(Executor):
         enroll_timeout: float = DEFAULT_ENROLL_TIMEOUT,
         rejoin_timeout: float = 10.0,
         spawn_workers: int = 0,
-        worker_executor_spec: str = "serial",
         task_timeout: Optional[float] = DEFAULT_TASK_TIMEOUT,
     ) -> None:
         if coordinator is None:
@@ -111,7 +102,6 @@ class RemoteExecutor(Executor):
         self.rejoin_timeout = rejoin_timeout
         self._secret = secret
         self._spawn_workers = spawn_workers
-        self._worker_executor_spec = worker_executor_spec
         self._spawn_lock = threading.Lock()
         self._spawned = False
         self._enrollment_complete = False
@@ -131,32 +121,25 @@ class RemoteExecutor(Executor):
                 raise ClusterError("auto-spawned clusters require an enrollment secret")
             for index in range(self._spawn_workers):
                 self.worker_processes.append(
-                    spawn_local_worker(
-                        self.coordinator.address,
-                        self._secret,
-                        executor_spec=self._worker_executor_spec,
-                        worker_id=f"local-{index}",
-                    )
+                    spawn_local_worker(self.coordinator.address, self._secret, worker_id=f"local-{index}")
                 )
             self._spawned = True
 
     def warm(self) -> None:
         """Spawn (if configured) and block until the worker floor is enrolled.
 
-        The remote analogue of pool pre-forking: the tally calls ``warm()``
-        before starting pipeline stage threads, and here it doubles as the
-        enrollment barrier — afterwards at least ``min_workers`` daemons
-        have honoured their warm lists and sent the ready heartbeat.  The
-        full floor is only demanded for the *first* barrier; once the
-        cluster has been up, a degraded complement (workers died, shards
-        reassigned) keeps dispatching on whoever is left rather than
-        stalling for replacements that may never enroll.
+        The enrollment barrier the tally passes before its first shard:
+        afterwards at least ``min_workers`` daemons have honoured their warm
+        lists and sent the ready heartbeat.  The full floor is only demanded
+        for the *first* barrier; once the cluster has been up, a degraded
+        complement (workers died, shards reassigned) keeps dispatching on
+        whoever is left rather than stalling for replacements that may never
+        enroll.
         """
         self._ensure_workers()
         if not self._enrollment_complete:
             floor = max(self.min_workers, self._spawn_workers, 1)
-            # The enrollment barrier is the remote analogue of pool spin-up;
-            # the span makes cold-start cost visible next to executor.warm.
+            # The span makes cold-start cost visible in the trace.
             with telemetry.span("cluster.warm", backend=self.name, workers=floor):
                 self.coordinator.wait_for_workers(floor, timeout=self.enroll_timeout)
             self._enrollment_complete = True
@@ -198,7 +181,7 @@ class RemoteExecutor(Executor):
     def num_workers(self) -> int:
         # Before enrollment (lazy spawn) report the configured complement so
         # chunk-count heuristics plan for the real cluster.
-        enrolled = self.coordinator.total_slots
+        enrolled = self.coordinator.num_workers
         if enrolled:
             return enrolled
         return max(self.min_workers, self._spawn_workers, 1)
@@ -217,7 +200,7 @@ class RemoteExecutor(Executor):
         if chunksize is not None and chunksize > 0:
             num_chunks = (len(work) + chunksize - 1) // chunksize
         else:
-            num_chunks = max(1, self.num_workers) * CHUNKS_PER_SLOT
+            num_chunks = max(1, self.num_workers) * CHUNKS_PER_WORKER
         chunks = chunk_evenly(work, num_chunks)
         with telemetry.span(
             "executor.map", backend=self.name, op=mode, items=len(work), chunks=len(chunks)
@@ -238,21 +221,10 @@ class RemoteExecutor(Executor):
     ) -> List[Any]:
         return self._remote_fan_out("star", fn, items, chunksize)
 
-    def _run_chunks(
-        self, applier: Callable[..., Any], fn: Callable[..., Any], chunks: Sequence[Any]
-    ) -> List[Any]:
-        # Reached only by callers bypassing map/starmap with a custom applier;
-        # translate the two runtime appliers, ship anything else as a call.
-        if applier is _apply_chunk:
-            return self.coordinator.run_tasks([("map", fn, chunk) for chunk in chunks])
-        if applier is _star_chunk:
-            return self.coordinator.run_tasks([("star", fn, chunk) for chunk in chunks])
-        return self.coordinator.run_tasks([("call", applier, (fn, chunk)) for chunk in chunks])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RemoteExecutor(address={format_address(self.coordinator.address)}, "
-            f"workers={self.coordinator.num_workers}, slots={self.coordinator.total_slots})"
+            f"workers={self.coordinator.num_workers})"
         )
 
 

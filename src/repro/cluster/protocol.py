@@ -45,8 +45,9 @@ from repro.crypto.mac import mac_sign, mac_verify
 from repro.errors import ClusterError
 from repro.spec import parse_host_port
 
-#: Bump on any incompatible change to the frame format or handshake.
-PROTOCOL_VERSION = 1
+#: Bump on any incompatible change to the frame format or handshake (2: the
+#: HELLO names and MACs the worker's identity, no slot count).
+PROTOCOL_VERSION = 2
 
 #: Frame magic: rejects cross-talk from non-cluster peers at the first read.
 MAGIC = b"RPCL"
@@ -58,10 +59,10 @@ MAX_FRAME_BYTES = 512 * 1024 * 1024
 
 
 class FrameKind(enum.IntEnum):
-    """The complete frame vocabulary of protocol version 1."""
+    """The complete frame vocabulary of the protocol."""
 
     CHALLENGE = 1  # coordinator → worker: enrollment nonce + version
-    HELLO = 2      # worker → coordinator: identity, slots, nonce, MACed challenge
+    HELLO = 2      # worker → coordinator: identity, nonce, MACed challenge
     WELCOME = 3    # coordinator → worker: enrollment accepted (+ MACed worker nonce)
     TASK = 4       # coordinator → worker: one work item (see TASK_TRACE_INDEX)
     RESULT = 5     # worker → coordinator: a task's return value
@@ -74,8 +75,8 @@ class FrameKind(enum.IntEnum):
 #: A ``TASK`` payload is ``(key, mode, fn, data)`` with one optional trailing
 #: element at this index: the dispatching call's W3C-style traceparent string
 #: (:func:`repro.telemetry.format_traceparent`).  Workers must accept both
-#: lengths — the field is additive within protocol version 1, and a tracing
-#: coordinator interoperates with workers that ignore it.
+#: lengths — the field is optional, and a tracing coordinator interoperates
+#: with workers that ignore it.
 TASK_TRACE_INDEX = 4
 
 
@@ -247,7 +248,7 @@ def expect_frame(sock: socket.socket, kind: FrameKind, codec: Codec = PICKLE_COD
 # ---------------------------------------------------------------------------
 
 
-def _hello_message(nonce: bytes, worker_id: str, slots: int) -> bytes:
+def _hello_message(nonce: bytes, worker_id: str) -> bytes:
     """The canonical byte string both sides MAC — one construction, no drift."""
     return b"|".join(
         [
@@ -255,25 +256,24 @@ def _hello_message(nonce: bytes, worker_id: str, slots: int) -> bytes:
             str(PROTOCOL_VERSION).encode(),
             nonce,
             worker_id.encode(),
-            str(slots).encode(),
         ]
     )
 
 
-def hello_mac(secret: bytes, nonce: bytes, worker_id: str, slots: int) -> bytes:
+def hello_mac(secret: bytes, nonce: bytes, worker_id: str) -> bytes:
     """The worker's enrollment tag: HMAC over the challenge and its identity.
 
-    Binding the announced ``worker_id``/``slots`` (not just the nonce) means
-    a coordinator admitting the worker also authenticated what it claimed to
+    Binding the announced ``worker_id`` (not just the nonce) means a
+    coordinator admitting the worker also authenticated what it claimed to
     be, and the fresh nonce makes every tag single-use — replaying a captured
     hello against a new connection fails its new challenge.
     """
-    return mac_sign(secret, _hello_message(nonce, worker_id, slots))
+    return mac_sign(secret, _hello_message(nonce, worker_id))
 
 
-def verify_hello(secret: bytes, nonce: bytes, worker_id: str, slots: int, tag: bytes) -> bool:
+def verify_hello(secret: bytes, nonce: bytes, worker_id: str, tag: bytes) -> bool:
     """Constant-time check of a worker's enrollment tag."""
-    return mac_verify(secret, _hello_message(nonce, worker_id, slots), tag)
+    return mac_verify(secret, _hello_message(nonce, worker_id), tag)
 
 
 def _welcome_message(worker_nonce: bytes, worker_id: str) -> bytes:

@@ -2,21 +2,17 @@
 
 A worker dials the coordinator, proves knowledge of the shared cluster
 secret (the signed hello, see :mod:`repro.cluster.protocol`), **warms
-before it works**, and then executes ``TASK`` frames one at a time on a
-local :class:`~repro.runtime.executor.Executor`:
+before it works**, and then executes ``TASK`` frames one at a time:
 
 * **Warm-before-TASK.**  Enrollment is only complete once the worker has
   built the fixed-base tables the coordinator advertised in ``WELCOME``
-  (group generators and hot bases like the election public key) and
-  pre-spawned its local executor pool
-  (:meth:`~repro.runtime.executor.Executor.warm` — so a process-backed
-  worker forks while still single-threaded).  The first ``HEARTBEAT`` it
-  sends is the ready signal the coordinator gates dispatch on; a freshly
-  spawned subprocess therefore never serves its first shard cold.
-* **Local execution.**  ``"map"``/``"star"`` tasks run through the local
-  executor (``--executor serial|thread[:N]|process[:N]``), so one daemon
-  can fan a shard across a whole host's cores; ``"call"`` tasks invoke a
-  single function once.
+  (group generators and hot bases like the election public key).  The
+  first ``HEARTBEAT`` it sends is the ready signal the coordinator gates
+  dispatch on; a freshly spawned subprocess therefore never serves its
+  first shard cold.
+* **One serial slot.**  ``"map"``/``"star"`` tasks run inline as
+  ``[fn(x) …]`` / ``[fn(*a) …]``; a host contributes its cores by running
+  one daemon per core.
 * **Error transparency.**  A task exception is pickled back in an
   ``ERROR`` frame (falling back to a :class:`~repro.errors.ClusterError`
   carrying the repr when the exception itself will not pickle), so the
@@ -38,7 +34,6 @@ from typing import Any, List, Optional, Tuple
 
 from repro import telemetry
 from repro.runtime import precompute
-from repro.runtime.executor import Executor, executor_from_spec
 from repro.cluster.protocol import (
     PICKLE_CODEC,
     PROTOCOL_VERSION,
@@ -56,7 +51,7 @@ from repro.cluster.protocol import (
     verify_welcome,
 )
 from repro.errors import ClusterError
-from repro.spec import EXECUTOR, env
+from repro.spec import env
 
 # Shard functions arrive pickled by module path.  The record model and the
 # RLC batch verifier sit under nearly every tally and audit shard; importing
@@ -69,19 +64,17 @@ CONNECT_TIMEOUT_SECONDS = 30.0
 
 
 class WorkerDaemon:
-    """One coordinator connection plus the local executor that serves it."""
+    """One coordinator connection, served one task at a time."""
 
     def __init__(
         self,
         address: Tuple[str, int],
         secret: Optional[bytes] = None,
-        executor: Optional[Executor] = None,
         worker_id: Optional[str] = None,
         codec: Codec = PICKLE_CODEC,
     ) -> None:
         self.address = address
         self.secret = secret
-        self.executor = executor if executor is not None else executor_from_spec("serial")
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.codec = codec
         self._sock: Optional[socket.socket] = None
@@ -142,15 +135,13 @@ class WorkerDaemon:
         # Handshake nonces are key material: draw from the CSPRNG seam the
         # determinism rule (REP002) sanctions, not ambient os.urandom.
         my_nonce = secrets.token_bytes(16)
-        slots = self.executor.num_workers
         hello = {
             "protocol_version": PROTOCOL_VERSION,
             "worker_id": self.worker_id,
-            "slots": slots,
             "nonce": my_nonce,
         }
         if self.secret is not None:
-            hello["mac"] = hello_mac(self.secret, nonce, self.worker_id, slots)
+            hello["mac"] = hello_mac(self.secret, nonce, self.worker_id)
         self._send(Frame(FrameKind.HELLO, hello))
         welcome = expect_frame(sock, FrameKind.WELCOME, pre_auth).payload or {}
         assigned_id = str(welcome.get("worker_id", self.worker_id))
@@ -172,8 +163,8 @@ class WorkerDaemon:
             telemetry.configure("mem", propagate=False)
 
         # Only now — with the coordinator authenticated — accept the
-        # arbitrary-picklable warm payload, and warm before any TASK:
-        # precompute tables and the local pool.
+        # arbitrary-picklable warm payload, and warm the precompute tables
+        # before any TASK.
         warm = expect_frame(sock, FrameKind.WARM, self.codec).payload or {}
         for factory in warm.get("groups", ()):
             try:
@@ -185,7 +176,6 @@ class WorkerDaemon:
                 precompute.warm_fixed_base(base)
             except Exception:  # noqa: BLE001 - warm work is best-effort
                 continue
-        self.executor.warm()
 
         # The ready signal: dispatch is gated on this first heartbeat.
         self._send(Frame(FrameKind.HEARTBEAT))
@@ -196,11 +186,9 @@ class WorkerDaemon:
 
     def _execute(self, mode: str, fn: Any, data: Any) -> Any:
         if mode == "map":
-            return self.executor.map(fn, data)
+            return [fn(item) for item in data]
         if mode == "star":
-            return self.executor.starmap(fn, data)
-        if mode == "call":
-            return fn(*data)
+            return [fn(*args) for args in data]
         raise ClusterError(f"unknown task mode {mode!r}")
 
     def _serve(self) -> None:
@@ -285,7 +273,6 @@ class WorkerDaemon:
                 sock.close()
             except OSError:
                 pass
-        self.executor.close()
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +283,11 @@ class WorkerDaemon:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster.worker",
-        description="Enroll this host as a repro.cluster tally/audit worker.",
+        description="Enroll one repro.cluster tally/audit worker: one serial slot, so run one per core.",
     )
     parser.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
         help="coordinator address to enroll with",
-    )
-    parser.add_argument(
-        "--executor", default="serial",
-        help="local executor spec for this worker's shards "
-             "(serial, thread[:N] or process[:N]; default serial)",
     )
     parser.add_argument(
         "--id", default=None, help="worker identity (default hostname-pid)",
@@ -316,12 +298,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(default REPRO_CLUSTER_SECRET; secrets never appear in argv)",
     )
     args = parser.parse_args(argv)
-    if EXECUTOR.parse(args.executor)[0] in ("remote", "cluster"):
-        parser.error("worker-local executors must be serial, thread[:N] or process[:N]")
     daemon = WorkerDaemon(
         address=parse_address(args.connect),
         secret=decode_secret(env("REPRO_CLUSTER_SECRET", var=args.secret_env)),
-        executor=executor_from_spec(args.executor),
         worker_id=args.id,
     )
     return daemon.run()

@@ -307,7 +307,7 @@ class Ed25519Group(Group):
 
     def __reduce__(self):
         # Resolve to the per-process singleton on unpickling so elements that
-        # cross a ProcessExecutor boundary keep a consistent group instance.
+        # cross a cluster frame keep a consistent group instance.
         return (ed25519_group, ())
 
 

@@ -213,7 +213,7 @@ class ModPGroup(Group):
 
     def __reduce__(self):
         # Groups are compared by identity (``is``) in element operations, so
-        # pickling — e.g. shipping work to a :class:`ProcessExecutor` worker —
+        # pickling — e.g. shipping work to a worker in a cluster frame —
         # must resolve back to the per-process canonical instance for these
         # parameters rather than construct a fresh object.  Parameters are
         # normalised to plain ints so the payload is backend-independent.

@@ -66,8 +66,8 @@ class VotegralElection:
 
     def __init__(self, config: Optional[ElectionConfig] = None):
         self.config = config or ElectionConfig()
-        # Telemetry attaches first so executor construction (pool spin-up,
-        # cluster enrollment) is already observable.
+        # Telemetry attaches first so executor construction (cluster
+        # enrollment) is already observable.
         self.config.make_telemetry()
         self.group = self.config.make_group()
         self.executor = self.config.make_executor()
@@ -85,10 +85,10 @@ class VotegralElection:
         self.audit_report: Optional[AuditReport] = None
 
     def close(self) -> None:
-        """Release the runtime executor's worker pool and the board backend.
+        """Release the runtime executor's workers and the board backend.
 
-        Pool-backed executors (``thread``/``process`` specs) hold OS threads
-        or processes, and board backends may hold flusher threads or database
+        Cluster executors (``cluster``/``remote`` specs) hold worker
+        processes, and board backends may hold flusher threads or database
         connections; long-lived callers running many elections should close
         each one (or use the election as a context manager).
         """

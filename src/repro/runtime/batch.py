@@ -45,9 +45,8 @@ from repro.crypto.dlog_proof import DlogProof, dlog_challenge
 from repro.crypto.elgamal import DecryptionShare, ElGamal, ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.schnorr import SchnorrSignature, schnorr_challenge, schnorr_verify
-from repro.runtime.executor import Executor, chunk_evenly
+from repro.runtime.executor import Executor, chunk_evenly, resolve_executor
 from repro.runtime.precompute import multi_element_power
-from repro.runtime.sharding import parallel_map
 
 DEFAULT_WEIGHT_BITS = 128
 DEFAULT_SIGNATURE_CHUNK = 64
@@ -156,7 +155,7 @@ def verify_signatures(
     if not items:
         return []
     shards = chunk_evenly(list(items), max(1, (len(items) + chunk_size - 1) // chunk_size))
-    verdicts = parallel_map(_verify_signature_chunk, shards, executor=executor, chunksize=1)
+    verdicts = resolve_executor(executor).map(_verify_signature_chunk, shards, chunksize=1)
     return [verdict for shard in verdicts for verdict in shard]
 
 

@@ -139,14 +139,12 @@ class Grammar:
         return head, given
 
 
-_WORKERS = Arg("num_workers", "int>=1")
 _SHARD = Arg("shard_size", "int>=1")
 _DEPTH = Arg("queue_depth", "int>=1")
 
 EXECUTOR = Grammar(
     "executor_spec", "`repro.runtime` executor the parallel stages fan out over", "serial", "serial", ValueError,
-    {"serial": (), "thread": (_WORKERS,), "process": (_WORKERS,),
-     "cluster": (Arg("num_workers", "int>=1", required=True),),
+    {"serial": (), "cluster": (Arg("num_workers", "int>=1", required=True),),
      "remote": (Arg("listen", "host:port[,host:port…]", required=True),)},
 )
 BOARD = Grammar(
@@ -213,7 +211,8 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_PIPELINE_SHARD_SIZE", "int>=1", None, "tests/runtime", "Randomized pipeline shard size."),
     Knob("REPRO_PIPELINE_QUEUE_DEPTH", "int>=1", None, "tests/runtime, tests/tally", "Randomized queue depth."),
     Knob("REPRO_STRESS_ITERATION", "int>=1", None, "tests/runtime", "Stress iteration, mixed into the test's seed."),
-    Knob("REPRO_CLUSTER_WORKERS", "int>=1", None, "tests/cluster", "Randomized loopback worker count (default 2)."),
+    Knob("REPRO_CLUSTER_WORKERS", "int>=1", None, "tests/cluster",
+         "Randomized worker count of the shared loopback test cluster (default 2)."),
     Knob("REPRO_CLUSTER_PAGE_SIZE", "int>=1", None, "tests/cluster", "Randomized ledger page size (default 3)."),
     Knob("REPRO_TRACE_EXPORT_DIR", "path", None, "tests/gateway",
          "Where the end-to-end tracing test exports its trace and waterfall as CI artifacts."),

@@ -11,8 +11,7 @@ from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.group import GroupElement
 from repro.errors import TallyError
-from repro.runtime.executor import Executor
-from repro.runtime.sharding import parallel_starmap
+from repro.runtime.executor import Executor, resolve_executor
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ def decrypt_votes(
     """
     with telemetry.span("tally.decrypt", items=len(ciphertexts)):
         jobs = [(dkg, ciphertext) for ciphertext in ciphertexts]
-        material = parallel_starmap(decryption_material, jobs, executor=executor)
+        material = resolve_executor(executor).starmap(decryption_material, jobs)
         if proofs is not None:
             proofs.extend(material)
         return [_decode_choice(dkg, fields[-1], num_options) for fields in material]

@@ -20,8 +20,7 @@ from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.tagging import TaggingAuthority
 from repro.ledger.records import BallotRecord
-from repro.runtime.executor import Executor
-from repro.runtime.sharding import parallel_starmap
+from repro.runtime.executor import Executor, resolve_executor
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ def _blinded_tag_bytes(
     dkg: DistributedKeyGeneration,
     ciphertext: ElGamalCiphertext,
 ) -> bytes:
-    """One tag derivation — module-level so process executors can run it."""
+    """One tag derivation — module-level so cluster workers can run it."""
     return tagging.blind_and_decrypt(dkg, ciphertext).to_bytes()
 
 
@@ -71,9 +70,9 @@ def blinded_tags(
     """
     if proofs is None:
         jobs = [(tagging, dkg, ciphertext) for ciphertext in ciphertexts]
-        return parallel_starmap(_blinded_tag_bytes, jobs, executor=executor)
+        return resolve_executor(executor).starmap(_blinded_tag_bytes, jobs)
     jobs = [(dkg, tagging, ciphertext) for ciphertext in ciphertexts]
-    material = parallel_starmap(tag_chain_material, jobs, executor=executor)
+    material = resolve_executor(executor).starmap(tag_chain_material, jobs)
     proofs.extend(material)
     return [chain[-1].to_bytes() for chain in material]
 

@@ -40,8 +40,7 @@ from repro import telemetry
 from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
 from repro.crypto.group import GroupElement
 from repro.crypto.hashing import sha256
-from repro.runtime.executor import Executor
-from repro.runtime.sharding import parallel_starmap
+from repro.runtime.executor import Executor, resolve_executor
 
 CiphertextTuple = Tuple[ElGamalCiphertext, ...]
 
@@ -211,7 +210,7 @@ def shuffle_tuples_with_proof(
         for plan_permutation, plan_randomness in plans
         for position, source in enumerate(plan_permutation)
     ]
-    flat = parallel_starmap(_reencrypt_tuple, tasks, executor=executor)
+    flat = resolve_executor(executor).starmap(_reencrypt_tuple, tasks)
 
     outputs = flat[:n]
     shadows: List[List[CiphertextTuple]] = [flat[(index + 1) * n : (index + 2) * n] for index in range(rounds)]

@@ -214,12 +214,9 @@ class TallyPipeline:
         rotated away from are dropped.
         """
         ex = resolve_executor(self.executor)
-        if (self.pipeline is not None and self.pipeline.streaming) or ex.name == "remote":
-            # Fork/spawn any worker pool while this is still the only thread;
-            # a streaming ledger read (below) starts a reader and a stage thread.
-            # For a remote executor this is the enrollment barrier: every
-            # worker has warmed its precompute tables before the first shard.
-            ex.warm()
+        # On a cluster, the enrollment barrier: every worker has warmed its
+        # precompute tables before the first shard.  A no-op in process.
+        ex.warm()
         view = as_board_view(board)
         registrations = view.active_registrations()
         if not registrations:

@@ -11,8 +11,8 @@ shared by every process (``python -m repro.telemetry summarize
 <trace.jsonl>``).
 
 State is process-global and lazily attached: :func:`configure` exports
-``REPRO_TELEMETRY`` so pool children and spawned cluster workers that import
-this module resolve the same spec on first use.  Usage::
+``REPRO_TELEMETRY`` so child processes that import this module resolve the
+same spec on first use.  Usage::
 
     from repro import telemetry
 
@@ -96,26 +96,16 @@ _hooks_installed = False
 
 
 def _install_hooks_locked() -> None:
-    """Once per process: post-fork child reset + end-of-process metric flush.
+    """Once per process: the end-of-process metric flush.
 
-    Forked children inherit a *copy* of the parent's metric aggregates; they
-    must start from zero or every flush/drain would multiply-count the
-    parent's history.  The atexit flush persists the main process's metric
-    aggregates into a ``jsonl:`` sink so ``summarize`` sees them.
+    The atexit flush persists this process's metric aggregates into a
+    ``jsonl:`` sink so ``summarize`` sees them.
     """
     global _hooks_installed
     if _hooks_installed:
         return
     _hooks_installed = True
-    if hasattr(os, "register_at_fork"):
-        os.register_at_fork(after_in_child=_after_fork_in_child)
     atexit.register(_flush_at_exit)
-
-
-def _after_fork_in_child() -> None:
-    state = _state
-    if isinstance(state, Telemetry):
-        state.reset_in_child()
 
 
 def _flush_at_exit() -> None:
@@ -149,8 +139,8 @@ def configure(spec: Optional[str], propagate: bool = True) -> Optional[Telemetry
     """Install the telemetry selected by ``spec`` for this process.
 
     With ``propagate`` (the default) the spec is exported as
-    ``REPRO_TELEMETRY`` so subprocesses started from here — process pools,
-    spawned cluster workers, benchmark children — attach to the same sink.
+    ``REPRO_TELEMETRY`` so subprocesses started from here — a gateway
+    child, benchmark children — attach to the same sink.
     Cluster workers pass ``propagate=False``: their events travel back on
     RESULT frames instead of racing the coordinator for the trace file.
     """

@@ -17,12 +17,12 @@ Design constraints, in order of importance:
    :class:`~contextvars.ContextVar` in :mod:`repro.telemetry.context`, so
    two asyncio coroutines interleaving on one thread keep distinct parent
    chains (a thread-local stack cannot do that), while plain threads still
-   start clean.  Span IDs embed the emitting PID, so IDs minted on either
-   side of a ``fork()`` never collide.
+   start clean.  Span IDs embed the emitting PID, so IDs minted in
+   different processes never collide.
 3. **Crash-safe JSONL.**  The ``jsonl:`` sink appends one complete line per
    event with a single unbuffered ``write()`` on an ``O_APPEND`` descriptor,
-   so concurrent writers (threads, forked pool workers, spawned cluster
-   workers) interleave *lines*, never bytes within a line.
+   so concurrent writers (threads, processes sharing the trace file)
+   interleave *lines*, never bytes within a line.
 4. **Children re-attach via the environment.**  ``configure()`` exports
    ``REPRO_TELEMETRY``; any subprocess that imports this module lazily
    resolves the same spec on first use.
@@ -225,10 +225,6 @@ class MemSink:
             events, self._events = self._events, []
             return events
 
-    def reset(self) -> None:
-        with self._lock:
-            self._events = []
-
     def close(self) -> None:
         pass
 
@@ -265,9 +261,6 @@ class JsonlSink:
     def take(self) -> List[Dict[str, Any]]:
         return []  # the file *is* the shared buffer; nothing to hand-carry
 
-    def reset(self) -> None:
-        pass
-
     def close(self) -> None:
         with self._lock:
             try:
@@ -301,7 +294,7 @@ class Telemetry:
     Spans stream to the sink eagerly (they are the trace); counters, gauges
     and histograms aggregate locally and are folded into snapshots, drained
     for the cluster piggyback, or flushed to the JSONL file at process exit
-    so pool children's metrics survive them.
+    so child processes' metrics survive them.
     """
 
     def __init__(self, sink: Any, spec: str) -> None:
@@ -503,21 +496,6 @@ class Telemetry:
         """Write the aggregates into the sink (JSONL end-of-process flush)."""
         for event in self.metrics_events():
             self.sink.emit(event)
-
-    def reset_in_child(self) -> None:
-        """Post-``fork()`` reset: drop aggregates copied from the parent.
-
-        Without this, every pool child would re-flush the parent's pre-fork
-        counters at exit and snapshots would multiply-count them.  The JSONL
-        file handle is kept — ``O_APPEND`` descriptors are fork-safe.
-        """
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._hist_buckets.clear()
-            self._hist_exemplars.clear()
-        self.sink.reset()
 
     def close(self) -> None:
         # Flush before closing: detaching (configure("off"), or swapping

@@ -4,7 +4,7 @@ Every ``telemetry.span`` / ``counter`` / ``gauge`` / ``histogram`` call site
 must pass a string literal drawn from this module (enforced statically by
 ``repro.analysis`` rule REP005).  Two properties hang off that discipline:
 
-- **Schedule-independent traces.**  The same tally on a serial, pooled or
+- **Schedule-independent traces.**  The same tally on a serial or a
   cluster executor must emit identical span names, or trace
   diffing (and the bench gates built on span aggregates) silently compares
   different things.  A literal drawn from one registry cannot drift per
@@ -31,7 +31,6 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
         "cluster.task",
         "cluster.warm",
         "executor.map",
-        "executor.warm",
         "gateway.batch.admit",
         "gateway.client.request",
         "gateway.request",

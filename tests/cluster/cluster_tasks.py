@@ -2,8 +2,8 @@
 
 Worker daemons unpickle task functions by module path, so anything the
 tests dispatch must live in a module the *worker subprocess* can import —
-``tests/cluster/conftest.py`` prepends this directory to ``PYTHONPATH``
-before any worker spawns.
+``tests/conftest.py`` adds this directory to ``PYTHONPATH`` before any
+worker spawns.
 """
 
 from __future__ import annotations
@@ -40,6 +40,12 @@ def slow_echo(value, delay=0.05):
 
 def boom(value):
     raise ValueError(f"boom on {value!r}")
+
+
+def explode(value):
+    if value == 13:
+        raise ValueError("unlucky")
+    return value
 
 
 class Unpicklable(Exception):

@@ -16,15 +16,18 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.executor import RemoteExecutor, remote_executor_from_spec
 from repro.cluster.protocol import (
     PROTOCOL_VERSION,
+    ConnectionClosed,
     Frame,
     FrameKind,
     expect_frame,
     hello_mac,
+    recv_frame,
     send_frame,
 )
+from repro.crypto.mac import mac_sign
 from repro.cluster.worker import WorkerDaemon, main as worker_main
 from repro.errors import ClusterError
-from repro.runtime.executor import SerialExecutor, executor_from_spec
+from repro.runtime.executor import executor_from_spec
 from repro.runtime.pipeline import Shard, Stage, StreamPipeline, iter_shards
 
 
@@ -119,11 +122,10 @@ class TestEnrollment:
         with socket.create_connection(coordinator.address, timeout=10) as sock:
             challenge = expect_frame(sock, FrameKind.CHALLENGE).payload
             assert challenge["authenticated"] is True
-            tag = hello_mac(b"not-the-secret", challenge["nonce"], "intruder", 1)
+            tag = hello_mac(b"not-the-secret", challenge["nonce"], "intruder")
             send_frame(sock, Frame(FrameKind.HELLO, {
                 "protocol_version": PROTOCOL_VERSION,
                 "worker_id": "intruder",
-                "slots": 1,
                 "mac": tag,
             }))
             with pytest.raises(ClusterError, match="MAC verification failed"):
@@ -137,19 +139,35 @@ class TestEnrollment:
             send_frame(sock, Frame(FrameKind.HELLO, {
                 "protocol_version": PROTOCOL_VERSION + 7,
                 "worker_id": "time-traveller",
-                "slots": 1,
             }))
             with pytest.raises(ClusterError, match="version mismatch"):
                 expect_frame(sock, FrameKind.WELCOME)
+
+    def test_handshake_refuses_a_v1_hello_that_announces_slots(self, cluster_executor):
+        """A worker built before the slot count left the HELLO is refused by
+        name, and the coordinator hangs up."""
+        coordinator = cluster_executor.coordinator
+        with socket.create_connection(coordinator.address, timeout=10) as sock:
+            nonce = expect_frame(sock, FrameKind.CHALLENGE).payload["nonce"]
+            v1_message = b"|".join([b"repro-cluster-hello", b"1", nonce, b"old-worker", b"4"])
+            send_frame(sock, Frame(FrameKind.HELLO, {
+                "protocol_version": 1,
+                "worker_id": "old-worker",
+                "slots": 4,
+                "nonce": b"old-worker-nonce",
+                "mac": mac_sign(cluster_executor._secret, v1_message),
+            }))
+            with pytest.raises(ClusterError, match="protocol version mismatch"):
+                expect_frame(sock, FrameKind.WELCOME)
+            with pytest.raises(ConnectionClosed):
+                recv_frame(sock)
+        assert "old-worker" not in coordinator.worker_ids()
 
     def test_in_thread_worker_enrolls_serves_and_drains_on_shutdown(self):
         secret = b"k" * 32
         coordinator = ClusterCoordinator(secret=secret)
         executor = RemoteExecutor(coordinator=coordinator, secret=secret)
-        daemon = WorkerDaemon(
-            address=coordinator.address, secret=secret,
-            executor=SerialExecutor(), worker_id="thread-worker",
-        )
+        daemon = WorkerDaemon(address=coordinator.address, secret=secret, worker_id="thread-worker")
         status = {}
         thread = threading.Thread(target=lambda: status.update(code=daemon.run()))
         thread.start()
@@ -167,10 +185,7 @@ class TestEnrollment:
         secret = b"k" * 32
         coordinator = ClusterCoordinator(secret=secret)
         daemons = [
-            WorkerDaemon(
-                address=coordinator.address, secret=secret,
-                executor=SerialExecutor(), worker_id="same-name",
-            )
+            WorkerDaemon(address=coordinator.address, secret=secret, worker_id="same-name")
             for _ in range(2)
         ]
         threads = [threading.Thread(target=daemon.run, daemon=True) for daemon in daemons]
@@ -187,6 +202,45 @@ class TestEnrollment:
                 thread.join(timeout=30)
 
 
+class TestDispatch:
+    def test_a_worker_has_at_most_one_task_in_flight(self):
+        """A worker is one serial slot: its next task goes out only once the
+        previous one's result is back."""
+        secret = b"k" * 32
+        coordinator = ClusterCoordinator(secret=secret)
+        executor = RemoteExecutor(coordinator=coordinator, secret=secret)
+        daemon = WorkerDaemon(address=coordinator.address, secret=secret, worker_id="one-slot")
+        thread = threading.Thread(target=daemon.run, daemon=True)
+        thread.start()
+        in_flight = []
+        done = threading.Event()
+
+        def sample():
+            while not done.is_set():
+                with coordinator._lock:
+                    in_flight.extend(len(w.in_flight) for w in coordinator._workers.values())
+                time.sleep(0.002)
+
+        sampler = threading.Thread(target=sample)
+        sampler.start()
+        try:
+            coordinator.wait_for_workers(1, timeout=30)
+            items = [(i, 0.02) for i in range(6)]
+            assert executor.starmap(cluster_tasks.slow_echo, items, chunksize=1) == list(range(6))
+        finally:
+            done.set()
+            sampler.join(timeout=30)
+            executor.close()
+            thread.join(timeout=30)
+        assert max(in_flight) == 1
+        assert daemon.tasks_served == 6
+
+    def test_a_worker_knows_only_map_and_star_tasks(self, cluster_executor):
+        with pytest.raises(ClusterError, match="unknown task mode 'call'"):
+            cluster_executor.coordinator.run_tasks([("call", cluster_tasks.echo, (1,))])
+        assert cluster_executor.map(cluster_tasks.echo, [1]) == [1]
+
+
 class TestFaultTolerance:
     def test_duplicate_results_are_idempotent(self):
         """First RESULT per task key wins; redeliveries are dropped."""
@@ -195,7 +249,7 @@ class TestFaultTolerance:
             outcome = {}
             thread = threading.Thread(
                 target=lambda: outcome.update(
-                    r=coordinator.run_tasks([("call", cluster_tasks.echo, (1,))])
+                    r=coordinator.run_tasks([("map", cluster_tasks.echo, [1])])
                 )
             )
             thread.start()
@@ -271,7 +325,7 @@ class TestFaultTolerance:
 
         def run():
             try:
-                coordinator.run_tasks([("call", cluster_tasks.echo, (1,))])
+                coordinator.run_tasks([("map", cluster_tasks.echo, [1])])
             except ClusterError as exc:
                 outcome["error"] = str(exc)
 
@@ -301,7 +355,10 @@ class TestSpecParsing:
         finally:
             executor.close()
 
-    def test_worker_cli_rejects_recursive_executor_specs(self, capsys):
-        with pytest.raises(SystemExit):
-            worker_main(["--connect", "127.0.0.1:1", "--executor", "cluster:2"])
-        assert "worker-local executors" in capsys.readouterr().err
+    def test_worker_cli_has_no_local_executor(self, capsys):
+        """A worker is one serial slot; ``--executor`` is argparse's usage error."""
+        with pytest.raises(SystemExit) as exited:
+            worker_main(["--connect", "127.0.0.1:1", "--executor", "serial"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --executor serial" in err

@@ -63,11 +63,10 @@ class TestHandshakeRejectionHygiene:
             with socket.create_connection(coordinator.address, timeout=10) as sock:
                 challenge = expect_frame(sock, FrameKind.CHALLENGE).payload
                 nonce = challenge["nonce"]
-                tag = hello_mac(WRONG_SECRET, nonce, "intruder", 1)
+                tag = hello_mac(WRONG_SECRET, nonce, "intruder")
                 send_frame(sock, Frame(FrameKind.HELLO, {
                     "protocol_version": PROTOCOL_VERSION,
                     "worker_id": "intruder",
-                    "slots": 1,
                     "nonce": b"intruder-nonce-0",
                     "mac": tag,
                 }))

@@ -30,6 +30,7 @@ from repro.cluster.protocol import (
     verify_welcome,
     welcome_mac,
 )
+from repro.crypto.mac import mac_sign
 from repro.errors import ClusterError
 
 
@@ -126,9 +127,9 @@ class TestCodecSeam:
     def test_alternate_codec_round_trips(self, pair):
         left, right = pair
         codec = _JsonCodec()
-        send_frame(left, Frame(FrameKind.HELLO, {"worker_id": "w1", "slots": 2}), codec)
+        send_frame(left, Frame(FrameKind.HELLO, {"worker_id": "w1", "protocol_version": 2}), codec)
         frame = recv_frame(right, codec)
-        assert frame.payload == {"worker_id": "w1", "slots": 2}
+        assert frame.payload == {"worker_id": "w1", "protocol_version": 2}
 
     def test_codec_mismatch_is_a_decode_error(self, pair):
         left, right = pair
@@ -142,25 +143,29 @@ class TestSignedHello:
     NONCE = b"n" * 16
 
     def test_accepts_honest_tag(self):
-        tag = hello_mac(self.SECRET, self.NONCE, "worker-1", 4)
-        assert verify_hello(self.SECRET, self.NONCE, "worker-1", 4, tag)
+        tag = hello_mac(self.SECRET, self.NONCE, "worker-1")
+        assert verify_hello(self.SECRET, self.NONCE, "worker-1", tag)
 
     @pytest.mark.parametrize(
-        "secret,nonce,worker,slots",
+        "secret,nonce,worker",
         [
-            (b"x" * 32, NONCE, "worker-1", 4),   # wrong secret
-            (SECRET, b"m" * 16, "worker-1", 4),  # replayed against a new nonce
-            (SECRET, NONCE, "worker-2", 4),      # renamed identity
-            (SECRET, NONCE, "worker-1", 64),     # inflated slot count
+            (b"x" * 32, NONCE, "worker-1"),   # wrong secret
+            (SECRET, b"m" * 16, "worker-1"),  # replayed against a new nonce
+            (SECRET, NONCE, "worker-2"),      # renamed identity
         ],
     )
-    def test_rejects_any_tampered_field(self, secret, nonce, worker, slots):
-        tag = hello_mac(self.SECRET, self.NONCE, "worker-1", 4)
-        assert not verify_hello(secret, nonce, worker, slots, tag)
+    def test_rejects_any_tampered_field(self, secret, nonce, worker):
+        tag = hello_mac(self.SECRET, self.NONCE, "worker-1")
+        assert not verify_hello(secret, nonce, worker, tag)
 
     def test_rejects_garbage_tag(self):
-        assert not verify_hello(self.SECRET, self.NONCE, "worker-1", 4, b"")
-        assert not verify_hello(self.SECRET, self.NONCE, "worker-1", 4, b"\x00" * 32)
+        assert not verify_hello(self.SECRET, self.NONCE, "worker-1", b"")
+        assert not verify_hello(self.SECRET, self.NONCE, "worker-1", b"\x00" * 32)
+
+    def test_rejects_a_v1_tag_over_a_slot_count(self):
+        v1_message = b"|".join([b"repro-cluster-hello", b"1", self.NONCE, b"worker-1", b"1"])
+        assert PROTOCOL_VERSION == 2
+        assert not verify_hello(self.SECRET, self.NONCE, "worker-1", mac_sign(self.SECRET, v1_message))
 
 
 class TestHandshakeCodec:

@@ -3,13 +3,31 @@
 All protocol tests run over the small (insecure, clearly-labelled) testing
 group so the full suite stays fast; a handful of tests exercise the Ed25519
 and 2048-bit backends directly to validate the real parameter sets.
+
+Every schedule test runs on the two executors, ``serial`` and a loopback
+``cluster``; the CI stress job randomizes ``REPRO_CLUSTER_WORKERS`` (how many
+worker subprocesses the shared cluster spawns).
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import Counter
 
 import pytest
+
+# Worker subprocesses unpickle test task functions by module path; make the
+# cluster_tasks helper importable here and from every spawned worker.
+_CLUSTER_TASKS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cluster")
+if _CLUSTER_TASKS_DIR not in sys.path:
+    sys.path.insert(0, _CLUSTER_TASKS_DIR)
+if _CLUSTER_TASKS_DIR not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        part for part in (os.environ.get("PYTHONPATH"), _CLUSTER_TASKS_DIR) if part
+    )
+
+from cluster_tasks import CLUSTER_WORKERS  # noqa: E402 - needs the path above
 
 from repro.audit.api import AuditPlan, verifier_from_spec
 from repro.audit.checks import cascade_checks
@@ -20,6 +38,7 @@ from repro.crypto.group import Group
 from repro.crypto.modp_group import ModPElement, testing_group
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.registration.setup import ElectionSetup
+from repro.runtime.executor import executor_from_spec
 from repro.runtime.precompute import FixedBaseTable
 
 
@@ -47,6 +66,15 @@ def cascade_report():
         return verifier_from_spec(audit_spec, executor).run(AuditPlan(checks))
 
     return report
+
+
+@pytest.fixture(scope="module")
+def cluster_executor():
+    """One warmed loopback cluster shared by a test module (spawn is ~0.3 s)."""
+    executor = executor_from_spec(f"cluster:{CLUSTER_WORKERS}")
+    executor.warm()
+    yield executor
+    executor.close()
 
 
 @pytest.fixture()

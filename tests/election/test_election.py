@@ -24,6 +24,7 @@ class TestElectionConfig:
         "field,bad,error",
         [
             ("executor_spec", "thread:zero", ValueError),
+            ("executor_spec", "cluster:zero", ValueError),
             ("board_spec", "batched:8:bogus", LedgerError),
             ("pipeline_spec", "stream:0", ValueError),
             ("pipeline_spec", "stream:32:4", ValueError),

@@ -8,8 +8,6 @@ comes from the append and not from a scan.
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.election import ElectionConfig, VotegralElection
@@ -35,13 +33,13 @@ CHOICES = dict(zip(VOTERS, (1, 0, 1)))
 def test_one_mapping_from_service_and_request_to_election_config(board_spec, mapped):
     """Every tenant board is batched once: wrapped at the governor's size unless it already is."""
     service = ServiceConfig(
-        board_spec=board_spec, executor_spec="thread:2", audit_spec="stream:4",
+        board_spec=board_spec, executor_spec="serial", audit_spec="stream:4",
         num_mixers=3, proof_rounds=5, governor=GovernorConfig(batch_size=7),
     )
     request = CreateElectionRequest(election_id="mapped", num_voters=12345, num_options=4, group="modp-256")
     config = service.election_config(request, request.group)
     assert config.board_spec == mapped
-    assert (config.executor_spec, config.audit_spec) == ("thread:2", "stream:4")
+    assert (config.executor_spec, config.audit_spec) == ("serial", "stream:4")
     assert (config.num_mixers, config.proof_rounds, config.num_authority_members) == (3, 5, 3)
     assert (config.election_id, config.num_voters, config.num_options) == ("mapped", 12345, 4)
     assert config.voter_ids()[-1] == "voter-12344"
@@ -87,7 +85,7 @@ def test_the_same_shape_in_process_and_over_http_publishes_the_same_election(mak
 
 
 def test_shutdown_releases_a_tallied_tenants_worker_pool(make_gateway):
-    fixture = make_gateway(ServiceConfig(executor_spec="thread:2", governor=GovernorConfig.from_env()))
+    fixture = make_gateway(ServiceConfig(executor_spec="cluster:2", governor=GovernorConfig.from_env()))
     client = fixture.client(client_id="pool")
     client.create_election("pool", 3, 2)
     session = CastingSession(client, "pool")
@@ -99,19 +97,17 @@ def test_shutdown_releases_a_tallied_tenants_worker_pool(make_gateway):
     assert client.tally("pool").counts == {"0": 0, "1": 3}
     assert client.audit_report("pool").ok
 
-    def pool_threads():
-        return [thread for thread in threading.enumerate() if thread.name.startswith("repro-runtime")]
-
-    assert pool_threads(), "the tally never fanned out: nothing to release"
+    workers = list(fixture.service.tenants["pool"].election.executor.worker_processes)
+    assert workers and all(worker.poll() is None for worker in workers), "no live workers: nothing to release"
     fixture.run(fixture.service.shutdown())
-    assert pool_threads() == []
+    assert all(worker.poll() is not None for worker in workers)
     client.close()
 
 
 def test_a_dist_audit_at_the_gateway_runs_on_the_tenants_executor(make_gateway):
     """``audit_spec="dist"`` ships its shards over the election's executor, as in-process."""
     fixture = make_gateway(
-        ServiceConfig(executor_spec="thread:2", audit_spec="dist:4", governor=GovernorConfig.from_env())
+        ServiceConfig(executor_spec="cluster:2", audit_spec="dist:4", governor=GovernorConfig.from_env())
     )
     client = fixture.client(client_id="dist")
     client.create_election("dist", 3, 2)

@@ -14,7 +14,7 @@ from repro.runtime.batch import (
     batch_schnorr_verify,
     verify_signatures,
 )
-from repro.runtime.executor import SerialExecutor, ThreadExecutor, chunk_evenly
+from repro.runtime.executor import SerialExecutor, chunk_evenly
 from repro.runtime.precompute import FixedBaseTable
 
 GROUP = toy_group()
@@ -88,10 +88,9 @@ class TestExecutorProperties:
 
     @FAST
     @given(items=st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=40))
-    def test_backends_agree_with_builtin_map(self, items):
-        with ThreadExecutor(num_workers=2) as threaded:
-            assert (
-                SerialExecutor().map(abs, items)
-                == threaded.map(abs, items, chunksize=3)
-                == list(map(abs, items))
-            )
+    def test_backends_agree_with_builtin_map(self, cluster_executor, items):
+        assert (
+            SerialExecutor().map(abs, items)
+            == cluster_executor.map(abs, items, chunksize=3)
+            == list(map(abs, items))
+        )

@@ -18,7 +18,7 @@ from repro.runtime.batch import (
     batch_schnorr_verify,
     verify_signatures,
 )
-from repro.runtime.executor import ProcessExecutor, SerialExecutor
+from repro.runtime.executor import SerialExecutor
 
 
 @pytest.fixture()
@@ -73,12 +73,11 @@ class TestVerifySignatures:
         verdicts = verify_signatures(tampered, chunk_size=3)
         assert verdicts == [index != 4 for index in range(len(tampered))]
 
-    def test_process_executor_matches_serial(self, group, signature_batch):
+    def test_cluster_executor_matches_serial(self, group, signature_batch, cluster_executor):
         tampered = list(signature_batch)
         tampered[9] = _tamper_signature(tampered[9], group.order)
         serial = verify_signatures(tampered, executor=SerialExecutor())
-        with ProcessExecutor(num_workers=2) as ex:
-            parallel = verify_signatures(tampered, executor=ex, chunk_size=4)
+        parallel = verify_signatures(tampered, executor=cluster_executor, chunk_size=4)
         assert serial == parallel == [index != 9 for index in range(len(tampered))]
 
 

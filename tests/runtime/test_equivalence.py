@@ -1,4 +1,4 @@
-"""Runtime equivalence: serial, thread, and process backends must be
+"""Runtime equivalence: the serial and cluster backends must be
 observationally identical — same `TallyResult` bits, same verification
 verdicts — with only the wall clock allowed to differ.
 
@@ -23,7 +23,7 @@ from repro.audit.checks import audit_tally
 from repro.crypto.group import Group
 from repro.crypto.tagging import TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
-from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.runtime.executor import SerialExecutor
 from repro.tally import mixnet
 from repro.tally.decrypt import decrypt_votes
 from repro.tally.filter import filter_ballots
@@ -53,15 +53,8 @@ def voted_election():
 
 
 @pytest.fixture(scope="module")
-def backends():
-    executors = {
-        "serial": SerialExecutor(),
-        "thread": ThreadExecutor(num_workers=2),
-        "process": ProcessExecutor(num_workers=2),
-    }
-    yield executors
-    for executor in executors.values():
-        executor.close()
+def backends(cluster_executor):
+    return {"serial": SerialExecutor(), "cluster": cluster_executor}
 
 
 def _seeded_randomness(monkeypatch, seed: int) -> None:

@@ -4,72 +4,79 @@ from __future__ import annotations
 
 import pytest
 
+import cluster_tasks
+from cluster_tasks import CLUSTER_WORKERS
+
+from repro.cluster.executor import RemoteExecutor
 from repro.runtime.executor import (
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
-    available_workers,
     chunk_evenly,
     executor_from_spec,
-    get_default_executor,
     resolve_executor,
-    set_default_executor,
 )
 
 
-def _square(x):
-    return x * x
-
-
-def _add(a, b):
-    return a + b
-
-
-def _explode(x):
-    if x == 13:
-        raise ValueError("unlucky")
-    return x
-
-
-@pytest.fixture(params=["serial", "thread", "process"])
+@pytest.fixture(params=["serial", "cluster"])
 def executor(request):
     if request.param == "serial":
-        yield SerialExecutor()
-    elif request.param == "thread":
-        with ThreadExecutor(num_workers=2) as ex:
-            yield ex
-    else:
-        with ProcessExecutor(num_workers=2) as ex:
-            yield ex
+        return SerialExecutor()
+    return request.getfixturevalue("cluster_executor")
 
 
 class TestBackends:
     def test_map_matches_serial_reference(self, executor):
         items = list(range(37))
-        assert executor.map(_square, items) == [x * x for x in items]
+        assert executor.map(cluster_tasks.square, items) == [x * x for x in items]
 
     def test_starmap_matches_serial_reference(self, executor):
         items = [(a, a + 1) for a in range(23)]
-        assert executor.starmap(_add, items) == [a + b for a, b in items]
+        assert executor.starmap(cluster_tasks.add, items) == [a + b for a, b in items]
 
     def test_empty_input(self, executor):
-        assert executor.map(_square, []) == []
-        assert executor.starmap(_add, []) == []
+        assert executor.map(cluster_tasks.square, []) == []
+        assert executor.starmap(cluster_tasks.add, []) == []
 
     def test_single_item(self, executor):
-        assert executor.map(_square, [7]) == [49]
+        assert executor.map(cluster_tasks.square, [7]) == [49]
 
     def test_explicit_chunksize(self, executor):
         items = list(range(10))
-        assert executor.map(_square, items, chunksize=3) == [x * x for x in items]
+        assert executor.map(cluster_tasks.square, items, chunksize=3) == [x * x for x in items]
 
     def test_worker_exception_propagates(self, executor):
         with pytest.raises(ValueError, match="unlucky"):
-            executor.map(_explode, list(range(20)))
+            executor.map(cluster_tasks.explode, list(range(20)))
 
-    def test_close_is_idempotent(self, executor):
+    @pytest.mark.parametrize("spec", ["serial", "remote:127.0.0.1:0", "cluster:1"])
+    def test_close_is_idempotent(self, spec):
+        # Each case closes an executor of its own: closing the shared cluster
+        # would strand the rest of the module.
+        executor = executor_from_spec(spec)
+        workers = []
+        if spec.startswith("cluster"):
+            executor.warm()
+            workers = list(executor.worker_processes)
+            assert workers
         executor.close()
         executor.close()
+        assert all(process.poll() is not None for process in workers)
+
+    def test_shared_cluster_enrols_the_configured_workers(self, cluster_executor):
+        # REPRO_CLUSTER_WORKERS sets the geometry under the stress leg.
+        assert cluster_executor.coordinator.num_workers == CLUSTER_WORKERS
+
+    def test_serial_map_and_starmap_are_separate_entry_points(self, monkeypatch):
+        # The benchmark counts every call into either as one executor.map, so
+        # neither may route through the other.
+        def refuse(*args, **kwargs):
+            raise AssertionError("routed through the other entry point")
+
+        executor = SerialExecutor()
+        monkeypatch.setattr(SerialExecutor, "starmap", refuse)
+        assert executor.map(cluster_tasks.square, [2, 3]) == [4, 9]
+        monkeypatch.undo()
+        monkeypatch.setattr(SerialExecutor, "map", refuse)
+        assert executor.starmap(cluster_tasks.add, [(1, 2)]) == [3]
 
 
 class TestChunking:
@@ -93,45 +100,36 @@ class TestSpecs:
     def test_serial_spec(self):
         assert isinstance(executor_from_spec("serial"), SerialExecutor)
 
-    def test_thread_spec_with_count(self):
-        ex = executor_from_spec("thread:3")
-        assert isinstance(ex, ThreadExecutor)
-        assert ex.num_workers == 3
-
-    def test_process_spec_defaults_to_available_workers(self):
-        ex = executor_from_spec("process")
-        assert isinstance(ex, ProcessExecutor)
-        assert ex.num_workers == available_workers()
-
     def test_spec_is_case_insensitive(self):
-        assert isinstance(executor_from_spec("  Thread:2 "), ThreadExecutor)
+        assert isinstance(executor_from_spec("  Serial "), SerialExecutor)
 
-    @pytest.mark.parametrize("spec", ["gpu", "thread:zero", "process:0", "serial:2"])
+    @pytest.mark.parametrize("spec", ["thread:2", "process", "process:2"])
+    def test_pool_heads_are_gone(self, spec):
+        with pytest.raises(ValueError, match=r"serial \| cluster:num_workers \| remote:listen"):
+            executor_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ["gpu", "thread:zero", "process:0", "cluster:zero", "cluster:0", "serial:2"]
+    )
     def test_invalid_specs_raise(self, spec):
         with pytest.raises(ValueError):
             executor_from_spec(spec)
 
+    def test_cluster_spec_with_count(self):
+        executor = executor_from_spec("cluster:3")
+        try:
+            assert isinstance(executor, RemoteExecutor)
+            assert executor.num_workers == 3
+            assert executor.worker_processes == []  # spawned at the first warm, not here
+        finally:
+            executor.close()
+
 
 class TestDefaultExecutor:
     def test_default_is_serial(self):
-        assert isinstance(get_default_executor(), SerialExecutor)
+        assert isinstance(resolve_executor(None), SerialExecutor)
+        assert resolve_executor(None) is resolve_executor(None)
 
     def test_resolve_prefers_explicit(self):
         explicit = SerialExecutor()
         assert resolve_executor(explicit) is explicit
-        assert resolve_executor(None) is get_default_executor()
-
-    def test_set_and_restore(self):
-        replacement = ThreadExecutor(num_workers=2)
-        previous = set_default_executor(replacement)
-        try:
-            assert get_default_executor() is replacement
-            assert resolve_executor(None) is replacement
-        finally:
-            set_default_executor(previous)
-            replacement.close()
-        assert get_default_executor() is previous
-
-
-def test_available_workers_positive():
-    assert available_workers() >= 1

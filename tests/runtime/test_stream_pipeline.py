@@ -14,7 +14,9 @@ import time
 
 import pytest
 
-from repro.runtime.executor import SerialExecutor, ThreadExecutor
+import cluster_tasks
+
+from repro.runtime.executor import SerialExecutor
 from repro.runtime.pipeline import (
     DEFAULT_QUEUE_DEPTH,
     PipelineSpec,
@@ -87,13 +89,12 @@ def test_map_stages_preserve_order():
     assert [shard.index for shard in shards] == list(range(len(shards)))
 
 
-def test_map_stage_with_thread_executor():
+def test_map_stage_with_cluster_executor(cluster_executor):
     items = list(range(60))
-    with ThreadExecutor(num_workers=3) as executor:
-        shards = StreamPipeline(
-            [MapStage(_double, executor=executor)], queue_depth=QUEUE_DEPTH
-        ).run(iter_shards(items, SHARD_SIZE))
-    assert _collect(shards) == [2 * x for x in items]
+    shards = StreamPipeline(
+        [MapStage(cluster_tasks.square, executor=cluster_executor)], queue_depth=QUEUE_DEPTH
+    ).run(iter_shards(items, SHARD_SIZE))
+    assert _collect(shards) == [x * x for x in items]
 
 
 def test_pipeline_is_single_use():
@@ -270,8 +271,7 @@ def test_pipeline_requires_stages_and_depth():
         StreamPipeline([MapStage(_double)], queue_depth=0)
 
 
-def test_executor_warm_is_safe():
+def test_executor_warm_is_safe(cluster_executor):
     SerialExecutor().warm()  # no-op
-    with ThreadExecutor(num_workers=2) as executor:
-        executor.warm()
-        assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
+    cluster_executor.warm()  # already enrolled: returns at once
+    assert cluster_executor.map(cluster_tasks.square, [1, 2, 3]) == [1, 4, 9]

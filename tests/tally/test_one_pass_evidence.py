@@ -43,7 +43,7 @@ from repro.crypto.modp_group import ModPElement, modp_group_256, modp_group_2048
 from repro.crypto.tagging import CIPHERTEXT_TAG_CONTEXT, TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
 from repro.runtime import precompute
-from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.runtime.executor import SerialExecutor
 from repro.runtime.pipeline import pipeline_from_spec
 from repro.runtime.precompute import FixedBaseTable
 from repro.tally import mixnet
@@ -82,15 +82,8 @@ def ed25519_election():
 
 
 @pytest.fixture(scope="module")
-def backends():
-    executors = {
-        "serial": SerialExecutor(),
-        "thread": ThreadExecutor(num_workers=2),
-        "process": ProcessExecutor(num_workers=2),
-    }
-    yield executors
-    for executor in executors.values():
-        executor.close()
+def backends(cluster_executor):
+    return {"serial": SerialExecutor(), "cluster": cluster_executor}
 
 
 def _run_tally(election, executor, tagging, schedule, collect_evidence):
@@ -335,7 +328,7 @@ def test_a_tally_leaves_the_table_cache_as_it_found_it(group_factory):
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "cluster"])
 def test_one_pass_evidence_is_the_published_evidence(monkeypatch, voted_election, backends, backend, schedule):
     group, authority = voted_election.group, voted_election.setup.authority
     board, election_id = voted_election.setup.board, voted_election.config.election_id

@@ -6,6 +6,8 @@ from repro.audit.checks import audit_tally
 from repro.errors import TallyError
 from repro.registration.protocol import RegistrationSession
 from repro.registration.voter import Voter
+from repro.runtime.executor import SerialExecutor
+from repro.runtime.pipeline import pipeline_from_spec
 from repro.tally.decrypt import aggregate, decrypt_votes
 from repro.tally.pipeline import TallyPipeline
 from repro.voting.client import VotingClient
@@ -90,6 +92,33 @@ class TestTallyPipeline:
             small_setup.group, small_setup.authority, small_setup.board, result, verifier=spec
         )
         assert [failure.name for failure in report.failures] == ["tally.counts-sum"]
+
+    @pytest.mark.parametrize("pipeline_spec", ["serial", "stream:2"])
+    def test_the_executor_is_warmed_once_before_any_work(self, small_setup, pipeline_spec):
+        """On a cluster ``warm`` is the enrollment barrier; in process a no-op
+        that every schedule calls all the same."""
+        calls = []
+
+        class Recording(SerialExecutor):
+            def warm(self):
+                calls.append("warm")
+
+            def map(self, fn, items, chunksize=None):
+                calls.append("map")
+                return super().map(fn, items, chunksize)
+
+            def starmap(self, fn, items, chunksize=None):
+                calls.append("starmap")
+                return super().starmap(fn, items, chunksize)
+
+        _register_and_vote(small_setup, {"alice": 1, "bob": 0})
+        pipeline = TallyPipeline(
+            small_setup.group, small_setup.authority, num_mixers=2, proof_rounds=2,
+            executor=Recording(), pipeline=pipeline_from_spec(pipeline_spec),
+        )
+        assert pipeline.run(small_setup.board, num_options=2).counts == {0: 1, 1: 1}
+        assert calls[0] == "warm" and calls.count("warm") == 1
+        assert len(calls) > 1
 
     def test_winner_helper(self, small_setup):
         _register_and_vote(small_setup, {"alice": 1, "bob": 1, "carol": 0})

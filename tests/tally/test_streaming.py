@@ -6,8 +6,8 @@ onto a reader thread that runs ahead of the signature check (the one-stage
 ``ballot-read`` :class:`~repro.runtime.pipeline.StreamPipeline`), so it must
 be *bit-for-bit* invisible in everything published — chain heads, both mix
 cascades with their shadow-mix proofs, the filter transcript, the decrypted
-vote list, the evidence and the audit fingerprint — across
-Serial/Thread/Process executors and Memory/SQLite boards.  The tests read the
+vote list, the evidence and the audit fingerprint — across the serial and
+cluster executors and Memory/SQLite boards.  The tests read the
 board in pages of 1 and 3 records so the overlap really spans pages, seed the
 randomness tape and compare whole :class:`TallyResult` objects.
 
@@ -35,7 +35,7 @@ from repro.crypto.elgamal import ElGamal
 from repro.crypto.group import Group
 from repro.crypto.tagging import TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
-from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.runtime.executor import SerialExecutor
 from repro.runtime.pipeline import PipelineSpec
 from repro.spec import env
 from repro.tally import mixnet
@@ -84,15 +84,8 @@ def voted_election():
 
 
 @pytest.fixture(scope="module")
-def backends():
-    executors = {
-        "serial": SerialExecutor(),
-        "thread": ThreadExecutor(num_workers=2),
-        "process": ProcessExecutor(num_workers=2),
-    }
-    yield executors
-    for executor in executors.values():
-        executor.close()
+def backends(cluster_executor):
+    return {"serial": SerialExecutor(), "cluster": cluster_executor}
 
 
 def _run_tally(election, executor, tagging, pipeline=None, page_size=3, num_mixers=NUM_MIXERS, **options):
@@ -155,7 +148,7 @@ def test_stream_publishes_what_serial_publishes(monkeypatch, tmp_path, board, pa
     election.close()
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "cluster"])
 def test_streamed_tally_bit_identical(monkeypatch, voted_election, backends, backend):
     group = voted_election.group
     tagging = TaggingAuthority.create(group, voted_election.setup.authority.num_members)

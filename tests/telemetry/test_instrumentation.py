@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
+import cluster_tasks
+
 from repro import telemetry
 from repro.election.config import ElectionConfig
 from repro.election.pipeline import VotegralElection
-from repro.runtime.executor import executor_from_spec
+from repro.runtime.executor import SerialExecutor
 from repro.runtime.pipeline import StreamPipeline
 from repro.telemetry.__main__ import main as telemetry_cli
 
 PHASES = {"tally.sig-check", "tally.mix", "tally.tag", "tally.join", "tally.decrypt"}
-
-
-def _double(value):
-    return value * 2
 
 
 def test_serial_election_emits_all_five_phase_spans():
@@ -78,28 +76,17 @@ def test_stream_opens_one_ballot_read_pipeline_and_keeps_the_serial_phase_spans(
     assert streamed.gauge_high_water("pipeline.queue.depth") is not None
 
 
-def test_executor_map_span_nests_under_caller_across_backends():
-    """The fan-out span parents into the caller's span for thread *and*
-    process pools — the boundary the trace must not lose."""
-    for spec in ("thread:2", "process:2"):
-        telemetry.configure("mem", propagate=False)
-        executor = executor_from_spec(spec)
-        try:
-            executor.warm()
-            with telemetry.span("caller", backend=spec) as caller:
-                assert executor.map(_double, list(range(32))) == [2 * i for i in range(32)]
-        finally:
-            executor.close()
-        snapshot = telemetry.snapshot()
-        map_spans = [
-            span for span in snapshot.spans_named("executor.map")
-            if span["parent_id"] == caller.span_id
-        ]
-        assert map_spans, f"{spec}: executor.map span did not nest under the caller"
-        assert map_spans[0]["attrs"]["items"] == 32
-        warm_spans = snapshot.spans_named("executor.warm")
-        assert warm_spans and warm_spans[0]["attrs"]["backend"] == executor.name
-        telemetry.configure("off")
+def test_executor_map_span_nests_under_caller_across_backends(cluster_executor):
+    """The cluster's fan-out span parents into the caller's span — the process
+    boundary the trace must not lose; the serial reference emits none."""
+    telemetry.configure("mem", propagate=False)
+    with telemetry.span("caller") as caller:
+        assert SerialExecutor().map(cluster_tasks.square, [1, 2]) == [1, 4]
+        assert cluster_executor.map(cluster_tasks.square, list(range(32))) == [i * i for i in range(32)]
+    (map_span,) = telemetry.snapshot().spans_named("executor.map")
+    assert map_span["parent_id"] == caller.span_id
+    assert map_span["attrs"]["items"] == 32
+    assert map_span["attrs"]["backend"] == cluster_executor.name
 
 
 def test_summarize_cli(tmp_path, capsys):

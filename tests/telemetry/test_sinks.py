@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import multiprocessing
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -14,6 +16,9 @@ from repro.telemetry import TelemetrySnapshot
 from repro.telemetry.core import JsonlSink, read_jsonl
 
 EVENTS_PER_WRITER = 200
+
+#: What forks a Python child without exec-ing a fresh interpreter.
+FORKING_NAMES = {"fork", "forkpty", "register_at_fork", "ProcessPoolExecutor"}
 
 
 def _write_events(path: str, writer: int) -> None:
@@ -87,6 +92,28 @@ def test_subprocess_reattaches_from_environment(tmp_path):
     assert span["attrs"]["role"] == "subprocess"
     assert span["pid"] != os.getpid()
     assert snapshot.counter_total("child.items") == 5
+
+
+def test_nothing_in_the_package_forks_a_python_child():
+    """Telemetry keeps no at-fork hook: cluster workers and the gateway child
+    are fork+exec subprocesses that attach as above.  A forked child would
+    inherit the parent's span stacks and buffered events instead."""
+    root = pathlib.Path(telemetry.__file__).resolve().parents[1]
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] == "multiprocessing" or name in FORKING_NAMES:
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    assert offenders == []
 
 
 def test_configure_off_flushes_metrics_into_the_trace(tmp_path):

@@ -22,11 +22,8 @@ VALID = [
     (spec.EXECUTOR, "", "serial", {}),
     (spec.EXECUTOR, "serial", "serial", {}),
     (spec.EXECUTOR, "serial:", "serial", {}),
-    (spec.EXECUTOR, "  Thread:2 ", "thread", {"num_workers": 2}),
-    (spec.EXECUTOR, "thread:", "thread", {}),
-    (spec.EXECUTOR, "process", "process", {}),
-    (spec.EXECUTOR, "PROCESS:4", "process", {"num_workers": 4}),
     (spec.EXECUTOR, "cluster:3", "cluster", {"num_workers": 3}),
+    (spec.EXECUTOR, "  Cluster:2 ", "cluster", {"num_workers": 2}),
     (spec.EXECUTOR, "remote:Tally-Host:9000", "remote", {"listen": (("Tally-Host", 9000),)}),
     (spec.EXECUTOR, "remote:10.0.0.1:9000,10.0.0.2:0", "remote", {"listen": (("10.0.0.1", 9000), ("10.0.0.2", 0))}),
     (spec.BOARD, "memory", "memory", {}),
@@ -75,10 +72,15 @@ VALID = [
 # (grammar, malformed spec, the class of mistake)
 INVALID = [
     (spec.EXECUTOR, "gpu", "unknown head"),
-    (spec.EXECUTOR, "thread:zero", "non-int"),
-    (spec.EXECUTOR, "process:0", "<1"),
+    (spec.EXECUTOR, "thread:2", "unknown head"),
+    (spec.EXECUTOR, "process", "unknown head"),
+    # The pool heads are refused whatever their arguments say.
+    (spec.EXECUTOR, "thread:zero", "unknown head"),
+    (spec.EXECUTOR, "process:0", "unknown head"),
+    (spec.EXECUTOR, "thread:2:2", "unknown head"),
+    (spec.EXECUTOR, "cluster:zero", "non-int"),
     (spec.EXECUTOR, "serial:2", "extra arg"),
-    (spec.EXECUTOR, "thread:2:2", "extra arg"),
+    (spec.EXECUTOR, "cluster:2:2", "extra arg"),
     (spec.EXECUTOR, "cluster", "missing required"),
     (spec.EXECUTOR, "cluster:", "missing required"),
     (spec.EXECUTOR, "cluster:0", "<1"),
