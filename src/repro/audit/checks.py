@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
+from repro.crypto.chaum_pedersen import commits_match
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
@@ -186,10 +187,13 @@ def registration_activation_checks(
     signatures on the commit and response codes, the printer's signature on
     the envelope challenge, that the printer committed to the challenge on
     ``L_E`` (``envelope_commitment`` is what the ledger holds for it, or
-    ``None``), and ``transcript``, the Chaum–Pedersen transcript the three
-    codes add up to.  Under the batched strategy the three signatures are one
-    fold — both of the kiosk key's land in one term — and the transcript's
-    two equations another, ``g`` and ``A_pk`` off their tables.
+    ``None``), and that the commit code's printed ``(Y1, Y2)`` is
+    ``transcript``'s commit — the transcript the three codes add up to, its
+    commit recomputed from the challenge and response
+    (:func:`~repro.crypto.chaum_pedersen.chaum_pedersen_commitment`).  Every
+    check compares encodings with a recomputed element; the codes' ``R``,
+    ``Y1`` and ``Y2`` may be bytes no one decoded, so the plan is for
+    per-item verdicts, not folds.
     """
     kiosk_key = response_code.kiosk_public_key
     return [
@@ -214,7 +218,7 @@ def registration_activation_checks(
             (envelope.printer_public_key, envelope.challenge_hash, envelope.printer_signature),
         ),
         Check("predicate", f"{label}.envelope-committed", (_is_present, envelope_commitment)),
-        Check("chaum-pedersen", f"{label}.zkp", (transcript,)),
+        Check("predicate", f"{label}.zkp", (commits_match, transcript.commit, commit_code.commit)),
     ]
 
 

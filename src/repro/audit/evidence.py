@@ -35,9 +35,11 @@ plaintext (the last entry) off that result, and :func:`build_tally_evidence`
 only assembles.  The material is what the caller lacks, as one flat tuple of
 group elements and ints; the statement side (source ciphertext, generator,
 commitments, public shares) never travels back, and elements travel as
-elements — decoding an Ed25519 point the group has not seen costs a square
-root and a subgroup-check multiplication (≈1.2–1.4 ms; it was 0.24 ms while
-the check multiplied by zero).
+elements — decoding an Ed25519 point the group has not seen costs ≈ 1.0 ms,
+nearly all of it the subgroup-check multiplication by the order (the
+``docs/performance.md`` registration table).  A verifier whose equation
+determines a point recomputes it and compares encodings instead; evidence
+feeds folds, which need elements.
 """
 
 from __future__ import annotations

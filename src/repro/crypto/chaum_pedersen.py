@@ -26,10 +26,10 @@ discrete logarithms (ZKPoE, Appendix E.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro.crypto.elgamal import hot_power
-from repro.crypto.group import Group, GroupElement
+from repro.crypto.group import ElementEncoding, Group, GroupElement
 from repro.crypto.hashing import scalar_bytes
 from repro.errors import ProtocolError
 
@@ -58,10 +58,10 @@ class ChaumPedersenStatement:
 
 @dataclass(frozen=True)
 class ChaumPedersenCommit:
-    """The prover's first move ``(Y1, Y2) = (g^y, h^y)``."""
+    """The prover's first move ``(Y1, Y2) = (g^y, h^y)`` (as printed, possibly still bytes)."""
 
-    commit_g: GroupElement
-    commit_h: GroupElement
+    commit_g: Union[GroupElement, ElementEncoding]
+    commit_h: Union[GroupElement, ElementEncoding]
 
     def to_bytes(self) -> bytes:
         return self.commit_g.to_bytes() + self.commit_h.to_bytes()
@@ -195,14 +195,41 @@ def simulate_chaum_pedersen(
     return ChaumPedersenTranscript(statement=statement, commit=commit, challenge=e, response=r)
 
 
+def chaum_pedersen_commitment(
+    statement: ChaumPedersenStatement, challenge: int, response: int
+) -> ChaumPedersenCommit:
+    """``(Y1', Y2') = (g^r·C1^e, h^r·X^e)``: the commit a challenge and response imply.
+
+    The bases go through :func:`~repro.crypto.elgamal.hot_power` (TRIP's
+    ``g`` and ``A_pk`` are on tables); ``C1`` and ``X`` are raised plainly.
+    """
+    return ChaumPedersenCommit(
+        commit_g=hot_power(statement.base_g, response) * (statement.value_g ** challenge),
+        commit_h=hot_power(statement.base_h, response) * (statement.value_h ** challenge),
+    )
+
+
 def chaum_pedersen_verify(transcript: ChaumPedersenTranscript) -> bool:
-    """Check the verification equations ``Y1 = g^r·C1^e`` and ``Y2 = h^r·X^e``."""
-    statement = transcript.statement
-    e = transcript.challenge
-    r = transcript.response
-    lhs_g = (statement.base_g ** r) * (statement.value_g ** e)
-    lhs_h = (statement.base_h ** r) * (statement.value_h ** e)
-    return lhs_g == transcript.commit.commit_g and lhs_h == transcript.commit.commit_h
+    """Check ``Y1 = g^r·C1^e`` and ``Y2 = h^r·X^e`` by recomputing and comparing encodings.
+
+    The transcript's commit may be elements or, read off a QR code, their
+    bytes (:class:`~repro.crypto.group.ElementEncoding`); either way it is
+    only ever compared with :func:`chaum_pedersen_commitment`.
+    """
+    recomputed = chaum_pedersen_commitment(transcript.statement, transcript.challenge, transcript.response)
+    return commits_match(recomputed, transcript.commit)
+
+
+def commits_match(recomputed: ChaumPedersenCommit, printed: ChaumPedersenCommit) -> bool:
+    """Whether ``printed`` is ``recomputed``, encoding by encoding.
+
+    Field by field: a printed field's bytes may have any length, so the
+    concatenations could agree where the fields do not.
+    """
+    return (
+        recomputed.commit_g.to_bytes() == printed.commit_g.to_bytes()
+        and recomputed.commit_h.to_bytes() == printed.commit_h.to_bytes()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,6 @@ class Ed25519Group(Group):
 
     name = "edwards25519"
     kernel_ops = _EXTENDED_OPS
-    decode_proves_membership = True  # element_from_bytes multiplies by the order
 
     def __init__(self) -> None:
         self._generator = Ed25519Element(_BASE_EXT, self)

@@ -38,7 +38,13 @@ def set_element_power_hook(hook, has_table=None) -> None:
     _has_table_hook = has_table
 
 
-def _power(base: GroupElement, scalar: int) -> GroupElement:
+def key_power(base: GroupElement, scalar: int) -> GroupElement:
+    """``base ** scalar`` for a base that may recur — an election or signer key.
+
+    Through the installed hook (:func:`repro.runtime.precompute.element_power`)
+    every call counts towards the base's automatic table build, so a key
+    raised again and again ends up on a fixed-base table.
+    """
     hook = _element_power_hook
     if hook is not None:
         return hook(base, scalar)
@@ -51,16 +57,17 @@ def hot_power(base: GroupElement, scalar: int) -> GroupElement:
     A Σ-protocol's bases are hot in one protocol and one-shot in the next:
     the kiosk proves on ``(g, A_pk)``, a tag chain on a ciphertext part.  The
     generator goes through :meth:`Group.power <repro.crypto.group.Group.
-    power>` and a base that *already has* a table through :func:`_power`;
+    power>` and a base that *already has* a table through :func:`key_power`;
     any other base is exponentiated plainly and leaves no trace — it is not
     counted towards an automatic table build, so a proof never causes one.
-    Verifiers do not come here: they are the eager reference.
+    :func:`~repro.crypto.chaum_pedersen.chaum_pedersen_verify` comes here
+    for its two bases too: on TRIP's transcripts they are ``g`` and ``A_pk``.
     """
     if base == base.group.generator:
         return base.group.power(scalar)
     has_table = _has_table_hook
     if has_table is not None and has_table(base):
-        return _power(base, scalar)
+        return key_power(base, scalar)
     return base.exponentiate(scalar)
 
 
@@ -140,7 +147,7 @@ class ElGamal:
         randomness: Optional[int] = None,
     ) -> ElGamalCiphertext:
         r = randomness if randomness is not None else self.group.random_scalar()
-        return ElGamalCiphertext(self.group.power(r), _power(public_key, r) * message)
+        return ElGamalCiphertext(self.group.power(r), key_power(public_key, r) * message)
 
     def decrypt(self, secret_key: int, ciphertext: ElGamalCiphertext) -> GroupElement:
         return ciphertext.c2 * (ciphertext.c1 ** secret_key).inverse()
@@ -167,7 +174,7 @@ class ElGamal:
         r = randomness if randomness is not None else self.group.random_scalar()
         return ElGamalCiphertext(
             ciphertext.c1 * self.group.power(r),
-            ciphertext.c2 * _power(public_key, r),
+            ciphertext.c2 * key_power(public_key, r),
         )
 
     def encrypt_identity(self, public_key: GroupElement, randomness: Optional[int] = None) -> ElGamalCiphertext:

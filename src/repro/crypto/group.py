@@ -298,13 +298,6 @@ class Group(abc.ABC):
         """What the planners are told at this scalar width; ``None`` keeps every power plain."""
         return KernelCosts(invert=10.0)
 
-    #: Whether :meth:`element_from_bytes` *proves* that what it returns lies
-    #: in the order-``q`` subgroup.  A random-linear-combination fold judges
-    #: decoded elements exactly like the per-item equations only when it does:
-    #: with odd weights, two commitments each shifted by the same order-2
-    #: element cancel in the folded product and fail one by one.
-    decode_proves_membership: bool = False
-
     def wrap(self, value: Any) -> GroupElement:
         """The element holding native ``value`` (a kernel's result)."""
         return value
@@ -312,6 +305,25 @@ class Group(abc.ABC):
     def unwrap(self, element: GroupElement) -> Any:
         """The native value of one of this group's elements."""
         return element
+
+
+@dataclass(frozen=True)
+class ElementEncoding:
+    """The bytes of a group element that nothing has decoded yet.
+
+    A QR field that a verification equation determines — a Schnorr
+    signature's ``R``, a Chaum–Pedersen commit — stays in this form: the
+    verifier recomputes the element and compares its encoding with these
+    bytes, so the field never pays a decode (on Ed25519, the subgroup check).
+    Like ed25519-dalek's ``CompressedEdwardsY`` it offers :meth:`to_bytes`
+    and no arithmetic; a fold over elements refuses it with ``TypeError``.
+    """
+
+    group: "Group"
+    data: bytes
+
+    def to_bytes(self) -> bytes:
+        return self.data
 
 
 @dataclass(frozen=True)

@@ -144,8 +144,10 @@ class ModPGroup(Group):
         return ModPElement(value, self)
 
     def element_from_bytes(self, data: bytes) -> ModPElement:
-        """Decode a field element; the range is checked, ``x^q = 1`` is not
-        (ROADMAP 8(iv)), so :attr:`decode_proves_membership` stays false."""
+        """Decode the canonical encoding: exactly :attr:`element_bytes` bytes,
+        a value in ``[1, p)``.  ``x^q = 1`` is not checked (ROADMAP item 2)."""
+        if len(data) != self.element_bytes:
+            raise ValueError(f"a {self.name} element encoding is {self.element_bytes} bytes")
         value = int.from_bytes(data, "big")
         if not 1 <= value < self.modulus:
             raise ValueError("encoded value outside the field")

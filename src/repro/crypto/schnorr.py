@@ -9,9 +9,10 @@ produce (commit codes, check-out tickets, envelope challenges).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
-from repro.crypto.group import Group, GroupElement
+from repro.crypto.elgamal import key_power
+from repro.crypto.group import ElementEncoding, Group, GroupElement
 from repro.crypto.hashing import scalar_bytes
 
 
@@ -29,9 +30,14 @@ class SigningKeyPair:
 
 @dataclass(frozen=True)
 class SchnorrSignature:
-    """A Schnorr signature ``(R, s)`` with ``s = k + H(R, pk, m)·sk``."""
+    """A Schnorr signature ``(R, s)`` with ``s = k + H(R, pk, m)·sk``.
 
-    commitment: GroupElement
+    A signature read off a QR code keeps ``R`` as its bytes
+    (:class:`~repro.crypto.group.ElementEncoding`): :func:`schnorr_verify`
+    only ever compares them.
+    """
+
+    commitment: Union[GroupElement, ElementEncoding]
     response: int
 
     def to_bytes(self) -> bytes:
@@ -49,7 +55,9 @@ def public_key_from_secret(group: Group, secret: int) -> GroupElement:
     return group.power(secret)
 
 
-def schnorr_challenge(group: Group, commitment: GroupElement, public: GroupElement, message: bytes) -> int:
+def schnorr_challenge(
+    group: Group, commitment: Union[GroupElement, ElementEncoding], public: GroupElement, message: bytes
+) -> int:
     """The Fiat–Shamir challenge ``H(R, pk, m)`` (shared with batch verification)."""
     return group.hash_to_scalar(
         b"schnorr-signature",
@@ -76,10 +84,28 @@ def schnorr_sign(keypair: SigningKeyPair, message: bytes, nonce: Optional[int] =
     return SchnorrSignature(commitment=commitment, response=response)
 
 
-def schnorr_verify(public: GroupElement, message: bytes, signature: SchnorrSignature) -> bool:
-    """Verify a Schnorr signature; returns ``True`` iff it is valid."""
+def schnorr_commitment(public: GroupElement, message: bytes, signature: SchnorrSignature) -> GroupElement:
+    """``R' = g^s · (pk^e)⁻¹``: the commitment the response and challenge imply.
+
+    ``g`` comes off its table; ``pk`` goes through
+    :func:`~repro.crypto.elgamal.key_power`, so a kiosk, printer or official
+    key that keeps signing earns a table of its own.  The power is inverted
+    rather than taken to ``q − e``: the two agree on subgroup members, and
+    only the inverse keeps ``R' = R ⇔ g^s = R·pk^e`` for a mod-p key outside
+    the subgroup, which that decoder lets in (ROADMAP item 2).
+    """
     group = public.group
     challenge = _challenge(group, signature.commitment, public, message)
-    lhs = group.power(signature.response)
-    rhs = signature.commitment * (public ** challenge)
-    return lhs == rhs
+    return group.power(signature.response) * key_power(public, challenge).inverse()
+
+
+def schnorr_verify(public: GroupElement, message: bytes, signature: SchnorrSignature) -> bool:
+    """Verify a Schnorr signature; returns ``True`` iff it is valid.
+
+    Recompute ``R'`` (:func:`schnorr_commitment`) and compare its encoding
+    with the signature's ``R``, as libsodium and ed25519-dalek do.  ``R'`` is
+    a subgroup element, so the bytes match only if they are the canonical
+    encoding of one: no decode of ``R`` is needed, and none happens.
+    """
+    recomputed = schnorr_commitment(public, message, signature)
+    return recomputed.to_bytes() == signature.commitment.to_bytes()

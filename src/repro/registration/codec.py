@@ -4,13 +4,18 @@ TRIP's protocol messages travel as QR codes with tight capacity budgets
 (13–356 bytes in the paper's prototype), so the codec uses length-prefixed
 fields with no schema overhead.  Group elements serialize via their canonical
 encodings; scalars use the minimal number of bytes for the group order.
+
+A field that a verification equation determines — a signature's ``R``, a
+Chaum–Pedersen commit — is read with :meth:`Decoder.get_encoding` and stays
+bytes until its check recomputes the element; bases and ledger-bound values
+are decoded (:meth:`Decoder.get_element`).
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.crypto.group import Group, GroupElement
+from repro.crypto.group import ElementEncoding, Group, GroupElement
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolError
 
@@ -79,8 +84,12 @@ class Decoder:
     def get_element(self, group: Group) -> GroupElement:
         return group.element_from_bytes(self._next())
 
+    def get_encoding(self, group: Group) -> ElementEncoding:
+        return ElementEncoding(group, bytes(self._next()))
+
     def get_signature(self, group: Group) -> SchnorrSignature:
-        commitment = self.get_element(group)
+        """A signature whose ``R`` stays an encoding: verifying recomputes it."""
+        commitment = self.get_encoding(group)
         response = self.get_int()
         return SchnorrSignature(commitment=commitment, response=response)
 

@@ -169,6 +169,8 @@ class Kiosk:
         with self.latency.phase("RealToken"):
             scanned = self.scanner.scan(envelope.to_qr(self.group), label="real:envelope")
             with self.latency.measure(Component.CRYPTO, label="real:response", cpu_scale=self.profile.crypto_scale()):
+                # The printer's signature is the device's to check; here it
+                # stays an encoding and costs no decode.
                 decoded = Envelope.from_qr(scanned, self.group, serial=envelope.serial)
                 if decoded.symbol != session.pending_symbol:
                     raise RegistrationError(

@@ -154,7 +154,11 @@ def response_message(credential_public: GroupElement, challenge: int, response: 
 
 @dataclass(frozen=True)
 class CommitCode:
-    """``q_c = (V_id, c_pc, Y_c, σ_kc)`` — the first printed QR (Fig. 9a, line 7)."""
+    """``q_c = (V_id, c_pc, Y_c, σ_kc)`` — the first printed QR (Fig. 9a, line 7).
+
+    Read back with :meth:`from_qr`, ``Y_c`` and ``σ_kc``'s ``R`` stay
+    encodings: the device checks them by recomputation, never by decoding.
+    """
 
     voter_id: str
     public_credential: ElGamalCiphertext
@@ -183,7 +187,7 @@ class CommitCode:
         return cls(
             voter_id=decoder.get_str(),
             public_credential=ElGamalCiphertext(decoder.get_element(group), decoder.get_element(group)),
-            commit=ChaumPedersenCommit(decoder.get_element(group), decoder.get_element(group)),
+            commit=ChaumPedersenCommit(decoder.get_encoding(group), decoder.get_encoding(group)),
             kiosk_signature=decoder.get_signature(group),
         )
 
@@ -354,7 +358,11 @@ class PaperCredential:
 
 @dataclass(frozen=True)
 class ActivatedCredential:
-    """The credential as stored on the voter's device after activation."""
+    """The credential as stored on the voter's device after activation.
+
+    Every field is a group element: the transcript's commit is the
+    ``(Y1', Y2')`` the device recomputed, whose bytes are the printed ones.
+    """
 
     voter_id: str
     secret_key: int

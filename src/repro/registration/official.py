@@ -20,7 +20,7 @@ from typing import List
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import sha256
 from repro.crypto.mac import mac_sign
-from repro.crypto.schnorr import SigningKeyPair, schnorr_sign, schnorr_verify
+from repro.crypto.schnorr import SchnorrSignature, SigningKeyPair, schnorr_commitment, schnorr_sign
 from repro.errors import RegistrationError
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import RegistrationRecord
@@ -117,8 +117,13 @@ class RegistrationOfficial:
     def _verify_and_record(self, ticket: CheckOutTicket) -> RegistrationRecord:
         if ticket.kiosk_public_key not in self.kiosk_public_keys:
             raise RegistrationError("check-out ticket was not produced by an authorized kiosk")
-        if not schnorr_verify(ticket.kiosk_public_key, ticket.signed_message(), ticket.kiosk_signature):
+        # Verified by recomputation, and the recomputed R' (same bytes) is
+        # what the record carries: the ledger holds elements, never encodings.
+        signature = ticket.kiosk_signature
+        commitment = schnorr_commitment(ticket.kiosk_public_key, ticket.signed_message(), signature)
+        if commitment.to_bytes() != signature.commitment.to_bytes():
             raise RegistrationError("invalid kiosk signature on the check-out ticket")
+        kiosk_signature = SchnorrSignature(commitment=commitment, response=signature.response)
         if not self.board.is_eligible(ticket.voter_id):
             raise RegistrationError(f"voter {ticket.voter_id!r} is not on the electoral roll")
 
@@ -126,7 +131,7 @@ class RegistrationOfficial:
             b"official-approval",
             ticket.voter_id.encode(),
             ticket.public_credential.to_bytes(),
-            ticket.kiosk_signature.to_bytes(),
+            kiosk_signature.to_bytes(),
         )
         official_signature = schnorr_sign(self.keypair, approval_message)
         record = RegistrationRecord(
@@ -134,7 +139,7 @@ class RegistrationOfficial:
             public_credential_c1=ticket.public_credential.c1,
             public_credential_c2=ticket.public_credential.c2,
             kiosk_public_key=ticket.kiosk_public_key,
-            kiosk_signature=ticket.kiosk_signature,
+            kiosk_signature=kiosk_signature,
             official_public_key=self.keypair.public,
             official_signature=official_signature,
         )

@@ -13,11 +13,13 @@ and re-verifies everything the voter could not check in the booth:
    detection), publishing it on ``L_E`` afterwards.
 
 Checks 1–3 are an audit plan (:func:`repro.audit.checks.
-registration_activation_checks`): on a group whose decoder proves subgroup
-membership the batched strategy folds them — three multi-exponentiations
-where the per-item predicates take seven plain powers — and on any other
-group, or once a fold rejects, those predicates decide, so
-:attr:`ActivationReport.failed_check` names the same check either way.
+registration_activation_checks`) that the device judges item by item with
+the audit's own predicates, stopping at the first failure, which
+:attr:`ActivationReport.failed_check` names.  No check decodes what it
+verifies: each signature's ``R`` and the transcript's ``Y1``, ``Y2`` stay
+the bytes the QR codes carry, and each check recomputes its element and
+compares encodings.  That is also why nothing here folds: a fold needs
+the commitments as elements, and decoding them is the cost this avoids.
 
 The VSD also monitors the registration ledger and notifies the voter of any
 registration event for their identity — the impersonation defence of
@@ -29,7 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.crypto.chaum_pedersen import ChaumPedersenStatement, ChaumPedersenTranscript
+from repro.crypto.chaum_pedersen import (
+    ChaumPedersenStatement,
+    ChaumPedersenTranscript,
+    chaum_pedersen_commitment,
+)
 from repro.crypto.group import Group, GroupElement
 from repro.errors import LedgerError, VerificationError
 from repro.ledger.bulletin_board import BulletinBoard
@@ -131,29 +137,28 @@ class VoterSupportingDevice:
     ) -> ActivationReport:
         # Imported here: ``repro.audit.checks`` imports this package.
         from repro.audit.checks import registration_activation_checks
-        from repro.audit.kinds import evaluate_batched, verdict_one
+        from repro.audit.kinds import verdict_one
 
         group = self.group
         credential_public = group.power(response_code.credential_secret)
+        statement = ChaumPedersenStatement(
+            base_g=group.generator,
+            base_h=self.authority_public_key,
+            value_g=commit_code.public_credential.c1,
+            value_h=commit_code.public_credential.c2 * credential_public.inverse(),
+        )
+        # The commit the challenge and response imply, as elements; the plan
+        # compares it with the printed one, and the device keeps it.
         transcript = ChaumPedersenTranscript(
-            statement=ChaumPedersenStatement(
-                base_g=group.generator,
-                base_h=self.authority_public_key,
-                value_g=commit_code.public_credential.c1,
-                value_h=commit_code.public_credential.c2 * credential_public.inverse(),
-            ),
-            commit=commit_code.commit,
+            statement=statement,
+            commit=chaum_pedersen_commitment(statement, envelope.challenge, response_code.zkp_response),
             challenge=envelope.challenge,
             response=response_code.zkp_response,
         )
 
         # (1)-(3) Receipt integrity (kiosk signatures on the commit and
         # response codes), envelope integrity (printer signature on H(e), which
-        # the ledger holds) and the ZKP transcript, as one audit plan.  Where
-        # decoding a QR code proved every element a member of the prime-order
-        # subgroup, the plan folds (one multi-exponentiation for the three
-        # signatures, two for the transcript) and a rejected fold bisects to
-        # the per-item predicates; elsewhere those predicates judge each check.
+        # the ledger holds) and the ZKP transcript, as one audit plan.
         checks = registration_activation_checks(
             commit_code,
             response_code,
@@ -163,12 +168,8 @@ class VoterSupportingDevice:
             self.kiosk_public_keys,
             self.board.envelope_commitment(envelope.challenge_hash),
         )
-        if group.decode_proves_membership:
-            verdicts = (result.ok for result in evaluate_batched(checks))
-        else:
-            verdicts = map(verdict_one, checks)  # lazily: stop at the first failure
-        for check, verdict in zip(checks, verdicts):
-            if not verdict:
+        for check in checks:
+            if not verdict_one(check):
                 return ActivationReport(False, _FAILED_CHECKS[check.name])
 
         # (4) Ledger cross-check: active registration record matches.

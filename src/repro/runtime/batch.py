@@ -86,6 +86,10 @@ class ProductAccumulator:
         self._terms: Dict[bytes, Tuple[GroupElement, int]] = {}
 
     def multiply(self, base: GroupElement, exponent: int) -> None:
+        if not isinstance(base, GroupElement):
+            # An ElementEncoding has nothing to weigh: it is checked by
+            # recomputing the element and comparing bytes, never folded.
+            raise TypeError(f"a fold takes group elements, not {type(base).__name__}")
         exponent %= self._group.order
         key = base.to_bytes()
         entry = self._terms.get(key)
@@ -120,6 +124,8 @@ def batch_schnorr_verify(items: Sequence[SignatureItem], weight_bits: int = DEFA
         return True
     if len(items) == 1:
         public, message, signature = items[0]
+        if not isinstance(signature.commitment, GroupElement):
+            raise TypeError(f"a fold takes group elements, not {type(signature.commitment).__name__}")
         return schnorr_verify(public, message, signature)
     group = items[0][0].group
     weights = _random_weights(group, len(items), weight_bits)

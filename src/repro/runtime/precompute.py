@@ -26,9 +26,12 @@ calls :func:`warm_fixed_base` up front.
 Acceleration is transparent:
 
 * :func:`element_power` is the drop-in replacement for ``base ** scalar``
-  used by :mod:`repro.crypto.elgamal`; provers reach it through
-  :func:`repro.crypto.elgamal.hot_power`, which asks :func:`has_table` first
-  so a one-shot proof base is never counted or built;
+  used by :mod:`repro.crypto.elgamal`: encryption and the Schnorr verifier
+  (signer keys) reach it through :func:`repro.crypto.elgamal.key_power`, so a
+  recurring kiosk, printer or official key earns a table; provers and the
+  Chaum–Pedersen verifier through :func:`repro.crypto.elgamal.hot_power`,
+  which asks :func:`has_table` first so a one-shot proof base is never
+  counted or built;
 * importing this module installs a generator-power hook into
   :mod:`repro.crypto.group`, so every ``group.power(x)`` call in the code
   base benefits without modification.
@@ -37,10 +40,11 @@ Small groups (below :data:`MIN_ORDER_BITS` of order) are left untouched —
 CPython's native ``pow`` beats any Python-level table there, and the test
 suite's toy group stays on the exact reference path.
 
-Tables live in memory only: decoding a stored table re-validates every
-element, which on Ed25519 costs far more than building it — the square root
-of point decompression alone (0.24 ms an element, what PR 21 measured) and,
-now that the subgroup check really multiplies by the order, 1.2–1.4 ms.
+Tables live in memory only: loading a stored table would decode every
+element, and an Ed25519 decode — the square root of decompression and the
+subgroup check's multiplication by the order — costs ≈ 1.0 ms an element,
+far more than the table power it would save (a whole generator table builds
+in ≈ 7.5 ms).
 """
 
 from __future__ import annotations

@@ -1,17 +1,18 @@
-"""Activation is an audit plan, and the kiosk's simulator uses what the kiosk knows.
+"""Activation recomputes and compares, and the kiosk's simulator uses what the kiosk knows.
 
 The device's three signature checks and the ZKP transcript are ``Check``s
-(``repro.audit.checks.registration_activation_checks``).  Where decoding a QR
-code proves subgroup membership (Ed25519) the batched strategy judges them —
-one fold for the signatures, one for the transcript — and a rejected fold
-bisects to the per-item predicates; on the toy and mod-p groups the
-predicates run one by one, as they always did.  Pinned here:
+(``repro.audit.checks.registration_activation_checks``), judged one by one
+with the audit's own predicates on every group.  No signature ``R`` and no
+commit ``Y1``, ``Y2`` is decoded: each check recomputes the element from the
+response and compares encodings.  Pinned here:
 
-* the **budget** on Ed25519 with ``g`` and ``A_pk`` warm: an activation takes
-  no plain power and at most three multi-exponentiations, a fake credential
-  no plain power;
-* **the verdicts**: for every tampering the device can see, ``failed_check``
-  under the fold is the string the per-item path gives;
+* the **budget** on Ed25519 with ``g``, ``A_pk`` and the signer keys warm:
+  an activation is two plain powers (``C1^e``, ``X^e``), nine table powers,
+  no multi-exponentiation and no decode of an ``R`` or ``Y``; a check-out
+  takes no plain power; a fake credential takes only table powers; a
+  3-voter registration decodes eight points;
+* **the verdicts**: every tampering the device can see is named by its
+  check, on the toy, modp-256 and Ed25519 groups;
 * **the bytes**: with the draws seeded, a fake credential's commit is the
   simulator written with ``**`` on ``C1`` and ``X``.
 """
@@ -25,6 +26,7 @@ import pytest
 
 from repro.crypto.ed25519 import Ed25519Group, ed25519_group
 from repro.crypto.group import Group
+from repro.election import ElectionConfig, VotegralElection
 from repro.crypto.modp_group import modp_group_256, testing_group
 from repro.crypto.schnorr import SchnorrSignature, schnorr_keygen, schnorr_sign
 from repro.registration.extensions import delegate_in_booth
@@ -77,19 +79,79 @@ def registered(ed25519_setup):
 # ------------------------------------------------------------------ budget
 
 
-def test_real_and_fake_activate_without_a_plain_power(ed25519_setup, powers):
+def _printed_points(credential):
+    """The encodings of the R / Y fields of the three codes the device scans."""
+    receipt, envelope = credential.receipt, credential.envelope
+    return {
+        receipt.commit_code.commit.commit_g.to_bytes(),
+        receipt.commit_code.commit.commit_h.to_bytes(),
+        receipt.commit_code.kiosk_signature.commitment.to_bytes(),
+        receipt.response_code.kiosk_signature.commitment.to_bytes(),
+        envelope.printer_signature.commitment.to_bytes(),
+    }
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Every encoding handed to ``Ed25519Group.element_from_bytes``, and whether it was a memo miss."""
+    seen = []
+    original = Ed25519Group.element_from_bytes
+
+    def recording(self, data):
+        seen.append((bytes(data), bytes(data) not in self._decoded))
+        return original(self, data)
+
+    monkeypatch.setattr(Ed25519Group, "element_from_bytes", recording)
+    return seen
+
+
+def test_an_activation_is_two_plain_powers_and_nine_table_powers(ed25519_setup, powers, decodes):
     voter = Voter("bob", num_fake_credentials=1)
     RegistrationSession(setup=ed25519_setup).register(voter, activate=False)
     device = _device(ed25519_setup, "bob")
     for credential in voter.credentials:
+        precompute.warm_fixed_base(credential.receipt.response_code.kiosk_public_key)
+        precompute.warm_fixed_base(credential.envelope.printer_public_key)
         powers.clear()
+        decodes.clear()
         report = device.activate(credential)
         assert report.success, report.failed_check
         assert report.credential.is_real == credential.is_real
-        # c_pk = g^c_sk, the signatures' g^(Σ w·s), the transcript's g and A_pk: tables.
-        assert powers["plain"] == 0 and powers["table"] == 4
-        assert 1 <= powers["multiexp"] <= 3
+        # Plain: C1^e and X^e.  Tables: c_pk = g^c_sk; g^s and pk^e for each
+        # of three signatures; g^r and A_pk^r for the transcript.
+        assert dict(powers) == {"plain": 2, "table": 9}
+        assert decodes and not {data for data, _ in decodes} & _printed_points(credential)
     assert [c.is_real for c in device.credentials] == [True, False]
+
+
+def test_a_check_out_takes_no_plain_power_once_the_kiosk_key_is_hot(ed25519_setup, powers):
+    session = RegistrationSession(setup=ed25519_setup)
+    precompute.warm_fixed_base(session.kiosk.public_key)
+    kiosk_session = session.kiosk.authorize(session.official.check_in("alice"))
+    session.kiosk.begin_real_credential(kiosk_session)
+    envelope = session.pick_envelope_with(kiosk_session.pending_symbol)
+    receipt = session.kiosk.complete_real_credential(kiosk_session, envelope)
+    credential = PaperCredential(receipt, envelope, is_real=True).insert_for_transport()
+    powers.clear()
+    record = session.official.check_out(credential)
+    # The check: g^s and K_pk^e.  The official's signature: g^k.
+    assert dict(powers) == {"table": 3}
+    assert record.kiosk_signature.to_bytes() == receipt.check_out_ticket.kiosk_signature.to_bytes()
+
+
+def test_a_registration_decodes_the_credential_tags_and_the_two_signer_keys(decodes):
+    """Three voters: their c1 and c2, one kiosk key, one printer key — eight decodes."""
+    ed25519_group()._decoded.clear()
+    election = VotegralElection(ElectionConfig(
+        num_voters=3, num_options=3, num_authority_members=4, num_mixers=2, proof_rounds=2,
+        group_factory=ed25519_group, executor_spec="serial", board_spec="memory",
+    ))
+    election.run_setup()
+    decodes.clear()
+    outcomes = election.run_registration()
+    assert all(outcome.all_activated for outcome in outcomes)
+    assert sum(miss for _, miss in decodes) == 8
+    election.close()
 
 
 def _booth(setup, voter_id):
@@ -238,21 +300,18 @@ def _tamperings(setup, credential, other_envelope):
 
 
 @pytest.mark.parametrize("which", ["real", "fake"])
-def test_the_fold_reports_what_the_per_item_path_reports(ed25519_setup, registered, monkeypatch, powers, which):
-    credential = registered.credentials[0 if which == "real" else 1]
-    other_envelope = ed25519_setup.envelope_supply[0]
-    device = _device(ed25519_setup)
-    for name, tampered, expected in _tamperings(ed25519_setup, credential, other_envelope):
-        powers.clear()
-        folded = device.activate(tampered)
-        assert powers["multiexp"] >= 1, name  # the fold ran, rejected, and bisected
-        with monkeypatch.context() as strict:
-            strict.setattr(Ed25519Group, "decode_proves_membership", False)
-            powers.clear()
-            per_item = device.activate(tampered)
-            assert powers["multiexp"] == 0, name
-        assert not folded.success and not per_item.success, name
-        assert folded.failed_check == per_item.failed_check == expected, name
+@pytest.mark.parametrize("group_factory", GROUPS, ids=GROUP_IDS)
+def test_each_tampering_is_named_by_its_check(group_factory, powers, which):
+    setup = _setup(group_factory)
+    voter = Voter("alice", num_fake_credentials=1)
+    RegistrationSession(setup=setup).register(voter, activate=False)
+    credential = voter.credentials[0 if which == "real" else 1]
+    device = _device(setup)
+    powers.clear()
+    for name, tampered, expected in _tamperings(setup, credential, setup.envelope_supply[0]):
+        report = device.activate(tampered)
+        assert not report.success and report.failed_check == expected, name
+    assert powers["multiexp"] == 0  # judged item by item, never folded
     assert device.credentials == []
 
 
@@ -261,23 +320,3 @@ def test_an_unauthorised_kiosk_key_is_named_first(ed25519_setup, registered):
     device = _device(ed25519_setup, kiosk_public_keys=[stranger])
     report = device.activate(_with(registered.credentials[0]))
     assert not report.success and report.failed_check == "kiosk key not authorized"
-
-
-@pytest.mark.parametrize("group_factory", [testing_group, modp_group_256], ids=["toy", "modp256"])
-def test_a_group_that_does_not_vouch_for_its_decode_is_judged_item_by_item(group_factory, powers):
-    """Mod-p decoding checks the range only (ROADMAP 8(iv)): no fold, no multi-exponentiation."""
-    setup = _setup(group_factory)
-    assert not setup.group.decode_proves_membership
-    voter = Voter("alice", num_fake_credentials=1)
-    RegistrationSession(setup=setup).register(voter, activate=False)
-    device = _device(setup)
-    powers.clear()
-    reports = [device.activate(credential) for credential in voter.credentials]
-    assert all(report.success for report in reports)
-    assert powers["multiexp"] == 0
-    bad = _with(voter.credentials[0], envelope=replace(
-        voter.credentials[0].envelope,
-        printer_signature=_bump(voter.credentials[0].envelope.printer_signature, setup.group),
-    ))
-    assert device.activate(bad).failed_check == "printer signature on envelope invalid"
-    assert powers["multiexp"] == 0
