@@ -176,12 +176,13 @@ def _ext_scalar_mul(scalar: int, point: Extended) -> Extended:
 #:     doubling, alone / in a run     3.5 / 3.1 µs   0.8
 #:     _ext_negate                    0.2 µs   0.05 (told 0.1)
 #:     plain power, 253-bit scalar    1.13 ms  246 (the kernel's own count: 253)
+#:     a fixed-base comb lookup's loop  0.05 µs  0.01
 #:
 #: No ``exponentiate``: the plain power is the signed-window kernel, which the
 #: planners price from its operation count.  Negation is nearly free, so
 #: Pippenger and the shared-base ladder both sign their digits; against
 #: K = 2 / 4 / 8 plain powers a ladder runs at 0.65× / 0.46× / 0.36×.
-_COSTS = KernelCosts(square=0.8, invert=0.1, ladder_invert=0.1)
+_COSTS = KernelCosts(square=0.8, invert=0.1, ladder_invert=0.1, lookup=0.01)
 
 #: Encodings remembered by :meth:`Ed25519Group.element_from_bytes` before it
 #: starts over (the keys of a few thousand QR codes; nothing tunes it).

@@ -180,7 +180,9 @@ class ModPGroup(Group):
         """
         if self._order.bit_length() < MULTIEXP_MIN_ORDER_BITS:
             return None
-        return KernelCosts(exponentiate=self._native_pow_cost(scalar_bits), square=0.8, invert=25.0)
+        return KernelCosts(
+            exponentiate=self._native_pow_cost(scalar_bits), square=0.8, invert=25.0, lookup=self._lookup_cost()
+        )
 
     def wrap(self, value: Any) -> ModPElement:
         return ModPElement(value, self)
@@ -212,6 +214,28 @@ class ModPGroup(Group):
         if self._backend.name == "gmpy2":
             return scalar_bits * (0.3 + 0.57 * min(1.0, self.modulus.bit_length() / 2048))
         return float(scalar_bits)
+
+    def _lookup_cost(self) -> float:
+        """One fixed-base comb lookup's loop in units of ``kernel_ops.multiply``, for the comb planner.
+
+        The loop costs ≈ 0.05 µs at any modulus (measured with a do-nothing
+        multiply, :func:`repro.crypto.multiexp.plan_fixed_base_comb`); the
+        multiplication it sits beside grows with the modulus (the ``a·b % p``
+        column of :meth:`_native_pow_cost`'s table):
+
+        ========  =========  ======
+        modulus   a·b % p    lookup
+        ========  =========  ======
+        256 bit   0.48 µs    0.10
+        2048 bit  12.4 µs    0.004
+        3072 bit  24.4 µs    0.002
+        ========  =========  ======
+
+        ``0.1 · (256 / bits)^1.6`` follows the multiplication between those
+        rows.  gmpy2 is not installed where this was measured, so its
+        lookups are priced the same (unmeasured).
+        """
+        return 0.1 * (256 / self.modulus.bit_length()) ** 1.6
 
     def __reduce__(self):
         # Groups are compared by identity (``is``) in element operations, so

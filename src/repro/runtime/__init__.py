@@ -10,9 +10,9 @@ accelerations that compose with any backend:
   boundary: in process (``serial``) or across cluster workers
   (``cluster:N`` / ``remote:…``), configured per election via
   :attr:`repro.election.config.ElectionConfig.executor_spec`;
-* :mod:`repro.runtime.precompute` — windowed fixed-base exponentiation
-  tables, transparently accelerating ``group.power`` and ElGamal operations
-  on hot bases (generator, election public key);
+* :mod:`repro.runtime.precompute` — fixed-base comb tables (Lim–Lee),
+  transparently accelerating ``group.power`` and ElGamal operations on hot
+  bases (generator, election public key);
 * :mod:`repro.runtime.batch` — random-linear-combination batch verification
   for Schnorr signatures, Chaum–Pedersen transcripts, and the re-encryption
   openings of shuffle proofs;

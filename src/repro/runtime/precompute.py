@@ -1,27 +1,37 @@
-"""Windowed fixed-base exponentiation tables for hot bases.
+"""Fixed-base comb tables for hot bases.
 
 Almost every exponentiation in the pipeline uses one of two bases: the group
 generator ``g`` (key generation, Schnorr commitments, trivial encryptions,
 proof responses) or the election authority's public key ``A_pk`` (every
 ElGamal encryption and re-encryption).  For the large-modulus groups the
-paper's §7.3 blames for Civitas' slowness, a classic windowed fixed-base
-table turns each such exponentiation from a full square-and-multiply into
-roughly ``⌈bits/w⌉`` modular multiplications of precomputed powers.
+paper's §7.3 blames for Civitas' slowness, a fixed-base table turns each
+such exponentiation from a full square-and-multiply into a short squaring
+chain and a few hundred multiplications of precomputed powers.
 
-The table for a base ``B`` with window width ``w`` stores
+The table for a base ``B`` is a Lim–Lee comb (:func:`repro.crypto.multiexp.
+comb_rows`): ``blocks`` rows of ``2^teeth`` entries, where block ``j``'s
+entry ``i`` is the product of ``B^(2^(step·(t + teeth·j)))`` over the set
+bits ``t`` of ``i``.  A power walks ``step`` columns of the exponent's bits,
+one squaring between columns and one lookup a block
+(:func:`~repro.crypto.multiexp.comb_power`):
 
-    T[i][j] = B^(j · 2^(w·i))        for j in [1, 2^w)
+    cost ≈ (step − 1) squarings + blocks·step multiplications
 
-so ``B^e = ∏_i T[i][digit_i(e)]`` where ``digit_i`` is the i-th ``w``-bit
-digit of ``e``.  Rows hold the group's *native* values (raw residues mod
-``p``, extended Edwards tuples — :attr:`Group.kernel_ops
-<repro.crypto.group.Group.kernel_ops>`, the seam the multi-exponentiation
-kernels run on) and a power wraps its result once, at the end.  Building a table costs about ``⌈bits/w⌉ · 2^w`` group
-operations and therefore only pays off for bases that are reused; the module
-keeps a small usage counter per base and builds a table automatically once a
-base has been exponentiated :data:`AUTO_BUILD_THRESHOLD` times.  Setup code
-that *knows* a base will be hot (the generator, the election public key)
-calls :func:`warm_fixed_base` up front.
+against ``⌈bits/5⌉`` multiplications for the 5-bit windowed table this
+replaced — the comb with ``step = 1``.  The geometry is planned
+(:func:`~repro.crypto.multiexp.plan_fixed_base_comb`) from the order's bit
+length and the group's :meth:`~repro.crypto.group.Group.kernel_costs`,
+within the windowed table's budget: no more elements (``⌈bits/5⌉·31``) and
+no dearer build.  On modp-2048 that is 11 teeth × 5 blocks × 38 columns,
+37 squarings and 190 lookups where the windowed table took 410.  Rows hold
+the group's *native* values (raw residues mod ``p``, extended Edwards tuples
+— :attr:`Group.kernel_ops <repro.crypto.group.Group.kernel_ops>`, the seam
+the multi-exponentiation kernels run on) and a power wraps its result once,
+at the end.  Building a table only pays off for bases that are reused; the
+module keeps a small usage counter per base and builds a table automatically
+once a base has been exponentiated :data:`AUTO_BUILD_THRESHOLD` times.
+Setup code that *knows* a base will be hot (the generator, the election
+public key) calls :func:`warm_fixed_base` up front.
 
 Acceleration is transparent:
 
@@ -44,7 +54,7 @@ Tables live in memory only: loading a stored table would decode every
 element, and an Ed25519 decode — the square root of decompression and the
 subgroup check's multiplication by the order — costs ≈ 1.0 ms an element,
 far more than the table power it would save (a whole generator table builds
-in ≈ 7.5 ms).
+in ≈ 7 ms).
 """
 
 from __future__ import annotations
@@ -56,9 +66,9 @@ from repro.crypto import bigint as _bigint_module
 from repro.crypto import elgamal as _elgamal_module
 from repro.crypto import group as _group_module
 from repro.crypto.group import Group, GroupElement
+from repro.crypto.multiexp import KernelCosts, comb_power, comb_rows, plan_fixed_base_comb
 
 MIN_ORDER_BITS = 192
-DEFAULT_WINDOW_BITS = 5
 AUTO_BUILD_THRESHOLD = 8
 MAX_TABLES = 32
 _MAX_TRACKED_BASES = 4096
@@ -67,53 +77,41 @@ _BaseKey = Tuple[int, bytes]
 
 
 class FixedBaseTable:
-    """A windowed precomputation table for one fixed base."""
+    """A fixed-base comb for one base, in the geometry its group's costs plan."""
 
-    __slots__ = ("base", "window_bits", "_rows")
+    __slots__ = ("base", "teeth", "blocks", "step", "_rows")
 
-    def __init__(self, base: GroupElement, window_bits: int = DEFAULT_WINDOW_BITS):
-        if window_bits < 1:
-            raise ValueError("window width must be at least one bit")
+    def __init__(self, base: GroupElement):
+        bits = base.group.order.bit_length()
+        costs = base.group.kernel_costs(bits) or KernelCosts()
+        plan = plan_fixed_base_comb(bits, square_cost=costs.square, lookup_cost=costs.lookup)
+        self._build(base, plan.teeth, plan.step)
+
+    def _build(self, base: GroupElement, teeth: int, step: int) -> None:
         group = base.group
-        self.base = base
-        self.window_bits = window_bits
-        ops = group.kernel_ops
-        multiply = ops.multiply
-        radix = 1 << window_bits
-        digits = (group.order.bit_length() + window_bits - 1) // window_bits
-        rows: List[list] = []
-        row_base = group.unwrap(base)
-        for _ in range(digits):
-            row = [ops.identity]
-            current = row_base
-            for _ in range(1, radix):
-                row.append(current)
-                current = multiply(current, row_base)
-            rows.append(row)
-            row_base = current  # row_base ** radix
-        self._rows = rows
+        self.base, self.teeth, self.step = base, teeth, step
+        self.blocks = -(-group.order.bit_length() // (teeth * step))
+        self._rows = comb_rows(group.kernel_ops, group.unwrap(base), teeth, self.blocks, step)
 
     @property
     def num_group_elements(self) -> int:
-        """How many precomputed elements the table holds (memory proxy)."""
-        return sum(len(row) for row in self._rows)
+        """How many precomputed elements the table holds (memory proxy; each row's identity is shared)."""
+        return self.blocks * ((1 << self.teeth) - 1)
 
     def power(self, scalar: int) -> GroupElement:
-        """``base ** scalar`` via table lookups and multiplications."""
+        """``base ** scalar`` via table lookups, multiplications and ``step − 1`` squarings."""
         group = self.base.group
-        multiply = group.kernel_ops.multiply
         exponent = scalar % group.order
-        accumulator = None
-        window_bits = self.window_bits
-        mask = (1 << window_bits) - 1
-        for row in self._rows:
-            if not exponent:
-                break
-            digit = exponent & mask
-            if digit:
-                accumulator = row[digit] if accumulator is None else multiply(accumulator, row[digit])
-            exponent >>= window_bits
-        return group.identity if accumulator is None else group.wrap(accumulator)
+        if not exponent:
+            return group.identity
+        return group.wrap(comb_power(group.kernel_ops, self._rows, self.teeth, self.step, exponent))
+
+
+def _comb_table(base: GroupElement, teeth: int, step: int) -> FixedBaseTable:
+    """A table of any geometry — ``blocks`` follows from the order — for tests that compare geometries."""
+    table = FixedBaseTable.__new__(FixedBaseTable)
+    table._build(base, teeth, step)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,7 @@ def _install_table(key: _BaseKey, table: FixedBaseTable) -> None:
     _usage.pop(key, None)
 
 
-def warm_fixed_base(base: GroupElement, window_bits: int = DEFAULT_WINDOW_BITS) -> Optional[FixedBaseTable]:
+def warm_fixed_base(base: GroupElement) -> Optional[FixedBaseTable]:
     """Eagerly build (or fetch) the table for a known-hot base.
 
     Returns ``None`` when acceleration does not apply (disabled or small
@@ -179,7 +177,7 @@ def warm_fixed_base(base: GroupElement, window_bits: int = DEFAULT_WINDOW_BITS) 
     key = _base_key(base)
     table = _tables.get(key)
     if table is None:
-        table = FixedBaseTable(base, window_bits)
+        table = FixedBaseTable(base)
         _install_table(key, table)
     else:
         _tables.move_to_end(key)
@@ -200,7 +198,7 @@ def element_power(base: GroupElement, scalar: int) -> GroupElement:
     if table is None:
         count = _usage.get(key, 0) + 1
         if count >= AUTO_BUILD_THRESHOLD:
-            table = FixedBaseTable(base, DEFAULT_WINDOW_BITS)
+            table = FixedBaseTable(base)
             _install_table(key, table)
         else:
             if len(_usage) >= _MAX_TRACKED_BASES:
@@ -222,8 +220,8 @@ def multi_element_power(
     the election public key) and many one-shot ones (commitments,
     ciphertext components).  This entry point splits them: bases that
     already have a :class:`FixedBaseTable` are evaluated through their
-    windowed table (each costs ``⌈bits/w⌉`` multiplications and nothing
-    else), and only the remainder goes into the shared-squaring-chain
+    comb (a short squaring chain and a few hundred multiplications on
+    modp-2048), and only the remainder goes into the shared-squaring-chain
     multi-exponentiation (:meth:`Group.multi_exponentiate
     <repro.crypto.group.Group.multi_exponentiate>`).  Tables are *used* but
     never built here — one-shot RLC bases would churn the usage counters.

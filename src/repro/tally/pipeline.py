@@ -130,7 +130,8 @@ class TallyPipeline:
 
     ``executor`` selects the :mod:`repro.runtime` backend the heavy stages
     (mixing, filtering, decryption, signature checks) fan out over; ``None``
-    means the module-wide default (serial unless reconfigured).  ``tagging``
+    runs them in process on the serial executor
+    (:func:`repro.runtime.executor.resolve_executor`).  ``tagging``
     optionally injects a pre-built :class:`TaggingAuthority` — normally a
     fresh one is drawn per run (reusing a tagging exponent across elections
     would link ballots), but injection enables deterministic replay and lets

@@ -21,6 +21,7 @@ from repro.crypto.modp_group import (
     ModPElement,
     modp_group_256,
     modp_group_2048,
+    modp_group_3072,
     testing_group,
 )
 from repro.crypto.multiexp import (
@@ -28,7 +29,11 @@ from repro.crypto.multiexp import (
     MAX_WINDOW_BITS,
     _signed_digits,
     collapse_terms,
+    comb_budget,
+    comb_power,
+    comb_rows,
     pippenger_multi_exponentiate,
+    plan_fixed_base_comb,
     plan_multi_exponentiation,
     plan_shared_base_powers,
     shared_base_powers,
@@ -398,8 +403,8 @@ class TestGroupSharedBasePowers:
 # ----------------------------------------------- operation counts, not seconds
 
 
-def _counting(ops, charge_squarings=True):
-    """``ops`` with every group operation tallied (``advance`` by k = k squarings)."""
+def _counting(ops, square_cost=1.0):
+    """``ops`` with every group operation tallied (``advance`` by k = k squarings at ``square_cost``)."""
     spent = [0]
 
     def multiply(a, b):
@@ -407,7 +412,7 @@ def _counting(ops, charge_squarings=True):
         return ops.multiply(a, b)
 
     def advance(a, k):
-        spent[0] += k * charge_squarings
+        spent[0] += k * square_cost
         return ops.advance(a, k)
 
     def invert(a):
@@ -483,3 +488,59 @@ class TestKernelOperationCounts:
         assert kernel_spent[0] <= share * naive_spent[0]
         if charge_squarings:  # what the planners are told, the inversions apart
             assert abs(kernel_spent[0] / 8 - 8 - signed_window_cost(253)) <= 4
+
+
+# ------------------------------------------------------------ fixed-base combs
+
+
+def _planned_comb(group):
+    bits = group.order.bit_length()
+    costs = group.kernel_costs(bits)
+    return bits, costs, plan_fixed_base_comb(bits, square_cost=costs.square, lookup_cost=costs.lookup)
+
+
+class TestFixedBaseComb:
+    """The comb kernels and their planner; ``comb_budget`` is the 5-bit windowed table they replaced."""
+
+    @pytest.mark.parametrize("teeth, step", [(1, 1), (5, 1), (2, 3), (4, 4), (8, 8), (6, 11), (3, 64)])
+    def test_every_geometry_computes_the_power(self, teeth, step):
+        blocks = -(-64 // (teeth * step))
+        rows = comb_rows(ADDITIVE, 12345, teeth, blocks, step)
+        assert len(rows) == blocks and all(len(row) == 1 << teeth and row[0] == 0 for row in rows)
+        rng = random.Random(teeth * 100 + step)
+        for exponent in [0, 1, 2**64 - 1, 2**63] + [rng.getrandbits(64) for _ in range(50)]:
+            assert comb_power(ADDITIVE, rows, teeth, step, exponent) == 12345 * exponent % _M
+
+    def test_a_modp2048_power_spends_at_most_six_tenths_of_the_windowed_tables_multiplications(self):
+        """Squarings counted at ``kernel_costs.square``; the windowed table spent one multiplication a 5-bit digit, 410."""
+        bits, costs, plan = _planned_comb(modp_group_2048())
+        rows = comb_rows(ADDITIVE, 7, plan.teeth, plan.blocks, plan.step)
+        ops, spent = _counting(ADDITIVE, costs.square)
+        rng = random.Random(bits)
+        scalars = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(16)]
+        for scalar in scalars:
+            assert comb_power(ops, rows, plan.teeth, plan.step, scalar) == 7 * scalar % _M
+        assert spent[0] / len(scalars) <= 0.6 * -(-bits // 5)
+        assert plan.power_cost <= 0.6 * -(-bits // 5)
+
+    @pytest.mark.parametrize("group_factory", [modp_group_256, modp_group_2048, ed25519_group])
+    def test_a_build_spends_no_more_than_the_windowed_tables(self, group_factory):
+        bits, costs, plan = _planned_comb(group_factory())
+        ops, spent = _counting(ADDITIVE, costs.square)
+        comb_rows(ops, 7, plan.teeth, plan.blocks, plan.step)
+        assert spent[0] == pytest.approx(plan.build_cost)
+        assert spent[0] <= comb_budget(bits) == -(-bits // 5) * 31
+
+    @pytest.mark.parametrize("group_factory", [modp_group_256, modp_group_2048, modp_group_3072, ed25519_group])
+    def test_every_accelerable_preset_plans_within_the_windowed_tables_elements(self, group_factory):
+        bits, _, plan = _planned_comb(group_factory())
+        assert plan.teeth * plan.blocks * plan.step >= bits
+        assert plan.num_elements <= comb_budget(bits) and plan.build_cost <= comb_budget(bits)
+
+    def test_modp2048_plans_a_comb(self):
+        assert _planned_comb(modp_group_2048())[2].step > 1
+
+    def test_dear_squarings_or_lookups_fall_back_to_the_windowed_table(self):
+        """Where a wider comb's squarings and column parses cost more than the lookups it saves, ``step`` stays 1."""
+        for plan in (plan_fixed_base_comb(255, square_cost=4.0), plan_fixed_base_comb(255, square_cost=0.8, lookup_cost=1.0)):
+            assert (plan.teeth, plan.blocks, plan.step) == (5, 51, 1)

@@ -16,7 +16,7 @@ from repro.crypto.elgamal import ElGamal
 from repro.crypto.modp_group import modp_group_256, modp_group_2048, testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign, schnorr_verify
 from repro.crypto.shamir import reconstruct_secret, split_secret
-from repro.runtime.precompute import FixedBaseTable
+from repro.runtime.precompute import FixedBaseTable, _comb_table
 
 GROUP = testing_group()
 ELGAMAL = ElGamal(GROUP)
@@ -110,9 +110,10 @@ def _binary_ladder(base, scalar):
 
 @functools.lru_cache(maxsize=None)
 def _differential_base(group_factory):
-    """One non-generator base a group, with its tables at three window widths."""
+    """One non-generator base a group, with its planned comb and four more geometries (two windowed)."""
     base = group_factory().hash_to_element(b"differential")
-    return base, [FixedBaseTable(base, window_bits=window) for window in (1, 4, 5)]
+    geometries = [(1, 1), (5, 1), (3, 7), (8, 8)]  # (teeth, step)
+    return base, [FixedBaseTable(base)] + [_comb_table(base, *geometry) for geometry in geometries]
 
 
 class TestKernelsAgainstABinaryLadder:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.crypto.ed25519 import ed25519_group
 from repro.crypto.elgamal import ElGamal
-from repro.crypto.modp_group import testing_group as toy_group
+from repro.crypto.modp_group import modp_group_256, modp_group_2048, testing_group as toy_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.runtime.batch import (
     batch_reencryption_verify,
@@ -15,7 +18,7 @@ from repro.runtime.batch import (
     verify_signatures,
 )
 from repro.runtime.executor import SerialExecutor, chunk_evenly
-from repro.runtime.precompute import FixedBaseTable
+from repro.runtime.precompute import FixedBaseTable, _comb_table
 
 GROUP = toy_group()
 ELGAMAL = ElGamal(GROUP)
@@ -33,19 +36,40 @@ _SIGNED = [
 ]
 
 
+#: Comb geometries as ``(teeth, step)`` (blocks cover the order): the windowed
+#: tables at ``step = 1``, then combs narrow, square and single-block.
+GEOMETRIES = [(1, 1), (4, 1), (5, 1), (2, 3), (3, 7), (8, 8), (6, 11)]
+
+
+@functools.lru_cache(maxsize=None)
+def _planned_table(group_factory):
+    base = group_factory().hash_to_element(b"planned comb")
+    return base, FixedBaseTable(base)
+
+
 class TestFixedBaseTableProperties:
     @FAST
-    @given(exponent=st.integers(min_value=-(2 * ORDER), max_value=2 * ORDER), window=st.integers(1, 8))
-    def test_table_power_matches_reference(self, exponent, window):
-        table = FixedBaseTable(GROUP.generator, window_bits=window)
+    @given(exponent=st.integers(min_value=-(2 * ORDER), max_value=2 * ORDER), geometry=st.sampled_from(GEOMETRIES))
+    def test_table_power_matches_reference(self, exponent, geometry):
+        table = _comb_table(GROUP.generator, *geometry)
         assert table.power(exponent) == GROUP.generator.exponentiate(exponent)
 
     @FAST
     @given(seed=st.binary(min_size=1, max_size=16), exponent=scalars)
     def test_arbitrary_bases(self, seed, exponent):
         base = GROUP.hash_to_element(seed)
-        table = FixedBaseTable(base, window_bits=4)
+        table = FixedBaseTable(base)
         assert table.power(exponent) == base.exponentiate(exponent)
+
+    @pytest.mark.parametrize(
+        "group_factory", [toy_group, modp_group_256, ed25519_group, modp_group_2048],
+        ids=["toy", "modp256", "ed25519", "modp2048"],
+    )
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(-(2**2050), 2**2050))
+    def test_planned_geometry_matches_reference(self, group_factory, seed):
+        base, table = _planned_table(group_factory)
+        assert table.power(seed) == base.exponentiate(seed)
 
 
 class TestBatchRejectionProperties:

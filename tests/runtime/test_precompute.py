@@ -2,22 +2,32 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from repro.crypto.bigint import available_backends
 from repro.crypto.ed25519 import ed25519_group
-from repro.crypto.modp_group import ModPElement, modp_group_256, testing_group as toy_group
+from repro.crypto.modp_group import ModPElement, modp_group_256, modp_group_2048, testing_group as toy_group
+from repro.crypto.multiexp import comb_budget
 from repro.runtime import precompute
 from repro.runtime.precompute import (
     AUTO_BUILD_THRESHOLD,
     FixedBaseTable,
+    _comb_table,
     clear_tables,
     element_power,
     num_cached_tables,
     set_precompute_enabled,
     warm_fixed_base,
 )
+
+GROUPS = [toy_group, modp_group_256, ed25519_group, modp_group_2048]
+GROUP_IDS = ["toy", "modp256", "ed25519", "modp2048"]
 
 
 @pytest.fixture(autouse=True)
@@ -51,9 +61,10 @@ class TestFixedBaseTable:
         assert table.power(big_group.order - 1) == big_group.generator.exponentiate(-1)
         assert table.power(-5) == big_group.generator.exponentiate(-5)
 
-    def test_arbitrary_base(self, big_group):
+    @pytest.mark.parametrize("geometry", [None, (4, 1), (1, 1), (8, 8), (3, 7)], ids=str)
+    def test_arbitrary_base(self, big_group, geometry):
         base = big_group.hash_to_element(b"some hot base")
-        table = FixedBaseTable(base, window_bits=4)
+        table = FixedBaseTable(base) if geometry is None else _comb_table(base, *geometry)
         for exponent in (2, 3, 12345, big_group.order // 3):
             assert table.power(exponent) == base.exponentiate(exponent)
 
@@ -63,9 +74,13 @@ class TestFixedBaseTable:
         for exponent in (0, 1, 2, 97, group.order - 1):
             assert table.power(exponent) == group.generator.exponentiate(exponent)
 
-    def test_rejects_zero_window(self, big_group):
-        with pytest.raises(ValueError):
-            FixedBaseTable(big_group.generator, window_bits=0)
+    @pytest.mark.parametrize("group_factory", GROUPS, ids=GROUP_IDS)
+    def test_planned_comb_on_the_edges_of_the_scalar_range(self, group_factory):
+        group = group_factory()
+        base = group.hash_to_element(b"edges")
+        table, order = FixedBaseTable(base), group.order
+        for scalar in (0, 1, 2, order - 1, order, order + 1, 2 * order + 3, -1, -order - 2, 2 ** (order.bit_length() - 1)):
+            assert table.power(scalar) == base.exponentiate(scalar)
 
     @pytest.mark.parametrize("group_factory", [modp_group_256, ed25519_group], ids=["modp256", "ed25519"])
     def test_rows_are_native_values_and_a_power_wraps_once(self, group_factory, monkeypatch):
@@ -74,15 +89,67 @@ class TestFixedBaseTable:
         base = group.hash_to_element(b"native rows")
         element_type = type(base)
         monkeypatch.setattr(element_type, "operate", None)  # any per-step wrapping would raise TypeError
-        table = FixedBaseTable(base, window_bits=4)
+        table = FixedBaseTable(base)
         native = group.unwrap(base)
         assert table._rows[0][1] == native and type(table._rows[0][1]) is type(native)
-        assert table.num_group_elements == 16 * -(-group.order.bit_length() // 4)
+        bits = group.order.bit_length()
+        assert table.teeth * table.blocks * table.step >= bits > table.teeth * (table.blocks - 1) * table.step
+        assert table.num_group_elements == sum(len(row) - 1 for row in table._rows) <= comb_budget(bits)
         wrapped = []
         monkeypatch.setattr(type(group), "wrap", lambda self, value: wrapped.append(value) or element_type(value, self))
         assert table.power(group.order - 7) == base.exponentiate(-7)
         assert len(wrapped) == 1
         assert table.power(0) == group.identity and table.power(group.order) == group.identity
+
+
+#: Powers of one base through a planned comb, printed as a digest so runs on
+#: two big-integer backends compare byte for byte.
+_COMB_DIGEST = """
+import hashlib
+from repro.crypto.bigint import active_backend
+from repro.crypto.modp_group import modp_group_256, modp_group_2048
+from repro.runtime.precompute import FixedBaseTable
+
+digest, geometries = hashlib.sha256(), []
+for factory in (modp_group_256, modp_group_2048):
+    group = factory()
+    table = FixedBaseTable(group.hash_to_element(b"comb digest"))
+    geometries.append(f"{table.teeth}x{table.blocks}x{table.step}")
+    for scalar in (0, 1, group.order - 1, -3, 0xC0FFEE << 1000, 3 ** 1200):
+        digest.update(table.power(scalar).to_bytes())
+print(active_backend().name, ",".join(geometries), digest.hexdigest())
+"""
+
+
+def _comb_digest(backend: str) -> list:
+    environment = dict(os.environ, PYTHONPATH="src", REPRO_BIGINT=backend)
+    result = subprocess.run(
+        [sys.executable, "-c", _COMB_DIGEST], capture_output=True, text=True, env=environment,
+        cwd=os.path.join(os.path.dirname(__file__), "..", ".."),
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+class TestAcrossBackends:
+    """A planned comb publishes the same bytes on every backend and in every geometry."""
+
+    def test_planned_comb_matches_the_windowed_table_here(self):
+        name, geometries, digest = _comb_digest("python")
+        reference = hashlib.sha256()
+        for factory in (modp_group_256, modp_group_2048):
+            group = factory()
+            table = _comb_table(group.hash_to_element(b"comb digest"), 5, 1)
+            for scalar in (0, 1, group.order - 1, -3, 0xC0FFEE << 1000, 3 ** 1200):
+                reference.update(table.power(scalar).to_bytes())
+        assert name == "python"
+        assert not any(geometry.endswith("x1") for geometry in geometries.split(","))  # both planned step > 1
+        assert digest == reference.hexdigest()
+
+    @pytest.mark.skipif("gmpy2" not in available_backends(), reason="gmpy2 not installed")
+    def test_gmpy2_comb_is_bit_identical_to_python(self):
+        python_run, gmpy2_run = _comb_digest("python"), _comb_digest("gmpy2")
+        assert gmpy2_run[0] == "gmpy2" and gmpy2_run[2] == python_run[2]
 
 
 class TestTransparentCache:
