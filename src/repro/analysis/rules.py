@@ -471,7 +471,7 @@ class ExceptionHygieneRule(Rule):
     summary = "no bare except, and no silently swallowed domain exceptions"
     rationale = (
         "A bare `except:` eats KeyboardInterrupt and SystemExit; a "
-        "`pass`-body handler for ClusterError/StopPipeline/etc. turns a "
+        "`pass`-body handler for ClusterError/LedgerError/etc. turns a "
         "protocol violation into a silent hang three layers up.  Transport "
         "teardown that also catches OSError, or handlers paired with a "
         "`finally:` cleanup, are the sanctioned shapes and stay unflagged."
@@ -481,7 +481,6 @@ class ExceptionHygieneRule(Rule):
         {
             "ReproError",
             "ClusterError",
-            "StopPipeline",
             "ConnectionClosed",
             "ProtocolError",
             "TallyError",

@@ -4,20 +4,16 @@ Every proof obligation in the system is a typed :class:`Check` collected
 into an :class:`AuditPlan` and executed by a pluggable :class:`Verifier`:
 
 * ``eager`` — reference one-by-one semantics;
-* ``batched`` — same-kind checks folded into random-linear-combination
-  batch equations (:mod:`repro.runtime.batch`), bisected on rejection;
-* ``stream`` — check shards riding :mod:`repro.runtime.pipeline` with
-  first-failure cancellation;
-* ``dist`` — contiguous check shards shipped one task each over the
-  executor surface (remote workers, under a :mod:`repro.cluster`
-  executor) and merged back into one report.
+* ``batched`` — same-kind checks cut into chunks and sent to the executor
+  in one ``starmap`` (cluster workers, under a :mod:`repro.cluster`
+  executor), each chunk folded into one random-linear-combination batch
+  equation (:mod:`repro.runtime.batch`) and bisected on rejection.
 
-Every strategy returns a structured :class:`AuditReport` (per-check
-outcomes, failure locus, counts, timings) whose outcomes are bit-identical
-across strategies; the legacy ``verify_*`` entry points remain as
-bool-returning shims over this API.  Select a strategy per election via
-``ElectionConfig.audit_spec``; audit a whole election with
-:func:`audit_election` or ``python -m repro.audit``.
+Both check the full plan and return a structured :class:`AuditReport`
+(per-check outcomes, failure locus, counts, timings) whose outcomes are
+bit-identical across strategies, on valid and on tampered evidence.  Select
+a strategy per election via ``ElectionConfig.audit_spec``; audit a whole
+election with :func:`audit_election` or ``python -m repro.audit``.
 """
 
 from repro.audit.api import (
@@ -28,9 +24,7 @@ from repro.audit.api import (
     Check,
     CheckResult,
     CheckStatus,
-    DistributedVerifier,
     EagerVerifier,
-    StreamingVerifier,
     Verifier,
     verifier_from_spec,
 )
@@ -66,9 +60,7 @@ __all__ = [
     "CheckResult",
     "CheckStatus",
     "DecryptionTranscript",
-    "DistributedVerifier",
     "EagerVerifier",
-    "StreamingVerifier",
     "TagChainEvidence",
     "TallyEvidence",
     "Verifier",

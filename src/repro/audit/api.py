@@ -6,32 +6,25 @@ count invariant — is expressed as a typed :class:`Check`: a *kind* (which
 registered predicate judges it), a *name* (the failure locus an auditor
 reads), and the *evidence* tuple the predicate consumes.  Checks collect
 into an :class:`AuditPlan` and a pluggable :class:`Verifier` executes the
-plan with one of three strategies:
+plan with one of two strategies:
 
 * :class:`EagerVerifier` — every check runs its kind's reference predicate,
-  one by one, in plan order.  The semantics every other strategy must
+  one by one, in plan order.  The semantics the batched strategy must
   reproduce verdict-for-verdict.
-* :class:`BatchedVerifier` — checks are grouped by kind and, for kinds with
-  a registered *fold*, whole chunks collapse into a single
-  random-linear-combination product check (:mod:`repro.runtime.batch`); a
-  rejected chunk bisects to isolate exact per-check verdicts, so the common
-  all-valid case pays one batched equation and a corrupted transcript still
-  names its locus.
-* :class:`StreamingVerifier` — check shards ride a
-  :class:`~repro.runtime.pipeline.StreamPipeline` (batched verification per
-  shard) and the sink cancels outstanding shards at the first failure, so a
-  rejecting auditor pays for the failing shard, not the whole plan.
-* :class:`DistributedVerifier` — the plan is cut into contiguous,
-  picklable check shards, each shard ships as one task over the executor
-  surface (a :class:`~repro.cluster.executor.RemoteExecutor` sends it to a
-  worker on another process or machine, where the batched fold runs), and
-  the shard results merge back — in plan order — into one report.
+* :class:`BatchedVerifier` — checks are grouped by kind and cut into
+  contiguous chunks, and all chunks of all kinds go to the executor in one
+  ``starmap``; for kinds with a registered *fold*, a chunk collapses into a
+  single random-linear-combination product check
+  (:mod:`repro.runtime.batch`).  A rejected chunk bisects to isolate exact
+  per-check verdicts, so the common all-valid case pays one batched
+  equation and a corrupted transcript still names its locus.
 
-Every strategy returns an :class:`AuditReport` — per-check outcomes in plan
-order, failure loci, counts, timings — instead of a naked boolean.  Reports
-compare (and fingerprint) over their *outcomes only*, so eager, batched and
-streaming runs of the same plan over valid evidence produce equal reports,
-which the mutation suite in ``tests/audit`` pins down.
+Both strategies check the full plan and return an :class:`AuditReport` —
+per-check outcomes in plan order, failure loci, counts, timings — instead of
+a naked boolean.  Reports compare (and fingerprint) over their *outcomes
+only*, so eager and batched runs of the same plan produce equal reports on
+valid and on tampered evidence alike, which the mutation suite in
+``tests/audit`` pins down.
 
 Strategies are selected per election via ``ElectionConfig.audit_spec``
 through :func:`verifier_from_spec` (forms: :data:`repro.spec.AUDIT`).
@@ -47,7 +40,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.runtime.executor import Executor, resolve_executor
-from repro.runtime.pipeline import Shard, Stage, StopPipeline, StreamPipeline, iter_shards
 from repro.spec import AUDIT
 
 #: The audit API version this module defines.  Consumers that need a newer
@@ -56,14 +48,6 @@ AUDIT_API_VERSION = 1
 
 #: Default number of same-kind checks folded into one batched equation.
 DEFAULT_CHUNK_SIZE = 256
-
-#: Default shard geometry for the streaming strategy.
-DEFAULT_STREAM_SHARD = 64
-DEFAULT_STREAM_DEPTH = 4
-
-#: Default checks per shard for the distributed strategy — coarser than the
-#: streaming shard because every shard is one wire round-trip.
-DEFAULT_DIST_SHARD = 128
 
 
 @dataclass(frozen=True)
@@ -128,12 +112,10 @@ class AuditPlan:
 class AuditReport:
     """The structured outcome of executing an :class:`AuditPlan`.
 
-    ``results`` holds one :class:`CheckResult` per executed check, in plan
-    order (the streaming strategy may truncate after the shard containing
-    the first failure — that is the point of cancellation).  Equality and
-    :meth:`fingerprint` cover the *outcomes only*: ``strategy`` and
-    ``elapsed_seconds`` are excluded so the three strategies' reports on
-    valid evidence compare bit-identical.
+    ``results`` holds one :class:`CheckResult` per check of the plan, in plan
+    order.  Equality and :meth:`fingerprint` cover the *outcomes only*:
+    ``strategy`` and ``elapsed_seconds`` are excluded so both strategies'
+    reports on the same plan compare bit-identical.
     """
 
     results: List[CheckResult]
@@ -210,7 +192,7 @@ class Verifier(abc.ABC):
 
     @abc.abstractmethod
     def _execute(self, checks: List[Check]) -> List[CheckResult]:
-        """Produce per-check results (possibly truncated, for streaming)."""
+        """Produce one result per check, in plan order."""
 
     def run(self, plan: AuditPlan) -> AuditReport:
         # The report's wall-clock comes straight off the telemetry span, so
@@ -262,7 +244,12 @@ class EagerVerifier(Verifier):
 
 
 class BatchedVerifier(Verifier):
-    """Group by kind, fold chunks into RLC batch equations, bisect failures."""
+    """Group by kind, fold chunks into RLC batch equations, bisect failures.
+
+    Every chunk of every kind goes to ``executor`` in one ``starmap``; a
+    kind is cut into at least as many chunks as the executor has workers
+    (:func:`repro.audit.kinds.evaluate_batched`).
+    """
 
     strategy = "batched"
 
@@ -278,118 +265,14 @@ class BatchedVerifier(Verifier):
         return evaluate_batched(checks, chunk_size=self.chunk_size, executor=self.executor)
 
 
-class _ShardVerifyStage(Stage):
-    """Verify one shard of checks with the batched fold."""
-
-    name = "verify-checks"
-
-    def __init__(self, chunk_size: int):
-        self.chunk_size = chunk_size
-
-    def process(self, shard: Shard):
-        from repro.audit.kinds import evaluate_batched
-
-        yield Shard(shard.index, evaluate_batched(shard.items, chunk_size=self.chunk_size))
-
-
-class StreamingVerifier(Verifier):
-    """Checks ride pipeline shards; the sink cancels at the first failure.
-
-    Each shard is verified with the batched fold (so the per-shard cost
-    matches :class:`BatchedVerifier` at ``chunk = shard_size``), shards
-    flow through a bounded-queue :class:`~repro.runtime.pipeline.
-    StreamPipeline`, and a failing shard stops the stream: the report
-    contains every result up to and including the failing shard, in plan
-    order.
-    """
-
-    strategy = "stream"
-
-    def __init__(
-        self,
-        shard_size: int = DEFAULT_STREAM_SHARD,
-        queue_depth: int = DEFAULT_STREAM_DEPTH,
-    ):
-        if shard_size < 1:
-            raise ValueError("audit stream shard size must be >= 1")
-        self.shard_size = shard_size
-        self.queue_depth = queue_depth
-
-    def _execute(self, checks: List[Check]) -> List[CheckResult]:
-        if not checks:
-            return []
-        results: List[CheckResult] = []
-
-        def _consume(shard: Shard) -> None:
-            results.extend(shard.items)
-            if not all(result.ok for result in shard.items):
-                raise StopPipeline()
-
-        StreamPipeline(
-            [_ShardVerifyStage(self.shard_size)],
-            queue_depth=self.queue_depth,
-            name="audit",
-        ).run(iter_shards(checks, self.shard_size), consume=_consume)
-        return results
-
-
-def _verify_check_shard(checks: Sequence[Check]) -> List[CheckResult]:
-    """Verify one contiguous shard of checks with the batched fold.
-
-    Module-level and picklable: this is the function a
-    :class:`DistributedVerifier` ships to remote workers, one shard per
-    task.  Deterministic verdicts make at-least-once redelivery (after a
-    worker death) bit-identical.
-    """
-    from repro.audit.kinds import evaluate_batched
-
-    return evaluate_batched(list(checks))
-
-
-class DistributedVerifier(Verifier):
-    """Fan contiguous check shards out over the executor surface and merge.
-
-    Each shard of ``shard_size`` checks becomes exactly one task — under a
-    :class:`~repro.cluster.executor.RemoteExecutor` that is one wire frame
-    to one remote worker, which runs the batched fold locally and returns
-    its :class:`CheckResult`s.  Shard results concatenate in plan order, so
-    the merged :class:`AuditReport` fingerprints identically to the eager,
-    batched and streaming strategies on the same plan; only worker
-    placement (and the wall clock) moves.
-    """
-
-    strategy = "dist"
-
-    def __init__(
-        self,
-        shard_size: int = DEFAULT_DIST_SHARD,
-        executor: Optional[Executor] = None,
-    ):
-        if shard_size < 1:
-            raise ValueError("audit dist shard size must be >= 1")
-        self.shard_size = shard_size
-        self.executor = executor
-
-    def _execute(self, checks: List[Check]) -> List[CheckResult]:
-        if not checks:
-            return []
-        shards = [checks[start:start + self.shard_size] for start in range(0, len(checks), self.shard_size)]
-        shard_results = resolve_executor(self.executor).map(_verify_check_shard, shards, chunksize=1)
-        return [result for shard in shard_results for result in shard]
-
-
 def verifier_from_spec(spec: Optional[str], executor: Optional[Executor] = None) -> Verifier:
     """Build a verifier from an ``audit_spec`` (forms: :data:`repro.spec.AUDIT`).
 
-    The ``dist`` strategy pairs with a cluster ``executor`` to run check
-    shards on remote workers; with an in-process executor it degrades to
-    sharded batched verification.
+    A cluster ``executor`` runs the batched strategy's chunks on its workers.
     """
     head, given = AUDIT.parse(spec)
     if head == "eager":
         return EagerVerifier(executor=executor)
-    if head == "batched":
-        return BatchedVerifier(executor=executor, **given)
-    if head == "stream":
-        return StreamingVerifier(**given)
-    return DistributedVerifier(executor=executor, **given)
+    # ``dist`` is ``batched`` by another name, kept only because
+    # benchmarks/e2e/catalogue.py names it (ROADMAP item 1(b) removes it).
+    return BatchedVerifier(executor=executor, **given)

@@ -599,9 +599,9 @@ def audit_tally(
 ) -> AuditReport:
     """Re-check a published tally against the ledger; returns the full report.
 
-    ``verifier`` is a strategy spec (``"eager"``, ``"batched[:chunk]"``,
-    ``"stream[:shard[:depth]]"``) or a ready :class:`Verifier`; the three
-    strategies produce bit-identical report outcomes on valid elections.
+    ``verifier`` is a strategy spec (``"eager"``, ``"batched[:chunk]"``) or
+    a ready :class:`Verifier`; both strategies check the whole plan and
+    produce bit-identical report outcomes, on valid and tampered results.
     ``num_mixers`` / ``proof_rounds`` are the election's public soundness
     parameters as the auditor knows them (see :func:`cascade_checks`).
     """

@@ -52,7 +52,7 @@ from repro.runtime.batch import (
     batch_schnorr_verify,
     decryption_share_transcript,
 )
-from repro.runtime.executor import Executor, resolve_executor
+from repro.runtime.executor import Executor, chunk_evenly, resolve_executor
 
 if TYPE_CHECKING:  # avoid importing the api module at runtime here
     from repro.audit.api import Check, CheckResult  # noqa: F401
@@ -137,38 +137,37 @@ def evaluate_batched(
 ) -> List["CheckResult"]:
     """Batched-strategy evaluation of ``checks``: results in input order.
 
-    Checks are grouped by kind; foldable kinds collapse ``chunk_size``-sized
-    runs into single RLC equations (bisecting on rejection), fold-less kinds
-    fall back to the reference predicate.  Both paths fan out over
-    ``executor`` — fold-less checks individually, foldable kinds one chunk
-    per task.  Verdicts are placed back at their original plan positions, so
-    the returned results are indistinguishable from an eager run's (that
-    invariant is what the equivalence tests pin).
+    Checks are grouped by kind, and each kind is cut into
+    ``max(⌈n/chunk_size⌉, executor.num_workers)`` contiguous chunks, so no
+    worker of a cluster sits out a kind.  Every chunk of every kind goes to
+    ``executor`` in one ``starmap`` — one round trip on a cluster — where
+    :func:`chunk_verdicts` folds a foldable kind's chunk into one RLC
+    equation (bisecting on rejection) and runs the reference predicate on a
+    fold-less one.  Verdicts are placed back at their original plan
+    positions, so the returned results are indistinguishable from an eager
+    run's (that invariant is what the equivalence tests pin).
     """
     from repro.audit.api import _result_for
 
     ex = resolve_executor(executor)
-    verdicts: List[Optional[bool]] = [None] * len(checks)
     by_kind: Dict[str, List[int]] = {}
     for index, check in enumerate(checks):
         by_kind.setdefault(check.kind, []).append(index)
+    chunks: List[Tuple[str, List[int]]] = []
     for kind_name, indices in by_kind.items():
-        kind = get_kind(kind_name)
-        if kind.fold is None:
-            outcomes = ex.map(verdict_one, [checks[i] for i in indices])
-            for i, outcome in zip(indices, outcomes):
-                verdicts[i] = bool(outcome)
-            continue
-        chunks = [indices[start : start + chunk_size] for start in range(0, len(indices), chunk_size)]
-        outcome_lists = ex.starmap(
-            _chunk_verdicts_named,
-            [(kind_name, [checks[i].evidence for i in chunk]) for chunk in chunks],
-            chunksize=1,
-        )
-        for chunk, outcomes in zip(chunks, outcome_lists):
-            for i, outcome in zip(chunk, outcomes):
-                verdicts[i] = outcome
-    return [_result_for(check, bool(verdict)) for check, verdict in zip(checks, verdicts)]
+        get_kind(kind_name)  # an unknown kind fails here, not on a worker
+        count = max(-(-len(indices) // chunk_size), ex.num_workers)
+        chunks.extend((kind_name, chunk) for chunk in chunk_evenly(indices, count))
+    outcome_lists = ex.starmap(
+        _chunk_verdicts_named,
+        [(kind_name, [checks[i].evidence for i in chunk]) for kind_name, chunk in chunks],
+        chunksize=1,
+    )
+    verdicts: List[bool] = [False] * len(checks)
+    for (_, chunk), outcomes in zip(chunks, outcome_lists):
+        for i, outcome in zip(chunk, outcomes):
+            verdicts[i] = outcome
+    return [_result_for(check, verdict) for check, verdict in zip(checks, verdicts)]
 
 
 # ---------------------------------------------------------------------------

@@ -417,18 +417,11 @@ class AsyncIngestionFrontend:
     def __init__(self, board: LedgerBackend) -> None:
         self._board = board
 
-    async def post_ballot(self, record: BallotRecord) -> int:
+    async def post_ballots(self, records: Sequence[BallotRecord]) -> List[int]:
         if isinstance(self._board, BatchedBoard):
             # try_append checks lock availability and the flush trigger
             # atomically, so the inline path can neither block on a running
             # flush nor start one on the event loop.
-            seqs = self._board.try_append_ballots([record])
-            if seqs is not None:
-                return seqs[0]
-        return await asyncio.to_thread(self._board.append_ballot, record)
-
-    async def post_ballots(self, records: Sequence[BallotRecord]) -> List[int]:
-        if isinstance(self._board, BatchedBoard):
             seqs = self._board.try_append_ballots(records)
             if seqs is not None:
                 return seqs

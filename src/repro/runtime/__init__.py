@@ -16,11 +16,10 @@ accelerations that compose with any backend:
 * :mod:`repro.runtime.batch` — random-linear-combination batch verification
   for Schnorr signatures, Chaum–Pedersen transcripts, and the re-encryption
   openings of shuffle proofs;
-* :mod:`repro.runtime.pipeline` — a streaming shard pipeline (bounded
-  per-stage queues, backpressure, error propagation/cancellation): the
-  tally's ledger read runs a page ahead of its signature check through it
-  (:attr:`repro.election.config.ElectionConfig.pipeline_spec`), and the
-  ``stream`` audit strategy verifies shard by shard.
+* :mod:`repro.runtime.pipeline` — the tally's ledger read-ahead (one
+  reader thread, one bounded queue): under
+  :attr:`repro.election.config.ElectionConfig.pipeline_spec` ``stream`` the
+  paged ledger read runs ahead of the signature check.
 
 Importing this package installs the fixed-base accelerator hook; everything
 else is opt-in per call (``executor=...``) or per election (config).
@@ -32,16 +31,7 @@ from repro.runtime.executor import (
     executor_from_spec,
     resolve_executor,
 )
-from repro.runtime.pipeline import (
-    PipelineSpec,
-    Shard,
-    Stage,
-    StopPipeline,
-    StreamPipeline,
-    iter_shards,
-    pipeline_from_spec,
-    shard_boundaries,
-)
+from repro.runtime.pipeline import PipelineSpec, StreamPipeline, pipeline_from_spec
 from repro.runtime.precompute import (
     FixedBaseTable,
     clear_tables,
@@ -62,12 +52,7 @@ __all__ = [
     "warm_fixed_base",
     "set_precompute_enabled",
     "clear_tables",
-    "Shard",
-    "Stage",
     "StreamPipeline",
-    "StopPipeline",
     "PipelineSpec",
     "pipeline_from_spec",
-    "iter_shards",
-    "shard_boundaries",
 ]

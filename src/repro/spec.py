@@ -97,7 +97,7 @@ class Grammar:
 
     @property
     def forms(self) -> List[str]:
-        """``stream[:shard_size][:queue_depth]``-style renderings (arguments are positional)."""
+        """``batched[:batch_size][:inner]``-style renderings (arguments are positional)."""
         return [
             head + "".join(f":{arg.name}" if arg.required else f"[:{arg.name}]" for arg in args)
             for head, args in self.heads.items()
@@ -139,8 +139,7 @@ class Grammar:
         return head, given
 
 
-_SHARD = Arg("shard_size", "int>=1")
-_DEPTH = Arg("queue_depth", "int>=1")
+_CHUNK = Arg("chunk_size", "int>=1")
 
 EXECUTOR = Grammar(
     "executor_spec", "`repro.runtime` executor the parallel stages fan out over", "serial", "serial", ValueError,
@@ -154,11 +153,11 @@ BOARD = Grammar(
 )
 PIPELINE = Grammar(
     "pipeline_spec", "whether the tally's paged ledger read runs ahead of its signature check",
-    "serial", "serial", ValueError, {"serial": (), "stream": (_DEPTH,)},
+    "serial", "serial", ValueError, {"serial": (), "stream": (Arg("queue_depth", "int>=1"),)},
 )
 AUDIT = Grammar(
     "audit_spec", "`repro.audit` verification strategy", "batched", "eager", ValueError,
-    {"eager": (), "batched": (Arg("chunk_size", "int>=1"),), "stream": (_SHARD, _DEPTH), "dist": (_SHARD,)},
+    {"eager": (), "batched": (_CHUNK,), "dist": (_CHUNK,)},
 )
 TELEMETRY = Grammar(
     "telemetry_spec", "`repro.telemetry` sink", "off", "off", ValueError,
@@ -208,7 +207,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_GATEWAY_DEBUG", "flag (1 = on)", False, "repro.gateway.routes",
          "Serve the `/v1/debug/*` ops-plane routes (404 otherwise)."),
     # Read only by the tests, from the CI stress and tier-1 jobs; each test module has its own default.
-    Knob("REPRO_PIPELINE_SHARD_SIZE", "int>=1", None, "tests/runtime", "Randomized pipeline shard size."),
     Knob("REPRO_PIPELINE_QUEUE_DEPTH", "int>=1", None, "tests/runtime, tests/tally", "Randomized queue depth."),
     Knob("REPRO_STRESS_ITERATION", "int>=1", None, "tests/runtime", "Stress iteration, mixed into the test's seed."),
     Knob("REPRO_CLUSTER_WORKERS", "int>=1", None, "tests/cluster",

@@ -17,9 +17,9 @@ use, so overlapping phases would only add small tasks and thread contention
 ``pipeline`` (:class:`~repro.runtime.pipeline.PipelineSpec`, configured per
 election via ``ElectionConfig.pipeline_spec``) selects one thing, inside the
 first phase: with ``stream[:queue_depth]`` the cursor-paged ledger read runs
-one page ahead of the signature check through a one-stage
-:class:`~repro.runtime.pipeline.StreamPipeline` (``ballot-read``), at most
-``queue_depth`` pages in flight.  Nothing published depends on it: all
+on a reader thread ahead of the signature check, which stays in the calling
+thread (:class:`~repro.runtime.pipeline.StreamPipeline` ``ballot-read``), at
+most ``queue_depth`` pages in flight.  Nothing published depends on it: all
 randomness that shapes the output (shuffle plans, tagging secrets) is drawn
 in the calling thread in one order, and everything downstream of those draws
 is deterministic.  Only proof *nonces* (decryption-share and tagging
@@ -33,6 +33,7 @@ ballot count, so the mix cannot start before the ledger read completes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -49,7 +50,7 @@ from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import BallotRecord
 from repro.runtime.batch import verify_signatures
 from repro.runtime.executor import Executor, resolve_executor
-from repro.runtime.pipeline import PipelineSpec, Shard, Stage, StreamPipeline
+from repro.runtime.pipeline import PipelineSpec, StreamPipeline
 from repro.tally.decrypt import DecryptedVote, aggregate, decrypt_votes
 from repro.tally.filter import FilterResult, deduplicate_ballots, filter_ballots
 from repro.tally.mixnet import TupleCascade, tuple_mix_cascade
@@ -110,18 +111,6 @@ def _signed_records(records: List[BallotRecord], executor: Optional[Executor]) -
     """Batch-verify one cursor page of ballots; keep the validly signed records."""
     verdicts = verify_signatures(_ballot_signature_items(records), executor=executor)
     return [record for record, ok in zip(records, verdicts) if ok]
-
-
-class _SignaturePageStage(Stage):
-    """:func:`_signed_records` as the one stage of the ``ballot-read`` pipeline."""
-
-    name = "sig-check"
-
-    def __init__(self, executor: Optional[Executor]):
-        self.executor = executor
-
-    def process(self, shard: Shard):
-        yield Shard(shard.index, _signed_records(shard.items, self.executor))
 
 
 @dataclass
@@ -186,10 +175,9 @@ class TallyPipeline:
             election_id=election_id, page_size=self.read_page_size
         )
         if self.pipeline is not None and self.pipeline.streaming:
-            shards = StreamPipeline(
-                [_SignaturePageStage(ex)], queue_depth=self.pipeline.queue_depth, name="ballot-read"
-            ).run(Shard(index, page.records) for index, page in enumerate(pages))
-            checked = (shard.items for shard in shards)
+            checked = StreamPipeline(
+                functools.partial(_signed_records, executor=ex), self.pipeline.queue_depth, name="ballot-read"
+            ).run(page.records for page in pages)
         else:
             checked = (_signed_records(page.records, ex) for page in pages)
         return deduplicate_ballots([record for page in checked for record in page])

@@ -37,7 +37,6 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
         "ledger.append",
         "ledger.flush",
         "ledger.read",
-        "pipeline.finish",
         "pipeline.stage",
         "tally.decrypt",
         "tally.join",
@@ -63,7 +62,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset(
         "gateway.shed",
         "gateway.ws.events",
         "ledger.append.ballots",
-        "pipeline.backpressure.stalls",
     }
 )
 

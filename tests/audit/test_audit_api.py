@@ -11,7 +11,6 @@ from repro.audit.api import (
     Check,
     CheckStatus,
     EagerVerifier,
-    StreamingVerifier,
     verifier_from_spec,
 )
 from repro.crypto.chaum_pedersen import ChaumPedersenStatement, fiat_shamir_prove
@@ -19,6 +18,7 @@ from repro.crypto.group import Group
 from repro.crypto.hashing import sha256
 from repro.crypto.modp_group import modp_group_256
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
+from repro.runtime.executor import SerialExecutor
 
 
 def _truth(value):
@@ -95,7 +95,7 @@ class TestPlanAndReport:
         assert "FAIL" in report.summary()
 
     def test_empty_plan_passes(self):
-        for verifier in (EagerVerifier(), BatchedVerifier(), StreamingVerifier()):
+        for verifier in (EagerVerifier(), BatchedVerifier()):
             report = verifier.run(AuditPlan())
             assert report.ok and report.num_checks == 0
 
@@ -148,22 +148,58 @@ class TestStrategies:
         assert eager == batched
         assert {result.name for result in batched.failures} == {f"sig[{i}]" for i in bad}
 
-    def test_streaming_matches_on_valid_plans(self, group):
-        plan = AuditPlan(_signature_checks(group, 9))
-        eager = EagerVerifier().run(plan)
-        streamed = StreamingVerifier(shard_size=2).run(plan)
-        assert streamed.ok
-        assert eager == streamed
+    def test_batched_sends_the_plan_in_one_starmap_cut_per_worker(self, group):
+        """One round trip a plan; every kind, fold-less too, in at least
+        ``num_workers`` contiguous chunks of at most ``chunk_size``."""
 
-    def test_streaming_cancels_after_first_failing_shard(self, group):
-        checks = _signature_checks(group, 20, bad={4})
-        eager = EagerVerifier().run(AuditPlan(checks))
-        streamed = StreamingVerifier(shard_size=2, queue_depth=1).run(AuditPlan(checks))
-        assert not streamed.ok
-        # Truncated at the failing shard — but what was checked agrees exactly.
-        assert len(streamed.results) < len(eager.results)
-        assert eager.results[: len(streamed.results)] == streamed.results
-        assert streamed.first_failure == eager.first_failure
+        class ThreeWorkers(SerialExecutor):
+            def __init__(self):
+                self.calls = []
+
+            @property
+            def num_workers(self):
+                return 3
+
+            def map(self, fn, items, chunksize=None):
+                raise AssertionError("the batched strategy only starmaps")
+
+            def starmap(self, fn, items, chunksize=None):
+                items = list(items)
+                self.calls.append([(kind, len(evidences)) for kind, evidences in items])
+                return super().starmap(fn, items, chunksize)
+
+        plan = AuditPlan(_signature_checks(group, 10, bad={6}) + [_predicate_check("p", True)] * 2)
+        eager = EagerVerifier().run(plan)
+        for chunk_size, expected in (
+            (4, [("schnorr", 4), ("schnorr", 3), ("schnorr", 3), ("predicate", 1), ("predicate", 1)]),
+            (2, [("schnorr", 2)] * 5 + [("predicate", 1)] * 2),
+        ):
+            executor = ThreeWorkers()
+            assert BatchedVerifier(chunk_size=chunk_size, executor=executor).run(plan) == eager
+            assert executor.calls == [expected]
+
+    def test_batched_in_process_cuts_each_kind_by_chunk_size_alone(self, group):
+        """With one worker the floor is inert: a kind that fits one chunk is one fold."""
+
+        class Recording(SerialExecutor):
+            def __init__(self):
+                self.calls = []
+
+            def starmap(self, fn, items, chunksize=None):
+                items = list(items)
+                self.calls.append([(kind, len(evidences)) for kind, evidences in items])
+                return super().starmap(fn, items, chunksize)
+
+        plan = AuditPlan(_signature_checks(group, 10, bad={3}) + _chaum_pedersen_checks(group, 3))
+        eager = EagerVerifier().run(plan)
+        for chunk_size, expected in (
+            (256, [("schnorr", 10), ("chaum-pedersen", 3)]),
+            (4, [("schnorr", 4), ("schnorr", 3), ("schnorr", 3), ("chaum-pedersen", 3)]),
+        ):
+            executor = Recording()
+            assert executor.num_workers == 1
+            assert BatchedVerifier(chunk_size=chunk_size, executor=executor).run(plan) == eager
+            assert executor.calls == [expected]
 
     def test_mixed_kind_plan_keeps_plan_order(self, group):
         checks = _signature_checks(group, 3) + [_predicate_check("p", True)]
@@ -186,13 +222,12 @@ class TestSpecParsing:
         assert isinstance(verifier, BatchedVerifier)
         assert verifier.chunk_size == 64
 
-    def test_stream_with_geometry(self):
-        verifier = verifier_from_spec("stream:16:2")
-        assert isinstance(verifier, StreamingVerifier)
-        assert verifier.shard_size == 16
-        assert verifier.queue_depth == 2
+    def test_dist_is_batched_by_another_name(self):
+        verifier = verifier_from_spec("dist:32")
+        assert isinstance(verifier, BatchedVerifier)
+        assert verifier.chunk_size == 32
 
-    @pytest.mark.parametrize("spec", ["nope", "batched:zero", "eager:1", "stream:x"])
+    @pytest.mark.parametrize("spec", ["nope", "batched:zero", "eager:1", "stream:x", "stream", "stream:16:2"])
     def test_bad_specs_raise(self, spec):
         with pytest.raises(ValueError):
             verifier_from_spec(spec)

@@ -1,8 +1,8 @@
 """End-to-end election auditing: the acceptance surface of ``repro.audit``.
 
 ``audit_election`` over a board produced by the standard
-:class:`~repro.election.pipeline.VotegralElection` flow must pass under all
-three strategies with bit-identical :class:`~repro.audit.api.AuditReport`
+:class:`~repro.election.pipeline.VotegralElection` flow must pass under both
+strategies with bit-identical :class:`~repro.audit.api.AuditReport`
 outcomes — including the published tagging/decryption evidence bundle —
 and a tampered result must fail with a named locus under every strategy.
 """
@@ -14,12 +14,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.audit.api import BatchedVerifier, EagerVerifier, StreamingVerifier
+from repro.audit.api import BatchedVerifier, EagerVerifier
 from repro.audit.checks import audit_election, audit_tally
 from repro.election.config import ElectionConfig
 from repro.election.pipeline import VotegralElection
 
-STRATEGIES = ("eager", "batched:8", "stream:16:2")
+STRATEGIES = ("eager", "batched:8", "batched:2")
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,7 @@ class TestAuditElection:
         failing = {result_.name for result_ in report.failures}
         assert "evidence.join-consistent" in failing
 
-    @pytest.mark.parametrize("spec", ["batched", "eager", "stream:4", "dist:4"])
+    @pytest.mark.parametrize("spec", ["batched", "eager", "batched:4", "dist:4"])
     def test_every_strategy_reports_the_same_verdict(self, voted_election, spec):
         election, result = voted_election
         args = (election.group, election.setup.authority, election.setup.board)
@@ -237,7 +237,7 @@ class TestBatchedBoardAudit:
 class TestVerifierClasses:
     def test_explicit_verifier_instances_accepted(self, voted_election):
         election, result = voted_election
-        for verifier in (EagerVerifier(), BatchedVerifier(chunk_size=16), StreamingVerifier(shard_size=8)):
+        for verifier in (EagerVerifier(), BatchedVerifier(chunk_size=16)):
             report = audit_tally(
                 election.group, election.setup.authority, election.setup.board, result,
                 verifier=verifier,
@@ -254,6 +254,22 @@ class TestCommandLine:
         assert code == 0
         assert "PASS: election verified under every strategy" in output
         assert "strategies agree" in output
+
+    def test_cli_compares_fingerprints_on_a_rejection_too(self, capsys, monkeypatch):
+        from repro.audit import __main__ as cli
+
+        audit = cli.audit_election
+
+        def with_tampered_counts(board, config, result, **kwargs):
+            counts = {**result.counts, 0: result.counts[0] + 1}
+            return audit(board, config, result=replace(result, counts=counts), **kwargs)
+
+        monkeypatch.setattr(cli, "audit_election", with_tampered_counts)
+        code = cli.main(["--voters", "3", "--seed", "11", "--proof-rounds", "2", "--mixers", "2"])
+        output = capsys.readouterr().out
+        assert code == 1
+        assert "strategies agree: fingerprint" in output
+        assert "rejected at tally.counts-sum" in output
 
     def test_cli_no_evidence_flag(self, capsys):
         from repro.audit.__main__ import main

@@ -3,11 +3,11 @@
 For each evidence class — ballot proof, shuffle transcript, decryption
 share, tag chain (both families), ledger batch chain, ledger hash chain —
 flip one byte (or the minimal scalar/element perturbation the type allows)
-and assert that *all three strategies* reject with the *same failure
-locus*.  On valid elections the three strategies must produce bit-identical
-:class:`~repro.audit.api.AuditReport` outcomes; on mutated evidence the
-streaming report may truncate after the failing shard but must agree with
-the eager report on everything it checked.
+and assert that *both strategies*, on the ``serial`` executor and on the
+shared loopback ``cluster``, reject with the *same failure locus*.  Every
+strategy checks the full plan, so their :class:`~repro.audit.api.AuditReport`
+outcomes — and fingerprints — are bit-identical on valid and on mutated
+evidence alike.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.audit.api import AuditPlan, BatchedVerifier, EagerVerifier, StreamingVerifier
+from repro.audit.api import AuditPlan, BatchedVerifier, EagerVerifier
 from repro.audit.checks import audit_election, audit_tally, ballot_checks, cascade_checks, decryption_checks
 from repro.audit.evidence import decryption_transcript
 from repro.audit.api import Check
@@ -40,9 +40,8 @@ from repro.tally.pipeline import TallyPipeline
 from repro.voting.ballot import make_ballot
 
 STRATEGIES = {
-    "eager": lambda: EagerVerifier(),
-    "batched": lambda: BatchedVerifier(chunk_size=4),
-    "stream": lambda: StreamingVerifier(shard_size=3, queue_depth=1),
+    "eager": lambda executor: EagerVerifier(executor=executor),
+    "batched": lambda executor: BatchedVerifier(chunk_size=4, executor=executor),
 }
 
 
@@ -52,19 +51,33 @@ def _flip_byte(data: bytes, position: int = 0) -> bytes:
     return bytes(mutated)
 
 
-def _run_all(plan_factory):
-    return {name: factory().run(plan_factory()) for name, factory in STRATEGIES.items()}
+@pytest.fixture(scope="module")
+def schedules(cluster_executor):
+    """The two executors every strategy must agree under."""
+    return {"serial": None, "cluster": cluster_executor}
+
+
+@pytest.fixture(scope="module")
+def run_all(schedules):
+    """``run_all(plan_factory)``: one report per ``(strategy, executor)``."""
+
+    def run(plan_factory):
+        return {
+            (name, schedule): build(executor).run(plan_factory())
+            for name, build in STRATEGIES.items()
+            for schedule, executor in schedules.items()
+        }
+
+    return run
 
 
 def _assert_same_rejection(reports, expected_locus=None):
-    """All strategies reject, agree on the locus, and agree on shared prefixes."""
-    eager = reports["eager"]
+    """Every strategy on every executor rejects, with one fingerprint."""
+    eager = reports["eager", "serial"]
     assert not eager.ok
-    for name, report in reports.items():
-        assert not report.ok, f"{name} accepted mutated evidence"
-        assert report.first_failure == eager.first_failure, name
-        # Whatever a (possibly truncated) report checked, it judged identically.
-        assert eager.results[: len(report.results)] == report.results, name
+    for key, report in reports.items():
+        assert not report.ok, f"{key} accepted mutated evidence"
+        assert report.fingerprint() == eager.fingerprint(), key
     if expected_locus is not None:
         assert eager.first_failure.name == expected_locus
     return eager.first_failure
@@ -79,20 +92,20 @@ class TestBallotProofMutations:
     def _plan(self, group, dkg, ballot, num_options=3):
         return lambda: AuditPlan(ballot_checks(group, dkg.public_key, ballot, num_options))
 
-    def test_valid_ballot_accepted_identically(self, group, dkg):
+    def test_valid_ballot_accepted_identically(self, group, dkg, run_all):
         ballot = make_ballot(group, dkg.public_key, schnorr_keygen(group), 1, 3)
-        reports = _run_all(self._plan(group, dkg, ballot))
+        reports = run_all(self._plan(group, dkg, ballot))
         assert all(report.ok for report in reports.values())
         assert len({report.fingerprint() for report in reports.values()}) == 1
 
-    def test_mutated_signature_rejected(self, group, dkg):
+    def test_mutated_signature_rejected(self, group, dkg, run_all):
         ballot = make_ballot(group, dkg.public_key, schnorr_keygen(group), 1, 3)
         forged = replace(ballot, signature=replace(ballot.signature, response=ballot.signature.response ^ 1))
         _assert_same_rejection(
-            _run_all(self._plan(group, dkg, forged)), expected_locus="ballot.signature"
+            run_all(self._plan(group, dkg, forged)), expected_locus="ballot.signature"
         )
 
-    def test_mutated_wellformedness_rejected(self, group, dkg):
+    def test_mutated_wellformedness_rejected(self, group, dkg, run_all):
         ballot = make_ballot(group, dkg.public_key, schnorr_keygen(group), 1, 3)
         proof = ballot.wellformedness
         tampered = replace(
@@ -100,14 +113,14 @@ class TestBallotProofMutations:
         )
         forged = replace(ballot, wellformedness=tampered)
         _assert_same_rejection(
-            _run_all(self._plan(group, dkg, forged)), expected_locus="ballot.wellformedness"
+            run_all(self._plan(group, dkg, forged)), expected_locus="ballot.wellformedness"
         )
 
-    def test_mutated_key_proof_rejected(self, group, dkg):
+    def test_mutated_key_proof_rejected(self, group, dkg, run_all):
         ballot = make_ballot(group, dkg.public_key, schnorr_keygen(group), 1, 3)
         forged = replace(ballot, key_proof=replace(ballot.key_proof, response=ballot.key_proof.response ^ 1))
         _assert_same_rejection(
-            _run_all(self._plan(group, dkg, forged)), expected_locus="ballot.credential-key-proof"
+            run_all(self._plan(group, dkg, forged)), expected_locus="ballot.credential-key-proof"
         )
 
 
@@ -122,13 +135,13 @@ class TestShuffleTranscriptMutations:
         cascade = tuple_mix_cascade(elgamal, dkg.public_key, inputs, mixers, rounds)
         return elgamal, inputs, cascade
 
-    def test_valid_cascade_accepted_identically(self, group, dkg):
+    def test_valid_cascade_accepted_identically(self, group, dkg, run_all):
         elgamal, inputs, cascade = self._cascade(group, dkg)
-        reports = _run_all(lambda: AuditPlan(cascade_checks(elgamal, dkg.public_key, inputs, cascade)))
+        reports = run_all(lambda: AuditPlan(cascade_checks(elgamal, dkg.public_key, inputs, cascade)))
         assert all(report.ok for report in reports.values())
         assert len({report.fingerprint() for report in reports.values()}) == 1
 
-    def test_mutated_opening_randomness_rejected(self, group, dkg):
+    def test_mutated_opening_randomness_rejected(self, group, dkg, run_all):
         elgamal, inputs, cascade = self._cascade(group, dkg)
         stage = cascade.stages[1]
         round_ = stage.rounds[2]
@@ -143,16 +156,16 @@ class TestShuffleTranscriptMutations:
         )
         tampered = TupleCascade(stages=[cascade.stages[0], tampered_stage] + cascade.stages[2:])
         _assert_same_rejection(
-            _run_all(lambda: AuditPlan(cascade_checks(elgamal, dkg.public_key, inputs, tampered))),
+            run_all(lambda: AuditPlan(cascade_checks(elgamal, dkg.public_key, inputs, tampered))),
             expected_locus="cascade[1].round[2]",
         )
 
-    def test_swapped_stages_fail_at_first_bad_coin_check(self, group, dkg):
+    def test_swapped_stages_fail_at_first_bad_coin_check(self, group, dkg, run_all):
         # A swapped stage passes all of its own checks with probability 2^-2R.
         elgamal, inputs, cascade = self._cascade(group, dkg, rounds=8)
         tampered = TupleCascade(stages=[cascade.stages[1], cascade.stages[0]])
         locus = _assert_same_rejection(
-            _run_all(lambda: AuditPlan(cascade_checks(elgamal, dkg.public_key, inputs, tampered)))
+            run_all(lambda: AuditPlan(cascade_checks(elgamal, dkg.public_key, inputs, tampered)))
         )
         # The re-derived Fiat–Shamir coins (or, when they coincide, the first
         # opening) expose the swap — either way the locus names stage 0.
@@ -164,14 +177,14 @@ class TestDecryptionShareMutations:
         publics = [member.public for member in dkg.members]
         return lambda: AuditPlan(decryption_checks(transcript, publics, "decryption[0]"))
 
-    def test_valid_transcript_accepted_identically(self, group, dkg):
+    def test_valid_transcript_accepted_identically(self, group, dkg, run_all):
         elgamal = ElGamal(group)
         ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
         transcript = decryption_transcript(dkg, ciphertext)
-        reports = _run_all(self._plan(dkg, transcript))
+        reports = run_all(self._plan(dkg, transcript))
         assert all(report.ok for report in reports.values())
 
-    def test_mutated_share_response_rejected(self, group, dkg):
+    def test_mutated_share_response_rejected(self, group, dkg, run_all):
         elgamal = ElGamal(group)
         ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
         transcript = decryption_transcript(dkg, ciphertext)
@@ -180,22 +193,22 @@ class TestDecryptionShareMutations:
             transcript, shares=(transcript.shares[0], bad) + transcript.shares[2:]
         )
         _assert_same_rejection(
-            _run_all(self._plan(dkg, tampered)), expected_locus="decryption[0].share[2]"
+            run_all(self._plan(dkg, tampered)), expected_locus="decryption[0].share[2]"
         )
 
-    def test_substituted_share_value_rejected(self, group, dkg):
+    def test_substituted_share_value_rejected(self, group, dkg, run_all):
         elgamal = ElGamal(group)
         ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
         transcript = decryption_transcript(dkg, ciphertext)
         bad = replace(transcript.shares[0], share=transcript.shares[0].share * group.generator)
         tampered = replace(transcript, shares=(bad,) + transcript.shares[1:])
         _assert_same_rejection(
-            _run_all(self._plan(dkg, tampered)), expected_locus="decryption[0].share[1]"
+            run_all(self._plan(dkg, tampered)), expected_locus="decryption[0].share[1]"
         )
 
 
 class TestTagChainMutations:
-    def test_element_chain_mutation_rejected(self, group, tagging):
+    def test_element_chain_mutation_rejected(self, group, tagging, run_all):
         element = group.power(7)
         tag = tagging.blind_element(element)
         tampered_step = replace(tag.steps[1], after=tag.steps[1].after * group.generator)
@@ -203,9 +216,9 @@ class TestTagChainMutations:
         plan = lambda: AuditPlan(
             [Check("tag-chain", "tag[0].chain", (tampered, element, tuple(tagging.commitments)))]
         )
-        _assert_same_rejection(_run_all(plan), expected_locus="tag[0].chain")
+        _assert_same_rejection(run_all(plan), expected_locus="tag[0].chain")
 
-    def test_ciphertext_chain_proof_mutation_rejected(self, group, dkg, tagging):
+    def test_ciphertext_chain_proof_mutation_rejected(self, group, dkg, tagging, run_all):
         elgamal = ElGamal(group)
         ciphertext = elgamal.encrypt(dkg.public_key, group.power(3))
         blinded, steps = tagging.blind_ciphertext_with_proof(ciphertext)
@@ -220,9 +233,9 @@ class TestTagChainMutations:
                 )
             ]
         )
-        _assert_same_rejection(_run_all(plan), expected_locus="tag[ballot][0].blind-steps")
+        _assert_same_rejection(run_all(plan), expected_locus="tag[ballot][0].blind-steps")
 
-    def test_valid_chains_accepted_identically(self, group, dkg, tagging):
+    def test_valid_chains_accepted_identically(self, group, dkg, tagging, run_all):
         elgamal = ElGamal(group)
         element = group.power(7)
         ciphertext = elgamal.encrypt(dkg.public_key, group.power(3))
@@ -238,13 +251,13 @@ class TestTagChainMutations:
                 ),
             ]
         )
-        reports = _run_all(plan)
+        reports = run_all(plan)
         assert all(report.ok for report in reports.values())
         assert len({report.fingerprint() for report in reports.values()}) == 1
 
 
 class TestLedgerChainMutations:
-    def test_flipped_log_payload_rejected(self):
+    def test_flipped_log_payload_rejected(self, run_all):
         log = AppendOnlyLog("L_V")
         for index in range(6):
             log.append(b"payload-%d" % index)
@@ -253,7 +266,7 @@ class TestLedgerChainMutations:
         plan = lambda: AuditPlan(
             [Check("ledger-chain", "ledger.ballot-chain", ("ballot", tuple(entries)))]
         )
-        _assert_same_rejection(_run_all(plan), expected_locus="ledger.ballot-chain")
+        _assert_same_rejection(run_all(plan), expected_locus="ledger.ballot-chain")
 
     def test_board_view_audit_chains_names_locus(self):
         from repro.ledger.api import BoardView
@@ -276,7 +289,7 @@ class TestLedgerChainMutations:
         assert report.first_failure.name == "ledger.registration-chain"
         assert not view.verify_all_chains()
 
-    def test_flipped_batch_digest_rejected(self, group):
+    def test_flipped_batch_digest_rejected(self, group, run_all):
         board = BatchedBoard(MemoryBackend(), batch_size=2)
         board.publish_electoral_roll([f"v{i}" for i in range(4)])
         board.flush()
@@ -290,11 +303,11 @@ class TestLedgerChainMutations:
         )
         valid = (first, second)
         plan_valid = lambda: AuditPlan([Check("batch-chain", "ledger.ingest-batches", (valid,))])
-        assert all(report.ok for report in _run_all(plan_valid).values())
+        assert all(report.ok for report in run_all(plan_valid).values())
 
         tampered = (first, replace(second, previous_digest=_flip_byte(second.previous_digest)))
         plan_bad = lambda: AuditPlan([Check("batch-chain", "ledger.ingest-batches", (tampered,))])
-        _assert_same_rejection(_run_all(plan_bad), expected_locus="ledger.ingest-batches")
+        _assert_same_rejection(run_all(plan_bad), expected_locus="ledger.ingest-batches")
 
 
 class TestRegistrationAuditNamesLocus:
@@ -352,10 +365,9 @@ class TestRegistrationAuditNamesLocus:
 # One verifier, so its structural mutation space can be listed instead of
 # sampled: for both cascades and every stage, each way a transcript can lose
 # or gain rounds, stages or items is rejected at the locus that names it,
-# with the same first failure under every strategy.
+# with one fingerprint under every strategy on both executors.
 
-SPECS = ("eager", "batched:8", "stream:4:1", "dist:4")
-FULL_PLAN_SPECS = ("eager", "batched:8", "dist:4")  # stream stops at the first failing shard
+SPECS = ("eager", "batched:8", "dist:4")
 MIXERS = 3
 # Every mutation below but one fails an integer predicate.  Swapping two
 # stages keeps the shape, and a swapped stage passes all of its own proof
@@ -381,22 +393,25 @@ def tallied():
     election.close()
 
 
-def _audit(election, result, spec, pinned=True):
+def _audit(election, result, spec, pinned=True, executor=None):
     pins = {"num_mixers": MIXERS, "proof_rounds": ROUNDS} if pinned else {}
     return audit_tally(
         election.group, election.setup.authority, election.setup.board, result,
-        election_id=election.config.election_id, verifier=spec, **pins,
+        election_id=election.config.election_id, verifier=spec, executor=executor, **pins,
     )
 
 
+def _every_schedule(schedules, audit):
+    """``audit(spec, executor)`` for every spec on every executor, by ``(spec, executor name)``."""
+    return {(spec, name): audit(spec, executor) for spec in SPECS for name, executor in schedules.items()}
+
+
 def _assert_rejected_alike(reports, locus=None, prefix=None):
-    """Every strategy rejects at one locus; the full-plan strategies fingerprint alike."""
-    eager = reports["eager"]
-    for spec, report in reports.items():
-        assert not report.ok, f"{spec} accepted the mutation"
-        assert report.first_failure == eager.first_failure, spec
-        assert eager.results[: len(report.results)] == report.results, spec
-    assert len({reports[spec].fingerprint() for spec in FULL_PLAN_SPECS}) == 1
+    """Every strategy on every executor rejects, with one fingerprint."""
+    eager = reports["eager", "serial"]
+    for key, report in reports.items():
+        assert not report.ok, f"{key} accepted the mutation"
+        assert report.fingerprint() == eager.fingerprint(), key
     name = eager.first_failure.name
     assert (name == locus) if locus is not None else name.startswith(prefix), name
     return eager.first_failure
@@ -418,30 +433,32 @@ STAGE_MUTATIONS = {
 
 
 class TestCascadeStructureMutations:
-    def test_honest_tally_accepted_identically_pinned_and_unpinned(self, tallied):
+    def test_honest_tally_accepted_identically_pinned_and_unpinned(self, tallied, schedules):
         election, _, result = tallied
         for pinned in (True, False):
-            reports = [_audit(election, result, spec, pinned) for spec in SPECS]
+            reports = _every_schedule(
+                schedules, lambda spec, executor: _audit(election, result, spec, pinned, executor)
+            ).values()
             assert all(report.ok for report in reports), [r.summary() for r in reports]
             assert len({report.fingerprint() for report in reports}) == 1
 
     @pytest.mark.parametrize("mutation", sorted(STAGE_MUTATIONS))
     @pytest.mark.parametrize("index", range(MIXERS))
     @pytest.mark.parametrize("label", sorted(CASCADES))
-    def test_stage_mutation_rejected_at_its_locus(self, tallied, label, index, mutation):
+    def test_stage_mutation_rejected_at_its_locus(self, tallied, schedules, label, index, mutation):
         election, _, result = tallied
         mutate, locus = STAGE_MUTATIONS[mutation]
         stages = mutate(list(getattr(result, CASCADES[label]).stages), index)
         forged = replace(result, **{CASCADES[label]: TupleCascade(stages=stages)})
         failure = _assert_rejected_alike(
-            {spec: _audit(election, forged, spec) for spec in SPECS},
+            _every_schedule(schedules, lambda spec, executor: _audit(election, forged, spec, executor=executor)),
             locus=locus.format(label=label, i=index),
         )
         assert failure.kind == "predicate"
 
     @pytest.mark.parametrize("index", range(MIXERS - 1))
     @pytest.mark.parametrize("label", sorted(CASCADES))
-    def test_swapped_stages_fail_the_first_swapped_proof(self, tallied, label, index):
+    def test_swapped_stages_fail_the_first_swapped_proof(self, tallied, schedules, label, index):
         """Shape intact (counts, widths, rounds all match): only the proofs can tell."""
         election, _, result = tallied
         stages = list(getattr(result, CASCADES[label]).stages)
@@ -449,12 +466,14 @@ class TestCascadeStructureMutations:
         forged = replace(result, **{CASCADES[label]: TupleCascade(stages=stages)})
         for pinned in (True, False):
             failure = _assert_rejected_alike(
-                {spec: _audit(election, forged, spec, pinned) for spec in SPECS},
+                _every_schedule(
+                    schedules, lambda spec, executor: _audit(election, forged, spec, pinned, executor)
+                ),
                 prefix=f"{label}[{index}].",
             )
             assert failure.kind in ("shuffle-coins", "shuffle-round")
 
-    def test_truncated_and_extended_outputs_rejected_unpinned_too(self, tallied):
+    def test_truncated_and_extended_outputs_rejected_unpinned_too(self, tallied, schedules):
         election, _, result = tallied
         for mutation in ("truncate-outputs", "extend-outputs", "drop-all-rounds"):
             mutate, locus = STAGE_MUTATIONS[mutation]
@@ -462,7 +481,9 @@ class TestCascadeStructureMutations:
                 result, ballot_cascade=TupleCascade(stages=mutate(list(result.ballot_cascade.stages), 1))
             )
             _assert_rejected_alike(
-                {spec: _audit(election, forged, spec, pinned=False) for spec in SPECS},
+                _every_schedule(
+                    schedules, lambda spec, executor: _audit(election, forged, spec, False, executor)
+                ),
                 locus=locus.format(label="ballot-mix", i=1),
             )
 
@@ -546,38 +567,41 @@ class TestZeroRoundForgery:
         assert [failure.name for failure in report.failures] == ["ballot-mix.stages"]
 
     @pytest.mark.parametrize("name", sorted(UNPINNED_LOCUS))
-    def test_rejected_by_every_front_door_under_every_strategy(self, tallied, name, cascade_report):
+    def test_rejected_by_every_front_door_under_every_strategy(self, tallied, schedules, name, cascade_report):
         election, tagging, result = tallied
         inputs, cascade, forged = self._forged(election, tagging, result, name)
         setup, config = election.setup, election.config
         for pinned, locus in ((True, "ballot-mix.stages"), (False, self.UNPINNED_LOCUS[name])):
             pins = {"num_mixers": MIXERS, "proof_rounds": ROUNDS} if pinned else {}
             _assert_rejected_alike(
-                {spec: _audit(election, forged, spec, pinned) for spec in SPECS}, locus=locus
+                _every_schedule(
+                    schedules, lambda spec, executor: _audit(election, forged, spec, pinned, executor)
+                ),
+                locus=locus,
             )
             _assert_rejected_alike(
-                {
-                    spec: audit_election(
+                _every_schedule(
+                    schedules,
+                    lambda spec, executor: audit_election(
                         setup.board, config if pinned else None, authority=setup.authority,
-                        result=forged, verifier=spec,
-                    )
-                    for spec in SPECS
-                },
+                        result=forged, verifier=spec, executor=executor,
+                    ),
+                ),
                 locus=locus,
             )
             # The cascade on its own, as a mix auditor holds it: same locus.
             _assert_rejected_alike(
-                {
-                    spec: cascade_report(
+                _every_schedule(
+                    schedules,
+                    lambda spec, executor: cascade_report(
                         ElGamal(election.group), setup.authority.public_key, inputs, cascade,
-                        audit_spec=spec, label="ballot-mix", **pins,
-                    )
-                    for spec in SPECS
-                },
+                        executor=executor, audit_spec=spec, label="ballot-mix", **pins,
+                    ),
+                ),
                 locus=locus,
             )
 
-    def test_pinned_parameters_reject_a_weaker_honest_proof(self, tallied):
+    def test_pinned_parameters_reject_a_weaker_honest_proof(self, tallied, schedules):
         """Fewer mixers or rounds than configured is a valid proof of a weaker claim."""
         election, _, result = tallied
         assert _audit(election, result, "batched", pinned=False).ok
@@ -585,13 +609,13 @@ class TestZeroRoundForgery:
             ({"num_mixers": MIXERS + 1}, "registration-mix.stages"),
             ({"proof_rounds": ROUNDS + 1}, "registration-mix[0].rounds"),
         ):
-            reports = {
-                spec: audit_tally(
+            reports = _every_schedule(
+                schedules,
+                lambda spec, executor: audit_tally(
                     election.group, election.setup.authority, election.setup.board, result,
-                    verifier=spec, **pins,
-                )
-                for spec in SPECS
-            }
+                    verifier=spec, executor=executor, **pins,
+                ),
+            )
             _assert_rejected_alike(reports, locus=locus)
 
     def test_zero_mixers_counts_nothing_and_audits_ok_only_when_pinned_as_zero(self, tallied):

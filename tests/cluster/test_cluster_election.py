@@ -19,7 +19,7 @@ import pytest
 from cluster_tasks import CLUSTER_PAGE_SIZE as PAGE_SIZE
 from cluster_tasks import CLUSTER_WORKERS
 
-from repro.audit.api import DistributedVerifier
+from repro.audit.api import BatchedVerifier
 from repro.audit.checks import audit_tally
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import ElGamal
@@ -146,9 +146,9 @@ class TestBitIdentityMatrix:
                 executor = executor_from_spec(spec)
                 try:
                     result = _run_tally(group, authority, tagging, board, executor)
-                    # Serial audits use the default batched strategy; cluster
-                    # audits ship check shards to the remote workers.
-                    verifier = "batched" if spec == "serial" else "dist:16"
+                    # Cluster audits ship every kind's chunks to the remote
+                    # workers in one starmap.
+                    verifier = "batched" if spec == "serial" else "batched:16"
                     report = audit_tally(
                         group, authority, board, result,
                         verifier=verifier, executor=executor,
@@ -181,7 +181,7 @@ class TestBitIdentityMatrix:
 
 class TestClusterElectionEndToEnd:
     def test_config_spec_cluster_election_verifies(self):
-        """The acceptance path: executor_spec='cluster:N' + audit_spec='dist'."""
+        """The acceptance path: executor_spec='cluster:N' + the benchmark's audit_spec='dist'."""
         config = ElectionConfig(
             num_voters=4,
             num_mixers=NUM_MIXERS,
@@ -194,7 +194,7 @@ class TestClusterElectionEndToEnd:
             report = election.run(rng=random.Random(11))
         assert report.universally_verified
         assert report.counts_match_intent
-        assert election.audit_report.strategy == "dist"
+        assert election.audit_report.strategy == "batched"
         assert election.audit_report.ok
 
 
@@ -232,7 +232,7 @@ class TestFaultInjection:
             threading.Timer(0.3, executor.worker_processes[1].kill).start()
             report = audit_tally(
                 group, authority, board, result,
-                verifier=DistributedVerifier(shard_size=4, executor=executor),
+                verifier=BatchedVerifier(chunk_size=4, executor=executor),
                 executor=executor,
             )
         finally:

@@ -28,7 +28,7 @@ from repro.crypto.mac import mac_sign
 from repro.cluster.worker import WorkerDaemon, main as worker_main
 from repro.errors import ClusterError
 from repro.runtime.executor import executor_from_spec
-from repro.runtime.pipeline import Shard, Stage, StreamPipeline, iter_shards
+from repro.runtime.pipeline import StreamPipeline
 
 
 class TestExecutorContract:
@@ -104,16 +104,12 @@ class TestExecutorContract:
         for i in range(4):
             assert outcomes[f"t{i}"] == [x * x for x in range(10 * i, 10 * i + 20)]
 
-    def test_stream_pipeline_stage_runs_on_remote_executor(self, cluster_executor):
-        class SquareStage(Stage):
-            name = "square"
-
-            def process(self, shard):
-                yield Shard(shard.index, cluster_executor.map(cluster_tasks.square, shard.items))
-
-        shards = StreamPipeline([SquareStage()], name="remote-map").run(iter_shards(list(range(30)), 7))
-        flat = [item for shard in shards for item in shard.items]
-        assert flat == [i * i for i in range(30)]
+    def test_stream_pipeline_function_runs_on_remote_executor(self, cluster_executor):
+        pages = [list(range(start, min(start + 7, 30))) for start in range(0, 30, 7)]
+        results = StreamPipeline(
+            lambda page: cluster_executor.map(cluster_tasks.square, page), name="remote-map"
+        ).run(pages)
+        assert [item for page in results for item in page] == [i * i for i in range(30)]
 
 
 class TestEnrollment:

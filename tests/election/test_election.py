@@ -30,6 +30,7 @@ class TestElectionConfig:
             ("pipeline_spec", "stream:32:4", ValueError),
             ("audit_spec", "batchd", ValueError),
             ("audit_spec", "stream:2:0", ValueError),
+            ("audit_spec", "dist:0", ValueError),
             ("telemetry_spec", "jsonl:", ValueError),
             ("bigint_spec", "gmp", BigIntError),
             ("gateway_spec", "serve:70000", GatewayError),

@@ -33,13 +33,13 @@ CHOICES = dict(zip(VOTERS, (1, 0, 1)))
 def test_one_mapping_from_service_and_request_to_election_config(board_spec, mapped):
     """Every tenant board is batched once: wrapped at the governor's size unless it already is."""
     service = ServiceConfig(
-        board_spec=board_spec, executor_spec="serial", audit_spec="stream:4",
+        board_spec=board_spec, executor_spec="serial", audit_spec="batched:4",
         num_mixers=3, proof_rounds=5, governor=GovernorConfig(batch_size=7),
     )
     request = CreateElectionRequest(election_id="mapped", num_voters=12345, num_options=4, group="modp-256")
     config = service.election_config(request, request.group)
     assert config.board_spec == mapped
-    assert (config.executor_spec, config.audit_spec) == ("serial", "stream:4")
+    assert (config.executor_spec, config.audit_spec) == ("serial", "batched:4")
     assert (config.num_mixers, config.proof_rounds, config.num_authority_members) == (3, 5, 3)
     assert (config.election_id, config.num_voters, config.num_options) == ("mapped", 12345, 4)
     assert config.voter_ids()[-1] == "voter-12344"
@@ -105,7 +105,7 @@ def test_shutdown_releases_a_tallied_tenants_worker_pool(make_gateway):
 
 
 def test_a_dist_audit_at_the_gateway_runs_on_the_tenants_executor(make_gateway):
-    """``audit_spec="dist"`` ships its shards over the election's executor, as in-process."""
+    """``audit_spec="dist"`` ships its chunks over the election's executor, as in-process."""
     fixture = make_gateway(
         ServiceConfig(executor_spec="cluster:2", audit_spec="dist:4", governor=GovernorConfig.from_env())
     )
@@ -120,13 +120,13 @@ def test_a_dist_audit_at_the_gateway_runs_on_the_tenants_executor(make_gateway):
     client.tally("dist")
     executor = fixture.service.tenants["dist"].election.executor
     shipped = []
-    plain_map = executor.map
-    executor.map = lambda fn, items, chunksize=None: (
-        shipped.append(fn.__name__) or plain_map(fn, items, chunksize)
+    plain_starmap = executor.starmap
+    executor.starmap = lambda fn, items, chunksize=None: (
+        shipped.append(fn.__name__) or plain_starmap(fn, items, chunksize)
     )
     report = client.audit_report("dist")
     assert report.ok and report.strategy == "dist:4"
-    assert "_verify_check_shard" in shipped
+    assert shipped == ["_chunk_verdicts_named"]
     client.close()
 
 

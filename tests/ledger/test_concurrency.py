@@ -124,11 +124,11 @@ class TestAsyncIngestion:
         records = [make_ballot(group, keypair, index) for index in range(120)]
 
         async def cast_all():
-            seqs = await asyncio.gather(
-                *(frontend.post_ballot(record) for record in records)
+            batches = await asyncio.gather(
+                *(frontend.post_ballots([record]) for record in records)
             )
             await frontend.drain()
-            return seqs
+            return [seq for (seq,) in batches]
 
         seqs = asyncio.run(cast_all())
         assert sorted(seqs) == list(range(120))

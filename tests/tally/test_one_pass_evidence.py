@@ -53,7 +53,7 @@ NUM_OPTIONS = 3
 NUM_MIXERS = 2
 PROOF_ROUNDS = 2
 SCHEDULES = ["serial", "stream:4"]
-AUDIT_SPECS = ("eager", "batched", "stream:4:2", "dist:8")
+AUDIT_SPECS = ("eager", "batched", "batched:8")
 
 
 def _voted(group_factory, num_voters, members):

@@ -12,7 +12,7 @@ from repro.tally.decrypt import aggregate, decrypt_votes
 from repro.tally.pipeline import TallyPipeline
 from repro.voting.client import VotingClient
 
-AUDIT_SPECS = ("eager", "batched", "stream:4")
+AUDIT_SPECS = ("eager", "batched", "batched:4", "dist:4")
 
 
 def _register_and_vote(setup, votes, fake_votes=None):

@@ -2,7 +2,7 @@
 
 The tally has one schedule — read + check, mix, filter, decrypt, each phase to
 completion.  ``stream[:queue_depth]`` only moves the cursor-paged ledger read
-onto a reader thread that runs ahead of the signature check (the one-stage
+onto a reader thread that runs ahead of the signature check (the
 ``ballot-read`` :class:`~repro.runtime.pipeline.StreamPipeline`), so it must
 be *bit-for-bit* invisible in everything published — chain heads, both mix
 cascades with their shadow-mix proofs, the filter transcript, the decrypted
@@ -12,9 +12,8 @@ board in pages of 1 and 3 records so the overlap really spans pages, seed the
 randomness tape and compare whole :class:`TallyResult` objects.
 
 Failure paths are covered too: a forged signature in the middle of the stream
-is dropped identically, an executor dying inside the read stage propagates its
-error unchanged and leaves no thread behind, and streaming verification
-cancels outstanding checks at the first failure.
+is dropped identically, and an executor dying inside the signature check
+propagates its error unchanged and leaves no thread behind.
 
 The CI stress job reruns this module with randomized
 ``REPRO_PIPELINE_QUEUE_DEPTH``.
@@ -29,9 +28,7 @@ import time
 
 import pytest
 
-from repro.audit.api import AuditPlan, EagerVerifier, verifier_from_spec
-from repro.audit.checks import audit_tally, cascade_checks
-from repro.crypto.elgamal import ElGamal
+from repro.audit.checks import audit_tally
 from repro.crypto.group import Group
 from repro.crypto.tagging import TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
@@ -39,7 +36,6 @@ from repro.runtime.executor import SerialExecutor
 from repro.runtime.pipeline import PipelineSpec
 from repro.spec import env
 from repro.tally import mixnet
-from repro.tally.mixnet import TupleCascade, tuple_mix_cascade
 from repro.tally.pipeline import TallyPipeline
 
 NUM_VOTERS = 5
@@ -50,8 +46,7 @@ PROOF_ROUNDS = 2
 QUEUE_DEPTH = env("REPRO_PIPELINE_QUEUE_DEPTH") or 2
 
 STREAM_SPEC = PipelineSpec(streaming=True, queue_depth=QUEUE_DEPTH)
-STREAM_AUDIT = f"stream:2:{QUEUE_DEPTH}"
-AUDIT_SPECS = ("eager", "batched", STREAM_AUDIT, "dist:4")
+AUDIT_SPECS = ("eager", "batched", "batched:2")
 
 
 def _seeded_randomness(monkeypatch, seed: int) -> None:
@@ -165,7 +160,7 @@ def test_streamed_tally_bit_identical(monkeypatch, voted_election, backends, bac
     ).ok
     assert audit_tally(
         group, voted_election.setup.authority, voted_election.setup.board, reference,
-        voted_election.config.election_id, executor=backends[backend], verifier=STREAM_AUDIT,
+        voted_election.config.election_id, executor=backends[backend], verifier="batched:2",
     ).ok
 
 
@@ -254,8 +249,8 @@ class _FlakyExecutor(SerialExecutor):
 
 
 def test_executor_failure_inside_the_read_stage_propagates(voted_election):
-    """The signature check of the second page dies on the stage thread: the
-    caller sees that exception, promptly, and every pipeline thread is joined."""
+    """The signature check of the second page dies while the reader runs
+    ahead: the caller sees that exception, promptly, and the reader is joined."""
     tagging = TaggingAuthority.create(voted_election.group, voted_election.setup.authority.num_members)
     before = set(threading.enumerate())
     executor = _FlakyExecutor(fail_after=1)
@@ -269,35 +264,3 @@ def test_executor_failure_inside_the_read_stage_propagates(voted_election):
     assert time.perf_counter() - start < 10
     assert executor.calls == 2  # it died inside the read, not in a later phase
     assert set(threading.enumerate()) <= before
-
-
-def _cascade_inputs(group, count=9):
-    elgamal = ElGamal(group)
-    secret = group.random_scalar()
-    public_key = group.power(secret)
-    inputs = [
-        (elgamal.encrypt(public_key, group.power(i + 1)), elgamal.encrypt(public_key, group.power(i + 2)))
-        for i in range(count)
-    ]
-    return elgamal, public_key, inputs
-
-
-def test_streaming_verify_cancels_after_first_failure(voted_election):
-    group = voted_election.group
-    elgamal, public_key, inputs = _cascade_inputs(group, count=6)
-    many_mixers = 6
-    # Six rounds: a swapped stage survives all of its own checks with
-    # probability 2^-2R (coins coincide and every round opens the output side).
-    cascade = tuple_mix_cascade(elgamal, public_key, inputs, many_mixers, rounds=6)
-    # Corrupt the transcript: swap two stages so the first stage's proof no
-    # longer matches its claimed inputs.
-    corrupted = TupleCascade(stages=[cascade.stages[1], cascade.stages[0]] + cascade.stages[2:])
-    plan = AuditPlan(cascade_checks(elgamal, public_key, inputs, corrupted))
-    report = verifier_from_spec("stream:1:1").run(plan)
-    assert not report.ok
-    assert report.first_failure.name.startswith("cascade[0].")
-    # First-failure cancellation: the auditor pays for the shards up to the
-    # failing one (plus at most the queued and the in-hand shard), not for
-    # the other five stages' proofs.
-    assert len(report.results) < len(plan)
-    assert report.results == EagerVerifier().run(plan).results[: len(report.results)]

@@ -37,15 +37,15 @@ def _phase_spans(snapshot, exclude=()):
 
 
 def test_stream_opens_one_ballot_read_pipeline_and_keeps_the_serial_phase_spans(monkeypatch):
-    """``stream`` moves the ledger read onto the one-stage ``ballot-read``
-    pipeline and nothing else: tag, join, decrypt and every mixer emit their
-    spans from the call sites the serial schedule uses (one span each, the
-    same attributes — no per-shard stage spans)."""
+    """``stream`` moves the ledger read onto the ``ballot-read`` read-ahead
+    and nothing else: tag, join, decrypt and every mixer emit their spans
+    from the call sites the serial schedule uses (one span each, the same
+    attributes — no per-shard stage spans)."""
     opened = []
     run = StreamPipeline.run
 
     def recording_run(self, *args, **kwargs):
-        opened.append((self.name, [stage.name for stage in self.stages]))
+        opened.append(self.name)
         return run(self, *args, **kwargs)
 
     monkeypatch.setattr(StreamPipeline, "run", recording_run)
@@ -60,7 +60,7 @@ def test_stream_opens_one_ballot_read_pipeline_and_keeps_the_serial_phase_spans(
         shapes[spec] = telemetry.snapshot()
         telemetry.configure("off")
 
-    assert opened == [("ballot-read", ["sig-check"])]  # one pipeline, under stream only
+    assert opened == ["ballot-read"]  # one pipeline, under stream only
     serial, streamed = shapes["serial"], shapes["stream:2"]
     assert PHASES <= set(streamed.span_names())
     assert _phase_spans(streamed) == _phase_spans(serial)
@@ -68,10 +68,7 @@ def test_stream_opens_one_ballot_read_pipeline_and_keeps_the_serial_phase_spans(
         "tally.decrypt", "tally.join", "tally.tag",
     ]
     assert not serial.spans_named("pipeline.stage")
-    stages = {
-        (span["attrs"]["pipeline"], span["attrs"]["stage"]) for span in streamed.spans_named("pipeline.stage")
-    }
-    assert stages == {("ballot-read", "sig-check")}
+    assert {span["attrs"]["pipeline"] for span in streamed.spans_named("pipeline.stage")} == {"ballot-read"}
     # The bounded queue sampled its depth; the high-water mark survives.
     assert streamed.gauge_high_water("pipeline.queue.depth") is not None
 

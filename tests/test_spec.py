@@ -46,9 +46,8 @@ VALID = [
     (spec.AUDIT, "eager:", "eager", {}),
     (spec.AUDIT, "batched", "batched", {}),
     (spec.AUDIT, "batched:512", "batched", {"chunk_size": 512}),
-    (spec.AUDIT, "stream:32:8", "stream", {"shard_size": 32, "queue_depth": 8}),
     (spec.AUDIT, "dist", "dist", {}),
-    (spec.AUDIT, "DIST:256", "dist", {"shard_size": 256}),
+    (spec.AUDIT, "DIST:256", "dist", {"chunk_size": 256}),
     (spec.TELEMETRY, None, "off", {}),
     (spec.TELEMETRY, "  off  ", "off", {}),
     (spec.TELEMETRY, "MEM", "mem", {}),
@@ -105,12 +104,15 @@ INVALID = [
     (spec.PIPELINE, "stream::8", "extra arg"),
     (spec.AUDIT, "batchd", "unknown head"),
     (spec.AUDIT, "streaming", "unknown head"),
+    (spec.AUDIT, "stream", "unknown head"),
+    (spec.AUDIT, "stream:16:2", "unknown head"),
+    (spec.AUDIT, "stream:2:0", "unknown head"),
+    (spec.AUDIT, "stream:x", "unknown head"),
     (spec.AUDIT, "distributed", "unknown head"),
     (spec.AUDIT, "eager:1", "extra arg"),
     (spec.AUDIT, "batched:zero", "non-int"),
     (spec.AUDIT, "batched:0", "<1"),
-    (spec.AUDIT, "stream:2:0", "<1"),
-    (spec.AUDIT, "stream:x", "non-int"),
+    (spec.AUDIT, "dist:0", "<1"),
     (spec.AUDIT, "dist:4:4", "extra arg"),
     (spec.TELEMETRY, "statsd:localhost", "unknown head"),
     (spec.TELEMETRY, "jsonl", "empty required path"),
@@ -200,8 +202,8 @@ def test_every_knob_reads_unset_set_and_garbage(knob, monkeypatch):
 def test_knob_table_counts_and_ownership():
     owners = [knob.owner for knob in spec.KNOBS.values()]
     assert len([owner for owner in owners if owner.startswith("repro.")]) == 9
-    assert len([owner for owner in owners if owner.startswith("tests/")]) == 6
-    assert len(owners) == 15 and all(knob.doc for knob in spec.KNOBS.values())
+    assert len([owner for owner in owners if owner.startswith("tests/")]) == 5
+    assert len(owners) == 14 and all(knob.doc for knob in spec.KNOBS.values())
 
 
 def test_undeclared_variables_cannot_be_read():
