@@ -145,9 +145,6 @@ class Group(abc.ABC):
             h.update(part)
         return int.from_bytes(h.digest(), "big") % self.order
 
-    def scalar_from_bytes(self, data: bytes) -> int:
-        return int.from_bytes(data, "big") % self.order
-
     # Convenience ------------------------------------------------------------
 
     def power(self, scalar: int) -> GroupElement:
@@ -324,18 +321,3 @@ class ElementEncoding:
 
     def to_bytes(self) -> bytes:
         return self.data
-
-
-@dataclass(frozen=True)
-class GroupDescription:
-    """A lightweight, serializable description of a group choice.
-
-    Protocol messages and ledger records refer to groups by description so a
-    verifier can re-instantiate the correct backend.
-    """
-
-    name: str
-    bits: int
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.name}({self.bits} bits)"

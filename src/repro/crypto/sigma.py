@@ -94,23 +94,6 @@ class SigmaTranscript:
         )
 
 
-@dataclass(frozen=True)
-class InteractiveProofResult:
-    """The outcome of running a Σ-protocol inside a registration session."""
-
-    transcript: "object"
-    session: SigmaSession
-    claimed_sound: bool
-
-    def voter_observes_sound_order(self) -> bool:
-        """What the voter can verify without a device: the printing order."""
-        return self.session.is_sound_order
-
-    def consistent(self) -> bool:
-        """A *claimed-real* credential must have been produced in sound order."""
-        return self.claimed_sound == self.session.is_sound_order
-
-
 def require_move_order(session: SigmaSession, expected: tuple, context: str = "") -> None:
     """Raise :class:`ProtocolError` unless the session followed ``expected``."""
     if tuple(session.moves) != expected:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro import telemetry
-from repro.audit.api import Verifier, verifier_from_spec
 from repro.crypto import bigint
 from repro.crypto.group import Group
 from repro.crypto.modp_group import testing_group
@@ -33,8 +32,9 @@ class ElectionConfig:
 
     - ``executor_spec``: backend the tally's parallel stages run on.
     - ``board_spec``: storage of the bulletin board's three sub-ledgers.
-    - ``pipeline_spec``: ``stream`` reads the ballot ledger a page ahead of the
-      tally's signature check; the tally's phases run one after another either way.
+    - ``pipeline_spec``: ``stream`` reads the ballot ledger's pages on a reader
+      thread, ahead of the tally collecting them; the tally's phases run one
+      after another either way.
     - ``audit_spec``: verification strategy of :mod:`repro.audit`.
     - ``audit_evidence``: publish :class:`repro.audit.evidence.TallyEvidence`
       for external auditors (each tag is then derived once, with its proofs:
@@ -103,9 +103,6 @@ class ElectionConfig:
 
     def make_pipeline(self) -> PipelineSpec:
         return pipeline_from_spec(self.pipeline_spec)
-
-    def make_verifier(self, executor: Optional[Executor] = None) -> "Verifier":
-        return verifier_from_spec(self.audit_spec, executor=executor)
 
     def make_board_backend(self, group: Optional[Group] = None) -> LedgerBackend:
         return board_from_spec(self.board_spec, group=group)

@@ -531,7 +531,9 @@ class TallyResponse(Schema):
     counts: Dict[str, int] = wire("map-int", "per-option vote counts (keys are option indices)")
     turnout: int = wire("int", "counted ballots", min_value=0)
     num_ballots_on_ledger: int = wire("int", "ballots read from the ledger", min_value=0)
-    num_valid_ballots: int = wire("int", "ballots passing signature/proof checks", min_value=0)
+    num_valid_ballots: int = wire(
+        "int", "credentials with a validly signed ballot, after last-write-wins", min_value=0
+    )
     num_counted: int = wire("int", "ballots surviving tag filtering", min_value=0)
     num_discarded: int = wire("int", "fake-credential ballots discarded", min_value=0)
     winner: int = wire("int", "winning option index", min_value=0)

@@ -42,10 +42,6 @@ class RegistrarKeys:
     def kiosk_public_keys(self) -> List:
         return [keypair.public for keypair in self.kiosk_keys]
 
-    @property
-    def official_public_keys(self) -> List:
-        return [keypair.public for keypair in self.official_keys]
-
 
 @dataclass
 class ElectionSetup:

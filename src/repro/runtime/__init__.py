@@ -19,7 +19,7 @@ accelerations that compose with any backend:
 * :mod:`repro.runtime.pipeline` — the tally's ledger read-ahead (one
   reader thread, one bounded queue): under
   :attr:`repro.election.config.ElectionConfig.pipeline_spec` ``stream`` the
-  paged ledger read runs ahead of the signature check.
+  paged ledger read runs ahead of the tally collecting the records.
 
 Importing this package installs the fixed-base accelerator hook; everything
 else is opt-in per call (``executor=...``) or per election (config).

@@ -16,8 +16,9 @@ saves most of its work.
 Three instantiations used by the tally hot paths:
 
 * :func:`batch_schnorr_verify` — ballot signature checks in
-  ``TallyPipeline._valid_ballots`` (one generator exponentiation for the
-  whole batch instead of one per signature);
+  ``TallyPipeline._valid_ballots``, which checks only the ballots
+  last-write-wins can count (one generator exponentiation for the whole
+  batch instead of one per signature);
 * :func:`batch_chaum_pedersen_verify` — Chaum–Pedersen transcripts
   (decryption-share and tagging-step proofs) in auditing paths;
 * :func:`batch_reencryption_verify` — the shadow-mix openings of the shuffle

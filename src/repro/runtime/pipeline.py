@@ -1,12 +1,14 @@
 """The tally's ledger read-ahead: one reader thread, one bounded queue.
 
 Under ``pipeline_spec="stream[:queue_depth]"`` the tally's cursor-paged
-ledger read runs ahead of its signature check (``ballot-read``): a
-:class:`StreamPipeline` pulls pages on a reader thread, at most
-``queue_depth`` of them waiting, while the caller's thread checks each page
-as it arrives.  That is the only overlap in the tally: its *phases* each fan
-out n-wide over the executor, which leaves overlapping them nothing to win
-(``docs/performance.md``, layer 5).
+ledger read runs on a reader thread (``ballot-read``): a
+:class:`StreamPipeline` pulls pages there, at most ``queue_depth`` of them
+waiting, while the caller's thread collects each page's records as it
+arrives.  The signature check runs after the read, because which ballots it
+must check depends on every ballot of a credential (last-write-wins,
+:func:`repro.tally.pipeline._counted_ballots`).  That is the only overlap in
+the tally: its *phases* each fan out n-wide over the executor, which leaves
+overlapping them nothing to win (``docs/performance.md``, layer 5).
 
 * **Backpressure.**  The queue holds at most ``queue_depth`` pages; a reader
   that gets that far ahead blocks instead of buffering the ledger.
@@ -113,12 +115,12 @@ class StreamPipeline:
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Whether the tally's ledger read overlaps its signature check.
+    """Whether the tally's ledger read runs ahead on a reader thread.
 
-    ``streaming=False`` reads a page, checks it, reads the next.  With
-    ``streaming=True`` the cursor-paged reader runs ahead of the check, at
-    most ``queue_depth`` pages in flight.  The published output is
-    bit-identical; only the wall clock moves.
+    ``streaming=False`` reads a page, collects its records, reads the next.
+    With ``streaming=True`` the cursor-paged reader runs ahead of the
+    collecting thread, at most ``queue_depth`` pages in flight.  The
+    published output is bit-identical; only the wall clock moves.
     """
 
     streaming: bool = False

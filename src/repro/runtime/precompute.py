@@ -135,10 +135,6 @@ def set_precompute_enabled(flag: bool) -> bool:
     return previous
 
 
-def precompute_enabled() -> bool:
-    return _enabled
-
-
 def clear_tables() -> None:
     """Drop every cached table and usage counter (mainly for tests)."""
     _tables.clear()

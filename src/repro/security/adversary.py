@@ -10,9 +10,8 @@ registrar, observe the booth, or see the VSD holding the real credential.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.ledger.api import as_board_view
 from repro.ledger.bulletin_board import BulletinBoard
@@ -76,15 +75,3 @@ class Coercer:
             "envelope_challenges_used": view.num_challenges_used,
             "ballots": view.num_ballots,
         }
-
-    def guess_compliance(self, board: BulletinBoard, tally_counts: Optional[Dict[int, int]] = None) -> bool:
-        """Guess whether the target voter complied (True) or evaded (False).
-
-        The credentials handed over are indistinguishable, the ledger only
-        shows aggregates, and the tally mixes the target's vote with all other
-        voters' statistical noise — so the best available strategy degrades to
-        a coin flip biased only by whatever external information the caller
-        injects.  The default implementation flips a fair coin, which is what
-        the coercion-resistance experiment measures against.
-        """
-        return secrets.randbelow(2) == 1

@@ -152,7 +152,7 @@ BOARD = Grammar(
      "batched": (Arg("batch_size", "int>=1"), Arg("inner", "inner-spec"))},
 )
 PIPELINE = Grammar(
-    "pipeline_spec", "whether the tally's paged ledger read runs ahead of its signature check",
+    "pipeline_spec", "whether the tally's paged ledger read runs ahead on a reader thread",
     "serial", "serial", ValueError, {"serial": (), "stream": (Arg("queue_depth", "int>=1"),)},
 )
 AUDIT = Grammar(

@@ -39,6 +39,10 @@ def deduplicate_ballots(records: Sequence[BallotRecord]) -> List[BallotRecord]:
 
     Ledger order is submission order, so "last write wins" — a voter who
     revises their vote with the same credential replaces the earlier ballot.
+    The replacement takes the earlier ballot's place: the list is in the
+    order of each credential's *first* record, and holds its *last*.  The
+    tally's signature check (``repro.tally.pipeline._counted_ballots``)
+    reproduces exactly that rule over the validly signed records.
     """
     latest: Dict[bytes, BallotRecord] = {}
     for record in records:

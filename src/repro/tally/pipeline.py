@@ -7,19 +7,25 @@ chains implicit in the filter, and the threshold-decryption shares are
 re-checked by :func:`repro.audit.checks.audit_tally`).
 
 There is one schedule, the paper's four linear phases (§4.2, §7.4, Fig. 5b):
-read + signature-check the ballots, mix registrations and ballots, filter
-(tag + join), decrypt.  Each phase fans out n-wide over the executor and runs
-to completion before the next starts — once a phase has at least as many
-items as there are workers no core is left idle for a neighbouring phase to
-use, so overlapping phases would only add small tasks and thread contention
-(measured in ``docs/performance.md``, layer 5).
+read the ballots and signature-check the ones that can count, mix
+registrations and ballots, filter (tag + join), decrypt.  Each phase fans out
+n-wide over the executor and runs to completion before the next starts — once
+a phase has at least as many items as there are workers no core is left idle
+for a neighbouring phase to use, so overlapping phases would only add small
+tasks and thread contention (measured in ``docs/performance.md``, layer 5).
+
+The signature check follows last-write-wins: a credential's newest valid
+ballot counts, so the check starts from each credential's oldest and newest
+ballot and checks the ballots between them only where one of those is
+forged — two signatures per credential on a revoting ledger, not one per
+ballot.
 
 ``pipeline`` (:class:`~repro.runtime.pipeline.PipelineSpec`, configured per
 election via ``ElectionConfig.pipeline_spec``) selects one thing, inside the
 first phase: with ``stream[:queue_depth]`` the cursor-paged ledger read runs
-on a reader thread ahead of the signature check, which stays in the calling
-thread (:class:`~repro.runtime.pipeline.StreamPipeline` ``ballot-read``), at
-most ``queue_depth`` pages in flight.  Nothing published depends on it: all
+on a reader thread ahead of the calling thread collecting the records
+(:class:`~repro.runtime.pipeline.StreamPipeline` ``ballot-read``), at most
+``queue_depth`` pages in flight.  Nothing published depends on it: all
 randomness that shapes the output (shuffle plans, tagging secrets) is drawn
 in the calling thread in one order, and everything downstream of those draws
 is deterministic.  Only proof *nonces* (decryption-share and tagging
@@ -33,7 +39,7 @@ ballot count, so the mix cannot start before the ledger read completes.
 
 from __future__ import annotations
 
-import functools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -52,7 +58,7 @@ from repro.runtime.batch import verify_signatures
 from repro.runtime.executor import Executor, resolve_executor
 from repro.runtime.pipeline import PipelineSpec, StreamPipeline
 from repro.tally.decrypt import DecryptedVote, aggregate, decrypt_votes
-from repro.tally.filter import FilterResult, deduplicate_ballots, filter_ballots
+from repro.tally.filter import FilterResult, filter_ballots
 from repro.tally.mixnet import TupleCascade, tuple_mix_cascade
 
 # Never called: benchmarks/e2e/layers.py:42 installs a wrapper on this name
@@ -107,10 +113,41 @@ def _ballot_signature_items(records: List[BallotRecord]) -> List[Tuple]:
     return items
 
 
-def _signed_records(records: List[BallotRecord], executor: Optional[Executor]) -> List[BallotRecord]:
-    """Batch-verify one cursor page of ballots; keep the validly signed records."""
-    verdicts = verify_signatures(_ballot_signature_items(records), executor=executor)
-    return [record for record, ok in zip(records, verdicts) if ok]
+def _counted_ballots(records: List[BallotRecord], executor: Optional[Executor]) -> List[BallotRecord]:
+    """``deduplicate_ballots`` of the validly signed ``records``, checking
+    only the signatures that decide it.
+
+    Last-write-wins keeps a credential's newest valid ballot at the position
+    of its oldest valid one, so only a credential's two end ballots matter
+    while both verify: round 1 checks the oldest and the newest of every
+    credential in one batch.  Round 2 checks every other ballot of each
+    credential whose oldest or newest failed, and is skipped when none did.
+    One ballot per credential is one call over every ballot, in ledger order.
+    """
+    by_credential: Dict[bytes, List[int]] = {}
+    for index, record in enumerate(records):
+        by_credential.setdefault(record.credential_public_key.to_bytes(), []).append(index)
+    valid: Dict[int, bool] = {}
+
+    def check(indices: List[int]) -> None:
+        if indices:
+            items = _ballot_signature_items([records[index] for index in indices])
+            valid.update(zip(indices, verify_signatures(items, executor=executor)))
+
+    check(sorted({index for indices in by_credential.values() for index in (indices[0], indices[-1])}))
+    check(sorted(
+        index
+        for indices in by_credential.values()
+        if not (valid[indices[0]] and valid[indices[-1]])
+        for index in indices[1:-1]
+    ))
+    counted = []
+    for indices in by_credential.values():
+        # An unchecked ballot sits between two valid ends and decides nothing.
+        signed = [index for index in indices if valid.get(index)]
+        if signed:
+            counted.append((signed[0], records[signed[-1]]))
+    return [record for _, record in sorted(counted, key=operator.itemgetter(0))]
 
 
 @dataclass
@@ -125,8 +162,8 @@ class TallyPipeline:
     fresh one is drawn per run (reusing a tagging exponent across elections
     would link ballots), but injection enables deterministic replay and lets
     an auditor re-run filtering against a disclosed tagging transcript.
-    ``pipeline`` says whether the ledger read runs a page ahead of the
-    signature check (see the module docstring); the result is bit-identical.
+    ``pipeline`` says whether the ledger read runs pages ahead of
+    collecting them (see the module docstring); the result is bit-identical.
     """
 
     group: Group
@@ -159,28 +196,27 @@ class TallyPipeline:
         election_id: str,
         executor: Optional[Executor] = None,
     ) -> List[BallotRecord]:
-        """Signature-check and deduplicate the ballots on the ledger.
+        """The ballots that can count: each credential's newest validly
+        signed ballot, in the order of its oldest (:func:`_counted_ballots`).
 
-        The ledger is consumed through cursor-based page reads — ingestion
-        can keep appending behind the cursor without this stage ever holding
-        more than bookkeeping state per page.  Signatures are checked with
-        the random-linear-combination batch verifier per page: one batched
-        equation when every signature is valid (the common case), bisection
-        to isolate forgeries otherwise.  With a streaming ``pipeline``, the
-        cursor reads and the signature checks overlap (the reader fetches
-        page *k+1* while page *k* verifies).
+        The ledger is read in cursor pages of ``read_page_size`` records;
+        with a streaming ``pipeline`` a reader thread fetches the pages ahead
+        of the caller collecting their records.  The signatures are then
+        checked with the random-linear-combination batch verifier — one
+        batched equation per chunk when every signature is valid (the common
+        case), bisection to isolate forgeries otherwise.
         """
         ex = executor if executor is not None else self.executor
         pages = as_board_view(board).iter_ballot_pages(
             election_id=election_id, page_size=self.read_page_size
         )
         if self.pipeline is not None and self.pipeline.streaming:
-            checked = StreamPipeline(
-                functools.partial(_signed_records, executor=ex), self.pipeline.queue_depth, name="ballot-read"
-            ).run(page.records for page in pages)
+            read = StreamPipeline(
+                operator.attrgetter("records"), self.pipeline.queue_depth, name="ballot-read"
+            ).run(pages)
         else:
-            checked = (_signed_records(page.records, ex) for page in pages)
-        return deduplicate_ballots([record for page in checked for record in page])
+            read = (page.records for page in pages)
+        return _counted_ballots([record for records in read for record in records], ex)
 
     # ------------------------------------------------------------------ main run
 

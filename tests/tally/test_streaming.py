@@ -1,19 +1,22 @@
-"""What ``pipeline_spec="stream"`` means: the ledger read overlaps the signature check.
+"""What ``pipeline_spec="stream"`` means: the ledger read runs ahead on a reader thread.
 
 The tally has one schedule — read + check, mix, filter, decrypt, each phase to
 completion.  ``stream[:queue_depth]`` only moves the cursor-paged ledger read
-onto a reader thread that runs ahead of the signature check (the
-``ballot-read`` :class:`~repro.runtime.pipeline.StreamPipeline`), so it must
+onto a reader thread that runs ahead of the caller collecting the records
+(the ``ballot-read`` :class:`~repro.runtime.pipeline.StreamPipeline`); the
+signature check follows the read, because last-write-wins decides which
+ballots it must check from every ballot of a credential.  So it must
 be *bit-for-bit* invisible in everything published — chain heads, both mix
 cascades with their shadow-mix proofs, the filter transcript, the decrypted
 vote list, the evidence and the audit fingerprint — across the serial and
 cluster executors and Memory/SQLite boards.  The tests read the
-board in pages of 1 and 3 records so the overlap really spans pages, seed the
-randomness tape and compare whole :class:`TallyResult` objects.
+board in pages of 1 and 3 records so the read-ahead really spans pages, seed
+the randomness tape and compare whole :class:`TallyResult` objects.
 
 Failure paths are covered too: a forged signature in the middle of the stream
-is dropped identically, and an executor dying inside the signature check
-propagates its error unchanged and leaves no thread behind.
+is dropped identically, a page source that fails inside the read-ahead
+propagates its error promptly and leaves no thread behind, and an executor
+dying in the signature check after the read propagates its error unchanged.
 
 The CI stress job reruns this module with randomized
 ``REPRO_PIPELINE_QUEUE_DEPTH``.
@@ -32,6 +35,7 @@ from repro.audit.checks import audit_tally
 from repro.crypto.group import Group
 from repro.crypto.tagging import TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
+from repro.ledger.api import BoardView
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.pipeline import PipelineSpec
 from repro.spec import env
@@ -83,7 +87,9 @@ def backends(cluster_executor):
     return {"serial": SerialExecutor(), "cluster": cluster_executor}
 
 
-def _run_tally(election, executor, tagging, pipeline=None, page_size=3, num_mixers=NUM_MIXERS, **options):
+def _run_tally(
+    election, executor, tagging, pipeline=None, page_size=3, num_mixers=NUM_MIXERS, board=None, **options
+):
     return TallyPipeline(
         group=election.group,
         authority=election.setup.authority,
@@ -94,7 +100,7 @@ def _run_tally(election, executor, tagging, pipeline=None, page_size=3, num_mixe
         pipeline=pipeline,
         read_page_size=page_size,
         **options,
-    ).run(election.setup.board, NUM_OPTIONS, election.config.election_id)
+    ).run(board or election.setup.board, NUM_OPTIONS, election.config.election_id)
 
 
 def _chain_heads(board):
@@ -248,19 +254,49 @@ class _FlakyExecutor(SerialExecutor):
         return super().map(fn, items, chunksize=chunksize)
 
 
-def test_executor_failure_inside_the_read_stage_propagates(voted_election):
-    """The signature check of the second page dies while the reader runs
-    ahead: the caller sees that exception, promptly, and the reader is joined."""
+class _FailingView(BoardView):
+    """A board view whose page iterator dies after ``pages_before_failure`` pages."""
+
+    __slots__ = ("pages_before_failure",)
+
+    def __init__(self, backend, pages_before_failure: int):
+        super().__init__(backend)
+        self.pages_before_failure = pages_before_failure
+
+    def iter_ballot_pages(self, **options):
+        for served, page in enumerate(super().iter_ballot_pages(**options)):
+            if served == self.pages_before_failure:
+                raise RuntimeError("injected ledger read failure")
+            yield page
+
+
+def test_a_read_failure_inside_the_read_ahead_propagates(voted_election):
+    """The ledger source raises on the reader thread after serving two pages:
+    the caller sees that exception, promptly, and the reader is joined."""
+    board = _FailingView(voted_election.setup.board.backend, pages_before_failure=2)
     tagging = TaggingAuthority.create(voted_election.group, voted_election.setup.authority.num_members)
     before = set(threading.enumerate())
-    executor = _FlakyExecutor(fail_after=1)
+    executor = _FlakyExecutor(fail_after=0)
     start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="injected executor crash"):
+    with pytest.raises(RuntimeError, match="injected ledger read failure"):
         _run_tally(
             voted_election, executor, tagging,
-            pipeline=PipelineSpec(streaming=True, queue_depth=1), page_size=1,
+            pipeline=PipelineSpec(streaming=True, queue_depth=1), page_size=1, board=board,
         )
     # Cancellation must tear the pipeline down promptly, not hang on queues.
     assert time.perf_counter() - start < 10
-    assert executor.calls == 2  # it died inside the read, not in a later phase
+    assert executor.calls == 0  # it died inside the read, before any check
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("pipeline", [None, PipelineSpec(streaming=True, queue_depth=1)])
+def test_executor_failure_in_the_signature_check_propagates(voted_election, pipeline):
+    """The executor dies on the check that follows the read: the caller sees
+    that exception unchanged, and no reader thread is left behind."""
+    tagging = TaggingAuthority.create(voted_election.group, voted_election.setup.authority.num_members)
+    before = set(threading.enumerate())
+    executor = _FlakyExecutor(fail_after=0)
+    with pytest.raises(RuntimeError, match="injected executor crash"):
+        _run_tally(voted_election, executor, tagging, pipeline=pipeline, page_size=1)
+    assert executor.calls == 1  # the signature check's one map, not a later phase
     assert set(threading.enumerate()) <= before
