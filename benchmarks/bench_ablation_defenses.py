@@ -19,10 +19,10 @@ from __future__ import annotations
 
 
 
-from repro.bench.harness import ResultTable
+from figures.tables import ResultTable
 from repro.security.analysis import iv_adversary_success_bound, kiosk_undetected_probability
 from repro.security.games import IndividualVerifiabilityGame
-from repro.usability.behavior import PUBLISHED_STUDY
+from figures.usability.behavior import PUBLISHED_STUDY
 
 
 def _stuffing_success_without_duplicate_check(num_envelopes: int, stuffed: int, distribution, trials: int = 4000) -> float:

@@ -5,53 +5,43 @@ phases (CheckIn, Authorization, RealToken, FakeToken, CheckOut, Activation)
 and components (Crypto & Logic, QR Read/Write, QR Scan, QR Print) across the
 four hardware profiles L1/L2/H1/H2, for a scripted registration issuing one
 real and one fake credential (the paper's §7.2 experiment).
+
+The registrations run once, under a ``mem`` telemetry sink; each hardware
+profile is applied to the same traces (:mod:`figures.latency`).
 """
 
 from __future__ import annotations
 
-import statistics
 from typing import Dict, List
 
-
-from repro.bench.harness import ResultTable
-from repro.peripherals.clock import Component
-from repro.peripherals.hardware import HARDWARE_PROFILES
-from repro.registration.protocol import run_registration
+from figures.hardware import HARDWARE_PROFILES
+from figures.latency import (
+    COMPONENTS,
+    PHASES,
+    Table,
+    median_by_phase_component,
+    trace_registrations,
+)
+from figures.tables import ResultTable
 from repro.registration.setup import ElectionSetup
 from repro.registration.voter import Voter
 
-RUNS_PER_PROFILE = 3
-PHASES = ["CheckIn", "Authorization", "RealToken", "FakeToken", "CheckOut", "Activation"]
+RUNS = 3
 
 
-def _scripted_registrations(group, profile_key: str, runs: int) -> List:
-    voter_ids = [f"fig4a-{profile_key}-{index}" for index in range(runs)]
+def _scripted_registrations(group, runs: int) -> List:
+    """The span events of ``runs`` registrations, one real and one fake credential each."""
+    voter_ids = [f"fig4a-{index}" for index in range(runs)]
     setup = ElectionSetup.run(group, voter_ids, num_authority_members=4, envelopes_per_voter=3)
-    outcomes = []
-    for voter_id in voter_ids:
-        outcomes.append(run_registration(setup, Voter(voter_id, num_fake_credentials=1), profile_key))
-    return outcomes
-
-
-def _median_by_phase_component(outcomes, cpu: bool = False) -> Dict[str, Dict[Component, float]]:
-    accumulator: Dict[str, Dict[Component, List[float]]] = {}
-    for outcome in outcomes:
-        table = outcome.latency.cpu_by_phase_component() if cpu else outcome.latency.wall_by_phase_component()
-        for phase, components in table.items():
-            for component, value in components.items():
-                accumulator.setdefault(phase, {}).setdefault(component, []).append(value)
-    return {
-        phase: {component: statistics.median(values) for component, values in components.items()}
-        for phase, components in accumulator.items()
-    }
+    return trace_registrations(setup, [Voter(voter_id, num_fake_credentials=1) for voter_id in voter_ids])
 
 
 def test_fig4a_wall_clock_by_phase_and_component(paper_curve):
     """Regenerate Fig. 4a."""
-    results: Dict[str, Dict[str, Dict[Component, float]]] = {}
-    for profile_key in HARDWARE_PROFILES:
-        outcomes = _scripted_registrations(paper_curve, profile_key, RUNS_PER_PROFILE)
-        results[profile_key] = _median_by_phase_component(outcomes)
+    traces = _scripted_registrations(paper_curve, RUNS)
+    results: Dict[str, Table] = {
+        profile_key: median_by_phase_component(traces, profile) for profile_key, profile in HARDWARE_PROFILES.items()
+    }
 
     table = ResultTable(
         title="Fig. 4a — median wall-clock latency per TRIP sub-task (seconds)",
@@ -63,10 +53,7 @@ def test_fig4a_wall_clock_by_phase_and_component(paper_curve):
             row = [
                 phase,
                 profile_key,
-                f"{components.get(Component.CRYPTO, 0.0):.3f}",
-                f"{components.get(Component.QR_READ_WRITE, 0.0):.3f}",
-                f"{components.get(Component.QR_SCAN, 0.0):.3f}",
-                f"{components.get(Component.QR_PRINT, 0.0):.3f}",
+                *(f"{components.get(component, 0.0):.3f}" for component in COMPONENTS),
                 f"{sum(components.values()):.3f}",
             ]
             table.add_row(*row)

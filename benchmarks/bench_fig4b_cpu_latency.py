@@ -10,26 +10,20 @@ from __future__ import annotations
 
 from typing import Dict
 
-
-from repro.bench.harness import ResultTable
-from repro.peripherals.clock import Component
-from repro.peripherals.hardware import HARDWARE_PROFILES
-from benchmarks.bench_fig4a_registration_latency import (
-    PHASES,
-    RUNS_PER_PROFILE,
-    _median_by_phase_component,
-    _scripted_registrations,
-)
+from figures.hardware import HARDWARE_PROFILES
+from figures.latency import COMPONENTS, PHASES, QR_PRINT, Table, median_by_phase_component
+from figures.tables import ResultTable
+from benchmarks.bench_fig4a_registration_latency import RUNS, _scripted_registrations
 
 
 def test_fig4b_cpu_by_phase_and_component(paper_curve):
     """Regenerate Fig. 4b (CPU medians) and check the L-vs-H CPU relations."""
-    cpu_results: Dict[str, Dict[str, Dict[Component, float]]] = {}
-    wall_results: Dict[str, Dict[str, Dict[Component, float]]] = {}
-    for profile_key in HARDWARE_PROFILES:
-        outcomes = _scripted_registrations(paper_curve, profile_key, RUNS_PER_PROFILE)
-        cpu_results[profile_key] = _median_by_phase_component(outcomes, cpu=True)
-        wall_results[profile_key] = _median_by_phase_component(outcomes, cpu=False)
+    cpu_results: Dict[str, Table] = {}
+    wall_results: Dict[str, Table] = {}
+    traces = _scripted_registrations(paper_curve, RUNS)
+    for profile_key, profile in HARDWARE_PROFILES.items():
+        cpu_results[profile_key] = median_by_phase_component(traces, profile, cpu=True)
+        wall_results[profile_key] = median_by_phase_component(traces, profile, cpu=False)
 
     table = ResultTable(
         title="Fig. 4b — median CPU latency per TRIP sub-task (seconds)",
@@ -41,10 +35,7 @@ def test_fig4b_cpu_by_phase_and_component(paper_curve):
             table.add_row(
                 phase,
                 profile_key,
-                f"{components.get(Component.CRYPTO, 0.0):.3f}",
-                f"{components.get(Component.QR_READ_WRITE, 0.0):.3f}",
-                f"{components.get(Component.QR_SCAN, 0.0):.3f}",
-                f"{components.get(Component.QR_PRINT, 0.0):.3f}",
+                *(f"{components.get(component, 0.0):.3f}" for component in COMPONENTS),
                 f"{sum(components.values()):.3f}",
             )
     table.print()
@@ -57,7 +48,7 @@ def test_fig4b_cpu_by_phase_and_component(paper_curve):
 
     def print_cpu(profile_key: str) -> float:
         return sum(
-            components.get(Component.QR_PRINT, 0.0) for components in cpu_results[profile_key].values()
+            components.get(QR_PRINT, 0.0) for components in cpu_results[profile_key].values()
         )
 
     # Paper observations: CPU on L devices ≈2.6-3.6× higher; print rendering ≈4-5×

@@ -18,8 +18,8 @@ from typing import Dict
 
 import pytest
 
-from repro.baselines import ALL_SYSTEMS, PhaseName
-from repro.bench.harness import ResultTable, format_seconds
+from figures.baselines import ALL_SYSTEMS, PhaseName
+from figures.tables import ResultTable, format_seconds
 
 POPULATIONS = [100, 1_000_000]
 

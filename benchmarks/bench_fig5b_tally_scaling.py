@@ -16,8 +16,8 @@ from typing import Dict, List
 
 import pytest
 
-from repro.baselines import ALL_SYSTEMS, PhaseName
-from repro.bench.harness import SeriesPoint, series_to_table
+from figures.baselines import ALL_SYSTEMS, PhaseName
+from figures.tables import SeriesPoint, series_to_table
 
 POPULATIONS = [100, 1_000, 10_000, 100_000, 1_000_000]
 SECONDS_PER_YEAR = 365.25 * 86400

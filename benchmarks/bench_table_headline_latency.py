@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import ResultTable
-from repro.peripherals.clock import Component
-from repro.peripherals.hardware import HARDWARE_PROFILES
-from repro.registration.protocol import run_registration
+from figures.hardware import HARDWARE_PROFILES
+from figures.latency import QR_PRINT, QR_SCAN, component_totals, phase_components, trace_registrations
+from figures.tables import ResultTable
 from repro.registration.setup import ElectionSetup
 from repro.registration.voter import Voter
 
@@ -25,15 +24,17 @@ def test_headline_registration_latency(paper_curve):
     setup = ElectionSetup.run(paper_curve, voter_ids, num_authority_members=4)
 
     measured = {}
-    for profile_key, voter_id in zip(HARDWARE_PROFILES, voter_ids):
-        outcome = run_registration(setup, Voter(voter_id, num_fake_credentials=1), profile_key)
-        scan = outcome.latency.wall_seconds_for(Component.QR_SCAN)
-        printing = outcome.latency.wall_seconds_for(Component.QR_PRINT)
+    traces = trace_registrations(setup, [Voter(voter_id, num_fake_credentials=1) for voter_id in voter_ids])
+    for (profile_key, profile), events in zip(HARDWARE_PROFILES.items(), traces):
+        totals = component_totals(phase_components(events, profile))
+        total = sum(totals.values())
+        scan = totals[QR_SCAN]
+        printing = totals[QR_PRINT]
         measured[profile_key] = {
-            "total": outcome.total_wall_seconds,
+            "total": total,
             "scan": scan,
             "print": printing,
-            "qr_share": (scan + printing) / outcome.total_wall_seconds,
+            "qr_share": (scan + printing) / total,
         }
 
     table = ResultTable(

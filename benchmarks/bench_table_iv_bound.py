@@ -9,7 +9,7 @@ target voters (the reason the paper calls repeated attacks "negligible").
 from __future__ import annotations
 
 
-from repro.bench.harness import ResultTable
+from figures.tables import ResultTable
 from repro.security.analysis import (
     geometric_credential_distribution,
     iv_adversary_success_bound,

@@ -13,9 +13,9 @@ import math
 
 import pytest
 
-from repro.bench.harness import ResultTable
+from figures.tables import ResultTable
 from repro.security.analysis import kiosk_undetected_probability
-from repro.usability.study import UsabilityStudy
+from figures.usability.study import UsabilityStudy
 
 PAPER = {
     "participants": 150,

@@ -3,15 +3,16 @@
 Each ``bench_*.py`` module regenerates one table or figure of the paper's
 evaluation (§7) as a plain pytest test: it prints the table (run with ``-s``
 to see it inline) and asserts the figure's shape.  The figures' numbers come
-from the simulated peripheral clocks and the baselines' cost models, so no
-timing plugin is involved; the systems benchmark is ``benchmarks/e2e``.
+from registration traces read through the hardware models and from the
+baselines' cost models (both in ``benchmarks/figures``), so no timing plugin
+is involved; the systems benchmark is ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.baselines import ALL_SYSTEMS
+from figures.baselines import ALL_SYSTEMS
 from repro.crypto.ed25519 import ed25519_group
 from repro.crypto.modp_group import modp_group_256
 

@@ -18,11 +18,11 @@ on the cryptographic operations"), and preserves the relative ordering and
 scaling shapes of Figures 5a/5b.
 """
 
-from repro.baselines.base import PhaseName, PhaseMeasurement, VotingSystemBaseline
-from repro.baselines.swisspost import SwissPostSystem
-from repro.baselines.voteagain import VoteAgainSystem
-from repro.baselines.civitas import CivitasSystem
-from repro.baselines.votegral import TripCoreSystem
+from figures.baselines.base import PhaseName, PhaseMeasurement, VotingSystemBaseline
+from figures.baselines.swisspost import SwissPostSystem
+from figures.baselines.voteagain import VoteAgainSystem
+from figures.baselines.civitas import CivitasSystem
+from figures.baselines.votegral import TripCoreSystem
 
 ALL_SYSTEMS = {
     "SwissPost": SwissPostSystem,

@@ -21,7 +21,7 @@ at tally time.
 
 from __future__ import annotations
 
-from repro.baselines.base import VotingSystemBaseline
+from figures.baselines.base import VotingSystemBaseline
 from repro.crypto.group import Group
 from repro.crypto.modp_group import modp_group_2048
 

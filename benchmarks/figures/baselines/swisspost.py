@@ -21,7 +21,7 @@ for our cost purposes:
 
 from __future__ import annotations
 
-from repro.baselines.base import VotingSystemBaseline
+from figures.baselines.base import VotingSystemBaseline
 from repro.crypto.group import Group
 
 

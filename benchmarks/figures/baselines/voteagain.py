@@ -19,7 +19,7 @@ resistance — which is why the paper treats its speed as bought with trust.
 
 from __future__ import annotations
 
-from repro.baselines.base import VotingSystemBaseline
+from figures.baselines.base import VotingSystemBaseline
 from repro.crypto.group import Group
 
 

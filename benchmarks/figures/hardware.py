@@ -1,4 +1,4 @@
-"""Hardware profiles for the four evaluation platforms of §7.1.
+"""Hardware profiles for the four evaluation platforms of §7.1, and the printer and scanner models.
 
 The paper measures TRIP on:
 
@@ -19,7 +19,12 @@ slower on the L-class devices, and print rendering specifically ≈380 % slower
 * ``print_seconds_per_line`` / ``print_fixed_seconds`` — the thermal printer's
   mechanical speed;
 * ``scan_seconds_per_byte`` / ``scan_fixed_seconds`` — the Bluetooth transfer
-  cost that makes each QR scan ≈0.95 s on average.
+  cost that makes each QR scan ≈0.95 s on average (§7.2: the scan is
+  dominated by moving the payload off the scanner, not by decoding it).
+
+A printed QR code takes receipt lines that grow with its version (physical
+size), a 1-D barcode two lines and a text label one; :func:`print_lines`
+turns the sizes a ``registration.print`` span records into lines.
 
 The multipliers are calibrated against the published medians, not measured on
 the original hardware; ``docs/architecture.md`` ("Substitutions") records this.
@@ -29,6 +34,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict
+
+_LINES_BASE_QR = 3.0
+_LINES_PER_QR_VERSION = 0.45
+_LINES_PER_BARCODE = 2.0
+
+#: Share of a scan's transfer time the host spends on the CPU (user + system).
+SCAN_CPU_SHARE = 0.05
+
+
+def print_lines(qr_codes: int, qr_version_sum: int, barcodes: int, text_lines: int) -> int:
+    """Receipt lines of one print job, from the sizes its span records."""
+    return int(round(
+        text_lines + _LINES_BASE_QR * qr_codes + _LINES_PER_QR_VERSION * qr_version_sum
+        + _LINES_PER_BARCODE * barcodes
+    ))
 
 
 @dataclass(frozen=True)
@@ -45,9 +65,6 @@ class HardwareProfile:
     print_seconds_per_line: float
     scan_fixed_seconds: float
     scan_seconds_per_byte: float
-
-    def crypto_scale(self) -> float:
-        return self.cpu_multiplier
 
     def scan_seconds(self, wire_bytes: int) -> float:
         """Mechanical + transfer latency for scanning one code."""

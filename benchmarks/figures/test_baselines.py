@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.baselines import ALL_SYSTEMS, PhaseName
-from repro.baselines.civitas import CivitasSystem
-from repro.baselines.swisspost import SwissPostSystem
-from repro.baselines.voteagain import VoteAgainSystem
-from repro.baselines.votegral import TripCoreSystem
+from figures.baselines import ALL_SYSTEMS, PhaseName
+from figures.baselines.civitas import CivitasSystem
+from figures.baselines.swisspost import SwissPostSystem
+from figures.baselines.voteagain import VoteAgainSystem
+from figures.baselines.votegral import TripCoreSystem
 from repro.crypto.modp_group import testing_group
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.usability.behavior import BehaviorProfile, PUBLISHED_STUDY, VoterBehaviorModel
-from repro.usability.study import UsabilityStudy, run_published_study
+from figures.usability.behavior import BehaviorProfile, PUBLISHED_STUDY, VoterBehaviorModel
+from figures.usability.study import UsabilityStudy, run_published_study
 
 
 class TestBehaviorModel:

@@ -8,8 +8,8 @@ Usability Scale score of 70.4, the 47 % (with security education) and 10 %
 malicious kiosk survives 50 / 1000 voters undetected.
 """
 
-from repro.usability.behavior import VoterBehaviorModel, BehaviorProfile, PUBLISHED_STUDY
-from repro.usability.study import UsabilityStudy, StudyResults, run_published_study
+from figures.usability.behavior import VoterBehaviorModel, BehaviorProfile, PUBLISHED_STUDY
+from figures.usability.study import UsabilityStudy, StudyResults, run_published_study
 
 __all__ = [
     "VoterBehaviorModel",

@@ -20,7 +20,7 @@ from repro.registration.protocol import RegistrationSession
 from repro.registration.setup import ElectionSetup
 from repro.registration.voter import Voter
 from repro.security.analysis import kiosk_undetected_probability
-from repro.usability.behavior import PUBLISHED_STUDY, BehaviorProfile, VoterBehaviorModel
+from figures.usability.behavior import PUBLISHED_STUDY, BehaviorProfile, VoterBehaviorModel
 
 
 @dataclass

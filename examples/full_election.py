@@ -14,7 +14,6 @@ backend yields the identical tally and hash chains.
 
 import sys
 
-from repro.bench.harness import format_seconds
 from repro.election import ElectionConfig, VotegralElection
 
 
@@ -41,12 +40,12 @@ def main(num_voters: int = 15, board_spec: str = "memory") -> None:
 
     per_voter = report.timing.per_voter(num_voters)
     print("per-phase latency (wall-clock, this machine):")
-    print(f"  registration: {format_seconds(report.timing.registration_seconds)} "
-          f"({format_seconds(per_voter['registration'])} per voter)")
-    print(f"  voting:       {format_seconds(report.timing.voting_seconds)} "
-          f"({format_seconds(per_voter['voting'])} per voter)")
-    print(f"  tally:        {format_seconds(report.timing.tally_seconds)} "
-          f"({format_seconds(per_voter['tally'])} per voter)")
+    for phase, seconds in (
+        ("registration", report.timing.registration_seconds),
+        ("voting", report.timing.voting_seconds),
+        ("tally", report.timing.tally_seconds),
+    ):
+        print(f"  {phase + ':':13} {seconds:.2f} s ({per_voter[phase] * 1e3:.1f} ms per voter)")
 
 
 if __name__ == "__main__":

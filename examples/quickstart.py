@@ -30,10 +30,9 @@ def main() -> None:
 
     # --- Registration (TRIP) ------------------------------------------------
     alice = Voter("alice", num_fake_credentials=1)
-    outcome = run_registration(setup, alice, profile_key="H1")
+    outcome = run_registration(setup, alice)
     print(f"registration: {len(alice.credentials)} paper credentials, "
-          f"real-order observed sound = {alice.real_credential().observed_sound_order}, "
-          f"voter-observable latency ≈ {outcome.total_wall_seconds:.1f}s (simulated)")
+          f"real-order observed sound = {alice.real_credential().observed_sound_order}")
 
     # The second voter keeps the election from being a trivial unanimous tally.
     bob_outcome = run_registration(setup, Voter("bob", num_fake_credentials=1))

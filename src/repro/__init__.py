@@ -16,19 +16,18 @@ The package provides:
 * ``repro.ledger``        — the tamper-evident public bulletin board behind
   a versioned, backend-pluggable API (memory / SQLite / write-behind batched)
   with typed append commands and cursor-based reads.
-* ``repro.peripherals``   — calibrated kiosk-hardware simulation (QR, printer,
-  scanner, hardware profiles).
 * ``repro.registration``  — the TRIP registration protocol (the paper's core
   contribution).
 * ``repro.voting`` / ``repro.tally`` / ``repro.election`` — the surrounding
   Votegral pipeline.
-* ``repro.baselines``     — Civitas, Swiss Post and VoteAgain comparison
-  systems behind one interface.
 * ``repro.security``      — the formal games (individual verifiability,
   coercion resistance) and analytic bounds.
-* ``repro.usability``     — the §7.5 user-study model.
 * ``repro.telemetry``     — dependency-free tracing and metrics for every
   layer above (spans, counters, merged fleet snapshots, a trace summarizer).
+
+The paper-figure apparatus — hardware profiles, the baselines' cost models and
+the §7.5 user-study model — lives beside the figure scripts in
+``benchmarks/figures``; nothing here imports it.
 """
 
 from repro.errors import (

@@ -16,9 +16,8 @@ The shape of the table encodes the threat model:
   exactly there.
 - **Telemetry** legitimately reads wall clocks (it measures them) and owns
   the name registry, so REP002/REP005 don't apply to it.
-- **Bench, baselines, usability, peripherals** are harnesses and simulation
-  shims — deliberately relaxed so lint pressure lands on the paths that
-  carry guarantees, not on scaffolding.
+- The paper-figure apparatus (hardware models, baselines, the usability
+  model) lives under ``benchmarks/figures``, outside the package.
 - **REP007** runs on every ``repro/`` path but ``repro/spec.py``, the reader.
 """
 
@@ -47,7 +46,7 @@ POLICY: List[Tuple[str, FrozenSet[str]]] = [
     # from swallowing failures).
     ("repro/gateway/*", _ALL),
     ("repro/crypto/*", _ALL - {"REP004", "REP005"}),
-    ("repro/registration/*", _ALL - {"REP004", "REP005"}),
+    ("repro/registration/*", _ALL - {"REP004"}),
     ("repro/tally/*", _ALL - {"REP001", "REP004"}),
     ("repro/ledger/*", _ALL - {"REP001"}),
     ("repro/election/*", _ALL - {"REP001", "REP004"}),
@@ -59,11 +58,6 @@ POLICY: List[Tuple[str, FrozenSet[str]]] = [
     # pickle-safety, lock-discipline, and exception-hygiene only.
     ("repro/telemetry/*", frozenset({"REP003", "REP004", "REP006", "REP007"})),
     ("repro/analysis/*", frozenset({"REP003", "REP006", "REP007"})),
-    # Harness / simulation scaffolding: relaxed on purpose.
-    ("repro/bench/*", frozenset({"REP003", "REP007"})),
-    ("repro/baselines/*", frozenset({"REP003", "REP007"})),
-    ("repro/usability/*", frozenset({"REP003", "REP007"})),
-    ("repro/peripherals/*", frozenset({"REP003", "REP007"})),
     ("benchmarks/*", frozenset({"REP003"})),
     ("tests/*", frozenset()),  # fixtures may violate rules on purpose
 ]

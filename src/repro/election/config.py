@@ -55,7 +55,6 @@ class ElectionConfig:
     envelopes_per_voter: int = 3
     fake_credentials_per_voter: int = 1
     election_id: str = "default"
-    hardware_profile: str = "H1"
     group_factory: Callable[[], Group] = testing_group
     executor_spec: str = "serial"
     board_spec: str = "memory"

@@ -18,7 +18,6 @@ from repro.audit.api import AuditReport
 from repro.audit.checks import audit_election
 from repro.election.config import ElectionConfig
 from repro.errors import ProtocolError
-from repro.peripherals.hardware import hardware_profile
 from repro.registration.protocol import RegistrationOutcome, RegistrationSession
 from repro.registration.setup import ElectionSetup
 from repro.registration.voter import Voter
@@ -123,9 +122,7 @@ class VotegralElection:
         first voter; nothing is kept per voter.
         """
         if self._session is None:
-            self._session = RegistrationSession(
-                setup=self.setup, profile=hardware_profile(self.config.hardware_profile)
-            )
+            self._session = RegistrationSession(setup=self.setup)
         voter = Voter(voter_id, num_fake_credentials=self.config.fake_credentials_per_voter)
         return self._session.register(voter, activate=activate)
 

@@ -101,8 +101,6 @@ class MemoryBackend(LedgerBackend):
             self._registrations.append(record)
             self._registrations_by_voter.setdefault(record.voter_id, []).append(record)
             self._active_registration[record.voter_id] = record
-            # Last: the log's observers (a voter's device watching for
-            # registrations in its name) look the record up by voter.
             self._registration_log.append(record.payload())
             return seq
 

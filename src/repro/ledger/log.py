@@ -12,7 +12,7 @@ scales we simulate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.crypto.hashing import sha256
 from repro.errors import LedgerError
@@ -61,7 +61,6 @@ class AppendOnlyLog:
     def __init__(self, name: str = "ledger") -> None:
         self.name = name
         self._entries: List[LogEntry] = []
-        self._observers: List[Callable[[LogEntry], None]] = []
 
     # Append / read ------------------------------------------------------------
 
@@ -75,8 +74,6 @@ class AppendOnlyLog:
             entry_hash=LogEntry.compute_hash(index, payload, previous_hash),
         )
         self._entries.append(entry)
-        for observer in self._observers:
-            observer(entry)
         return entry
 
     def append_many(self, payloads: Iterable[bytes]) -> List[LogEntry]:
@@ -84,7 +81,6 @@ class AppendOnlyLog:
         same head) as repeated :meth:`append` calls — the bulk path write-behind
         flushes take, kept tight by hoisting the chain state into locals."""
         entries = self._entries
-        observers = self._observers
         previous_hash = entries[-1].entry_hash if entries else _GENESIS
         index = len(entries)
         appended: List[LogEntry] = []
@@ -98,8 +94,6 @@ class AppendOnlyLog:
             appended.append(entry)
             previous_hash = entry_hash
             index += 1
-            for observer in observers:
-                observer(entry)
         return appended
 
     def __len__(self) -> int:
@@ -119,12 +113,6 @@ class AppendOnlyLog:
     def head(self) -> LogHead:
         head_hash = self._entries[-1].entry_hash if self._entries else _GENESIS
         return LogHead(size=len(self._entries), head_hash=head_hash)
-
-    # Observation ---------------------------------------------------------------
-
-    def subscribe(self, observer: Callable[[LogEntry], None]) -> None:
-        """Register a callback invoked on every append (VSD ledger monitoring)."""
-        self._observers.append(observer)
 
     # Audit ----------------------------------------------------------------------
 

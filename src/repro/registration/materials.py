@@ -33,8 +33,8 @@ from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import scalar_bytes, sha256
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolError
-from repro.peripherals.qr import Barcode, QRCode
 from repro.registration.codec import Decoder, Encoder
+from repro.registration.qr import Barcode, QRCode
 
 
 class EnvelopeSymbol(enum.Enum):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro import telemetry
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import sha256
 from repro.crypto.mac import mac_sign
@@ -24,10 +25,8 @@ from repro.crypto.schnorr import SchnorrSignature, SigningKeyPair, schnorr_commi
 from repro.errors import RegistrationError
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import RegistrationRecord
-from repro.peripherals.clock import Component, LatencyLedger
-from repro.peripherals.hardware import HardwareProfile, hardware_profile
-from repro.peripherals.scanner import CodeScanner
 from repro.registration.materials import CheckInTicket, CheckOutTicket, PaperCredential
+from repro.registration.qr import print_codes, scan
 
 
 def check_out_ticket_message(record: RegistrationRecord) -> bytes:
@@ -62,55 +61,36 @@ class RegistrationOfficial:
     shared_mac_key: bytes
     board: BulletinBoard
     kiosk_public_keys: List[GroupElement]
-    profile: HardwareProfile = field(default_factory=lambda: hardware_profile("H1"))
-    latency: LatencyLedger = field(default_factory=LatencyLedger)
-    issued_tickets: List[CheckInTicket] = field(default_factory=list)
     notifications: List[str] = field(default_factory=list)
     #: The sequence number the registration ledger gave the latest check-out.
     last_ledger_seq: int = -1
-
-    def __post_init__(self) -> None:
-        self._scanner = CodeScanner(profile=self.profile, ledger=self.latency)
 
     # Check-in -------------------------------------------------------------------
 
     def check_in(self, voter_id: str) -> CheckInTicket:
         """Verify eligibility and issue the check-in ticket (Fig. 8)."""
-        with self.latency.phase("CheckIn"):
-            with self.latency.measure(Component.CRYPTO, label="check-in", cpu_scale=self.profile.crypto_scale()):
-                if not self.board.is_eligible(voter_id):
-                    raise RegistrationError(f"voter {voter_id!r} is not on the electoral roll")
-                tag = mac_sign(self.shared_mac_key, voter_id.encode(), length=16)
-                ticket = CheckInTicket(voter_id=voter_id, mac_tag=tag)
-            # Printing the barcode ticket.
-            render_cpu = self.profile.print_cpu_seconds(3)
-            self.latency.record(
-                Component.QR_PRINT,
-                wall_seconds=self.profile.print_seconds(3) + render_cpu,
-                cpu_user_seconds=render_cpu,
-                label="check-in ticket",
-            )
-        self.issued_tickets.append(ticket)
+        with telemetry.span("registration.phase", phase="CheckIn"):
+            if not self.board.is_eligible(voter_id):
+                raise RegistrationError(f"voter {voter_id!r} is not on the electoral roll")
+            tag = mac_sign(self.shared_mac_key, voter_id.encode(), length=16)
+            ticket = CheckInTicket(voter_id=voter_id, mac_tag=tag)
+            print_codes(ticket.to_barcode(), text_lines=1)
         return ticket
 
     # Check-out -------------------------------------------------------------------
 
     def check_out(self, credential: PaperCredential) -> RegistrationRecord:
         """Scan the presented credential and post the registration record (Fig. 10)."""
-        with self.latency.phase("CheckOut"):
-            qr = credential.visible_check_out_qr(self.group)
-            scanned = self._scanner.scan(qr, label="check-out ticket")
-            with self.latency.measure(Component.CRYPTO, label="check-out", cpu_scale=self.profile.crypto_scale()):
-                ticket = CheckOutTicket.from_qr(scanned, self.group)
-                record = self._verify_and_record(ticket)
+        with telemetry.span("registration.phase", phase="CheckOut"):
+            ticket = CheckOutTicket.from_qr(scan(credential.visible_check_out_qr(self.group)), self.group)
+            record = self._verify_and_record(ticket)
         self._notify(ticket.voter_id)
         return record
 
     def check_out_ticket(self, ticket: CheckOutTicket) -> RegistrationRecord:
         """Check-out from an already-decoded ticket (used by the security games)."""
-        with self.latency.phase("CheckOut"):
-            with self.latency.measure(Component.CRYPTO, label="check-out", cpu_scale=self.profile.crypto_scale()):
-                record = self._verify_and_record(ticket)
+        with telemetry.span("registration.phase", phase="CheckOut"):
+            record = self._verify_and_record(ticket)
         self._notify(ticket.voter_id)
         return record
 

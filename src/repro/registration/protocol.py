@@ -3,8 +3,9 @@
 :func:`run_registration` walks one voter through the complete workflow —
 check-in, kiosk authorization, real-credential creation, any number of
 fake-credential creations, check-out and activation — wiring together the
-actor objects and collecting the per-phase latency decomposition that the
-Figure 4 benchmarks consume.
+actor objects.  Where the time goes is the trace's business: each actor
+opens a ``registration.phase`` span per step (see
+:mod:`repro.registration.qr` for the scan and print spans inside them).
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from typing import List, Optional
 
 from repro.crypto.group import Group
 from repro.ledger.records import RegistrationRecord
-from repro.peripherals.clock import LatencyLedger
-from repro.peripherals.hardware import HardwareProfile, hardware_profile
 from repro.registration.kiosk import Kiosk, KioskSession
 from repro.registration.materials import Envelope, EnvelopeSymbol
 from repro.registration.official import RegistrationOfficial
@@ -33,7 +32,6 @@ class RegistrationOutcome:
     record: RegistrationRecord
     activation_reports: List[ActivationReport]
     vsd: VoterSupportingDevice
-    latency: LatencyLedger
     #: The sequence number the registration ledger's append gave ``record``.
     ledger_seq: int = -1
 
@@ -48,17 +46,12 @@ class RegistrationOutcome:
             for report in self.activation_reports
         )
 
-    @property
-    def total_wall_seconds(self) -> float:
-        return self.latency.total_wall_seconds()
-
 
 @dataclass
 class RegistrationSession:
     """A reusable driver binding one kiosk, one official and one booth supply."""
 
     setup: ElectionSetup
-    profile: HardwareProfile = field(default_factory=lambda: hardware_profile("H1"))
     kiosk: Optional[Kiosk] = None
     official: Optional[RegistrationOfficial] = None
     booth_envelopes: List[Envelope] = field(default_factory=list)
@@ -70,7 +63,6 @@ class RegistrationSession:
                 keypair=self.setup.registrar.kiosk_keys[0],
                 authority_public_key=self.setup.authority_public_key,
                 shared_mac_key=self.setup.registrar.shared_mac_key,
-                profile=self.profile,
             )
         if self.official is None:
             self.official = RegistrationOfficial(
@@ -79,7 +71,6 @@ class RegistrationSession:
                 shared_mac_key=self.setup.registrar.shared_mac_key,
                 board=self.setup.board,
                 kiosk_public_keys=self.setup.registrar.kiosk_public_keys,
-                profile=self.profile,
             )
         if not self.booth_envelopes:
             self.restock_booth(self.setup.min_envelopes_per_booth)
@@ -115,22 +106,12 @@ class RegistrationSession:
 
     # ------------------------------------------------------------------ main flow
 
-    def register(
-        self,
-        voter: Voter,
-        activate: bool = True,
-        vsd_profile: Optional[HardwareProfile] = None,
-    ) -> RegistrationOutcome:
+    def register(self, voter: Voter, activate: bool = True) -> RegistrationOutcome:
         """Run the complete registration workflow for ``voter``."""
         # Keep the booth at its minimum stock (λ_E in the paper): enough that a
         # coerced voter cannot count envelopes, and enough that every symbol is
         # almost surely represented.
         self.restock_booth(voter.num_fake_credentials + self.setup.min_envelopes_per_booth)
-
-        # Snapshot the actors' latency ledgers so a reused session only
-        # attributes this voter's spans to this outcome.
-        official_span_start = len(self.official.latency.spans)
-        kiosk_span_start = len(self.kiosk.latency.spans)
 
         # 1. Check-in at the official's desk.
         ticket = self.official.check_in(voter.voter_id)
@@ -173,17 +154,11 @@ class RegistrationSession:
             voter_id=voter.voter_id,
             kiosk_public_keys=self.setup.registrar.kiosk_public_keys,
             authority_public_key=self.setup.authority_public_key,
-            profile=vsd_profile or self.profile,
         )
         reports: List[ActivationReport] = []
         if activate:
             for credential in voter.credentials:
                 reports.append(vsd.activate(credential))
-
-        latency = LatencyLedger()
-        latency.spans.extend(self.official.latency.spans[official_span_start:])
-        latency.spans.extend(self.kiosk.latency.spans[kiosk_span_start:])
-        latency.merge(vsd.latency)
 
         return RegistrationOutcome(
             voter=voter,
@@ -191,17 +166,10 @@ class RegistrationSession:
             record=record,
             activation_reports=reports,
             vsd=vsd,
-            latency=latency,
             ledger_seq=self.official.last_ledger_seq,
         )
 
 
-def run_registration(
-    setup: ElectionSetup,
-    voter: Voter,
-    profile_key: str = "H1",
-    activate: bool = True,
-) -> RegistrationOutcome:
-    """Convenience wrapper: register one voter on a given hardware profile."""
-    session = RegistrationSession(setup=setup, profile=hardware_profile(profile_key))
-    return session.register(voter, activate=activate)
+def run_registration(setup: ElectionSetup, voter: Voter, activate: bool = True) -> RegistrationOutcome:
+    """Convenience wrapper: register one voter at a fresh registrar site."""
+    return RegistrationSession(setup=setup).register(voter, activate=activate)

@@ -1,21 +1,29 @@
-"""QR-code and barcode payload model.
+"""QR codes and barcodes: the wire codec between the booth's paper and its devices.
 
 TRIP materializes protocol messages as machine-readable codes: the check-in
 ticket is a barcode (limited capacity, hence a MAC rather than a signature),
 and the receipt and envelope carry QR codes of 13–356 bytes (§7.2).  We do
 not rasterize actual QR images — the protocol only cares about the payload
-bytes and the code's size class, which drives the print and scan latency
-models — but we do model QR versioning (capacity per version) and perform a
-real encode/decode round-trip (base64 framing with a checksum) so that
-corrupted payloads are detected, mirroring what gozxing does for the Go
-prototype.
+bytes and the code's size class — but we do model QR versioning (capacity
+per version) and perform a real encode/decode round-trip (base64 framing
+with a checksum) so that corrupted payloads are detected, mirroring what
+gozxing does for the Go prototype.
+
+The devices touch codes through two calls, and each leaves a span in the
+trace: :func:`scan` (``registration.scan``, whose duration is the real
+decode and whose ``wire_bytes`` is what a scanner transfers) and
+:func:`print_codes` (``registration.print``, carrying the printed sizes).
+The spans hold raw sizes only; what a printer or a scanner takes per line
+or byte is a figure's model, not the protocol's.
 """
 
 from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
+from typing import Union
 
+from repro import telemetry
 from repro.crypto.hashing import sha256
 from repro.errors import ProtocolError
 
@@ -100,3 +108,37 @@ class Barcode:
     @classmethod
     def decode(cls, encoded: bytes, label: str = "") -> "Barcode":
         return cls(payload=_unframe(encoded), label=label)
+
+
+Code = Union[QRCode, Barcode]
+
+
+def scan(code: Code) -> Code:
+    """Read a printed code back through its wire bytes, as a scanner does.
+
+    The decode is checksum-verified, and a payload that does not survive the
+    round trip is a :class:`ProtocolError`.
+    """
+    wire = code.encoded
+    with telemetry.span("registration.scan", wire_bytes=len(wire)):
+        decoded = type(code).decode(wire, label=code.label)
+    if decoded.payload != code.payload:
+        raise ProtocolError("scanned payload does not match the printed payload")
+    return decoded
+
+
+def print_codes(*codes: Code, text_lines: int) -> None:
+    """Send one print job: ``codes`` and ``text_lines`` lines of text.
+
+    Nothing is rendered; the ``registration.print`` span records what the
+    job holds (QR codes with their summed versions, barcodes, text lines).
+    """
+    versions = [code.version for code in codes if isinstance(code, QRCode)]
+    with telemetry.span(
+        "registration.print",
+        qr_codes=len(versions),
+        qr_version_sum=sum(versions),
+        barcodes=len(codes) - len(versions),
+        text_lines=text_lines,
+    ):
+        pass

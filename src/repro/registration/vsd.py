@@ -21,9 +21,9 @@ the bytes the QR codes carry, and each check recomputes its element and
 compares encodings.  That is also why nothing here folds: a fold needs
 the commitments as elements, and decoding them is the cost this avoids.
 
-The VSD also monitors the registration ledger and notifies the voter of any
-registration event for their identity — the impersonation defence of
-Appendix J.
+The VSD also watches the registration ledger for events in its voter's
+name — the impersonation defence of Appendix J.  It polls: what the ledger
+holds for the voter now, against what it held when the device came online.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro import telemetry
 from repro.crypto.chaum_pedersen import (
     ChaumPedersenStatement,
     ChaumPedersenTranscript,
@@ -40,9 +41,6 @@ from repro.crypto.group import Group, GroupElement
 from repro.errors import LedgerError, VerificationError
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import EnvelopeUsageRecord
-from repro.peripherals.clock import Component, LatencyLedger
-from repro.peripherals.hardware import HardwareProfile, hardware_profile
-from repro.peripherals.scanner import CodeScanner
 from repro.registration.materials import (
     ActivatedCredential,
     CommitCode,
@@ -50,6 +48,7 @@ from repro.registration.materials import (
     PaperCredential,
     ResponseCode,
 )
+from repro.registration.qr import scan
 
 
 #: What :attr:`ActivationReport.failed_check` reads for each check of
@@ -82,30 +81,23 @@ class VoterSupportingDevice:
     voter_id: str
     kiosk_public_keys: List[GroupElement]
     authority_public_key: GroupElement
-    profile: HardwareProfile = field(default_factory=lambda: hardware_profile("H1"))
-    latency: LatencyLedger = field(default_factory=LatencyLedger)
     credentials: List[ActivatedCredential] = field(default_factory=list)
-    registration_notifications: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._scanner = CodeScanner(profile=self.profile, ledger=self.latency)
-        self.board.registration_log.subscribe(self._on_ledger_entry)
-        # Catch up on registration events that predate the device coming
-        # online (the voter typically activates at home, after check-out).
-        existing = self.board.registration_for(self.voter_id)
-        if existing is not None:
-            self.registration_notifications.append(
-                f"registration event recorded for {self.voter_id} (catch-up)"
-            )
+        # The voter typically activates at home, after check-out: the events
+        # already on the ledger fold into one catch-up notification.
+        self._registrations_seen = len(self.board.registration_history(self.voter_id))
 
     # Ledger monitoring ------------------------------------------------------------
 
-    def _on_ledger_entry(self, entry) -> None:
-        record = self.board.registration_for(self.voter_id)
-        if record is not None and record.payload() == entry.payload:
-            self.registration_notifications.append(
-                f"registration event recorded for {self.voter_id} (entry {entry.index})"
-            )
+    @property
+    def registration_notifications(self) -> List[str]:
+        """One catch-up for the events that predate the device, then one per later event."""
+        seen = self._registrations_seen
+        notifications = [f"registration event recorded for {self.voter_id} (catch-up)"] if seen else []
+        for index in range(seen, len(self.board.registration_history(self.voter_id))):
+            notifications.append(f"registration event recorded for {self.voter_id} (record {index})")
+        return notifications
 
     @property
     def has_unexpected_registration(self) -> bool:
@@ -116,14 +108,13 @@ class VoterSupportingDevice:
 
     def activate(self, credential: PaperCredential) -> ActivationReport:
         """Scan and verify a paper credential in the activate state (Fig. 11)."""
-        with self.latency.phase("Activation"):
+        with telemetry.span("registration.phase", phase="Activation"):
             qrs = credential.lift_for_activation().visible_activation_qrs(self.group)
-            scanned = [self._scanner.scan(qr, label=qr.label) for qr in qrs]
-            with self.latency.measure(Component.CRYPTO, label="activate", cpu_scale=self.profile.crypto_scale()):
-                commit_code = CommitCode.from_qr(scanned[0], self.group)
-                response_code = ResponseCode.from_qr(scanned[1], self.group)
-                envelope = Envelope.from_qr(scanned[2], self.group)
-                report = self._verify(credential, commit_code, response_code, envelope)
+            scanned = [scan(qr) for qr in qrs]
+            commit_code = CommitCode.from_qr(scanned[0], self.group)
+            response_code = ResponseCode.from_qr(scanned[1], self.group)
+            envelope = Envelope.from_qr(scanned[2], self.group)
+            report = self._verify(credential, commit_code, response_code, envelope)
         if report.success and report.credential is not None:
             self.credentials.append(report.credential)
         return report

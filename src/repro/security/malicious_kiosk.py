@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro import telemetry
 from repro.crypto.chaum_pedersen import simulate_chaum_pedersen
 from repro.crypto.schnorr import SigningKeyPair, schnorr_keygen, schnorr_sign
 from repro.crypto.sigma import Move, SigmaSession
@@ -34,6 +35,7 @@ from repro.registration.materials import (
     response_message,
     ResponseCode,
 )
+from repro.registration.qr import print_codes, scan
 
 
 @dataclass
@@ -47,9 +49,8 @@ class WrongOrderKiosk(Kiosk):
         is exactly the step order; the printed receipt is indistinguishable.
         """
         sigma = SigmaSession()
-        with self.latency.phase("RealToken"):
-            scanned = self.scanner.scan(envelope.to_qr(self.group), label="attack:envelope")
-            decoded = Envelope.from_qr(scanned, self.group, serial=envelope.serial)
+        with telemetry.span("registration.phase", phase="RealToken"):
+            decoded = Envelope.from_qr(scan(envelope.to_qr(self.group)), self.group, serial=envelope.serial)
             sigma.record(Move.CHALLENGE)
 
             # The adversary keeps the "real" key for itself and gives the voter
@@ -90,12 +91,11 @@ class WrongOrderKiosk(Kiosk):
                     response_message(victim_credential.public, decoded.challenge, transcript.response),
                 ),
             )
-            self.printer.print_codes(
+            print_codes(
                 commit_code.to_qr(self.group),
                 check_out.to_qr(self.group),
                 response_code.to_qr(self.group),
                 text_lines=2,
-                label="attack:receipt",
             )
 
         session.used_challenges.add(decoded.challenge)

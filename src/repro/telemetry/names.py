@@ -38,6 +38,9 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
         "ledger.flush",
         "ledger.read",
         "pipeline.stage",
+        "registration.phase",
+        "registration.print",
+        "registration.scan",
         "tally.decrypt",
         "tally.join",
         "tally.mix",

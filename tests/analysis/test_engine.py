@@ -121,9 +121,12 @@ class TestPolicy:
     def test_unmatched_paths_get_the_default_set(self):
         assert rule_ids_for_path("repro/errors.py") == DEFAULT_RULES
 
+    def test_registration_span_names_are_checked_against_the_registry(self):
+        assert "REP005" in rule_ids_for_path("repro/registration/kiosk.py")
+
     def test_rule_objects_cached_per_rule_set(self):
         assert rules_for_path("repro/crypto/elgamal.py") is rules_for_path(
-            "repro/registration/kiosk.py"
+            "repro/voting/ballot.py"
         )
 
 

@@ -319,5 +319,5 @@ class TestEnvRegistry:
         from repro.analysis.policy import rule_ids_for_path
 
         assert "REP007" not in rule_ids_for_path("repro/spec.py")
-        assert "REP007" in rule_ids_for_path("repro/bench/harness.py")
+        assert "REP007" in rule_ids_for_path("repro/registration/qr.py")
         assert "REP007" in rule_ids_for_path("repro/errors.py")

@@ -89,6 +89,32 @@ def test_one_cast_is_one_trace_from_sdk_to_ledger_flush(make_gateway, tmp_path):
         (target / "waterfall.txt").write_text(snapshot.render_waterfall(trace_id) + "\n")
 
 
+def test_a_registration_request_traces_the_ceremony_inside_it(make_gateway):
+    """``POST …/registrations``: TRIP's six phases are children of the request's
+    span, across the ``to_thread`` hop, each scan and print inside a phase."""
+    telemetry.configure("mem", propagate=False)
+    fixture = make_gateway(ServiceConfig())
+    client = fixture.client(client_id="ceremony")
+    client.create_election("ceremony", 4, 2)
+    session = CastingSession(client, "ceremony")
+    session.refresh()
+    session.register("voter-0000")
+    client.close()
+
+    snapshot = telemetry.snapshot()
+    (request,) = [
+        span for span in snapshot.spans_named("gateway.request") if span["attrs"]["route"].endswith("registrations")
+    ]
+    phases = snapshot.spans_named("registration.phase")
+    assert {span["attrs"]["phase"] for span in phases} == {
+        "CheckIn", "Authorization", "RealToken", "FakeToken", "CheckOut", "Activation",
+    }
+    assert {span["parent_id"] for span in phases} == {request["span_id"]}
+    phase_ids = {span["span_id"] for span in phases}
+    inner = snapshot.spans_named("registration.scan") + snapshot.spans_named("registration.print")
+    assert inner and {span["parent_id"] for span in inner} <= phase_ids
+
+
 def test_response_echoes_traceparent_and_request_histogram_has_exemplar(gateway):
     telemetry.configure("mem", propagate=False)
     trace_id = "4bf92f3577b34da6a3ce929d0e0e4736"

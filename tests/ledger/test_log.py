@@ -34,14 +34,6 @@ class TestAppend:
             log.append(payload)
         assert [entry.payload for entry in log] == payloads
 
-    def test_observers_notified(self):
-        log = AppendOnlyLog()
-        seen = []
-        log.subscribe(lambda entry: seen.append(entry.payload))
-        log.append(b"x")
-        log.append(b"y")
-        assert seen == [b"x", b"y"]
-
 
 class TestChainVerification:
     def test_honest_chain_verifies(self):

@@ -73,9 +73,12 @@ class TestOfficialCheckIn:
         with pytest.raises(RegistrationError):
             official.check_in("mallory")
 
-    def test_check_in_latency_recorded(self, official):
+    def test_check_in_is_traced_with_its_printed_ticket(self, official, traced_spans):
         official.check_in("alice")
-        assert "CheckIn" in official.latency.phases()
+        phase, printed = traced_spans()[::-1]
+        assert (phase["name"], phase["attrs"]) == ("registration.phase", {"phase": "CheckIn"})
+        assert printed["name"] == "registration.print" and printed["parent_id"] == phase["span_id"]
+        assert printed["attrs"] == {"qr_codes": 0, "qr_version_sum": 0, "barcodes": 1, "text_lines": 1}
 
 
 class TestKioskAuthorization:

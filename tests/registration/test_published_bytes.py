@@ -34,7 +34,7 @@ from repro.crypto.schnorr import SchnorrSignature, schnorr_keygen, schnorr_sign
 from repro.election import ElectionConfig, VotegralElection
 from repro.ledger.api import chain_logs
 from repro.ledger.records import MalformedField, RegistrationRecord
-from repro.peripherals.qr import QRCode
+from repro.registration.qr import QRCode
 from repro.registration.codec import Decoder
 from repro.registration.materials import CheckOutTicket, check_out_message
 from repro.runtime.batch import ProductAccumulator, batch_chaum_pedersen_verify, batch_schnorr_verify

@@ -1,9 +1,11 @@
-"""QR/barcode payload model."""
+"""QR/barcode payload model, and the scan and print calls the devices make."""
+
+import dataclasses
 
 import pytest
 
 from repro.errors import ProtocolError
-from repro.peripherals.qr import Barcode, QRCode, qr_version_for
+from repro.registration.qr import Barcode, QRCode, print_codes, qr_version_for, scan
 
 
 class TestQRCode:
@@ -51,3 +53,30 @@ class TestBarcode:
         corrupted[-1] ^= 0x01
         with pytest.raises(Exception):
             Barcode.decode(bytes(corrupted))
+
+
+class TestScanAndPrint:
+    def test_scan_round_trips_a_qr_code_and_a_barcode(self):
+        assert scan(QRCode(payload=b"payload")).payload == b"payload"
+        assert scan(Barcode(payload=b"ticket")).payload == b"ticket"
+
+    def test_a_payload_that_does_not_survive_the_wire_is_refused(self, monkeypatch):
+        monkeypatch.setattr(QRCode, "decode", classmethod(
+            lambda cls, encoded, label="": dataclasses.replace(QRCode(payload=b"other"), label=label)))
+        with pytest.raises(ProtocolError, match="does not match"):
+            scan(QRCode(payload=b"payload"))
+
+    def test_a_scan_is_a_span_carrying_the_wire_bytes(self, traced_spans):
+        code = QRCode(payload=b"x" * 50)
+        scan(code)
+        (span,) = traced_spans()
+        assert span["name"] == "registration.scan"
+        assert span["attrs"] == {"wire_bytes": code.wire_length}
+
+    def test_a_print_job_is_a_span_carrying_the_printed_sizes(self, traced_spans):
+        print_codes(QRCode(payload=b"x" * 20), QRCode(payload=b"y" * 300), Barcode(payload=b"t"), text_lines=2)
+        (span,) = traced_spans()
+        assert span["name"] == "registration.print"
+        assert span["attrs"] == {
+            "qr_codes": 2, "qr_version_sum": qr_version_for(20) + qr_version_for(300), "barcodes": 1, "text_lines": 2,
+        }

@@ -45,7 +45,7 @@ from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.group import ElementEncoding
 from repro.crypto.modp_group import modp_group_256, testing_group
 from repro.crypto.schnorr import SigningKeyPair, schnorr_challenge, schnorr_keygen, schnorr_sign, schnorr_verify
-from repro.peripherals.qr import QRCode
+from repro.registration.qr import QRCode
 from repro.registration.codec import Decoder, scalar_bytes
 from repro.registration.materials import (
     CommitCode,

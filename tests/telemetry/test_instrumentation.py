@@ -12,6 +12,7 @@ from repro.runtime.pipeline import StreamPipeline
 from repro.telemetry.__main__ import main as telemetry_cli
 
 PHASES = {"tally.sig-check", "tally.mix", "tally.tag", "tally.join", "tally.decrypt"}
+REGISTRATION = {"registration.phase", "registration.scan", "registration.print"}
 
 
 def test_serial_election_emits_all_five_phase_spans():
@@ -20,6 +21,7 @@ def test_serial_election_emits_all_five_phase_spans():
     assert outcome.counts_match_intent
     snapshot = telemetry.snapshot()
     assert PHASES <= set(snapshot.span_names())
+    assert REGISTRATION <= set(snapshot.span_names())
     # The ledger instrumentation rode along.
     assert snapshot.counter_total("ledger.append.ballots") > 0
     assert snapshot.spans_named("ledger.read")
@@ -107,9 +109,19 @@ def test_summarize_cli(tmp_path, capsys):
 def test_off_never_reaches_the_span_machinery(monkeypatch):
     """Telemetry ``off``, as counts rather than a timing ratio: a whole
     election allocates no span id, attaches no context, opens no trace and
-    records nothing."""
+    records nothing — registration's phase, scan and print spans included."""
     from repro.telemetry import core
 
+    opened = []
+
+    class RecordingHandle(core.SpanHandle):
+        __slots__ = ()
+
+        def __init__(self, name, attrs, state):
+            opened.append(name)
+            super().__init__(name, attrs, state)
+
+    monkeypatch.setattr(telemetry, "SpanHandle", RecordingHandle)
     calls = []
     for name in ("_new_span_id", "attach", "new_trace"):
         monkeypatch.setattr(
@@ -121,6 +133,7 @@ def test_off_never_reaches_the_span_machinery(monkeypatch):
     config = ElectionConfig(num_voters=4, num_mixers=2, proof_rounds=2, telemetry_spec="off")
     outcome = VotegralElection(config).run()
     assert outcome.counts_match_intent
+    assert REGISTRATION <= set(opened)
     assert calls == []
     assert core._ACTIVE_SPANS == {}
     snapshot = telemetry.snapshot()
