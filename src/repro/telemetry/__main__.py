@@ -18,7 +18,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.telemetry.snapshot import TelemetrySnapshot, _format_seconds
+from repro.telemetry.snapshot import TelemetrySnapshot
 
 
 def summarize(path: str, top: int = 10) -> str:
@@ -33,19 +33,11 @@ def waterfall(path: str, trace_id: str, width: int = 48) -> str:
 
 
 def slowest(path: str, top: int = 10) -> str:
-    snapshot = TelemetrySnapshot.from_jsonl(path)
-    ranked = snapshot.slowest_traces(top=top)
+    ranked = TelemetrySnapshot.from_jsonl(path).render_slowest(top=top)
     if not ranked:
         return "no traces (spans carry no trace_id — trace written before tracing?)"
-    lines = [f"Slowest {len(ranked)} trace(s) in {path}:"]
-    for rank, (trace_id, duration, root_name, span_count) in enumerate(ranked, start=1):
-        lines.append(
-            f"{rank:3d}. {trace_id}  {_format_seconds(duration):>9}"
-            f"  {root_name}  ({span_count} span(s))"
-        )
-    lines.append("")
-    lines.append("Render one: python -m repro.telemetry trace <trace.jsonl> <trace_id>")
-    return "\n".join(lines)
+    hint = "Render one: python -m repro.telemetry trace <trace.jsonl> <trace_id>"
+    return f"Trace {path}: {ranked}\n\n{hint}"
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -5,6 +5,14 @@ in the repo (executors, the stream pipeline, ledger backends, the cluster
 coordinator) imports :mod:`repro.telemetry`, so this module must never import
 back into them.
 
+Metric aggregates live in one :class:`Metrics`, which is also the one place
+an instrument's merge rule is written: a live :class:`Telemetry` records each
+observation through it, :meth:`Telemetry.ingest` folds a worker's drained
+blob through it, and :class:`~repro.telemetry.snapshot.TelemetrySnapshot`
+is a :class:`Metrics` with spans.  Every recorded span carries a ``wall``
+stamp (:meth:`SpanHandle.__enter__`); reports align spans from different
+processes on it alone.
+
 Design constraints, in order of importance:
 
 1. **Disabled mode is near-free.**  The default spec is ``"off"``; in that
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import threading
 import time
@@ -288,24 +297,131 @@ def read_jsonl(path: str) -> Iterator[Dict[str, Any]]:
                 yield event
 
 
+class Metrics:
+    """Metric aggregates per ``(name, labels)`` series, and the merge rule of each instrument.
+
+    One class holds the rule for a live process and for a merged report: a
+    counter adds; a gauge keeps the last value and the high-water max; a
+    histogram adds counts, sums and buckets and keeps the min, the max and
+    the exemplar (a trace ID) of the max.  A live observation is a
+    single-observation ``add_*``; a foreign aggregate arrives as an event
+    through :meth:`merge`.  Not thread-safe: :class:`Telemetry` holds its
+    lock around every call.
+    """
+
+    def __init__(self) -> None:
+        self.counters: Dict[MetricKey, float] = {}
+        self.gauges: Dict[MetricKey, Tuple[float, float]] = {}  # (last, max)
+        self.histograms: Dict[MetricKey, Tuple[float, float, float, float]] = {}  # (count, sum, min, max)
+        self.histogram_buckets: Dict[MetricKey, List[float]] = {}
+        self.histogram_exemplars: Dict[MetricKey, str] = {}  # trace ID of the max
+
+    def add_counter(self, key: MetricKey, value: float) -> None:
+        self.counters[key] = self.counters.get(key, 0.0) + value
+
+    def add_gauge(self, key: MetricKey, last: float, high: float) -> None:
+        prior = self.gauges.get(key)
+        self.gauges[key] = (last, high if prior is None else max(prior[1], high))
+
+    def add_histogram(
+        self,
+        key: MetricKey,
+        count: float,
+        total: float,
+        low: float,
+        high: float,
+        buckets: Optional[List[float]],
+        exemplar: Optional[str],
+    ) -> None:
+        slot = self.histograms.get(key)
+        if exemplar and (slot is None or high >= slot[3]):
+            self.histogram_exemplars[key] = exemplar
+        if slot is None:
+            self.histograms[key] = (count, total, low, high)
+        else:
+            self.histograms[key] = (slot[0] + count, slot[1] + total, min(slot[2], low), max(slot[3], high))
+        merged = self.histogram_buckets.get(key)
+        if merged is None:
+            if buckets is not None:
+                self.histogram_buckets[key] = list(buckets)
+        elif buckets is not None:
+            for index in range(min(len(merged), len(buckets))):
+                merged[index] += buckets[index]
+
+    def merge(self, event: Dict[str, Any], **extra_labels: Any) -> None:
+        """Fold one metric event in, under its labels plus ``extra_labels``.
+
+        An event with a wrong-typed or non-finite field is skipped whole, the
+        way :func:`read_jsonl` skips a torn line: one damaged line never
+        poisons a report.
+        """
+        name, labels = event.get("name"), event.get("labels") or {}
+        if not isinstance(name, str) or not isinstance(labels, dict):
+            return
+        key = (name, _label_key({**labels, **extra_labels}))
+        kind = event.get("type")
+        try:
+            if kind == "counter":
+                self.add_counter(key, _number(event.get("value", 0.0)))
+            elif kind == "gauge":
+                value = _number(event.get("value", 0.0))
+                self.add_gauge(key, value, _number(event.get("max", value)))
+            elif kind == "histogram":
+                count, total, low, high = (_number(event.get(field, 0.0)) for field in ("count", "sum", "min", "max"))
+                buckets, exemplar = event.get("buckets"), event.get("exemplar")
+                counts = [_number(bucket) for bucket in buckets] if isinstance(buckets, list) else None
+                pinned = exemplar if isinstance(exemplar, str) else None
+                self.add_histogram(key, count, total, low, high, counts, pinned)
+        except (TypeError, ValueError):
+            return
+
+    def events(self) -> List[Dict[str, Any]]:
+        """Every series as a portable event dict, the form :meth:`merge` reads."""
+        events: List[Dict[str, Any]] = []
+        for (name, labels), value in self.counters.items():
+            events.append({"type": "counter", "name": name, "labels": dict(labels), "value": value})
+        for (name, labels), (last, high) in self.gauges.items():
+            events.append({"type": "gauge", "name": name, "labels": dict(labels), "value": last, "max": high})
+        for key, (count, total, low, high) in self.histograms.items():
+            event: Dict[str, Any] = {
+                "type": "histogram",
+                "name": key[0],
+                "labels": dict(key[1]),
+                "count": count,
+                "sum": total,
+                "min": low,
+                "max": high,
+            }
+            if key in self.histogram_buckets:
+                event["buckets"] = list(self.histogram_buckets[key])
+            if key in self.histogram_exemplars:
+                event["exemplar"] = self.histogram_exemplars[key]
+            events.append(event)
+        return events
+
+
+def _number(value: Any) -> float:
+    """``value`` as a finite float; ``TypeError`` / ``ValueError`` otherwise."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
+
+
 class Telemetry:
     """One process's telemetry state: a sink plus in-memory metric aggregates.
 
     Spans stream to the sink eagerly (they are the trace); counters, gauges
-    and histograms aggregate locally and are folded into snapshots, drained
-    for the cluster piggyback, or flushed to the JSONL file at process exit
-    so child processes' metrics survive them.
+    and histograms aggregate locally in a :class:`Metrics` and are folded
+    into snapshots, drained for the cluster piggyback, or flushed to the
+    JSONL file at process exit so child processes' metrics survive them.
     """
 
     def __init__(self, sink: Any, spec: str) -> None:
         self.sink = sink
         self.spec = spec
         self._lock = threading.Lock()
-        self._counters: Dict[MetricKey, float] = {}
-        self._gauges: Dict[MetricKey, List[float]] = {}  # [last, max]
-        self._histograms: Dict[MetricKey, List[float]] = {}  # [count, sum, min, max]
-        self._hist_buckets: Dict[MetricKey, List[float]] = {}
-        self._hist_exemplars: Dict[MetricKey, str] = {}  # trace_id of the max
+        self._metrics = Metrics()
 
     # ------------------------------------------------------------- recording
 
@@ -328,18 +444,12 @@ class Telemetry:
     def counter(self, name: str, value: float = 1.0, **labels: Any) -> None:
         key = (name, _label_key(labels))
         with self._lock:
-            self._counters[key] = self._counters.get(key, 0.0) + value
+            self._metrics.add_counter(key, value)
 
     def gauge(self, name: str, value: float, **labels: Any) -> None:
         key = (name, _label_key(labels))
         with self._lock:
-            slot = self._gauges.get(key)
-            if slot is None:
-                self._gauges[key] = [value, value]
-            else:
-                slot[0] = value
-                if value > slot[1]:
-                    slot[1] = value
+            self._metrics.add_gauge(key, value, value)
 
     def histogram(
         self, name: str, value: float, exemplar: Optional[str] = None, **labels: Any
@@ -350,67 +460,22 @@ class Telemetry:
         observation so far — the one you want to pull the waterfall for.
         """
         key = (name, _label_key(labels))
+        buckets = [0.0] * (len(HISTOGRAM_BUCKETS) + 1)
+        buckets[_bucket_index(value)] = 1.0
         with self._lock:
-            slot = self._histograms.get(key)
-            if slot is None:
-                self._histograms[key] = [1.0, value, value, value]
-                if exemplar:
-                    self._hist_exemplars[key] = exemplar
-            else:
-                slot[0] += 1.0
-                slot[1] += value
-                if value < slot[2]:
-                    slot[2] = value
-                if value >= slot[3]:
-                    slot[3] = value
-                    if exemplar:
-                        self._hist_exemplars[key] = exemplar
-            buckets = self._hist_buckets.get(key)
-            if buckets is None:
-                buckets = [0.0] * (len(HISTOGRAM_BUCKETS) + 1)
-                self._hist_buckets[key] = buckets
-            buckets[_bucket_index(value)] += 1.0
+            self._metrics.add_histogram(key, 1.0, value, value, value, buckets, exemplar)
 
     # ------------------------------------------------------------- extraction
 
     def metrics_events(self, reset: bool = False) -> List[Dict[str, Any]]:
         """The local aggregates as portable event dicts."""
-        events: List[Dict[str, Any]] = []
-        pid = os.getpid()
         with self._lock:
-            for (name, labels), value in self._counters.items():
-                events.append(
-                    {"type": "counter", "name": name, "labels": dict(labels), "value": value, "pid": pid}
-                )
-            for (name, labels), (last, high) in self._gauges.items():
-                events.append(
-                    {"type": "gauge", "name": name, "labels": dict(labels), "value": last, "max": high, "pid": pid}
-                )
-            for key, (count, total, low, high) in self._histograms.items():
-                name, labels = key
-                event: Dict[str, Any] = {
-                    "type": "histogram",
-                    "name": name,
-                    "labels": dict(labels),
-                    "count": count,
-                    "sum": total,
-                    "min": low,
-                    "max": high,
-                    "pid": pid,
-                }
-                buckets = self._hist_buckets.get(key)
-                if buckets is not None:
-                    event["buckets"] = list(buckets)
-                exemplar = self._hist_exemplars.get(key)
-                if exemplar:
-                    event["exemplar"] = exemplar
-                events.append(event)
+            events = self._metrics.events()
             if reset:
-                self._counters.clear()
-                self._gauges.clear()
-                self._histograms.clear()
-                self._hist_buckets.clear()
-                self._hist_exemplars.clear()
+                self._metrics = Metrics()
+        pid = os.getpid()
+        for event in events:
+            event["pid"] = pid
         return events
 
     def ingest(self, events: Sequence[Dict[str, Any]], **extra_labels: Any) -> None:
@@ -422,69 +487,16 @@ class Telemetry:
         series distinct.
         """
         for event in events:
-            kind = event.get("type")
-            if kind == "span":
+            if event.get("type") == "span":
                 merged = dict(event)
                 if extra_labels:
                     attrs = dict(merged.get("attrs") or {})
                     attrs.update({key: _jsonable(value) for key, value in extra_labels.items()})
                     merged["attrs"] = attrs
                 self.sink.emit(merged)
-            elif kind == "counter":
-                labels = dict(event.get("labels") or {})
-                labels.update(extra_labels)
-                self.counter(event["name"], float(event.get("value", 0.0)), **labels)
-            elif kind == "gauge":
-                labels = dict(event.get("labels") or {})
-                labels.update(extra_labels)
-                value = float(event.get("value", 0.0))
-                high = float(event.get("max", value))
-                key = (event["name"], _label_key(labels))
-                with self._lock:
-                    slot = self._gauges.get(key)
-                    if slot is None:
-                        self._gauges[key] = [value, high]
-                    else:
-                        slot[0] = value
-                        if high > slot[1]:
-                            slot[1] = high
-            elif kind == "histogram":
-                labels = dict(event.get("labels") or {})
-                labels.update(extra_labels)
-                self._merge_histogram(event, labels)
-
-    def _merge_histogram(self, event: Dict[str, Any], labels: Dict[str, Any]) -> None:
-        key = (event["name"], _label_key(labels))
-        count = float(event.get("count", 0.0))
-        total = float(event.get("sum", 0.0))
-        low = float(event.get("min", 0.0))
-        high = float(event.get("max", 0.0))
-        incoming = event.get("buckets")
-        exemplar = event.get("exemplar")
-        with self._lock:
-            slot = self._histograms.get(key)
-            if slot is None:
-                self._histograms[key] = [count, total, low, high]
-                if isinstance(incoming, list):
-                    self._hist_buckets[key] = [float(v) for v in incoming]
-                if isinstance(exemplar, str) and exemplar:
-                    self._hist_exemplars[key] = exemplar
             else:
-                if high >= slot[3] and isinstance(exemplar, str) and exemplar:
-                    self._hist_exemplars[key] = exemplar
-                slot[0] += count
-                slot[1] += total
-                if low < slot[2]:
-                    slot[2] = low
-                if high > slot[3]:
-                    slot[3] = high
-                if isinstance(incoming, list):
-                    buckets = self._hist_buckets.get(key)
-                    if buckets is None:
-                        self._hist_buckets[key] = [float(v) for v in incoming]
-                    else:
-                        for index in range(min(len(buckets), len(incoming))):
-                            buckets[index] += float(incoming[index])
+                with self._lock:
+                    self._metrics.merge(event, **extra_labels)
 
     def drain(self) -> List[Dict[str, Any]]:
         """Pop buffered spans *and* metric aggregates (cluster piggyback)."""
@@ -533,6 +545,7 @@ __all__ = [
     "LabelKey",
     "MemSink",
     "MetricKey",
+    "Metrics",
     "SPEC_OFF",
     "SpanHandle",
     "TELEMETRY_ENV",

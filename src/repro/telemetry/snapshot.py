@@ -1,18 +1,24 @@
-"""Merged telemetry reports: snapshots, Prometheus text, span trees.
+"""Merged telemetry reports: Prometheus text, span trees, waterfalls, quantiles.
 
 A :class:`TelemetrySnapshot` is built from *events* — the portable dicts the
 sinks store (see :mod:`repro.telemetry.core`) — so the same code renders a
 live in-process snapshot, a multi-process ``jsonl:`` trace file, and a
 cluster fleet report where worker events arrived piggybacked on RESULT
-frames.
+frames.  Metric events merge by the rules of
+:class:`repro.telemetry.core.Metrics`, which the snapshot extends; this
+module only admits spans and renders.  Every span tree here is built by
+:func:`_tree`, and every timeline is laid out on the spans' ``wall`` stamps.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.telemetry.core import HISTOGRAM_BUCKETS, LabelKey, _label_key, read_jsonl
+from repro.telemetry.core import HISTOGRAM_BUCKETS, LabelKey, MetricKey, Metrics, _label_key, _number, read_jsonl
+
+_V = TypeVar("_V")
+_ID_TYPES = (str, type(None))
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -36,16 +42,12 @@ def _format_seconds(seconds: float) -> str:
     return f"{seconds * 1e6:.0f}us"
 
 
-class TelemetrySnapshot:
-    """One merged, queryable view over spans and metric aggregates."""
+class TelemetrySnapshot(Metrics):
+    """One merged, queryable view: the :class:`Metrics` series plus ``spans``."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.spans: List[Dict[str, Any]] = []
-        self.counters: Dict[Tuple[str, LabelKey], float] = {}
-        self.gauges: Dict[Tuple[str, LabelKey], Tuple[float, float]] = {}  # (last, max)
-        self.histograms: Dict[Tuple[str, LabelKey], Tuple[float, float, float, float]] = {}
-        self.histogram_buckets: Dict[Tuple[str, LabelKey], List[float]] = {}
-        self.histogram_exemplars: Dict[Tuple[str, LabelKey], str] = {}
 
     # ------------------------------------------------------------- building
 
@@ -61,49 +63,11 @@ class TelemetrySnapshot:
         return cls.from_events(read_jsonl(path))
 
     def add_event(self, event: Dict[str, Any]) -> None:
-        kind = event.get("type")
-        if kind == "span":
+        """Admit one span or merge one metric event; a damaged one is skipped."""
+        if event.get("type") != "span":
+            self.merge(event)
+        elif _well_formed_span(event):
             self.spans.append(event)
-            return
-        name = event.get("name")
-        if not isinstance(name, str):
-            return
-        key = (name, _label_key(event.get("labels") or {}))
-        if kind == "counter":
-            self.counters[key] = self.counters.get(key, 0.0) + float(event.get("value", 0.0))
-        elif kind == "gauge":
-            value = float(event.get("value", 0.0))
-            high = float(event.get("max", value))
-            last, prior_high = self.gauges.get(key, (value, high))
-            self.gauges[key] = (value, max(high, prior_high))
-        elif kind == "histogram":
-            count = float(event.get("count", 0.0))
-            total = float(event.get("sum", 0.0))
-            low = float(event.get("min", 0.0))
-            high = float(event.get("max", 0.0))
-            exemplar = event.get("exemplar")
-            slot = self.histograms.get(key)
-            if slot is None:
-                self.histograms[key] = (count, total, low, high)
-                if isinstance(exemplar, str) and exemplar:
-                    self.histogram_exemplars[key] = exemplar
-            else:
-                if high >= slot[3] and isinstance(exemplar, str) and exemplar:
-                    self.histogram_exemplars[key] = exemplar
-                self.histograms[key] = (
-                    slot[0] + count,
-                    slot[1] + total,
-                    min(slot[2], low),
-                    max(slot[3], high),
-                )
-            incoming = event.get("buckets")
-            if isinstance(incoming, list):
-                buckets = self.histogram_buckets.get(key)
-                if buckets is None:
-                    self.histogram_buckets[key] = [float(v) for v in incoming]
-                else:
-                    for index in range(min(len(buckets), len(incoming))):
-                        buckets[index] += float(incoming[index])
 
     # ------------------------------------------------------------- queries
 
@@ -115,27 +79,11 @@ class TelemetrySnapshot:
 
     def counter_total(self, name: str, **labels: Any) -> float:
         """Sum of a counter across every label set matching ``labels``."""
-        want = dict(_label_key(labels))
-        total = 0.0
-        for (metric, label_key), value in self.counters.items():
-            if metric != name:
-                continue
-            have = dict(label_key)
-            if all(have.get(key) == value_ for key, value_ in want.items()):
-                total += value
-        return total
+        return sum((value for _, value in _matching(self.counters, name, labels)), 0.0)
 
     def gauge_high_water(self, name: str, **labels: Any) -> Optional[float]:
         """Max observed value of a gauge across matching label sets."""
-        want = dict(_label_key(labels))
-        best: Optional[float] = None
-        for (metric, label_key), (_, high) in self.gauges.items():
-            if metric != name:
-                continue
-            have = dict(label_key)
-            if all(have.get(key) == value_ for key, value_ in want.items()):
-                best = high if best is None else max(best, high)
-        return best
+        return max((high for _, (_, high) in _matching(self.gauges, name, labels)), default=None)
 
     def histogram_quantile(self, name: str, quantile: float, **labels: Any) -> Optional[float]:
         """Approximate quantile from merged bucket arrays (p50: ``0.5``).
@@ -145,18 +93,9 @@ class TelemetrySnapshot:
         what was actually seen.  ``None`` when no matching series carries
         buckets.
         """
-        want = dict(_label_key(labels))
         merged = [0.0] * (len(HISTOGRAM_BUCKETS) + 1)
         low = high = None
-        found = False
-        for key, buckets in self.histogram_buckets.items():
-            metric, label_key = key
-            if metric != name:
-                continue
-            have = dict(label_key)
-            if not all(have.get(k) == v for k, v in want.items()):
-                continue
-            found = True
+        for key, buckets in _matching(self.histogram_buckets, name, labels):
             for index in range(min(len(merged), len(buckets))):
                 merged[index] += buckets[index]
             slot = self.histograms.get(key)
@@ -164,7 +103,7 @@ class TelemetrySnapshot:
                 low = slot[2] if low is None else min(low, slot[2])
                 high = slot[3] if high is None else max(high, slot[3])
         total = sum(merged)
-        if not found or total <= 0.0:
+        if total <= 0.0:
             return None
         rank = max(0.0, min(1.0, quantile)) * total
         cumulative = 0.0
@@ -212,40 +151,43 @@ class TelemetrySnapshot:
     def slowest_traces(self, top: int = 10) -> List[Tuple[str, float, str, int]]:
         """``(trace_id, duration_seconds, root_name, span_count)`` by duration.
 
-        Duration is the wall-clock extent when spans carry ``wall`` stamps
-        (cross-process safe); otherwise the widest per-PID ``perf_counter``
-        extent (clocks from different PIDs are not comparable).
+        Duration is the trace's wall-clock extent, from its first span's
+        ``wall`` stamp to its last span's end.
         """
         ranked: List[Tuple[str, float, str, int]] = []
         for trace_id, spans in self.traces().items():
-            ranked.append((trace_id, _trace_extent(spans), _trace_root_name(spans), len(spans)))
+            offsets, extent = _timeline(spans)
+            roots, _ = _tree(spans)
+            root = min(roots or spans, key=lambda span: offsets[id(span)])
+            ranked.append((trace_id, extent, str(root.get("name", "")), len(spans)))
         ranked.sort(key=lambda item: item[1], reverse=True)
         return ranked[:top]
+
+    def render_slowest(self, top: int = 10) -> str:
+        """The ``Slowest N trace(s)`` block of :meth:`summary` (``""`` without traces)."""
+        slow = self.slowest_traces(top=top)
+        if not slow:
+            return ""
+        lines = [f"Slowest {len(slow)} trace(s):"]
+        for rank, (trace_id, duration, root_name, span_count) in enumerate(slow, start=1):
+            lines.append(
+                f"{rank:3d}. {trace_id}  {_format_seconds(duration):>9}"
+                f"  {root_name}  ({span_count} span(s))"
+            )
+        return "\n".join(lines)
 
     def render_waterfall(self, trace_id: str, width: int = 48) -> str:
         """One trace as an indented timeline: offsets, bars, durations.
 
-        Offsets are wall-clock based when every span carries a ``wall``
-        stamp; otherwise spans are aligned per-PID (monotonic clocks do not
-        compare across processes) with child processes anchored at their
-        parent span's offset.
+        Offsets are ``wall`` stamps less the trace's earliest one, so spans
+        from every process (cluster workers, a gateway child) share one axis.
         """
         spans = self.trace_spans(trace_id)
         if not spans:
             return f"trace {trace_id}: no spans"
-        offsets = _trace_offsets(spans)
-        extent = max(
-            offsets[id(span)] + float(span.get("duration", 0.0)) for span in spans
-        ) or 1e-9
-        by_id = {span.get("span_id"): span for span in spans if span.get("span_id")}
-        children: Dict[Optional[str], List[Dict[str, Any]]] = {}
-        roots: List[Dict[str, Any]] = []
-        for span in spans:
-            parent = span.get("parent_id")
-            if parent and parent in by_id:
-                children.setdefault(parent, []).append(span)
-            else:
-                roots.append(span)
+        offsets, extent = _timeline(spans)
+        extent = extent or 1e-9
+        roots, children = _tree(spans)
 
         lines = [
             f"trace {trace_id}  —  {len(spans)} span(s), {_format_seconds(extent)}"
@@ -283,46 +225,28 @@ class TelemetrySnapshot:
         lines: List[str] = []
         seen_types: set = set()
 
-        def header(base: str, kind: str) -> None:
+        def sample(base: str, kind: str, labels: LabelKey, value: float) -> None:
             if base not in seen_types:
                 seen_types.add(base)
                 lines.append(f"# TYPE {base} {kind}")
+            lines.append(f"{base}{_label_text(labels)} {_num(value)}")
 
         for (name, labels), value in sorted(self.counters.items()):
-            base = _metric_name(name, "_total")
-            header(base, "counter")
-            lines.append(f"{base}{_label_text(labels)} {_num(value)}")
+            sample(_metric_name(name, "_total"), "counter", labels, value)
         for (name, labels), (last, high) in sorted(self.gauges.items()):
-            base = _metric_name(name)
-            header(base, "gauge")
-            lines.append(f"{base}{_label_text(labels)} {_num(last)}")
-            header(base + "_max", "gauge")
-            lines.append(f"{base}_max{_label_text(labels)} {_num(high)}")
+            sample(_metric_name(name), "gauge", labels, last)
+            sample(_metric_name(name, "_max"), "gauge", labels, high)
         for (name, labels), (count, total, low, high) in sorted(self.histograms.items()):
             base = _metric_name(name)
-            header(base + "_count", "counter")
-            lines.append(f"{base}_count{_label_text(labels)} {_num(count)}")
-            header(base + "_sum", "counter")
-            lines.append(f"{base}_sum{_label_text(labels)} {_num(total)}")
-            header(base + "_min", "gauge")
-            lines.append(f"{base}_min{_label_text(labels)} {_num(low)}")
-            header(base + "_max", "gauge")
-            lines.append(f"{base}_max{_label_text(labels)} {_num(high)}")
-            buckets = self.histogram_buckets.get((name, labels))
-            if buckets:
-                header(base + "_bucket", "counter")
-                cumulative = 0.0
-                for index, bucket_count in enumerate(buckets):
-                    cumulative += bucket_count
-                    bound = (
-                        _num(HISTOGRAM_BUCKETS[index])
-                        if index < len(HISTOGRAM_BUCKETS)
-                        else "+Inf"
-                    )
-                    bucket_labels = labels + (("le", bound),)
-                    lines.append(
-                        f"{base}_bucket{_label_text(bucket_labels)} {_num(cumulative)}"
-                    )
+            sample(base + "_count", "counter", labels, count)
+            sample(base + "_sum", "counter", labels, total)
+            sample(base + "_min", "gauge", labels, low)
+            sample(base + "_max", "gauge", labels, high)
+            cumulative = 0.0
+            for index, bucket_count in enumerate(self.histogram_buckets.get((name, labels), [])):
+                cumulative += bucket_count
+                bound = _num(HISTOGRAM_BUCKETS[index]) if index < len(HISTOGRAM_BUCKETS) else "+Inf"
+                sample(base + "_bucket", "counter", labels + (("le", bound),), cumulative)
 
         span_aggregate: Dict[str, List[float]] = {}
         for span in self.spans:
@@ -331,11 +255,8 @@ class TelemetrySnapshot:
             slot[1] += float(span.get("duration", 0.0))
         for name in sorted(span_aggregate):
             count, total = span_aggregate[name]
-            labels: LabelKey = (("name", name),)
-            header("repro_span_seconds_count", "counter")
-            lines.append(f"repro_span_seconds_count{_label_text(labels)} {_num(count)}")
-            header("repro_span_seconds_sum", "counter")
-            lines.append(f"repro_span_seconds_sum{_label_text(labels)} {_num(total)}")
+            sample("repro_span_seconds_count", "counter", (("name", name),), count)
+            sample("repro_span_seconds_sum", "counter", (("name", name),), total)
         return "\n".join(lines) + ("\n" if lines else "")
 
     def span_tree(self) -> List["SpanGroup"]:
@@ -345,29 +266,16 @@ class TelemetrySnapshot:
         in-flight parents) become roots.  Within each level, groups sort by
         total time descending.
         """
-        by_id = {span.get("span_id"): span for span in self.spans if span.get("span_id")}
-        children: Dict[Optional[str], List[Dict[str, Any]]] = {}
-        roots: List[Dict[str, Any]] = []
-        for span in self.spans:
-            parent = span.get("parent_id")
-            if parent and parent in by_id:
-                children.setdefault(parent, []).append(span)
-            else:
-                roots.append(span)
-        return _group_spans(roots, children)
+        return _group_spans(*_tree(self.spans))
 
     def hotspots(self, top: int = 10) -> List[Tuple[str, int, float, float]]:
         """``(name, count, total_seconds, self_seconds)`` sorted by self time."""
-        by_id = {span.get("span_id"): span for span in self.spans if span.get("span_id")}
-        child_time: Dict[Optional[str], float] = {}
-        for span in self.spans:
-            parent = span.get("parent_id")
-            if parent and parent in by_id:
-                child_time[parent] = child_time.get(parent, 0.0) + float(span.get("duration", 0.0))
+        _, children = _tree(self.spans)
         aggregate: Dict[str, List[float]] = {}
         for span in self.spans:
             duration = float(span.get("duration", 0.0))
-            self_time = max(0.0, duration - child_time.get(span.get("span_id"), 0.0))
+            inner = children.get(span.get("span_id"), [])
+            self_time = max(0.0, duration - sum(float(child.get("duration", 0.0)) for child in inner))
             slot = aggregate.setdefault(str(span.get("name", "")), [0.0, 0.0, 0.0])
             slot[0] += 1.0
             slot[1] += duration
@@ -413,15 +321,10 @@ class TelemetrySnapshot:
                     f"{rank:3d}. {name.ljust(width)}  ×{count:<5d}"
                     f" self {_format_seconds(self_time):>9}  total {_format_seconds(total):>9}"
                 )
-        slow = self.slowest_traces(top=top)
+        slow = self.render_slowest(top=top)
         if slow:
             parts.append("")
-            parts.append(f"Slowest {len(slow)} trace(s):")
-            for rank, (trace_id, duration, root_name, span_count) in enumerate(slow, start=1):
-                parts.append(
-                    f"{rank:3d}. {trace_id}  {_format_seconds(duration):>9}"
-                    f"  {root_name}  ({span_count} span(s))"
-                )
+            parts.append(slow)
         metrics = self.to_prometheus()
         if metrics:
             parts.append("")
@@ -471,85 +374,49 @@ def _group_spans(
     return groups
 
 
-def _spans_have_wall(spans: Sequence[Dict[str, Any]]) -> bool:
-    return all(float(span.get("wall", 0.0) or 0.0) > 0.0 for span in spans)
-
-
-def _trace_extent(spans: Sequence[Dict[str, Any]]) -> float:
-    """End-to-end duration of one trace's spans (see :meth:`slowest_traces`)."""
-    if not spans:
-        return 0.0
-    if _spans_have_wall(spans):
-        begin = min(float(span["wall"]) for span in spans)
-        end = max(float(span["wall"]) + float(span.get("duration", 0.0)) for span in spans)
-        return max(0.0, end - begin)
-    extent = 0.0
-    by_pid: Dict[Any, List[Dict[str, Any]]] = {}
-    for span in spans:
-        by_pid.setdefault(span.get("pid"), []).append(span)
-    for members in by_pid.values():
-        begin = min(float(span.get("start", 0.0)) for span in members)
-        end = max(
-            float(span.get("start", 0.0)) + float(span.get("duration", 0.0))
-            for span in members
-        )
-        extent = max(extent, end - begin)
-    return extent
-
-
-def _trace_root_name(spans: Sequence[Dict[str, Any]]) -> str:
+def _tree(
+    spans: Sequence[Dict[str, Any]],
+) -> Tuple[List[Dict[str, Any]], Dict[Optional[str], List[Dict[str, Any]]]]:
+    """``(roots, children by parent span_id)``; a span whose parent is not among ``spans`` is a root."""
     ids = {span.get("span_id") for span in spans if span.get("span_id")}
-    roots = [span for span in spans if span.get("parent_id") not in ids]
-    if not roots:
-        roots = list(spans)
-    roots.sort(key=lambda span: float(span.get("wall", span.get("start", 0.0)) or 0.0))
-    return str(roots[0].get("name", ""))
+    roots: List[Dict[str, Any]] = []
+    children: Dict[Optional[str], List[Dict[str, Any]]] = {}
+    for span in spans:
+        parent = span.get("parent_id")
+        if parent and parent in ids:
+            children.setdefault(parent, []).append(span)
+        else:
+            roots.append(span)
+    return roots, children
 
 
-def _trace_offsets(spans: Sequence[Dict[str, Any]]) -> Dict[int, float]:
-    """Per-span offset (seconds) from the trace origin, keyed by ``id(span)``.
+def _matching(series: Dict[MetricKey, _V], name: str, labels: Dict[str, Any]) -> List[Tuple[MetricKey, _V]]:
+    """The series of ``name`` whose label sets include ``labels``."""
+    want = set(_label_key(labels))
+    return [(key, value) for key, value in series.items() if key[0] == name and want <= set(key[1])]
 
-    Wall-clock based when every span has a ``wall`` stamp.  Otherwise each
-    PID's spans are laid out on its own monotonic clock, anchored at the
-    offset of the parent span that dispatched into that PID (or 0).
-    """
-    offsets: Dict[int, float] = {}
-    if _spans_have_wall(spans):
-        origin = min(float(span["wall"]) for span in spans)
-        for span in spans:
-            offsets[id(span)] = float(span["wall"]) - origin
-        return offsets
-    by_id = {span.get("span_id"): span for span in spans if span.get("span_id")}
-    pid_begin: Dict[Any, float] = {}
-    pid_anchor: Dict[Any, float] = {}
-    for span in spans:
-        pid = span.get("pid")
-        start = float(span.get("start", 0.0))
-        if pid not in pid_begin or start < pid_begin[pid]:
-            pid_begin[pid] = start
-    root_pids = {
-        span.get("pid") for span in spans if span.get("parent_id") not in by_id
-    }
-    for pid in pid_begin:
-        if pid in root_pids:
-            pid_anchor[pid] = 0.0
-    for span in spans:
-        pid = span.get("pid")
-        if pid in pid_anchor:
-            continue
-        parent = by_id.get(span.get("parent_id"))
-        if parent is not None and parent.get("pid") in pid_anchor:
-            parent_pid = parent.get("pid")
-            pid_anchor[pid] = (
-                pid_anchor[parent_pid]
-                + float(parent.get("start", 0.0))
-                - pid_begin[parent_pid]
-            )
-    for span in spans:
-        pid = span.get("pid")
-        anchor = pid_anchor.get(pid, 0.0)
-        offsets[id(span)] = anchor + float(span.get("start", 0.0)) - pid_begin.get(pid, 0.0)
-    return offsets
+
+def _timeline(spans: Sequence[Dict[str, Any]]) -> Tuple[Dict[int, float], float]:
+    """``(offsets, extent)``: each span's ``wall`` less the earliest (keyed by ``id(span)``), and the last end."""
+    origin = min(float(span.get("wall", 0.0)) for span in spans)
+    offsets = {id(span): float(span.get("wall", 0.0)) - origin for span in spans}
+    return offsets, max(0.0, max(offsets[id(span)] + float(span.get("duration", 0.0)) for span in spans))
+
+
+def _well_formed_span(event: Dict[str, Any]) -> bool:
+    """Whether every field the renderers read has the type a recorded span gives it."""
+    try:
+        _number(event.get("start", 0.0)), _number(event.get("wall", 0.0)), _number(event.get("duration", 0.0))
+    except (TypeError, ValueError):
+        return False
+    return (
+        isinstance(event.get("name", ""), str)
+        and isinstance(event.get("span_id"), _ID_TYPES)
+        and isinstance(event.get("parent_id"), _ID_TYPES)
+        and isinstance(event.get("trace_id"), _ID_TYPES)
+        and isinstance(event.get("pid"), (int, type(None)))
+        and isinstance(event.get("attrs") or {}, dict)
+    )
 
 
 def _num(value: float) -> str:

@@ -153,6 +153,8 @@ def test_worker_kill_mid_shard_keeps_survivor_spans_in_snapshot(caplog):
         # The survivor's task spans kept arriving after the kill.
         task_workers = {span["attrs"].get("worker") for span in snapshot.spans_named("cluster.task")}
         assert "local-1" in task_workers
+        # Worker spans carry the wall stamp that aligns them with ours.
+        assert all(span["wall"] > 0 for span in snapshot.spans_named("cluster.task"))
         served = len(snapshot.spans_named("cluster.task"))
         assert served >= 8  # the fan-out produced 8 chunks; all were traced
     finally:

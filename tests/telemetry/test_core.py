@@ -142,6 +142,10 @@ def test_drain_then_ingest_merges_under_extra_labels():
     telemetry.configure("mem", propagate=False)
     with telemetry.span("cluster.task", mode="map"):
         telemetry.counter("work.items", 4)
+        telemetry.gauge("work.depth", 5)
+        telemetry.gauge("work.depth", 2)
+        telemetry.histogram("work.seconds", 0.3, exemplar="a" * 32)
+        telemetry.histogram("work.seconds", 0.02)
     blob = telemetry.drain()
     assert blob, "drain returned nothing"
     assert telemetry.snapshot().spans == []  # drain popped the buffer
@@ -154,6 +158,16 @@ def test_drain_then_ingest_merges_under_extra_labels():
     assert span["attrs"]["worker"] == "w-7"
     assert span["attrs"]["mode"] == "map"
     assert snapshot.counter_total("work.items", worker="w-7") == 4
+
+    # One merge rule: reading the blob with the label added renders the same text.
+    labelled = [
+        event if event["type"] == "span" else dict(event, labels={**event["labels"], "worker": "w-7"})
+        for event in blob
+    ]
+    offline = TelemetrySnapshot.from_events(labelled)
+    assert offline.to_prometheus() == snapshot.to_prometheus()
+    assert offline.histogram_exemplars == {("work.seconds", (("worker", "w-7"),)): "a" * 32}
+    assert offline.gauges[("work.depth", (("worker", "w-7"),))] == (2.0, 5.0)
 
 
 def test_ingest_merges_gauge_high_water_without_clobbering_last():

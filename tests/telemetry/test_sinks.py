@@ -11,8 +11,11 @@ import subprocess
 import sys
 import threading
 
+import pytest
+
 from repro import telemetry
 from repro.telemetry import TelemetrySnapshot
+from repro.telemetry.__main__ import summarize
 from repro.telemetry.core import JsonlSink, read_jsonl
 
 EVENTS_PER_WRITER = 200
@@ -63,6 +66,38 @@ def test_read_jsonl_skips_torn_lines(tmp_path):
     path.write_text('{"type":"span","name":"ok"}\n{"type":"sp\n{"type":"counter","name":"c","value":1}\n')
     events = list(read_jsonl(str(path)))
     assert [event.get("name") for event in events] == ["ok", "c"]
+
+
+def test_damaged_trace_events_are_skipped_not_raised(tmp_path):
+    """A JSON-valid line with one wrong-typed field is skipped like a torn one."""
+    path = tmp_path / "trace.jsonl"
+    path.write_text(
+        '{"type":"counter","name":"ok","labels":{"w":"1"},"value":2}\n'
+        '{"type":"counter","name":"x","labels":["w"],"value":1}\n'
+        '{"type":"counter","name":"x","labels":{},"value":"abc"}\n'
+        '{"type":"histogram","name":"h","labels":{},"count":"z","sum":1,"min":1,"max":1}\n'
+        '{"type":"span","name":"bad","span_id":"b","trace_id":"t","wall":1.0,"duration":"x"}\n'
+        '{"type":"span","name":"good","span_id":"g","trace_id":"t","wall":1.0,"duration":0.5}\n'
+    )
+    report = summarize(str(path))
+    assert "good" in report and "bad" not in report
+    snapshot = TelemetrySnapshot.from_jsonl(str(path))
+    assert 'repro_ok_total{w="1"} 2' in snapshot.to_prometheus()
+    assert snapshot.counter_total("ok") == 2
+    assert snapshot.counter_total("x") == 0 and snapshot.histograms == {}
+    assert [span["name"] for span in snapshot.spans] == ["good"]
+
+
+@pytest.mark.parametrize("spec", ["mem", "jsonl"])
+def test_every_recorded_span_carries_a_wall_stamp(tmp_path, spec):
+    """Waterfalls align spans on ``wall`` alone; this is what lets them."""
+    telemetry.configure(spec if spec == "mem" else f"jsonl:{tmp_path / 'trace.jsonl'}", propagate=False)
+    with telemetry.span("outer"):
+        with telemetry.span("inner"):
+            pass
+    spans = telemetry.snapshot().spans
+    assert sorted(span["name"] for span in spans) == ["inner", "outer"]
+    assert all(span["wall"] > 0 for span in spans)
 
 
 def test_subprocess_reattaches_from_environment(tmp_path):
