@@ -22,9 +22,7 @@ from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
 from repro.audit.api import AuditPlan, AuditReport, Check, Verifier, verifier_from_spec
 from repro.audit.evidence import DecryptionTranscript, TagChainEvidence, TallyEvidence
-from repro.ledger.api import BoardView, as_board_view, chain_logs
-from repro.ledger.backends.batched import BatchedBoard
-from repro.ledger.bulletin_board import BulletinBoard
+from repro.ledger.api import as_board_view, chain_logs
 from repro.ledger.records import RegistrationRecord
 from repro.registration.official import check_out_ticket_message, official_approval_message
 from repro.runtime.executor import Executor
@@ -279,26 +277,16 @@ def cascade_checks(
 
 
 def chain_checks(board, label: str = "ledger") -> List[Check]:
-    """One chain-walk check per sub-ledger, plus the ingest-batch chain if any.
+    """One chain-walk check per sub-ledger.
 
     Evidence is a snapshot of the log entries (not the live log), so chain
     checks survive pickling into cluster workers and keep auditing what was
     read even if the board keeps ingesting.
     """
-    view = as_board_view(board)
-    checks = [
+    return [
         Check("ledger-chain", f"{label}.{name}-chain", (name, tuple(log.entries())))
-        for name, log in chain_logs(view)
+        for name, log in chain_logs(as_board_view(board))
     ]
-    backend = board
-    if isinstance(backend, BoardView):
-        backend = backend._backend  # noqa: SLF001 - package-internal unwrap
-    elif isinstance(backend, BulletinBoard):
-        backend = backend.backend
-    if isinstance(backend, BatchedBoard):
-        backend.flush()
-        checks.append(Check("batch-chain", f"{label}.ingest-batches", (tuple(backend.batches),)))
-    return checks
 
 
 def decryption_checks(

@@ -42,7 +42,6 @@ from repro.crypto.tagging import (
     verify_blinded_tag,
     verify_ciphertext_tag_chain,
 )
-from repro.ledger.backends.batched import verify_batch_chain
 from repro.ledger.log import AppendOnlyLog
 from repro.runtime.batch import (
     batch_chaum_pedersen_verify,
@@ -270,10 +269,6 @@ def _ledger_chain_one(name, entries) -> bool:
     return AppendOnlyLog.verify_entries(entries)
 
 
-def _batch_chain_one(batches) -> bool:
-    return verify_batch_chain(batches)
-
-
 def _tag_chain_one(tag, original, commitments) -> bool:
     return verify_blinded_tag(tag, original, commitments)
 
@@ -302,5 +297,4 @@ register_kind("tag-chain", _tag_chain_one, _tag_chain_fold)
 register_kind("ciphertext-tag-chain", _ciphertext_tag_chain_one, _ciphertext_tag_chain_fold)
 register_kind("decryption-share", _decryption_share_one, _decryption_share_fold)
 register_kind("ledger-chain", _ledger_chain_one)
-register_kind("batch-chain", _batch_chain_one)
 register_kind("predicate", _predicate_one)

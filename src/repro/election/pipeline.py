@@ -87,7 +87,7 @@ class VotegralElection:
         """Release the runtime executor's workers and the board backend.
 
         Cluster executors (``cluster``/``remote`` specs) hold worker
-        processes, and board backends may hold flusher threads or database
+        processes, board backends may hold pending appends and database
         connections; long-lived callers running many elections should close
         each one (or use the election as a context manager).
         """

@@ -3,8 +3,9 @@
 ``python -m repro.gateway`` serves versioned JSON routes (and a WebSocket
 audit stream) over :class:`~repro.gateway.service.GatewayService` — a
 multi-tenant registry of elections whose ballot casts are appended to a
-write-behind :class:`~repro.ledger.backends.batched.BatchedBoard`,
-rate-limited and load-shed by :mod:`repro.gateway.governor`.
+write-behind board (:class:`~repro.ledger.backends.memory.MemoryBackend` at
+the governor's batch size), rate-limited and load-shed by
+:mod:`repro.gateway.governor`.
 See ``docs/gateway.md`` for the route table, schema versioning policy and a
 curl quickstart.
 """

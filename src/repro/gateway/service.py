@@ -8,12 +8,14 @@ runs.  The HTTP layer (:mod:`repro.gateway.routes`) is a thin adapter
 over this class, so every behaviour here is testable without a socket.
 
 The cast path has one batcher and one sequencer, and both are the tenant's
-:class:`~repro.ledger.backends.batched.BatchedBoard`.  A ``POST .../ballots``
-runs the governor's admission checks and then awaits one append of the
-request's records through the
-:class:`~repro.ledger.backends.batched.AsyncIngestionFrontend`: a plain
-buffer push runs inline, an append that would trip a flush runs on a worker
-thread, so the event loop never chains or writes.  The board's lock orders
+write-behind board (:class:`~repro.ledger.backends.memory.MemoryBackend` at
+the governor's batch size).  A ``POST .../ballots`` runs the governor's
+admission checks and then awaits one append of the request's records through
+the :class:`~repro.ledger.backends.memory.AsyncIngestionFrontend`: a plain
+queue push runs inline, an append that would trip a flush runs on a worker
+thread, so the event loop never chains or writes.  A registration is flushed
+before its response, so it is durable when acknowledged; ballots reach the
+chains (and the disk) at the next flush.  The board's lock orders
 concurrent requests, a request's records stay contiguous, and each receipt is
 the ballot's ledger position — the resulting hash chain is byte-identical to
 casting the same records in-process.
@@ -52,7 +54,7 @@ from repro.gateway.schemas import (
     TallyResponse,
     ballot_from_wire,
 )
-from repro.ledger.backends.batched import AsyncIngestionFrontend
+from repro.ledger.backends.memory import AsyncIngestionFrontend
 from repro.spec import BOARD
 from repro.tally.pipeline import TallyResult
 
@@ -192,7 +194,7 @@ class ElectionTenant:
 
         Waits for every admitted append to be acknowledged — a request whose
         client has gone away still runs to its receipt — and then flushes
-        whatever the board still buffers down to the inner chains.  Callers
+        whatever the board still holds pending onto its chains.  Callers
         stop admission first (``close`` by status, ``shutdown`` by draining).
         """
         await self._quiet.wait()
@@ -218,6 +220,9 @@ class ElectionTenant:
 
     def _register_blocking(self, voter_id: str) -> RegisterResponse:
         outcome = self.election.register_voter(voter_id)
+        # Durable before acknowledged: the records leave the write-behind
+        # queue (and, on SQLite, reach the file) before the response does.
+        self.setup.board.flush()
         # The roll's entries head the registration log, one per eligible voter.
         ledger_seq = self.election.config.num_voters + outcome.ledger_seq
         credentials = [

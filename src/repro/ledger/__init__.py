@@ -14,8 +14,8 @@ proofs, behind the versioned :class:`~repro.ledger.api.LedgerBackend`
 contract (:mod:`repro.ledger.api`): producers issue typed append commands,
 consumers stream cursor-based reads through a
 :class:`~repro.ledger.api.BoardView`, and the storage backend — thread-safe
-in-memory, SQLite-persistent, or write-behind batched — is selected with
-:func:`~repro.ledger.api.board_from_spec`.
+in-memory or SQLite-persistent, either of them write-behind batched — is
+selected with :func:`~repro.ledger.api.board_from_spec`.
 """
 
 from repro.ledger.api import (
@@ -30,13 +30,7 @@ from repro.ledger.api import (
     chain_logs,
     verify_chained_logs,
 )
-from repro.ledger.backends import (
-    AsyncIngestionFrontend,
-    BatchedBoard,
-    BatchSummary,
-    MemoryBackend,
-    SQLiteBackend,
-)
+from repro.ledger.backends import AsyncIngestionFrontend, MemoryBackend, SQLiteBackend
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.log import AppendOnlyLog, InclusionProof, LogEntry, LogHead
 from repro.ledger.records import (
@@ -68,7 +62,5 @@ __all__ = [
     "verify_chained_logs",
     "MemoryBackend",
     "SQLiteBackend",
-    "BatchedBoard",
-    "BatchSummary",
     "AsyncIngestionFrontend",
 ]

@@ -16,9 +16,10 @@ independently of tallying:
   the tally pipeline, universal verification and the coercion adversary
   consume — no append methods, no backend internals.
 * **Pluggable backends.**  :func:`board_from_spec` builds the thread-safe
-  in-process store, the persistent SQLite backend or the write-behind
-  ingestion decorator (:class:`repro.ledger.backends.batched.BatchedBoard`)
-  from a ``board_spec`` string (forms: :data:`repro.spec.BOARD`).
+  in-process store or the persistent SQLite backend from a ``board_spec``
+  string (forms: :data:`repro.spec.BOARD`); ``batched[:N][:inner]`` builds
+  the inner store write-behind, flushing every ``N`` appends
+  (:class:`repro.ledger.backends.memory.MemoryBackend`).
 
 Every backend must be observationally equivalent: the same sequence of
 accepted append commands yields bit-identical hash chains and identical read
@@ -34,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence,
 
 if TYPE_CHECKING:
     from repro.audit.api import AuditReport
+    from repro.ledger.backends.memory import MemoryBackend
 
 from repro.errors import LedgerError
 from repro.ledger.log import AppendOnlyLog
@@ -56,6 +58,10 @@ LEDGER_API_VERSION = 1
 #: record.  ``GENESIS_CURSOR`` starts a read at the beginning of the stream.
 Cursor = int
 GENESIS_CURSOR: Cursor = 0
+
+#: Appends a ``batched`` board spec holds pending before it flushes, when the
+#: spec names no size.
+DEFAULT_BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -122,16 +128,14 @@ class LedgerBackend(abc.ABC):
             return self.append_envelope_commitment(record)
         return self.append_envelope_usage(record)
 
-    def append_ballots(
-        self, records: Sequence[BallotRecord], payloads: Optional[Sequence[bytes]] = None
-    ) -> List[int]:
-        """Bulk ballot append; backends may override with a batched fast path.
-
-        ``payloads`` optionally supplies the records' precomputed canonical
-        payloads (a pure optimization hint — flush paths that already hashed
-        the records for a batch digest avoid hashing them twice).
-        """
+    def append_ballots(self, records: Sequence[BallotRecord]) -> List[int]:
+        """Bulk ballot append; backends may override with a batched fast path."""
         return [self.append_ballot(record) for record in records]
+
+    @abc.abstractmethod
+    def try_append_ballots(self, records: Sequence[BallotRecord]) -> Optional[List[int]]:
+        """Append ``records`` only if that cannot block the caller; ``None`` if
+        it might, and the caller then appends them on a worker thread."""
 
     # ------------------------------------------------------------- registration reads
 
@@ -208,18 +212,18 @@ class LedgerBackend(abc.ABC):
         """Verify the hash chains of all three sub-ledgers.
 
         The default walks :func:`chain_logs`; backends override only to add
-        locking or extra chains (e.g. the write-behind batch chain), and they
-        reuse :func:`verify_chained_logs` rather than re-implementing the walk.
+        locking, and they reuse :func:`verify_chained_logs` rather than
+        re-implementing the walk.
         """
         return verify_chained_logs(self)
 
     # ------------------------------------------------------------- lifecycle
 
     def flush(self) -> None:
-        """Force any write-behind buffers down to durable/chained storage."""
+        """Force pending write-behind appends down to durable/chained storage."""
 
     def close(self) -> None:
-        """Release backend resources (connections, flusher threads)."""
+        """Flush, then release backend resources (connections)."""
 
     def __enter__(self) -> "LedgerBackend":
         return self
@@ -352,9 +356,9 @@ class BoardView:
     def audit_chains(self) -> "AuditReport":
         """Audit every hash chain; returns an :class:`~repro.audit.api.AuditReport`.
 
-        One ``ledger-chain`` check per sub-ledger (plus the ingest-batch
-        chain on write-behind boards), each named so a broken chain reports
-        its locus (e.g. ``ledger.ballot-chain``) instead of a bare ``False``.
+        One ``ledger-chain`` check per sub-ledger, each named so a broken
+        chain reports its locus (e.g. ``ledger.ballot-chain``) instead of a
+        bare ``False``.
         """
         from repro.audit.api import AuditPlan, EagerVerifier
         from repro.audit.checks import chain_checks
@@ -378,20 +382,24 @@ def as_board_view(board: Union["BoardView", LedgerBackend, object]) -> BoardView
     raise LedgerError(f"cannot derive a BoardView from {type(board).__name__}")
 
 
-def board_from_spec(spec: str, group: Optional[Any] = None) -> LedgerBackend:
+def board_from_spec(spec: str, group: Optional[Any] = None) -> "MemoryBackend":
     """Build a ledger backend from a ``board_spec`` (forms: :data:`repro.spec.BOARD`).
 
+    ``batched[:N][:inner]`` builds the inner store with ``batch_size=N``
+    (default :data:`DEFAULT_BATCH_SIZE`); a batched inner spec is refused.
     ``group`` is the election group, required by the SQLite backend to
     decode persisted records when reopening an existing database.
     """
-    from repro.ledger.backends.batched import BatchedBoard
     from repro.ledger.backends.memory import MemoryBackend
     from repro.ledger.backends.sqlite import SQLiteBackend
 
     head, given = BOARD.parse(spec)
-    if head == "memory":
-        return MemoryBackend()
+    batch_size = 1
+    if head == "batched":
+        batch_size = given.get("batch_size", DEFAULT_BATCH_SIZE)
+        head, given = BOARD.parse(given.get("inner", "memory"))
+        if head == "batched":
+            raise LedgerError(f"board_spec: a batched board cannot wrap another in {spec!r}")
     if head == "sqlite":
-        return SQLiteBackend(group=group, **given)
-    inner = board_from_spec(given.pop("inner", "memory"), group=group)
-    return BatchedBoard(inner, **given)
+        return SQLiteBackend(group=group, batch_size=batch_size, **given)
+    return MemoryBackend(batch_size)

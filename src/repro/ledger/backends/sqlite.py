@@ -1,12 +1,15 @@
 """A persistent ledger backend on SQLite.
 
-Write-through design: every accepted append command lands in the in-memory
-store (inherited from :class:`~repro.ledger.backends.memory.MemoryBackend`,
-so reads stay index-fast and semantics stay bit-identical) *and* in a SQLite
-row inside the same lock, committed before the append returns.  Reopening a
-database replays the persisted commands through the in-memory store, which
-rebuilds the exact same hash chains — an auditor who kept an earlier head can
-check consistency across restarts.
+The in-memory store (inherited from
+:class:`~repro.ledger.backends.memory.MemoryBackend`) serves every read and
+builds the hash chains; this subclass overrides only the flush's
+:meth:`~repro.ledger.backends.memory.MemoryBackend._persist`, which writes the
+flushed appends as rows in one transaction before the chains commit to them.
+At ``batch_size=1`` every append is committed before it returns; at a larger
+batch size appends are durable once flushed.  Reopening a database replays
+the persisted commands through the in-memory store, which rebuilds the exact
+same hash chains — an auditor who kept an earlier head can check consistency
+across restarts.
 
 ``path=":memory:"`` gives a private, non-persistent database — useful for
 exercising the full SQL path in tests without touching disk.
@@ -15,23 +18,14 @@ exercising the full SQL path in tests without touching disk.
 from __future__ import annotations
 
 import sqlite3
+from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type, Union
 
 from repro.crypto.group import Group
 from repro.errors import LedgerError
-from repro.ledger.backends.memory import MemoryBackend
-from repro.ledger.records import (
-    RECORD_TYPES,
-    BallotRecord,
-    EnvelopeCommitmentRecord,
-    EnvelopeUsageRecord,
-    LedgerRecord,
-    Record,
-    RegistrationRecord,
-)
-
-T = TypeVar("T", bound=Record)
+from repro.ledger.backends.memory import MemoryBackend, Pending
+from repro.ledger.records import RECORD_TYPES, LedgerRecord, Record
 
 # Every row carries ``commit_seq`` — the board-wide commit position — because
 # the hash chains commit to the *interleaving* of streams (roll entries and
@@ -44,6 +38,7 @@ CREATE TABLE IF NOT EXISTS roll (
     commit_seq INTEGER PRIMARY KEY, seq INTEGER NOT NULL, voter_id TEXT NOT NULL UNIQUE
 )"""
 _ROLL_SELECT = "SELECT commit_seq, voter_id FROM roll"
+_ROLL_INSERT = "INSERT INTO roll (commit_seq, seq, voter_id) VALUES (?, ?, ?)"
 
 
 class _Statements(NamedTuple):
@@ -68,15 +63,23 @@ def _statements(record_type: Type[Record]) -> _Statements:
 _SQL: Dict[Type[Record], _Statements] = {kind: _statements(kind) for kind in RECORD_TYPES}
 
 
+def _row(item: Union[LedgerRecord, str]) -> Tuple[Any, ...]:
+    return (item,) if isinstance(item, str) else item.to_row()
+
+
+def _insert(item: Union[LedgerRecord, str]) -> str:
+    return _ROLL_INSERT if isinstance(item, str) else _SQL[type(item)].insert
+
+
 class SQLiteBackend(MemoryBackend):
-    """Write-through persistence over the in-memory reference semantics."""
+    """Persistence under the in-memory reference semantics."""
 
     #: Attributes the inherited ledger.read / ledger.append telemetry series
     #: to this backend instead of the in-memory parent.
     backend_name = "sqlite"
 
-    def __init__(self, path: str = ":memory:", group: Optional[Group] = None) -> None:
-        super().__init__()
+    def __init__(self, path: str = ":memory:", group: Optional[Group] = None, batch_size: int = 1) -> None:
+        super().__init__(batch_size)
         self._path = path
         self._group = group
         # The backend lock (not SQLite's) serializes access; the connection
@@ -85,11 +88,6 @@ class SQLiteBackend(MemoryBackend):
         self._restoring = False
         self._commit_seq = 0
         self._restore()
-
-    def _next_commit_seq(self) -> int:
-        seq = self._commit_seq
-        self._commit_seq = seq + 1
-        return seq
 
     # ------------------------------------------------------------- restore
 
@@ -132,67 +130,37 @@ class SQLiteBackend(MemoryBackend):
                     raise LedgerError(
                         f"board database {self._path!r}: table {table}, commit_seq {commit_seq}: {error}"
                     ) from None
+            self.flush()
         finally:
             self._restoring = False
         self._commit_seq = commands[-1][0] + 1
 
     # ------------------------------------------------------------- writes
 
-    def publish_electoral_roll(self, voter_ids: Sequence[str]) -> None:
-        with self._lock:
-            base = len(self.eligible_voters())
-            super().publish_electoral_roll(voter_ids)
-            if self._restoring:
-                return
-            self._conn.executemany(
-                "INSERT INTO roll (commit_seq, seq, voter_id) VALUES (?, ?, ?)",
-                [(self._next_commit_seq(), base + offset, voter_id) for offset, voter_id in enumerate(voter_ids)],
-            )
-            self._conn.commit()
-
-    def _persist(self, seqs: Sequence[int], records: Sequence[Record]) -> None:
-        """Write records the in-memory store just accepted (all of one type)
-        through to their table; replayed records are already there."""
+    def _persist(self, pending: Sequence[Pending]) -> None:
+        """Write a flush's appends as rows, in commit order, in one transaction;
+        replayed appends are already there.  On any error the transaction is
+        rolled back, so a retried flush writes each row once."""
         if self._restoring:
             return
-        self._conn.executemany(
-            _SQL[type(records[0])].insert,
-            [(self._next_commit_seq(), seq) + record.to_row() for seq, record in zip(seqs, records)],
-        )
-        self._conn.commit()
-
-    def _through(self, append: Callable[[T], int], record: T) -> int:
-        with self._lock:
-            seq = append(record)
-            self._persist((seq,), (record,))
-            return seq
-
-    def append_registration(self, record: RegistrationRecord) -> int:
-        return self._through(super().append_registration, record)
-
-    def append_envelope_commitment(self, record: EnvelopeCommitmentRecord) -> int:
-        return self._through(super().append_envelope_commitment, record)
-
-    def append_envelope_usage(self, record: EnvelopeUsageRecord) -> int:
-        return self._through(super().append_envelope_usage, record)
-
-    def append_ballot(self, record: BallotRecord) -> int:
-        return self._through(super().append_ballot, record)
-
-    def append_ballots(
-        self, records: Sequence[BallotRecord], payloads: Optional[Sequence[bytes]] = None
-    ) -> List[int]:
-        if not records:
-            return []
-        with self._lock:
-            seqs = super().append_ballots(records, payloads=payloads)
-            self._persist(seqs, records)
-            return seqs
+        commit_seq = self._commit_seq
+        try:
+            # One executemany per run of appends bound for the same table.
+            for insert, run in groupby(pending, key=lambda entry: _insert(entry[2])):
+                rows = [(commit_seq + offset, seq) + _row(item) for offset, (_, seq, item) in enumerate(run)]
+                self._conn.executemany(insert, rows)
+                commit_seq += len(rows)
+            self._conn.commit()
+        except BaseException:
+            self._conn.rollback()
+            raise
+        self._commit_seq = commit_seq
 
     # ------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
         with self._lock:
+            super().close()
             # sqlite3 connections close idempotently, so repeated close()
             # calls (the LedgerBackend contract) need no sentinel dance.
             self._conn.close()

@@ -183,11 +183,11 @@ class BulletinBoard:
     # Lifecycle ------------------------------------------------------------------------
 
     def flush(self) -> None:
-        """Force any write-behind buffers down to the backend chains."""
+        """Force pending write-behind appends onto the backend's chains."""
         self._backend.flush()
 
     def close(self) -> None:
-        """Release backend resources (flusher threads, database connections)."""
+        """Flush, then release backend resources (database connections)."""
         self._backend.close()
 
     def __enter__(self) -> "BulletinBoard":

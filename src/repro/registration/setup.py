@@ -126,6 +126,9 @@ class ElectionSetup:
         for index in range(target):
             printer = printers[index % len(printers)]
             supply.extend(printer.print_envelopes(1))
+        # Setup is durable before the first registration, on a write-behind
+        # board too: the roll and the envelope commitments reach the chains.
+        board.flush()
 
         return cls(
             group=group,

@@ -9,7 +9,7 @@ the head-sampling decision.  It travels two ways:
   correct in asyncio (each task sees its own copy-on-write context) *and*
   across ``asyncio.to_thread`` (which copies the context into the worker
   thread).  Plain ``threading.Thread`` does **not** inherit context — that
-  is deliberate: a daemon flusher thread must not adopt whatever request
+  is deliberate: a long-lived daemon thread must not adopt whatever request
   happened to spawn it.  Boundaries that *should* carry context across a
   bare thread or queue hop capture it with :func:`current_context` and
   re-attach with :func:`attach`/:func:`detach`.

@@ -13,7 +13,8 @@ module only admits spans and renders.  Every span tree here is built by
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.telemetry.core import HISTOGRAM_BUCKETS, LabelKey, MetricKey, Metrics, _label_key, _number, read_jsonl
 
@@ -377,16 +378,44 @@ def _group_spans(
 def _tree(
     spans: Sequence[Dict[str, Any]],
 ) -> Tuple[List[Dict[str, Any]], Dict[Optional[str], List[Dict[str, Any]]]]:
-    """``(roots, children by parent span_id)``; a span whose parent is not among ``spans`` is a root."""
-    ids = {span.get("span_id") for span in spans if span.get("span_id")}
+    """``(roots, children by parent span_id)``, placing every span exactly once.
+
+    A span is a root when its parent is not among ``spans``, and also — what
+    only a forged or damaged trace holds — when its own ``span_id`` or its
+    parent's repeats, or when its parent chain loops back to it.
+    """
+    counts = Counter(span.get("span_id") for span in spans if span.get("span_id"))
+    by_id = {span["span_id"]: span for span in spans if counts[span.get("span_id")] == 1}
+
+    def parent(span: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        if counts[span.get("span_id")] > 1:
+            return None
+        return by_id.get(span.get("parent_id"))
+
+    # Walk each parent chain once; a chain that meets itself marks its loop.
+    looped: Set[int] = set()
+    settled: Set[int] = set()
+    for span in spans:
+        path: List[Dict[str, Any]] = []
+        position: Dict[int, int] = {}
+        node: Optional[Dict[str, Any]] = span
+        while node is not None and id(node) not in settled:
+            if id(node) in position:
+                looped.update(id(member) for member in path[position[id(node)]:])
+                break
+            position[id(node)] = len(path)
+            path.append(node)
+            node = parent(node)
+        settled.update(position)
+
     roots: List[Dict[str, Any]] = []
     children: Dict[Optional[str], List[Dict[str, Any]]] = {}
     for span in spans:
-        parent = span.get("parent_id")
-        if parent and parent in ids:
-            children.setdefault(parent, []).append(span)
-        else:
+        up = parent(span)
+        if up is None or id(span) in looped:
             roots.append(span)
+        else:
+            children.setdefault(up["span_id"], []).append(span)
     return roots, children
 
 

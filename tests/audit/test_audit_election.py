@@ -215,7 +215,7 @@ def replace_config(config: ElectionConfig, **kwargs) -> ElectionConfig:
 
 
 class TestBatchedBoardAudit:
-    def test_batched_board_adds_batch_chain_check(self):
+    def test_batched_board_audits_its_three_chains(self):
         config = ElectionConfig(
             num_voters=3, num_options=2, proof_rounds=2, num_mixers=2, board_spec="batched:4"
         )
@@ -231,7 +231,8 @@ class TestBatchedBoardAudit:
                 result=result,
             )
             assert report.ok
-            assert report.counts_by_kind()["batch-chain"] == (1, 0)
+            assert report.counts_by_kind()["ledger-chain"] == (3, 0)
+            assert "batch-chain" not in report.counts_by_kind()
 
 
 class TestVerifierClasses:

@@ -25,7 +25,6 @@ from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
 from repro.crypto.schnorr import schnorr_keygen
 from repro.crypto.tagging import TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
-from repro.ledger.backends.batched import BatchSummary, BatchedBoard
 from repro.ledger.backends.memory import MemoryBackend
 from repro.ledger.log import AppendOnlyLog
 from repro.tally.decrypt import aggregate, decrypt_votes
@@ -288,26 +287,6 @@ class TestLedgerChainMutations:
         assert not report.ok
         assert report.first_failure.name == "ledger.registration-chain"
         assert not view.verify_all_chains()
-
-    def test_flipped_batch_digest_rejected(self, group, run_all):
-        board = BatchedBoard(MemoryBackend(), batch_size=2)
-        board.publish_electoral_roll([f"v{i}" for i in range(4)])
-        board.flush()
-        batches = [
-            BatchSummary.compute_digest(0, b"\x00" * 32, [b"a", b"b"]),
-        ]
-        # Build a real chained batch history, then flip one digest byte.
-        first = BatchSummary(0, 2, b"\x00" * 32, batches[0])
-        second = BatchSummary(
-            1, 1, first.digest, BatchSummary.compute_digest(1, first.digest, [b"c"])
-        )
-        valid = (first, second)
-        plan_valid = lambda: AuditPlan([Check("batch-chain", "ledger.ingest-batches", (valid,))])
-        assert all(report.ok for report in run_all(plan_valid).values())
-
-        tampered = (first, replace(second, previous_digest=_flip_byte(second.previous_digest)))
-        plan_bad = lambda: AuditPlan([Check("batch-chain", "ledger.ingest-batches", (tampered,))])
-        _assert_same_rejection(run_all(plan_bad), expected_locus="ledger.ingest-batches")
 
 
 class TestRegistrationAuditNamesLocus:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.election import ElectionConfig, VotegralElection
 from repro.errors import BigIntError, GatewayError, LedgerError, ProtocolError
-from repro.ledger import BatchedBoard, MemoryBackend, SQLiteBackend
+from repro.ledger import MemoryBackend, SQLiteBackend
 
 
 class TestElectionConfig:
@@ -152,7 +152,7 @@ class TestFullElection:
 class TestBoardSpecs:
     @pytest.mark.parametrize(
         "spec, backend_type",
-        [("memory", MemoryBackend), ("sqlite", SQLiteBackend), ("batched:16", BatchedBoard)],
+        [("memory", MemoryBackend), ("sqlite", SQLiteBackend), ("batched:16", MemoryBackend)],
     )
     def test_config_selects_board_backend(self, spec, backend_type):
         config = ElectionConfig(num_voters=2, board_spec=spec)

@@ -63,7 +63,7 @@ def test_close_awaits_a_cast_whose_client_hung_up(gateway):
     """An admitted cast outlives its connection: it lands exactly once, and
     ``close_election`` does not return before it has."""
     from repro.gateway.schemas import CastRequest
-    from repro.ledger.backends.batched import AsyncIngestionFrontend
+    from repro.ledger.backends.memory import AsyncIngestionFrontend
 
     class GatedFrontend(AsyncIngestionFrontend):
         """Holds every append until the test releases it."""

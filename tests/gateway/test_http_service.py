@@ -177,12 +177,13 @@ def test_healthz_answers_while_a_flush_is_running(make_gateway, monkeypatch):
     flushing = threading.Event()
 
     class SlowBackend(MemoryBackend):
-        def append_ballots(self, records, payloads=None):
-            flushing.set()
-            time.sleep(0.05)
-            return super().append_ballots(records, payloads=payloads)
+        def flush(self):
+            if self.num_ballots:  # the cast's flush, not setup's or registration's
+                flushing.set()
+                time.sleep(0.05)
+            super().flush()
 
-    # The tenant's board is ``batched:1:memory``; make that inner backend slow.
+    # The tenant's board is ``batched:1:memory``; make its flushes slow.
     monkeypatch.setattr("repro.ledger.backends.memory.MemoryBackend", SlowBackend)
     # batch_size=1: every cast's append trips the board's flush.
     fixture = make_gateway(ServiceConfig(governor=GovernorConfig(batch_size=1)))

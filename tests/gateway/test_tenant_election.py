@@ -2,14 +2,18 @@
 
 What the service runs is the pipeline the in-process driver runs: the same
 shape publishes the same election either way, the election's executor and
-board are released on shutdown, and a registration's ledger sequence number
-comes from the append and not from a scan.
+board are released on shutdown, a registration's ledger sequence number
+comes from the append and not from a scan, and a registration is durable
+before its response.
 """
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
+from repro import telemetry
 from repro.election import ElectionConfig, VotegralElection
 from repro.gateway.client import CastingSession
 from repro.gateway.governor import GovernorConfig
@@ -149,6 +153,30 @@ def test_ledger_seq_is_the_appends_own_and_not_a_scan(gateway, monkeypatch):
     client.close()
 
 
+def test_a_registration_is_durable_before_its_response(make_gateway, tmp_path):
+    """On a write-behind SQLite board a registration's records leave the
+    pending queue — in one flush, one commit — before the response returns."""
+    path = tmp_path / "board.db"
+    telemetry.configure("mem", propagate=False)
+    try:
+        fixture = make_gateway(ServiceConfig(board_spec=f"batched:64:sqlite:{path}"))
+        client = fixture.client(client_id="durable")
+        client.create_election("durable", 3, 2)
+        flushes_before = len(telemetry.snapshot().spans_named("ledger.flush"))
+        client.register("durable", VOTERS[0])
+        backend = fixture.service.tenants["durable"].setup.board.backend
+        assert backend.num_pending == 0
+        assert len(telemetry.snapshot().spans_named("ledger.flush")) - flushes_before == 1
+        client.close()
+    finally:
+        telemetry.configure("off")
+    conn = sqlite3.connect(str(path))
+    try:
+        assert conn.execute("SELECT voter_id FROM registrations").fetchall() == [(VOTERS[0],)]
+    finally:
+        conn.close()
+
+
 def test_tally_of_a_closed_election_without_ballots_is_an_empty_result(gateway):
     """Over HTTP an election nobody voted in tallies to zeros and audits ``ok``;
     only the in-process driver's ``run_tally`` insists that voting came first."""
@@ -163,5 +191,5 @@ def test_tally_of_a_closed_election_without_ballots_is_an_empty_result(gateway):
     assert (tally.num_counted, tally.num_discarded, tally.winner) == (0, 0, 0)
     assert client.info("empty").status == "tallied"
     report = client.audit_report("empty")
-    assert report.ok and report.num_checks == 25
+    assert report.ok and report.num_checks == 24
     client.close()

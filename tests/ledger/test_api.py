@@ -6,10 +6,10 @@ from repro.crypto.hashing import sha256
 from repro.crypto.modp_group import testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.errors import LedgerError
+from repro.ledger.api import DEFAULT_BATCH_SIZE
 from repro.ledger import (
     LEDGER_API_VERSION,
     BallotRecord,
-    BatchedBoard,
     BoardView,
     BulletinBoard,
     MemoryBackend,
@@ -181,14 +181,15 @@ class TestBoardFromSpec:
 
     def test_batched_spec_with_size_and_inner(self, group):
         backend = board_from_spec("batched")
-        assert isinstance(backend, BatchedBoard)
-        assert backend.batch_size == BatchedBoard.DEFAULT_BATCH_SIZE
+        assert type(backend) is MemoryBackend
+        assert backend.batch_size == DEFAULT_BATCH_SIZE
         sized = board_from_spec("batched:32")
         assert sized.batch_size == 32
         layered = board_from_spec("batched:16:sqlite", group=group)
-        assert isinstance(layered.inner, SQLiteBackend)
+        assert isinstance(layered, SQLiteBackend)
+        assert layered.batch_size == 16
 
-    @pytest.mark.parametrize("spec", ["", "bogus", "memory:8", "batched:zero"])
+    @pytest.mark.parametrize("spec", ["", "bogus", "memory:8", "batched:zero", "batched:8:batched:4"])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(LedgerError):
             board_from_spec(spec)

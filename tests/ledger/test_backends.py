@@ -17,7 +17,6 @@ from repro.election import ElectionConfig, VotegralElection
 from repro.errors import LedgerError
 from repro.ledger import (
     BallotRecord,
-    BatchedBoard,
     BulletinBoard,
     MemoryBackend,
     SQLiteBackend,
@@ -94,7 +93,7 @@ class TestIdenticalCommandStreams:
         boards = {
             "memory": BulletinBoard(MemoryBackend()),
             "sqlite": BulletinBoard(SQLiteBackend(str(tmp_path / "chain.db"), group=group)),
-            "batched": BulletinBoard(BatchedBoard(MemoryBackend(), batch_size=5)),
+            "batched": BulletinBoard(MemoryBackend(batch_size=5)),
         }
         for board in boards.values():
             board.publish_electoral_roll([f"v{i}" for i in range(3)])
@@ -134,6 +133,24 @@ class TestSQLitePersistence:
         ) == heads
         assert reopened.verify_all_chains()
         reopened.close()
+
+    def test_setup_is_durable_before_the_first_registration(self, tmp_path):
+        """On a write-behind SQLite board setup flushes its roll and envelope
+        commitments before it returns, without waiting for the batch to fill."""
+        import sqlite3
+
+        path = tmp_path / "setup.db"
+        config = ElectionConfig(num_voters=3, num_options=2, board_spec=f"batched:10000:sqlite:{path}")
+        with VotegralElection(config) as election:
+            board = election.run_setup().board
+            assert board.backend.num_pending == 0
+            conn = sqlite3.connect(str(path))
+            try:
+                rows = [conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                        for table in ("roll", "envelope_commitments")]
+            finally:
+                conn.close()
+            assert rows == [3, board.num_envelope_commitments] and rows[1] > 0
 
     def test_reopen_preserves_interleaved_stream_order(self, group, keypair, tmp_path):
         """Chains commit to the *interleaving* of streams (commitments/usages

@@ -1,12 +1,16 @@
-"""Concurrency semantics of the ledger API.
+"""Concurrency and write-behind semantics of the ledger API.
 
 Systematic-interleaving spirit: many producers race appends (threads and
 asyncio tasks); afterwards the board must hold every record exactly once,
 the hash chains must verify, and each producer's own appends must appear in
 its submission order (sequence numbers are per-stream commit positions).
+A write-behind board (``batch_size > 1``) must additionally show its pending
+appends to every record read, flush before every chain read, and leave
+nothing half-written when a flush fails.
 """
 
 import asyncio
+import sqlite3
 import threading
 
 import pytest
@@ -15,13 +19,16 @@ from repro.crypto.hashing import sha256
 from repro.crypto.modp_group import testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.ledger import (
+    AppendOnlyLog,
     AsyncIngestionFrontend,
     BallotRecord,
-    BatchedBoard,
     BulletinBoard,
+    EnvelopeCommitmentRecord,
+    EnvelopeUsageRecord,
     MemoryBackend,
+    RegistrationRecord,
+    SQLiteBackend,
 )
-from repro.ledger.backends.batched import verify_batch_chain
 
 NUM_THREADS = 8
 PER_THREAD = 50
@@ -88,38 +95,23 @@ class TestThreadedAppends:
                 assert ledger[seq] == record
 
     def test_batched_board_keeps_chain_and_ordering(self, group, keypair):
-        backend = BatchedBoard(MemoryBackend(), batch_size=32)
+        backend = MemoryBackend(batch_size=32)
         board = BulletinBoard(backend)
         results = race_appends(board, group, keypair)
         board.flush()
 
-        assert board.num_ballots == NUM_THREADS * PER_THREAD
+        assert backend.num_pending == 0
+        assert board.num_ballots == len(board.ballot_log) == NUM_THREADS * PER_THREAD
         assert board.verify_all_chains()
-        assert verify_batch_chain(backend.batches)
-        assert sum(batch.num_records for batch in backend.batches) == NUM_THREADS * PER_THREAD
         ledger = board.ballots()
         for thread in results:
             for record, seq in thread:
                 assert ledger[seq] == record
 
-    def test_interval_flusher_drains_in_background(self, group, keypair):
-        backend = BatchedBoard(MemoryBackend(), batch_size=10_000, flush_interval=0.02)
-        board = BulletinBoard(backend)
-        for index in range(25):
-            board.post_ballot(make_ballot(group, keypair, index))
-        deadline = threading.Event()
-        for _ in range(100):  # up to ~2s for the flusher to fire
-            if backend.inner.num_ballots == 25:
-                break
-            deadline.wait(0.02)
-        board.close()
-        assert backend.inner.num_ballots == 25
-        assert board.verify_all_chains()
-
 
 class TestAsyncIngestion:
     def test_concurrent_asyncio_casting_preserves_integrity(self, group, keypair):
-        backend = BatchedBoard(MemoryBackend(), batch_size=16)
+        backend = MemoryBackend(batch_size=16)
         frontend = AsyncIngestionFrontend(backend)
         records = [make_ballot(group, keypair, index) for index in range(120)]
 
@@ -140,36 +132,109 @@ class TestAsyncIngestion:
             assert ledger[seq] == record
 
 
+class _FailingSecondRun:
+    """A connection whose second ``executemany`` fails once: the flush's
+    transaction has then written one run of rows and must roll it back."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.calls = 0
+
+    def executemany(self, sql, rows):
+        self.calls += 1
+        if self.calls == 2:
+            raise sqlite3.OperationalError("disk I/O error (simulated)")
+        return self.conn.executemany(sql, rows)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+def make_registration(group, keypair, voter_id):
+    return RegistrationRecord(
+        voter_id=voter_id,
+        public_credential_c1=group.power(7),
+        public_credential_c2=group.power(8),
+        kiosk_public_key=keypair.public,
+        kiosk_signature=schnorr_sign(keypair, voter_id.encode()),
+        official_public_key=keypair.public,
+        official_signature=schnorr_sign(keypair, voter_id.encode()[::-1]),
+    )
+
+
+def file_rows(path):
+    conn = sqlite3.connect(path)
+    try:
+        return {
+            table: conn.execute(f"SELECT commit_seq FROM {table} ORDER BY commit_seq").fetchall()
+            for table in ("roll", "registrations", "ballots")
+        }
+    finally:
+        conn.close()
+
+
+def heads(board):
+    return [log.head() for log in (board.registration_log, board.envelope_log, board.ballot_log)]
+
+
 class TestFlushFailureSafety:
-    class _FlakyBackend(MemoryBackend):
-        """Fails the first bulk append, then recovers (disk-full simulation)."""
-
-        def __init__(self):
-            super().__init__()
-            self.failures_left = 1
-
-        def append_ballots(self, records, payloads=None):
-            if self.failures_left:
-                self.failures_left -= 1
-                raise OSError("simulated storage failure")
-            return super().append_ballots(records, payloads=payloads)
-
-    def test_failed_flush_keeps_buffered_records_for_retry(self, group, keypair):
-        inner = self._FlakyBackend()
-        backend = BatchedBoard(inner, batch_size=10_000)
+    def test_failed_flush_keeps_buffered_records_for_retry(self, group, keypair, tmp_path):
+        path = str(tmp_path / "flaky.db")
+        backend = SQLiteBackend(path, group=group, batch_size=10_000)
+        backend.publish_electoral_roll(["v0", "v1"])
+        backend.append_registration(make_registration(group, keypair, "v0"))
         records = [make_ballot(group, keypair, index) for index in range(5)]
         seqs = [backend.append_ballot(record) for record in records]
-        with pytest.raises(OSError):
+        backend._conn = _FailingSecondRun(backend._conn)
+        with pytest.raises(sqlite3.OperationalError):
             backend.flush()
-        # Nothing lost, no batch digest committed for the failed attempt.
-        assert backend.num_pending == 5
-        assert backend.batches == []
-        backend.flush()  # retry succeeds
-        assert inner.num_ballots == 5
+        # The roll's rows were written before the registration run failed,
+        # and rolled back with it: nothing reached the file or the chains.
+        assert file_rows(path) == {"roll": [], "registrations": [], "ballots": []}
+        assert [len(log) for log in (backend._registration_log, backend._ballot_log)] == [0, 0]
+        assert backend.num_pending == 8
+        # Every read of a record still sees the pending appends.
+        assert backend.read_ballots().records == records
+        assert backend.registration_for("v0") is not None
+
+        backend.flush()  # retry succeeds, writing each row once
+        assert backend.num_pending == 0
+        assert file_rows(path) == {
+            "roll": [(0,), (1,)],
+            "registrations": [(2,)],
+            "ballots": [(3,), (4,), (5,), (6,), (7,)],
+        }
         assert backend.verify_all_chains()
-        ledger = inner.read_ballots().records
+        live = heads(backend)
+        assert [head.size for head in live] == [3, 0, 5]
+        backend.close()
+
+        reopened = SQLiteBackend(path, group=group)
+        assert heads(reopened) == live
+        ledger = reopened.read_ballots().records
         for record, seq in zip(records, seqs):
             assert ledger[seq] == record
+        reopened.close()
+
+    def test_a_failed_append_flush_leaves_the_record_readable_and_pending(self, group, keypair, tmp_path):
+        """batch_size=1: the append's own flush fails after the record was
+        accepted; the append raises, the record stays readable and pending,
+        and the next flush writes it."""
+        path = str(tmp_path / "flaky.db")
+        backend = SQLiteBackend(path, group=group)
+        record = make_ballot(group, keypair, 0)
+        failing = _FailingSecondRun(backend._conn)
+        failing.calls = 1  # the very next executemany fails
+        backend._conn = failing
+        with pytest.raises(sqlite3.OperationalError):
+            backend.append_ballot(record)
+        assert backend.num_pending == 1
+        assert backend.read_ballots().records == [record]
+        assert file_rows(path)["ballots"] == []
+        assert len(backend.ballot_log) == 1  # the chain read flushed the retry
+        assert backend.num_pending == 0
+        assert file_rows(path)["ballots"] == [(0,)]
+        backend.close()
 
 
 class TestRollAtomicity:
@@ -187,7 +252,7 @@ class TestBatchedEqualsUnbatched:
     def test_flush_is_bit_for_bit_identical(self, group, keypair):
         records = [make_ballot(group, keypair, index) for index in range(40)]
         plain = BulletinBoard(MemoryBackend())
-        batched = BulletinBoard(BatchedBoard(MemoryBackend(), batch_size=7))
+        batched = BulletinBoard(MemoryBackend(batch_size=7))
         for record in records:
             plain.post_ballot(record)
             batched.post_ballot(record)
@@ -197,38 +262,89 @@ class TestBatchedEqualsUnbatched:
         assert batched.ballot_log.head() == plain.ballot_log.head()
         assert batched.ballots() == plain.ballots()
 
-    def test_reads_see_buffered_writes(self, group, keypair):
-        backend = BatchedBoard(MemoryBackend(), batch_size=10_000)
-        record = make_ballot(group, keypair, 0)
-        backend.append_ballot(record)
-        assert backend.num_pending in (0, 1)  # read below forces the barrier
-        page = backend.read_ballots()
-        assert page.records == [record]
+
+class TestFlushBoundary:
+    """Record reads see pending appends and never flush; chain reads flush."""
+
+    @pytest.fixture()
+    def pending_board(self, group, keypair):
+        backend = MemoryBackend(batch_size=10_000)
+        backend.publish_electoral_roll(["v0", "v1"])
+        registration = make_registration(group, keypair, "v0")
+        commitment = EnvelopeCommitmentRecord(
+            printer_public_key=keypair.public,
+            challenge_hash=b"c" * 32,
+            printer_signature=schnorr_sign(keypair, b"c" * 32),
+        )
+        usage = EnvelopeUsageRecord(challenge_hash=b"c" * 32, challenge=5)
+        ballot = make_ballot(group, keypair, 0)
+        backend.append_registration(registration)
+        backend.append_envelope_commitment(commitment)
+        backend.append_envelope_usage(usage)
+        backend.append_ballot(ballot)
+        assert backend.num_pending == 6
+        return backend, registration, commitment, ballot
+
+    def test_reads_see_buffered_writes(self, pending_board):
+        backend, registration, commitment, ballot = pending_board
+        assert backend.read_ballots().records == [ballot]
+        assert backend.registration_for("v0") == registration
+        assert backend.registration_history("v0") == [registration]
+        assert backend.registration_records() == [registration]
+        assert backend.active_registrations() == [registration]
+        assert backend.envelope_commitment(b"c" * 32) == commitment
+        assert backend.is_challenge_used(b"c" * 32)
+        assert backend.eligible_voters() == ["v0", "v1"]
+        counts = (
+            backend.num_registered,
+            backend.num_envelope_commitments,
+            backend.num_challenges_used,
+            backend.num_ballots,
+        )
+        assert counts == (1, 1, 1, 1)
+        assert backend.num_pending == 6
+        # Validation sees the pending appends too.
+        with pytest.raises(Exception, match="already used"):
+            backend.append_envelope_usage(EnvelopeUsageRecord(challenge_hash=b"c" * 32, challenge=5))
+
+    @pytest.mark.parametrize("log_name", ["registration_log", "envelope_log", "ballot_log"])
+    def test_chain_reads_flush_first(self, pending_board, log_name):
+        backend = pending_board[0]
+        log = getattr(backend, log_name)
         assert backend.num_pending == 0
+        assert [len(backend.registration_log), len(backend.envelope_log), len(backend.ballot_log)] == [3, 2, 1]
+        assert len(log) > 0
+
+    def test_verify_all_chains_flushes_first(self, pending_board, monkeypatch):
+        backend = pending_board[0]
+        walked = []
+        verify = AppendOnlyLog.verify_chain
+        monkeypatch.setattr(AppendOnlyLog, "verify_chain", lambda log: walked.append(len(log)) or verify(log))
+        assert backend.verify_all_chains()
+        assert backend.num_pending == 0
+        assert walked == [3, 2, 1]
+
+    def test_pending_appends_flush_in_append_order(self, group, keypair):
+        """Interleaved streams on one chain (roll entries and registrations on
+        L_R) come out of a flush in append order: the same heads as batch_size=1."""
+        first, second = (make_registration(group, keypair, voter) for voter in ("v0", "v1"))
+        ballot = make_ballot(group, keypair, 0)
+        heads_by_size = {}
+        for batch_size in (1, 3, 10_000):
+            backend = MemoryBackend(batch_size=batch_size)
+            backend.publish_electoral_roll(["v0"])
+            backend.append_registration(first)
+            backend.publish_electoral_roll(["v1"])
+            backend.append_ballot(ballot)
+            backend.append_registration(second)
+            heads_by_size[batch_size] = heads(backend)
+        assert heads_by_size[3] == heads_by_size[1] == heads_by_size[10_000]
 
 
 class TestBatchingAmortizesAppends:
-    class _CountingBackend(MemoryBackend):
-        """Records how ballots reach the inner backend."""
-
-        def __init__(self):
-            super().__init__()
-            self.single_appends = 0
-            self.bulk_appends = []  # (records, payloads handed along) per call
-
-        def append_ballot(self, record):
-            self.single_appends += 1
-            return super().append_ballot(record)
-
-        def append_ballots(self, records, payloads=None):
-            self.bulk_appends.append((len(records), None if payloads is None else len(payloads)))
-            return super().append_ballots(records, payloads=payloads)
-
-    def test_ballots_reach_the_inner_backend_one_bulk_append_per_batch(
-        self, group, keypair, monkeypatch
-    ):
+    def test_ballots_reach_the_chain_one_bulk_append_per_batch(self, group, keypair, monkeypatch):
         """What batching buys, as counts: N appends become ⌈N/batch⌉ bulk
-        appends that carry the payloads the batch digest already hashed."""
+        chain extensions, and every record's payload is computed once."""
         num_ballots, batch_size = 1_000, 64
         num_batches = -(-num_ballots // batch_size)
         records = [make_ballot(group, keypair, index) for index in range(num_ballots)]
@@ -237,16 +353,20 @@ class TestBatchingAmortizesAppends:
         monkeypatch.setattr(
             BallotRecord, "payload", lambda record: payload_calls.append(1) or payload(record)
         )
+        bulk_appends = []
+        append_many = AppendOnlyLog.append_many
+        monkeypatch.setattr(
+            AppendOnlyLog,
+            "append_many",
+            lambda log, payloads: bulk_appends.append(len(payloads)) or append_many(log, payloads),
+        )
 
-        inner = self._CountingBackend()
-        board = BatchedBoard(inner, batch_size=batch_size)
+        board = MemoryBackend(batch_size=batch_size)
         for record in records:
             board.append_ballot(record)
         board.flush()
 
-        assert inner.num_ballots == num_ballots
-        assert inner.single_appends == 0
-        assert len(inner.bulk_appends) == len(board.batches) == num_batches
-        assert sum(count for count, _ in inner.bulk_appends) == num_ballots
-        assert all(count == supplied for count, supplied in inner.bulk_appends)
+        assert board.num_ballots == len(board.ballot_log) == num_ballots
+        assert len(bulk_appends) == num_batches
+        assert sum(bulk_appends) == num_ballots
         assert len(payload_calls) == num_ballots

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -86,6 +87,39 @@ def test_damaged_trace_events_are_skipped_not_raised(tmp_path):
     assert snapshot.counter_total("ok") == 2
     assert snapshot.counter_total("x") == 0 and snapshot.histograms == {}
     assert [span["name"] for span in snapshot.spans] == ["good"]
+
+
+@pytest.mark.parametrize(
+    "forged",
+    [
+        # Two spans share a span_id, and one names the other as its parent.
+        [("a", "root"), ("a", "a"), ("c", "a")],
+        # Two spans name each other as parent; a third hangs off the loop.
+        [("a", "b"), ("b", "a"), ("c", "a")],
+        # A span is its own parent.
+        [("a", "a"), ("c", "a")],
+    ],
+    ids=["repeated-span-id", "parent-loop", "self-parent"],
+)
+def test_a_forged_span_tree_places_every_span_once(forged):
+    """Repeated ids and parent loops become roots: no renderer recurses
+    without end, and none drops a span it counted."""
+    snapshot = TelemetrySnapshot.from_events(
+        {"type": "span", "name": f"s{index}", "span_id": span_id, "parent_id": parent,
+         "trace_id": "t", "wall": 1.0 + index, "duration": 0.5}
+        for index, (span_id, parent) in enumerate(forged)
+    )
+    names = sorted(f"s{index}" for index in range(len(forged)))
+
+    def flatten(groups):
+        return [name for group in groups for name in [group.name] * group.count + flatten(group.children)]
+
+    assert sorted(flatten(snapshot.span_tree())) == names
+    waterfall = snapshot.render_waterfall("t")
+    assert f"{len(forged)} span(s)" in waterfall
+    assert sorted(re.findall(r"\bs\d\b", waterfall)) == names
+    assert sorted(re.findall(r"\bs\d\b", snapshot.render_tree())) == names
+    assert snapshot.summary()
 
 
 @pytest.mark.parametrize("spec", ["mem", "jsonl"])
