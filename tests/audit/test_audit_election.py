@@ -232,7 +232,6 @@ class TestBatchedBoardAudit:
             )
             assert report.ok
             assert report.counts_by_kind()["ledger-chain"] == (3, 0)
-            assert "batch-chain" not in report.counts_by_kind()
 
 
 class TestVerifierClasses:
