@@ -24,7 +24,8 @@ from repro.audit.api import AuditPlan, AuditReport, Check, Verifier, verifier_fr
 from repro.audit.evidence import DecryptionTranscript, TagChainEvidence, TallyEvidence
 from repro.ledger.api import as_board_view, chain_logs
 from repro.ledger.records import RegistrationRecord
-from repro.registration.official import check_out_ticket_message, official_approval_message
+from repro.registration.materials import check_out_message
+from repro.registration.official import official_approval_message
 from repro.runtime.executor import Executor
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,7 @@ def registration_record_checks(
 ) -> List[Check]:
     """Kiosk authorization (when the key list is known) plus both signatures."""
     label = label if label is not None else f"registration[{record.voter_id}]"
+    public_credential = ElGamalCiphertext(record.public_credential_c1, record.public_credential_c2)
     checks: List[Check] = []
     if kiosk_public_keys is not None:
         checks.append(
@@ -156,14 +158,18 @@ def registration_record_checks(
         Check(
             "schnorr",
             f"{label}.kiosk-signature",
-            (record.kiosk_public_key, check_out_ticket_message(record), record.kiosk_signature),
+            (record.kiosk_public_key, check_out_message(record.voter_id, public_credential), record.kiosk_signature),
         )
     )
     checks.append(
         Check(
             "schnorr",
             f"{label}.official-signature",
-            (record.official_public_key, official_approval_message(record), record.official_signature),
+            (
+                record.official_public_key,
+                official_approval_message(record.voter_id, public_credential, record.kiosk_signature),
+                record.official_signature,
+            ),
         )
     )
     return checks

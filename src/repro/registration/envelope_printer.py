@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.crypto.group import Group
-from repro.crypto.hashing import scalar_bytes, sha256
-from repro.crypto.schnorr import SigningKeyPair, schnorr_sign
+from repro.crypto.schnorr import SigningKeyPair
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import EnvelopeCommitmentRecord
 from repro.registration.materials import Envelope, EnvelopeSymbol
@@ -40,20 +39,12 @@ class EnvelopePrinter:
 
     def _print_one(self, symbol: EnvelopeSymbol, challenge: Optional[int] = None) -> Envelope:
         challenge = challenge if challenge is not None else self.group.random_scalar()
-        challenge_hash = sha256(b"envelope-challenge", scalar_bytes(challenge))
-        signature = schnorr_sign(self.keypair, challenge_hash)
-        envelope = Envelope(
-            symbol=symbol,
-            challenge=challenge,
-            printer_public_key=self.keypair.public,
-            printer_signature=signature,
-            serial=next(self._serial),
-        )
+        envelope = Envelope.signed(self.keypair, symbol, challenge, serial=next(self._serial))
         self.board.post_envelope_commitment(
             EnvelopeCommitmentRecord(
                 printer_public_key=self.keypair.public,
                 challenge_hash=envelope.challenge_hash,
-                printer_signature=signature,
+                printer_signature=envelope.printer_signature,
             )
         )
         return envelope

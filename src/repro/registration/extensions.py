@@ -25,20 +25,16 @@ by the base protocol or the benchmarks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.crypto.elgamal import ElGamal
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import sha256
-from repro.crypto.schnorr import (
-    SigningKeyPair,
-    schnorr_keygen,
-    schnorr_sign,
-)
+from repro.crypto.schnorr import SigningKeyPair, schnorr_keygen, schnorr_sign
 from repro.errors import ProtocolError, VerificationError
 from repro.registration.kiosk import Kiosk, KioskSession
-from repro.registration.materials import ActivatedCredential, CheckOutTicket, check_out_message
+from repro.registration.materials import ActivatedCredential, CheckOutTicket
 from repro.registration.protocol import RegistrationOutcome, RegistrationSession
 from repro.registration.voter import Voter
 
@@ -75,15 +71,8 @@ def rotate_credential(group: Group, credential: ActivatedCredential) -> tuple:
     """
     old_keypair = SigningKeyPair(secret=credential.secret_key, public=credential.public_key)
     new_keypair = schnorr_keygen(group)
-    record = RotationRecord(
-        old_public_key=old_keypair.public,
-        new_public_key=new_keypair.public,
-        signature=schnorr_sign(
-            old_keypair,
-            sha256(b"credential-rotation", old_keypair.public.to_bytes(), new_keypair.public.to_bytes()),
-        ),
-    )
-    return new_keypair, record
+    unsigned = RotationRecord(old_public_key=old_keypair.public, new_public_key=new_keypair.public, signature=None)
+    return new_keypair, replace(unsigned, signature=schnorr_sign(old_keypair, unsigned.message()))
 
 
 def audit_rotation(record: RotationRecord):
@@ -99,11 +88,6 @@ def audit_rotation(record: RotationRecord):
     return EagerVerifier().run(AuditPlan(rotation_checks(record)))
 
 
-def verify_rotation(record: RotationRecord) -> bool:
-    """Check that the rotation was authorized by the old key (bool shim over audit)."""
-    return audit_rotation(record).ok
-
-
 class RotationRegistry:
     """The public table of credential rotations used by the tally.
 
@@ -117,7 +101,7 @@ class RotationRegistry:
         self._parent: Dict[bytes, RotationRecord] = {}
 
     def publish(self, record: RotationRecord) -> None:
-        if not verify_rotation(record):
+        if not audit_rotation(record).ok:
             raise VerificationError("rotation record signature invalid")
         key = record.new_public_key.to_bytes()
         if key in self._parent:
@@ -179,12 +163,7 @@ def delegate_in_booth(
         raise ProtocolError("cannot delegate after the real credential was issued")
     elgamal = ElGamal(kiosk.group)
     public_credential = elgamal.encrypt(kiosk.authority_public_key, delegate_public_key)
-    check_out = CheckOutTicket(
-        voter_id=session.voter_id,
-        public_credential=public_credential,
-        kiosk_public_key=kiosk.keypair.public,
-        kiosk_signature=schnorr_sign(kiosk.keypair, check_out_message(session.voter_id, public_credential)),
-    )
+    check_out = CheckOutTicket.signed(kiosk.keypair, session.voter_id, public_credential)
     session.public_credential = public_credential
     session.check_out_ticket = check_out
     # The voter holds no real credential at all; mark the session accordingly.

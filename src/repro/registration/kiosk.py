@@ -36,7 +36,7 @@ from repro.crypto.chaum_pedersen import (
 from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.mac import mac_verify
-from repro.crypto.schnorr import SigningKeyPair, schnorr_keygen, schnorr_sign
+from repro.crypto.schnorr import SigningKeyPair, schnorr_keygen
 from repro.crypto.sigma import Move, SigmaSession
 from repro.errors import ProtocolError, RegistrationError
 from repro.registration.materials import (
@@ -47,9 +47,6 @@ from repro.registration.materials import (
     EnvelopeSymbol,
     Receipt,
     ResponseCode,
-    check_out_message,
-    commit_message,
-    response_message,
 )
 from repro.registration.qr import print_codes, scan
 
@@ -132,14 +129,7 @@ class Kiosk:
             )
             prover = ChaumPedersenProver(self._statement(public_credential, credential.public), randomness)
             commit = prover.commit()
-            commit_code = CommitCode(
-                voter_id=session.voter_id,
-                public_credential=public_credential,
-                commit=commit,
-                kiosk_signature=schnorr_sign(
-                    self.keypair, commit_message(session.voter_id, public_credential, commit)
-                ),
-            )
+            commit_code = CommitCode.signed(self.keypair, session.voter_id, public_credential, commit)
             symbol = EnvelopeSymbol.random()
 
             session.real_secret = credential.secret
@@ -173,23 +163,9 @@ class Kiosk:
             transcript = session.prover.respond(decoded.challenge)
             session.real_sigma.record(Move.RESPONSE)
 
-            check_out = CheckOutTicket(
-                voter_id=session.voter_id,
-                public_credential=session.public_credential,
-                kiosk_public_key=self.keypair.public,
-                kiosk_signature=schnorr_sign(
-                    self.keypair, check_out_message(session.voter_id, session.public_credential)
-                ),
-            )
-            response_code = ResponseCode(
-                credential_secret=session.real_secret,
-                zkp_response=transcript.response,
-                kiosk_public_key=self.keypair.public,
-                kiosk_signature=schnorr_sign(
-                    self.keypair,
-                    response_message(session.real_public, decoded.challenge, transcript.response),
-                ),
-            )
+            check_out = CheckOutTicket.signed(self.keypair, session.voter_id, session.public_credential)
+            credential = SigningKeyPair(secret=session.real_secret, public=session.real_public)
+            response_code = ResponseCode.signed(self.keypair, credential, decoded.challenge, transcript.response)
             print_codes(check_out.to_qr(self.group), response_code.to_qr(self.group), text_lines=2)
 
         session.used_challenges.add(decoded.challenge)
@@ -230,24 +206,9 @@ class Kiosk:
             sigma.record(Move.COMMIT)
             sigma.record(Move.RESPONSE)
 
-            commit_code = CommitCode(
-                voter_id=session.voter_id,
-                public_credential=session.public_credential,
-                commit=transcript.commit,
-                kiosk_signature=schnorr_sign(
-                    self.keypair,
-                    commit_message(session.voter_id, session.public_credential, transcript.commit),
-                ),
-            )
-            response_code = ResponseCode(
-                credential_secret=fake_credential.secret,
-                zkp_response=transcript.response,
-                kiosk_public_key=self.keypair.public,
-                kiosk_signature=schnorr_sign(
-                    self.keypair,
-                    response_message(fake_credential.public, decoded.challenge, transcript.response),
-                ),
-            )
+            commit = transcript.commit
+            commit_code = CommitCode.signed(self.keypair, session.voter_id, session.public_credential, commit)
+            response_code = ResponseCode.signed(self.keypair, fake_credential, decoded.challenge, transcript.response)
             # The entire receipt (commit, check-out, response) prints in one go.
             print_codes(
                 commit_code.to_qr(self.group),

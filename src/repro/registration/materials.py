@@ -14,6 +14,16 @@ These classes model exactly the paper objects of Fig. 2 and Appendix E:
 * :class:`PaperCredential` — a receipt inserted into an envelope, with the
   state machine (in-booth → transport → activate) that controls which codes
   are visible, plus the voter's private marking.
+
+The five printed codes are each declared once.  A code's ``LAYOUT`` lists its
+printed fields in order as ``(attribute, kind)`` pairs, and
+:class:`PrintedCode` derives from it both the printing (every field behind a
+2-byte length) and a strict, total reader: any payload that is not the
+printing of exactly one code raises :class:`MalformedCode` naming the field.
+A field that a verification equation determines — a signature's ``R``, the
+commit's ``Y1``, ``Y2`` — is read as an :class:`ElementEncoding` and stays
+bytes until its check recomputes the element.  A signed code is built by its
+one ``signed`` constructor, over its one message.
 """
 
 from __future__ import annotations
@@ -21,7 +31,8 @@ from __future__ import annotations
 import enum
 import secrets
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import lru_cache
+from typing import Any, Callable, ClassVar, List, NamedTuple, Optional, Tuple, Type, TypeVar
 
 from repro.crypto.chaum_pedersen import (
     ChaumPedersenCommit,
@@ -29,11 +40,10 @@ from repro.crypto.chaum_pedersen import (
     ChaumPedersenTranscript,
 )
 from repro.crypto.elgamal import ElGamalCiphertext
-from repro.crypto.group import Group, GroupElement
+from repro.crypto.group import ElementEncoding, Group, GroupElement
 from repro.crypto.hashing import scalar_bytes, sha256
-from repro.crypto.schnorr import SchnorrSignature
+from repro.crypto.schnorr import SchnorrSignature, SigningKeyPair, schnorr_sign
 from repro.errors import ProtocolError
-from repro.registration.codec import Decoder, Encoder
 from repro.registration.qr import Barcode, QRCode
 
 
@@ -66,24 +76,144 @@ class CredentialState(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
+# Printed-code layouts
+# ---------------------------------------------------------------------------
+
+
+class MalformedCode(ProtocolError, ValueError):
+    """A strict reader refused a printed code: ``code`` names it, ``field`` the
+    field (``payload`` for the framing), ``problem`` says why."""
+
+    def __init__(self, code: str, field: str, problem: str) -> None:
+        super().__init__(f"{code}.{field}: {problem}")
+        self.code = code
+        self.field = field
+        self.problem = problem
+
+
+@lru_cache(maxsize=None)
+def scalar_width(group: Group) -> int:
+    """The fixed byte width of a printed scalar: ``⌈|q|/8⌉``."""
+    return (group.order.bit_length() + 7) // 8
+
+
+def _scalar(group: Group, value: int) -> bytes:
+    return value.to_bytes(scalar_width(group), "big")
+
+
+def _read_scalar(group: Group, data: bytes) -> int:
+    if len(data) != scalar_width(group):
+        raise ValueError(f"a scalar is {scalar_width(group)} bytes, not {len(data)}")
+    value = int.from_bytes(data, "big")
+    if value >= group.order:
+        raise ValueError("scalar not below the group order")
+    return value
+
+
+def _read_encoding(group: Group, data: bytes) -> ElementEncoding:
+    return ElementEncoding(group, data)
+
+
+class Kind(NamedTuple):
+    """How one kind of printed field becomes length-prefixed parts, and back."""
+
+    write: Callable[[Optional[Group], Any], Tuple[bytes, ...]]
+    read: Callable[..., Any]  # (group, *parts) -> value; a ValueError says why not
+    parts: int = 1
+
+
+TEXT = Kind(lambda group, text: (text.encode(),), lambda group, data: data.decode("utf-8"))
+BYTES = Kind(lambda group, data: (data,), lambda group, data: data)
+SYMBOL = Kind(lambda group, symbol: (symbol.value.encode(),), lambda group, data: EnvelopeSymbol(data.decode("utf-8")))
+SCALAR = Kind(lambda group, value: (_scalar(group, value),), _read_scalar)
+ELEMENT = Kind(lambda group, element: (element.to_bytes(),), lambda group, data: group.element_from_bytes(data))
+#: An element a check recomputes: it stays its printed bytes.
+ENCODING = Kind(lambda group, element: (element.to_bytes(),), _read_encoding)
+SIGNATURE = Kind(
+    lambda group, signature: (signature.commitment.to_bytes(), _scalar(group, signature.response)),
+    lambda group, r, s: SchnorrSignature(_read_encoding(group, r), _read_scalar(group, s)),
+    parts=2,
+)
+CIPHERTEXT = Kind(
+    lambda group, ciphertext: (ciphertext.c1.to_bytes(), ciphertext.c2.to_bytes()),
+    lambda group, c1, c2: ElGamalCiphertext(group.element_from_bytes(c1), group.element_from_bytes(c2)),
+    parts=2,
+)
+COMMIT = Kind(
+    lambda group, commit: (commit.commit_g.to_bytes(), commit.commit_h.to_bytes()),
+    lambda group, y1, y2: ChaumPedersenCommit(_read_encoding(group, y1), _read_encoding(group, y2)),
+    parts=2,
+)
+
+C = TypeVar("C", bound="PrintedCode")
+
+
+class PrintedCode:
+    """Base of the five printed codes: the printing and its strict inverse, from ``LAYOUT``."""
+
+    LABEL: ClassVar[str]  # the code's name on paper and in a MalformedCode
+    LAYOUT: ClassVar[Tuple[Tuple[str, Kind], ...]]  # the printed fields, in order
+
+    def payload(self, group: Optional[Group] = None) -> bytes:
+        printed: List[bytes] = []
+        for name, kind in self.LAYOUT:
+            for field in kind.write(group, getattr(self, name)):
+                if len(field) > 0xFFFF:
+                    raise ProtocolError(f"{self.LABEL}.{name}: field too large for a printed code")
+                printed += (len(field).to_bytes(2, "big"), field)
+        return b"".join(printed)
+
+    @classmethod
+    def read(cls: Type[C], payload: bytes, group: Optional[Group] = None, **unprinted: Any) -> C:
+        """Strict inverse of :meth:`payload`; ``unprinted`` holds the fields paper does not carry."""
+        fields, offset, size = [], 0, len(payload)
+        while offset < size:
+            start = offset + 2
+            offset = start + int.from_bytes(payload[offset:start], "big")
+            if offset > size:
+                raise MalformedCode(cls.LABEL, "payload", "truncated field")
+            fields.append(payload[start:offset])
+        expected = sum(kind.parts for _, kind in cls.LAYOUT)
+        if len(fields) != expected:
+            raise MalformedCode(cls.LABEL, "payload", f"expected {expected} fields, got {len(fields)}")
+        values, start = {}, 0
+        for name, kind in cls.LAYOUT:
+            try:
+                values[name] = kind.read(group, *fields[start : start + kind.parts])
+            except ValueError as exc:
+                raise MalformedCode(cls.LABEL, name, str(exc)) from None
+            start += kind.parts
+        return cls(**values, **unprinted)
+
+    def to_qr(self, group: Group) -> QRCode:
+        return QRCode(payload=self.payload(group), label=self.LABEL)
+
+    @classmethod
+    def from_qr(cls: Type[C], qr: QRCode, group: Group, **unprinted: Any) -> C:
+        return cls.read(qr.payload, group, **unprinted)
+
+
+# ---------------------------------------------------------------------------
 # Check-in ticket
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CheckInTicket:
+class CheckInTicket(PrintedCode):
     """``t_in = (V_id, τ_r)`` — a barcode handed to the voter at check-in."""
+
+    LABEL = "check-in"
+    LAYOUT = (("voter_id", TEXT), ("mac_tag", BYTES))
 
     voter_id: str
     mac_tag: bytes
 
     def to_barcode(self) -> Barcode:
-        return Barcode(payload=Encoder().put_str(self.voter_id).put_bytes(self.mac_tag).bytes(), label="check-in")
+        return Barcode(payload=self.payload(), label=self.LABEL)
 
     @classmethod
     def from_barcode(cls, barcode: Barcode) -> "CheckInTicket":
-        decoder = Decoder(barcode.payload)
-        return cls(voter_id=decoder.get_str(), mac_tag=decoder.get_bytes())
+        return cls.read(barcode.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +221,25 @@ class CheckInTicket:
 # ---------------------------------------------------------------------------
 
 
+def challenge_message(challenge: int) -> bytes:
+    """The message the printer signs on an envelope: ``H(e)``."""
+    return sha256(b"envelope-challenge", scalar_bytes(challenge))
+
+
 @dataclass(frozen=True)
-class Envelope:
-    """A pre-printed envelope carrying the ZKP challenge (Fig. 2a)."""
+class Envelope(PrintedCode):
+    """A pre-printed envelope carrying the ZKP challenge (Fig. 2a).
+
+    ``serial`` is not printed: :meth:`from_qr` takes it from the caller.
+    """
+
+    LABEL = "envelope"
+    LAYOUT = (
+        ("symbol", SYMBOL),
+        ("challenge", SCALAR),
+        ("printer_public_key", ELEMENT),
+        ("printer_signature", SIGNATURE),
+    )
 
     symbol: EnvelopeSymbol
     challenge: int
@@ -101,31 +247,13 @@ class Envelope:
     printer_signature: SchnorrSignature
     serial: int = 0
 
+    @classmethod
+    def signed(cls, printer: SigningKeyPair, symbol: EnvelopeSymbol, challenge: int, serial: int = 0) -> "Envelope":
+        return cls(symbol, challenge, printer.public, schnorr_sign(printer, challenge_message(challenge)), serial)
+
     @property
     def challenge_hash(self) -> bytes:
-        return sha256(b"envelope-challenge", scalar_bytes(self.challenge))
-
-    def to_qr(self, group: Group) -> QRCode:
-        payload = (
-            Encoder()
-            .put_str(self.symbol.value)
-            .put_int(self.challenge, group)
-            .put_element(self.printer_public_key)
-            .put_signature(self.printer_signature, group)
-            .bytes()
-        )
-        return QRCode(payload=payload, label="envelope")
-
-    @classmethod
-    def from_qr(cls, qr: QRCode, group: Group, serial: int = 0) -> "Envelope":
-        decoder = Decoder(qr.payload)
-        return cls(
-            symbol=EnvelopeSymbol(decoder.get_str()),
-            challenge=decoder.get_int(),
-            printer_public_key=decoder.get_element(group),
-            printer_signature=decoder.get_signature(group),
-            serial=serial,
-        )
+        return challenge_message(self.challenge)
 
 
 # ---------------------------------------------------------------------------
@@ -153,113 +281,88 @@ def response_message(credential_public: GroupElement, challenge: int, response: 
 
 
 @dataclass(frozen=True)
-class CommitCode:
+class CommitCode(PrintedCode):
     """``q_c = (V_id, c_pc, Y_c, σ_kc)`` — the first printed QR (Fig. 9a, line 7).
 
     Read back with :meth:`from_qr`, ``Y_c`` and ``σ_kc``'s ``R`` stay
     encodings: the device checks them by recomputation, never by decoding.
     """
 
+    LABEL = "commit"
+    LAYOUT = (
+        ("voter_id", TEXT),
+        ("public_credential", CIPHERTEXT),
+        ("commit", COMMIT),
+        ("kiosk_signature", SIGNATURE),
+    )
+
     voter_id: str
     public_credential: ElGamalCiphertext
     commit: ChaumPedersenCommit
     kiosk_signature: SchnorrSignature
 
+    @classmethod
+    def signed(
+        cls, kiosk: SigningKeyPair, voter_id: str, public_credential: ElGamalCiphertext, commit: ChaumPedersenCommit
+    ) -> "CommitCode":
+        signature = schnorr_sign(kiosk, commit_message(voter_id, public_credential, commit))
+        return cls(voter_id, public_credential, commit, signature)
+
     def signed_message(self) -> bytes:
         return commit_message(self.voter_id, self.public_credential, self.commit)
 
-    def to_qr(self, group: Group) -> QRCode:
-        payload = (
-            Encoder()
-            .put_str(self.voter_id)
-            .put_element(self.public_credential.c1)
-            .put_element(self.public_credential.c2)
-            .put_element(self.commit.commit_g)
-            .put_element(self.commit.commit_h)
-            .put_signature(self.kiosk_signature, group)
-            .bytes()
-        )
-        return QRCode(payload=payload, label="commit")
-
-    @classmethod
-    def from_qr(cls, qr: QRCode, group: Group) -> "CommitCode":
-        decoder = Decoder(qr.payload)
-        return cls(
-            voter_id=decoder.get_str(),
-            public_credential=ElGamalCiphertext(decoder.get_element(group), decoder.get_element(group)),
-            commit=ChaumPedersenCommit(decoder.get_encoding(group), decoder.get_encoding(group)),
-            kiosk_signature=decoder.get_signature(group),
-        )
-
 
 @dataclass(frozen=True)
-class CheckOutTicket:
+class CheckOutTicket(PrintedCode):
     """``t_ot = (V_id, c_pc, K_pk, σ_kot)`` — the middle QR, visible in transport state."""
+
+    LABEL = "check-out"
+    LAYOUT = (
+        ("voter_id", TEXT),
+        ("public_credential", CIPHERTEXT),
+        ("kiosk_public_key", ELEMENT),
+        ("kiosk_signature", SIGNATURE),
+    )
 
     voter_id: str
     public_credential: ElGamalCiphertext
     kiosk_public_key: GroupElement
     kiosk_signature: SchnorrSignature
 
+    @classmethod
+    def signed(cls, kiosk: SigningKeyPair, voter_id: str, public_credential: ElGamalCiphertext) -> "CheckOutTicket":
+        signature = schnorr_sign(kiosk, check_out_message(voter_id, public_credential))
+        return cls(voter_id, public_credential, kiosk.public, signature)
+
     def signed_message(self) -> bytes:
         return check_out_message(self.voter_id, self.public_credential)
 
-    def to_qr(self, group: Group) -> QRCode:
-        payload = (
-            Encoder()
-            .put_str(self.voter_id)
-            .put_element(self.public_credential.c1)
-            .put_element(self.public_credential.c2)
-            .put_element(self.kiosk_public_key)
-            .put_signature(self.kiosk_signature, group)
-            .bytes()
-        )
-        return QRCode(payload=payload, label="check-out")
-
-    @classmethod
-    def from_qr(cls, qr: QRCode, group: Group) -> "CheckOutTicket":
-        decoder = Decoder(qr.payload)
-        return cls(
-            voter_id=decoder.get_str(),
-            public_credential=ElGamalCiphertext(decoder.get_element(group), decoder.get_element(group)),
-            kiosk_public_key=decoder.get_element(group),
-            kiosk_signature=decoder.get_signature(group),
-        )
-
 
 @dataclass(frozen=True)
-class ResponseCode:
+class ResponseCode(PrintedCode):
     """``q_r = (c_sk, r, K_pk, σ_kr)`` — the bottom QR, containing the credential secret."""
+
+    LABEL = "response"
+    LAYOUT = (
+        ("credential_secret", SCALAR),
+        ("zkp_response", SCALAR),
+        ("kiosk_public_key", ELEMENT),
+        ("kiosk_signature", SIGNATURE),
+    )
 
     credential_secret: int
     zkp_response: int
     kiosk_public_key: GroupElement
     kiosk_signature: SchnorrSignature
 
+    @classmethod
+    def signed(cls, kiosk: SigningKeyPair, credential: SigningKeyPair, challenge: int, response: int) -> "ResponseCode":
+        signature = schnorr_sign(kiosk, response_message(credential.public, challenge, response))
+        return cls(credential.secret, response, kiosk.public, signature)
+
     @staticmethod
     def signed_message(credential_public: GroupElement, challenge: int, response: int) -> bytes:
         return response_message(credential_public, challenge, response)
-
-    def to_qr(self, group: Group) -> QRCode:
-        payload = (
-            Encoder()
-            .put_int(self.credential_secret, group)
-            .put_int(self.zkp_response, group)
-            .put_element(self.kiosk_public_key)
-            .put_signature(self.kiosk_signature, group)
-            .bytes()
-        )
-        return QRCode(payload=payload, label="response")
-
-    @classmethod
-    def from_qr(cls, qr: QRCode, group: Group) -> "ResponseCode":
-        decoder = Decoder(qr.payload)
-        return cls(
-            credential_secret=decoder.get_int(),
-            zkp_response=decoder.get_int(),
-            kiosk_public_key=decoder.get_element(group),
-            kiosk_signature=decoder.get_signature(group),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro import telemetry
+from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import sha256
 from repro.crypto.mac import mac_sign
@@ -29,27 +30,11 @@ from repro.registration.materials import CheckInTicket, CheckOutTicket, PaperCre
 from repro.registration.qr import print_codes, scan
 
 
-def check_out_ticket_message(record: RegistrationRecord) -> bytes:
-    """The bytes the kiosk signed for this record's check-out ticket."""
-    from repro.crypto.elgamal import ElGamalCiphertext
-
-    return sha256(
-        b"check-out-ticket",
-        record.voter_id.encode(),
-        ElGamalCiphertext(record.public_credential_c1, record.public_credential_c2).to_bytes(),
-    )
-
-
-def official_approval_message(record: RegistrationRecord) -> bytes:
-    """The bytes the official signed when approving this record."""
-    from repro.crypto.elgamal import ElGamalCiphertext
-
-    return sha256(
-        b"official-approval",
-        record.voter_id.encode(),
-        ElGamalCiphertext(record.public_credential_c1, record.public_credential_c2).to_bytes(),
-        record.kiosk_signature.to_bytes(),
-    )
+def official_approval_message(
+    voter_id: str, public_credential: ElGamalCiphertext, kiosk_signature: SchnorrSignature
+) -> bytes:
+    """The message the official signs when approving a check-out: ``V_id ∥ c_pc ∥ σ_kot``."""
+    return sha256(b"official-approval", voter_id.encode(), public_credential.to_bytes(), kiosk_signature.to_bytes())
 
 
 @dataclass
@@ -107,13 +92,9 @@ class RegistrationOfficial:
         if not self.board.is_eligible(ticket.voter_id):
             raise RegistrationError(f"voter {ticket.voter_id!r} is not on the electoral roll")
 
-        approval_message = sha256(
-            b"official-approval",
-            ticket.voter_id.encode(),
-            ticket.public_credential.to_bytes(),
-            kiosk_signature.to_bytes(),
+        official_signature = schnorr_sign(
+            self.keypair, official_approval_message(ticket.voter_id, ticket.public_credential, kiosk_signature)
         )
-        official_signature = schnorr_sign(self.keypair, approval_message)
         record = RegistrationRecord(
             voter_id=ticket.voter_id,
             public_credential_c1=ticket.public_credential.c1,
@@ -146,8 +127,3 @@ class RegistrationOfficial:
 
         plan = AuditPlan(registration_record_checks(record, kiosk_public_keys))
         return EagerVerifier().run(plan)
-
-    @staticmethod
-    def verify_record(record: RegistrationRecord, kiosk_public_keys: List[GroupElement]) -> bool:
-        """Public verification of a registration record (bool shim over audit)."""
-        return RegistrationOfficial.audit_record(record, kiosk_public_keys).ok

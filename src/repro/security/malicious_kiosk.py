@@ -22,19 +22,10 @@ from typing import List
 
 from repro import telemetry
 from repro.crypto.chaum_pedersen import simulate_chaum_pedersen
-from repro.crypto.schnorr import SigningKeyPair, schnorr_keygen, schnorr_sign
+from repro.crypto.schnorr import SigningKeyPair, schnorr_keygen
 from repro.crypto.sigma import Move, SigmaSession
 from repro.registration.kiosk import Kiosk, KioskSession
-from repro.registration.materials import (
-    CheckOutTicket,
-    CommitCode,
-    Envelope,
-    Receipt,
-    check_out_message,
-    commit_message,
-    response_message,
-    ResponseCode,
-)
+from repro.registration.materials import CheckOutTicket, CommitCode, Envelope, Receipt, ResponseCode
 from repro.registration.qr import print_codes, scan
 
 
@@ -66,31 +57,9 @@ class WrongOrderKiosk(Kiosk):
             sigma.record(Move.COMMIT)
             sigma.record(Move.RESPONSE)
 
-            commit_code = CommitCode(
-                voter_id=session.voter_id,
-                public_credential=public_credential,
-                commit=transcript.commit,
-                kiosk_signature=schnorr_sign(
-                    self.keypair, commit_message(session.voter_id, public_credential, transcript.commit)
-                ),
-            )
-            check_out = CheckOutTicket(
-                voter_id=session.voter_id,
-                public_credential=public_credential,
-                kiosk_public_key=self.keypair.public,
-                kiosk_signature=schnorr_sign(
-                    self.keypair, check_out_message(session.voter_id, public_credential)
-                ),
-            )
-            response_code = ResponseCode(
-                credential_secret=victim_credential.secret,
-                zkp_response=transcript.response,
-                kiosk_public_key=self.keypair.public,
-                kiosk_signature=schnorr_sign(
-                    self.keypair,
-                    response_message(victim_credential.public, decoded.challenge, transcript.response),
-                ),
-            )
+            commit_code = CommitCode.signed(self.keypair, session.voter_id, public_credential, transcript.commit)
+            check_out = CheckOutTicket.signed(self.keypair, session.voter_id, public_credential)
+            response_code = ResponseCode.signed(self.keypair, victim_credential, decoded.challenge, transcript.response)
             print_codes(
                 commit_code.to_qr(self.group),
                 check_out.to_qr(self.group),

@@ -1,11 +1,22 @@
-"""Property-based tests on the ledger, codec and tally invariants."""
+"""Property-based tests on the ledger, the printed codes and tally invariants."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.crypto.chaum_pedersen import ChaumPedersenCommit
+from repro.crypto.elgamal import ElGamalCiphertext
+from repro.crypto.group import ElementEncoding
 from repro.crypto.modp_group import testing_group
-from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
+from repro.crypto.schnorr import SchnorrSignature, schnorr_keygen, schnorr_sign
 from repro.ledger.log import AppendOnlyLog
-from repro.registration.codec import Decoder, Encoder
+from repro.registration.materials import (
+    CheckInTicket,
+    CheckOutTicket,
+    CommitCode,
+    Envelope,
+    EnvelopeSymbol,
+    MalformedCode,
+    ResponseCode,
+)
 from repro.security.analysis import iv_adversary_success_bound
 from repro.tally.decrypt import aggregate
 from repro.tally.filter import deduplicate_ballots
@@ -38,20 +49,64 @@ class TestLedgerProperties:
         assert AppendOnlyLog.verify_inclusion(log.inclusion_proof(index))
 
 
-class TestCodecProperties:
+_SCALARS = st.integers(min_value=0, max_value=GROUP.order - 1)
+_ELEMENTS = _SCALARS.map(GROUP.power)
+_ENCODINGS = st.binary(max_size=20).map(lambda data: ElementEncoding(GROUP, data))
+_SIGNATURES = st.builds(SchnorrSignature, _ENCODINGS, _SCALARS)
+_CIPHERTEXTS = st.builds(ElGamalCiphertext, _ELEMENTS, _ELEMENTS)
+_COMMITS = st.builds(ChaumPedersenCommit, _ENCODINGS, _ENCODINGS)
+_CODES = st.one_of(
+    st.builds(CheckInTicket, st.text(max_size=40), st.binary(max_size=40)),
+    st.builds(Envelope, st.sampled_from(EnvelopeSymbol), _SCALARS, _ELEMENTS, _SIGNATURES),
+    st.builds(CommitCode, st.text(max_size=40), _CIPHERTEXTS, _COMMITS, _SIGNATURES),
+    st.builds(CheckOutTicket, st.text(max_size=40), _CIPHERTEXTS, _ELEMENTS, _SIGNATURES),
+    st.builds(ResponseCode, _SCALARS, _SCALARS, _ELEMENTS, _SIGNATURES),
+)
+
+
+_CLASSES = [CheckInTicket, Envelope, CommitCode, CheckOutTicket, ResponseCode]
+
+
+def _framed(fields) -> bytes:
+    return b"".join(len(field).to_bytes(2, "big") + field for field in fields)
+
+
+@st.composite
+def _hostile_payloads(draw):
+    """A printed code's payload with each field kept, re-drawn at its width, zero-padded or
+    arbitrary, and sometimes a trailing byte or an extra empty field."""
+    code = draw(_CODES)
+    payload, fields = code.payload(GROUP), []
+    while payload:
+        length = int.from_bytes(payload[:2], "big")
+        field, payload = payload[2 : 2 + length], payload[2 + length :]
+        rewrite = draw(st.sampled_from(["keep", "keep", "keep", "redraw", "pad", "arbitrary"]))
+        if rewrite == "redraw":
+            field = draw(st.binary(min_size=len(field), max_size=len(field)))
+        elif rewrite == "pad":
+            field = b"\x00" + field
+        elif rewrite == "arbitrary":
+            field = draw(st.binary(max_size=24))
+        fields.append(field)
+    tail = draw(st.sampled_from([b"", b"", b"", b"\x00", b"\x00\x00"]))
+    return type(code), _framed(fields) + tail
+
+
+class TestPrintedCodeProperties:
     @FAST
-    @given(
-        text=st.text(max_size=40),
-        blob=st.binary(max_size=60),
-        value=st.integers(min_value=0, max_value=GROUP.order - 1),
-    )
-    def test_roundtrip(self, text, blob, value):
-        encoded = Encoder().put_str(text).put_bytes(blob).put_int(value, GROUP).bytes()
-        decoder = Decoder(encoded)
-        assert decoder.get_str() == text
-        assert decoder.get_bytes() == blob
-        assert decoder.get_int() == value
-        assert decoder.exhausted
+    @given(code=_CODES)
+    def test_reading_what_was_printed_gives_the_code_back(self, code):
+        assert type(code).read(code.payload(GROUP), GROUP) == code
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(hostile=st.one_of(_hostile_payloads(), st.tuples(st.sampled_from(_CLASSES), st.binary(max_size=80))))
+    def test_every_scan_is_total_and_canonical(self, hostile):
+        cls, payload = hostile
+        try:
+            code = cls.read(payload, GROUP)
+        except MalformedCode:
+            return
+        assert code.payload(GROUP) == payload
 
 
 class TestTallyInvariants:

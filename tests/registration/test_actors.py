@@ -211,7 +211,7 @@ class TestOfficialCheckOut:
         kiosk.complete_real_credential(session, envelope)
         record = official.check_out_ticket(session.check_out_ticket)
         assert small_setup.board.registration_for("alice") == record
-        assert RegistrationOfficial.verify_record(record, small_setup.registrar.kiosk_public_keys)
+        assert RegistrationOfficial.audit_record(record, small_setup.registrar.kiosk_public_keys).ok
         assert official.notifications == ["alice"]
 
     def test_unauthorized_kiosk_rejected(self, small_setup, official, kiosk):

@@ -1,4 +1,4 @@
-"""Serialization codec and the physical registration artefacts."""
+"""The printed codes' layouts, their strict readers, and the physical registration artefacts."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.crypto.elgamal import ElGamal
 from repro.crypto.group import ElementEncoding
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign, schnorr_verify
 from repro.errors import ProtocolError
-from repro.registration.codec import Decoder, Encoder, scalar_bytes
 from repro.registration.materials import (
     CheckInTicket,
     CheckOutTicket,
@@ -15,49 +14,153 @@ from repro.registration.materials import (
     CredentialState,
     Envelope,
     EnvelopeSymbol,
+    MalformedCode,
     PaperCredential,
     Receipt,
     ResponseCode,
+    scalar_width,
 )
+
+
+def _split(payload: bytes):
+    """The length-prefixed fields of a printed payload."""
+    fields = []
+    while payload:
+        length = int.from_bytes(payload[:2], "big")
+        fields.append(payload[2 : 2 + length])
+        payload = payload[2 + length :]
+    return fields
+
+
+def _join(fields) -> bytes:
+    return b"".join(len(field).to_bytes(2, "big") + field for field in fields)
+
+
+def _printed_codes(group):
+    """One honest code of each of the five kinds, keyed by label."""
+    kiosk, printer, credential = schnorr_keygen(group), schnorr_keygen(group), schnorr_keygen(group)
+    tag = ElGamal(group).encrypt(group.power(7), credential.public)
+    commit = ChaumPedersenCommit(group.power(3), group.power(4))
+    challenge = group.random_scalar()
+    codes = [
+        CheckInTicket("alice", b"\xaa" * 16),
+        Envelope.signed(printer, EnvelopeSymbol.STAR, challenge),
+        CommitCode.signed(kiosk, "alice", tag, commit),
+        CheckOutTicket.signed(kiosk, "alice", tag),
+        ResponseCode.signed(kiosk, credential, challenge, 99),
+    ]
+    return {code.LABEL: code for code in codes}
+
+
+def _padded(group, data):
+    return b"\x00" + data
+
+
+def _at_order(group, data):
+    return group.order.to_bytes(scalar_width(group), "big")
+
+
+def _not_utf8(group, data):
+    return b"\xff" + data
+
+
+def _unknown_symbol(group, data):
+    return b"hexagon"
+
+
+def _undecodable(group, data):
+    return bytes(len(data))  # zero: outside the field
+
+
+#: ``(code, row, framing rewrite, what the refusal says)``: the payload as a whole is wrong.
+FRAMING_ROWS = [
+    (code, row, rewrite, problem)
+    for code in ("check-in", "envelope", "commit", "check-out", "response")
+    for row, rewrite, problem in (
+        ("truncated", lambda payload: payload[:-1], "truncated field"),
+        ("extra field", lambda payload: payload + b"\x00\x01x", "expected"),
+        ("trailing bytes", lambda payload: payload + b"\x00", "truncated field"),
+    )
+]
+
+#: ``(code, row, printed field index, rewrite, the field MalformedCode names)``.
+FIELD_ROWS = [
+    ("check-in", "non-UTF-8 text", 0, _not_utf8, "voter_id"),
+    ("envelope", "unknown symbol", 0, _unknown_symbol, "symbol"),
+    ("envelope", "non-UTF-8 text", 0, _not_utf8, "symbol"),
+    ("envelope", "padded scalar", 1, _padded, "challenge"),
+    ("envelope", "scalar >= q", 1, _at_order, "challenge"),
+    ("envelope", "undecodable element", 2, _undecodable, "printer_public_key"),
+    ("envelope", "padded scalar", 4, _padded, "printer_signature"),
+    ("commit", "non-UTF-8 text", 0, _not_utf8, "voter_id"),
+    ("commit", "undecodable element", 1, _undecodable, "public_credential"),
+    ("commit", "undecodable element", 2, _undecodable, "public_credential"),
+    ("commit", "scalar >= q", 6, _at_order, "kiosk_signature"),
+    ("check-out", "non-UTF-8 text", 0, _not_utf8, "voter_id"),
+    ("check-out", "undecodable element", 3, _undecodable, "kiosk_public_key"),
+    ("check-out", "padded scalar", 5, _padded, "kiosk_signature"),
+    ("response", "padded scalar", 0, _padded, "credential_secret"),
+    ("response", "scalar >= q", 1, _at_order, "zkp_response"),
+    ("response", "undecodable element", 2, _undecodable, "kiosk_public_key"),
+    ("response", "scalar >= q", 4, _at_order, "kiosk_signature"),
+]
+
+
+def _refusal(group, code, payload) -> MalformedCode:
+    printed = _printed_codes(group)[code]
+    with pytest.raises(MalformedCode) as refused:
+        type(printed).read(payload, group)
+    error = refused.value
+    assert isinstance(error, ProtocolError) and isinstance(error, ValueError)
+    assert error.code == code and str(error).startswith(f"{code}.{error.field}: ")
+    return error
 
 
 class TestCodec:
     def test_roundtrip_all_field_types(self, group):
-        keys = schnorr_keygen(group)
-        signature = schnorr_sign(keys, b"m")
-        encoded = (
-            Encoder()
-            .put_str("alice")
-            .put_bytes(b"\x01\x02")
-            .put_int(12345, group)
-            .put_element(keys.public)
-            .put_signature(signature, group)
-            .bytes()
-        )
-        decoder = Decoder(encoded)
-        assert decoder.get_str() == "alice"
-        assert decoder.get_bytes() == b"\x01\x02"
-        assert decoder.get_int() == 12345
-        assert decoder.get_element(group) == keys.public
-        decoded = decoder.get_signature(group)
-        # R stays its bytes until a verifier recomputes it.
-        assert decoded.to_bytes() == signature.to_bytes()
-        assert decoded.commitment == ElementEncoding(group, signature.commitment.to_bytes())
-        assert schnorr_verify(keys.public, b"m", decoded)
-        assert decoder.exhausted
+        for code in _printed_codes(group).values():
+            assert type(code).read(code.payload(group), group).payload(group) == code.payload(group)
 
-    def test_truncated_payload_detected(self, group):
-        encoded = Encoder().put_str("alice").bytes()
-        decoder = Decoder(encoded[:-2])
-        with pytest.raises(ProtocolError):
-            decoder.get_str()
+    @pytest.mark.parametrize(
+        "code, row, rewrite, problem", FRAMING_ROWS, ids=[f"{c}-{r}" for c, r, _, _ in FRAMING_ROWS]
+    )
+    def test_a_misframed_payload_is_refused(self, group, code, row, rewrite, problem):
+        refused = _refusal(group, code, rewrite(_printed_codes(group)[code].payload(group)))
+        assert refused.field == "payload" and refused.problem.startswith(problem)
 
-    def test_scalar_bytes_matches_group_order(self, group):
-        assert scalar_bytes(group) == (group.order.bit_length() + 7) // 8
+    @pytest.mark.parametrize(
+        "code, row, index, rewrite, field", FIELD_ROWS, ids=[f"{c}-{r}-{i}" for c, r, i, _, _ in FIELD_ROWS]
+    )
+    def test_a_hostile_field_is_refused_by_name(self, group, code, row, index, rewrite, field):
+        fields = _split(_printed_codes(group)[code].payload(group))
+        fields[index] = rewrite(group, fields[index])
+        assert _refusal(group, code, _join(fields)).field == field
+
+    def test_an_off_width_encoding_is_kept_for_its_check(self, group):
+        code = _printed_codes(group)["commit"]
+        fields = _split(code.payload(group))
+        for index in (3, 4, 5):  # Y1, Y2 and the signature's R
+            fields[index] = b"\x00" + fields[index]
+        decoded = CommitCode.read(_join(fields), group)
+        y1, y2, r = (ElementEncoding(group, fields[index]) for index in (3, 4, 5))
+        assert decoded.commit == ChaumPedersenCommit(y1, y2) and decoded.kiosk_signature.commitment == r
+
+    def test_scalar_width_matches_group_order(self, group):
+        assert scalar_width(group) == (group.order.bit_length() + 7) // 8
 
     def test_oversized_field_rejected(self):
         with pytest.raises(ProtocolError):
-            Encoder().put_bytes(b"x" * 70000)
+            CheckInTicket("x" * 70000, b"").payload()
+
+    def test_each_signed_code_verifies_under_its_one_message(self, group):
+        codes = _printed_codes(group)
+        envelope, commit, check_out, response = (codes[n] for n in ("envelope", "commit", "check-out", "response"))
+        kiosk_key, credential_public = check_out.kiosk_public_key, group.power(response.credential_secret)
+        response_message = response.signed_message(credential_public, envelope.challenge, response.zkp_response)
+        assert schnorr_verify(envelope.printer_public_key, envelope.challenge_hash, envelope.printer_signature)
+        assert schnorr_verify(kiosk_key, commit.signed_message(), commit.kiosk_signature)
+        assert schnorr_verify(kiosk_key, check_out.signed_message(), check_out.kiosk_signature)
+        assert schnorr_verify(kiosk_key, response_message, response.kiosk_signature)
 
 
 @pytest.fixture()

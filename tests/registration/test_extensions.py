@@ -9,10 +9,10 @@ from repro.registration.extensions import (
     DelegationReceipt,
     RotationRecord,
     RotationRegistry,
+    audit_rotation,
     delegate_in_booth,
     renew_credential,
     rotate_credential,
-    verify_rotation,
 )
 from repro.registration.kiosk import Kiosk
 from repro.registration.official import RegistrationOfficial
@@ -37,7 +37,7 @@ class TestCredentialRotation:
         outcome = run_registration(small_setup, Voter("alice", num_fake_credentials=0))
         credential = outcome.vsd.real_credentials()[0]
         new_keypair, record = rotate_credential(small_setup.group, credential)
-        assert verify_rotation(record)
+        assert audit_rotation(record).ok
         assert record.new_public_key == new_keypair.public
         assert record.old_public_key == credential.public_key
 
@@ -47,7 +47,7 @@ class TestCredentialRotation:
         _, record = rotate_credential(small_setup.group, credential)
         rogue = schnorr_keygen(small_setup.group)
         forged = RotationRecord(record.old_public_key, rogue.public, record.signature)
-        assert not verify_rotation(forged)
+        assert not audit_rotation(forged).ok
         registry = RotationRegistry()
         with pytest.raises(VerificationError):
             registry.publish(forged)
@@ -109,7 +109,7 @@ class TestCredentialRotation:
         outcome = run_registration(small_setup, Voter("alice", num_fake_credentials=1))
         fake = [c for c in outcome.vsd.credentials if not c.is_real][0]
         _, record = rotate_credential(small_setup.group, fake)
-        assert verify_rotation(record)
+        assert audit_rotation(record).ok
 
     def test_double_registration_of_device_key_rejected(self, small_setup):
         outcome = run_registration(small_setup, Voter("alice", num_fake_credentials=0))

@@ -46,7 +46,6 @@ from repro.crypto.group import ElementEncoding
 from repro.crypto.modp_group import modp_group_256, testing_group
 from repro.crypto.schnorr import SigningKeyPair, schnorr_challenge, schnorr_keygen, schnorr_sign, schnorr_verify
 from repro.registration.qr import QRCode
-from repro.registration.codec import Decoder, scalar_bytes
 from repro.registration.materials import (
     CommitCode,
     Envelope,
@@ -54,6 +53,7 @@ from repro.registration.materials import (
     ResponseCode,
     commit_message,
     response_message,
+    scalar_width,
 )
 from repro.registration.protocol import RegistrationSession
 from repro.registration.setup import ElectionSetup
@@ -107,9 +107,11 @@ def _torsion_points():
 
 
 def _fields(qr: QRCode):
-    decoder, fields = Decoder(qr.payload), []
-    while not decoder.exhausted:
-        fields.append(decoder.get_bytes())
+    data, fields = qr.payload, []
+    while data:
+        length = int.from_bytes(data[:2], "big")
+        fields.append(data[2 : 2 + length])
+        data = data[2 + length :]
     return fields
 
 
@@ -124,7 +126,7 @@ def _resigned(group, fields, kiosk_keys):
         fields[0].decode(), ElGamalCiphertext(*encoded[:2]), ChaumPedersenCommit(*encoded[2:])
     )
     signature = schnorr_sign(kiosk_keys, message)
-    return fields[:5] + [signature.commitment.to_bytes(), signature.response.to_bytes(scalar_bytes(group), "big")]
+    return fields[:5] + [signature.commitment.to_bytes(), signature.response.to_bytes(scalar_width(group), "big")]
 
 
 def _shown(credential, monkeypatch, qrs):

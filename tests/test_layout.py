@@ -5,6 +5,10 @@
 import by their bare names); both sit on ``sys.path`` only when pytest or a
 script puts them there, so ``repro`` importing either works in the repo and
 breaks in an installed package.
+
+And a printed code is signed in one place: its ``signed`` constructor in
+``registration/materials.py`` is the only code that signs a commit, check-out
+or response message.
 """
 
 from __future__ import annotations
@@ -44,3 +48,28 @@ def test_nothing_under_src_repro_imports_from_benchmarks():
         if module.split(".")[0] in forbidden
     ]
     assert offenders == []
+
+
+#: The messages the kiosk signs on the receipt's three codes.
+CODE_MESSAGES = {"commit_message", "check_out_message", "response_message"}
+
+
+def _called_name(node: ast.Call) -> str:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else ""
+
+
+def test_a_printed_code_is_signed_only_by_its_own_constructor():
+    """No function outside ``registration/materials.py`` both signs and builds a code's message."""
+    materials = ROOT / "src" / "repro" / "registration" / "materials.py"
+    offenders = set()
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path == materials:
+            continue
+        for function in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            called = {_called_name(node) for node in ast.walk(function) if isinstance(node, ast.Call)}
+            if "schnorr_sign" in called and called & CODE_MESSAGES:
+                offenders.add(f"{path.relative_to(ROOT)}:{function.lineno} {function.name}")
+    assert sorted(offenders) == []
