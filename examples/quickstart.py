@@ -15,6 +15,7 @@ Run with:  python examples/quickstart.py
 
 from repro.audit.checks import audit_tally
 from repro.crypto.modp_group import testing_group
+from repro.ledger import BallotRecord, RollEntry
 from repro.registration import ElectionSetup, Voter, run_registration
 from repro.tally.pipeline import TallyPipeline
 from repro.voting.client import VotingClient
@@ -25,7 +26,7 @@ def main() -> None:
 
     # --- Setup -------------------------------------------------------------
     setup = ElectionSetup.run(group, voter_ids=["alice", "bob"], num_authority_members=4)
-    print(f"setup: {len(setup.board.eligible_voters)} eligible voters, "
+    print(f"setup: {setup.board.count(RollEntry)} eligible voters, "
           f"{len(setup.envelope_supply)} envelopes printed")
 
     # --- Registration (TRIP) ------------------------------------------------
@@ -54,7 +55,7 @@ def main() -> None:
     alice_client.cast_fake(0, num_options=2)   # decoy, e.g. under a coercer's eye
     alice_client.cast_real(1, num_options=2)   # the vote that counts
     bob_client.cast_real(0, num_options=2)
-    print(f"voting: {setup.board.num_ballots} ballots on the ledger "
+    print(f"voting: {setup.board.count(BallotRecord)} ballots on the ledger "
           f"(real and fake are indistinguishable)")
 
     # --- Tally ---------------------------------------------------------------

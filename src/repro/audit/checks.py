@@ -22,7 +22,7 @@ from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
 from repro.audit.api import AuditPlan, AuditReport, Check, Verifier, verifier_from_spec
 from repro.audit.evidence import DecryptionTranscript, TagChainEvidence, TallyEvidence
-from repro.ledger.api import as_board_view, chain_logs
+from repro.ledger.api import as_board_view
 from repro.ledger.records import RegistrationRecord
 from repro.registration.materials import check_out_message
 from repro.registration.official import official_approval_message
@@ -291,7 +291,7 @@ def chain_checks(board, label: str = "ledger") -> List[Check]:
     """
     return [
         Check("ledger-chain", f"{label}.{name}-chain", (name, tuple(log.entries())))
-        for name, log in chain_logs(as_board_view(board))
+        for name, log in as_board_view(board).chain_logs()
     ]
 
 
@@ -505,7 +505,7 @@ def tally_audit_plan(
     if include_chains:
         plan.extend(chain_checks(board))
 
-    registrations = view.active_registrations()
+    registrations = view.current(RegistrationRecord)
     registration_inputs = [
         (ElGamalCiphertext(record.public_credential_c1, record.public_credential_c2),)
         for record in registrations
@@ -630,7 +630,7 @@ def audit_election(
     view = as_board_view(board)
     plan = AuditPlan()
     plan.extend(chain_checks(board))
-    for record in view.active_registrations():
+    for record in view.current(RegistrationRecord):
         plan.extend(registration_record_checks(record, kiosk_public_keys))
     if rotations is not None:
         for record in rotations.records():

@@ -9,7 +9,8 @@ from repro import telemetry
 from repro.crypto import bigint
 from repro.crypto.group import Group
 from repro.crypto.modp_group import testing_group
-from repro.ledger.api import LedgerBackend, board_from_spec
+from repro.ledger.api import board_from_spec
+from repro.ledger.backends.memory import MemoryBackend
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.runtime.executor import Executor, executor_from_spec
 from repro.runtime.pipeline import PipelineSpec, pipeline_from_spec
@@ -103,7 +104,7 @@ class ElectionConfig:
     def make_pipeline(self) -> PipelineSpec:
         return pipeline_from_spec(self.pipeline_spec)
 
-    def make_board_backend(self, group: Optional[Group] = None) -> LedgerBackend:
+    def make_board_backend(self, group: Optional[Group] = None) -> MemoryBackend:
         return board_from_spec(self.board_spec, group=group)
 
     def make_board(self, group: Optional[Group] = None) -> BulletinBoard:

@@ -18,6 +18,7 @@ from repro.audit.api import AuditReport
 from repro.audit.checks import audit_election
 from repro.election.config import ElectionConfig
 from repro.errors import ProtocolError
+from repro.ledger.records import BallotRecord
 from repro.registration.protocol import RegistrationOutcome, RegistrationSession
 from repro.registration.setup import ElectionSetup
 from repro.registration.voter import Voter
@@ -205,7 +206,7 @@ class VotegralElection:
         )
 
     def run_tally(self, verify: bool = True) -> TallyResult:
-        if self.setup is None or self.setup.board.num_ballots == 0:
+        if self.setup is None or self.setup.board.store.count(BallotRecord) == 0:
             raise ProtocolError("voting must happen before tallying")
         start = time.perf_counter()
         result = self.tally()

@@ -37,12 +37,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import MISSING, Field, dataclass, field, replace
-from operator import attrgetter
 from typing import Any, Callable, ClassVar, Dict, FrozenSet, List, Optional, Tuple, Type, TypeVar, Union
 
 from repro.crypto.group import Group
 from repro.errors import GatewayError
-from repro.ledger.records import BallotRecord, MalformedField, Record
+from repro.ledger.records import BallotRecord, MalformedField, Record, fields_getter
 
 #: The wire-schema version this module defines.  Routes are mounted under
 #: ``/v1/``; a breaking field change bumps this and mounts ``/v2/`` routes
@@ -466,7 +465,7 @@ class RecordSchema(Schema):
             setattr(cls, member.name, wire(member.json, member.doc, max_length=limit))
         cls.__annotations__ = annotations
         cls.RECORD = record
-        cls._members = attrgetter(*[member.name for member in record.WIRE])
+        cls._members = fields_getter([member.name for member in record.WIRE])
         super().__init_subclass__(**kwargs)
 
     @classmethod

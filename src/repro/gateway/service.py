@@ -55,6 +55,7 @@ from repro.gateway.schemas import (
     ballot_from_wire,
 )
 from repro.ledger.backends.memory import AsyncIngestionFrontend
+from repro.ledger.records import BallotRecord, RegistrationRecord, RollEntry
 from repro.spec import BOARD
 from repro.tally.pipeline import TallyResult
 
@@ -135,7 +136,7 @@ class ElectionTenant:
         self.setup = election.setup
         self.status = STATUS_OPEN
         self.governor = TenantGovernor(config=governor)
-        self.frontend = AsyncIngestionFrontend(self.setup.board.backend)
+        self.frontend = AsyncIngestionFrontend(self.setup.board.store)
         #: Cast requests awaiting their append; ``_quiet`` is set whenever
         #: there are none, which is what close and shutdown wait on.
         self._in_flight = 0
@@ -175,7 +176,7 @@ class ElectionTenant:
         telemetry.gauge("gateway.queue.depth", self.governor.queued, election=self.election_id)
         try:
             with telemetry.span("gateway.batch.admit", election=self.election_id, size=count):
-                seqs = await self.frontend.post_ballots(records)
+                seqs = await self.frontend.append_many(records)
         except Exception as error:
             telemetry.counter("gateway.errors", count)
             raise GatewayError(f"ledger append failed: {error}") from error
@@ -207,10 +208,10 @@ class ElectionTenant:
             raise ConflictError(
                 f"election {self.election_id!r} is {self.status}; registration requires open"
             )
-        board = self.setup.board
-        if not board.is_eligible(request.voter_id):
+        store = self.setup.board.store
+        if store.get(RollEntry, request.voter_id) is None:
             raise SchemaError({"voter_id": "not on the electoral roll"})
-        if board.registration_for(request.voter_id) is not None:
+        if store.get(RegistrationRecord, request.voter_id) is not None:
             raise ConflictError(f"voter {request.voter_id!r} is already registered")
         # The registrar actors (kiosk, official, booth supply) are stateful,
         # so registrations are serialized per tenant; the crypto still runs
@@ -270,7 +271,7 @@ class ElectionTenant:
     async def audit_report(self) -> AuditReportWire:
         if self.status == STATUS_OPEN:
             raise ConflictError(f"election {self.election_id!r} must be closed before auditing")
-        cache_key = (self.status, self.setup.board.num_ballots)
+        cache_key = (self.status, self.setup.board.store.count(BallotRecord))
         if self._audit_cache is not None and self._audit_cache[0] == cache_key:
             return self._audit_cache[1]
         wire = await asyncio.to_thread(self._audit_blocking)
@@ -322,7 +323,7 @@ class ElectionTenant:
     # ------------------------------------------------------------------ queries
 
     def info(self) -> ElectionInfo:
-        board = self.setup.board
+        store = self.setup.board.store
         config = self.election.config
         return ElectionInfo(
             election_id=self.election_id,
@@ -332,8 +333,8 @@ class ElectionTenant:
             authority_public_key=self.setup.authority_public_key.to_bytes(),
             num_options=config.num_options,
             num_voters=config.num_voters,
-            num_registered=board.num_registered,
-            num_ballots=board.num_ballots,
+            num_registered=len(store.current(RegistrationRecord)),
+            num_ballots=store.count(BallotRecord),
             pending_casts=self.governor.queued,
         )
 
@@ -471,14 +472,14 @@ class GatewayService:
         """Per-tenant status + counts (`GET /v1/debug/tenants`)."""
         tenants: Dict[str, Any] = {}
         for election_id, tenant in sorted(self.tenants.items()):
-            board = tenant.setup.board
+            store = tenant.setup.board.store
             tenants[election_id] = {
                 "status": tenant.status,
                 "group": tenant.group_name,
                 "num_voters": tenant.election.config.num_voters,
                 "num_options": tenant.election.config.num_options,
-                "num_registered": board.num_registered,
-                "num_ballots": board.num_ballots,
+                "num_registered": len(store.current(RegistrationRecord)),
+                "num_ballots": store.count(BallotRecord),
                 "queued": tenant.governor.queued,
                 "admitted_total": tenant.governor.admitted_total,
                 "shed_total": tenant.governor.shed_total,

@@ -18,27 +18,23 @@ exercising the full SQL path in tests without touching disk.
 from __future__ import annotations
 
 import sqlite3
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Type
 
 from repro.crypto.group import Group
 from repro.errors import LedgerError
 from repro.ledger.backends.memory import MemoryBackend, Pending
-from repro.ledger.records import RECORD_TYPES, LedgerRecord, Record
+from repro.ledger.records import RECORD_TYPES, Record
 
 # Every row carries ``commit_seq`` — the board-wide commit position — because
 # the hash chains commit to the *interleaving* of streams (roll entries and
 # registrations share L_R; commitments and usages share L_E).  Restore replays
 # rows in commit_seq order so reopened chains are bit-identical to the
-# pre-restart ones.  There are no indexes: every read is served by the
-# in-memory store and SQLite is only read by full-table SELECT at restore.
-_ROLL_SCHEMA = """
-CREATE TABLE IF NOT EXISTS roll (
-    commit_seq INTEGER PRIMARY KEY, seq INTEGER NOT NULL, voter_id TEXT NOT NULL UNIQUE
-)"""
-_ROLL_SELECT = "SELECT commit_seq, voter_id FROM roll"
-_ROLL_INSERT = "INSERT INTO roll (commit_seq, seq, voter_id) VALUES (?, ?, ?)"
+# pre-restart ones.  A unique kind's key column is UNIQUE in a new table; there
+# are no other indexes: every read is served by the in-memory store and SQLite
+# is only read by full-table SELECT at restore.
 
 
 class _Statements(NamedTuple):
@@ -49,26 +45,19 @@ class _Statements(NamedTuple):
     select: str
 
 
+@lru_cache(maxsize=None)
 def _statements(record_type: Type[Record]) -> _Statements:
     table = record_type.TABLE
     names = ", ".join(name for name, _ in record_type.COLUMNS)
-    columns = "".join(f", {name} {sql} NOT NULL" for name, sql in record_type.COLUMNS)
+    columns = "".join(
+        f", {name} {sql} NOT NULL" + (" UNIQUE" if record_type.UNIQUE and name == record_type.KEY else "")
+        for name, sql in record_type.COLUMNS
+    )
     return _Statements(
         f"CREATE TABLE IF NOT EXISTS {table} (commit_seq INTEGER PRIMARY KEY, seq INTEGER NOT NULL{columns})",
         f"INSERT INTO {table} (commit_seq, seq, {names}) VALUES (?, ?{', ?' * len(record_type.COLUMNS)})",
         f"SELECT commit_seq, {names} FROM {table}",
     )
-
-
-_SQL: Dict[Type[Record], _Statements] = {kind: _statements(kind) for kind in RECORD_TYPES}
-
-
-def _row(item: Union[LedgerRecord, str]) -> Tuple[Any, ...]:
-    return (item,) if isinstance(item, str) else item.to_row()
-
-
-def _insert(item: Union[LedgerRecord, str]) -> str:
-    return _ROLL_INSERT if isinstance(item, str) else _SQL[type(item)].insert
 
 
 class SQLiteBackend(MemoryBackend):
@@ -98,15 +87,16 @@ class SQLiteBackend(MemoryBackend):
         encoding of a record — is a :class:`LedgerError` naming the table
         (and the row's ``commit_seq``), never a silently different board.
         """
-        sources: List[Tuple[Optional[Type[LedgerRecord]], str, str, str]] = [(None, "roll", _ROLL_SCHEMA, _ROLL_SELECT)]
-        sources += [(kind, kind.TABLE, _SQL[kind].create, _SQL[kind].select) for kind in RECORD_TYPES]
-        commands: List[Tuple[int, Optional[Type[LedgerRecord]], str, Tuple[Any, ...]]] = []
-        for kind, table, create, select in sources:
+        commands: List[Tuple[int, Type[Record], Tuple[object, ...]]] = []
+        for kind in RECORD_TYPES:
+            statements = _statements(kind)
             try:
-                self._conn.execute(create)
-                commands += [(row[0], kind, table, row[1:]) for row in self._conn.execute(select)]
+                self._conn.execute(statements.create)
+                commands += [(row[0], kind, row[1:]) for row in self._conn.execute(statements.select)]
             except sqlite3.Error as error:
-                raise LedgerError(f"board database {self._path!r}: table {table} is unreadable: {error}") from error
+                raise LedgerError(
+                    f"board database {self._path!r}: table {kind.TABLE} is unreadable: {error}"
+                ) from error
         self._conn.commit()
         if not commands:
             return
@@ -118,17 +108,12 @@ class SQLiteBackend(MemoryBackend):
         commands.sort(key=itemgetter(0))
         self._restoring = True
         try:
-            for commit_seq, kind, table, row in commands:
+            for commit_seq, kind, row in commands:
                 try:
-                    if kind is None:
-                        if not isinstance(row[0], str):
-                            raise LedgerError("voter_id: expected str")
-                        self.publish_electoral_roll(row)
-                    else:
-                        self.append(kind.from_row(group, row))
+                    self.append(kind.from_row(group, row))
                 except LedgerError as error:
                     raise LedgerError(
-                        f"board database {self._path!r}: table {table}, commit_seq {commit_seq}: {error}"
+                        f"board database {self._path!r}: table {kind.TABLE}, commit_seq {commit_seq}: {error}"
                     ) from None
             self.flush()
         finally:
@@ -146,9 +131,9 @@ class SQLiteBackend(MemoryBackend):
         commit_seq = self._commit_seq
         try:
             # One executemany per run of appends bound for the same table.
-            for insert, run in groupby(pending, key=lambda entry: _insert(entry[2])):
-                rows = [(commit_seq + offset, seq) + _row(item) for offset, (_, seq, item) in enumerate(run)]
-                self._conn.executemany(insert, rows)
+            for kind, run in groupby(pending, key=lambda entry: type(entry[1])):
+                rows = [(commit_seq + offset, seq) + record.to_row() for offset, (seq, record) in enumerate(run)]
+                self._conn.executemany(_statements(kind).insert, rows)
                 commit_seq += len(rows)
             self._conn.commit()
         except BaseException:
@@ -162,5 +147,5 @@ class SQLiteBackend(MemoryBackend):
         with self._lock:
             super().close()
             # sqlite3 connections close idempotently, so repeated close()
-            # calls (the LedgerBackend contract) need no sentinel dance.
+            # calls need no sentinel dance.
             self._conn.close()

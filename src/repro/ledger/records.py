@@ -1,17 +1,28 @@
-"""Typed ledger records — the append *commands* of the bulletin-board API.
+"""Typed ledger records — the append *commands* of the bulletin board.
 
-Every write to the board is one of four typed records, mirroring the paper's
-three sub-ledgers (Appendix D.1):
+Every write to the board is one of five typed records, on the paper's three
+hash-chained sub-ledgers (Appendix D.1):
 
-* :class:`RegistrationRecord` → the registration ledger ``L_R`` (Fig. 10);
+* :class:`RollEntry` / :class:`RegistrationRecord` → the registration ledger
+  ``L_R`` (the electoral roll, Fig. 7 line 4; check-outs, Fig. 10);
 * :class:`EnvelopeCommitmentRecord` / :class:`EnvelopeUsageRecord` → the
   envelope ledger ``L_E`` (commitments at setup, challenges consumed at
   activation — Appendix F.3.5);
 * :class:`BallotRecord` → the ballot ledger ``L_V``.
 
-The four dataclasses are the **single declaration** of a record.  A field's
-annotation picks its :class:`Kind` and every encoding is derived from that,
-once, when the class is created:
+The dataclasses are the **single declaration** of a record.  The class line
+names its ``chain``, its ``key`` field and its rule, which is all the store
+(:class:`~repro.ledger.backends.memory.MemoryBackend`) knows of a kind:
+
+* ``unique=True`` — a key is held once and a repeat is refused (a roll entry
+  by voter, a commitment and a usage by H(e));
+* otherwise a key keeps a history, and its latest record is current (a
+  registration supersedes by voter; ballots are filtered by election);
+* ``requires=K`` — the key must already be held by kind ``K`` (a
+  registration needs its voter on the roll).
+
+A field's annotation picks its :class:`Kind` and every encoding is derived
+from that, once, when the class is created:
 
 * :meth:`Record.payload` — the canonical hash that enters the hash chain, so
   two backends that accept the same record sequence produce bit-identical
@@ -23,7 +34,7 @@ once, when the class is created:
 
 The decoders are strict and total: any input that is not the encoding of
 exactly one record raises :class:`MalformedField`.  A new record field is one
-dataclass line.
+dataclass line, and a new record kind is one class.
 """
 
 from __future__ import annotations
@@ -179,6 +190,31 @@ def described(doc: str, *, max_length: Optional[int] = None, hashed_first: bool 
 R = TypeVar("R", bound="Record")
 
 
+def fields_getter(names: List[str]) -> Callable[[Any], Tuple[Any, ...]]:
+    """``record -> the named values``, a tuple even for one name."""
+    get = attrgetter(*names)
+    if len(names) > 1:
+        return get
+    return lambda record: (get(record),)
+
+
+class Chain(NamedTuple):
+    """One hash-chained sub-ledger: the paper's name for its log, and the
+    name its audit check reports (``ledger.<name>-chain``)."""
+
+    log: str
+    name: str
+
+
+L_R = Chain("L_R", "registration")
+L_E = Chain("L_E", "envelope")
+L_V = Chain("L_V", "ballot")
+
+#: Every declared record kind, in declaration order: the order SQLite tables
+#: are created and read, and (through their chains) the order of the chains.
+RECORD_TYPES: List[Type["Record"]] = []
+
+
 class _Codec(NamedTuple):
     """Everything derived from one record class's field table."""
 
@@ -194,15 +230,28 @@ class _Codec(NamedTuple):
 
 
 class Record:
-    """Base of the four record types; derives every codec from the field table."""
+    """Base of the record kinds; derives every codec from the field table."""
 
     TAG: ClassVar[bytes]  # domain separator of payload()
     TABLE: ClassVar[str]  # SQLite table
+    CHAIN: ClassVar[Chain]  # the sub-ledger the record extends
+    KEY: ClassVar[Optional[str]]  # the field the store indexes the kind by
+    UNIQUE: ClassVar[bool]  # a key is held once
+    REQUIRES: ClassVar[Optional[Type["Record"]]]  # the kind that must hold the key first
     COLUMNS: ClassVar[Tuple[Tuple[str, str], ...]]  # (field name, SQLite type)
     WIRE: ClassVar[Tuple[WireField, ...]]
     _codec: ClassVar[_Codec]
 
-    def __init_subclass__(cls, tag: bytes, table: str, **kwargs: Any) -> None:
+    def __init_subclass__(
+        cls,
+        tag: bytes,
+        table: str,
+        chain: Chain,
+        key: Optional[str] = None,
+        unique: bool = False,
+        requires: Optional[Type["Record"]] = None,
+        **kwargs: Any,
+    ) -> None:
         super().__init_subclass__(**kwargs)
         # Runs before @dataclass, so the declared fields are still the
         # ``described(...)`` objects in the class body, in attribute order.
@@ -218,16 +267,17 @@ class Record:
             if kind.join is not None:
                 joins.insert(0, (kind.join, first, first + len(kind.parts)))
             first += len(kind.parts)
-        cls.TAG, cls.TABLE = tag, table
+        cls.TAG, cls.TABLE, cls.CHAIN = tag, table, chain
+        cls.KEY, cls.UNIQUE, cls.REQUIRES = key, unique, requires
         cls.COLUMNS = tuple((name, kind.sql) for name, kind, _ in declared)
         cls.WIRE = tuple(
             WireField(name + part.suffix, part.json, meta["doc"] + part.doc, meta["max_length"])
             for name, meta, part in parts
         )
         cls._codec = _Codec(
-            values=attrgetter(*[name for name, _, _ in declared]),
-            hashed_values=attrgetter(*[name for name, _, _ in hashed]),
-            part_values=attrgetter(*[name for name, _, _ in parts]),
+            values=fields_getter([name for name, _, _ in declared]),
+            hashed_values=fields_getter([name for name, _, _ in hashed]),
+            part_values=fields_getter([name for name, _, _ in parts]),
             canonical=tuple(kind.canonical for _, kind, _ in hashed),
             column=tuple(kind.canonical if kind.sql == "BLOB" else _same for _, kind, _ in declared),
             row_parsers=tuple(partial(kind.parse, name) for name, kind, _ in declared),
@@ -235,6 +285,7 @@ class Record:
             part_parsers=tuple(partial(part.parse, name + part.suffix) for name, _, part in parts),
             joins=tuple(joins),
         )
+        RECORD_TYPES.append(cls)
 
     def payload(self) -> bytes:
         """The canonical hash of this record — the bytes that enter the chain."""
@@ -280,7 +331,16 @@ class Record:
 
 
 @dataclass(frozen=True)
-class RegistrationRecord(Record, tag=b"registration-record", table="registrations"):
+class RollEntry(Record, tag=b"eligible-voter", table="roll", chain=L_R, key="voter_id", unique=True):
+    """An eligible voter on the electoral roll, published on ``L_R`` (Fig. 7, line 4)."""
+
+    voter_id: str = described("roll identifier of an eligible voter", max_length=128)
+
+
+@dataclass(frozen=True)
+class RegistrationRecord(
+    Record, tag=b"registration-record", table="registrations", chain=L_R, key="voter_id", requires=RollEntry
+):
     """An entry of the registration ledger ``L_R`` (check-out, Fig. 10)."""
 
     voter_id: str = described("roll identifier of the registered voter", max_length=128)
@@ -293,7 +353,9 @@ class RegistrationRecord(Record, tag=b"registration-record", table="registration
 
 
 @dataclass(frozen=True)
-class EnvelopeCommitmentRecord(Record, tag=b"envelope-commitment", table="envelope_commitments"):
+class EnvelopeCommitmentRecord(
+    Record, tag=b"envelope-commitment", table="envelope_commitments", chain=L_E, key="challenge_hash", unique=True
+):
     """An entry of the envelope ledger ``L_E``: printer key, H(e), signature."""
 
     printer_public_key: GroupElement = described("key of the envelope printer")
@@ -302,7 +364,9 @@ class EnvelopeCommitmentRecord(Record, tag=b"envelope-commitment", table="envelo
 
 
 @dataclass(frozen=True)
-class EnvelopeUsageRecord(Record, tag=b"envelope-usage", table="envelope_usages"):
+class EnvelopeUsageRecord(
+    Record, tag=b"envelope-usage", table="envelope_usages", chain=L_E, key="challenge_hash", unique=True
+):
     """A challenge revealed at activation time (duplicate detection)."""
 
     challenge: int = described("the envelope challenge e")
@@ -310,7 +374,7 @@ class EnvelopeUsageRecord(Record, tag=b"envelope-usage", table="envelope_usages"
 
 
 @dataclass(frozen=True)
-class BallotRecord(Record, tag=b"ballot-record", table="ballots"):
+class BallotRecord(Record, tag=b"ballot-record", table="ballots", chain=L_V, key="election_id"):
     """An entry of the ballot ledger ``L_V``.
 
     ``credential_public_key`` is the key the ballot was cast with (real or
@@ -323,15 +387,3 @@ class BallotRecord(Record, tag=b"ballot-record", table="ballots"):
     ciphertext_c2: GroupElement = described("ElGamal ciphertext, second component")
     signature: SchnorrSignature = described("Schnorr signature")
     election_id: str = described("election the ballot belongs to", max_length=64, hashed_first=True, default="default")
-
-
-#: Any append command the board accepts — what write-behind buffers hold.
-LedgerRecord = Union[RegistrationRecord, EnvelopeCommitmentRecord, EnvelopeUsageRecord, BallotRecord]
-
-#: The four record types, in the order SQLite tables are created and replayed.
-RECORD_TYPES: Tuple[Type[LedgerRecord], ...] = (
-    RegistrationRecord,
-    EnvelopeCommitmentRecord,
-    EnvelopeUsageRecord,
-    BallotRecord,
-)

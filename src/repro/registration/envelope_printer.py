@@ -30,24 +30,28 @@ class EnvelopePrinter:
     _serial: itertools.count = field(default_factory=lambda: itertools.count(1))
 
     def print_envelopes(self, count: int, symbols: Optional[List[EnvelopeSymbol]] = None) -> List[Envelope]:
-        """Print ``count`` fresh envelopes, publishing each commitment."""
-        envelopes = []
-        for index in range(count):
-            symbol = symbols[index] if symbols is not None else EnvelopeSymbol.random()
-            envelopes.append(self._print_one(symbol))
+        """Print ``count`` fresh envelopes, publishing their commitments in one append."""
+        envelopes = [
+            self._sign(symbols[index] if symbols is not None else EnvelopeSymbol.random()) for index in range(count)
+        ]
+        self.board.append_many([self._commitment(envelope) for envelope in envelopes])
         return envelopes
 
     def _print_one(self, symbol: EnvelopeSymbol, challenge: Optional[int] = None) -> Envelope:
-        challenge = challenge if challenge is not None else self.group.random_scalar()
-        envelope = Envelope.signed(self.keypair, symbol, challenge, serial=next(self._serial))
-        self.board.post_envelope_commitment(
-            EnvelopeCommitmentRecord(
-                printer_public_key=self.keypair.public,
-                challenge_hash=envelope.challenge_hash,
-                printer_signature=envelope.printer_signature,
-            )
-        )
+        envelope = self._sign(symbol, challenge)
+        self.board.append(self._commitment(envelope))
         return envelope
+
+    def _sign(self, symbol: EnvelopeSymbol, challenge: Optional[int] = None) -> Envelope:
+        challenge = challenge if challenge is not None else self.group.random_scalar()
+        return Envelope.signed(self.keypair, symbol, challenge, serial=next(self._serial))
+
+    def _commitment(self, envelope: Envelope) -> EnvelopeCommitmentRecord:
+        return EnvelopeCommitmentRecord(
+            printer_public_key=self.keypair.public,
+            challenge_hash=envelope.challenge_hash,
+            printer_signature=envelope.printer_signature,
+        )
 
     # Adversarial variant ---------------------------------------------------------
 
@@ -61,15 +65,19 @@ class EnvelopePrinter:
 
         This is the envelope-stuffing attack of the individual-verifiability
         game (Appendix F.3): a compromised printer/registrar duplicates
-        challenges to make the voter's pick predictable.  The commitments still
-        go to the ledger (each hash only once would be suspicious, so the
-        attacker posts them all); activation-time duplicate detection is what
-        catches the attack when several of the duplicates get used.  A thorough
-        attacker stuffs one duplicate per symbol (``symbols``) so the voter is
-        guaranteed to find a match whatever the kiosk prints.
+        challenges to make the voter's pick predictable.  ``L_E`` holds each
+        H(e) once, so the attacker commits the shared hash once and the
+        envelopes pass the activation-time presence check; duplicate
+        detection of the used challenges is what catches the attack when
+        several of the duplicates get used.  A thorough attacker stuffs one
+        duplicate per symbol (``symbols``) so the voter is guaranteed to find
+        a match whatever the kiosk prints.
         """
         challenge = challenge if challenge is not None else self.group.random_scalar()
-        return [
-            self._print_one(symbols[index] if symbols else EnvelopeSymbol.random(), challenge=challenge)
+        envelopes = [
+            self._sign(symbols[index] if symbols else EnvelopeSymbol.random(), challenge=challenge)
             for index in range(count)
         ]
+        if envelopes:
+            self.board.append(self._commitment(envelopes[0]))
+        return envelopes

@@ -25,7 +25,7 @@ from repro.crypto.mac import mac_sign
 from repro.crypto.schnorr import SchnorrSignature, SigningKeyPair, schnorr_commitment, schnorr_sign
 from repro.errors import RegistrationError
 from repro.ledger.bulletin_board import BulletinBoard
-from repro.ledger.records import RegistrationRecord
+from repro.ledger.records import RegistrationRecord, RollEntry
 from repro.registration.materials import CheckInTicket, CheckOutTicket, PaperCredential
 from repro.registration.qr import print_codes, scan
 
@@ -55,7 +55,7 @@ class RegistrationOfficial:
     def check_in(self, voter_id: str) -> CheckInTicket:
         """Verify eligibility and issue the check-in ticket (Fig. 8)."""
         with telemetry.span("registration.phase", phase="CheckIn"):
-            if not self.board.is_eligible(voter_id):
+            if self.board.get(RollEntry, voter_id) is None:
                 raise RegistrationError(f"voter {voter_id!r} is not on the electoral roll")
             tag = mac_sign(self.shared_mac_key, voter_id.encode(), length=16)
             ticket = CheckInTicket(voter_id=voter_id, mac_tag=tag)
@@ -89,7 +89,7 @@ class RegistrationOfficial:
         if commitment.to_bytes() != signature.commitment.to_bytes():
             raise RegistrationError("invalid kiosk signature on the check-out ticket")
         kiosk_signature = SchnorrSignature(commitment=commitment, response=signature.response)
-        if not self.board.is_eligible(ticket.voter_id):
+        if self.board.get(RollEntry, ticket.voter_id) is None:
             raise RegistrationError(f"voter {ticket.voter_id!r} is not on the electoral roll")
 
         official_signature = schnorr_sign(

@@ -24,6 +24,7 @@ from repro.crypto.group import Group
 from repro.crypto.mac import mac_keygen
 from repro.crypto.schnorr import SigningKeyPair, schnorr_keygen
 from repro.ledger.bulletin_board import BulletinBoard
+from repro.ledger.records import RollEntry
 from repro.registration.envelope_printer import EnvelopePrinter
 from repro.registration.materials import Envelope
 from repro.runtime.precompute import warm_fixed_base
@@ -94,7 +95,7 @@ class ElectionSetup:
     ) -> "ElectionSetup":
         """Run the full setup procedure of Fig. 7."""
         board = board if board is not None else BulletinBoard()
-        board.publish_electoral_roll(voter_ids)
+        board.append_many([RollEntry(voter_id) for voter_id in voter_ids])
 
         authority = DistributedKeyGeneration.run(group, num_authority_members)
 

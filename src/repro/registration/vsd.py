@@ -40,7 +40,7 @@ from repro.crypto.chaum_pedersen import (
 from repro.crypto.group import Group, GroupElement
 from repro.errors import LedgerError, VerificationError
 from repro.ledger.bulletin_board import BulletinBoard
-from repro.ledger.records import EnvelopeUsageRecord
+from repro.ledger.records import EnvelopeCommitmentRecord, EnvelopeUsageRecord, RegistrationRecord
 from repro.registration.materials import (
     ActivatedCredential,
     CommitCode,
@@ -86,7 +86,7 @@ class VoterSupportingDevice:
     def __post_init__(self) -> None:
         # The voter typically activates at home, after check-out: the events
         # already on the ledger fold into one catch-up notification.
-        self._registrations_seen = len(self.board.registration_history(self.voter_id))
+        self._registrations_seen = len(self.board.history(RegistrationRecord, self.voter_id))
 
     # Ledger monitoring ------------------------------------------------------------
 
@@ -95,7 +95,7 @@ class VoterSupportingDevice:
         """One catch-up for the events that predate the device, then one per later event."""
         seen = self._registrations_seen
         notifications = [f"registration event recorded for {self.voter_id} (catch-up)"] if seen else []
-        for index in range(seen, len(self.board.registration_history(self.voter_id))):
+        for index in range(seen, len(self.board.history(RegistrationRecord, self.voter_id))):
             notifications.append(f"registration event recorded for {self.voter_id} (record {index})")
         return notifications
 
@@ -157,14 +157,14 @@ class VoterSupportingDevice:
             credential_public,
             transcript,
             self.kiosk_public_keys,
-            self.board.envelope_commitment(envelope.challenge_hash),
+            self.board.get(EnvelopeCommitmentRecord, envelope.challenge_hash),
         )
         for check in checks:
             if not verdict_one(check):
                 return ActivationReport(False, _FAILED_CHECKS[check.name])
 
         # (4) Ledger cross-check: active registration record matches.
-        record = self.board.registration_for(commit_code.voter_id)
+        record = self.board.get(RegistrationRecord, commit_code.voter_id)
         if record is None:
             return ActivationReport(False, "no registration record on the ledger")
         if (
@@ -179,7 +179,7 @@ class VoterSupportingDevice:
 
         # (5) Challenge freshness: publish the used challenge, detecting duplicates.
         try:
-            self.board.post_envelope_usage(
+            self.board.append(
                 EnvelopeUsageRecord(challenge=envelope.challenge, challenge_hash=envelope.challenge_hash)
             )
         except LedgerError:

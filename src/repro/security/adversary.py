@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from repro.ledger.api import as_board_view
 from repro.ledger.bulletin_board import BulletinBoard
+from repro.ledger.records import BallotRecord, EnvelopeUsageRecord, RegistrationRecord
 from repro.registration.materials import PaperCredential
 from repro.registration.voter import Voter
 from repro.voting.client import VotingClient
@@ -71,7 +72,7 @@ class Coercer:
         """
         view = as_board_view(board)
         return {
-            "registrations": view.num_registered,
-            "envelope_challenges_used": view.num_challenges_used,
-            "ballots": view.num_ballots,
+            "registrations": len(view.current(RegistrationRecord)),
+            "envelope_challenges_used": view.count(EnvelopeUsageRecord),
+            "ballots": view.count(BallotRecord),
         }

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.audit.evidence import TallyEvidence, build_tally_evidence
@@ -51,9 +51,8 @@ from repro.crypto.group import Group
 from repro.crypto.hashing import sha256
 from repro.crypto.tagging import TaggingAuthority
 from repro.errors import TallyError
-from repro.ledger.api import BoardView, LedgerBackend, as_board_view
-from repro.ledger.bulletin_board import BulletinBoard
-from repro.ledger.records import BallotRecord
+from repro.ledger.api import as_board_view
+from repro.ledger.records import BallotRecord, RegistrationRecord
 from repro.runtime.batch import verify_signatures
 from repro.runtime.executor import Executor, resolve_executor
 from repro.runtime.pipeline import PipelineSpec, StreamPipeline
@@ -192,7 +191,7 @@ class TallyPipeline:
 
     def _valid_ballots(
         self,
-        board: "Board",
+        board: object,
         election_id: str,
         executor: Optional[Executor] = None,
     ) -> List[BallotRecord]:
@@ -222,16 +221,16 @@ class TallyPipeline:
 
     def run(
         self,
-        board: "Board",
+        board: object,
         num_options: int,
         election_id: str = "default",
         rotations=None,
     ) -> TallyResult:
         """Execute the full tally and return the published result.
 
-        ``board`` may be a :class:`BulletinBoard`, a raw
-        :class:`~repro.ledger.api.LedgerBackend` or a read-only
-        :class:`~repro.ledger.api.BoardView` — the tally only ever reads.
+        ``board`` is anything :func:`~repro.ledger.api.as_board_view`
+        accepts — a board, its store or a read-only view; the tally only
+        ever reads.
         ``rotations`` optionally supplies a
         :class:`repro.registration.extensions.RotationRegistry` (Appendix C.2):
         ballots cast with device keys are resolved back to the kiosk-issued
@@ -243,7 +242,7 @@ class TallyPipeline:
         # precompute tables before the first shard.  A no-op in process.
         ex.warm()
         view = as_board_view(board)
-        registrations = view.active_registrations()
+        registrations = view.current(RegistrationRecord)
         if not registrations:
             raise TallyError("no active registrations: nothing to tally")
         # One of the five tally phase spans (sig-check / mix / tag / join /
@@ -326,7 +325,7 @@ class TallyPipeline:
             )
         return TallyResult(
             counts=aggregate(votes, num_options),
-            num_ballots_on_ledger=view.num_ballots,
+            num_ballots_on_ledger=view.count(BallotRecord),
             num_valid_ballots=len(ballots),
             num_counted=len(filter_result.counted),
             num_discarded=filter_result.discarded + filter_result.duplicate_tags,
@@ -337,8 +336,3 @@ class TallyPipeline:
             num_options=num_options,
             evidence=evidence,
         )
-
-
-#: Anything the tally can read a board from: the facade, a raw backend, or a view.
-Board = Union[BulletinBoard, LedgerBackend, BoardView]
-

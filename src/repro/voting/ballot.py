@@ -25,7 +25,7 @@ from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import scalar_bytes, sha256
 from repro.crypto.schnorr import SchnorrSignature, SigningKeyPair, schnorr_sign
 from repro.errors import VerificationError
-from repro.ledger.bulletin_board import BallotRecord
+from repro.ledger.records import BallotRecord
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ from dataclasses import replace
 import pytest
 
 from repro.audit.api import AuditPlan, BatchedVerifier, EagerVerifier
-from repro.audit.checks import audit_election, audit_tally, ballot_checks, cascade_checks, decryption_checks
+from repro.audit.checks import (
+    audit_election, audit_tally, ballot_checks, cascade_checks, chain_checks, decryption_checks,
+)
 from repro.audit.evidence import decryption_transcript
 from repro.audit.api import Check
 from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
@@ -27,6 +29,7 @@ from repro.crypto.tagging import TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
 from repro.ledger.backends.memory import MemoryBackend
 from repro.ledger.log import AppendOnlyLog
+from repro.ledger.records import RollEntry
 from repro.tally.decrypt import aggregate, decrypt_votes
 from repro.tally.filter import filter_ballots
 from repro.tally.mixnet import (
@@ -271,9 +274,9 @@ class TestLedgerChainMutations:
         from repro.ledger.api import BoardView
 
         backend = MemoryBackend()
-        backend.publish_electoral_roll(["alice", "bob"])
+        backend.append_many([RollEntry("alice"), RollEntry("bob")])
         view = BoardView(backend)
-        report = view.audit_chains()
+        report = EagerVerifier().run(AuditPlan(chain_checks(view)))
         assert report.ok and view.verify_all_chains()
         assert {result.name for result in report.results} == {
             "ledger.registration-chain", "ledger.envelope-chain", "ledger.ballot-chain"
@@ -283,7 +286,7 @@ class TestLedgerChainMutations:
             backend.registration_log._entries[0],
             payload=_flip_byte(backend.registration_log._entries[0].payload),
         )
-        report = view.audit_chains()
+        report = EagerVerifier().run(AuditPlan(chain_checks(view)))
         assert not report.ok
         assert report.first_failure.name == "ledger.registration-chain"
         assert not view.verify_all_chains()

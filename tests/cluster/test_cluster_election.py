@@ -96,9 +96,9 @@ def _ingest(backend, workload):
     board = BulletinBoard(backend)
     board.publish_electoral_roll(voter_ids)
     for record in registrations:
-        board.post_registration(record)
+        board.append(record)
     for record in ballots:
-        board.post_ballot(record)
+        board.append(record)
     return board
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.election import ElectionConfig, VotegralElection
 from repro.errors import BigIntError, GatewayError, LedgerError, ProtocolError
 from repro.ledger import MemoryBackend, SQLiteBackend
+from repro.ledger.records import RegistrationRecord
 
 
 class TestElectionConfig:
@@ -89,7 +90,7 @@ class TestFullElection:
         assert len(first.voter.credentials) == 3 and first.real_activated
         assert second.activation_reports == []
         assert election.outcomes == [] and election.clients == {}
-        assert election.setup.board.num_registered == 2
+        assert len(election.setup.board.current(RegistrationRecord)) == 2
 
     def test_run_registration_registers_the_roll_through_register_voter(self):
         config = ElectionConfig(num_voters=3)

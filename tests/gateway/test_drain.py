@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.gateway.client import CastingSession, GatewayClientError, RateLimited
+from repro.ledger.records import BallotRecord
 
 
 def test_shutdown_refuses_new_work_and_flushes(gateway):
@@ -39,7 +40,7 @@ def test_shutdown_refuses_new_work_and_flushes(gateway):
 
     # Everything admitted before the drain reached the inner chains.
     board = gateway.service.tenants["drain-demo"].setup.board
-    assert board.num_ballots == 1
+    assert board.count(BallotRecord) == 1
     assert board.verify_all_chains()
     client.close()
 
@@ -55,7 +56,7 @@ def test_queued_casts_resolve_during_drain(gateway):
     assert len(response.ledger_seqs) == 2
     gateway.run(gateway.service.shutdown())
     board = gateway.service.tenants["drain-queue"].setup.board
-    assert board.num_ballots == 2
+    assert board.count(BallotRecord) == 2
     client.close()
 
 
@@ -73,10 +74,10 @@ def test_close_awaits_a_cast_whose_client_hung_up(gateway):
             self.entered = threading.Event()
             self.release = threading.Event()
 
-        async def post_ballots(self, records):
+        async def append_many(self, records):
             self.entered.set()
             await asyncio.to_thread(self.release.wait, 30)
-            return await super().post_ballots(records)
+            return await super().append_many(records)
 
     client = gateway.client(client_id="drain3")
     client.create_election("hung-up", 2, 2)
@@ -84,7 +85,7 @@ def test_close_awaits_a_cast_whose_client_hung_up(gateway):
     session.refresh()
     wire = session.make_ballot_wire(session.register("voter-0000").credentials[0], 1)
     tenant = gateway.service.tenants["hung-up"]
-    tenant.frontend = frontend = GatedFrontend(tenant.setup.board.backend)
+    tenant.frontend = frontend = GatedFrontend(tenant.setup.board.store)
 
     # Send the cast, then hang up while its append is still in flight.
     connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
@@ -110,7 +111,7 @@ def test_close_awaits_a_cast_whose_client_hung_up(gateway):
     assert closed[0].num_ballots == 1
     assert closed[0].pending_casts == 0
     assert tenant.governor.queued == 0
-    assert len(tenant.setup.board.ballots("hung-up")) == 1
+    assert len(tenant.setup.board.read(BallotRecord, key="hung-up").records) == 1
     client.close()
 
 

@@ -12,6 +12,7 @@ from repro.gateway.governor import GovernorConfig
 from repro.gateway.schemas import ballot_from_wire, ballot_to_wire
 from repro.gateway.service import ServiceConfig
 from repro.ledger.bulletin_board import BulletinBoard
+from repro.ledger.records import BallotRecord
 
 
 def test_full_election_over_http_only(gateway):
@@ -144,11 +145,11 @@ def test_concurrent_http_casts_match_in_process_chain(make_gateway, group, batch
 
     tenant = fixture.service.tenants["identity"]
     http_board = tenant.setup.board
-    assert http_board.num_ballots == 12
+    assert http_board.count(BallotRecord) == 12
     assert tenant.governor.queued == 0
 
     # Every receipt is the ballot's ledger position; together they are 0..11.
-    records = http_board.ballots("identity")
+    records = http_board.read(BallotRecord, key="identity").records
     assert sorted(receipts.values()) == list(range(12))
     for index, seq in receipts.items():
         assert records[seq] == ballot_from_wire(group, wires[index])
@@ -156,7 +157,7 @@ def test_concurrent_http_casts_match_in_process_chain(make_gateway, group, batch
     # Replay the HTTP-cast records, in ledger order, through a fresh
     # in-process board: the chains must match byte for byte.
     replay_board = BulletinBoard()
-    replay_board.post_ballots(records)
+    replay_board.append_many(records)
     http_head = http_board.ballot_log.head()
     replay_head = replay_board.ballot_log.head()
     assert http_head.head_hash == replay_head.head_hash
@@ -178,7 +179,7 @@ def test_healthz_answers_while_a_flush_is_running(make_gateway, monkeypatch):
 
     class SlowBackend(MemoryBackend):
         def flush(self):
-            if self.num_ballots:  # the cast's flush, not setup's or registration's
+            if self.count(BallotRecord):  # the cast's flush, not setup's or registration's
                 flushing.set()
                 time.sleep(0.05)
             super().flush()

@@ -20,6 +20,7 @@ from repro.gateway.governor import GovernorConfig
 from repro.gateway.schemas import CreateElectionRequest
 from repro.gateway.service import ServiceConfig
 from repro.ledger.log import AppendOnlyLog
+from repro.ledger.records import BallotRecord, RegistrationRecord
 
 VOTERS = [f"voter-{index:04d}" for index in range(3)]
 CHOICES = dict(zip(VOTERS, (1, 0, 1)))
@@ -66,7 +67,7 @@ def test_the_same_shape_in_process_and_over_http_publishes_the_same_election(mak
         result = election.run_tally()
         local = election.audit_report
         board = election.setup.board
-        local_sizes = (board.num_registered, board.num_ballots)
+        local_sizes = (len(board.current(RegistrationRecord)), board.count(BallotRecord))
 
     fixture = make_gateway(ServiceConfig(num_mixers=2, proof_rounds=2, governor=governor))
     client = fixture.client(client_id="shape")
@@ -147,7 +148,7 @@ def test_ledger_seq_is_the_appends_own_and_not_a_scan(gateway, monkeypatch):
     board = gateway.service.tenants["seq"].setup.board
     payloads = [entry.payload for entry in board.registration_log.entries()]
     for response in responses:
-        record = board.registration_for(response.voter_id)
+        record = board.get(RegistrationRecord, response.voter_id)
         assert payloads[response.ledger_seq] == record.payload()
     assert [response.ledger_seq for response in responses] == [3, 4, 5]
     client.close()
@@ -164,8 +165,8 @@ def test_a_registration_is_durable_before_its_response(make_gateway, tmp_path):
         client.create_election("durable", 3, 2)
         flushes_before = len(telemetry.snapshot().spans_named("ledger.flush"))
         client.register("durable", VOTERS[0])
-        backend = fixture.service.tenants["durable"].setup.board.backend
-        assert backend.num_pending == 0
+        backend = fixture.service.tenants["durable"].setup.board.store
+        assert backend.pending_count == 0
         assert len(telemetry.snapshot().spans_named("ledger.flush")) - flushes_before == 1
         client.close()
     finally:

@@ -1,4 +1,4 @@
-"""The versioned ledger API: cursors, views, spec parsing, deprecation shim."""
+"""The ledger API: sequence numbers, cursors, views, spec parsing."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.errors import LedgerError
 from repro.ledger.api import DEFAULT_BATCH_SIZE
 from repro.ledger import (
-    LEDGER_API_VERSION,
     BallotRecord,
     BoardView,
     BulletinBoard,
@@ -56,15 +55,15 @@ def make_registration(group, keypair, voter_id):
 class TestSequenceNumbers:
     def test_appends_return_monotonic_sequence(self, group, keypair):
         board = BulletinBoard()
-        seqs = [board.post_ballot(make_ballot(group, keypair, i)) for i in range(5)]
+        seqs = [board.append(make_ballot(group, keypair, i)) for i in range(5)]
         assert seqs == [0, 1, 2, 3, 4]
 
     def test_registration_sequence_independent_of_ballots(self, group, keypair):
         board = BulletinBoard()
         board.publish_electoral_roll(["alice", "bob"])
-        board.post_ballot(make_ballot(group, keypair, 0))
-        assert board.post_registration(make_registration(group, keypair, "alice")) == 0
-        assert board.post_registration(make_registration(group, keypair, "bob")) == 1
+        board.append(make_ballot(group, keypair, 0))
+        assert board.append(make_registration(group, keypair, "alice")) == 0
+        assert board.append(make_registration(group, keypair, "bob")) == 1
 
 
 class TestCursorReads:
@@ -73,7 +72,7 @@ class TestCursorReads:
         board = BulletinBoard()
         for index in range(10):
             election = "odd" if index % 2 else "even"
-            board.post_ballot(make_ballot(group, keypair, index, election_id=election))
+            board.append(make_ballot(group, keypair, index, election_id=election))
         return board
 
     def test_unfiltered_pagination_covers_stream(self, board):
@@ -81,7 +80,7 @@ class TestCursorReads:
         cursor = 0
         pages = 0
         while True:
-            page = board.read_ballots(since=cursor, limit=3)
+            page = board.read(BallotRecord, since=cursor, limit=3)
             collected.extend(page.records)
             cursor = page.next_cursor
             pages += 1
@@ -89,55 +88,56 @@ class TestCursorReads:
                 break
         assert len(collected) == 10
         assert pages == 4
-        assert collected == board.ballots()
+        assert collected == board.read(BallotRecord).records
 
     def test_filtered_pagination_matches_filtered_list(self, board):
         collected = []
         cursor = 0
         while True:
-            page = board.read_ballots(since=cursor, limit=2, election_id="odd")
+            page = board.read(BallotRecord, since=cursor, limit=2, key="odd")
             collected.extend(page.records)
             cursor = page.next_cursor
             if not page.has_more:
                 break
-        assert collected == board.ballots("odd")
+        assert collected == board.read(BallotRecord, key="odd").records
         assert len(collected) == 5
 
     def test_exhausted_cursor_is_terminal(self, board):
-        page = board.read_ballots(since=0, limit=None)
+        page = board.read(BallotRecord, since=0, limit=None)
         assert not page.has_more
-        tail = board.read_ballots(since=page.next_cursor)
+        tail = board.read(BallotRecord, since=page.next_cursor)
         assert tail.records == [] and not tail.has_more
 
     def test_cursor_resumes_after_new_appends(self, board, group, keypair):
-        page = board.read_ballots()
-        board.post_ballot(make_ballot(group, keypair, 99))
-        fresh = board.read_ballots(since=page.next_cursor)
+        page = board.read(BallotRecord)
+        board.append(make_ballot(group, keypair, 99))
+        fresh = board.read(BallotRecord, since=page.next_cursor)
         assert len(fresh.records) == 1
         assert fresh.records[0].credential_public_key == group.power(100)
 
     def test_negative_cursor_rejected(self, board):
         with pytest.raises(LedgerError):
-            board.read_ballots(since=-1)
+            board.read(BallotRecord, since=-1)
 
     def test_zero_limit_makes_no_progress_and_skips_nothing(self, board):
-        page = board.read_ballots(since=0, limit=0, election_id="odd")
+        page = board.read(BallotRecord, since=0, limit=0, key="odd")
         assert page.records == [] and page.has_more
         assert page.next_cursor == 0  # resuming from here still sees everything
-        resumed = board.read_ballots(since=page.next_cursor, election_id="odd")
-        assert resumed.records == board.ballots("odd")
+        resumed = board.read(BallotRecord, since=page.next_cursor, key="odd")
+        assert resumed.records == board.read(BallotRecord, key="odd").records
 
     def test_unknown_election_reads_empty(self, board):
-        page = board.read_ballots(election_id="no-such-election")
+        page = board.read(BallotRecord, key="no-such-election")
         assert page.records == [] and not page.has_more
 
 
 class TestBoardView:
     def test_view_is_read_only_surface(self, group, keypair):
-        view = BulletinBoard().view()
+        view = as_board_view(BulletinBoard())
         assert isinstance(view, BoardView)
         assert not hasattr(view, "post_ballot")
         assert not hasattr(view, "append_ballot")
+        assert not hasattr(view, "append")
 
     def test_as_board_view_idempotent_and_polymorphic(self):
         backend = MemoryBackend()
@@ -148,22 +148,16 @@ class TestBoardView:
         with pytest.raises(LedgerError):
             as_board_view(object())
 
-    def test_view_rejects_future_api_version(self):
-        backend = MemoryBackend()
-        backend.api_version = LEDGER_API_VERSION + 1
-        with pytest.raises(LedgerError):
-            BoardView(backend)
-
     def test_view_reads_match_board(self, group, keypair):
         board = BulletinBoard()
         board.publish_electoral_roll(["alice"])
-        board.post_registration(make_registration(group, keypair, "alice"))
-        board.post_ballot(make_ballot(group, keypair, 4))
-        view = board.view()
-        assert view.num_registered == 1
-        assert view.num_ballots == 1
-        assert view.active_registrations() == board.active_registrations()
-        assert view.registration_for("alice") is not None
+        board.append(make_registration(group, keypair, "alice"))
+        board.append(make_ballot(group, keypair, 4))
+        view = as_board_view(board)
+        assert len(view.current(RegistrationRecord)) == 1
+        assert view.count(BallotRecord) == 1
+        assert view.current(RegistrationRecord) == board.current(RegistrationRecord)
+        assert view.get(RegistrationRecord, "alice") is not None
         assert view.verify_all_chains()
 
 

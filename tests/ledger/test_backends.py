@@ -21,6 +21,7 @@ from repro.ledger import (
     MemoryBackend,
     SQLiteBackend,
 )
+from repro.ledger.records import EnvelopeCommitmentRecord, EnvelopeUsageRecord, RollEntry
 
 BACKEND_SPECS = ["memory", "sqlite", "batched:8", "batched:4:sqlite"]
 
@@ -98,14 +99,14 @@ class TestIdenticalCommandStreams:
         for board in boards.values():
             board.publish_electoral_roll([f"v{i}" for i in range(3)])
             for record in records:
-                board.post_ballot(record)
+                board.append(record)
             board.flush()
         reference = boards["memory"]
         for name, board in boards.items():
             assert board.ballot_log.entries() == reference.ballot_log.entries(), name
             assert board.ballot_log.head() == reference.ballot_log.head(), name
             assert board.registration_log.head() == reference.registration_log.head(), name
-            assert board.ballots("A") == reference.ballots("A"), name
+            assert board.read(BallotRecord, key="A").records == reference.read(BallotRecord, key="A").records, name
             assert board.verify_all_chains(), name
         for board in boards.values():
             board.close()
@@ -118,14 +119,14 @@ class TestSQLitePersistence:
         board.publish_electoral_roll(["alice", "bob"])
         records = [make_ballot(group, keypair, i) for i in range(9)]
         for record in records:
-            board.post_ballot(record)
+            board.append(record)
         heads = (board.registration_log.head(), board.envelope_log.head(), board.ballot_log.head())
         board.close()
 
         reopened = BulletinBoard(SQLiteBackend(path, group=group))
-        assert reopened.num_ballots == 9
-        assert reopened.ballots() == records
-        assert reopened.eligible_voters == ["alice", "bob"]
+        assert reopened.count(BallotRecord) == 9
+        assert reopened.read(BallotRecord).records == records
+        assert [entry.voter_id for entry in reopened.read(RollEntry).records] == ["alice", "bob"]
         assert (
             reopened.registration_log.head(),
             reopened.envelope_log.head(),
@@ -143,14 +144,14 @@ class TestSQLitePersistence:
         config = ElectionConfig(num_voters=3, num_options=2, board_spec=f"batched:10000:sqlite:{path}")
         with VotegralElection(config) as election:
             board = election.run_setup().board
-            assert board.backend.num_pending == 0
+            assert board.store.pending_count == 0
             conn = sqlite3.connect(str(path))
             try:
                 rows = [conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
                         for table in ("roll", "envelope_commitments")]
             finally:
                 conn.close()
-            assert rows == [3, board.num_envelope_commitments] and rows[1] > 0
+            assert rows == [3, board.count(EnvelopeCommitmentRecord)] and rows[1] > 0
 
     def test_reopen_preserves_interleaved_stream_order(self, group, keypair, tmp_path):
         """Chains commit to the *interleaving* of streams (commitments/usages
@@ -161,7 +162,7 @@ class TestSQLitePersistence:
         path = str(tmp_path / "board.db")
         board = BulletinBoard(SQLiteBackend(path, group=group))
         board.publish_electoral_roll(["alice"])
-        board.post_registration(make_registration(group, keypair, "alice"))
+        board.append(make_registration(group, keypair, "alice"))
         board.publish_electoral_roll(["bob"])  # roll entry *after* a registration
 
         def commitment(tag):
@@ -169,9 +170,9 @@ class TestSQLitePersistence:
             return EnvelopeCommitmentRecord(keypair.public, sha256(b"hash", tag), signature)
 
         first = commitment(b"one")
-        board.post_envelope_commitment(first)
-        board.post_envelope_usage(EnvelopeUsageRecord(7, first.challenge_hash))
-        board.post_envelope_commitment(commitment(b"two"))  # commitment *after* a usage
+        board.append(first)
+        board.append(EnvelopeUsageRecord(7, first.challenge_hash))
+        board.append(commitment(b"two"))  # commitment *after* a usage
         heads = (board.registration_log.head(), board.envelope_log.head())
         board.close()
 
@@ -179,14 +180,14 @@ class TestSQLitePersistence:
         assert (reopened.registration_log.head(), reopened.envelope_log.head()) == heads
         assert reopened.verify_all_chains()
         # And appends after reopen keep extending the same chains.
-        reopened.post_registration(make_registration(group, keypair, "bob"))
+        reopened.append(make_registration(group, keypair, "bob"))
         assert reopened.verify_all_chains()
         reopened.close()
 
     def test_reopen_without_group_is_rejected(self, group, keypair, tmp_path):
         path = str(tmp_path / "board.db")
         board = BulletinBoard(SQLiteBackend(path, group=group))
-        board.post_ballot(make_ballot(group, keypair, 0))
+        board.append(make_ballot(group, keypair, 0))
         board.close()
         with pytest.raises(LedgerError):
             SQLiteBackend(path)
@@ -197,10 +198,10 @@ class TestSQLitePersistence:
         path = str(tmp_path / "board.db")
         usage = EnvelopeUsageRecord(challenge=42, challenge_hash=sha256(b"challenge"))
         board = BulletinBoard(SQLiteBackend(path, group=group))
-        board.post_envelope_usage(usage)
+        board.append(usage)
         board.close()
         reopened = BulletinBoard(SQLiteBackend(path, group=group))
-        assert reopened.is_challenge_used(usage.challenge_hash)
+        assert reopened.get(EnvelopeUsageRecord, usage.challenge_hash) is not None
         with pytest.raises(LedgerError):
-            reopened.post_envelope_usage(usage)
+            reopened.append(usage)
         reopened.close()

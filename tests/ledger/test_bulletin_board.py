@@ -1,4 +1,4 @@
-"""The Votegral bulletin board and its three sub-ledgers."""
+"""The ledger store's rules on the three sub-ledgers, kind by kind."""
 
 import pytest
 
@@ -6,19 +6,20 @@ from repro.crypto.elgamal import ElGamal
 from repro.crypto.hashing import sha256
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.errors import LedgerError
-from repro.ledger.bulletin_board import (
+from repro.ledger.backends.memory import MemoryBackend
+from repro.ledger.records import (
     BallotRecord,
-    BulletinBoard,
     EnvelopeCommitmentRecord,
     EnvelopeUsageRecord,
     RegistrationRecord,
+    RollEntry,
 )
 
 
 @pytest.fixture()
 def populated_board(group):
-    board = BulletinBoard()
-    board.publish_electoral_roll(["alice", "bob"])
+    board = MemoryBackend()
+    board.append_many([RollEntry("alice"), RollEntry("bob")])
     return board
 
 
@@ -41,41 +42,41 @@ def _registration_record(group, voter_id="alice"):
 
 class TestElectoralRoll:
     def test_roll_published(self, populated_board):
-        assert populated_board.eligible_voters == ["alice", "bob"]
-        assert populated_board.is_eligible("alice")
-        assert not populated_board.is_eligible("mallory")
+        assert [entry.voter_id for entry in populated_board.read(RollEntry).records] == ["alice", "bob"]
+        assert populated_board.get(RollEntry, "alice") is not None
+        assert populated_board.get(RollEntry, "mallory") is None
 
     def test_duplicate_roll_entry_rejected(self, populated_board):
         with pytest.raises(LedgerError):
-            populated_board.publish_electoral_roll(["alice"])
+            populated_board.append_many([RollEntry("alice")])
 
 
 class TestRegistrationLedger:
     def test_post_and_lookup(self, group, populated_board):
         record = _registration_record(group)
-        populated_board.post_registration(record)
-        assert populated_board.registration_for("alice") == record
-        assert populated_board.num_registered == 1
+        populated_board.append(record)
+        assert populated_board.get(RegistrationRecord, "alice") == record
+        assert len(populated_board.current(RegistrationRecord)) == 1
 
     def test_ineligible_voter_rejected(self, group, populated_board):
         record = _registration_record(group, voter_id="mallory")
         with pytest.raises(LedgerError):
-            populated_board.post_registration(record)
+            populated_board.append(record)
 
     def test_reregistration_supersedes(self, group, populated_board):
         first = _registration_record(group)
         second = _registration_record(group)
-        populated_board.post_registration(first)
-        populated_board.post_registration(second)
-        assert populated_board.registration_for("alice") == second
-        assert populated_board.num_registered == 1
-        assert len(populated_board.registration_history("alice")) == 2
+        populated_board.append(first)
+        populated_board.append(second)
+        assert populated_board.get(RegistrationRecord, "alice") == second
+        assert len(populated_board.current(RegistrationRecord)) == 1
+        assert len(populated_board.history(RegistrationRecord, "alice")) == 2
 
     def test_active_registrations_one_per_voter(self, group, populated_board):
-        populated_board.post_registration(_registration_record(group, "alice"))
-        populated_board.post_registration(_registration_record(group, "bob"))
-        populated_board.post_registration(_registration_record(group, "alice"))
-        assert len(populated_board.active_registrations()) == 2
+        populated_board.append(_registration_record(group, "alice"))
+        populated_board.append(_registration_record(group, "bob"))
+        populated_board.append(_registration_record(group, "alice"))
+        assert len(populated_board.current(RegistrationRecord)) == 2
 
 
 class TestEnvelopeLedger:
@@ -83,23 +84,23 @@ class TestEnvelopeLedger:
         printer = schnorr_keygen(group)
         challenge_hash = sha256(b"challenge")
         record = EnvelopeCommitmentRecord(printer.public, challenge_hash, schnorr_sign(printer, challenge_hash))
-        populated_board.post_envelope_commitment(record)
-        assert populated_board.envelope_commitment(challenge_hash) == record
-        assert populated_board.num_envelope_commitments == 1
+        populated_board.append(record)
+        assert populated_board.get(EnvelopeCommitmentRecord, challenge_hash) == record
+        assert populated_board.count(EnvelopeCommitmentRecord) == 1
 
     def test_usage_duplicate_detection(self, populated_board):
         usage = EnvelopeUsageRecord(challenge=123, challenge_hash=sha256(b"123"))
-        populated_board.post_envelope_usage(usage)
-        assert populated_board.is_challenge_used(sha256(b"123"))
+        populated_board.append(usage)
+        assert populated_board.get(EnvelopeUsageRecord, sha256(b"123")) is not None
         with pytest.raises(LedgerError):
-            populated_board.post_envelope_usage(usage)
+            populated_board.append(usage)
 
     def test_usage_count_is_aggregate_only(self, populated_board):
         for value in range(4):
-            populated_board.post_envelope_usage(
+            populated_board.append(
                 EnvelopeUsageRecord(challenge=value, challenge_hash=sha256(bytes([value])))
             )
-        assert populated_board.num_challenges_used == 4
+        assert populated_board.count(EnvelopeUsageRecord) == 4
 
 
 class TestBallotLedger:
@@ -114,11 +115,11 @@ class TestBallotLedger:
             signature=schnorr_sign(credential, b"ballot"),
             election_id="2026-06",
         )
-        populated_board.post_ballot(record)
-        assert populated_board.num_ballots == 1
-        assert populated_board.ballots("2026-06") == [record]
-        assert populated_board.ballots("other") == []
+        populated_board.append(record)
+        assert populated_board.count(BallotRecord) == 1
+        assert populated_board.read(BallotRecord, key="2026-06").records == [record]
+        assert populated_board.read(BallotRecord, key="other").records == []
 
     def test_all_chains_verify(self, group, populated_board):
-        populated_board.post_registration(_registration_record(group))
+        populated_board.append(_registration_record(group))
         assert populated_board.verify_all_chains()

@@ -29,6 +29,7 @@ from repro.ledger import (
     RegistrationRecord,
     SQLiteBackend,
 )
+from repro.ledger.records import L_R, L_V, RollEntry
 
 NUM_THREADS = 8
 PER_THREAD = 50
@@ -66,7 +67,7 @@ def race_appends(board, group, keypair):
         ]
         barrier.wait()
         for record in records:
-            results[thread_index].append((record, board.post_ballot(record)))
+            results[thread_index].append((record, board.append(record)))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(NUM_THREADS)]
     for thread in threads:
@@ -81,7 +82,7 @@ class TestThreadedAppends:
         board = BulletinBoard(MemoryBackend())
         results = race_appends(board, group, keypair)
 
-        assert board.num_ballots == NUM_THREADS * PER_THREAD
+        assert board.count(BallotRecord) == NUM_THREADS * PER_THREAD
         assert board.verify_all_chains()
         all_seqs = [seq for thread in results for _, seq in thread]
         assert sorted(all_seqs) == list(range(NUM_THREADS * PER_THREAD))
@@ -89,7 +90,7 @@ class TestThreadedAppends:
             seqs = [seq for _, seq in thread]
             assert seqs == sorted(seqs), "per-producer appends must commit in order"
         # The seq returned by each append is the record's actual position.
-        ledger = board.ballots()
+        ledger = board.read(BallotRecord).records
         for thread in results:
             for record, seq in thread:
                 assert ledger[seq] == record
@@ -100,10 +101,10 @@ class TestThreadedAppends:
         results = race_appends(board, group, keypair)
         board.flush()
 
-        assert backend.num_pending == 0
-        assert board.num_ballots == len(board.ballot_log) == NUM_THREADS * PER_THREAD
+        assert backend.pending_count == 0
+        assert board.count(BallotRecord) == len(board.ballot_log) == NUM_THREADS * PER_THREAD
         assert board.verify_all_chains()
-        ledger = board.ballots()
+        ledger = board.read(BallotRecord).records
         for thread in results:
             for record, seq in thread:
                 assert ledger[seq] == record
@@ -117,17 +118,17 @@ class TestAsyncIngestion:
 
         async def cast_all():
             batches = await asyncio.gather(
-                *(frontend.post_ballots([record]) for record in records)
+                *(frontend.append_many([record]) for record in records)
             )
             await frontend.drain()
             return [seq for (seq,) in batches]
 
         seqs = asyncio.run(cast_all())
         assert sorted(seqs) == list(range(120))
-        assert backend.num_ballots == 120
+        assert backend.count(BallotRecord) == 120
         assert backend.verify_all_chains()
         # Event-loop submission order is commit order for a single-task gather.
-        ledger = backend.read_ballots().records
+        ledger = backend.read(BallotRecord).records
         for record, seq in zip(records, seqs):
             assert ledger[seq] == record
 
@@ -181,24 +182,24 @@ class TestFlushFailureSafety:
     def test_failed_flush_keeps_buffered_records_for_retry(self, group, keypair, tmp_path):
         path = str(tmp_path / "flaky.db")
         backend = SQLiteBackend(path, group=group, batch_size=10_000)
-        backend.publish_electoral_roll(["v0", "v1"])
-        backend.append_registration(make_registration(group, keypair, "v0"))
+        backend.append_many([RollEntry("v0"), RollEntry("v1")])
+        backend.append(make_registration(group, keypair, "v0"))
         records = [make_ballot(group, keypair, index) for index in range(5)]
-        seqs = [backend.append_ballot(record) for record in records]
+        seqs = [backend.append(record) for record in records]
         backend._conn = _FailingSecondRun(backend._conn)
         with pytest.raises(sqlite3.OperationalError):
             backend.flush()
         # The roll's rows were written before the registration run failed,
         # and rolled back with it: nothing reached the file or the chains.
         assert file_rows(path) == {"roll": [], "registrations": [], "ballots": []}
-        assert [len(log) for log in (backend._registration_log, backend._ballot_log)] == [0, 0]
-        assert backend.num_pending == 8
+        assert [len(log) for log in (backend._logs[L_R], backend._logs[L_V])] == [0, 0]
+        assert backend.pending_count == 8
         # Every read of a record still sees the pending appends.
-        assert backend.read_ballots().records == records
-        assert backend.registration_for("v0") is not None
+        assert backend.read(BallotRecord).records == records
+        assert backend.get(RegistrationRecord, "v0") is not None
 
         backend.flush()  # retry succeeds, writing each row once
-        assert backend.num_pending == 0
+        assert backend.pending_count == 0
         assert file_rows(path) == {
             "roll": [(0,), (1,)],
             "registrations": [(2,)],
@@ -211,7 +212,7 @@ class TestFlushFailureSafety:
 
         reopened = SQLiteBackend(path, group=group)
         assert heads(reopened) == live
-        ledger = reopened.read_ballots().records
+        ledger = reopened.read(BallotRecord).records
         for record, seq in zip(records, seqs):
             assert ledger[seq] == record
         reopened.close()
@@ -227,12 +228,12 @@ class TestFlushFailureSafety:
         failing.calls = 1  # the very next executemany fails
         backend._conn = failing
         with pytest.raises(sqlite3.OperationalError):
-            backend.append_ballot(record)
-        assert backend.num_pending == 1
-        assert backend.read_ballots().records == [record]
+            backend.append(record)
+        assert backend.pending_count == 1
+        assert backend.read(BallotRecord).records == [record]
         assert file_rows(path)["ballots"] == []
         assert len(backend.ballot_log) == 1  # the chain read flushed the retry
-        assert backend.num_pending == 0
+        assert backend.pending_count == 0
         assert file_rows(path)["ballots"] == [(0,)]
         backend.close()
 
@@ -244,7 +245,7 @@ class TestRollAtomicity:
         board = BulletinBoard(MemoryBackend())
         with pytest.raises(LedgerError):
             board.publish_electoral_roll(["a", "b", "a"])
-        assert board.eligible_voters == []
+        assert [entry.voter_id for entry in board.read(RollEntry).records] == []
         assert len(board.registration_log) == 0
 
 
@@ -254,13 +255,13 @@ class TestBatchedEqualsUnbatched:
         plain = BulletinBoard(MemoryBackend())
         batched = BulletinBoard(MemoryBackend(batch_size=7))
         for record in records:
-            plain.post_ballot(record)
-            batched.post_ballot(record)
+            plain.append(record)
+            batched.append(record)
         batched.flush()
 
         assert batched.ballot_log.entries() == plain.ballot_log.entries()
         assert batched.ballot_log.head() == plain.ballot_log.head()
-        assert batched.ballots() == plain.ballots()
+        assert batched.read(BallotRecord).records == plain.read(BallotRecord).records
 
 
 class TestFlushBoundary:
@@ -269,7 +270,7 @@ class TestFlushBoundary:
     @pytest.fixture()
     def pending_board(self, group, keypair):
         backend = MemoryBackend(batch_size=10_000)
-        backend.publish_electoral_roll(["v0", "v1"])
+        backend.append_many([RollEntry("v0"), RollEntry("v1")])
         registration = make_registration(group, keypair, "v0")
         commitment = EnvelopeCommitmentRecord(
             printer_public_key=keypair.public,
@@ -278,40 +279,40 @@ class TestFlushBoundary:
         )
         usage = EnvelopeUsageRecord(challenge_hash=b"c" * 32, challenge=5)
         ballot = make_ballot(group, keypair, 0)
-        backend.append_registration(registration)
-        backend.append_envelope_commitment(commitment)
-        backend.append_envelope_usage(usage)
-        backend.append_ballot(ballot)
-        assert backend.num_pending == 6
+        backend.append(registration)
+        backend.append(commitment)
+        backend.append(usage)
+        backend.append(ballot)
+        assert backend.pending_count == 6
         return backend, registration, commitment, ballot
 
     def test_reads_see_buffered_writes(self, pending_board):
         backend, registration, commitment, ballot = pending_board
-        assert backend.read_ballots().records == [ballot]
-        assert backend.registration_for("v0") == registration
-        assert backend.registration_history("v0") == [registration]
-        assert backend.registration_records() == [registration]
-        assert backend.active_registrations() == [registration]
-        assert backend.envelope_commitment(b"c" * 32) == commitment
-        assert backend.is_challenge_used(b"c" * 32)
-        assert backend.eligible_voters() == ["v0", "v1"]
+        assert backend.read(BallotRecord).records == [ballot]
+        assert backend.get(RegistrationRecord, "v0") == registration
+        assert backend.history(RegistrationRecord, "v0") == [registration]
+        assert backend.read(RegistrationRecord).records == [registration]
+        assert backend.current(RegistrationRecord) == [registration]
+        assert backend.get(EnvelopeCommitmentRecord, b"c" * 32) == commitment
+        assert backend.get(EnvelopeUsageRecord, b"c" * 32) is not None
+        assert [entry.voter_id for entry in backend.read(RollEntry).records] == ["v0", "v1"]
         counts = (
-            backend.num_registered,
-            backend.num_envelope_commitments,
-            backend.num_challenges_used,
-            backend.num_ballots,
+            len(backend.current(RegistrationRecord)),
+            backend.count(EnvelopeCommitmentRecord),
+            backend.count(EnvelopeUsageRecord),
+            backend.count(BallotRecord),
         )
         assert counts == (1, 1, 1, 1)
-        assert backend.num_pending == 6
+        assert backend.pending_count == 6
         # Validation sees the pending appends too.
         with pytest.raises(Exception, match="already used"):
-            backend.append_envelope_usage(EnvelopeUsageRecord(challenge_hash=b"c" * 32, challenge=5))
+            backend.append(EnvelopeUsageRecord(challenge_hash=b"c" * 32, challenge=5))
 
     @pytest.mark.parametrize("log_name", ["registration_log", "envelope_log", "ballot_log"])
     def test_chain_reads_flush_first(self, pending_board, log_name):
         backend = pending_board[0]
         log = getattr(backend, log_name)
-        assert backend.num_pending == 0
+        assert backend.pending_count == 0
         assert [len(backend.registration_log), len(backend.envelope_log), len(backend.ballot_log)] == [3, 2, 1]
         assert len(log) > 0
 
@@ -321,7 +322,7 @@ class TestFlushBoundary:
         verify = AppendOnlyLog.verify_chain
         monkeypatch.setattr(AppendOnlyLog, "verify_chain", lambda log: walked.append(len(log)) or verify(log))
         assert backend.verify_all_chains()
-        assert backend.num_pending == 0
+        assert backend.pending_count == 0
         assert walked == [3, 2, 1]
 
     def test_pending_appends_flush_in_append_order(self, group, keypair):
@@ -332,11 +333,11 @@ class TestFlushBoundary:
         heads_by_size = {}
         for batch_size in (1, 3, 10_000):
             backend = MemoryBackend(batch_size=batch_size)
-            backend.publish_electoral_roll(["v0"])
-            backend.append_registration(first)
-            backend.publish_electoral_roll(["v1"])
-            backend.append_ballot(ballot)
-            backend.append_registration(second)
+            backend.append_many([RollEntry("v0")])
+            backend.append(first)
+            backend.append_many([RollEntry("v1")])
+            backend.append(ballot)
+            backend.append(second)
             heads_by_size[batch_size] = heads(backend)
         assert heads_by_size[3] == heads_by_size[1] == heads_by_size[10_000]
 
@@ -363,10 +364,10 @@ class TestBatchingAmortizesAppends:
 
         board = MemoryBackend(batch_size=batch_size)
         for record in records:
-            board.append_ballot(record)
+            board.append(record)
         board.flush()
 
-        assert board.num_ballots == len(board.ballot_log) == num_ballots
+        assert board.count(BallotRecord) == len(board.ballot_log) == num_ballots
         assert len(bulk_appends) == num_batches
         assert sum(bulk_appends) == num_ballots
         assert len(payload_calls) == num_ballots

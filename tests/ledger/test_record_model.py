@@ -96,7 +96,7 @@ def test_every_encoding_is_derived_from_the_one_declaration():
         ("election_id", "string"),
     ]
     assert [kind.TABLE for kind in RECORD_TYPES] == [
-        "registrations", "envelope_commitments", "envelope_usages", "ballots",
+        "roll", "registrations", "envelope_commitments", "envelope_usages", "ballots",
     ]
 
 
@@ -160,7 +160,7 @@ def populated_database(path, group):
     board = BulletinBoard(SQLiteBackend(str(path), group=group))
     board.publish_electoral_roll(["voter-0001"])
     for record in fixed_records(group):
-        board.backend.append(record)
+        board.store.append(record)
     heads = [log.head().head_hash for log in
              (board.registration_log, board.envelope_log, board.ballot_log)]
     board.close()

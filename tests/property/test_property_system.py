@@ -122,7 +122,7 @@ class TestTallyInvariants:
     @given(num_casts=st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=10))
     def test_deduplication_keeps_one_ballot_per_credential(self, num_casts):
         from repro.crypto.elgamal import ElGamal
-        from repro.ledger.bulletin_board import BallotRecord
+        from repro.ledger.records import BallotRecord
 
         elgamal = ElGamal(GROUP)
         records = []

@@ -43,6 +43,7 @@ from repro.ledger.records import (
     EnvelopeCommitmentRecord,
     EnvelopeUsageRecord,
     RegistrationRecord,
+    RollEntry,
 )
 
 GROUP_NAMES = ["toy", "modp-256", "ed25519"]
@@ -56,11 +57,13 @@ names = st.text(min_size=1, max_size=24)
 
 @st.composite
 def records(draw, group, election_id=None):
-    """Any of the four record types, with honest (reduced) signatures."""
+    """Any of the record types, with honest (reduced) signatures."""
     element = lambda: group.power(draw(exponents))
     signer = schnorr_keygen(group, secret=draw(exponents))
     signature = lambda: schnorr_sign(signer, draw(digests), nonce=draw(exponents))
     kind = BallotRecord if election_id is not None else draw(st.sampled_from(RECORD_TYPES))
+    if kind is RollEntry:
+        return kind(draw(names))
     if kind is RegistrationRecord:
         return kind(draw(names), element(), element(), element(), signature(), element(), signature())
     if kind is EnvelopeCommitmentRecord:
@@ -119,11 +122,11 @@ async def serve_and_cast(group_name, path, bodies):
     await service.close_election("prop")
     board = service.tenants["prop"].setup.board
     other_records = (
-        list(board.backend.envelope_commitments().values())
-        + board.backend.registration_records()
-        + list(board.backend.used_challenges().values())
+        board.store.read(EnvelopeCommitmentRecord).records
+        + board.store.read(RegistrationRecord).records
+        + board.store.read(EnvelopeUsageRecord).records
     )
-    outcome = heads(board), board.eligible_voters, other_records
+    outcome = heads(board), [entry.voter_id for entry in board.read(RollEntry).records], other_records
     await service.shutdown()
     return outcome
 
@@ -145,13 +148,13 @@ def test_in_process_gateway_and_reopened_sqlite_agree_on_every_head(group_name, 
         served, roll, other_records = asyncio.run(serve_and_cast(group_name, path, bodies))
         reopened = SQLiteBackend(str(path), group=group)
         replayed = heads(reopened)
-        assert reopened.read_ballots().records == ballots
+        assert reopened.read(BallotRecord).records == ballots
         reopened.close()
     in_process = BulletinBoard(MemoryBackend())
     in_process.publish_electoral_roll(roll)
     for record in other_records:
-        in_process.backend.append(record)
-    in_process.post_ballots(ballots)
+        in_process.store.append(record)
+    in_process.append_many(ballots)
     assert served == replayed == heads(in_process)
 
 

@@ -10,6 +10,7 @@ from repro.registration.kiosk import Kiosk
 from repro.registration.materials import CheckInTicket, EnvelopeSymbol
 from repro.registration.official import RegistrationOfficial
 from repro.registration.voter import Voter
+from repro.ledger.records import EnvelopeCommitmentRecord, RegistrationRecord
 
 
 @pytest.fixture()
@@ -46,7 +47,7 @@ class TestEnvelopePrinter:
 
     def test_commitments_published_on_ledger(self, small_setup):
         envelope = small_setup.envelope_supply[0]
-        assert small_setup.board.envelope_commitment(envelope.challenge_hash) is not None
+        assert small_setup.board.get(EnvelopeCommitmentRecord, envelope.challenge_hash) is not None
 
     def test_supply_sized_for_voters_and_booths(self, small_setup):
         # n_E > c·|V| + λ_E·|K| with c=4, λ_E=20, one kiosk, three voters.
@@ -210,7 +211,7 @@ class TestOfficialCheckOut:
         envelope = Voter.pick_envelope(small_setup.envelope_supply, symbol=session.pending_symbol)
         kiosk.complete_real_credential(session, envelope)
         record = official.check_out_ticket(session.check_out_ticket)
-        assert small_setup.board.registration_for("alice") == record
+        assert small_setup.board.get(RegistrationRecord, "alice") == record
         assert RegistrationOfficial.audit_record(record, small_setup.registrar.kiosk_public_keys).ok
         assert official.notifications == ["alice"]
 

@@ -21,6 +21,7 @@ from repro.registration.voter import Voter
 from repro.tally.pipeline import TallyPipeline
 from repro.voting.ballot import make_ballot
 from repro.voting.client import VotingClient
+from repro.ledger.records import RegistrationRecord
 
 
 def _client(setup, outcome) -> VotingClient:
@@ -94,10 +95,10 @@ class TestCredentialRotation:
             0,
             2,
         )
-        small_setup.board.post_ballot(stolen.to_record())
+        small_setup.board.append(stolen.to_record())
         # ... while the voter votes with the rotated device key.
         honest = make_ballot(group, small_setup.authority_public_key, device_keypair, 1, 2)
-        small_setup.board.post_ballot(honest.to_record())
+        small_setup.board.append(honest.to_record())
 
         pipeline = TallyPipeline(group, small_setup.authority, num_mixers=2, proof_rounds=2)
         result = pipeline.run(small_setup.board, num_options=2, rotations=registry)
@@ -155,7 +156,7 @@ class TestDelegation:
 
         # The party casts its ballot; the voter's tag matches it.
         party_ballot = make_ballot(group, small_setup.authority_public_key, party, 1, 2)
-        small_setup.board.post_ballot(party_ballot.to_record())
+        small_setup.board.append(party_ballot.to_record())
 
         pipeline = TallyPipeline(group, small_setup.authority, num_mixers=2, proof_rounds=2)
         result = pipeline.run(small_setup.board, num_options=2)
@@ -175,7 +176,7 @@ class TestDelegation:
             public=group.power(fake_receipt.response_code.credential_secret),
         )
         coerced = make_ballot(group, small_setup.authority_public_key, fake_keypair, 0, 2)
-        small_setup.board.post_ballot(coerced.to_record())
+        small_setup.board.append(coerced.to_record())
 
         pipeline = TallyPipeline(group, small_setup.authority, num_mixers=2, proof_rounds=2)
         result = pipeline.run(small_setup.board, num_options=2)
@@ -209,5 +210,5 @@ class TestRenewal:
         pipeline = TallyPipeline(small_setup.group, small_setup.authority, num_mixers=2, proof_rounds=2)
         result = pipeline.run(small_setup.board, num_options=2)
         assert result.counts == {0: 0, 1: 1}
-        assert small_setup.board.num_registered == 1
-        assert len(small_setup.board.registration_history("alice")) == 2
+        assert len(small_setup.board.current(RegistrationRecord)) == 1
+        assert len(small_setup.board.history(RegistrationRecord, "alice")) == 2

@@ -10,6 +10,7 @@ from repro.registration.materials import CredentialState, EnvelopeSymbol
 from repro.registration.protocol import RegistrationSession, run_registration
 from repro.registration.voter import Voter
 from repro.registration.vsd import VoterSupportingDevice
+from repro.ledger.records import RegistrationRecord, RollEntry
 
 
 class TestRegistrationWorkflow:
@@ -18,7 +19,7 @@ class TestRegistrationWorkflow:
         assert outcome.all_activated
         assert outcome.real_activated
         assert len(outcome.voter.credentials) == 3
-        assert small_setup.board.registration_for("alice") is not None
+        assert small_setup.board.get(RegistrationRecord, "alice") is not None
 
     def test_voter_observes_sound_order_only_for_real(self, small_setup):
         outcome = run_registration(small_setup, Voter("alice", num_fake_credentials=2))
@@ -129,10 +130,10 @@ class TestRegistrationAlarm:
                 election.register_voter(voter_id)
             board = election.setup.board
             board.flush()
-            records = board.registration_history("voter-0000")
-            records.insert(1, board.registration_for("voter-0001"))
+            records = board.history(RegistrationRecord, "voter-0000")
+            records.insert(1, board.get(RegistrationRecord, "voter-0001"))
             expected = AppendOnlyLog("L_R")
-            for voter_id in board.eligible_voters:
+            for voter_id in [entry.voter_id for entry in board.read(RollEntry).records]:
                 expected.append(sha256(b"eligible-voter", voter_id.encode()))
             for record in records:
                 expected.append(record.payload())

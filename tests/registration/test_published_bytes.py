@@ -32,7 +32,6 @@ from repro.crypto.group import ElementEncoding, Group, GroupElement
 from repro.crypto.modp_group import modp_group_256, testing_group
 from repro.crypto.schnorr import SchnorrSignature, schnorr_keygen, schnorr_sign
 from repro.election import ElectionConfig, VotegralElection
-from repro.ledger.api import chain_logs
 from repro.ledger.records import MalformedField, RegistrationRecord
 from repro.registration.qr import QRCode
 from repro.registration.materials import CheckOutTicket, check_out_message
@@ -76,7 +75,7 @@ def _published(election) -> str:
             for code in (receipt.commit_code, receipt.check_out_ticket, receipt.response_code, credential.envelope):
                 digest.update(code.to_qr(group).payload)
         digest.update(outcome.record.payload())
-    for name, log in chain_logs(election.setup.board):
+    for name, log in election.setup.board.chain_logs():
         digest.update(name.encode() + log.head().head_hash)
     digest.update(election.audit_report.fingerprint().encode())
     return digest.hexdigest()

@@ -60,6 +60,7 @@ from repro.registration.setup import ElectionSetup
 from repro.registration.voter import Voter
 from repro.registration.vsd import VoterSupportingDevice
 from repro.runtime.batch import batch_chaum_pedersen_verify
+from repro.ledger.records import EnvelopeCommitmentRecord, RegistrationRecord
 
 GROUPS = [testing_group, modp_group_256, ed25519_group]
 GROUP_IDS = ["toy", "modp256", "ed25519"]
@@ -189,7 +190,7 @@ def _reference(group, device, qrs, used):
         return "kiosk signature on response code invalid"
     if not signed(printer_key, envelope.challenge_hash, *envelope_fields[3:5]):
         return "printer signature on envelope invalid"
-    if device.board.envelope_commitment(envelope.challenge_hash) is None:
+    if device.board.get(EnvelopeCommitmentRecord, envelope.challenge_hash) is None:
         return "envelope challenge not committed on the ledger"
     if (
         y1 is None
@@ -198,7 +199,7 @@ def _reference(group, device, qrs, used):
         or y2 != (authority ** zkp_response) * (x ** challenge)
     ):
         return "ZKP transcript failed verification"
-    record = device.board.registration_for(voter_id)
+    record = device.board.get(RegistrationRecord, voter_id)
     if record is None:
         return "no registration record on the ledger"
     if record.public_credential_c1 != c1 or record.public_credential_c2 != c2:

@@ -18,6 +18,7 @@ from repro.registration.setup import ElectionSetup
 from repro.registration.voter import Voter
 from repro.tally.pipeline import TallyPipeline
 from repro.voting.client import VotingClient
+from repro.ledger.records import BallotRecord, RegistrationRecord
 
 
 def _client(setup, outcome) -> VotingClient:
@@ -36,7 +37,7 @@ class TestPrivacyAdversary:
         outcome = run_registration(small_setup, Voter("alice", num_fake_credentials=0))
         _client(small_setup, outcome).cast_real(1, 2)
 
-        record = small_setup.board.ballots()[0]
+        record = small_setup.board.read(BallotRecord).records[0]
         ciphertext = ElGamalCiphertext(record.ciphertext_c1, record.ciphertext_c2)
         elgamal = ElGamal(group)
         compromised = small_setup.authority.members[:-1]
@@ -49,7 +50,7 @@ class TestPrivacyAdversary:
         """The public credential tag (ledger) hides the real credential key."""
         group = small_setup.group
         outcome = run_registration(small_setup, Voter("alice", num_fake_credentials=1))
-        record = small_setup.board.registration_for("alice")
+        record = small_setup.board.get(RegistrationRecord, "alice")
         tag = ElGamalCiphertext(record.public_credential_c1, record.public_credential_c2)
         real_key = outcome.vsd.real_credentials()[0].public_key
         elgamal = ElGamal(group)
@@ -61,7 +62,7 @@ class TestPrivacyAdversary:
         reproduce the tag on the ledger (encryption is randomized)."""
         group = small_setup.group
         outcome = run_registration(small_setup, Voter("alice", num_fake_credentials=1))
-        record = small_setup.board.registration_for("alice")
+        record = small_setup.board.get(RegistrationRecord, "alice")
         tag = ElGamalCiphertext(record.public_credential_c1, record.public_credential_c2)
         surrendered = outcome.voter.surrender_credentials_to_coercer()[0]
         fake_key = group.power(surrendered.receipt.response_code.credential_secret)
@@ -80,7 +81,7 @@ class TestPrivacyAdversary:
         pipeline = TallyPipeline(small_setup.group, small_setup.authority, num_mixers=2, proof_rounds=2)
         result = pipeline.run(small_setup.board, num_options=2)
         ledger_ciphertexts = {
-            (record.ciphertext_c1, record.ciphertext_c2) for record in small_setup.board.ballots()
+            (record.ciphertext_c1, record.ciphertext_c2) for record in small_setup.board.read(BallotRecord).records
         }
         for counted in result.filter_result.counted:
             assert (counted.c1, counted.c2) not in ledger_ciphertexts

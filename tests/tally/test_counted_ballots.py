@@ -96,7 +96,7 @@ def ledgers(draw):
 
 def _valid_ballots(ledger, executor=None, page_size=1024, pipeline=None):
     board = MemoryBackend()
-    board.append_ballots([ballot.to_record() for ballot in ledger])
+    board.append_many([ballot.to_record() for ballot in ledger])
     return TallyPipeline(
         GROUP, AUTHORITY, pipeline=pipeline, read_page_size=page_size
     )._valid_ballots(board, ELECTION_ID, executor=executor)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.crypto.tagging import TaggingAuthority
-from repro.ledger.bulletin_board import BallotRecord
+from repro.ledger.records import BallotRecord
 from repro.tally.filter import deduplicate_ballots, filter_ballots
 from repro.tally.mixnet import (
     TupleCascade,

@@ -129,12 +129,12 @@ class TestTallyPipeline:
     def test_unsigned_ballot_ignored(self, group, small_setup):
         from repro.crypto.elgamal import ElGamal
         from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
-        from repro.ledger.bulletin_board import BallotRecord
+        from repro.ledger.records import BallotRecord
 
         _register_and_vote(small_setup, {"alice": 0})
         rogue = schnorr_keygen(group)
         ciphertext = ElGamal(group).encrypt_int(small_setup.authority_public_key, 1)
-        small_setup.board.post_ballot(
+        small_setup.board.append(
             BallotRecord(
                 credential_public_key=rogue.public,
                 ciphertext_c1=ciphertext.c1,
@@ -156,7 +156,7 @@ class TestTallyPipeline:
         _register_and_vote(small_setup, {"alice": 0})
         rogue = schnorr_keygen(group)
         ballot = make_ballot(group, small_setup.authority_public_key, rogue, 1, 2)
-        small_setup.board.post_ballot(ballot.to_record())
+        small_setup.board.append(ballot.to_record())
         pipeline = TallyPipeline(small_setup.group, small_setup.authority, num_mixers=2, proof_rounds=2)
         result = pipeline.run(small_setup.board, num_options=2)
         assert result.counts == {0: 1, 1: 0}

@@ -41,6 +41,7 @@ from repro.runtime.pipeline import PipelineSpec
 from repro.spec import env
 from repro.tally import mixnet
 from repro.tally.pipeline import TallyPipeline
+from repro.ledger.records import BallotRecord
 
 NUM_VOTERS = 5
 NUM_OPTIONS = 2
@@ -219,12 +220,12 @@ def test_forged_signature_midstream_is_dropped_identically(page_size):
     sides of it, is dropped by the read stage exactly as by the page loop."""
     election = _voted(num_voters=4, num_mixers=1)
     board, election_id = election.setup.board, election.config.election_id
-    genuine = board.ballots(election_id)
+    genuine = board.read(BallotRecord, key=election_id).records
     victim = genuine[len(genuine) // 2]
     forged_signature = dataclasses.replace(
         victim.signature, response=(victim.signature.response + 1) % election.group.order
     )
-    board.post_ballot(dataclasses.replace(victim, signature=forged_signature))
+    board.append(dataclasses.replace(victim, signature=forged_signature))
     election.run_voting(rng=random.Random(6))  # more valid pages behind the forgery
 
     def valid(pipeline):
@@ -235,7 +236,7 @@ def test_forged_signature_midstream_is_dropped_identically(page_size):
     reference, streamed = valid(None), valid(STREAM_SPEC)
     assert streamed == reference
     assert forged_signature not in [record.signature for record in streamed]
-    on_ledger = board.ballots(election_id)
+    on_ledger = board.read(BallotRecord, key=election_id).records
     assert len({record.credential_public_key.to_bytes() for record in on_ledger}) == len(streamed)
     assert len(streamed) < len(on_ledger)
 
@@ -273,7 +274,7 @@ class _FailingView(BoardView):
 def test_a_read_failure_inside_the_read_ahead_propagates(voted_election):
     """The ledger source raises on the reader thread after serving two pages:
     the caller sees that exception, promptly, and the reader is joined."""
-    board = _FailingView(voted_election.setup.board.backend, pages_before_failure=2)
+    board = _FailingView(voted_election.setup.board.store, pages_before_failure=2)
     tagging = TaggingAuthority.create(voted_election.group, voted_election.setup.authority.num_members)
     before = set(threading.enumerate())
     executor = _FlakyExecutor(fail_after=0)

@@ -73,3 +73,30 @@ def test_a_printed_code_is_signed_only_by_its_own_constructor():
             if "schnorr_sign" in called and called & CODE_MESSAGES:
                 offenders.add(f"{path.relative_to(ROOT)}:{function.lineno} {function.name}")
     assert sorted(offenders) == []
+
+
+#: The names the end-to-end benchmark builds and traces boards by; they go
+#: with ROADMAP item 1(b).
+BENCHMARK_BOARD_NAMES = {"publish_electoral_roll", "post_registration", "post_ballot"}
+
+
+def test_no_ledger_class_mirrors_a_record_kind_in_its_method_names():
+    """A record kind declares its chain, key and rule, and the store serves
+    every kind through ``append`` / ``append_many`` and generic reads: no
+    class under ``src/repro/ledger`` grows an ``append_<kind>``,
+    ``post_<kind>`` or ``num_<kind>`` method again."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "repro" / "ledger").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            allowed = BENCHMARK_BOARD_NAMES if node.name == "BulletinBoard" else set()
+            offenders += [
+                f"{path.relative_to(ROOT)}:{method.lineno} {node.name}.{method.name}"
+                for method in node.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and method.name.startswith(("append_", "post_", "num_"))
+                and method.name != "append_many"
+                and method.name not in allowed
+            ]
+    assert offenders == []

@@ -6,6 +6,7 @@ from repro.errors import ProtocolError
 from repro.registration.protocol import run_registration
 from repro.registration.voter import Voter
 from repro.voting.client import VotingClient
+from repro.ledger.records import BallotRecord
 
 
 @pytest.fixture()
@@ -24,7 +25,7 @@ def registered_client(small_setup):
 class TestCasting:
     def test_cast_real_posts_ballot(self, small_setup, registered_client):
         registered_client.cast_real(1, num_options=2)
-        assert small_setup.board.num_ballots == 1
+        assert small_setup.board.count(BallotRecord) == 1
 
     def test_history_records_ledger_sequence(self, small_setup, registered_client):
         registered_client.cast_real(1, num_options=2)
@@ -32,13 +33,13 @@ class TestCasting:
         seqs = [entry.ledger_seq for entry in registered_client.voting_history()]
         assert seqs == [0, 1]
         # The receipt locates the ballot with a single cursor read.
-        page = small_setup.board.read_ballots(since=seqs[0], limit=1)
+        page = small_setup.board.read(BallotRecord, since=seqs[0], limit=1)
         assert page.records[0].credential_public_key == registered_client.real_credential().public_key
 
     def test_cast_fake_posts_indistinguishable_ballot(self, small_setup, registered_client):
         real = registered_client.cast_real(1, 2)
         fake = registered_client.cast_fake(0, 2)
-        records = small_setup.board.ballots()
+        records = small_setup.board.read(BallotRecord).records
         assert len(records) == 2
         # Both ballots carry a credential key and a valid signature; nothing on
         # the record reveals which credential is real.
