@@ -182,7 +182,7 @@ def _ext_scalar_mul(scalar: int, point: Extended) -> Extended:
 #: planners price from its operation count.  Negation is nearly free, so
 #: Pippenger and the shared-base ladder both sign their digits; against
 #: K = 2 / 4 / 8 plain powers a ladder runs at 0.65× / 0.46× / 0.36×.
-_COSTS = KernelCosts(square=0.8, invert=0.1, ladder_invert=0.1, lookup=0.01)
+_COSTS = KernelCosts(square=0.8, invert=0.1, lookup=0.01)
 
 #: Encodings remembered by :meth:`Ed25519Group.element_from_bytes` before it
 #: starts over (the keys of a few thousand QR codes; nothing tunes it).

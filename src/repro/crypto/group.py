@@ -236,7 +236,7 @@ class Group(abc.ABC):
             invert_cost=costs.invert,
         )
         values = [self.unwrap(base) for base, _ in terms]
-        return self.wrap(execute_plan(self.kernel_ops, values, [scalar for _, scalar in terms], plan))
+        return self.wrap(execute_plan(self._priced_ops(costs), values, [scalar for _, scalar in terms], plan))
 
     def shared_base_powers(self, base: GroupElement, scalars: Sequence[int]) -> List[GroupElement]:
         """``[base ** s for s in scalars]``, raising ``base`` once for all of them.
@@ -263,12 +263,10 @@ class Group(abc.ABC):
                 max_bits,
                 exponentiate_cost=costs.exponentiate,
                 square_cost=costs.square,
-                invert_cost=costs.ladder_invert,
+                invert_cost=costs.invert,
             )
             if plan.algorithm == "ladder":
-                ops = self.kernel_ops
-                if costs.ladder_invert is None:
-                    ops = replace(ops, invert=None)
+                ops = self._priced_ops(costs)
                 return [self.wrap(value) for value in shared_base_powers(ops, self.unwrap(base), scalars, plan.window)]
         return [base.exponentiate(scalar) for scalar in scalars]
 
@@ -294,6 +292,16 @@ class Group(abc.ABC):
     def kernel_costs(self, scalar_bits: int) -> Optional[KernelCosts]:
         """What the planners are told at this scalar width; ``None`` keeps every power plain."""
         return KernelCosts(invert=10.0)
+
+    def _priced_ops(self, costs: KernelCosts) -> GroupOps:
+        """``kernel_ops`` as ``costs`` priced them: without ``invert`` when its price is ``None``.
+
+        The bucket kernels sign their digits whenever ``invert`` is there, so
+        a backend that declines the price gets the unsigned buckets its plan
+        assumed rather than one inversion a base it was never charged for.
+        """
+        ops = self.kernel_ops
+        return ops if costs.invert is not None else replace(ops, invert=None)
 
     def wrap(self, value: Any) -> GroupElement:
         """The element holding native ``value`` (a kernel's result)."""

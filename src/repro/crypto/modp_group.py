@@ -171,9 +171,28 @@ class ModPGroup(Group):
 
     def kernel_costs(self, scalar_bits: int) -> Optional[KernelCosts]:
         """Planner constants calibrated for bigints: a squaring (and a native
-        ``pow`` advancing the shared chain) ≈0.8 of an interpreted mulmod, a
-        modular inverse ≈25 — dear enough that the shared-base ladder, which
-        would invert every rung, keeps unsigned digits.
+        ``pow`` advancing the shared chain) ≈0.8 of an interpreted mulmod,
+        and no price for an inversion, so Pippenger and the shared-base
+        ladder both keep unsigned digits and never call ``pow(a, -1, p)``.
+
+        An inverse is dearer than the buckets it would save.  Measured
+        (CPython 3.11, 2 vCPUs, ``REPRO_BIGINT=python``; median of 21 paired
+        best-of-3 readings):
+
+        ========  =========  =============  =======
+        modulus   a·b % p    pow(a, -1, p)  ratio
+        ========  =========  =============  =======
+        256 bit   0.55 µs    21.8 µs        43×
+        2048 bit  15.1 µs    431 µs         28×
+        3072 bit  29.8 µs    916 µs         31×
+        ========  =========  =============  =======
+
+        Signed digits save half a window's bucket fold (``2^w``
+        multiplications) and pay one inversion and a Python digit recoding
+        a base: on the audit's 2 625-term fold of 128-bit weights (16
+        windows of 8 bits) that is ≈ 4 100 multiplications saved against
+        ≈ 113 000 spent.  gmpy2 is not installed where the table was taken;
+        its inverse is unmeasured and declines the same way.
 
         Below :data:`MULTIEXP_MIN_ORDER_BITS` the native-pow loop is
         unbeatable from Python, so small (toy/test) groups keep it.
@@ -181,7 +200,7 @@ class ModPGroup(Group):
         if self._order.bit_length() < MULTIEXP_MIN_ORDER_BITS:
             return None
         return KernelCosts(
-            exponentiate=self._native_pow_cost(scalar_bits), square=0.8, invert=25.0, lookup=self._lookup_cost()
+            exponentiate=self._native_pow_cost(scalar_bits), square=0.8, lookup=self._lookup_cost()
         )
 
     def wrap(self, value: Any) -> ModPElement:

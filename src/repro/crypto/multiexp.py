@@ -120,11 +120,13 @@ class KernelCosts:
 
     ``exponentiate`` is one plain power at the scalar width asked about
     (``None``: :func:`signed_window_cost`, the kernel a backend without a
-    native power runs), ``square`` one squaring of the shared chain,
-    ``invert`` one inversion (``None``: too dear for signed digits).
-    ``ladder_invert`` is the same for the shared-base ladder, which inverts
-    every *rung* and so only signs its digits where inversion is nearly free.
-    ``lookup`` is the interpreter's work around one fixed-base comb lookup
+    native power runs), ``square`` one squaring of the shared chain.
+    ``invert`` is one inversion, and it decides the digits of both bucket
+    kernels: priced, Pippenger and the shared-base ladder sign them (half
+    the buckets, one inversion a base or a rung) wherever the planner finds
+    that cheaper; ``None``, both run unsigned and never call
+    ``GroupOps.invert``.  A backend without a native ``power`` must price it,
+    since its plain power is :func:`signed_window_power`.  ``lookup`` is the interpreter's work around one fixed-base comb lookup
     (mask, shift, branch, index) beside its multiplication: about 0.05 µs
     whatever the group, so it only counts where a multiplication is cheap.
     """
@@ -132,7 +134,6 @@ class KernelCosts:
     exponentiate: Optional[float] = None
     square: float = 1.0
     invert: Optional[float] = None
-    ladder_invert: Optional[float] = None
     lookup: float = 0.0
 
 
@@ -162,12 +163,15 @@ def plan_multi_exponentiation(
     ``square_cost`` discounts the shared squaring chain (mod-p squaring and
     native ``pow`` advancement are cheaper than a generic multiplication).
     ``invert_cost`` enables the signed-digit Pippenger variant; leave ``None``
-    for backends whose inversion is too expensive to amortise.
+    for backends whose inversion is too expensive to amortise (the kernel
+    then gets no ``invert`` either: :class:`KernelCosts`).
 
     The model only has to rank alternatives, not predict wall time, so the
     constants are deliberately coarse (calibrated once on the 2048-bit
-    group; ``crypto.multiexp.self_s`` and ``audit_s`` on the
-    ``tally_modp2048`` workload of ``benchmarks/e2e`` are the measurement).
+    group).  ``crypto.multiexp.self_s`` and ``audit_s`` on the
+    ``tally_modp256_cluster2`` workload of ``benchmarks/e2e`` are the
+    measurement: its audit folds 324–2 625 terms, where Straus and
+    Pippenger cross; ``tally_modp2048``'s folds are Straus of at most 32.
     """
     if num_terms < 1 or max_scalar_bits < 1:
         return MultiExpPlan("naive", 1, 0.0)

@@ -17,13 +17,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.audit.api import AuditPlan, BatchedVerifier, EagerVerifier
+from repro.audit.api import AuditPlan, BatchedVerifier, CheckStatus, EagerVerifier
 from repro.audit.checks import (
     audit_election, audit_tally, ballot_checks, cascade_checks, chain_checks, decryption_checks,
 )
 from repro.audit.evidence import decryption_transcript
+from repro.crypto import group as group_module
+from repro.crypto.dkg import DistributedKeyGeneration
 from repro.audit.api import Check
 from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
+from repro.crypto.modp_group import modp_group_256
 from repro.crypto.schnorr import schnorr_keygen
 from repro.crypto.tagging import TaggingAuthority
 from repro.election import ElectionConfig, VotegralElection
@@ -172,6 +175,49 @@ class TestShuffleTranscriptMutations:
         # The re-derived Fiat–Shamir coins (or, when they coincide, the first
         # opening) expose the swap — either way the locus names stage 0.
         assert locus.name.startswith("cascade[0].")
+
+
+class TestBucketFoldMutations:
+    """A rejected fold on a real group: every other test here folds on the toy group, whose products stay naive.
+
+    On modp-256 one opening of 64 pairs is 128 re-encryption items, a
+    product of ≥ 256 terms, which the planner sends to the bucket kernel.
+    """
+
+    def test_tampered_opening_in_a_pippenger_fold_rejected_identically(self, run_all, monkeypatch):
+        group = modp_group_256()
+        dkg = DistributedKeyGeneration.run(group, 2)
+        elgamal = ElGamal(group)
+        inputs = [
+            (elgamal.encrypt(dkg.public_key, group.power(i + 2)), elgamal.encrypt(dkg.public_key, group.power(i + 9)))
+            for i in range(64)
+        ]
+        cascade = tuple_mix_cascade(elgamal, dkg.public_key, inputs, 1, 2)
+        stage, round_ = cascade.stages[0], cascade.stages[0].rounds[1]
+        randomness = [list(row) for row in round_.opening.randomness]
+        randomness[40][1] ^= 1
+        tampered_round = replace(round_, opening=TupleOpening(round_.opening.permutation, randomness))
+        tampered = TupleCascade(stages=[replace(stage, rounds=[stage.rounds[0], tampered_round])])
+
+        def plan():
+            return AuditPlan(cascade_checks(elgamal, dkg.public_key, inputs, tampered))
+
+        reports = run_all(plan)
+        _assert_same_rejection(reports, expected_locus="cascade[0].round[1]")
+        verdicts = {key: [(result.name, result.status) for result in report.results] for key, report in reports.items()}
+        assert len({tuple(verdict) for verdict in verdicts.values()}) == 1
+        assert [name for name, status in verdicts["eager", "serial"] if status is CheckStatus.FAILED] == [
+            "cascade[0].round[1]"
+        ]
+
+        plans = []
+        execute = group_module.execute_plan
+        monkeypatch.setattr(
+            group_module, "execute_plan", lambda ops, values, scalars, how: plans.append((how.algorithm, len(values)))
+            or execute(ops, values, scalars, how),
+        )
+        assert BatchedVerifier().run(plan()) == reports["eager", "serial"]
+        assert any(algorithm == "pippenger" and terms >= 256 for algorithm, terms in plans), plans
 
 
 class TestDecryptionShareMutations:

@@ -10,6 +10,7 @@ group backends where the planner picks the algorithm.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -210,7 +211,7 @@ def _verdicts(costs, bits, exponentiate_cost=None):
     exponentiate_cost = costs.exponentiate if exponentiate_cost is None else exponentiate_cost
     ladders = [
         plan_shared_base_powers(
-            k, bits, exponentiate_cost=exponentiate_cost, square_cost=costs.square, invert_cost=costs.ladder_invert
+            k, bits, exponentiate_cost=exponentiate_cost, square_cost=costs.square, invert_cost=costs.invert
         )
         for k in (2, 4, 8, 16)
     ]
@@ -239,12 +240,22 @@ class TestBackendCrossovers:
         assert _verdicts(costs, 2047) == _verdicts(costs, 2047, exponentiate_cost=0.87 * 2047)
         assert all(algorithm != "naive" for algorithm, _ in _verdicts(costs, 2047))
 
+    def test_modp256_plans_the_audits_folds_as_unsigned_pippenger(self):
+        """The audit's fold shapes at 128-bit weights: no inversion priced, so the buckets stay unsigned."""
+        costs = modp_group_256().kernel_costs(128)
+        assert costs.invert is None
+        for num_terms in (324, 512, 2625):
+            plan = plan_multi_exponentiation(
+                num_terms, 128, exponentiate_cost=costs.exponentiate, square_cost=costs.square, invert_cost=costs.invert
+            )
+            assert plan.algorithm == "pippenger", num_terms
+
     def test_small_groups_decline_every_kernel(self):
         assert testing_group().kernel_costs(62) is None
 
     def test_the_curve_prices_its_power_from_the_signed_window_count(self):
         costs = ed25519_group().kernel_costs(253)
-        assert costs.exponentiate is None and costs.ladder_invert is not None
+        assert costs.exponentiate is None and costs.invert is not None
         assert signed_window_cost(253, costs.square) < 1.5 * 253 * costs.square
         assert [algorithm for algorithm, _ in _verdicts(costs, 253)[:4]] == ["ladder"] * 4
 
@@ -380,6 +391,50 @@ class TestNaiveEquivalenceProperty:
         bases = [group.power(seed) for seed, _ in terms]
         scalars = [scalar for _, scalar in terms]
         assert group.multi_exponentiate(bases, scalars) == _naive_fold(group, bases, scalars)
+
+
+def _count_inversions(monkeypatch, group):
+    """Tally every call of ``group.kernel_ops.invert`` (the backend's inversion, as the kernels see it)."""
+    ops, calls = group.kernel_ops, [0]
+
+    def invert(value):
+        calls[0] += 1
+        return ops.invert(value)
+
+    monkeypatch.setattr(type(group), "kernel_ops", property(lambda self: replace(ops, invert=invert)))
+    return calls
+
+
+def _audit_fold(group, num_terms, scalar_bits, seed):
+    """A fold shaped like the audit's: bases ``g^(i+1)`` one multiplication apart and random weights."""
+    rng = random.Random(seed)
+    bases, base = [], group.generator
+    for _ in range(num_terms):
+        bases.append(base)
+        base = base.operate(group.generator)
+    return bases, [rng.getrandbits(scalar_bits) | 1 << (scalar_bits - 1) for _ in range(num_terms)]
+
+
+class TestFoldDigits:
+    """Each kernel signs its digits only where the backend priced an inversion."""
+
+    @pytest.mark.parametrize("num_terms, scalar_bits", [(2625, 128), (1284, 255)])
+    def test_modp256_audit_folds_never_invert(self, monkeypatch, num_terms, scalar_bits):
+        group = modp_group_256()
+        bases, scalars = _audit_fold(group, num_terms, scalar_bits, num_terms)
+        expected = _naive_fold(group, bases, scalars)
+        inversions = _count_inversions(monkeypatch, group)
+        assert group.multi_exponentiate(bases, scalars) == expected
+        assert inversions[0] == 0
+
+    def test_the_curve_still_negates(self, monkeypatch):
+        """Negation is nearly free, so the curve keeps signed buckets: one negation a base."""
+        group = ed25519_group()
+        bases, scalars = _audit_fold(group, 2625, 128, 2625)
+        expected = group.power(sum((index + 1) * scalar for index, scalar in enumerate(scalars)) % group.order)
+        inversions = _count_inversions(monkeypatch, group)
+        assert group.multi_exponentiate(bases, scalars) == expected
+        assert inversions[0] == len(bases)
 
 
 class TestGroupSharedBasePowers:
