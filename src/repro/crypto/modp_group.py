@@ -176,8 +176,8 @@ class ModPGroup(Group):
         ladder both keep unsigned digits and never call ``pow(a, -1, p)``.
 
         An inverse is dearer than the buckets it would save.  Measured
-        (CPython 3.11, 2 vCPUs, ``REPRO_BIGINT=python``; median of 21 paired
-        best-of-3 readings):
+        (CPython 3.11, 2 vCPUs, ``REPRO_BIGINT=python``; medians of 21
+        paired best-of-3 readings, the ratio the median of the pairs'):
 
         ========  =========  =============  =======
         modulus   a·b % p    pow(a, -1, p)  ratio

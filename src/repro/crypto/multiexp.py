@@ -123,12 +123,13 @@ class KernelCosts:
     native power runs), ``square`` one squaring of the shared chain.
     ``invert`` is one inversion, and it decides the digits of both bucket
     kernels: priced, Pippenger and the shared-base ladder sign them (half
-    the buckets, one inversion a base or a rung) wherever the planner finds
-    that cheaper; ``None``, both run unsigned and never call
-    ``GroupOps.invert``.  A backend without a native ``power`` must price it,
-    since its plain power is :func:`signed_window_power`.  ``lookup`` is the interpreter's work around one fixed-base comb lookup
-    (mask, shift, branch, index) beside its multiplication: about 0.05 µs
-    whatever the group, so it only counts where a multiplication is cheap.
+    the buckets for one inversion a base or a rung, which the planners
+    charge at this price); ``None``, both run unsigned and never call
+    ``GroupOps.invert``.  A backend without a native ``power`` must price
+    it, since its plain power is :func:`signed_window_power`.  ``lookup`` is
+    the interpreter's work around one fixed-base comb lookup (mask, shift,
+    branch, index) beside its multiplication: about 0.05 µs whatever the
+    group, so it only counts where a multiplication is cheap.
     """
 
     exponentiate: Optional[float] = None

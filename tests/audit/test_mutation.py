@@ -210,14 +210,16 @@ class TestBucketFoldMutations:
             "cascade[0].round[1]"
         ]
 
-        plans = []
+        folds = []
         execute = group_module.execute_plan
-        monkeypatch.setattr(
-            group_module, "execute_plan", lambda ops, values, scalars, how: plans.append((how.algorithm, len(values)))
-            or execute(ops, values, scalars, how),
-        )
+
+        def recorded(ops, values, scalars, kernel_plan):
+            folds.append((kernel_plan.algorithm, len(values)))
+            return execute(ops, values, scalars, kernel_plan)
+
+        monkeypatch.setattr(group_module, "execute_plan", recorded)
         assert BatchedVerifier().run(plan()) == reports["eager", "serial"]
-        assert any(algorithm == "pippenger" and terms >= 256 for algorithm, terms in plans), plans
+        assert any(algorithm == "pippenger" and terms >= 256 for algorithm, terms in folds), folds
 
 
 class TestDecryptionShareMutations:
