@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from repro import telemetry
+from repro.crypto.encoding import ELEMENT, SCALAR
 from repro.crypto.group import Group
 from repro.crypto.registry import group_by_name
 from repro.crypto.schnorr import SigningKeyPair
@@ -296,16 +297,21 @@ class CastingSession:
     def make_ballot_wire(
         self, credential: CredentialWire, choice: int
     ) -> BallotWire:
-        """Form, prove and sign one ballot locally; returns its wire form."""
+        """Form, prove and sign one ballot locally; returns its wire form.
+
+        The server's keys and the credential are read by the kinds' strict
+        readers: a key that is off-width or not a group element, or a secret
+        key not below ``q``, is a :class:`SchemaError` naming the member.
+        """
         info = self.info if self.info is not None else self.refresh()
         group = self.group
         keypair = SigningKeyPair(
-            secret=credential.secret_key,
-            public=group.element_from_bytes(credential.public_key),
+            secret=credential.decoded(group, "secret_key", SCALAR),
+            public=credential.decoded(group, "public_key", ELEMENT),
         )
         ballot = make_ballot(
             group,
-            group.element_from_bytes(info.authority_public_key),
+            info.decoded(group, "authority_public_key", ELEMENT),
             keypair,
             choice,
             info.num_options,

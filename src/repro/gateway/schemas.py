@@ -22,23 +22,26 @@ A schema that mirrors a ledger record (:class:`BallotWire`, a
 record's own field table (:attr:`repro.ledger.records.Record.WIRE`), and so
 are both conversions.
 
-Wire conventions: group elements travel as lowercase hex of their canonical
-fixed-width ``to_bytes()`` encoding; scalars (Schnorr responses, credential
-secret keys) travel as canonical decimal strings (``0`` or no leading zero,
-ASCII digits only) so non-bignum JSON parsers survive them; every response
-body carries ``schema_version`` and inputs may pin it (a mismatch is a field
-error, not a silent reinterpretation).  Unknown keys are rejected — a typo'd
-field name fails loudly instead of being ignored.  Every value has exactly
-one accepted spelling.
+Wire conventions are the one table of value kinds
+(:mod:`repro.crypto.encoding`): a group element travels as lowercase hex of
+its canonical fixed-width ``to_bytes()`` encoding, a scalar (a Schnorr
+response, a credential secret key) as a canonical decimal string (``0`` or no
+leading zero, ASCII digits only) so non-bignum JSON parsers survive it, and
+the ``hex`` and ``scalar`` members are read by that table's
+:data:`~repro.crypto.encoding.JSON_FORMS`.  Every response body carries
+``schema_version`` and inputs may pin it (a mismatch is a field error, not a
+silent reinterpretation).  Unknown keys are rejected — a typo'd field name
+fails loudly instead of being ignored.  Every value has exactly one accepted
+spelling.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import MISSING, Field, dataclass, field, replace
 from typing import Any, Callable, ClassVar, Dict, FrozenSet, List, Optional, Tuple, Type, TypeVar, Union
 
+from repro.crypto.encoding import JSON_FORMS, Kind
 from repro.crypto.group import Group
 from repro.errors import GatewayError
 from repro.ledger.records import BallotRecord, MalformedField, Record, fields_getter
@@ -54,12 +57,6 @@ MAX_CAST_BATCH = 256
 
 #: Hard cap on string field lengths unless a spec narrows it further.
 MAX_STRING_LENGTH = 256
-
-#: A canonical decimal scalar: ASCII digits, no leading zero, at most the
-#: 1234 digits of a 4096-bit number (far below CPython's 4300-digit
-#: ``int()`` limit, so conversion can never raise).
-_CANONICAL_SCALAR = re.compile(r"0|[1-9][0-9]{0,1233}")
-
 
 class SchemaError(GatewayError):
     """A request/response body failed strict validation.
@@ -170,6 +167,14 @@ class Schema:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
+    def decoded(self, group: Group, name: str, kind: Kind) -> Any:
+        """Member ``name`` read over ``group`` by ``kind``'s strict reader; a
+        refusal is a :class:`SchemaError` naming the member."""
+        try:
+            return kind.members[0].read(group, getattr(self, name))
+        except ValueError as refusal:
+            raise SchemaError({name: str(refusal)}) from None
+
     # --------------------------------------------------------- deserialization
 
     @classmethod
@@ -218,15 +223,12 @@ class Schema:
 
 
 def _encode_value(spec: FieldSpec, value: Any) -> Any:
-    if spec.kind == "hex":
-        return bytes(value).hex()
-    if spec.kind == "scalar":
-        return str(int(value))
+    form = JSON_FORMS.get(spec.kind)
+    if form is not None:
+        return form.write(value)
     if spec.kind == "array":
         if isinstance(spec.item, type) and issubclass(spec.item, Schema):
             return [item.to_json_dict() for item in value]
-        if spec.item == "scalar":
-            return [str(int(item)) for item in value]
         return list(value)
     if spec.kind == "schema":
         return value.to_json_dict() if value is not None else None
@@ -277,26 +279,17 @@ def _decode_bool(spec: FieldSpec, value: Any, path: str, errors: Dict[str, str])
     return value
 
 
-def _decode_hex(spec: FieldSpec, value: Any, path: str, errors: Dict[str, str]) -> Any:
-    if not isinstance(value, str) or not value:
-        errors[path] = "expected a non-empty hex string"
-        return None
-    try:
-        data = bytes.fromhex(value)
-    except ValueError:
-        errors[path] = "not valid hex"
-        return None
-    if data.hex() != value:  # fromhex also takes upper case and whitespace
-        errors[path] = "not lowercase hex without whitespace"
-        return None
-    return data
+def _spelled(read: Callable[[Any], Any]) -> Callable[[FieldSpec, Any, str, Dict[str, str]], Any]:
+    """A JSON form's reader as a decoder: its ``ValueError`` becomes the field's error."""
 
+    def decode(spec: FieldSpec, value: Any, path: str, errors: Dict[str, str]) -> Any:
+        try:
+            return read(value)
+        except ValueError as refusal:
+            errors[path] = str(refusal)
+            return None
 
-def _decode_scalar(spec: FieldSpec, value: Any, path: str, errors: Dict[str, str]) -> Any:
-    if not isinstance(value, str) or _CANONICAL_SCALAR.fullmatch(value) is None:
-        errors[path] = "expected a decimal-string scalar"
-        return None
-    return int(value)
+    return decode
 
 
 def _decode_array(spec: FieldSpec, value: Any, path: str, errors: Dict[str, str]) -> Any:
@@ -341,8 +334,7 @@ _DECODERS: Dict[str, Callable[[FieldSpec, Any, str, Dict[str, str]], Any]] = {
     "int": _decode_int,
     "float": _decode_float,
     "bool": _decode_bool,
-    "hex": _decode_hex,
-    "scalar": _decode_scalar,
+    **{form: _spelled(spelling.read) for form, spelling in JSON_FORMS.items()},
     "array": _decode_array,
     "schema": _decode_schema,
     "map-int": _decode_map,

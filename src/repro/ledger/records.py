@@ -21,32 +21,30 @@ names its ``chain``, its ``key`` field and its rule, which is all the store
 * ``requires=K`` — the key must already be held by kind ``K`` (a
   registration needs its voter on the roll).
 
-A field's annotation picks its :class:`Kind` and every encoding is derived
-from that, once, when the class is created:
-
-* :meth:`Record.payload` — the canonical hash that enters the hash chain, so
-  two backends that accept the same record sequence produce bit-identical
-  logs regardless of how they store the records;
-* :meth:`Record.to_row` / :meth:`Record.from_row` — the SQLite columns
-  (:attr:`Record.COLUMNS`; column name = field name);
-* :meth:`Record.to_wire` / :meth:`Record.from_wire` — the JSON members
-  (:attr:`Record.WIRE`) the gateway's wire schemas are generated from.
-
-The decoders are strict and total: any input that is not the encoding of
-exactly one record raises :class:`MalformedField`.  A new record field is one
+A field's annotation picks its kind in the one table of value kinds
+(:mod:`repro.crypto.encoding`), and every encoding is derived from those
+kinds, once, when the class is created: :meth:`Record.payload` (the hash
+that enters the chain, so backends that accept the same records log
+bit-identical chains), :meth:`Record.to_row` / :meth:`Record.from_row` (the
+SQLite columns, :attr:`Record.COLUMNS`) and :meth:`Record.to_wire` /
+:meth:`Record.from_wire` (the JSON members, :attr:`Record.WIRE`, the
+gateway's schemas are generated from).  The decoders are the kinds' strict
+readers: any input that is not the encoding of exactly one record raises
+:class:`MalformedField` naming the field.  A new record field is one
 dataclass line, and a new record kind is one class.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, Field, dataclass, field
-from functools import lru_cache, partial
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, List, NamedTuple, Optional, Sequence, Tuple, Type, TypeVar, Union
+from typing import Any, Callable, ClassVar, List, NamedTuple, Optional, Sequence, Tuple, Type, TypeVar
 from typing import get_type_hints
 
+from repro.crypto.encoding import BYTES, ELEMENT, SCALAR, SIGNATURE, TEXT, Reader
+from repro.crypto.encoding import element_width as element_width  # re-exported: the ledger's element width
 from repro.crypto.group import Group, GroupElement
-from repro.crypto.hashing import scalar_bytes, sha256
+from repro.crypto.hashing import sha256
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import LedgerError
 
@@ -60,115 +58,8 @@ class MalformedField(LedgerError):
         self.problem = problem
 
 
-# ------------------------------------------------------------------ strict parsers
-#
-# One per Python type a stored or transmitted value can have.  Each takes the
-# field name first so a table row can bind it with ``partial``.
-
-
-@lru_cache(maxsize=None)
-def element_width(group: Group) -> int:
-    """The fixed byte width of this group's canonical element encoding."""
-    return len(group.generator.to_bytes())
-
-
-def _element(name: str, group: Group, data: Any) -> GroupElement:
-    if not isinstance(data, bytes) or len(data) != element_width(group):
-        raise MalformedField(name, f"expected a {element_width(group)}-byte group element")
-    try:
-        return group.element_from_bytes(data)
-    except Exception:  # backends raise varied types on corrupt encodings
-        raise MalformedField(name, "not a valid group element") from None
-
-
-def _response(name: str, group: Group, value: Any) -> int:
-    if type(value) is not int or not 0 <= value < group.order:
-        raise MalformedField(name, "signature response must satisfy 0 <= s < q")
-    return value
-
-
-def _scalar(name: str, group: Group, data: Any) -> int:
-    if isinstance(data, bytes):
-        value = int.from_bytes(data, "big")
-        if scalar_bytes(value) == data:
-            return value
-    raise MalformedField(name, "not a canonical scalar encoding")
-
-
-def _signature(name: str, group: Group, data: Any) -> SchnorrSignature:
-    width = element_width(group)
-    if not isinstance(data, bytes) or len(data) < width + 64:
-        raise MalformedField(name, f"expected a signature of at least {width + 64} bytes")
-    response = _response(name, group, _scalar(name, group, data[width:]))
-    return SchnorrSignature(_element(name, group, data[:width]), response)
-
-
-def _typed(expected: type, name: str, group: Group, value: Any) -> Any:
-    if type(value) is not expected:  # exact: a bool is not an int here
-        raise MalformedField(name, f"expected {expected.__name__}")
-    return value
-
-
-_integer = partial(_typed, int)
-_bytes = partial(_typed, bytes)
-_text = partial(_typed, str)
-
-_Parser = Callable[[str, Group, Any], Any]
-
-
-# ---------------------------------------------------------------------- field kinds
-
-
-class Part(NamedTuple):
-    """One JSON member of a field's wire form."""
-
-    suffix: str  # appended to the field name
-    json: str  # gateway schema kind: hex | scalar | string
-    doc: str  # appended to the field doc
-    get: Callable[[Any], Any]  # field value -> wire value (bytes, int or str)
-    parse: _Parser  # its strict inverse
-
-
-class Kind(NamedTuple):
-    """How one kind of field is laid out in every encoding of a record."""
-
-    sql: str  # SQLite column type: BLOB holds the canonical bytes, TEXT the str itself
-    canonical: Callable[[Any], bytes]  # the bytes payload() hashes
-    parse: _Parser  # strict inverse of the column value
-    parts: Tuple[Part, ...]
-    join: Optional[Callable[..., Any]] = None  # field value from several parsed parts
-
-
-def _same(value: Any) -> Any:
-    return value
-
-
-def _to_bytes(value: Union[GroupElement, SchnorrSignature]) -> bytes:
-    return value.to_bytes()
-
-
-def _commitment_bytes(signature: SchnorrSignature) -> bytes:
-    return signature.commitment.to_bytes()
-
-
-#: Annotation → kind.  ``element``/``bytes`` travel as lowercase hex, ``scalar``
-#: as a decimal string, ``text`` as a string, ``signature`` as two members.
-KINDS = {
-    GroupElement: Kind("BLOB", _to_bytes, _element, (Part("", "hex", "", _to_bytes, _element),)),
-    SchnorrSignature: Kind(
-        "BLOB",
-        _to_bytes,
-        _signature,
-        (
-            Part("_commitment", "hex", " commitment R", _commitment_bytes, _element),
-            Part("_response", "scalar", " response s", attrgetter("response"), _response),
-        ),
-        join=SchnorrSignature,
-    ),
-    int: Kind("BLOB", scalar_bytes, _scalar, (Part("", "scalar", "", _same, _integer),)),
-    bytes: Kind("BLOB", _same, _bytes, (Part("", "hex", "", _same, _bytes),)),
-    str: Kind("TEXT", str.encode, _text, (Part("", "string", "", _same, _text),)),
-}
+#: The ledger's kinds, by the annotation that picks one for a field.
+_KIND_OF = {GroupElement: ELEMENT, SchnorrSignature: SIGNATURE, int: SCALAR, bytes: BYTES, str: TEXT}
 
 
 class WireField(NamedTuple):
@@ -223,10 +114,28 @@ class _Codec(NamedTuple):
     part_values: Callable[[Any], Tuple[Any, ...]]  # … one per wire member
     canonical: Tuple[Callable[[Any], bytes], ...]
     column: Tuple[Callable[[Any], Any], ...]
-    row_parsers: Tuple[Callable[[Group, Any], Any], ...]
+    row_names: Tuple[str, ...]
+    row_readers: Tuple[Reader, ...]
     part_getters: Tuple[Callable[[Any], Any], ...]
-    part_parsers: Tuple[Callable[[Group, Any], Any], ...]
+    part_names: Tuple[str, ...]
+    part_readers: Tuple[Reader, ...]
     joins: Tuple[Tuple[Callable[..., Any], int, int], ...]  # last first, so slices stay valid
+
+
+def _read(
+    table: str, names: Tuple[str, ...], readers: Tuple[Reader, ...], group: Group, values: Sequence[Any]
+) -> List[Any]:
+    """Each value through its reader; a refusal is a :class:`MalformedField` naming it."""
+    if len(values) != len(readers):
+        raise MalformedField(table, f"expected {len(readers)} values")
+    read_values: List[Any] = []
+    append = read_values.append
+    try:
+        for read, value in zip(readers, values):
+            append(read(group, value))
+    except ValueError as refusal:
+        raise MalformedField(names[len(read_values)], str(refusal)) from None
+    return read_values
 
 
 class Record:
@@ -257,32 +166,33 @@ class Record:
         # ``described(...)`` objects in the class body, in attribute order.
         hints = get_type_hints(cls)
         declared = [
-            (name, KINDS[hints[name]], spec.metadata) for name, spec in vars(cls).items() if isinstance(spec, Field)
+            (name, _KIND_OF[hints[name]], spec.metadata) for name, spec in vars(cls).items() if isinstance(spec, Field)
         ]
         hashed = sorted(declared, key=lambda entry: not entry[2]["hashed_first"])
-        parts = [(name, meta, part) for name, kind, meta in declared for part in kind.parts]
+        parts = [(name + member.suffix, meta, member) for name, kind, meta in declared for member in kind.members]
         joins: List[Tuple[Callable[..., Any], int, int]] = []
         first = 0
         for _, kind, _ in declared:
             if kind.join is not None:
-                joins.insert(0, (kind.join, first, first + len(kind.parts)))
-            first += len(kind.parts)
+                joins.insert(0, (kind.join, first, first + len(kind.members)))
+            first += len(kind.members)
         cls.TAG, cls.TABLE, cls.CHAIN = tag, table, chain
         cls.KEY, cls.UNIQUE, cls.REQUIRES = key, unique, requires
         cls.COLUMNS = tuple((name, kind.sql) for name, kind, _ in declared)
         cls.WIRE = tuple(
-            WireField(name + part.suffix, part.json, meta["doc"] + part.doc, meta["max_length"])
-            for name, meta, part in parts
+            WireField(name, member.json, meta["doc"] + member.doc, meta["max_length"]) for name, meta, member in parts
         )
         cls._codec = _Codec(
             values=fields_getter([name for name, _, _ in declared]),
             hashed_values=fields_getter([name for name, _, _ in hashed]),
-            part_values=fields_getter([name for name, _, _ in parts]),
+            part_values=fields_getter([name for name, kind, _meta in declared for _member in kind.members]),
             canonical=tuple(kind.canonical for _, kind, _ in hashed),
-            column=tuple(kind.canonical if kind.sql == "BLOB" else _same for _, kind, _ in declared),
-            row_parsers=tuple(partial(kind.parse, name) for name, kind, _ in declared),
-            part_getters=tuple(part.get for _, _, part in parts),
-            part_parsers=tuple(partial(part.parse, name + part.suffix) for name, _, part in parts),
+            column=tuple(kind.column for _, kind, _ in declared),
+            row_names=tuple(name for name, _, _ in declared),
+            row_readers=tuple(kind.read for _, kind, _ in declared),
+            part_getters=tuple(member.get for _, _, member in parts),
+            part_names=tuple(name for name, _, _ in parts),
+            part_readers=tuple(member.read for _, _, member in parts),
             joins=tuple(joins),
         )
         RECORD_TYPES.append(cls)
@@ -301,11 +211,9 @@ class Record:
     @classmethod
     def from_row(cls: Type[R], group: Group, row: Sequence[Any]) -> R:
         """Strict inverse of :meth:`to_row` over ``group``."""
-        parsers = cls._codec.row_parsers
-        if len(row) != len(parsers):
-            raise MalformedField(cls.TABLE, f"expected {len(parsers)} columns")
+        codec = cls._codec
         build: Callable[..., R] = cls  # each @dataclass subclass takes its fields in order
-        return build(*[parse(group, value) for parse, value in zip(parsers, row)])
+        return build(*_read(cls.TABLE, codec.row_names, codec.row_readers, group, row))
 
     def to_wire(self) -> Tuple[Any, ...]:
         """The wire values (bytes / int / str), in :attr:`WIRE` order."""
@@ -316,9 +224,7 @@ class Record:
     def from_wire(cls: Type[R], group: Group, values: Sequence[Any]) -> R:
         """Strict inverse of :meth:`to_wire` over ``group``."""
         codec = cls._codec
-        if len(values) != len(codec.part_parsers):
-            raise MalformedField(cls.TABLE, f"expected {len(codec.part_parsers)} members")
-        parsed = [parse(group, value) for parse, value in zip(codec.part_parsers, values)]
+        parsed = _read(cls.TABLE, codec.part_names, codec.part_readers, group, values)
         # A multi-part field collapses to one value; fields after it shift
         # down, which is why the joins run last-field-first.
         for join, first, last in codec.joins:

@@ -16,14 +16,15 @@ These classes model exactly the paper objects of Fig. 2 and Appendix E:
   are visible, plus the voter's private marking.
 
 The five printed codes are each declared once.  A code's ``LAYOUT`` lists its
-printed fields in order as ``(attribute, kind)`` pairs, and
-:class:`PrintedCode` derives from it both the printing (every field behind a
-2-byte length) and a strict, total reader: any payload that is not the
-printing of exactly one code raises :class:`MalformedCode` naming the field.
-A field that a verification equation determines — a signature's ``R``, the
-commit's ``Y1``, ``Y2`` — is read as an :class:`ElementEncoding` and stays
-bytes until its check recomputes the element.  A signed code is built by its
-one ``signed`` constructor, over its one message.
+printed fields in order as ``(attribute, kind)`` pairs over the one table of
+value kinds (:mod:`repro.crypto.encoding`; :data:`SYMBOL` is declared here),
+and :class:`PrintedCode` derives from it both the printing (every field
+behind a 2-byte length) and a strict, total reader: any payload that is not
+the printing of exactly one code raises :class:`MalformedCode` naming the
+field.  A field that a verification equation determines — a signature's
+``R``, the commit's ``Y1``, ``Y2`` — is read as an ``ElementEncoding`` and
+stays bytes until its check recomputes the element.  A signed code is built
+by its one ``signed`` constructor, over its one message.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from __future__ import annotations
 import enum
 import secrets
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Callable, ClassVar, List, NamedTuple, Optional, Tuple, Type, TypeVar
+from operator import attrgetter
+from typing import Any, ClassVar, List, Optional, Tuple, Type, TypeVar
 
 from repro.crypto.chaum_pedersen import (
     ChaumPedersenCommit,
@@ -40,7 +41,8 @@ from repro.crypto.chaum_pedersen import (
     ChaumPedersenTranscript,
 )
 from repro.crypto.elgamal import ElGamalCiphertext
-from repro.crypto.group import ElementEncoding, Group, GroupElement
+from repro.crypto.encoding import BYTES, CIPHERTEXT, COMMIT, ELEMENT, ENCODED_SIGNATURE, SCALAR, TEXT, Kind, textual
+from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import scalar_bytes, sha256
 from repro.crypto.schnorr import SchnorrSignature, SigningKeyPair, schnorr_sign
 from repro.errors import ProtocolError
@@ -91,59 +93,8 @@ class MalformedCode(ProtocolError, ValueError):
         self.problem = problem
 
 
-@lru_cache(maxsize=None)
-def scalar_width(group: Group) -> int:
-    """The fixed byte width of a printed scalar: ``⌈|q|/8⌉``."""
-    return (group.order.bit_length() + 7) // 8
-
-
-def _scalar(group: Group, value: int) -> bytes:
-    return value.to_bytes(scalar_width(group), "big")
-
-
-def _read_scalar(group: Group, data: bytes) -> int:
-    if len(data) != scalar_width(group):
-        raise ValueError(f"a scalar is {scalar_width(group)} bytes, not {len(data)}")
-    value = int.from_bytes(data, "big")
-    if value >= group.order:
-        raise ValueError("scalar not below the group order")
-    return value
-
-
-def _read_encoding(group: Group, data: bytes) -> ElementEncoding:
-    return ElementEncoding(group, data)
-
-
-class Kind(NamedTuple):
-    """How one kind of printed field becomes length-prefixed parts, and back."""
-
-    write: Callable[[Optional[Group], Any], Tuple[bytes, ...]]
-    read: Callable[..., Any]  # (group, *parts) -> value; a ValueError says why not
-    parts: int = 1
-
-
-TEXT = Kind(lambda group, text: (text.encode(),), lambda group, data: data.decode("utf-8"))
-BYTES = Kind(lambda group, data: (data,), lambda group, data: data)
-SYMBOL = Kind(lambda group, symbol: (symbol.value.encode(),), lambda group, data: EnvelopeSymbol(data.decode("utf-8")))
-SCALAR = Kind(lambda group, value: (_scalar(group, value),), _read_scalar)
-ELEMENT = Kind(lambda group, element: (element.to_bytes(),), lambda group, data: group.element_from_bytes(data))
-#: An element a check recomputes: it stays its printed bytes.
-ENCODING = Kind(lambda group, element: (element.to_bytes(),), _read_encoding)
-SIGNATURE = Kind(
-    lambda group, signature: (signature.commitment.to_bytes(), _scalar(group, signature.response)),
-    lambda group, r, s: SchnorrSignature(_read_encoding(group, r), _read_scalar(group, s)),
-    parts=2,
-)
-CIPHERTEXT = Kind(
-    lambda group, ciphertext: (ciphertext.c1.to_bytes(), ciphertext.c2.to_bytes()),
-    lambda group, c1, c2: ElGamalCiphertext(group.element_from_bytes(c1), group.element_from_bytes(c2)),
-    parts=2,
-)
-COMMIT = Kind(
-    lambda group, commit: (commit.commit_g.to_bytes(), commit.commit_h.to_bytes()),
-    lambda group, y1, y2: ChaumPedersenCommit(_read_encoding(group, y1), _read_encoding(group, y2)),
-    parts=2,
-)
+#: The envelope symbol, spelled by its name.
+SYMBOL = textual("symbol", attrgetter("value"), EnvelopeSymbol)
 
 C = TypeVar("C", bound="PrintedCode")
 
@@ -157,7 +108,7 @@ class PrintedCode:
     def payload(self, group: Optional[Group] = None) -> bytes:
         printed: List[bytes] = []
         for name, kind in self.LAYOUT:
-            for field in kind.write(group, getattr(self, name)):
+            for field in kind.printed(group, getattr(self, name)):
                 if len(field) > 0xFFFF:
                     raise ProtocolError(f"{self.LABEL}.{name}: field too large for a printed code")
                 printed += (len(field).to_bytes(2, "big"), field)
@@ -173,16 +124,17 @@ class PrintedCode:
             if offset > size:
                 raise MalformedCode(cls.LABEL, "payload", "truncated field")
             fields.append(payload[start:offset])
-        expected = sum(kind.parts for _, kind in cls.LAYOUT)
+        expected = sum(len(kind.members) for _, kind in cls.LAYOUT)
         if len(fields) != expected:
             raise MalformedCode(cls.LABEL, "payload", f"expected {expected} fields, got {len(fields)}")
         values, start = {}, 0
         for name, kind in cls.LAYOUT:
+            parts = len(kind.members)
             try:
-                values[name] = kind.read(group, *fields[start : start + kind.parts])
+                values[name] = kind.read_printed(group, *fields[start : start + parts])
             except ValueError as exc:
                 raise MalformedCode(cls.LABEL, name, str(exc)) from None
-            start += kind.parts
+            start += parts
         return cls(**values, **unprinted)
 
     def to_qr(self, group: Group) -> QRCode:
@@ -238,7 +190,7 @@ class Envelope(PrintedCode):
         ("symbol", SYMBOL),
         ("challenge", SCALAR),
         ("printer_public_key", ELEMENT),
-        ("printer_signature", SIGNATURE),
+        ("printer_signature", ENCODED_SIGNATURE),
     )
 
     symbol: EnvelopeSymbol
@@ -293,7 +245,7 @@ class CommitCode(PrintedCode):
         ("voter_id", TEXT),
         ("public_credential", CIPHERTEXT),
         ("commit", COMMIT),
-        ("kiosk_signature", SIGNATURE),
+        ("kiosk_signature", ENCODED_SIGNATURE),
     )
 
     voter_id: str
@@ -321,7 +273,7 @@ class CheckOutTicket(PrintedCode):
         ("voter_id", TEXT),
         ("public_credential", CIPHERTEXT),
         ("kiosk_public_key", ELEMENT),
-        ("kiosk_signature", SIGNATURE),
+        ("kiosk_signature", ENCODED_SIGNATURE),
     )
 
     voter_id: str
@@ -347,7 +299,7 @@ class ResponseCode(PrintedCode):
         ("credential_secret", SCALAR),
         ("zkp_response", SCALAR),
         ("kiosk_public_key", ELEMENT),
-        ("kiosk_signature", SIGNATURE),
+        ("kiosk_signature", ENCODED_SIGNATURE),
     )
 
     credential_secret: int

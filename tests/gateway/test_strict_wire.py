@@ -17,9 +17,12 @@ import logging
 import pytest
 
 from repro import telemetry
+from repro.crypto.encoding import element_width
+from repro.crypto.registry import group_by_name
+from repro.crypto.schnorr import schnorr_keygen
 from repro.errors import ProtocolError
-from repro.gateway.client import CastingSession
-from repro.gateway.schemas import BallotWire, CastRequest, SchemaError, ballot_from_wire
+from repro.gateway.client import CastingSession, GatewayClient
+from repro.gateway.schemas import BallotWire, CastRequest, CredentialWire, ElectionInfo, SchemaError, ballot_from_wire
 
 
 @pytest.fixture()
@@ -176,3 +179,43 @@ def test_an_unmapped_error_leaves_its_traceback_in_one_log_record(gateway, monke
     finally:
         connection.close()
         telemetry.configure("off")
+
+
+#: ``(member, rewrite)``: a hostile value the server could send the SDK.
+HOSTILE_SDK_INPUTS = [
+    ("secret_key", lambda group, value, off_group: group.order),
+    ("public_key", lambda group, value, off_group: b"\x00" + value),
+    ("public_key", lambda group, value, off_group: off_group),
+    ("authority_public_key", lambda group, value, off_group: value[:-1]),
+    ("authority_public_key", lambda group, value, off_group: off_group),
+]
+#: An encoding of the right width that is no element: zero is outside the
+#: field mod p, and the curve's (0, -1) has order two.
+OFF_GROUP = {"toy": bytes(element_width(group_by_name("toy"))), "ed25519": bytes.fromhex("ec" + "ff" * 30 + "7f")}
+
+
+@pytest.mark.parametrize("group_name", sorted(OFF_GROUP))
+@pytest.mark.parametrize(
+    "member, rewrite", HOSTILE_SDK_INPUTS, ids=["q", "wide", "off-group", "short", "authority-off-group"]
+)
+def test_the_sdk_reads_keys_from_the_server_strictly(group_name, member, rewrite):
+    """A credential or election key the SDK would sign or encrypt with is read
+    by its kind's reader, and a refusal is a SchemaError naming the member."""
+    group = group_by_name(group_name)
+    key = schnorr_keygen(group)
+    values = {"secret_key": key.secret, "public_key": key.public.to_bytes()}
+    values["authority_public_key"] = group.power(5).to_bytes()
+    session = CastingSession(GatewayClient(), "offline", _group=group)
+
+    def ballot():
+        session.info = ElectionInfo(
+            "offline", "open", group_name, group.generator.to_bytes(), values["authority_public_key"], 2, 1, 1, 0, 0
+        )
+        credential = CredentialWire("voter-0000", values["secret_key"], values["public_key"], True)
+        return session.make_ballot_wire(credential, 1)
+
+    assert ballot().credential_public_key == key.public.to_bytes()
+    values[member] = rewrite(group, values[member], OFF_GROUP[group_name])
+    with pytest.raises(SchemaError) as refused:
+        ballot()
+    assert list(refused.value.field_errors) == [member]

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.crypto.hashing import sha256
+from repro.crypto.hashing import scalar_bytes, sha256
 from repro.crypto.modp_group import testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.election import ElectionConfig, VotegralElection
@@ -205,3 +205,19 @@ class TestSQLitePersistence:
         with pytest.raises(LedgerError):
             reopened.append(usage)
         reopened.close()
+
+    def test_a_stored_challenge_not_below_q_does_not_reopen(self, group, tmp_path):
+        """A challenge is a scalar, and every scalar reader applies 0 <= x < q:
+        a row holding the canonical bytes of q + 7 is refused with its locus."""
+        import sqlite3
+
+        path = tmp_path / "board.db"
+        board = BulletinBoard(SQLiteBackend(str(path), group=group))
+        board.append(EnvelopeUsageRecord(challenge=42, challenge_hash=sha256(b"challenge")))
+        board.close()
+        connection = sqlite3.connect(str(path))
+        connection.execute("UPDATE envelope_usages SET challenge = ?", (scalar_bytes(group.order + 7),))
+        connection.commit()
+        connection.close()
+        with pytest.raises(LedgerError, match=r"table envelope_usages, commit_seq 0: challenge: .*< q"):
+            SQLiteBackend(str(path), group=group)

@@ -1,9 +1,13 @@
 """Cross-encoding properties of the record model, and mutation fuzz of its decoders.
 
 Every record has four encodings — the canonical payload, a SQLite row, the
-wire values and their JSON text — all derived from one declaration.  Over the
-toy group, modp-256 and ed25519:
+wire values and their JSON text — all derived from one declaration over the
+one table of value kinds (:mod:`repro.crypto.encoding`).  Over the toy group,
+modp-256 and ed25519:
 
+* every kind, in every form (hashed/SQL bytes, printed parts, JSON members),
+  reads hostile input either to a value that writes back exactly that input
+  or to its reader's ``ValueError``;
 * record → row → record and record → JSON → record are the identity;
 * one ballot sequence appended in-process, posted as JSON through
   ``GatewayService`` and replayed from the reopened SQLite file ends on the
@@ -24,8 +28,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.crypto.chaum_pedersen import ChaumPedersenCommit
+from repro.crypto.elgamal import ElGamalCiphertext
+from repro.crypto.encoding import JSON_FORMS, KINDS
+from repro.crypto.group import ElementEncoding
 from repro.crypto.registry import group_by_name
-from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
+from repro.crypto.schnorr import SchnorrSignature, schnorr_keygen, schnorr_sign
 from repro.errors import LedgerError
 from repro.gateway.schemas import (
     CastRequest,
@@ -45,6 +53,7 @@ from repro.ledger.records import (
     RegistrationRecord,
     RollEntry,
 )
+from repro.registration.materials import SYMBOL, EnvelopeSymbol
 
 GROUP_NAMES = ["toy", "modp-256", "ed25519"]
 FAST = settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
@@ -69,7 +78,7 @@ def records(draw, group, election_id=None):
     if kind is EnvelopeCommitmentRecord:
         return kind(element(), draw(digests), signature())
     if kind is EnvelopeUsageRecord:
-        return kind(draw(st.integers(min_value=0, max_value=2**600)), draw(digests))
+        return kind(draw(st.integers(min_value=0, max_value=group.order - 1)), draw(digests))
     return kind(element(), element(), element(), signature(), election_id or draw(names))
 
 
@@ -218,3 +227,93 @@ def test_mutated_json_decodes_to_the_record_or_a_schema_error(group_name, data):
     except SchemaError:
         return
     same_or_distinguishable(decoded, record)
+
+
+# ------------------------------------------------------- every kind, every form
+
+
+def kind_values(group):
+    """An honest value of each kind in the table, by kind name."""
+    element = exponents.map(group.power)
+    scalar = st.integers(min_value=0, max_value=group.order - 1)
+    encoding = element.map(lambda value: ElementEncoding(group, value.to_bytes()))
+    return {
+        "text": names,
+        "bytes": st.binary(min_size=1, max_size=40),  # JSON hex is never empty
+        "symbol": st.sampled_from(list(EnvelopeSymbol)),
+        "scalar": scalar,
+        "element": element,
+        "encoding": encoding,
+        "signature": st.builds(SchnorrSignature, element, scalar),
+        "encoded-signature": st.builds(SchnorrSignature, encoding, scalar),
+        "ciphertext": st.builds(ElGamalCiphertext, element, element),
+        "commit": st.builds(ChaumPedersenCommit, encoding, encoding),
+    }
+
+
+ALL_KINDS = {kind.name: kind for kind in KINDS + (SYMBOL,)}
+
+
+def hostile(data, honest):
+    """The honest form, one of its values replaced by a mutant, a same-width
+    redraw or arbitrary input of its type."""
+    if isinstance(honest, str):
+        choice = data.draw(st.sampled_from(["mutate", "spell", "any"]))
+        if choice == "any":
+            return data.draw(st.text(max_size=12))
+        mutant = mutate(data, honest.encode()).decode(errors="replace")
+        if choice == "spell":
+            mutant = data.draw(st.sampled_from([honest.upper(), " " + honest, "0" + honest, honest + "\n", mutant]))
+        return mutant
+    choice = data.draw(st.sampled_from(["mutate", "redraw", "any"]))
+    if choice == "mutate":
+        return mutate(data, honest)
+    if choice == "redraw":
+        return data.draw(st.binary(min_size=len(honest), max_size=len(honest)))
+    return data.draw(st.binary(max_size=2 * len(honest) + 2))
+
+
+def _spell(member, value):
+    return JSON_FORMS[member.json].write(value) if member.json in JSON_FORMS else value
+
+
+def _read_json(group, kind, texts):
+    values = [
+        member.read(group, JSON_FORMS[member.json].read(text) if member.json in JSON_FORMS else text)
+        for member, text in zip(kind.members, texts)
+    ]
+    return kind.join(*values) if kind.join is not None else values[0]
+
+
+def forms(group, kind):
+    """``form -> (write, read)``: a value to its list of inputs in that form, and back."""
+    return {
+        "sql": (lambda value: [kind.column(value)], lambda inputs: kind.read(group, *inputs)),
+        "printed": (lambda value: list(kind.printed(group, value)), lambda inputs: kind.read_printed(group, *inputs)),
+        "json": (
+            lambda value: [_spell(member, member.get(value)) for member in kind.members],
+            lambda inputs: _read_json(group, kind, inputs),
+        ),
+    }
+
+
+@pytest.mark.parametrize("group_name", GROUP_NAMES)
+@pytest.mark.parametrize("form", ["sql", "printed", "json"])
+@pytest.mark.parametrize("kind_name", sorted(ALL_KINDS))
+@FAST
+@given(data=st.data())
+def test_every_kind_reads_hostile_input_to_itself_or_a_value_error(group_name, form, kind_name, data):
+    group, kind = group_by_name(group_name), ALL_KINDS[kind_name]
+    write, read = forms(group, kind)[form]
+    value = data.draw(kind_values(group)[kind_name])
+    column = kind.column(value)
+    assert kind.canonical(value) == (column.encode() if kind.sql == "TEXT" else column)  # a BLOB is the hashed bytes
+    honest = write(value)
+    assert write(read(honest)) == honest
+    index = data.draw(st.integers(min_value=0, max_value=len(honest) - 1))
+    mutant = honest[:index] + [hostile(data, honest[index])] + honest[index + 1 :]
+    try:
+        decoded = read(mutant)
+    except ValueError:
+        return
+    assert write(decoded) == mutant

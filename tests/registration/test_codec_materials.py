@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.chaum_pedersen import ChaumPedersenCommit
 from repro.crypto.elgamal import ElGamal
+from repro.crypto.encoding import scalar_width
 from repro.crypto.group import ElementEncoding
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign, schnorr_verify
 from repro.errors import ProtocolError
@@ -18,7 +19,6 @@ from repro.registration.materials import (
     PaperCredential,
     Receipt,
     ResponseCode,
-    scalar_width,
 )
 
 

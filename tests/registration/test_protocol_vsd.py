@@ -31,8 +31,16 @@ class TestRegistrationWorkflow:
         assert outcome.real_activated
         assert outcome.voter.fake_credentials() == []
 
-    def test_session_reuse_across_voters(self, small_setup, traced_spans):
-        session = RegistrationSession(setup=small_setup)
+    @pytest.fixture()
+    def star_booth(self, small_setup, monkeypatch):
+        """The kiosk prints a star and the booth holds stars only, so no voter's
+        pick prints an envelope of its own.  Printed before ``traced_spans``
+        starts (it is requested first), so the trace holds the voters alone."""
+        monkeypatch.setattr(EnvelopeSymbol, "random", classmethod(lambda cls: EnvelopeSymbol.STAR))
+        return small_setup.envelope_printers[0].print_envelopes(25, symbols=[EnvelopeSymbol.STAR] * 25)
+
+    def test_session_reuse_across_voters(self, small_setup, star_booth, traced_spans):
+        session = RegistrationSession(setup=small_setup, booth_envelopes=list(star_booth))
         first = session.register(Voter("alice", num_fake_credentials=1))
         after_first = len(traced_spans())
         second = session.register(Voter("bob", num_fake_credentials=1))

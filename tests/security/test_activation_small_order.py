@@ -42,6 +42,7 @@ from repro.crypto.ed25519 import (
     ed25519_group,
 )
 from repro.crypto.elgamal import ElGamalCiphertext
+from repro.crypto.encoding import scalar_width
 from repro.crypto.group import ElementEncoding
 from repro.crypto.modp_group import modp_group_256, testing_group
 from repro.crypto.schnorr import SigningKeyPair, schnorr_challenge, schnorr_keygen, schnorr_sign, schnorr_verify
@@ -53,7 +54,6 @@ from repro.registration.materials import (
     ResponseCode,
     commit_message,
     response_message,
-    scalar_width,
 )
 from repro.registration.protocol import RegistrationSession
 from repro.registration.setup import ElectionSetup

@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.ed25519 import ed25519_group
-from repro.registration.materials import MalformedCode, scalar_width
+from repro.crypto.encoding import scalar_width
+from repro.registration.materials import MalformedCode
 from repro.registration.protocol import RegistrationSession
 from repro.registration.setup import ElectionSetup
 

@@ -8,7 +8,8 @@ breaks in an installed package.
 
 And a printed code is signed in one place: its ``signed`` constructor in
 ``registration/materials.py`` is the only code that signs a commit, check-out
-or response message.
+or response message.  Value kinds are declared, and elements decoded, only
+under ``src/repro/crypto``.
 """
 
 from __future__ import annotations
@@ -99,4 +100,21 @@ def test_no_ledger_class_mirrors_a_record_kind_in_its_method_names():
                 and method.name != "append_many"
                 and method.name not in allowed
             ]
+    assert offenders == []
+
+
+def test_values_are_decoded_and_kinds_declared_only_under_crypto():
+    """The one table of value kinds lives in ``repro.crypto.encoding``: outside
+    ``src/repro/crypto`` no code decodes an element itself (it reads through a
+    kind) and no class named ``Kind`` starts a second table."""
+    crypto = ROOT / "src" / "repro" / "crypto"
+    offenders = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if crypto in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and _called_name(node) == "element_from_bytes":
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} calls element_from_bytes")
+            elif isinstance(node, ast.ClassDef) and node.name == "Kind":
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} declares class Kind")
     assert offenders == []
