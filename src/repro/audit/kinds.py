@@ -9,9 +9,10 @@ Each kind registers:
   collapses many same-kind checks into one random-linear-combination
   product (:mod:`repro.runtime.batch`).  Folds are *complete* (every valid
   batch accepts) and *sound up to the RLC bound* (an invalid batch rejects
-  except with probability ``2^-|w|``); :func:`chunk_verdicts` bisects a
-  rejected batch down to exact per-check verdicts, so batched and eager
-  strategies report identical outcomes.
+  except with probability ``2^-|w|``);
+  :func:`~repro.runtime.batch.fold_verdicts` bisects a rejected batch down
+  to exact per-check verdicts, so batched and eager strategies report
+  identical outcomes.
 
 Foldable kinds — Schnorr signatures (ballots, registration records,
 rotation records), Chaum–Pedersen transcripts, dlog proofs, shuffle-round
@@ -29,11 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.chaum_pedersen import (
-    chaum_pedersen_verify,
-    fiat_shamir_challenge,
-    fiat_shamir_verify,
-)
+from repro.crypto.chaum_pedersen import chaum_pedersen_verify, fiat_shamir_verify, verify_decryption_share
 from repro.crypto.dlog_proof import verify_dlog
 from repro.crypto.schnorr import schnorr_verify
 from repro.crypto.tagging import (
@@ -49,7 +46,7 @@ from repro.runtime.batch import (
     batch_dlog_verify,
     batch_reencryption_verify,
     batch_schnorr_verify,
-    decryption_share_transcript,
+    fold_verdicts,
 )
 from repro.runtime.executor import Executor, chunk_evenly, resolve_executor
 
@@ -93,40 +90,16 @@ def verdict_one(check: "Check") -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation with bisection
+# Batched evaluation
 # ---------------------------------------------------------------------------
 
 
-def _bisect_verdicts(
-    kind: CheckKind, evidences: Sequence[Tuple[Any, ...]]
-) -> List[bool]:
-    """Exact per-evidence verdicts: fold fast path, bisect only on rejection.
-
-    A lone evidence folds too — its equations share one multi-exponentiation
-    where the reference predicate takes a plain power each — and a lone
-    rejection is the reference predicate's to pronounce.
-    """
-    if not evidences:
-        return []
-    assert kind.fold is not None
-    if kind.fold(evidences):
-        return [True] * len(evidences)
-    if len(evidences) == 1:
-        return [bool(kind.verify_one(*evidences[0]))]
-    middle = len(evidences) // 2
-    return _bisect_verdicts(kind, evidences[:middle]) + _bisect_verdicts(kind, evidences[middle:])
-
-
-def chunk_verdicts(kind: CheckKind, evidences: Sequence[Tuple[Any, ...]]) -> List[bool]:
-    """Per-evidence verdicts for one same-kind chunk (folded when possible)."""
-    if kind.fold is None:
-        return [bool(kind.verify_one(*evidence)) for evidence in evidences]
-    return _bisect_verdicts(kind, evidences)
-
-
 def _chunk_verdicts_named(kind_name: str, evidences: Sequence[Tuple[Any, ...]]) -> List[bool]:
-    """Chunk evaluation by kind *name* — module-level so executors can pickle it."""
-    return chunk_verdicts(get_kind(kind_name), evidences)
+    """Per-evidence verdicts for one same-kind chunk, by kind *name* (module-level
+    so executors can pickle it): the kind's fold, bisected on rejection
+    (:func:`repro.runtime.batch.fold_verdicts`)."""
+    kind = get_kind(kind_name)
+    return fold_verdicts(evidences, kind.verify_one, kind.fold)
 
 
 def evaluate_batched(
@@ -140,11 +113,11 @@ def evaluate_batched(
     ``max(⌈n/chunk_size⌉, executor.num_workers)`` contiguous chunks, so no
     worker of a cluster sits out a kind.  Every chunk of every kind goes to
     ``executor`` in one ``starmap`` — one round trip on a cluster — where
-    :func:`chunk_verdicts` folds a foldable kind's chunk into one RLC
+    :func:`_chunk_verdicts_named` folds a foldable kind's chunk into one RLC
     equation (bisecting on rejection) and runs the reference predicate on a
-    fold-less one.  Verdicts are placed back at their original plan
-    positions, so the returned results are indistinguishable from an eager
-    run's (that invariant is what the equivalence tests pin).
+    fold-less one or a lone check.  Verdicts are placed back at their
+    original plan positions, so the returned results are indistinguishable
+    from an eager run's (that invariant is what the equivalence tests pin).
     """
     from repro.audit.api import _result_for
 
@@ -185,22 +158,17 @@ def _chaum_pedersen_one(transcript, context=None) -> bool:
 
 
 def _chaum_pedersen_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
-    # Structural pass: non-interactive transcripts must carry their
-    # Fiat–Shamir challenge; then every transcript's two equations fold.
-    transcripts = []
-    for evidence in evidences:
-        transcript = evidence[0]
-        context = evidence[1] if len(evidence) > 1 else None
-        if context is not None:
-            expected = fiat_shamir_challenge(transcript.statement, transcript.commit, context)
-            if transcript.challenge != expected:
-                return False
-        transcripts.append(transcript)
-    return batch_chaum_pedersen_verify(transcripts, context=None)
+    # One fold per Fiat–Shamir context (None: an interactive transcript).
+    by_context: Dict[Optional[bytes], List[Any]] = {}
+    for transcript, *context in evidences:
+        by_context.setdefault(context[0] if context else None, []).append(transcript)
+    return all(
+        batch_chaum_pedersen_verify(transcripts, context=context) for context, transcripts in by_context.items()
+    )
 
 
 def _dlog_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
-    return batch_dlog_verify([(proof, context) for proof, context in evidences])
+    return batch_dlog_verify(list(evidences))
 
 
 def _shuffle_round_one(elgamal, public_key, sources, targets, opening) -> bool:
@@ -250,11 +218,6 @@ def _ciphertext_tag_chain_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
     return batch_chaum_pedersen_verify(transcripts, context=None)
 
 
-def _decryption_share_one(public_share, ciphertext, share) -> bool:
-    transcript = decryption_share_transcript(public_share, ciphertext, share)
-    return chaum_pedersen_verify(transcript)
-
-
 def _decryption_share_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
     return batch_decryption_share_verify(list(evidences))
 
@@ -295,6 +258,6 @@ register_kind("shuffle-coins", _shuffle_coins_one)
 register_kind("shuffle-round", _shuffle_round_one, _shuffle_round_fold)
 register_kind("tag-chain", _tag_chain_one, _tag_chain_fold)
 register_kind("ciphertext-tag-chain", _ciphertext_tag_chain_one, _ciphertext_tag_chain_fold)
-register_kind("decryption-share", _decryption_share_one, _decryption_share_fold)
+register_kind("decryption-share", verify_decryption_share, _decryption_share_fold)
 register_kind("ledger-chain", _ledger_chain_one)
 register_kind("predicate", _predicate_one)

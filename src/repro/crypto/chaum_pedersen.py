@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from repro.crypto.elgamal import hot_power
+from repro.crypto.elgamal import DecryptionShare, ElGamalCiphertext, decryption_share_challenge, hot_power
 from repro.crypto.group import ElementEncoding, Group, GroupElement
 from repro.crypto.hashing import scalar_bytes
 from repro.errors import ProtocolError
@@ -230,6 +230,35 @@ def commits_match(recomputed: ChaumPedersenCommit, printed: ChaumPedersenCommit)
         recomputed.commit_g.to_bytes() == printed.commit_g.to_bytes()
         and recomputed.commit_h.to_bytes() == printed.commit_h.to_bytes()
     )
+
+
+def decryption_share_transcript(
+    public_share: GroupElement, ciphertext: ElGamalCiphertext, share: DecryptionShare
+) -> ChaumPedersenTranscript:
+    """A decryption share's proof as a Chaum–Pedersen transcript — the one
+    statement of its equations, for the one-by-one check and the fold alike.
+
+    The share proves ``log_g(pk_i) == log_c1(share)`` with an addition-form
+    response ``r = w + e·sk``: ``g^r == commit_g · pk_i^e``, which is the
+    subtraction form ``base^r · value^{-e} == commit`` with challenge ``-e``.
+    """
+    group = public_share.group
+    challenge = decryption_share_challenge(
+        public_share, ciphertext, share.share, share.commitment_g, share.commitment_c1
+    )
+    return ChaumPedersenTranscript(
+        statement=ChaumPedersenStatement(
+            base_g=group.generator, base_h=ciphertext.c1, value_g=public_share, value_h=share.share
+        ),
+        commit=ChaumPedersenCommit(commit_g=share.commitment_g, commit_h=share.commitment_c1),
+        challenge=(-challenge) % group.order,
+        response=share.response,
+    )
+
+
+def verify_decryption_share(public_share: GroupElement, ciphertext: ElGamalCiphertext, share: DecryptionShare) -> bool:
+    """Whether one member's share ``c1^sk_i`` carries a valid proof."""
+    return chaum_pedersen_verify(decryption_share_transcript(public_share, ciphertext, share))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,24 @@ class ElGamalCiphertext:
         return hash((self.c1, self.c2))
 
 
+def decryption_share_challenge(
+    public_share: GroupElement,
+    ciphertext: ElGamalCiphertext,
+    share: GroupElement,
+    commitment_g: GroupElement,
+    commitment_c1: GroupElement,
+) -> int:
+    """The Fiat–Shamir challenge of one member's decryption-share proof."""
+    return public_share.group.hash_to_scalar(
+        b"elgamal-decryption-share",
+        public_share.to_bytes(),
+        share.to_bytes(),
+        commitment_g.to_bytes(),
+        commitment_c1.to_bytes(),
+        ciphertext.to_bytes(),
+    )
+
+
 @dataclass(frozen=True)
 class DecryptionShare:
     """One authority member's partial decryption ``c1^sk_i`` with a proof."""
@@ -213,38 +231,10 @@ class ElGamal:
             nonces, secret_shares, public_shares, powers, powers[len(nonces) :]
         ):
             commitment_g = group.power(w)
-            challenge = group.hash_to_scalar(
-                b"elgamal-decryption-share",
-                public_share.to_bytes(),
-                share.to_bytes(),
-                commitment_g.to_bytes(),
-                commitment_c1.to_bytes(),
-                ciphertext.to_bytes(),
-            )
+            challenge = decryption_share_challenge(public_share, ciphertext, share, commitment_g, commitment_c1)
             response = (w + challenge * secret_share) % group.order
             shares.append(DecryptionShare(share, commitment_g, commitment_c1, response))
         return shares
-
-    def verify_decryption_share(
-        self,
-        public_share: GroupElement,
-        ciphertext: ElGamalCiphertext,
-        share: DecryptionShare,
-    ) -> bool:
-        group = self.group
-        challenge = group.hash_to_scalar(
-            b"elgamal-decryption-share",
-            public_share.to_bytes(),
-            share.share.to_bytes(),
-            share.commitment_g.to_bytes(),
-            share.commitment_c1.to_bytes(),
-            ciphertext.to_bytes(),
-        )
-        lhs_g = group.power(share.response)
-        rhs_g = share.commitment_g * (public_share ** challenge)
-        lhs_c1 = ciphertext.c1 ** share.response
-        rhs_c1 = share.commitment_c1 * (share.share ** challenge)
-        return lhs_g == rhs_g and lhs_c1 == rhs_c1
 
     def combine_decryption_shares(
         self,
@@ -260,22 +250,18 @@ class ElGamal:
         """
         if len(public_shares) != len(shares):
             raise ValueError("mismatched share lists")
-        if verify and len(shares) > 1:
-            # Fold every member's two proof equations into one RLC product
-            # (Bellare–Garay–Rabin small exponents); only on rejection fall
-            # back to per-share checks to name the offending member.
-            from repro.runtime.batch import batch_decryption_share_verify
+        if verify:
+            # Every member's proof equations fold into one RLC product
+            # (Bellare–Garay–Rabin small exponents), bisected only on
+            # rejection to name the offending member.
+            from repro.crypto.chaum_pedersen import verify_decryption_share
+            from repro.runtime.batch import batch_decryption_share_verify, fold_verdicts
 
             items = [(public_share, ciphertext, share) for public_share, share in zip(public_shares, shares)]
-            if not batch_decryption_share_verify(items):
-                for public_share, share in zip(public_shares, shares):
-                    if not self.verify_decryption_share(public_share, ciphertext, share):
-                        raise VerificationError("invalid decryption share")
-                raise VerificationError("decryption share batch check failed")
-            verify = False
+            verdicts = fold_verdicts(items, verify_decryption_share, batch_decryption_share_verify)
+            if not all(verdicts):
+                raise VerificationError(f"invalid decryption share from member {verdicts.index(False)}")
         factor = self.group.identity
-        for public_share, share in zip(public_shares, shares):
-            if verify and not self.verify_decryption_share(public_share, ciphertext, share):
-                raise VerificationError("invalid decryption share")
+        for share in shares:
             factor = factor * share.share
         return ciphertext.c2 * factor.inverse()

@@ -92,6 +92,18 @@ def _element(group: Group, data: Any) -> GroupElement:
         raise ValueError("not a valid group element") from None
 
 
+def utf8_text(value: Any) -> str:
+    """``value`` if it is a str UTF-8 can spell: one holding a lone surrogate
+    could be stored, but never hashed, signed or printed."""
+    text = _typed(str, None, value)
+    if not text.isascii():  # O(1): the common identifier skips the encode
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("not UTF-8 text: it holds a lone surrogate") from None
+    return text
+
+
 def _encoding(group: Group, data: Any) -> ElementEncoding:
     return ElementEncoding(group, _typed(bytes, group, data))
 
@@ -142,7 +154,7 @@ def textual(name: str, to_text: Callable[[Any], str], from_text: Callable[[str],
     encode: Callable[[Any], bytes] = str.encode if to_text is _same else lambda value: to_text(value).encode()
 
     def read(group: Optional[Group], value: Any) -> Any:
-        return from_text(_typed(str, group, value))
+        return from_text(utf8_text(value))
 
     def read_printed(group: Optional[Group], data: bytes) -> Any:
         return from_text(data.decode("utf-8"))

@@ -251,10 +251,10 @@ def tag_chain_transcripts(
     challenges already confirmed against the hash) iff every structural check
     passes — step linkage, statement bases, commitment bindings, chain
     endpoint — otherwise ``None``.  The remaining work is exactly the two
-    group equations per transcript, which the eager verifier checks
-    one-by-one and :func:`repro.runtime.batch.batch_chaum_pedersen_verify`
-    folds into one random-linear-combination product for whole batches of
-    tag chains.
+    group equations per transcript: the eager verifier checks them
+    one-by-one, and :func:`repro.runtime.batch.batch_chaum_pedersen_verify`
+    states them for the one random-linear-combination fold, over whole
+    batches of tag chains.
     """
     current = original
     transcripts: List[ChaumPedersenTranscript] = []

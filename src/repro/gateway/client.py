@@ -45,7 +45,6 @@ from repro.gateway.schemas import (
     RegisterResponse,
     Schema,
     TallyResponse,
-    ballot_to_wire,
 )
 from repro.voting.ballot import make_ballot
 
@@ -317,7 +316,7 @@ class CastingSession:
             info.num_options,
             election_id=self.election_id,
         )
-        return ballot_to_wire(ballot.to_record())
+        return BallotWire.from_record(ballot.to_record())
 
     def cast(
         self, votes: List[Tuple[CredentialWire, int]]

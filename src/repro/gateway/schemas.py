@@ -41,7 +41,7 @@ import json
 from dataclasses import MISSING, Field, dataclass, field, replace
 from typing import Any, Callable, ClassVar, Dict, FrozenSet, List, Optional, Tuple, Type, TypeVar, Union
 
-from repro.crypto.encoding import JSON_FORMS, Kind
+from repro.crypto.encoding import JSON_FORMS, Kind, utf8_text
 from repro.crypto.group import Group
 from repro.errors import GatewayError
 from repro.ledger.records import BallotRecord, MalformedField, Record, fields_getter
@@ -249,7 +249,10 @@ def _decode_string(spec: FieldSpec, value: Any, path: str, errors: Dict[str, str
     elif len(value) > spec.max_length:
         errors[path] = f"longer than {spec.max_length} characters"
     else:
-        return value
+        try:
+            return utf8_text(value)
+        except ValueError as refusal:
+            errors[path] = str(refusal)
     return None
 
 
@@ -571,24 +574,6 @@ class AuditStreamEvent(Schema):
     report: Optional[AuditReportWire] = wire(
         "schema", "present on audit-report events", item=AuditReportWire, required=False
     )
-
-
-# ---------------------------------------------------------------------------
-# Domain conversions (wire <-> ledger records)
-# ---------------------------------------------------------------------------
-
-
-def ballot_to_wire(record: BallotRecord) -> BallotWire:
-    """Encode a ledger ballot record for the wire (lossless)."""
-    return BallotWire.from_record(record)
-
-
-def ballot_from_wire(group: Group, wire: BallotWire, path: str = "ballot") -> BallotRecord:
-    """Decode a wire ballot into a ledger record over ``group`` (strict:
-    see :meth:`Schema.to_record`)."""
-    record = wire.to_record(group, path)
-    assert isinstance(record, BallotRecord)
-    return record
 
 
 def schema_catalog() -> Dict[str, Type[Schema]]:

@@ -32,7 +32,7 @@ import asyncio
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, cast as narrowed
 
 from repro import telemetry
 from repro.crypto.registry import group_by_name
@@ -52,7 +52,6 @@ from repro.gateway.schemas import (
     RegisterResponse,
     SchemaError,
     TallyResponse,
-    ballot_from_wire,
 )
 from repro.ledger.backends.memory import AsyncIngestionFrontend
 from repro.ledger.records import BallotRecord, RegistrationRecord, RollEntry
@@ -155,7 +154,7 @@ class ElectionTenant:
                 f"election {self.election_id!r} is {self.status}; casting requires open"
             )
         records = [
-            ballot_from_wire(self.setup.group, wire, path=f"ballots[{index}]")
+            narrowed(BallotRecord, wire.to_record(self.setup.group, path=f"ballots[{index}]"))
             for index, wire in enumerate(request.ballots)
         ]
         for index, record in enumerate(records):

@@ -122,6 +122,14 @@ class SQLiteBackend(MemoryBackend):
 
     # ------------------------------------------------------------- writes
 
+    def _validate(self, records: Sequence[Record]) -> None:
+        """Also refuse a record whose scalars the reopen would refuse: the
+        store holds the group, so a scalar costs one comparison here."""
+        if self._group is not None:
+            for record in records:
+                record.check_scalars(self._group)
+        super()._validate(records)
+
     def _persist(self, pending: Sequence[Pending]) -> None:
         """Write a flush's appends as rows, in commit order, in one transaction;
         replayed appends are already there.  On any error the transaction is

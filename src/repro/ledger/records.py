@@ -120,6 +120,7 @@ class _Codec(NamedTuple):
     part_names: Tuple[str, ...]
     part_readers: Tuple[Reader, ...]
     joins: Tuple[Tuple[Callable[..., Any], int, int], ...]  # last first, so slices stay valid
+    scalars: Tuple[Tuple[str, Callable[[Any], Any], Reader], ...]  # (part name, record -> scalar, its rule)
 
 
 def _read(
@@ -194,6 +195,12 @@ class Record:
             part_names=tuple(name for name, _, _ in parts),
             part_readers=tuple(member.read for _, _, member in parts),
             joins=tuple(joins),
+            scalars=tuple(
+                (name + member.suffix, lambda record, of=attrgetter(name), get=member.get: get(of(record)), member.read)
+                for name, kind, _ in declared
+                for member in kind.members
+                if member.json == "scalar"
+            ),
         )
         RECORD_TYPES.append(cls)
 
@@ -214,6 +221,15 @@ class Record:
         codec = cls._codec
         build: Callable[..., R] = cls  # each @dataclass subclass takes its fields in order
         return build(*_read(cls.TABLE, codec.row_names, codec.row_readers, group, row))
+
+    def check_scalars(self, group: Group) -> None:
+        """Refuse (:class:`LedgerError`) a scalar outside ``0 <= x < q``: the
+        rule every reader applies, without decoding anything else."""
+        for name, get, rule in self._codec.scalars:
+            try:
+                rule(group, get(self))
+            except ValueError as refusal:
+                raise LedgerError(f"{self.TABLE}: {name}: {refusal}") from None
 
     def to_wire(self) -> Tuple[Any, ...]:
         """The wire values (bytes / int / str), in :attr:`WIRE` order."""

@@ -20,8 +20,9 @@ or byte is a figure's model, not the protocol's.
 from __future__ import annotations
 
 import base64
+import binascii
 from dataclasses import dataclass
-from typing import Union
+from typing import Type, TypeVar
 
 from repro import telemetry
 from repro.crypto.hashing import sha256
@@ -44,51 +45,50 @@ def qr_version_for(payload_length: int) -> int:
     raise ProtocolError(f"payload of {payload_length} bytes exceeds supported QR capacity")
 
 
-def _frame(payload: bytes) -> bytes:
-    """Encode payload with a 4-byte checksum, as the wire representation."""
-    return base64.b64encode(sha256(payload)[:4] + payload)
-
-
-def _unframe(data: bytes) -> bytes:
-    raw = base64.b64decode(data, validate=True)
-    checksum, payload = raw[:4], raw[4:]
-    if sha256(payload)[:4] != checksum:
-        raise ProtocolError("QR payload checksum mismatch (scan error or tampering)")
-    return payload
+C = TypeVar("C", bound="Code")
 
 
 @dataclass(frozen=True)
-class QRCode:
-    """A QR code carrying an opaque binary payload."""
+class Code:
+    """A printed code: an opaque binary payload, framed on the wire as base64
+    of a 4-byte checksum and the payload."""
 
     payload: bytes
     label: str = ""
 
     @property
-    def version(self) -> int:
-        return qr_version_for(len(self.payload))
-
-    @property
     def encoded(self) -> bytes:
         """The framed wire bytes actually transferred by a scanner."""
-        return _frame(self.payload)
+        return base64.b64encode(sha256(self.payload)[:4] + self.payload)
 
     @property
     def wire_length(self) -> int:
         return len(self.encoded)
 
     @classmethod
-    def decode(cls, encoded: bytes, label: str = "") -> "QRCode":
-        """Reconstruct a QR code from scanned wire bytes (checksum-verified)."""
-        return cls(payload=_unframe(encoded), label=label)
+    def decode(cls: Type[C], encoded: bytes, label: str = "") -> C:
+        """Reconstruct a code from scanned wire bytes (checksum-verified)."""
+        try:
+            raw = base64.b64decode(encoded, validate=True)
+        except binascii.Error:
+            raise ProtocolError("code framing is not base64 (scan error or tampering)") from None
+        checksum, payload = raw[:4], raw[4:]
+        if sha256(payload)[:4] != checksum:
+            raise ProtocolError("QR payload checksum mismatch (scan error or tampering)")
+        return cls(payload=payload, label=label)
+
+
+class QRCode(Code):
+    """A QR code; its version is the smallest that holds the payload."""
+
+    @property
+    def version(self) -> int:
+        return qr_version_for(len(self.payload))
 
 
 @dataclass(frozen=True)
-class Barcode:
+class Barcode(Code):
     """A 1-D barcode (check-in tickets); much smaller capacity than a QR code."""
-
-    payload: bytes
-    label: str = ""
 
     def __post_init__(self) -> None:
         if len(self.payload) > _MAX_BARCODE_BYTES:
@@ -96,21 +96,6 @@ class Barcode:
                 f"barcode payload of {len(self.payload)} bytes exceeds the "
                 f"{_MAX_BARCODE_BYTES}-byte capacity; use a QR code instead"
             )
-
-    @property
-    def encoded(self) -> bytes:
-        return _frame(self.payload)
-
-    @property
-    def wire_length(self) -> int:
-        return len(self.encoded)
-
-    @classmethod
-    def decode(cls, encoded: bytes, label: str = "") -> "Barcode":
-        return cls(payload=_unframe(encoded), label=label)
-
-
-Code = Union[QRCode, Barcode]
 
 
 def scan(code: Code) -> Code:

@@ -225,10 +225,10 @@ def round_mapping_items(
     """Structural half of one opening check: permutation + shapes.
 
     Returns the flat ``(source, target, randomness)`` re-encryption items the
-    opening claims — ready for :func:`repro.runtime.batch.
-    batch_reencryption_verify`, which can fold items from *many* openings
-    into one product — or ``None`` when the opening is structurally invalid
-    (bad permutation, mismatched lengths).
+    opening claims — two equations each for :func:`repro.runtime.batch.
+    batch_reencryption_verify`, which folds items from *many* openings into
+    one product — or ``None`` when the opening is structurally invalid (bad
+    permutation, mismatched lengths).
     """
     if sorted(opening.permutation) != list(range(len(sources))):
         return None

@@ -9,7 +9,7 @@ import pytest
 
 from repro.gateway.client import GatewayClient, GatewayClientError, RateLimited
 from repro.gateway.governor import GovernorConfig
-from repro.gateway.schemas import ballot_from_wire, ballot_to_wire
+from repro.gateway.schemas import BallotWire
 from repro.gateway.service import ServiceConfig
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import BallotRecord
@@ -152,7 +152,7 @@ def test_concurrent_http_casts_match_in_process_chain(make_gateway, group, batch
     records = http_board.read(BallotRecord, key="identity").records
     assert sorted(receipts.values()) == list(range(12))
     for index, seq in receipts.items():
-        assert records[seq] == ballot_from_wire(group, wires[index])
+        assert records[seq] == wires[index].to_record(group, "ballot")
 
     # Replay the HTTP-cast records, in ledger order, through a fresh
     # in-process board: the chains must match byte for byte.
@@ -166,7 +166,7 @@ def test_concurrent_http_casts_match_in_process_chain(make_gateway, group, batch
     # And the wire encoding itself is lossless: decode(encode(record)) is
     # the identical record, so the wire hop cannot have changed payloads.
     for record in records:
-        assert ballot_from_wire(group, ballot_to_wire(record)) == record
+        assert BallotWire.from_record(record).to_record(group, "ballot") == record
     client.close()
 
 

@@ -22,8 +22,6 @@ from repro.gateway.schemas import (
     RegisterResponse,
     SchemaError,
     TallyResponse,
-    ballot_from_wire,
-    ballot_to_wire,
     schema_catalog,
     schema_markdown,
 )
@@ -34,7 +32,7 @@ def wire_ballot(group, election_id="default", choice=1):
     dkg_key = schnorr_keygen(group)
     credential = schnorr_keygen(group)
     ballot = make_ballot(group, dkg_key.public, credential, choice, 2, election_id=election_id)
-    return ballot_to_wire(ballot.to_record())
+    return BallotWire.from_record(ballot.to_record())
 
 
 # ------------------------------------------------------------------ round trips
@@ -82,8 +80,8 @@ def test_ballot_wire_round_trip(group):
     wire = wire_ballot(group)
     decoded = BallotWire.from_json(wire.to_json())
     assert decoded == wire
-    record = ballot_from_wire(group, decoded)
-    assert ballot_to_wire(record) == wire
+    record = decoded.to_record(group, "ballot")
+    assert BallotWire.from_record(record) == wire
 
 
 def test_register_response_nested_round_trip():
@@ -219,7 +217,7 @@ def test_rejects_corrupt_group_element_bytes(group):
         election_id=wire.election_id,
     )
     with pytest.raises(SchemaError) as excinfo:
-        ballot_from_wire(group, corrupt, path="ballots[3]")
+        corrupt.to_record(group, path="ballots[3]")
     assert "ballots[3].credential_public_key" in excinfo.value.field_errors
 
 

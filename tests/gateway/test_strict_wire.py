@@ -22,7 +22,7 @@ from repro.crypto.registry import group_by_name
 from repro.crypto.schnorr import schnorr_keygen
 from repro.errors import ProtocolError
 from repro.gateway.client import CastingSession, GatewayClient
-from repro.gateway.schemas import BallotWire, CastRequest, CredentialWire, ElectionInfo, SchemaError, ballot_from_wire
+from repro.gateway.schemas import BallotWire, CastRequest, CredentialWire, ElectionInfo, SchemaError
 
 
 @pytest.fixture()
@@ -128,7 +128,7 @@ def test_ballot_from_wire_names_path_and_member(election, group):
         ("ciphertext_c2", wire.ciphertext_c2 + b"\x00"),
     ]:
         with pytest.raises(SchemaError) as excinfo:
-            ballot_from_wire(group, BallotWire(**dict(values, **{member: bad})), path="ballots[7]")
+            BallotWire(**dict(values, **{member: bad})).to_record(group, path="ballots[7]")
         assert list(excinfo.value.field_errors) == [f"ballots[7].{member}"]
 
 
@@ -219,3 +219,25 @@ def test_the_sdk_reads_keys_from_the_server_strictly(group_name, member, rewrite
     with pytest.raises(SchemaError) as refused:
         ballot()
     assert list(refused.value.field_errors) == [member]
+
+
+def test_an_election_id_holding_a_lone_surrogate_is_a_400_naming_it(gateway):
+    """JSON can spell ``"e\\ud800"``, UTF-8 cannot: no ballot of such a tenant
+    could be signed, so the tenant is never made."""
+    connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
+    try:
+        connection.request(
+            "POST",
+            "/v1/elections",
+            body=json.dumps({"election_id": "e\ud800", "num_voters": 2, "num_options": 2}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        body = json.loads(response.read())
+        assert response.status == 400
+        assert list(body["field_errors"]) == ["election_id"]
+        assert "surrogate" in body["field_errors"]["election_id"]
+        assert "e\ud800" not in gateway.service.tenants
+        assert_connection_still_serves(connection)
+    finally:
+        connection.close()

@@ -221,3 +221,20 @@ class TestSQLitePersistence:
         connection.close()
         with pytest.raises(LedgerError, match=r"table envelope_usages, commit_seq 0: challenge: .*< q"):
             SQLiteBackend(str(path), group=group)
+
+    def test_a_challenge_not_below_q_is_refused_at_append_and_the_file_reopens(self, group, keypair, tmp_path):
+        """The append is refused before it is indexed, so the store and its
+        file stay as they were: the file closes and reopens with the same heads."""
+        path = str(tmp_path / "board.db")
+        board = BulletinBoard(SQLiteBackend(path, group=group))
+        board.append(make_ballot(group, keypair, 0))
+        heads = (board.registration_log.head(), board.envelope_log.head(), board.ballot_log.head())
+        forged = EnvelopeUsageRecord(challenge=group.order + 7, challenge_hash=sha256(b"challenge"))
+        with pytest.raises(LedgerError, match=r"envelope_usages: challenge: .*< q"):
+            board.append(forged)
+        assert board.store.count(EnvelopeUsageRecord) == 0
+        board.close()
+        reopened = BulletinBoard(SQLiteBackend(path, group=group))
+        assert (reopened.registration_log.head(), reopened.envelope_log.head(), reopened.ballot_log.head()) == heads
+        reopened.append(EnvelopeUsageRecord(challenge=7, challenge_hash=forged.challenge_hash))
+        reopened.close()

@@ -36,12 +36,12 @@ from repro.crypto.registry import group_by_name
 from repro.crypto.schnorr import SchnorrSignature, schnorr_keygen, schnorr_sign
 from repro.errors import LedgerError
 from repro.gateway.schemas import (
+    BallotWire,
     CastRequest,
     CreateElectionRequest,
     RecordSchema,
     RegisterRequest,
     SchemaError,
-    ballot_to_wire,
 )
 from repro.gateway.service import GatewayService, ServiceConfig
 from repro.ledger import BulletinBoard, MemoryBackend, SQLiteBackend
@@ -148,7 +148,7 @@ def test_in_process_gateway_and_reopened_sqlite_agree_on_every_head(group_name, 
     ballots = data.draw(st.lists(records(group, election_id="prop"), min_size=1, max_size=6))
     split = data.draw(st.integers(min_value=0, max_value=len(ballots)))
     bodies = [
-        CastRequest(ballots=[ballot_to_wire(ballot) for ballot in batch]).to_json()
+        CastRequest(ballots=[BallotWire.from_record(ballot) for ballot in batch]).to_json()
         for batch in (ballots[:split], ballots[split:])
         if batch
     ]
@@ -317,3 +317,13 @@ def test_every_kind_reads_hostile_input_to_itself_or_a_value_error(group_name, f
     except ValueError:
         return
     assert write(decoded) == mutant
+
+
+def test_the_text_kind_refuses_a_lone_surrogate_in_sql_and_json():
+    """UTF-8 cannot spell a lone surrogate: such text could be stored, but
+    never hashed, signed or printed, so neither reader lets it in."""
+    text = ALL_KINDS["text"]
+    for read in (text.read, text.members[0].read):
+        with pytest.raises(ValueError, match="surrogate"):
+            read(None, "e\ud800")
+        assert read(None, "é\U0001f5f3") == "é\U0001f5f3"

@@ -55,6 +55,13 @@ class TestBarcode:
             Barcode.decode(bytes(corrupted))
 
 
+class TestFraming:
+    @pytest.mark.parametrize("kind", [QRCode, Barcode])
+    def test_wire_bytes_that_are_not_base64_are_a_protocol_error(self, kind):
+        with pytest.raises(ProtocolError, match="not base64"):
+            kind.decode(b"!!")
+
+
 class TestScanAndPrint:
     def test_scan_round_trips_a_qr_code_and_a_barcode(self):
         assert scan(QRCode(payload=b"payload")).payload == b"payload"

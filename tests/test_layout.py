@@ -9,7 +9,8 @@ breaks in an installed package.
 And a printed code is signed in one place: its ``signed`` constructor in
 ``registration/materials.py`` is the only code that signs a commit, check-out
 or response message.  Value kinds are declared, and elements decoded, only
-under ``src/repro/crypto``.
+under ``src/repro/crypto``; and the runtime and the crypto never import the
+audit.
 """
 
 from __future__ import annotations
@@ -117,4 +118,18 @@ def test_values_are_decoded_and_kinds_declared_only_under_crypto():
                 offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} calls element_from_bytes")
             elif isinstance(node, ast.ClassDef) and node.name == "Kind":
                 offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} declares class Kind")
+    assert offenders == []
+
+
+def test_the_runtime_and_crypto_do_not_import_the_audit():
+    """The audit sits on the batch folds, not under them: the fold-then-bisect
+    lives in ``repro.runtime.batch``, so nothing under ``src/repro/runtime``
+    or ``src/repro/crypto`` imports ``repro.audit``, not even inside a function."""
+    offenders = [
+        f"{path.relative_to(ROOT)}:{lineno} imports {module}"
+        for package in ("runtime", "crypto")
+        for path in sorted((ROOT / "src" / "repro" / package).rglob("*.py"))
+        for lineno, module in _imported_modules(path)
+        if module == "repro.audit" or module.startswith("repro.audit.")
+    ]
     assert offenders == []
