@@ -72,6 +72,10 @@ class VotingSystemBaseline(abc.ABC):
         self.num_options = num_options
         self.elgamal = ElGamal(group)
         self._model_cache: Dict[tuple, CostModel] = {}
+        #: Exponentiations charged by the kernels so far (an ElGamal
+        #: encryption is charged as its two): a count that does not move
+        #: with the host's load, unlike the phase timings.
+        self.exps_charged = 0
 
     # ----------------------------------------------------------------- kernels
 
@@ -158,10 +162,12 @@ class VotingSystemBaseline(abc.ABC):
 
     def _exp(self, count: int = 1) -> None:
         """Perform ``count`` modular exponentiations (the dominant cost unit)."""
+        self.exps_charged += count
         for _ in range(count):
             self.group.power(self.group.random_scalar())
 
     def _encrypt(self, count: int = 1) -> None:
+        self.exps_charged += 2 * count
         for _ in range(count):
             self.elgamal.encrypt(self._public_key(), self.group.generator)
 

@@ -115,7 +115,7 @@ def render_tiles(
         [
             tile("repro_gateway_casts_total", "casts"),
             tile("repro_gateway_shed_total", "shed"),
-            tile("repro_gateway_ws_events_total", "ws events"),
+            tile("repro_gateway_stream_events_total", "stream events"),
             f"queue {queue:,.0f} (high {queue_high:,.0f})",
             f"req p50 {p50} p99 {p99}",
             f"audits {audits:,.0f} ({checks:,.0f} checks)",

@@ -578,12 +578,7 @@ class ClusterCoordinator:
                 return
             dead: List[_Worker] = []
             for worker, task in assignments:
-                # The optional trailing traceparent keeps the frame layout
-                # backward compatible: workers accept 4- or 5-element tasks.
-                if task.trace:
-                    frame = Frame(FrameKind.TASK, (task.key, *task.payload, task.trace))
-                else:
-                    frame = Frame(FrameKind.TASK, (task.key, *task.payload))
+                frame = Frame(FrameKind.TASK, (task.key, *task.payload, task.trace))
                 try:
                     # Leaf lock: held only for this one frame write, taken
                     # after every coordinator lock is released, and nothing

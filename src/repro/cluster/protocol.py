@@ -64,20 +64,12 @@ class FrameKind(enum.IntEnum):
     CHALLENGE = 1  # coordinator → worker: enrollment nonce + version
     HELLO = 2      # worker → coordinator: identity, nonce, MACed challenge
     WELCOME = 3    # coordinator → worker: enrollment accepted (+ MACed worker nonce)
-    TASK = 4       # coordinator → worker: one work item (see TASK_TRACE_INDEX)
+    TASK = 4       # coordinator → worker: (key, mode, fn, data, traceparent or "")
     RESULT = 5     # worker → coordinator: a task's return value
     ERROR = 6      # either direction: a task failure or a handshake reject
     HEARTBEAT = 7  # worker → coordinator: liveness (also the ready signal)
     SHUTDOWN = 8   # coordinator → worker: drain and exit
     WARM = 9       # coordinator → worker: post-auth precompute warm work
-
-
-#: A ``TASK`` payload is ``(key, mode, fn, data)`` with one optional trailing
-#: element at this index: the dispatching call's W3C-style traceparent string
-#: (:func:`repro.telemetry.format_traceparent`).  Workers must accept both
-#: lengths — the field is optional, and a tracing coordinator interoperates
-#: with workers that ignore it.
-TASK_TRACE_INDEX = 4
 
 
 @dataclass(frozen=True)

@@ -198,12 +198,11 @@ class WorkerDaemon:
         while not self._stop.is_set():
             frame = recv_frame(sock, self.codec)
             if frame.kind is FrameKind.TASK:
-                key, mode, fn, data = frame.payload[:4]
-                # Optional trailing element: the dispatching call's encoded
-                # traceparent.  Attaching it parents this task's spans under
-                # the coordinator-side dispatch span, so the events we
+                key, mode, fn, data, carrier = frame.payload
+                # The carrier is the dispatching call's encoded traceparent
+                # ("" when untraced).  Attaching it parents this task's spans
+                # under the coordinator-side dispatch span, so the events we
                 # piggyback on RESULT frames land in the originating trace.
-                carrier = frame.payload[4] if len(frame.payload) > 4 else ""
                 context = telemetry.parse_traceparent(carrier) if carrier else None
                 token = telemetry.attach(context) if context is not None else None
                 try:

@@ -3,8 +3,8 @@
 One method per route, returning the same frozen schema dataclasses the
 server serializes — the SDK and the server literally share
 :mod:`repro.gateway.schemas`, so they cannot drift apart.  Transport is
-stdlib ``http.client`` (one keep-alive connection per client), and the audit
-stream uses a hand-rolled RFC 6455 client handshake over a plain socket.
+stdlib ``http.client``: one keep-alive connection per client, plus one more
+per audit stream, whose server-sent events it reads line by line.
 
 :class:`CastingSession` closes the loop for end-to-end tests and demos: it
 pulls :class:`~repro.gateway.schemas.ElectionInfo`, rebuilds the election
@@ -16,12 +16,9 @@ everything a voter's device needs.
 
 from __future__ import annotations
 
-import base64
 import http.client
-import secrets
-import socket
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar
+from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar, cast as narrowed
 
 from repro import telemetry
 from repro.crypto.encoding import ELEMENT, SCALAR
@@ -29,7 +26,7 @@ from repro.crypto.group import Group
 from repro.crypto.registry import group_by_name
 from repro.crypto.schnorr import SigningKeyPair
 from repro.errors import GatewayError
-from repro.gateway.http import WS_CLOSE, WS_TEXT, SyncWsReader, websocket_accept_value
+from repro.gateway.http import MAX_BODY_BYTES
 from repro.gateway.schemas import (
     AuditReportWire,
     AuditStreamEvent,
@@ -72,6 +69,16 @@ class RateLimited(GatewayClientError):
         return float(self.body.retry_after_seconds or 0.0)
 
 
+def _raise_for_status(status: int, payload: bytes) -> None:
+    """Raise the :class:`GatewayClientError` a status of 400 or more stands for."""
+    if status >= 400:
+        error_body = ErrorBody.from_json(payload)
+        assert isinstance(error_body, ErrorBody)
+        if status in (429, 503):
+            raise RateLimited(status, error_body)
+        raise GatewayClientError(status, error_body)
+
+
 @dataclass
 class GatewayClient:
     """Synchronous SDK over one keep-alive connection."""
@@ -103,20 +110,10 @@ class GatewayClient:
             self._connection = http.client.HTTPConnection(
                 self.host, self.port, timeout=self.timeout
             )
-        headers = {"Content-Type": "application/json"}
-        if self.client_id:
-            headers["X-Client-Id"] = self.client_id
         encoded = body.to_json().encode() if body is not None else b""
-        # The SDK is the head of the distributed trace: the span below mints
-        # (or extends) the trace context and its traceparent rides the
-        # request, so server-side spans parent under this client call.  When
-        # telemetry is off the span is a no-op and no header is sent.
         with telemetry.span("gateway.client.request", method=method, path=path):
-            context = telemetry.current_context()
-            if context is not None:
-                headers[telemetry.TRACEPARENT_HEADER] = context.to_traceparent()
             try:
-                self._connection.request(method, path, body=encoded, headers=headers)
+                self._connection.request(method, path, body=encoded, headers=self._headers())
                 response = self._connection.getresponse()
                 payload = response.read()
                 status = response.status
@@ -128,13 +125,24 @@ class GatewayClient:
                 raise GatewayError(
                     f"connection to {self.host}:{self.port} failed"
                 ) from None
-        if status >= 400:
-            error_body = ErrorBody.from_json(payload)
-            assert isinstance(error_body, ErrorBody)
-            if status in (429, 503):
-                raise RateLimited(status, error_body)
-            raise GatewayClientError(status, error_body)
+        _raise_for_status(status, payload)
         return status, payload
+
+    def _headers(self) -> Dict[str, str]:
+        """The headers of every request: content type, client id, traceparent.
+
+        The SDK is the head of the distributed trace: called inside the
+        ``gateway.client.request`` span, the traceparent it adds makes the
+        server-side spans parent under this client call.  When telemetry is
+        off the span is a no-op and no traceparent is sent.
+        """
+        headers = {"Content-Type": "application/json"}
+        if self.client_id:
+            headers["X-Client-Id"] = self.client_id
+        context = telemetry.current_context()
+        if context is not None:
+            headers[telemetry.TRACEPARENT_HEADER] = context.to_traceparent()
+        return headers
 
     def close(self) -> None:
         if self._connection is not None:
@@ -206,53 +214,37 @@ class GatewayClient:
     # ------------------------------------------------------------ audit stream
 
     def audit_stream(self, election_id: str) -> Iterator[AuditStreamEvent]:
-        """Subscribe to the WebSocket audit stream; yields decoded events.
+        """Subscribe to the audit stream's server-sent events; yields them decoded.
 
-        Iteration ends when the server closes the stream (drain) or the
-        generator is closed by the caller.
+        The stream has a connection of its own, as the keep-alive one stays
+        free for requests.  Iteration ends when the server ends the stream
+        (drain) or the caller closes the generator; a line longer than
+        :data:`~repro.gateway.http.MAX_BODY_BYTES`, or a ``data:`` line that
+        is not an :class:`AuditStreamEvent`, is a :class:`GatewayError`.
         """
-        key = base64.b64encode(secrets.token_bytes(16)).decode("ascii")
         path = f"/v1/elections/{election_id}/audit/stream"
-        raw = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        response: Optional[http.client.HTTPResponse] = None
         try:
-            handshake = (
-                f"GET {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Key: {key}\r\n"
-                "Sec-WebSocket-Version: 13\r\n"
-                "\r\n"
-            )
-            raw.sendall(handshake.encode("ascii"))
-            stream = raw.makefile("rb")
-            status_line = stream.readline()
-            if b"101" not in status_line.split(b" ", 2)[1:2]:
-                raise GatewayError(
-                    f"websocket handshake rejected: {status_line.decode('latin-1').strip()}"
-                )
-            accept_header = ""
-            while True:
-                line = stream.readline()
-                if line in (b"\r\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "sec-websocket-accept":
-                    accept_header = value.strip()
-            if accept_header != websocket_accept_value(key):
-                raise GatewayError("websocket handshake returned a bad accept key")
-            reader = SyncWsReader(stream)
-            while True:
-                frame = reader.read_frame()
-                if frame is None or frame.opcode == WS_CLOSE:
-                    return
-                if frame.opcode != WS_TEXT:
-                    continue
-                event = AuditStreamEvent.from_json(frame.payload)
-                assert isinstance(event, AuditStreamEvent)
-                yield event
+            with telemetry.span("gateway.client.request", method="GET", path=path):
+                connection.request("GET", path, headers=self._headers())
+                response = connection.getresponse()
+            if response.status != 200:
+                _raise_for_status(response.status, response.read(MAX_BODY_BYTES))
+                raise GatewayError(f"audit stream answered HTTP {response.status}")
+            while line := response.readline(MAX_BODY_BYTES + 1):
+                if not line.endswith(b"\n"):
+                    raise GatewayError(
+                        f"audit stream line cut off or longer than {MAX_BODY_BYTES} bytes"
+                    )
+                if line.startswith(b"data:"):
+                    yield narrowed(AuditStreamEvent, AuditStreamEvent.from_json(line[5:]))
+        except (http.client.HTTPException, OSError):
+            raise GatewayError(f"audit stream from {self.host}:{self.port} failed") from None
         finally:
-            raw.close()
+            if response is not None:
+                response.close()
+            connection.close()
 
 
 @dataclass

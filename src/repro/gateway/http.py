@@ -1,23 +1,19 @@
-"""Minimal HTTP/1.1 + WebSocket wire plumbing over asyncio streams.
+"""Minimal HTTP/1.1 wire plumbing over asyncio streams.
 
-Deliberately dependency-free (``asyncio.start_server`` + stdlib hashing):
-the reproduction must not grow hard dependencies, and the gateway needs only
-a small, strict subset of HTTP — JSON request/response bodies with
-``Content-Length``, keep-alive, and the RFC 6455 WebSocket handshake +
-framing for the audit stream.  Limits are enforced while *reading* (header
-and body caps), so an oversized request costs the configured maximum, not
-whatever the client felt like sending.
+Deliberately dependency-free (``asyncio.start_server``): the reproduction
+must not grow hard dependencies, and the gateway needs only a small, strict
+subset of HTTP — JSON request/response bodies with ``Content-Length``,
+keep-alive, and one ``text/event-stream`` response (the audit stream) whose
+body runs until the connection closes.  Limits are enforced while *reading*
+(header and body caps), so an oversized request costs the configured
+maximum, not whatever the client felt like sending.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
-import secrets
-import struct
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.errors import GatewayError
@@ -26,15 +22,6 @@ from repro.errors import GatewayError
 MAX_HEADER_LINE = 8 * 1024
 MAX_HEADER_COUNT = 64
 MAX_BODY_BYTES = 4 * 1024 * 1024
-
-#: RFC 6455 magic GUID for the Sec-WebSocket-Accept digest.
-WEBSOCKET_GUID = b"258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
-
-#: WebSocket opcodes (the subset the audit stream uses).
-WS_TEXT = 0x1
-WS_CLOSE = 0x8
-WS_PING = 0x9
-WS_PONG = 0xA
 
 STATUS_PHRASES: Dict[int, str] = {
     200: "OK",
@@ -68,13 +55,6 @@ class Request:
 
     def header(self, name: str, default: str = "") -> str:
         return self.headers.get(name.lower(), default)
-
-    @property
-    def wants_websocket(self) -> bool:
-        return (
-            "websocket" in self.header("upgrade").lower()
-            and "upgrade" in self.header("connection").lower()
-        )
 
     @property
     def keep_alive(self) -> bool:
@@ -164,157 +144,25 @@ async def read_request(reader: asyncio.StreamReader, peer: str = "") -> Optional
 
 def render_response(
     status: int,
-    body: bytes,
+    body: Optional[bytes],
     content_type: str = "application/json",
     extra_headers: Optional[Dict[str, str]] = None,
     keep_alive: bool = True,
 ) -> bytes:
-    """Serialize one HTTP/1.1 response."""
+    """Serialize one HTTP/1.1 response.
+
+    ``body=None`` serializes only the head of a response whose body runs
+    until the server closes the connection: no ``Content-Length``, and
+    ``Connection: close`` whatever ``keep_alive`` says.
+    """
     phrase = STATUS_PHRASES.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {phrase}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
+    lines = [f"HTTP/1.1 {status} {phrase}", f"Content-Type: {content_type}"]
+    if body is None:
+        keep_alive = False
+    else:
+        lines.append(f"Content-Length: {len(body)}")
+    lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
     for name in sorted(extra_headers or {}):
         lines.append(f"{name}: {(extra_headers or {})[name]}")
     head = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
-    return head + body
-
-
-# ---------------------------------------------------------------------------
-# WebSocket (RFC 6455) — handshake + framing
-# ---------------------------------------------------------------------------
-
-
-def websocket_accept_value(key: str) -> str:
-    """The Sec-WebSocket-Accept digest for a client's Sec-WebSocket-Key."""
-    digest = hashlib.sha1(key.encode("ascii") + WEBSOCKET_GUID).digest()
-    return base64.b64encode(digest).decode("ascii")
-
-
-def websocket_handshake_response(request: Request) -> bytes:
-    """The 101 Switching Protocols response, or raises :class:`BadRequest`."""
-    key = request.header("sec-websocket-key")
-    if not key:
-        raise BadRequest("websocket upgrade without Sec-WebSocket-Key")
-    return (
-        b"HTTP/1.1 101 Switching Protocols\r\n"
-        b"Upgrade: websocket\r\n"
-        b"Connection: Upgrade\r\n"
-        b"Sec-WebSocket-Accept: " + websocket_accept_value(key).encode("ascii") + b"\r\n\r\n"
-    )
-
-
-def encode_ws_frame(opcode: int, payload: bytes, mask: bool = False) -> bytes:
-    """One complete (FIN) WebSocket frame.
-
-    Servers send unmasked; clients must mask (``mask=True``) with a key from
-    the CSPRNG — predictable masks defeat the proxy-confusion defence the
-    masking exists for.
-    """
-    header = bytearray([0x80 | (opcode & 0x0F)])
-    length = len(payload)
-    mask_bit = 0x80 if mask else 0x00
-    if length < 126:
-        header.append(mask_bit | length)
-    elif length < (1 << 16):
-        header.append(mask_bit | 126)
-        header += struct.pack("!H", length)
-    else:
-        header.append(mask_bit | 127)
-        header += struct.pack("!Q", length)
-    if not mask:
-        return bytes(header) + payload
-    key = secrets.token_bytes(4)
-    masked = bytes(byte ^ key[index % 4] for index, byte in enumerate(payload))
-    return bytes(header) + key + masked
-
-
-@dataclass(frozen=True)
-class WsFrame:
-    opcode: int
-    payload: bytes
-
-
-async def read_ws_frame(reader: asyncio.StreamReader) -> Optional[WsFrame]:
-    """Read one frame; ``None`` on EOF.  Fragmentation is not supported."""
-    try:
-        head = await reader.readexactly(2)
-    except asyncio.IncompleteReadError:
-        return None
-    fin = head[0] & 0x80
-    opcode = head[0] & 0x0F
-    if not fin:
-        raise BadRequest("fragmented websocket frames are not supported")
-    masked = head[1] & 0x80
-    length = head[1] & 0x7F
-    try:
-        if length == 126:
-            length = struct.unpack("!H", await reader.readexactly(2))[0]
-        elif length == 127:
-            length = struct.unpack("!Q", await reader.readexactly(8))[0]
-        if length > MAX_BODY_BYTES:
-            raise BadRequest("websocket frame too large")
-        key = await reader.readexactly(4) if masked else b""
-        payload = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError:
-        return None
-    if masked:
-        payload = bytes(byte ^ key[index % 4] for index, byte in enumerate(payload))
-    return WsFrame(opcode=opcode, payload=payload)
-
-
-# ---------------------------------------------------------------------------
-# Synchronous client-side helpers (shared with repro.gateway.client)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SyncWsReader:
-    """Blocking WebSocket frame reader over a plain socket file object.
-
-    The client SDK's audit-stream subscriber: it reads server frames (which
-    are unmasked) from a ``socket.makefile("rb")`` object.
-    """
-
-    raw: "SupportsRead"
-    buffer: bytes = field(default=b"", repr=False)
-
-    def read_frame(self) -> Optional[WsFrame]:
-        head = self._read_exactly(2)
-        if head is None:
-            return None
-        opcode = head[0] & 0x0F
-        length = head[1] & 0x7F
-        if length == 126:
-            extended = self._read_exactly(2)
-            if extended is None:
-                return None
-            length = struct.unpack("!H", extended)[0]
-        elif length == 127:
-            extended = self._read_exactly(8)
-            if extended is None:
-                return None
-            length = struct.unpack("!Q", extended)[0]
-        payload = self._read_exactly(length) if length else b""
-        if length and payload is None:
-            return None
-        return WsFrame(opcode=opcode, payload=payload or b"")
-
-    def _read_exactly(self, count: int) -> Optional[bytes]:
-        data = b""
-        while len(data) < count:
-            chunk = self.raw.read(count - len(data))
-            if not chunk:
-                return None
-            data += chunk
-        return data
-
-
-class SupportsRead:
-    """Structural type for :class:`SyncWsReader` (``socket.makefile('rb')``)."""
-
-    def read(self, count: int) -> bytes:  # pragma: no cover - protocol stub
-        raise NotImplementedError
+    return head + (body or b"")

@@ -24,19 +24,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Type, Union
 
 from repro import telemetry
 from repro.errors import GatewayError
-from repro.gateway.http import (
-    WS_CLOSE,
-    WS_PING,
-    WS_PONG,
-    WS_TEXT,
-    BadRequest,
-    Request,
-    encode_ws_frame,
-    read_request,
-    read_ws_frame,
-    render_response,
-    websocket_handshake_response,
-)
+from repro.gateway.http import MAX_HEADER_LINE, BadRequest, Request, read_request, render_response
 from repro.gateway.schemas import (
     CastRequest,
     CastResponse,
@@ -48,6 +36,7 @@ from repro.gateway.schemas import (
 )
 from repro.gateway.schemas import (
     AuditReportWire,
+    AuditStreamEvent,
     ElectionInfo,
     HealthResponse,
     RegisterResponse,
@@ -56,6 +45,7 @@ from repro.gateway.schemas import (
 from repro.gateway.service import (
     ConflictError,
     DrainingError,
+    ElectionTenant,
     GatewayService,
     ShedError,
     UnknownElectionError,
@@ -64,9 +54,24 @@ from repro.spec import GATEWAY, env
 
 logger = logging.getLogger(__name__)
 
+
+@dataclass(frozen=True)
+class EventStream:
+    """A ``text/event-stream`` body: one subscription to one tenant's events.
+
+    The connection handler writes each event the queue yields as one
+    ``data: <AuditStreamEvent JSON>`` block and ends the response at the
+    drain sentinel (``None``) or when the peer closes its side.
+    """
+
+    tenant: ElectionTenant
+    queue: "asyncio.Queue[Optional[AuditStreamEvent]]"
+
+
 #: What one handler returns: status code + a schema body (or raw text for
-#: the Prometheus exposition endpoint and the debug ops plane).
-HandlerResult = Tuple[int, Union[Schema, str]]
+#: the Prometheus exposition endpoint and the debug ops plane, or the audit
+#: stream's subscription).
+HandlerResult = Tuple[int, Union[Schema, str, EventStream]]
 Handler = Callable[[GatewayService, Request, Dict[str, str]], Awaitable[HandlerResult]]
 
 #: Gate for the live ops plane (`GET /v1/debug/*`).  The routes are always
@@ -169,6 +174,15 @@ async def _audit_report(
     return 200, await service.audit_report(params["election_id"])
 
 
+async def _audit_stream(
+    service: GatewayService, request: Request, params: Dict[str, str]
+) -> HandlerResult:
+    tenant = service.tenant(params["election_id"])
+    if service.draining:  # the drain's sentinels went out; nothing would end this stream
+        raise DrainingError()
+    return 200, EventStream(tenant, tenant.subscribe())
+
+
 async def _health(
     service: GatewayService, request: Request, params: Dict[str, str]
 ) -> HandlerResult:
@@ -216,10 +230,6 @@ async def _debug_tenants(
     _require_debug()
     return 200, json.dumps(service.debug_tenants(), indent=2)
 
-
-#: The WebSocket route is documented here but dispatched by the connection
-#: handler (it hijacks the stream instead of returning one response).
-AUDIT_STREAM_PATTERN = "/v1/elections/{election_id}/audit/stream"
 
 ROUTES: Tuple[Route, ...] = (
     Route(
@@ -280,6 +290,14 @@ ROUTES: Tuple[Route, ...] = (
         "Audit the election end-to-end; cached until the ledger moves.",
         _audit_report,
         response_schema=AuditReportWire,
+    ),
+    Route(
+        "GET",
+        "/v1/elections/{election_id}/audit/stream",
+        "audit_stream",
+        "Server-sent events: a status snapshot, then each status change and audit report.",
+        _audit_stream,
+        response_schema=AuditStreamEvent,
     ),
     Route(
         "GET",
@@ -350,9 +368,12 @@ def _error_response(
     return status, body.to_json().encode(), headers
 
 
-async def dispatch(
-    service: GatewayService, request: Request
-) -> Tuple[int, bytes, Dict[str, str], str]:
+#: A dispatched response: status, body, headers, content type.  The body is
+#: bytes, or the open subscription of an audit stream.
+Response = Tuple[int, Union[bytes, EventStream], Dict[str, str], str]
+
+
+async def dispatch(service: GatewayService, request: Request) -> Response:
     """Route + run one request; returns (status, body, headers, content type)."""
     matched: Optional[Route] = None
     params: Dict[str, str] = {}
@@ -444,7 +465,7 @@ def _map_error(error: Exception) -> Tuple[int, bytes, Dict[str, str]]:
 
 async def _execute_route(
     service: GatewayService, request: Request, matched: Route, params: Dict[str, str]
-) -> Tuple[int, bytes, Dict[str, str], str]:
+) -> Response:
     """Run one matched route's handler and map whatever it raises to HTTP."""
     try:
         status, payload = await matched.handler(service, request, params)
@@ -453,6 +474,8 @@ async def _execute_route(
         return status, body, headers, "application/json"
     if isinstance(payload, Schema):
         return status, payload.to_json().encode(), {}, "application/json"
+    if isinstance(payload, EventStream):
+        return status, payload, {}, "text/event-stream"
     if matched.name.startswith("debug_"):
         return status, payload.encode(), {}, "application/json"
     return status, payload.encode(), {}, "text/plain; version=0.0.4"
@@ -464,7 +487,7 @@ async def _execute_route(
 
 
 class GatewayServer:
-    """``asyncio.start_server`` wrapper: keep-alive HTTP + the audit stream."""
+    """``asyncio.start_server`` wrapper: keep-alive HTTP, one request at a time."""
 
     def __init__(
         self, service: GatewayService, host: str = "127.0.0.1", port: int = 0
@@ -510,10 +533,11 @@ class GatewayServer:
                     break
                 if request is None:
                     break
-                if request.wants_websocket:
-                    await self._serve_audit_stream(reader, writer, request)
-                    break
                 status, body, headers, content_type = await dispatch(self.service, request)
+                if isinstance(body, EventStream):
+                    writer.write(render_response(status, None, content_type, headers))
+                    await _write_events(reader, writer, body)
+                    break
                 keep_alive = request.keep_alive
                 writer.write(
                     render_response(
@@ -530,56 +554,30 @@ class GatewayServer:
         finally:
             writer.close()
 
-    async def _serve_audit_stream(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, request: Request
-    ) -> None:
-        params = match_pattern(AUDIT_STREAM_PATTERN, request.path)
-        if params is None:
-            status, body, headers = _error_response(
-                404, f"no websocket endpoint at {request.path}"
-            )
-            writer.write(render_response(status, body, extra_headers=headers, keep_alive=False))
+
+async def _write_events(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, stream: EventStream
+) -> None:
+    """Write the stream's events until the drain sentinel or the peer's EOF."""
+    # The peer's EOF ends the stream the way a drain does: with the sentinel.
+    peer_gone = asyncio.ensure_future(_discard_until_eof(reader))
+    peer_gone.add_done_callback(lambda _: stream.queue.put_nowait(None))
+    try:
+        while (event := await stream.queue.get()) is not None:
+            writer.write(b"data: " + event.to_json().encode() + b"\n\n")
             await writer.drain()
-            return
-        try:
-            tenant = self.service.tenant(params["election_id"])
-        except UnknownElectionError as error:
-            status, body, headers = _error_response(404, str(error))
-            writer.write(render_response(status, body, extra_headers=headers, keep_alive=False))
-            await writer.drain()
-            return
-        writer.write(websocket_handshake_response(request))
-        await writer.drain()
-        queue = tenant.subscribe()
-        frame_task = asyncio.ensure_future(read_ws_frame(reader))
-        event_task = asyncio.ensure_future(queue.get())
-        try:
-            while True:
-                done, _ = await asyncio.wait(
-                    {frame_task, event_task}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if frame_task in done:
-                    frame = frame_task.result()
-                    if frame is None or frame.opcode == WS_CLOSE:
-                        break
-                    if frame.opcode == WS_PING:
-                        writer.write(encode_ws_frame(WS_PONG, frame.payload))
-                        await writer.drain()
-                    frame_task = asyncio.ensure_future(read_ws_frame(reader))
-                if event_task in done:
-                    event = event_task.result()
-                    if event is None:
-                        writer.write(encode_ws_frame(WS_CLOSE, b""))
-                        await writer.drain()
-                        break
-                    writer.write(encode_ws_frame(WS_TEXT, event.to_json().encode()))
-                    await writer.drain()
-                    event_task = asyncio.ensure_future(queue.get())
-        finally:
-            tenant.unsubscribe(queue)
-            for task in (frame_task, event_task):
-                if not task.done():
-                    task.cancel()
+    finally:
+        stream.tenant.unsubscribe(stream.queue)
+        peer_gone.cancel()
+
+
+async def _discard_until_eof(reader: asyncio.StreamReader) -> None:
+    """Read and drop whatever the peer sends until it closes its side."""
+    try:
+        while await reader.read(MAX_HEADER_LINE):
+            pass
+    except ConnectionError:
+        pass
 
 
 def server_from_spec(spec: str, service: GatewayService) -> Optional[GatewayServer]:

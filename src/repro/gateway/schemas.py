@@ -190,7 +190,8 @@ class Schema:
     def from_json(cls, text: Union[str, bytes]) -> "Schema":
         try:
             data = json.loads(text)
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):
+            # RecursionError: nesting deeper than the parser's stack.
             raise SchemaError({"$body": "not valid JSON"}) from None
         return cls.from_json_dict(data)
 
@@ -564,7 +565,7 @@ class HealthResponse(Schema):
 
 @dataclass(frozen=True)
 class AuditStreamEvent(Schema):
-    """One WebSocket message on ``/v1/elections/{id}/audit/stream``."""
+    """One server-sent event on ``/v1/elections/{id}/audit/stream``."""
 
     SCHEMA_NAME: ClassVar[str] = "AuditStreamEvent"
 

@@ -354,7 +354,7 @@ class ElectionTenant:
     def _publish(self, event: AuditStreamEvent) -> None:
         for queue in self._subscribers:
             queue.put_nowait(event)
-            telemetry.counter("gateway.ws.events")
+            telemetry.counter("gateway.stream.events")
 
 
 class GatewayService:

@@ -63,7 +63,7 @@ COUNTER_NAMES: FrozenSet[str] = frozenset(
         "gateway.casts",
         "gateway.errors",
         "gateway.shed",
-        "gateway.ws.events",
+        "gateway.stream.events",
         "ledger.append.ballots",
     }
 )

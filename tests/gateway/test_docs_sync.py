@@ -6,7 +6,6 @@ from pathlib import Path
 
 from repro.gateway import route_table, schema_catalog
 from repro.gateway.governor import BATCH_SIZE_ENV, QUEUE_DEPTH_ENV
-from repro.gateway.routes import AUDIT_STREAM_PATTERN
 from repro.gateway.schemas import schema_markdown
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "gateway.md"
@@ -17,7 +16,6 @@ def test_every_route_is_documented():
     for route in route_table():
         assert route.pattern in text, f"{route.pattern} missing from docs/gateway.md"
         assert route.doc in text, f"doc line for {route.name} missing from docs/gateway.md"
-    assert AUDIT_STREAM_PATTERN in text
 
 
 def test_doc_names_the_admission_knobs():

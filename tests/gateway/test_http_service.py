@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -176,16 +175,18 @@ def test_healthz_answers_while_a_flush_is_running(make_gateway, monkeypatch):
     from repro.ledger.backends.memory import MemoryBackend
 
     flushing = threading.Event()
+    release = threading.Event()
+    released = []
 
-    class SlowBackend(MemoryBackend):
+    class HeldBackend(MemoryBackend):
         def flush(self):
             if self.count(BallotRecord):  # the cast's flush, not setup's or registration's
                 flushing.set()
-                time.sleep(0.05)
+                released.append(release.wait(timeout=120))
             super().flush()
 
-    # The tenant's board is ``batched:1:memory``; make its flushes slow.
-    monkeypatch.setattr("repro.ledger.backends.memory.MemoryBackend", SlowBackend)
+    # The tenant's board is ``batched:1:memory``; its cast flush waits for the test.
+    monkeypatch.setattr("repro.ledger.backends.memory.MemoryBackend", HeldBackend)
     # batch_size=1: every cast's append trips the board's flush.
     fixture = make_gateway(ServiceConfig(governor=GovernorConfig(batch_size=1)))
     client = fixture.client(client_id="caster")
@@ -193,20 +194,23 @@ def test_healthz_answers_while_a_flush_is_running(make_gateway, monkeypatch):
     session = CastingSession(client, "slow")
     session.refresh()
     wire = session.make_ballot_wire(session.register("voter-0000").credentials[0], 1)
-    probe = fixture.client(client_id="probe")
-    probe.health()  # connect before anything is timed
+    # A probe that waited on the held flush would time out (and raise) long
+    # before the flush gives up waiting.
+    probe = GatewayClient(port=fixture.port, client_id="probe", timeout=30)
 
     outcome = []
     caster = threading.Thread(target=lambda: outcome.append(client.cast_ballots("slow", [wire])))
     caster.start()
     assert flushing.wait(timeout=30)
-    started = time.perf_counter()
-    health = probe.health()
-    elapsed = time.perf_counter() - started
+    try:
+        health = probe.health()
+        assert health.status == "ok"
+        assert not release.is_set() and not outcome  # answered while the flush is held
+    finally:
+        release.set()
     caster.join(timeout=30)
 
-    assert health.status == "ok"
-    assert elapsed < 0.025, f"/healthz took {elapsed * 1e3:.1f} ms during a 50 ms flush"
+    assert released == [True]
     assert outcome and outcome[0].ledger_seqs == [0]
     probe.close()
     client.close()

@@ -10,7 +10,7 @@ And a printed code is signed in one place: its ``signed`` constructor in
 ``registration/materials.py`` is the only code that signs a commit, check-out
 or response message.  Value kinds are declared, and elements decoded, only
 under ``src/repro/crypto``; and the runtime and the crypto never import the
-audit.
+audit.  No test asserts on a clock reading.
 """
 
 from __future__ import annotations
@@ -133,3 +133,52 @@ def test_the_runtime_and_crypto_do_not_import_the_audit():
         if module == "repro.audit" or module.startswith("repro.audit.")
     ]
     assert offenders == []
+
+
+#: Test files that may still assert on a clock reading, each with its reason.
+#: Both go with ROADMAP item 18.
+CLOCK_ASSERTS_ALLOWED = {
+    "tests/runtime/test_stream_pipeline.py": "the stream pipeline's teardown is bounded by wall time",
+    "tests/tally/test_streaming.py": "the tally pipeline's teardown is bounded by wall time",
+}
+
+
+def _reads_a_clock(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if _called_name(node) in ("perf_counter", "monotonic"):
+        return True
+    if isinstance(func, ast.Attribute):
+        return func.attr == "time" and isinstance(func.value, ast.Name) and func.value.id == "time"
+    return isinstance(func, ast.Name) and func.id == "time"
+
+
+def _clock_asserts(path: Path):
+    """Line numbers of the asserts in ``path`` that read a clock."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert) and any(map(_reads_a_clock, ast.walk(node)))
+    ]
+
+
+def test_no_test_asserts_on_a_clock_reading():
+    """A test states its claim by events and counts, not by how long something
+    took: no ``assert`` under ``tests/`` or in ``benchmarks/**/test_*.py``
+    calls ``perf_counter``, ``monotonic`` or ``time.time``, outside the files
+    :data:`CLOCK_ASSERTS_ALLOWED` names."""
+    paths = sorted((ROOT / "tests").rglob("*.py")) + sorted(BENCHMARKS.rglob("test_*.py"))
+    offenders = [
+        f"{path.relative_to(ROOT).as_posix()}:{lineno}"
+        for path in paths
+        if path.relative_to(ROOT).as_posix() not in CLOCK_ASSERTS_ALLOWED
+        for lineno in _clock_asserts(path)
+    ]
+    assert offenders == []
+
+
+def test_the_clock_allowances_are_still_needed():
+    """An allowance whose file no longer asserts on a clock goes from the list."""
+    for name in CLOCK_ASSERTS_ALLOWED:
+        assert _clock_asserts(ROOT / name), name
