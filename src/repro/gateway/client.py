@@ -115,7 +115,7 @@ class GatewayClient:
             try:
                 self._connection.request(method, path, body=encoded, headers=self._headers())
                 response = self._connection.getresponse()
-                payload = response.read()
+                payload = response.read(MAX_BODY_BYTES + 1)
                 status = response.status
             except (http.client.HTTPException, OSError):
                 # The keep-alive connection died (server restart, drain
@@ -125,6 +125,9 @@ class GatewayClient:
                 raise GatewayError(
                     f"connection to {self.host}:{self.port} failed"
                 ) from None
+        if len(payload) > MAX_BODY_BYTES:
+            self.close()  # the rest of the body is still on the connection
+            raise GatewayError(f"response body longer than {MAX_BODY_BYTES} bytes")
         _raise_for_status(status, payload)
         return status, payload
 

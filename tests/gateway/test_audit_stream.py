@@ -138,8 +138,11 @@ def test_closing_the_stream_unsubscribes(gateway):
     client.close()
 
 
-def _serve_once(body: bytes) -> int:
-    """A listener that answers one request with ``200 text/event-stream`` + ``body``."""
+EVENT_STREAM_HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nConnection: close\r\n\r\n"
+
+
+def _serve_once(body: bytes, head: bytes = EVENT_STREAM_HEAD) -> int:
+    """A listener that answers one request with ``head`` + ``body``."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve() -> None:
@@ -147,7 +150,6 @@ def _serve_once(body: bytes) -> int:
             connection, _ = listener.accept()
             with connection:
                 connection.recv(65536)
-                head = b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nConnection: close\r\n\r\n"
                 try:
                     connection.sendall(head + body)
                 except OSError:
@@ -173,3 +175,19 @@ def test_a_hostile_stream_is_a_gateway_error(body):
     with pytest.raises(GatewayError):
         for _ in client.audit_stream("e"):
             pass
+
+
+@pytest.mark.parametrize(
+    "head, body",
+    [
+        (b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n", b" " * (MAX_BODY_BYTES + 1)),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\n", b"{}"),
+    ],
+    ids=["body-over-max", "length-announced-past-max"],
+)
+def test_a_hostile_response_body_is_a_gateway_error(head, body):
+    """The SDK reads at most ``MAX_BODY_BYTES`` of any response, whatever the server announces."""
+    client = GatewayClient(port=_serve_once(body, head), timeout=30)
+    with pytest.raises(GatewayError):
+        client.health()
+    client.close()
