@@ -17,6 +17,7 @@ from figures.latency import (
 )
 from repro import telemetry
 from repro.crypto.modp_group import testing_group
+from repro.registration.materials import EnvelopeSymbol
 from repro.registration.setup import ElectionSetup
 from repro.registration.voter import Voter
 
@@ -38,8 +39,15 @@ EVENTS = [
 
 @pytest.fixture(scope="module")
 def traces():
-    setup = ElectionSetup.run(testing_group(), ["alice", "bob", "carol"], num_authority_members=2)
-    return trace_registrations(setup, [Voter(voter_id, num_fake_credentials=1) for voter_id in ("alice", "bob")])
+    """Two registrations' events.  Every envelope and every commit code shows a
+    star, so the booth always holds the symbol the kiosk prints: with random
+    symbols a booth that lacked it had one envelope printed for that voter
+    alone, and its trace two more spans (``ledger.append``, ``ledger.flush``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EnvelopeSymbol, "random", classmethod(lambda cls: EnvelopeSymbol.STAR))
+        setup = ElectionSetup.run(testing_group(), ["alice", "bob", "carol"], num_authority_members=2)
+        voters = [Voter(voter_id, num_fake_credentials=1) for voter_id in ("alice", "bob")]
+        return trace_registrations(setup, voters)
 
 
 class TestPhaseComponents:

@@ -18,7 +18,9 @@ Run with:  python examples/coerced_voter.py
 """
 
 from repro.crypto.modp_group import testing_group
-from repro.registration import ElectionSetup, Voter, run_registration
+from repro.registration.protocol import run_registration
+from repro.registration.setup import ElectionSetup
+from repro.registration.voter import Voter
 from repro.security.adversary import Coercer, CoercionDemand
 from repro.tally.pipeline import TallyPipeline
 from repro.voting.client import VotingClient

@@ -17,7 +17,8 @@ Run with:  python examples/malicious_kiosk_audit.py
 """
 
 from repro.crypto.modp_group import testing_group
-from repro.registration import ElectionSetup, Voter
+from repro.registration.setup import ElectionSetup
+from repro.registration.voter import Voter
 from repro.registration.official import RegistrationOfficial
 from repro.registration.vsd import VoterSupportingDevice
 from repro.security.analysis import EDUCATED_VOTERS, UNEDUCATED_VOTERS

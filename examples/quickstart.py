@@ -15,8 +15,10 @@ Run with:  python examples/quickstart.py
 
 from repro.audit.checks import audit_tally
 from repro.crypto.modp_group import testing_group
-from repro.ledger import BallotRecord, RollEntry
-from repro.registration import ElectionSetup, Voter, run_registration
+from repro.ledger.records import BallotRecord, RollEntry
+from repro.registration.protocol import run_registration
+from repro.registration.setup import ElectionSetup
+from repro.registration.voter import Voter
 from repro.tally.pipeline import TallyPipeline
 from repro.voting.client import VotingClient
 

@@ -23,28 +23,3 @@ or record it in the checked-in baseline (``analysis-baseline.json``) with a
 ``justification`` — the CLI fails on any finding that is neither suppressed
 nor baselined.
 """
-
-from __future__ import annotations
-
-from repro.analysis.engine import (
-    AnalysisReport,
-    Baseline,
-    Finding,
-    analyze_file,
-    analyze_paths,
-)
-from repro.analysis.policy import POLICY, DEFAULT_RULES, rules_for_path
-from repro.analysis.rules import ALL_RULES, RULE_REGISTRY
-
-__all__ = [
-    "ALL_RULES",
-    "AnalysisReport",
-    "Baseline",
-    "DEFAULT_RULES",
-    "Finding",
-    "POLICY",
-    "RULE_REGISTRY",
-    "analyze_file",
-    "analyze_paths",
-    "rules_for_path",
-]

@@ -26,82 +26,24 @@ from repro.ledger.api import as_board_view
 from repro.ledger.records import RegistrationRecord
 from repro.registration.materials import check_out_message
 from repro.registration.official import official_approval_message
+from repro.audit.kinds import (
+    _contains,
+    _int_le,
+    _is_present,
+    _join_consistent,
+    _product_binds,
+    _tag_bytes_match,
+    _transcript_value_is,
+    _values_equal,
+    _vote_decodes,
+)
 from repro.runtime.executor import Executor
-
-# ---------------------------------------------------------------------------
-# Module-level predicate helpers (picklable, deterministic)
-# ---------------------------------------------------------------------------
-
-
-def _values_equal(left, right) -> bool:
-    return left == right
-
-
-def _int_le(left: int, right: int) -> bool:
-    return left <= right
-
-
-def _contains(collection, value) -> bool:
-    return value in collection
-
-
-def _is_present(value) -> bool:
-    return value is not None
-
 
 def _count_check(name: str, actual: int, pinned: Optional[int], floor: int) -> Check:
     """A public size: exactly ``pinned`` when the auditor supplies it, else ``>= floor``."""
     if pinned is None:
         return Check("predicate", name, (_int_le, floor, actual))
     return Check("predicate", name, (_values_equal, actual, pinned))
-
-
-def _product_binds(factors: Sequence[GroupElement], expected: GroupElement) -> bool:
-    """Do the member public keys multiply to the collective authority key?"""
-    if not factors:
-        return False
-    accumulator = factors[0].group.identity
-    for factor in factors:
-        accumulator = accumulator * factor
-    return accumulator == expected
-
-
-def _transcript_value_is(transcript: DecryptionTranscript, expected: GroupElement) -> bool:
-    return transcript.plaintext() == expected
-
-
-def _tag_bytes_match(tag: GroupElement, expected: bytes) -> bool:
-    return tag.to_bytes() == expected
-
-
-def _join_consistent(registration_tag_bytes, tagged_votes, filter_result) -> bool:
-    """Re-run the linear hash join over *verified* tags; compare to the claim.
-
-    ``registration_tag_bytes``/``tagged_votes`` come from evidence whose
-    tagging chains and decryptions the plan verifies independently, so this
-    predicate binds the published counted/discarded/duplicate outcome to the
-    verified cascade outputs end to end.
-    """
-    from repro.tally.filter import TagJoiner
-
-    joiner = TagJoiner(list(registration_tag_bytes))
-    joiner.feed(list(tagged_votes))
-    rejoined = joiner.result()
-    return (
-        rejoined.counted == list(filter_result.counted)
-        and rejoined.discarded == filter_result.discarded
-        and rejoined.duplicate_tags == filter_result.duplicate_tags
-    )
-
-
-def _vote_decodes(
-    group: Group, transcript: DecryptionTranscript, num_options: int, expected_choice: int
-) -> bool:
-    try:
-        choice = group.decode_int(transcript.plaintext(), max_value=num_options - 1)
-    except ValueError:
-        return False
-    return choice == expected_choice
 
 
 # ---------------------------------------------------------------------------

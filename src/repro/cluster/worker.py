@@ -25,6 +25,7 @@ before it works**, and then executes ``TASK`` frames one at a time:
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import secrets
 import socket
@@ -53,12 +54,29 @@ from repro.cluster.protocol import (
 from repro.errors import ClusterError
 from repro.spec import env
 
-# Shard functions arrive pickled by module path.  The record model and the
-# RLC batch verifier sit under nearly every tally and audit shard; importing
-# them while the daemon starts keeps that cost ahead of the ready heartbeat
-# instead of inside the first TASK.
-import repro.ledger.records  # noqa: F401
-import repro.runtime.batch  # noqa: F401
+#: Shard functions arrive pickled by module path, with their payloads.  These
+#: are the modules that define the seven functions executors ship and the
+#: types those payloads carry; each is imported while the daemon starts, so
+#: the cost lands ahead of the ready heartbeat instead of inside the first
+#: TASK, and serving a tally or an audit imports nothing more.
+PRELOAD = (
+    "repro.runtime.batch",  # _verify_signature_chunk
+    "repro.tally.mixnet",  # _reencrypt_tuple; shuffles and openings
+    "repro.tally.filter",  # _blinded_tag_bytes; FilterResult
+    "repro.audit.evidence",  # decryption_material, tag_chain_material; transcripts
+    "repro.audit.kinds",  # verdict_one, _chunk_verdicts_named; the predicates
+    "repro.audit.api",  # Check, the evidence of verdict_one
+    "repro.crypto.modp_group",  # the groups
+    "repro.crypto.ed25519",
+    "repro.crypto.elgamal",  # ElGamal, ciphertexts, decryption shares
+    "repro.crypto.tagging",  # TaggingAuthority, tagging steps
+    "repro.crypto.dlog_proof",  # dlog proofs
+    "repro.ledger.records",  # the record model
+    "repro.ledger.log",  # ledger-chain entries
+    "repro.voting.ballot",  # ballot proofs (the wellformedness kind)
+)
+for _module in PRELOAD:
+    importlib.import_module(_module)
 
 CONNECT_TIMEOUT_SECONDS = 30.0
 

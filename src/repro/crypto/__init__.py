@@ -2,7 +2,7 @@
 
 Everything in Votegral runs over a cyclic group of prime order ``q`` with
 generator ``g``.  The paper's prototype uses edwards25519 (via dedis/kyber);
-this package exposes the same algebra behind an abstract :class:`Group`
+this package exposes the same algebra behind an abstract :class:`~repro.crypto.group.Group`
 interface with several interchangeable backends:
 
 * :func:`repro.crypto.ed25519.ed25519_group` — the paper's curve, pure Python.
@@ -18,42 +18,3 @@ to forge fake-credential transcripts), distributed key generation, verifiable
 re-encryption shuffles, plaintext-equivalence tests and distributed
 deterministic tagging.
 """
-
-from repro.crypto.group import Group, GroupElement
-from repro.crypto.modp_group import modp_group_2048, modp_group_3072, testing_group
-from repro.crypto.ed25519 import ed25519_group
-from repro.crypto.elgamal import ElGamal, ElGamalCiphertext, ElGamalKeyPair
-from repro.crypto.schnorr import SchnorrSignature, SigningKeyPair, schnorr_keygen, schnorr_sign, schnorr_verify
-from repro.crypto.chaum_pedersen import (
-    ChaumPedersenProver,
-    ChaumPedersenTranscript,
-    chaum_pedersen_verify,
-    simulate_chaum_pedersen,
-)
-from repro.crypto.dkg import DistributedKeyGeneration, AuthorityShare
-from repro.crypto.mac import mac_sign, mac_verify
-
-__all__ = [
-    "Group",
-    "GroupElement",
-    "ed25519_group",
-    "modp_group_2048",
-    "modp_group_3072",
-    "testing_group",
-    "ElGamal",
-    "ElGamalCiphertext",
-    "ElGamalKeyPair",
-    "SchnorrSignature",
-    "SigningKeyPair",
-    "schnorr_keygen",
-    "schnorr_sign",
-    "schnorr_verify",
-    "ChaumPedersenProver",
-    "ChaumPedersenTranscript",
-    "chaum_pedersen_verify",
-    "simulate_chaum_pedersen",
-    "DistributedKeyGeneration",
-    "AuthorityShare",
-    "mac_sign",
-    "mac_verify",
-]

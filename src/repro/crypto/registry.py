@@ -13,11 +13,23 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from repro.crypto.ed25519 import ed25519_group
 from repro.crypto.group import Group
+from repro.crypto.modp_group import modp_group_256, modp_group_2048, modp_group_3072, testing_group
 
 __all__ = ["GROUP_NAMES", "group_by_name", "register_group"]
 
-_FACTORIES: Dict[str, Callable[[], Group]] = {}
+# Imported with the module, not on the first lookup: a server that resolves
+# names (the gateway) then imports nothing once it serves.
+_FACTORIES: Dict[str, Callable[[], Group]] = {
+    "modp-2048": modp_group_2048,
+    "modp-3072": modp_group_3072,
+    "modp-256": modp_group_256,
+    "ed25519": ed25519_group,
+    "modp-toy-INSECURE": testing_group,
+    # Friendly alias accepted on input surfaces (specs, CLI flags).
+    "toy": testing_group,
+}
 
 
 def register_group(name: str, factory: Callable[[], Group]) -> None:
@@ -25,31 +37,8 @@ def register_group(name: str, factory: Callable[[], Group]) -> None:
     _FACTORIES[name] = factory
 
 
-def _ensure_builtin() -> None:
-    # Lazy: importing ed25519/modp at module import time would make this a
-    # heavyweight import for consumers that never resolve a name.
-    if _FACTORIES:
-        return
-    from repro.crypto.ed25519 import ed25519_group
-    from repro.crypto.modp_group import (
-        modp_group_256,
-        modp_group_2048,
-        modp_group_3072,
-        testing_group,
-    )
-
-    register_group("modp-2048", modp_group_2048)
-    register_group("modp-3072", modp_group_3072)
-    register_group("modp-256", modp_group_256)
-    register_group("ed25519", ed25519_group)
-    register_group("modp-toy-INSECURE", testing_group)
-    # Friendly aliases accepted on input surfaces (specs, CLI flags).
-    register_group("toy", testing_group)
-
-
 def GROUP_NAMES() -> List[str]:
     """Every registered group name, sorted (CLI ``choices`` and docs)."""
-    _ensure_builtin()
     return sorted(_FACTORIES)
 
 
@@ -59,7 +48,6 @@ def group_by_name(name: str) -> Group:
     Raises :class:`ValueError` with the known names on an unknown name, so
     input surfaces (gateway schemas, CLI flags) get a usable error message.
     """
-    _ensure_builtin()
     factory = _FACTORIES.get(name)
     if factory is None:
         raise ValueError(f"unknown group {name!r} (known: {', '.join(sorted(_FACTORIES))})")

@@ -96,12 +96,6 @@ class Route:
     request_schema: Optional[Type[Schema]] = None
     response_schema: Optional[Type[Schema]] = None
 
-    def match(self, method: str, path: str) -> Optional[Dict[str, str]]:
-        """Path parameters when ``method path`` matches this route, else None."""
-        if method != self.method:
-            return None
-        return match_pattern(self.pattern, path)
-
 
 def match_pattern(pattern: str, path: str) -> Optional[Dict[str, str]]:
     """Match ``/v1/elections/{election_id}/ballots`` style patterns."""

@@ -20,38 +20,3 @@ its rule; the store appends any of them through ``append`` /
 ``read`` / ``count``.  Consumers hold a read-only
 :class:`~repro.ledger.api.BoardView`.
 """
-
-from repro.ledger.api import BoardView, as_board_view, board_from_spec
-from repro.ledger.backends import AsyncIngestionFrontend, MemoryBackend, SQLiteBackend
-from repro.ledger.backends.memory import GENESIS_CURSOR, Cursor, Page
-from repro.ledger.bulletin_board import BulletinBoard
-from repro.ledger.log import AppendOnlyLog, InclusionProof, LogEntry, LogHead
-from repro.ledger.records import (
-    BallotRecord,
-    EnvelopeCommitmentRecord,
-    EnvelopeUsageRecord,
-    RegistrationRecord,
-    RollEntry,
-)
-
-__all__ = [
-    "AppendOnlyLog",
-    "LogEntry",
-    "LogHead",
-    "InclusionProof",
-    "BulletinBoard",
-    "RollEntry",
-    "RegistrationRecord",
-    "EnvelopeCommitmentRecord",
-    "EnvelopeUsageRecord",
-    "BallotRecord",
-    "BoardView",
-    "Page",
-    "Cursor",
-    "GENESIS_CURSOR",
-    "as_board_view",
-    "board_from_spec",
-    "MemoryBackend",
-    "SQLiteBackend",
-    "AsyncIngestionFrontend",
-]

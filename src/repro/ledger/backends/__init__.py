@@ -6,12 +6,3 @@
 * :mod:`~repro.ledger.backends.sqlite` — the same store, persisting each
   flush to SQLite in one transaction.
 """
-
-from repro.ledger.backends.memory import AsyncIngestionFrontend, MemoryBackend
-from repro.ledger.backends.sqlite import SQLiteBackend
-
-__all__ = [
-    "AsyncIngestionFrontend",
-    "MemoryBackend",
-    "SQLiteBackend",
-]

@@ -26,47 +26,3 @@ The modules mirror the actors: :mod:`repro.registration.kiosk`,
 physical artefacts in :mod:`repro.registration.materials` and the end-to-end
 orchestration in :mod:`repro.registration.protocol`.
 """
-
-from repro.registration.materials import (
-    Envelope,
-    EnvelopeSymbol,
-    CheckInTicket,
-    CommitCode,
-    CheckOutTicket,
-    ResponseCode,
-    Receipt,
-    PaperCredential,
-    CredentialState,
-    ActivatedCredential,
-)
-from repro.registration.setup import ElectionSetup, RegistrarKeys
-from repro.registration.kiosk import Kiosk
-from repro.registration.official import RegistrationOfficial
-from repro.registration.envelope_printer import EnvelopePrinter
-from repro.registration.vsd import VoterSupportingDevice, ActivationReport
-from repro.registration.voter import Voter
-from repro.registration.protocol import RegistrationSession, RegistrationOutcome, run_registration
-
-__all__ = [
-    "Envelope",
-    "EnvelopeSymbol",
-    "CheckInTicket",
-    "CommitCode",
-    "CheckOutTicket",
-    "ResponseCode",
-    "Receipt",
-    "PaperCredential",
-    "CredentialState",
-    "ActivatedCredential",
-    "ElectionSetup",
-    "RegistrarKeys",
-    "Kiosk",
-    "RegistrationOfficial",
-    "EnvelopePrinter",
-    "VoterSupportingDevice",
-    "ActivationReport",
-    "Voter",
-    "RegistrationSession",
-    "RegistrationOutcome",
-    "run_registration",
-]

@@ -25,34 +25,4 @@ Importing this package installs the fixed-base accelerator hook; everything
 else is opt-in per call (``executor=...``) or per election (config).
 """
 
-from repro.runtime.executor import (
-    Executor,
-    SerialExecutor,
-    executor_from_spec,
-    resolve_executor,
-)
-from repro.runtime.pipeline import PipelineSpec, StreamPipeline, pipeline_from_spec
-from repro.runtime.precompute import (
-    FixedBaseTable,
-    clear_tables,
-    element_power,
-    multi_element_power,
-    set_precompute_enabled,
-    warm_fixed_base,
-)
-
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "executor_from_spec",
-    "resolve_executor",
-    "FixedBaseTable",
-    "element_power",
-    "multi_element_power",
-    "warm_fixed_base",
-    "set_precompute_enabled",
-    "clear_tables",
-    "StreamPipeline",
-    "PipelineSpec",
-    "pipeline_from_spec",
-]
+from repro.runtime import precompute  # noqa: F401 - importing it installs the hook

@@ -12,29 +12,3 @@
 * :mod:`repro.security.adversary` — the coercer model used by the games and
   the examples.
 """
-
-from repro.security.analysis import (
-    iv_adversary_success_bound,
-    iv_success_over_population,
-    kiosk_undetected_probability,
-)
-from repro.security.adversary import Coercer, CoercionDemand
-from repro.security.malicious_kiosk import CredentialStealingKiosk, WrongOrderKiosk
-from repro.security.games import (
-    IndividualVerifiabilityGame,
-    CoercionResistanceExperiment,
-    IVGameResult,
-)
-
-__all__ = [
-    "iv_adversary_success_bound",
-    "iv_success_over_population",
-    "kiosk_undetected_probability",
-    "Coercer",
-    "CoercionDemand",
-    "CredentialStealingKiosk",
-    "WrongOrderKiosk",
-    "IndividualVerifiabilityGame",
-    "CoercionResistanceExperiment",
-    "IVGameResult",
-]

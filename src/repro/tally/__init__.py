@@ -16,21 +16,3 @@ After the voting deadline the tally service:
    result, together with every shuffle, tagging and decryption proof so
    anyone can re-verify the tally from the ledger alone.
 """
-
-from repro.tally.mixnet import TupleShuffle, shuffle_tuples_with_proof, tuple_mix_cascade
-from repro.tally.filter import FilterResult, filter_ballots, deduplicate_ballots
-from repro.tally.decrypt import DecryptedVote, decrypt_votes
-from repro.tally.pipeline import TallyPipeline, TallyResult
-
-__all__ = [
-    "TupleShuffle",
-    "shuffle_tuples_with_proof",
-    "tuple_mix_cascade",
-    "FilterResult",
-    "filter_ballots",
-    "deduplicate_ballots",
-    "DecryptedVote",
-    "decrypt_votes",
-    "TallyPipeline",
-    "TallyResult",
-]

@@ -7,8 +7,3 @@ posting the result to the ballot ledger ``L_V``.  Ballots cast with fake
 credentials look identical on the ledger and are silently discarded during
 tallying.
 """
-
-from repro.voting.ballot import Ballot, BallotProof, make_ballot, verify_ballot
-from repro.voting.client import VotingClient
-
-__all__ = ["Ballot", "BallotProof", "make_ballot", "verify_ballot", "VotingClient"]

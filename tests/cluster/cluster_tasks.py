@@ -89,3 +89,12 @@ TRIPWIRE = []
 def trip_wire(marker):
     TRIPWIRE.append(marker)
     return marker
+
+
+def loaded_modules(delay=0.0):
+    """``(pid, sorted(sys.modules))`` of the worker that runs this.
+
+    ``delay`` holds the worker busy, so a map of one item per worker reaches
+    every worker of an idle cluster (one task in flight per worker)."""
+    time.sleep(delay)
+    return os.getpid(), sorted(sys.modules)

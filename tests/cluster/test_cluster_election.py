@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+import cluster_tasks
 from cluster_tasks import CLUSTER_PAGE_SIZE as PAGE_SIZE
 from cluster_tasks import CLUSTER_WORKERS
 
@@ -177,6 +178,41 @@ class TestBitIdentityMatrix:
             boards["memory"].registration_log.head()
             == boards["sqlite"].registration_log.head()
         )
+
+
+class TestWorkerClosure:
+    def test_serving_a_tally_and_its_audits_imports_nothing(self, group, workload, boards):
+        """A worker has imported every module a tally or an audit ships to it
+        by the time it is ready: a seeded tally with evidence, then a batched
+        and an eager audit, leave each worker's ``sys.modules`` as it was."""
+        authority, tagging, _, _, _ = workload
+        board = boards["memory"]
+        executor = executor_from_spec(f"cluster:{CLUSTER_WORKERS}")
+        try:
+            executor.warm()
+
+            def modules_by_worker():
+                # One busy task per worker: each idle worker takes exactly one.
+                loaded = dict(executor.map(cluster_tasks.loaded_modules, [0.2] * CLUSTER_WORKERS, chunksize=1))
+                assert len(loaded) == CLUSTER_WORKERS
+                return loaded
+
+            at_ready = modules_by_worker()
+            with seeded_tape(SEED):
+                result = TallyPipeline(
+                    group=group, authority=authority, num_mixers=NUM_MIXERS,
+                    proof_rounds=PROOF_ROUNDS, executor=executor, tagging=tagging,
+                    read_page_size=PAGE_SIZE, collect_evidence=True,
+                ).run(board, NUM_OPTIONS, "default")
+            for verifier in ("batched:4", "eager"):
+                report = audit_tally(group, authority, board, result, verifier=verifier, executor=executor)
+                assert report.ok, report.summary()
+            after = modules_by_worker()
+        finally:
+            executor.close()
+        for pid, modules in after.items():
+            assert sorted(set(modules) - set(at_ready[pid])) == [], pid
+        assert after == at_ready
 
 
 class TestClusterElectionEndToEnd:

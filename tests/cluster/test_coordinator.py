@@ -4,6 +4,8 @@ ordering, exception transparency, enrollment auth, reassignment, loss."""
 from __future__ import annotations
 
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -25,7 +27,7 @@ from repro.cluster.protocol import (
     send_frame,
 )
 from repro.crypto.mac import mac_sign
-from repro.cluster.worker import WorkerDaemon, main as worker_main
+from repro.cluster.worker import PRELOAD, WorkerDaemon, main as worker_main
 from repro.errors import ClusterError
 from repro.runtime.executor import executor_from_spec
 from repro.runtime.pipeline import StreamPipeline
@@ -79,11 +81,34 @@ class TestExecutorContract:
         assert cluster_executor.map(cluster_tasks.echo, [7]) == [7]
 
     def test_workers_start_with_their_shard_dependencies_loaded(self, cluster_executor):
-        """The record model and the batch verifier are imported before a
-        worker is ready, not inside its first tally shard (nothing this
-        module ships imports either)."""
-        names = ["repro.ledger.records", "repro.runtime.batch"]
-        assert cluster_executor.map(cluster_tasks.module_loaded, names, chunksize=1) == [True, True]
+        """Every module of the worker's preload list — the shipped functions'
+        and their payloads' — is imported before a worker is ready, not
+        inside its first tally shard (nothing this module ships imports any)."""
+        names = list(PRELOAD)
+        assert {"repro.ledger.records", "repro.runtime.batch", "repro.audit.kinds"} <= set(names)
+        loaded = cluster_executor.map(cluster_tasks.module_loaded, names, chunksize=1)
+        assert dict(zip(names, loaded)) == dict.fromkeys(names, True)
+
+    def test_a_worker_imports_only_its_shard_closure(self):
+        """Importing the daemon loads the preload list and what it needs,
+        and none of the ceremony, the front door, the plan builder, the
+        board store or the coordinator: package ``__init__`` files re-export
+        nothing, so importing one module never loads its siblings."""
+        probe = "import sys, repro.cluster.worker; print(' '.join(sorted(sys.modules)))"
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert "repro.cluster.worker" in loaded
+        families = ("repro.registration", "repro.gateway", "repro.election", "repro.ledger.backends")
+        exact = {
+            "repro.audit.checks", "repro.tally.pipeline", "repro.ledger.api",
+            "repro.cluster.coordinator", "asyncio", "sqlite3",
+        }
+        stray = [
+            name for name in loaded
+            if name in exact or any(name == family or name.startswith(family + ".") for family in families)
+        ]
+        assert stray == []
 
     def test_concurrent_task_groups_multiplex(self, cluster_executor):
         """Several threads sharing one executor — the pipeline-stage shape."""

@@ -6,7 +6,8 @@ import pytest
 
 from repro.election import ElectionConfig, VotegralElection
 from repro.errors import BigIntError, GatewayError, LedgerError, ProtocolError
-from repro.ledger import MemoryBackend, SQLiteBackend
+from repro.ledger.backends.memory import MemoryBackend
+from repro.ledger.backends.sqlite import SQLiteBackend
 from repro.ledger.records import RegistrationRecord
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.gateway import route_table, schema_catalog
+from repro.gateway.routes import route_table
+from repro.gateway.schemas import schema_catalog, schema_markdown
 from repro.gateway.governor import BATCH_SIZE_ENV, QUEUE_DEPTH_ENV
-from repro.gateway.schemas import schema_markdown
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "gateway.md"
 

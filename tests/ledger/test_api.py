@@ -6,17 +6,11 @@ from repro.crypto.hashing import sha256
 from repro.crypto.modp_group import testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.errors import LedgerError
-from repro.ledger.api import DEFAULT_BATCH_SIZE
-from repro.ledger import (
-    BallotRecord,
-    BoardView,
-    BulletinBoard,
-    MemoryBackend,
-    RegistrationRecord,
-    SQLiteBackend,
-    as_board_view,
-    board_from_spec,
-)
+from repro.ledger.api import BoardView, DEFAULT_BATCH_SIZE, as_board_view, board_from_spec
+from repro.ledger.backends.memory import MemoryBackend
+from repro.ledger.backends.sqlite import SQLiteBackend
+from repro.ledger.bulletin_board import BulletinBoard
+from repro.ledger.records import BallotRecord, RegistrationRecord
 
 
 @pytest.fixture(scope="module")

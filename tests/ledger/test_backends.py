@@ -15,13 +15,15 @@ from repro.crypto.modp_group import testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.election import ElectionConfig, VotegralElection
 from repro.errors import LedgerError
-from repro.ledger import (
+from repro.ledger.backends.memory import MemoryBackend
+from repro.ledger.backends.sqlite import SQLiteBackend
+from repro.ledger.bulletin_board import BulletinBoard
+from repro.ledger.records import (
     BallotRecord,
-    BulletinBoard,
-    MemoryBackend,
-    SQLiteBackend,
+    EnvelopeCommitmentRecord,
+    EnvelopeUsageRecord,
+    RollEntry,
 )
-from repro.ledger.records import EnvelopeCommitmentRecord, EnvelopeUsageRecord, RollEntry
 
 BACKEND_SPECS = ["memory", "sqlite", "batched:8", "batched:4:sqlite"]
 
@@ -156,7 +158,7 @@ class TestSQLitePersistence:
     def test_reopen_preserves_interleaved_stream_order(self, group, keypair, tmp_path):
         """Chains commit to the *interleaving* of streams (commitments/usages
         share L_E, roll entries/registrations share L_R); replay must keep it."""
-        from repro.ledger import EnvelopeCommitmentRecord, EnvelopeUsageRecord
+        from repro.ledger.records import EnvelopeCommitmentRecord, EnvelopeUsageRecord
         from tests.ledger.test_api import make_registration
 
         path = str(tmp_path / "board.db")
@@ -193,7 +195,7 @@ class TestSQLitePersistence:
             SQLiteBackend(path)
 
     def test_duplicate_challenge_still_detected_after_reopen(self, group, keypair, tmp_path):
-        from repro.ledger import EnvelopeUsageRecord
+        from repro.ledger.records import EnvelopeUsageRecord
 
         path = str(tmp_path / "board.db")
         usage = EnvelopeUsageRecord(challenge=42, challenge_hash=sha256(b"challenge"))

@@ -18,18 +18,19 @@ import pytest
 from repro.crypto.hashing import sha256
 from repro.crypto.modp_group import testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
-from repro.ledger import (
-    AppendOnlyLog,
-    AsyncIngestionFrontend,
+from repro.ledger.backends.memory import AsyncIngestionFrontend, MemoryBackend
+from repro.ledger.backends.sqlite import SQLiteBackend
+from repro.ledger.bulletin_board import BulletinBoard
+from repro.ledger.log import AppendOnlyLog
+from repro.ledger.records import (
     BallotRecord,
-    BulletinBoard,
     EnvelopeCommitmentRecord,
     EnvelopeUsageRecord,
-    MemoryBackend,
+    L_R,
+    L_V,
     RegistrationRecord,
-    SQLiteBackend,
+    RollEntry,
 )
-from repro.ledger.records import L_R, L_V, RollEntry
 
 NUM_THREADS = 8
 PER_THREAD = 50

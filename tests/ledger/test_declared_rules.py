@@ -16,8 +16,8 @@ from repro.crypto.hashing import sha256
 from repro.crypto.modp_group import testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.errors import LedgerError
-from repro.ledger import EnvelopeCommitmentRecord, board_from_spec
-from repro.ledger.records import L_E, RECORD_TYPES, Record, described
+from repro.ledger.api import board_from_spec
+from repro.ledger.records import EnvelopeCommitmentRecord, L_E, RECORD_TYPES, Record, described
 
 
 @pytest.fixture(scope="module")

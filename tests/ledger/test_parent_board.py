@@ -17,7 +17,8 @@ import pytest
 
 from repro.crypto.modp_group import testing_group
 from repro.errors import LedgerError
-from repro.ledger import BallotRecord, RegistrationRecord, board_from_spec
+from repro.ledger.api import board_from_spec
+from repro.ledger.records import BallotRecord, RegistrationRecord
 
 DUMP = Path(__file__).parent / "data" / "parent_board.sql"
 

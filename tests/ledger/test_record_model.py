@@ -11,7 +11,8 @@ from repro.crypto.modp_group import testing_group
 from repro.crypto.registry import group_by_name
 from repro.crypto.schnorr import SchnorrSignature, schnorr_keygen, schnorr_sign
 from repro.errors import LedgerError
-from repro.ledger import BulletinBoard, SQLiteBackend
+from repro.ledger.backends.sqlite import SQLiteBackend
+from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import (
     RECORD_TYPES,
     BallotRecord,

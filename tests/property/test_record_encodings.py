@@ -44,7 +44,9 @@ from repro.gateway.schemas import (
     SchemaError,
 )
 from repro.gateway.service import GatewayService, ServiceConfig
-from repro.ledger import BulletinBoard, MemoryBackend, SQLiteBackend
+from repro.ledger.backends.memory import MemoryBackend
+from repro.ledger.backends.sqlite import SQLiteBackend
+from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import (
     RECORD_TYPES,
     BallotRecord,

@@ -10,7 +10,8 @@ And a printed code is signed in one place: its ``signed`` constructor in
 ``registration/materials.py`` is the only code that signs a commit, check-out
 or response message.  Value kinds are declared, and elements decoded, only
 under ``src/repro/crypto``; and the runtime and the crypto never import the
-audit.  No test asserts on a clock reading.
+audit.  No test asserts on a clock reading.  A package ``__init__`` is its
+docstring and nothing else, except the few named below.
 """
 
 from __future__ import annotations
@@ -182,3 +183,71 @@ def test_the_clock_allowances_are_still_needed():
     """An allowance whose file no longer asserts on a clock goes from the list."""
     for name in CLOCK_ASSERTS_ALLOWED:
         assert _clock_asserts(ROOT / name), name
+
+
+#: The package ``__init__`` files that may import, each with the ``repro``
+#: modules it imports and why.  Every other package ``__init__`` is its
+#: docstring alone: a caller imports a name from the module that defines it,
+#: so importing one module (a cluster worker unpickling a shard function)
+#: never drags in its package's siblings.
+INIT_IMPORTS_ALLOWED = {
+    "src/repro/__init__.py": (
+        {"repro.errors", "repro.telemetry"},
+        "the package's error types and telemetry handle, which everything imports anyway",
+    ),
+    "src/repro/telemetry/__init__.py": (
+        {"repro.spec", "repro.telemetry.context", "repro.telemetry.core", "repro.telemetry.snapshot"},
+        "the package is the telemetry API module itself",
+    ),
+    "src/repro/runtime/__init__.py": (
+        {"repro.runtime.precompute"},
+        "importing precompute installs the fixed-base hook that group.power consults",
+    ),
+    "src/repro/election/__init__.py": (
+        {"repro.election.config", "repro.election.pipeline"},
+        "the election facade that the README and the benchmark's workloads import",
+    ),
+}
+
+
+def _package_inits():
+    return sorted((ROOT / "src" / "repro").rglob("__init__.py"))
+
+
+def _repro_imports(path: Path):
+    """The ``repro`` modules ``path`` imports, a ``from X import y`` of a
+    submodule counted as ``X.y``."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            for alias in node.names:
+                parts = f"{node.module}.{alias.name}".split(".")
+                target = ROOT / "src" / Path(*parts)
+                is_module = target.with_suffix(".py").exists() or (target / "__init__.py").exists()
+                modules.add(".".join(parts) if is_module else node.module)
+    return {module for module in modules if module.split(".")[0] == "repro"}
+
+
+def test_package_inits_import_only_their_allowances():
+    offenders = []
+    for path in _package_inits():
+        name = path.relative_to(ROOT).as_posix()
+        if name in INIT_IMPORTS_ALLOWED:
+            allowed, _reason = INIT_IMPORTS_ALLOWED[name]
+            offenders += [f"{name} imports {module}" for module in sorted(_repro_imports(path) - allowed)]
+            continue
+        body = ast.parse(path.read_text(), filename=str(path)).body
+        is_docstring = [isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) for node in body]
+        if is_docstring != [True]:
+            offenders.append(f"{name} is more than its docstring")
+    assert offenders == []
+
+
+def test_the_init_allowances_are_still_needed():
+    """An allowance goes from the list once its ``__init__`` stops importing
+    a module it names."""
+    for name, (allowed, reason) in INIT_IMPORTS_ALLOWED.items():
+        assert reason
+        assert allowed <= _repro_imports(ROOT / name), name
