@@ -22,10 +22,6 @@ from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
 from repro.audit.api import AuditPlan, AuditReport, Check, Verifier, verifier_from_spec
 from repro.audit.evidence import DecryptionTranscript, TagChainEvidence, TallyEvidence
-from repro.ledger.api import as_board_view
-from repro.ledger.records import RegistrationRecord
-from repro.registration.materials import check_out_message
-from repro.registration.official import official_approval_message
 from repro.audit.kinds import (
     _contains,
     _int_le,
@@ -37,7 +33,12 @@ from repro.audit.kinds import (
     _values_equal,
     _vote_decodes,
 )
+from repro.ledger.api import as_board_view
+from repro.ledger.records import RegistrationRecord
+from repro.registration.materials import check_out_message
+from repro.registration.official import official_approval_message
 from repro.runtime.executor import Executor
+
 
 def _count_check(name: str, actual: int, pinned: Optional[int], floor: int) -> Check:
     """A public size: exactly ``pinned`` when the auditor supplies it, else ``>= floor``."""

@@ -17,7 +17,7 @@ from repro.crypto.ed25519 import ed25519_group
 from repro.crypto.group import Group
 from repro.crypto.modp_group import modp_group_256, modp_group_2048, modp_group_3072, testing_group
 
-__all__ = ["GROUP_NAMES", "group_by_name", "register_group"]
+__all__ = ["GROUP_NAMES", "group_by_name"]
 
 # Imported with the module, not on the first lookup: a server that resolves
 # names (the gateway) then imports nothing once it serves.
@@ -30,11 +30,6 @@ _FACTORIES: Dict[str, Callable[[], Group]] = {
     # Friendly alias accepted on input surfaces (specs, CLI flags).
     "toy": testing_group,
 }
-
-
-def register_group(name: str, factory: Callable[[], Group]) -> None:
-    """Register (or replace) the canonical factory for a group name."""
-    _FACTORIES[name] = factory
 
 
 def GROUP_NAMES() -> List[str]:

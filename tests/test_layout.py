@@ -210,10 +210,6 @@ INIT_IMPORTS_ALLOWED = {
 }
 
 
-def _package_inits():
-    return sorted((ROOT / "src" / "repro").rglob("__init__.py"))
-
-
 def _repro_imports(path: Path):
     """The ``repro`` modules ``path`` imports, a ``from X import y`` of a
     submodule counted as ``X.y``."""
@@ -232,7 +228,7 @@ def _repro_imports(path: Path):
 
 def test_package_inits_import_only_their_allowances():
     offenders = []
-    for path in _package_inits():
+    for path in sorted((ROOT / "src" / "repro").rglob("__init__.py")):
         name = path.relative_to(ROOT).as_posix()
         if name in INIT_IMPORTS_ALLOWED:
             allowed, _reason = INIT_IMPORTS_ALLOWED[name]
