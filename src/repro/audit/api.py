@@ -1,9 +1,9 @@
-"""The unified, strategy-pluggable verification API (version 1).
+"""The unified, strategy-pluggable verification API (version 2).
 
-Every proof obligation in the system — a Schnorr signature, a Chaum–Pedersen
-transcript, a shuffle-round opening, a tagging chain, a ledger hash chain, a
+Every proof obligation in the system — a Schnorr signature, a decryption
+share, a shuffle-round opening, a tagging chain, a ledger hash chain, a
 count invariant — is expressed as a typed :class:`Check`: a *kind* (which
-registered predicate judges it), a *name* (the failure locus an auditor
+predicate of :data:`repro.audit.kinds.KINDS` judges it), a *name* (the failure locus an auditor
 reads), and the *evidence* tuple the predicate consumes.  Checks collect
 into an :class:`AuditPlan` and a pluggable :class:`Verifier` executes the
 plan with one of two strategies:
@@ -13,7 +13,7 @@ plan with one of two strategies:
   reproduce verdict-for-verdict.
 * :class:`BatchedVerifier` — checks are grouped by kind and cut into
   contiguous chunks, and all chunks of all kinds go to the executor in one
-  ``starmap``; for kinds with a registered *fold*, a chunk collapses into a
+  ``starmap``; for kinds with a *fold*, a chunk collapses into a
   single random-linear-combination product check
   (:mod:`repro.runtime.batch`).  A rejected chunk bisects to isolate exact
   per-check verdicts, so the common all-valid case pays one batched
@@ -43,8 +43,9 @@ from repro.runtime.executor import Executor, resolve_executor
 from repro.spec import AUDIT
 
 #: The audit API version this module defines.  Consumers that need a newer
-#: check vocabulary can gate on it instead of failing deep inside a plan.
-AUDIT_API_VERSION = 1
+#: check vocabulary can gate on it instead of failing deep inside a plan
+#: (2: the ``chaum-pedersen`` and ``tag-chain`` kinds are gone).
+AUDIT_API_VERSION = 2
 
 #: Default number of same-kind checks folded into one batched equation.
 DEFAULT_CHUNK_SIZE = 256
@@ -54,7 +55,7 @@ DEFAULT_CHUNK_SIZE = 256
 class Check:
     """One proof obligation: a claim, its evidence, and where it came from.
 
-    ``kind`` selects the registered predicate (see :mod:`repro.audit.kinds`);
+    ``kind`` selects the predicate (see :data:`repro.audit.kinds.KINDS`);
     ``name`` is the human-readable failure locus (e.g.
     ``"ballot-mix[2].round[5]"``); ``evidence`` is the kind-specific payload,
     passed positionally to the predicate.

@@ -2,9 +2,9 @@
 
 Builders are pure functions from published artifacts (ballots, cascades,
 boards, evidence bundles) to lists of :class:`~repro.audit.api.Check`; the
-rewired ``verify_*`` entry points build one-object plans and return
-``report.ok``, while :func:`tally_audit_plan` / :func:`audit_election`
-assemble the whole election into a single plan for any strategy.
+``audit_*`` entry points run one-object plans and return the report, while
+:func:`tally_audit_plan` / :func:`audit_election` assemble the whole
+election into a single plan for any strategy.
 
 Locus naming convention: ``<surface>[<index-or-id>].<predicate>`` — e.g.
 ``ballot-mix[2].round[5]``, ``registration[voter-0007].kiosk-signature``,

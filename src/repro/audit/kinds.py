@@ -1,6 +1,7 @@
-"""The check-kind registry: reference predicates and their batch folds.
+"""The check-kind table: reference predicates and their batch folds.
 
-Each kind registers:
+:data:`KINDS` names every kind a plan builder in :mod:`repro` emits, and no
+other.  Each kind has:
 
 * ``verify_one(*evidence) -> bool`` — the reference predicate, exactly what
   the scattered ``verify_*`` functions used to compute.  The eager strategy
@@ -15,10 +16,10 @@ Each kind registers:
   identical outcomes.
 
 Foldable kinds — Schnorr signatures (ballots, registration records,
-rotation records), Chaum–Pedersen transcripts, dlog proofs, shuffle-round
-openings, decryption shares, and both tagging-chain families — are what
-closes the "batch verification everywhere" roadmap item: every hot
-``verify=True`` path in the system now lands in one of these folds.
+rotation records), dlog proofs, shuffle-round openings, decryption shares
+and the ciphertext tagging chain — are what closes the "batch verification
+everywhere" roadmap item: every hot ``verify=True`` path in the system lands
+in one of these folds.
 
 Evidence tuples contain only picklable values (group elements, dataclass
 transcripts, snapshots — never live objects with callbacks), so plans can
@@ -30,15 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.chaum_pedersen import chaum_pedersen_verify, fiat_shamir_verify, verify_decryption_share
+from repro.crypto.chaum_pedersen import verify_decryption_share
 from repro.crypto.dlog_proof import verify_dlog
 from repro.crypto.schnorr import schnorr_verify
-from repro.crypto.tagging import (
-    ciphertext_tag_chain_transcripts,
-    tag_chain_transcripts,
-    verify_blinded_tag,
-    verify_ciphertext_tag_chain,
-)
+from repro.crypto.tagging import ciphertext_tag_chain_transcripts, verify_ciphertext_tag_chain
 from repro.ledger.log import AppendOnlyLog
 from repro.runtime.batch import (
     batch_chaum_pedersen_verify,
@@ -58,25 +54,10 @@ if TYPE_CHECKING:  # avoid importing the api module at runtime here
 
 @dataclass(frozen=True)
 class CheckKind:
-    """One registered evidence class: its reference predicate and batch fold."""
+    """One evidence class: its reference predicate and batch fold."""
 
-    name: str
     verify_one: Callable[..., bool]
     fold: Optional[Callable[[Sequence[Tuple[Any, ...]]], bool]] = None
-
-
-KINDS: Dict[str, CheckKind] = {}
-
-
-def register_kind(
-    name: str,
-    verify_one: Callable[..., bool],
-    fold: Optional[Callable[[Sequence[Tuple[Any, ...]]], bool]] = None,
-) -> CheckKind:
-    """Register (or replace) a check kind; returns the registry entry."""
-    kind = CheckKind(name=name, verify_one=verify_one, fold=fold)
-    KINDS[name] = kind
-    return kind
 
 
 def get_kind(name: str) -> CheckKind:
@@ -153,22 +134,6 @@ def _schnorr_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
     return batch_schnorr_verify(list(evidences))
 
 
-def _chaum_pedersen_one(transcript, context=None) -> bool:
-    if context is None:
-        return chaum_pedersen_verify(transcript)
-    return fiat_shamir_verify(transcript, context=context)
-
-
-def _chaum_pedersen_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
-    # One fold per Fiat–Shamir context (None: an interactive transcript).
-    by_context: Dict[Optional[bytes], List[Any]] = {}
-    for transcript, *context in evidences:
-        by_context.setdefault(context[0] if context else None, []).append(transcript)
-    return all(
-        batch_chaum_pedersen_verify(transcripts, context=context) for context, transcripts in by_context.items()
-    )
-
-
 def _dlog_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
     return batch_dlog_verify(list(evidences))
 
@@ -200,16 +165,6 @@ def _shuffle_round_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
     )
 
 
-def _tag_chain_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
-    transcripts = []
-    for tag, original, commitments in evidences:
-        chain = tag_chain_transcripts(tag, original, commitments)
-        if chain is None:
-            return False
-        transcripts.extend(chain)
-    return batch_chaum_pedersen_verify(transcripts, context=None)
-
-
 def _ciphertext_tag_chain_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
     transcripts = []
     for steps, original, final, commitments in evidences:
@@ -217,7 +172,7 @@ def _ciphertext_tag_chain_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
         if chain is None:
             return False
         transcripts.extend(chain)
-    return batch_chaum_pedersen_verify(transcripts, context=None)
+    return batch_chaum_pedersen_verify(transcripts)
 
 
 def _decryption_share_fold(evidences: Sequence[Tuple[Any, ...]]) -> bool:
@@ -232,10 +187,6 @@ def _wellformedness_one(group, public_key, ciphertext, proof, num_options) -> bo
 
 def _ledger_chain_one(name, entries) -> bool:
     return AppendOnlyLog.verify_entries(entries)
-
-
-def _tag_chain_one(tag, original, commitments) -> bool:
-    return verify_blinded_tag(tag, original, commitments)
 
 
 def _ciphertext_tag_chain_one(steps, original, final, commitments) -> bool:
@@ -320,14 +271,15 @@ def _vote_decodes(
     return choice == expected_choice
 
 
-register_kind("schnorr", schnorr_verify, _schnorr_fold)
-register_kind("chaum-pedersen", _chaum_pedersen_one, _chaum_pedersen_fold)
-register_kind("dlog", verify_dlog, _dlog_fold)
-register_kind("wellformedness", _wellformedness_one)
-register_kind("shuffle-coins", _shuffle_coins_one)
-register_kind("shuffle-round", _shuffle_round_one, _shuffle_round_fold)
-register_kind("tag-chain", _tag_chain_one, _tag_chain_fold)
-register_kind("ciphertext-tag-chain", _ciphertext_tag_chain_one, _ciphertext_tag_chain_fold)
-register_kind("decryption-share", verify_decryption_share, _decryption_share_fold)
-register_kind("ledger-chain", _ledger_chain_one)
-register_kind("predicate", _predicate_one)
+#: Every check kind, by the name a :class:`~repro.audit.api.Check` carries.
+KINDS: Dict[str, CheckKind] = {
+    "schnorr": CheckKind(schnorr_verify, _schnorr_fold),
+    "dlog": CheckKind(verify_dlog, _dlog_fold),
+    "wellformedness": CheckKind(_wellformedness_one),
+    "shuffle-coins": CheckKind(_shuffle_coins_one),
+    "shuffle-round": CheckKind(_shuffle_round_one, _shuffle_round_fold),
+    "ciphertext-tag-chain": CheckKind(_ciphertext_tag_chain_one, _ciphertext_tag_chain_fold),
+    "decryption-share": CheckKind(verify_decryption_share, _decryption_share_fold),
+    "ledger-chain": CheckKind(_ledger_chain_one),
+    "predicate": CheckKind(_predicate_one),
+}

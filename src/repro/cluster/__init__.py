@@ -6,7 +6,7 @@ reads, and audit plans are picklable — this package adds the missing
 piece, workers in other processes and on other machines:
 
 * :mod:`repro.cluster.protocol` — the length-prefixed, versioned wire
-  format (typed frames, pluggable codec, signed-hello enrollment);
+  format (typed frames, one pickle codec, signed-hello enrollment);
 * :mod:`repro.cluster.coordinator` — enrollment, ordered dispatch with
   idempotent at-least-once reassignment, liveness reaping;
 * :mod:`repro.cluster.executor` — :class:`~repro.cluster.executor.RemoteExecutor` behind the

@@ -2,8 +2,8 @@
 
 :class:`ClusterCoordinator` owns the server side of the wire protocol.  It
 listens on one or more addresses, runs the challenge/hello/welcome handshake
-with every connecting worker daemon, and then schedules *tasks* — codec-
-encoded ``(mode, fn, payload)`` triples — across the enrolled workers:
+with every connecting worker daemon, and then schedules *tasks* — pickled
+``(mode, fn, payload)`` triples — across the enrolled workers:
 
 * **Contiguous, order-preserving dispatch.**  :meth:`run_tasks` accepts an
   ordered list of task payloads and returns their results in exactly that
@@ -47,13 +47,11 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.cluster.protocol import (
-    PICKLE_CODEC,
     PROTOCOL_VERSION,
-    Codec,
     Frame,
     FrameKind,
+    encode_payload,
     expect_frame,
-    handshake_codec,
     recv_frame,
     send_frame,
     verify_hello,
@@ -157,14 +155,12 @@ class ClusterCoordinator:
         self,
         listen: Sequence[Tuple[str, int]] = (("127.0.0.1", 0),),
         secret: Optional[bytes] = None,
-        codec: Codec = PICKLE_CODEC,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         task_timeout: Optional[float] = DEFAULT_TASK_TIMEOUT,
         name: str = "cluster",
     ) -> None:
         self._secret = secret
-        self._codec = codec
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = heartbeat_timeout
         self._task_timeout = task_timeout
@@ -180,10 +176,9 @@ class ClusterCoordinator:
         self._task_keys = itertools.count()
         self._worker_ids = itertools.count()
         self._closed = False
-        #: Warm work advertised to workers in WELCOME (group factories and
-        #: fixed bases to precompute before the worker accepts TASK frames).
+        #: Warm work sent to workers in the WARM frame (group factories whose
+        #: generator tables a worker builds before it accepts TASK frames).
         self._warm_groups: List[Any] = []
-        self._warm_bases: List[Any] = []
 
         # Pre-register the fleet counters at zero so a merged snapshot shows
         # "reassign 0" for a healthy run instead of omitting the series.
@@ -233,30 +228,22 @@ class ClusterCoordinator:
         with self._lock:
             return sorted(self._workers)
 
-    def set_warm(self, groups: Optional[Sequence[Any]] = None, bases: Optional[Sequence[Any]] = None) -> None:
+    def set_warm(self, groups: Sequence[Any]) -> None:
         """Advertise precompute warm work to *future* enrollments.
 
         ``groups`` are zero-argument group factories (workers warm each
-        group's generator table); ``bases`` are group elements to warm
-        directly (e.g. the election authority's public key).  Entries the
-        codec cannot encode are dropped rather than poisoning every
-        subsequent WELCOME frame.
+        group's generator table).  Factories that do not pickle are dropped
+        rather than poisoning every subsequent WARM frame.
         """
-        def _encodable(items: Optional[Sequence[Any]]) -> List[Any]:
-            kept = []
-            for item in items or ():
-                try:
-                    self._codec.encode(item)
-                except Exception:
-                    continue
-                kept.append(item)
-            return kept
-
+        kept = []
+        for factory in groups:
+            try:
+                encode_payload(factory)
+            except Exception:
+                continue
+            kept.append(factory)
         with self._lock:
-            if groups is not None:
-                self._warm_groups = _encodable(groups)
-            if bases is not None:
-                self._warm_bases = _encodable(bases)
+            self._warm_groups = kept
 
     def wait_for_workers(self, count: int = 1, timeout: float = DEFAULT_ENROLL_TIMEOUT) -> None:
         """Block until ``count`` workers are enrolled; :class:`ClusterError` on timeout."""
@@ -301,12 +288,12 @@ class ClusterCoordinator:
                 "coordinator": self.name,
                 "heartbeat_interval": self._heartbeat_interval,
                 "authenticated": self._secret is not None,
-            }), self._codec)
+            }))
             # Decode the (pre-authentication) hello with the restricted
-            # handshake codec: nothing an unauthenticated peer sends may
-            # execute during deserialization — the MAC check below is what
-            # admits a peer to the full task codec.
-            hello = expect_frame(conn, FrameKind.HELLO, handshake_codec(self._codec))
+            # unpickler: nothing an unauthenticated peer sends may execute
+            # during deserialization — the MAC check below is what admits a
+            # peer to the full unpickler.
+            hello = expect_frame(conn, FrameKind.HELLO, pre_auth=True)
             payload = hello.payload if isinstance(hello.payload, dict) else {}
             version = payload.get("protocol_version")
             worker_id = str(payload.get("worker_id") or f"worker-{next(self._worker_ids)}")
@@ -328,13 +315,13 @@ class ClusterCoordinator:
                     worker_id = f"{worker_id}#{next(self._worker_ids)}"
                 self._enrolling_ids.add(worker_id)
             # WELCOME is primitives-only (the worker decodes it with the
-            # restricted handshake codec) and carries the coordinator's half
+            # restricted unpickler) and carries the coordinator's half
             # of mutual authentication: a MAC over the worker's fresh nonce.
             welcome: Dict[str, Any] = {
                 "worker_id": worker_id,
                 "heartbeat_interval": self._heartbeat_interval,
                 # Primitives-only flag (the worker decodes WELCOME with the
-                # restricted codec): when the coordinator is collecting
+                # restricted unpickler): when the coordinator is collecting
                 # telemetry, workers buffer spans in memory and piggyback
                 # them on RESULT frames for one merged fleet snapshot.
                 "telemetry": telemetry.enabled(),
@@ -344,15 +331,15 @@ class ClusterCoordinator:
                 if not isinstance(worker_nonce, bytes):
                     worker_nonce = b""
                 welcome["mac"] = welcome_mac(self._secret, worker_nonce, worker_id)
-            send_frame(conn, Frame(FrameKind.WELCOME, welcome), self._codec)
-            # Warm work (group factories, hot bases — arbitrary picklables)
-            # only ships after both sides are authenticated.
+            send_frame(conn, Frame(FrameKind.WELCOME, welcome))
+            # Warm work (group factories — arbitrary picklables) only ships
+            # after both sides are authenticated.
             with self._lock:
-                warm = {"groups": list(self._warm_groups), "bases": list(self._warm_bases)}
-            send_frame(conn, Frame(FrameKind.WARM, warm), self._codec)
+                warm = {"groups": list(self._warm_groups)}
+            send_frame(conn, Frame(FrameKind.WARM, warm))
             # The worker warms its precompute tables now; its first
             # HEARTBEAT is the ready signal that gates dispatch.
-            expect_frame(conn, FrameKind.HEARTBEAT, self._codec)
+            expect_frame(conn, FrameKind.HEARTBEAT)
             conn.settimeout(None)
         except Exception:  # noqa: BLE001 - any malformed pre-auth input
             # Enrollment failures are per-connection events, not cluster
@@ -393,7 +380,7 @@ class ClusterCoordinator:
         # nonce, MAC, or secret material ever reaches the log stream.
         logger.warning("rejecting enrollment: %s", reason)
         try:
-            send_frame(conn, Frame(FrameKind.ERROR, (None, reason)), self._codec)
+            send_frame(conn, Frame(FrameKind.ERROR, (None, reason)))
         except (ClusterError, OSError):
             pass
         finally:
@@ -407,7 +394,7 @@ class ClusterCoordinator:
     def _read_loop(self, worker: _Worker) -> None:
         try:
             while worker.alive:
-                frame = recv_frame(worker.conn, self._codec)
+                frame = recv_frame(worker.conn)
                 worker.last_seen = time.monotonic()
                 if frame.kind is FrameKind.RESULT:
                     # Telemetry-enabled workers piggyback their drained span
@@ -584,7 +571,7 @@ class ClusterCoordinator:
                     # after every coordinator lock is released, and nothing
                     # blocks under it but the socket itself.
                     with worker.send_lock:
-                        send_frame(worker.conn, frame, self._codec)  # repro: noqa[REP004]
+                        send_frame(worker.conn, frame)  # repro: noqa[REP004]
                 except (ClusterError, OSError):
                     if worker not in dead:
                         dead.append(worker)
@@ -675,9 +662,7 @@ class ClusterCoordinator:
             try:
                 # Same leaf send-lock as _pump: serializes one frame write.
                 with worker.send_lock:
-                    send_frame(  # repro: noqa[REP004]
-                        worker.conn, Frame(FrameKind.SHUTDOWN), self._codec
-                    )
+                    send_frame(worker.conn, Frame(FrameKind.SHUTDOWN))  # repro: noqa[REP004]
             except (ClusterError, OSError):
                 pass
             self._retire(worker, "coordinator shutdown")

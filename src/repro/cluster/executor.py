@@ -13,8 +13,8 @@ audit layers works unchanged:
 * ``cluster`` — loopback convenience for tests, CI and benchmarks: bind an
   ephemeral port, generate a fresh secret, and auto-spawn local worker
   subprocesses that enroll against it.  Workers spawn lazily (on ``warm()``
-  or first dispatch), so config code can attach warm material — group
-  factories, hot bases — before any worker enrolls.
+  or first dispatch), so config code can attach warm material (group
+  factories) before any worker enrolls.
 
 Dispatch always goes through the coordinator, even with a single enrolled
 worker: ``cluster:1`` measures true remoting overhead (the bench gate), and
@@ -186,9 +186,9 @@ class RemoteExecutor(Executor):
             return enrolled
         return max(self.min_workers, self._spawn_workers, 1)
 
-    def set_warm(self, groups: Optional[Sequence[Any]] = None, bases: Optional[Sequence[Any]] = None) -> None:
+    def set_warm(self, groups: Sequence[Any]) -> None:
         """Advertise precompute warm work to workers (see coordinator docs)."""
-        self.coordinator.set_warm(groups=groups, bases=bases)
+        self.coordinator.set_warm(groups)
 
     # ------------------------------------------------------------------ dispatch
 

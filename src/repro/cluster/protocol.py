@@ -1,8 +1,8 @@
 """The cluster wire protocol: length-prefixed, versioned, typed frames.
 
 Everything that crosses a machine boundary in :mod:`repro.cluster` is one
-:class:`Frame` — a typed header plus a codec-encoded payload — sent over a
-plain TCP socket.  The format is deliberately tiny:
+:class:`Frame` — a typed header plus a pickled payload — sent over a plain
+TCP socket.  The format is deliberately tiny:
 
     ``!4sBBI`` header: magic ``b"RPCL"``, protocol version, frame kind,
     payload length — followed by exactly that many payload bytes.
@@ -16,14 +16,15 @@ plain TCP socket.  The format is deliberately tiny:
   enrollment handshake additionally exchanges versions in the payload so
   the *reject message* can name both sides' versions instead of dying on a
   framing error mid-stream.
-* **Codec seam.**  Payload encoding is pluggable through :class:`Codec`;
-  the default :class:`PickleCodec` is what lets arbitrary picklable work
-  functions, group elements and ledger records travel.  Pickle over a
-  socket is remote code execution by design — see :func:`hello_mac` and
-  the README's security caveats: the enrollment MAC authenticates *who may
-  speak*, it does not make the payloads themselves safe against a
-  malicious peer.  Deployments that need a constrained vocabulary can
-  install a different codec on both sides.
+* **One codec.**  Payloads are pickled (:func:`encode_payload`), which is
+  what lets arbitrary picklable work functions, group elements and ledger
+  records travel.  Pickle over a socket is remote code execution by
+  design — see :func:`hello_mac` and the README's security caveats: the
+  enrollment MAC authenticates *who may speak*, it does not make the
+  payloads themselves safe against a malicious peer.  Frames read before
+  mutual authentication (``pre_auth=True``) decode through an unpickler
+  that refuses every global, so nothing an unauthenticated peer sends can
+  execute code.
 * **Signed hello.**  In the spirit of attested-runtime enrollment (WaTZ),
   a worker proves knowledge of the shared cluster secret by MACing the
   coordinator's challenge nonce together with its announced identity and
@@ -35,6 +36,7 @@ plain TCP socket.  The format is deliberately tiny:
 from __future__ import annotations
 
 import enum
+import io
 import pickle
 import socket
 import struct
@@ -74,7 +76,7 @@ class FrameKind(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Frame:
-    """One protocol message: a typed kind plus its codec-decoded payload."""
+    """One protocol message: a typed kind plus its decoded payload."""
 
     kind: FrameKind
     payload: Any = None
@@ -84,44 +86,13 @@ class ConnectionClosed(ClusterError):
     """The peer closed the connection (EOF mid-header or mid-payload)."""
 
 
-class Codec:
-    """The payload (de)serialization seam.
+def encode_payload(payload: Any) -> bytes:
+    """A frame body: pickle at the highest shared protocol.
 
-    Subclasses override :meth:`encode`/:meth:`decode`; both sides of a
-    connection must agree on the codec (the protocol does not negotiate it —
-    a codec mismatch surfaces as a decode error, caught and reported as a
-    :class:`~repro.errors.ClusterError`).
-    """
-
-    name = "abstract"
-
-    def encode(self, payload: Any) -> bytes:
-        raise NotImplementedError
-
-    def decode(self, data: bytes) -> Any:
-        raise NotImplementedError
-
-
-class PickleCodec(Codec):
-    """The default codec: pickle at the highest shared protocol.
-
-    Pickle is what makes arbitrary (module-level) work functions and crypto
-    objects transportable; it is also why the enrollment handshake exists.
     Never point a coordinator at an untrusted network without the shared
     secret, and never run a worker against an untrusted coordinator.
     """
-
-    name = "pickle"
-
-    def encode(self, payload: Any) -> bytes:
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def decode(self, data: bytes) -> Any:
-        return pickle.loads(data)
-
-
-#: The codec used when callers do not supply one.
-PICKLE_CODEC = PickleCodec()
+    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class _RestrictedUnpickler(pickle.Unpickler):
@@ -133,43 +104,25 @@ class _RestrictedUnpickler(pickle.Unpickler):
         )
 
 
-class HandshakeCodec(PickleCodec):
-    """Pickle limited to primitives, for *pre-authentication* frames.
+def decode_payload(data: bytes, pre_auth: bool = False) -> Any:
+    """The payload a frame body encodes.
 
-    CHALLENGE and HELLO payloads are plain dicts of bytes/str/int/bool, so
-    they decode without ``find_class`` — but a hostile peer could send a
-    pickle whose deserialization itself executes code, *before* the MAC is
-    ever checked.  Decoding the handshake with a globals-free unpickler
-    closes that hole: the signed hello then genuinely gates everything the
-    full codec is willing to execute.  (Encoding is unchanged — honest
-    handshake payloads are primitives either way.)
+    CHALLENGE, HELLO and WELCOME payloads are plain dicts of
+    bytes/str/int/bool, but a hostile peer could send a pickle whose
+    deserialization itself executes code, *before* the MAC is ever checked.
+    With ``pre_auth`` the body decodes without ``find_class``, so the signed
+    hello genuinely gates everything the full unpickler is willing to
+    execute.
     """
-
-    name = "handshake"
-
-    def decode(self, data: bytes) -> Any:
-        import io
-
+    if pre_auth:
         return _RestrictedUnpickler(io.BytesIO(data)).load()
+    return pickle.loads(data)
 
 
-#: The pre-authentication codec both handshake sides decode with.
-HANDSHAKE_CODEC = HandshakeCodec()
-
-
-def handshake_codec(codec: Codec) -> Codec:
-    """The codec to *decode* pre-auth frames with, given the session codec.
-
-    Pickle sessions harden to :data:`HANDSHAKE_CODEC`; a custom codec is
-    trusted to define its own safety story and is used as-is.
-    """
-    return HANDSHAKE_CODEC if isinstance(codec, PickleCodec) else codec
-
-
-def send_frame(sock: socket.socket, frame: Frame, codec: Codec = PICKLE_CODEC) -> None:
+def send_frame(sock: socket.socket, frame: Frame) -> None:
     """Serialize and send one frame; raises :class:`ClusterError` on failure."""
     try:
-        body = codec.encode(frame.payload)
+        body = encode_payload(frame.payload)
     except Exception as exc:
         raise ClusterError(f"cannot encode {frame.kind.name} payload: {exc!r}") from exc
     if len(body) > MAX_FRAME_BYTES:
@@ -193,8 +146,12 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket, codec: Codec = PICKLE_CODEC) -> Frame:
-    """Read exactly one frame; validates magic, version, kind and length."""
+def recv_frame(sock: socket.socket, pre_auth: bool = False) -> Frame:
+    """Read exactly one frame; validates magic, version, kind and length.
+
+    ``pre_auth`` decodes the payload as :func:`decode_payload` does a frame
+    read before mutual authentication.
+    """
     header = _recv_exact(sock, _HEADER.size)
     magic, version, kind_byte, length = _HEADER.unpack(header)
     if magic != MAGIC:
@@ -211,7 +168,7 @@ def recv_frame(sock: socket.socket, codec: Codec = PICKLE_CODEC) -> Frame:
         raise ClusterError(f"unknown frame kind {kind_byte}") from None
     body = _recv_exact(sock, length)
     try:
-        payload = codec.decode(body)
+        payload = decode_payload(body, pre_auth)
     except ConnectionClosed:
         raise
     except Exception as exc:
@@ -219,14 +176,14 @@ def recv_frame(sock: socket.socket, codec: Codec = PICKLE_CODEC) -> Frame:
     return Frame(kind=kind, payload=payload)
 
 
-def expect_frame(sock: socket.socket, kind: FrameKind, codec: Codec = PICKLE_CODEC) -> Frame:
+def expect_frame(sock: socket.socket, kind: FrameKind, pre_auth: bool = False) -> Frame:
     """Receive one frame and require it to be of ``kind``.
 
     An incoming ``ERROR`` frame is translated into a raised
     :class:`ClusterError` carrying the peer's message, so handshake rejects
     surface with their real reason instead of as an unexpected-kind error.
     """
-    frame = recv_frame(sock, codec)
+    frame = recv_frame(sock, pre_auth)
     if frame.kind is FrameKind.ERROR and kind is not FrameKind.ERROR:
         detail = frame.payload[1] if isinstance(frame.payload, tuple) else frame.payload
         raise ClusterError(f"peer reported an error during {kind.name.lower()}: {detail}")

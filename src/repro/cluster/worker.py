@@ -5,11 +5,10 @@ secret (the signed hello, see :mod:`repro.cluster.protocol`), **warms
 before it works**, and then executes ``TASK`` frames one at a time:
 
 * **Warm-before-TASK.**  Enrollment is only complete once the worker has
-  built the fixed-base tables the coordinator advertised in ``WELCOME``
-  (group generators and hot bases like the election public key).  The
-  first ``HEARTBEAT`` it sends is the ready signal the coordinator gates
-  dispatch on; a freshly spawned subprocess therefore never serves its
-  first shard cold.
+  built the fixed-base tables the coordinator advertised in ``WARM`` (the
+  group generators).  The first ``HEARTBEAT`` it sends is the ready signal
+  the coordinator gates dispatch on; a freshly spawned subprocess therefore
+  never serves its first shard cold.
 * **One serial slot.**  ``"map"``/``"star"`` tasks run inline as
   ``[fn(x) …]`` / ``[fn(*a) …]``; a host contributes its cores by running
   one daemon per core.
@@ -36,15 +35,14 @@ from typing import Any, List, Optional, Tuple
 from repro import telemetry
 from repro.runtime import precompute
 from repro.cluster.protocol import (
-    PICKLE_CODEC,
     PROTOCOL_VERSION,
-    Codec,
     ConnectionClosed,
     Frame,
     FrameKind,
+    decode_payload,
     decode_secret,
+    encode_payload,
     expect_frame,
-    handshake_codec,
     hello_mac,
     parse_address,
     recv_frame,
@@ -69,7 +67,7 @@ PRELOAD = (
     "repro.crypto.modp_group",  # the groups
     "repro.crypto.ed25519",
     "repro.crypto.elgamal",  # ElGamal, ciphertexts, decryption shares
-    "repro.crypto.tagging",  # TaggingAuthority, tagging steps
+    "repro.crypto.tagging",  # TaggingAuthority, CiphertextTaggingStep
     "repro.crypto.dlog_proof",  # dlog proofs
     "repro.ledger.records",  # the record model
     "repro.ledger.log",  # ledger-chain entries
@@ -89,12 +87,10 @@ class WorkerDaemon:
         address: Tuple[str, int],
         secret: Optional[bytes] = None,
         worker_id: Optional[str] = None,
-        codec: Codec = PICKLE_CODEC,
     ) -> None:
         self.address = address
         self.secret = secret
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-        self.codec = codec
         self._sock: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
         self._stop = threading.Event()
@@ -112,7 +108,7 @@ class WorkerDaemon:
                 # close() ran concurrently (e.g. the heartbeat thread lost
                 # the race with shutdown); report it as a transport error.
                 raise ClusterError("worker connection is closed")
-            send_frame(sock, frame, self.codec)  # repro: noqa[REP004]
+            send_frame(sock, frame)  # repro: noqa[REP004]
 
     def _heartbeat_loop(self, interval: float) -> None:
         while not self._stop.wait(interval):
@@ -129,10 +125,9 @@ class WorkerDaemon:
         sock.settimeout(CONNECT_TIMEOUT_SECONDS)
         self._sock = sock
         # Everything before mutual authentication completes is decoded with
-        # the restricted handshake codec: an impostor squatting on the
+        # the restricted unpickler: an impostor squatting on the
         # coordinator's address must not get code execution via a payload.
-        pre_auth = handshake_codec(self.codec)
-        challenge = expect_frame(sock, FrameKind.CHALLENGE, pre_auth).payload or {}
+        challenge = expect_frame(sock, FrameKind.CHALLENGE, pre_auth=True).payload or {}
         version = challenge.get("protocol_version")
         if version != PROTOCOL_VERSION:
             raise ClusterError(
@@ -161,7 +156,7 @@ class WorkerDaemon:
         if self.secret is not None:
             hello["mac"] = hello_mac(self.secret, nonce, self.worker_id)
         self._send(Frame(FrameKind.HELLO, hello))
-        welcome = expect_frame(sock, FrameKind.WELCOME, pre_auth).payload or {}
+        welcome = expect_frame(sock, FrameKind.WELCOME, pre_auth=True).payload or {}
         assigned_id = str(welcome.get("worker_id", self.worker_id))
         if self.secret is not None:
             tag = welcome.get("mac")
@@ -183,15 +178,10 @@ class WorkerDaemon:
         # Only now — with the coordinator authenticated — accept the
         # arbitrary-picklable warm payload, and warm the precompute tables
         # before any TASK.
-        warm = expect_frame(sock, FrameKind.WARM, self.codec).payload or {}
+        warm = expect_frame(sock, FrameKind.WARM).payload or {}
         for factory in warm.get("groups", ()):
             try:
                 precompute.warm_fixed_base(factory().generator)
-            except Exception:  # noqa: BLE001 - warm work is best-effort
-                continue
-        for base in warm.get("bases", ()):
-            try:
-                precompute.warm_fixed_base(base)
             except Exception:  # noqa: BLE001 - warm work is best-effort
                 continue
 
@@ -214,7 +204,7 @@ class WorkerDaemon:
         if sock is None:
             raise ClusterError("worker connection is closed")
         while not self._stop.is_set():
-            frame = recv_frame(sock, self.codec)
+            frame = recv_frame(sock)
             if frame.kind is FrameKind.TASK:
                 key, mode, fn, data, carrier = frame.payload
                 # The carrier is the dispatching call's encoded traceparent
@@ -233,7 +223,7 @@ class WorkerDaemon:
                     # like a transport error coordinator-side and get the
                     # worker retired instead of the error propagated.
                     try:
-                        self.codec.decode(self.codec.encode((key, exc)))
+                        decode_payload(encode_payload((key, exc)))
                         payload = (key, exc)
                     except Exception:  # noqa: BLE001 - fall back to the repr
                         payload = (key, ClusterError(repr(exc)))

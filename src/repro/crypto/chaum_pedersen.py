@@ -18,9 +18,10 @@ discrete logarithms (ZKPoE, Appendix E.1).
 * :func:`chaum_pedersen_verify` checks a transcript; it accepts real and fake
   transcripts alike — by design, the transcript alone cannot reveal which is
   which.
-* :func:`fiat_shamir_prove` / :func:`fiat_shamir_verify` provide the
-  non-interactive variant used by the baselines (Swiss Post ballot proofs,
-  Civitas credential proofs) and by ballot-wellformedness proofs.
+* :func:`fiat_shamir_challenge` is the non-interactive variant's challenge:
+  the tally's tagging steps (:mod:`repro.crypto.tagging`) hash their
+  transcripts with it, and :func:`fiat_shamir_prove` is the one-shot prover
+  those steps reproduce nonce for nonce.
 """
 
 from __future__ import annotations
@@ -282,16 +283,11 @@ def fiat_shamir_prove(
 ) -> ChaumPedersenTranscript:
     """A non-interactive proof (challenge = hash of commit).
 
-    Used by baselines and by internal consistency proofs.  TRIP deliberately
-    does **not** hand such a proof to the voter for credential realness — a
-    NIZK would be transferable to a coercer (§4.3's straw-man).
+    TRIP deliberately does **not** hand such a proof to the voter for
+    credential realness — a NIZK would be transferable to a coercer (§4.3's
+    straw-man).
     """
     prover = ChaumPedersenProver(statement, witness)
     commit = prover.commit()
     challenge = fiat_shamir_challenge(statement, commit, context)
     return prover.respond(challenge)
-
-
-def fiat_shamir_verify(transcript: ChaumPedersenTranscript, context: bytes = b"") -> bool:
-    expected = fiat_shamir_challenge(transcript.statement, transcript.commit, context)
-    return transcript.challenge == expected and chaum_pedersen_verify(transcript)

@@ -4,18 +4,19 @@ Votegral avoids Civitas' quadratic PET-based filtering by applying a
 *deterministic blinding tag* to both sides of the match (§4.2, §7.4, and the
 Weber-et-al. linear-work construction the paper cites):
 
-* every ballot is submitted under a credential public key ``K`` (real or
-  fake) — the tally service blinds it to ``K^z``;
 * every active registration record carries the public credential tag
-  ``c_pc = Enc_A(K_real)`` — the tally service exponentiates the ciphertext to
-  obtain ``Enc_A(K_real^z)`` and then threshold-decrypts it to ``K_real^z``.
+  ``c_pc = Enc_A(K_real)``;
+* every ballot is submitted under a credential public key ``K`` (real or
+  fake), which enters the mix as the trivial encryption ``Enc_A(K)``.
 
-The blinding exponent ``z`` is the product of per-member secrets ``z_i``, so
-no single member can link a blinded tag back to a credential, yet the same
-credential always maps to the same tag — matching is a hash join, linear in
-the number of ballots.  Every member's exponentiation step ships with a
-Chaum–Pedersen proof of consistency so the whole filtering step is publicly
-verifiable.
+The tally service exponentiates both kinds of ciphertext to ``Enc_A(K^z)``
+and threshold-decrypts them to ``K^z``.  The blinding exponent ``z`` is the
+product of per-member secrets ``z_i``, so no single member can link a blinded
+tag back to a credential, yet the same credential always maps to the same
+tag — matching is a hash join, linear in the number of ballots.  Every
+member's exponentiation step ships with two Chaum–Pedersen proofs of
+consistency, one per ciphertext part, so the whole filtering step is
+publicly verifiable (the ``ciphertext-tag-chain`` audit kind).
 """
 
 from __future__ import annotations
@@ -30,46 +31,16 @@ from repro.crypto.chaum_pedersen import (
     ChaumPedersenTranscript,
     chaum_pedersen_verify,
     fiat_shamir_challenge,
-    fiat_shamir_prove,
 )
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
-from repro.errors import VerificationError
 
-#: Fiat–Shamir domain tags for the two tagging-proof families.
-TAG_CONTEXT = b"deterministic-tag"
+#: Fiat–Shamir domain tag of the tagging proofs.
 CIPHERTEXT_TAG_CONTEXT = b"deterministic-tag-ciphertext"
 
 #: Entries one member's step takes in :meth:`TaggingAuthority.blinding_material`.
 _STEP_FIELDS = 10
-
-
-@dataclass(frozen=True)
-class TaggingStep:
-    """One member's exponentiation step with its correctness proof.
-
-    The proof shows the member used the same secret exponent it committed to
-    (``commitment = g^{z_i}``) when transforming ``before`` into ``after``.
-    """
-
-    member_index: int
-    before: GroupElement
-    after: GroupElement
-    commitment: GroupElement
-    proof: ChaumPedersenTranscript
-
-
-@dataclass(frozen=True)
-class BlindedTag:
-    """A fully blinded tag ``value = m^{z_1·…·z_n}`` plus the per-member steps."""
-
-    value: GroupElement
-    steps: List[TaggingStep]
-
-    def key(self) -> bytes:
-        """A canonical byte key for hash-join matching."""
-        return self.value.to_bytes()
 
 
 @dataclass
@@ -93,25 +64,6 @@ class TaggingAuthority:
     @property
     def num_members(self) -> int:
         return len(self.secrets)
-
-    # Blinding plain group elements (ballot credential keys) -------------------
-
-    def blind_element(self, element: GroupElement) -> BlindedTag:
-        """Blind a public group element through every member in turn."""
-        current = element
-        steps: List[TaggingStep] = []
-        for index, (secret, commitment) in enumerate(zip(self.secrets, self.commitments), start=1):
-            after = current ** secret
-            statement = ChaumPedersenStatement(
-                base_g=current,
-                base_h=self.group.generator,
-                value_g=after,
-                value_h=commitment,
-            )
-            proof = fiat_shamir_prove(statement, secret, context=TAG_CONTEXT)
-            steps.append(TaggingStep(index, current, after, commitment, proof))
-            current = after
-        return BlindedTag(value=current, steps=steps)
 
     # Blinding ciphertexts (registration credential tags) ----------------------
 
@@ -240,54 +192,6 @@ def _step_structure_ok(
     return True
 
 
-def tag_chain_transcripts(
-    tag: BlindedTag,
-    original: GroupElement,
-    commitments: Optional[Sequence[GroupElement]] = None,
-) -> Optional[List[ChaumPedersenTranscript]]:
-    """Structural walk of a tagging chain, separating structure from crypto.
-
-    Returns the per-step Chaum–Pedersen transcripts (with their Fiat–Shamir
-    challenges already confirmed against the hash) iff every structural check
-    passes — step linkage, statement bases, commitment bindings, chain
-    endpoint — otherwise ``None``.  The remaining work is exactly the two
-    group equations per transcript: the eager verifier checks them
-    one-by-one, and :func:`repro.runtime.batch.batch_chaum_pedersen_verify`
-    states them for the one random-linear-combination fold, over whole
-    batches of tag chains.
-    """
-    current = original
-    transcripts: List[ChaumPedersenTranscript] = []
-    for step in tag.steps:
-        if step.before != current:
-            return None
-        if not _step_structure_ok(
-            step.proof.statement, step.before, step.after, step.commitment, step.member_index, commitments
-        ):
-            return None
-        expected = fiat_shamir_challenge(step.proof.statement, step.proof.commit, TAG_CONTEXT)
-        if step.proof.challenge != expected:
-            return None
-        transcripts.append(step.proof)
-        current = step.after
-    if current != tag.value:
-        return None
-    return transcripts
-
-
-def verify_blinded_tag(tag: BlindedTag, original: GroupElement, commitments: Optional[List[GroupElement]] = None) -> bool:
-    """Publicly verify the chain of tagging steps from ``original`` to ``tag.value``.
-
-    The reference (one-by-one) predicate behind the audit layer's
-    ``tag-chain`` check kind; batches of chains fold their transcripts into
-    the RLC batch verifier instead (see :mod:`repro.audit.kinds`).
-    """
-    transcripts = tag_chain_transcripts(tag, original, commitments)
-    if transcripts is None:
-        return False
-    return all(chaum_pedersen_verify(transcript) for transcript in transcripts)
-
-
 def ciphertext_tag_chain_transcripts(
     steps: Sequence[CiphertextTaggingStep],
     original: ElGamalCiphertext,
@@ -296,9 +200,13 @@ def ciphertext_tag_chain_transcripts(
 ) -> Optional[List[ChaumPedersenTranscript]]:
     """Structural walk of a ciphertext tagging chain (two transcripts per step).
 
-    Same contract as :func:`tag_chain_transcripts`: transcripts with
-    confirmed challenges on structural success, ``None`` on any structural
-    failure.
+    Returns the per-step Chaum–Pedersen transcripts, their Fiat–Shamir
+    challenges already confirmed against the hash, iff every structural
+    check passes — step linkage, statement bases, commitment bindings, chain
+    endpoint — otherwise ``None``.  What is left is the two group equations
+    per transcript: :func:`verify_ciphertext_tag_chain` checks them one by
+    one, and :func:`repro.runtime.batch.batch_chaum_pedersen_verify` folds
+    them over whole batches of chains.
     """
     current = original
     transcripts: List[ChaumPedersenTranscript] = []
@@ -334,8 +242,3 @@ def verify_ciphertext_tag_chain(
     if transcripts is None:
         return False
     return all(chaum_pedersen_verify(transcript) for transcript in transcripts)
-
-
-def assert_valid_tag(tag: BlindedTag, original: GroupElement, commitments: Optional[List[GroupElement]] = None) -> None:
-    if not verify_blinded_tag(tag, original, commitments):
-        raise VerificationError("deterministic tagging chain failed verification")

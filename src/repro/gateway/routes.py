@@ -50,7 +50,7 @@ from repro.gateway.service import (
     ShedError,
     UnknownElectionError,
 )
-from repro.spec import GATEWAY, env
+from repro.spec import env
 
 logger = logging.getLogger(__name__)
 
@@ -572,14 +572,3 @@ async def _discard_until_eof(reader: asyncio.StreamReader) -> None:
             pass
     except ConnectionError:
         pass
-
-
-def server_from_spec(spec: str, service: GatewayService) -> Optional[GatewayServer]:
-    """Build a server from a ``gateway_spec`` (forms: :data:`repro.spec.GATEWAY`).
-
-    ``None`` for ``off``; loopback and an ephemeral port unless given.
-    """
-    head, given = GATEWAY.parse(spec)
-    if head == "off":
-        return None
-    return GatewayServer(service, **given)

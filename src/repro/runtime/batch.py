@@ -20,7 +20,8 @@ The verifiers:
   signatures (the tally's check of the ballots last-write-wins can count is
   :func:`verify_signatures`);
 * :func:`batch_chaum_pedersen_verify` — Chaum–Pedersen transcripts (tagging
-  steps), and through it :func:`batch_decryption_share_verify`;
+  steps, their challenges already checked by the caller), and through it
+  :func:`batch_decryption_share_verify`;
 * :func:`batch_dlog_verify` — dlog proofs of knowledge;
 * :func:`batch_reencryption_verify` — the shadow-mix openings of the shuffle
   proofs, where the per-item work drops from two full-width exponentiations
@@ -36,11 +37,7 @@ from __future__ import annotations
 import secrets
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.chaum_pedersen import (
-    ChaumPedersenTranscript,
-    decryption_share_transcript,
-    fiat_shamir_challenge,
-)
+from repro.crypto.chaum_pedersen import ChaumPedersenTranscript, decryption_share_transcript
 from repro.crypto.dlog_proof import DlogProof, dlog_challenge
 from repro.crypto.elgamal import DecryptionShare, ElGamal, ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
@@ -208,22 +205,12 @@ def verify_signatures(
 
 def batch_chaum_pedersen_verify(
     transcripts: Sequence[ChaumPedersenTranscript],
-    context: Optional[bytes] = None,
     weight_bits: int = DEFAULT_WEIGHT_BITS,
 ) -> bool:
     """Accept iff every transcript satisfies ``Y1 == g^r · C1^e`` and
-    ``Y2 == h^r · X^e``.
-
-    With ``context`` given, each transcript's challenge is additionally
-    required to equal its Fiat–Shamir hash (the non-interactive variant).
-    """
+    ``Y2 == h^r · X^e``."""
     if not transcripts:
         return True
-    if context is not None and any(
-        transcript.challenge != fiat_shamir_challenge(transcript.statement, transcript.commit, context)
-        for transcript in transcripts
-    ):
-        return False
     equations: List[Equation] = []
     for transcript in transcripts:
         statement, challenge, response = transcript.statement, transcript.challenge, transcript.response

@@ -24,7 +24,6 @@ from repro.crypto.elgamal import ElGamal, ElGamalCiphertext, hot_power
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.hashing import scalar_bytes, sha256
 from repro.crypto.schnorr import SchnorrSignature, SigningKeyPair, schnorr_sign
-from repro.errors import VerificationError
 from repro.ledger.records import BallotRecord
 
 
@@ -178,22 +177,6 @@ def wellformedness_ok(
     return True
 
 
-def verify_wellformedness(
-    group: Group,
-    public_key: GroupElement,
-    ciphertext: ElGamalCiphertext,
-    proof: BallotProof,
-    num_options: int,
-) -> bool:
-    """Verify the disjunctive well-formedness proof (bool shim over the audit API)."""
-    from repro.audit.api import Check, AuditPlan, EagerVerifier
-
-    plan = AuditPlan(
-        [Check("wellformedness", "ballot.wellformedness", (group, public_key, ciphertext, proof, num_options))]
-    )
-    return EagerVerifier().run(plan).ok
-
-
 def make_ballot(
     group: Group,
     authority_public_key: GroupElement,
@@ -248,18 +231,3 @@ def audit_ballot(
 
     plan = AuditPlan(ballot_checks(group, authority_public_key, ballot, num_options, label=label))
     return EagerVerifier().run(plan)
-
-
-def verify_ballot(
-    group: Group,
-    authority_public_key: GroupElement,
-    ballot: Ballot,
-    num_options: int,
-) -> bool:
-    """Publicly verify a ballot (bool shim over the audit API)."""
-    return audit_ballot(group, authority_public_key, ballot, num_options).ok
-
-
-def assert_valid_ballot(group: Group, authority_public_key: GroupElement, ballot: Ballot, num_options: int) -> None:
-    if not verify_ballot(group, authority_public_key, ballot, num_options):
-        raise VerificationError("ballot failed verification")

@@ -13,7 +13,7 @@ from repro.audit.api import (
     EagerVerifier,
     verifier_from_spec,
 )
-from repro.crypto.chaum_pedersen import ChaumPedersenStatement, fiat_shamir_prove
+from repro.crypto.elgamal import ElGamal
 from repro.crypto.group import Group
 from repro.crypto.hashing import sha256
 from repro.crypto.modp_group import modp_group_256
@@ -42,19 +42,15 @@ def _signature_checks(group, count, bad=()):
     return checks
 
 
-def _chaum_pedersen_checks(group, count):
-    base_h = group.hash_to_element(b"audit-test second base")
+def _decryption_share_checks(group, count):
+    elgamal = ElGamal(group)
     checks = []
     for index in range(count):
-        witness = group.random_scalar()
-        statement = ChaumPedersenStatement(
-            base_g=group.generator,
-            base_h=base_h,
-            value_g=group.power(witness),
-            value_h=base_h ** witness,
-        )
-        transcript = fiat_shamir_prove(statement, witness, context=b"audit-test")
-        checks.append(Check("chaum-pedersen", f"cp[{index}]", (transcript, b"audit-test")))
+        secret = group.random_scalar()
+        public_share = group.power(secret)
+        ciphertext = elgamal.encrypt(group.power(group.random_scalar()), group.power(index + 1))
+        (share,) = elgamal.decryption_shares([secret], ciphertext, [public_share])
+        checks.append(Check("decryption-share", f"share[{index}]", (public_share, ciphertext, share)))
     return checks
 
 
@@ -113,7 +109,7 @@ class TestStrategies:
         product per chunk per kind does the work of one verification per
         check.  (A 256-bit group: the toy group's multi-exp stays naive.)"""
         group = modp_group_256()
-        plan = AuditPlan(_signature_checks(group, 16) + _chaum_pedersen_checks(group, 16))
+        plan = AuditPlan(_signature_checks(group, 16) + _decryption_share_checks(group, 16))
         element_type = type(group.generator)
         exponentiate, multi_exponentiate = element_type.exponentiate, Group.multi_exponentiate
         spent, products = [], []
@@ -190,11 +186,11 @@ class TestStrategies:
                 self.calls.append([(kind, len(evidences)) for kind, evidences in items])
                 return super().starmap(fn, items, chunksize)
 
-        plan = AuditPlan(_signature_checks(group, 10, bad={3}) + _chaum_pedersen_checks(group, 3))
+        plan = AuditPlan(_signature_checks(group, 10, bad={3}) + _decryption_share_checks(group, 3))
         eager = EagerVerifier().run(plan)
         for chunk_size, expected in (
-            (256, [("schnorr", 10), ("chaum-pedersen", 3)]),
-            (4, [("schnorr", 4), ("schnorr", 3), ("schnorr", 3), ("chaum-pedersen", 3)]),
+            (256, [("schnorr", 10), ("decryption-share", 3)]),
+            (4, [("schnorr", 4), ("schnorr", 3), ("schnorr", 3), ("decryption-share", 3)]),
         ):
             executor = Recording()
             assert executor.num_workers == 1

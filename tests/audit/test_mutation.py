@@ -1,7 +1,7 @@
 """Audit soundness under evidence mutation (stateless-model-checking spirit).
 
 For each evidence class — ballot proof, shuffle transcript, decryption
-share, tag chain (both families), ledger batch chain, ledger hash chain —
+share, ciphertext tag chain, ledger batch chain, ledger hash chain —
 flip one byte (or the minimal scalar/element perturbation the type allows)
 and assert that *both strategies*, on the ``serial`` executor and on the
 shared loopback ``cluster``, reject with the *same failure locus*.  Every
@@ -23,6 +23,7 @@ from repro.audit.checks import (
 )
 from repro.audit.evidence import decryption_transcript
 from repro.crypto import group as group_module
+from repro.crypto.chaum_pedersen import chaum_pedersen_verify, fiat_shamir_prove
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.audit.api import Check
 from repro.crypto.elgamal import ElGamal, ElGamalCiphertext
@@ -258,50 +259,71 @@ class TestDecryptionShareMutations:
 
 
 class TestTagChainMutations:
-    def test_element_chain_mutation_rejected(self, group, tagging, run_all):
-        element = group.power(7)
-        tag = tagging.blind_element(element)
-        tampered_step = replace(tag.steps[1], after=tag.steps[1].after * group.generator)
-        tampered = replace(tag, steps=[tag.steps[0], tampered_step] + tag.steps[2:])
-        plan = lambda: AuditPlan(
-            [Check("tag-chain", "tag[0].chain", (tampered, element, tuple(tagging.commitments)))]
-        )
-        _assert_same_rejection(run_all(plan), expected_locus="tag[0].chain")
+    """The ciphertext tagging chain the tally publishes, one row per way a step can lie.
 
-    def test_ciphertext_chain_proof_mutation_rejected(self, group, dkg, tagging, run_all):
-        elgamal = ElGamal(group)
-        ciphertext = elgamal.encrypt(dkg.public_key, group.power(3))
+    Each plan holds an honest chain beside the mutated one, so the batched
+    strategy folds a chunk of two and bisects to the mutated chain.
+    """
+
+    @pytest.fixture()
+    def chain(self, group, dkg, tagging):
+        ciphertext = ElGamal(group).encrypt(dkg.public_key, group.power(3))
         blinded, steps = tagging.blind_ciphertext_with_proof(ciphertext)
-        bad_proof = replace(steps[0].proof_c2, response=steps[0].proof_c2.response ^ 1)
-        tampered = [replace(steps[0], proof_c2=bad_proof)] + steps[1:]
-        plan = lambda: AuditPlan(
+        return ciphertext, blinded, steps
+
+    @staticmethod
+    def _plan(tagging, chain, steps=None, original=None, commitments=None):
+        ciphertext, blinded, honest = chain
+        evidence = (
+            tuple(steps if steps is not None else honest),
+            original if original is not None else ciphertext,
+            blinded,
+            tuple(commitments if commitments is not None else tagging.commitments),
+        )
+        return lambda: AuditPlan(
             [
                 Check(
                     "ciphertext-tag-chain",
                     "tag[ballot][0].blind-steps",
-                    (tuple(tampered), ciphertext, blinded, tuple(tagging.commitments)),
-                )
-            ]
-        )
-        _assert_same_rejection(run_all(plan), expected_locus="tag[ballot][0].blind-steps")
-
-    def test_valid_chains_accepted_identically(self, group, dkg, tagging, run_all):
-        elgamal = ElGamal(group)
-        element = group.power(7)
-        ciphertext = elgamal.encrypt(dkg.public_key, group.power(3))
-        tag = tagging.blind_element(element)
-        blinded, steps = tagging.blind_ciphertext_with_proof(ciphertext)
-        plan = lambda: AuditPlan(
-            [
-                Check("tag-chain", "tag[0]", (tag, element, tuple(tagging.commitments))),
-                Check(
-                    "ciphertext-tag-chain",
-                    "tag[1]",
-                    (tuple(steps), ciphertext, blinded, tuple(tagging.commitments)),
+                    (tuple(honest), ciphertext, blinded, tuple(tagging.commitments)),
                 ),
+                Check("ciphertext-tag-chain", "tag[ballot][1].blind-steps", evidence),
             ]
         )
-        reports = run_all(plan)
+
+    def _assert_rejected(self, run_all, plan):
+        _assert_same_rejection(run_all(plan), expected_locus="tag[ballot][1].blind-steps")
+
+    def test_ciphertext_chain_step_mutation_rejected(self, group, tagging, chain, run_all):
+        steps = chain[2]
+        after = steps[1].after
+        tampered_step = replace(steps[1], after=ElGamalCiphertext(after.c1 * group.generator, after.c2))
+        self._assert_rejected(run_all, self._plan(tagging, chain, steps=[steps[0], tampered_step] + steps[2:]))
+
+    def test_ciphertext_chain_proof_mutation_rejected(self, tagging, chain, run_all):
+        steps = chain[2]
+        bad_proof = replace(steps[0].proof_c2, response=steps[0].proof_c2.response ^ 1)
+        tampered = [replace(steps[0], proof_c2=bad_proof)] + steps[1:]
+        self._assert_rejected(run_all, self._plan(tagging, chain, steps=tampered))
+
+    def test_wrong_original_ciphertext_rejected(self, group, dkg, tagging, chain, run_all):
+        other = ElGamal(group).encrypt(dkg.public_key, group.power(4))
+        self._assert_rejected(run_all, self._plan(tagging, chain, original=other))
+
+    def test_another_authoritys_commitments_rejected(self, group, tagging, chain, run_all):
+        other = TaggingAuthority.create(group, tagging.num_members)
+        self._assert_rejected(run_all, self._plan(tagging, chain, commitments=other.commitments))
+
+    def test_challenge_hashed_under_a_foreign_context_rejected(self, tagging, chain, run_all):
+        """A step whose proof verifies as algebra but whose challenge is another domain's hash."""
+        steps = chain[2]
+        foreign = fiat_shamir_prove(steps[0].proof_c1.statement, tagging.secrets[0], context=b"deterministic-tag")
+        assert chaum_pedersen_verify(foreign)
+        tampered = [replace(steps[0], proof_c1=foreign)] + steps[1:]
+        self._assert_rejected(run_all, self._plan(tagging, chain, steps=tampered))
+
+    def test_valid_chains_accepted_identically(self, tagging, chain, run_all):
+        reports = run_all(self._plan(tagging, chain))
         assert all(report.ok for report in reports.values())
         assert len({report.fingerprint() for report in reports.values()}) == 1
 

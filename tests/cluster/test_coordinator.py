@@ -138,6 +138,25 @@ class TestExecutorContract:
 
 
 class TestEnrollment:
+    def test_warm_frame_carries_the_picklable_group_factories(self):
+        """Warm work is group factories alone; one that does not pickle is dropped."""
+        from repro.crypto.modp_group import testing_group
+
+        coordinator = ClusterCoordinator()
+        coordinator.set_warm([testing_group, lambda: None])
+        try:
+            with socket.create_connection(coordinator.address, timeout=10) as sock:
+                expect_frame(sock, FrameKind.CHALLENGE, pre_auth=True)
+                send_frame(sock, Frame(FrameKind.HELLO, {
+                    "protocol_version": PROTOCOL_VERSION,
+                    "worker_id": "warm-probe",
+                    "nonce": b"w" * 16,
+                }))
+                expect_frame(sock, FrameKind.WELCOME, pre_auth=True)
+                assert expect_frame(sock, FrameKind.WARM).payload == {"groups": [testing_group]}
+        finally:
+            coordinator.shutdown()
+
     def test_handshake_rejects_wrong_secret(self, cluster_executor):
         coordinator = cluster_executor.coordinator
         with socket.create_connection(coordinator.address, timeout=10) as sock:

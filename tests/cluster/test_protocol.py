@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import struct
@@ -10,18 +9,14 @@ import struct
 import pytest
 
 from repro.cluster.protocol import (
-    HANDSHAKE_CODEC,
     MAGIC,
-    PICKLE_CODEC,
     PROTOCOL_VERSION,
-    Codec,
     ConnectionClosed,
     Frame,
     FrameKind,
     decode_secret,
     expect_frame,
     format_address,
-    handshake_codec,
     hello_mac,
     parse_address,
     recv_frame,
@@ -111,31 +106,16 @@ class TestExpectFrame:
             expect_frame(right, FrameKind.WELCOME)
 
 
-class _JsonCodec(Codec):
-    """A constrained-vocabulary codec exercising the pluggable seam."""
-
-    name = "json"
-
-    def encode(self, payload):
-        return json.dumps(payload).encode()
-
-    def decode(self, data):
-        return json.loads(data.decode())
-
-
 class TestCodecSeam:
-    def test_alternate_codec_round_trips(self, pair):
-        left, right = pair
-        codec = _JsonCodec()
-        send_frame(left, Frame(FrameKind.HELLO, {"worker_id": "w1", "protocol_version": 2}), codec)
-        frame = recv_frame(right, codec)
-        assert frame.payload == {"worker_id": "w1", "protocol_version": 2}
-
     def test_codec_mismatch_is_a_decode_error(self, pair):
+        """A body that is not a pickle raises ClusterError, before and after authentication."""
         left, right = pair
-        send_frame(left, Frame(FrameKind.HELLO, {"worker_id": "w1"}))  # pickle
-        with pytest.raises(ClusterError, match="decode"):
-            recv_frame(right, _JsonCodec())
+        body = b'{"worker_id": "w1"}'
+        frame = struct.pack("!4sBBI", MAGIC, PROTOCOL_VERSION, int(FrameKind.HELLO), len(body)) + body
+        for pre_auth in (False, True):
+            left.sendall(frame)
+            with pytest.raises(ClusterError, match="decode"):
+                recv_frame(right, pre_auth=pre_auth)
 
 
 class TestSignedHello:
@@ -175,14 +155,14 @@ class TestHandshakeCodec:
         left, right = pair
         payload = {"nonce": b"n" * 16, "protocol_version": 1, "authenticated": True}
         send_frame(left, Frame(FrameKind.CHALLENGE, payload))  # honest pickle encode
-        assert recv_frame(right, HANDSHAKE_CODEC).payload == payload
+        assert recv_frame(right, pre_auth=True).payload == payload
 
     def test_global_bearing_pickle_rejected(self, pair):
         left, right = pair
         # os.system would resolve via find_class on an unrestricted decode.
         send_frame(left, Frame(FrameKind.HELLO, os.system))
         with pytest.raises(ClusterError, match="decode"):
-            recv_frame(right, HANDSHAKE_CODEC)
+            recv_frame(right, pre_auth=True)
 
     def test_reduce_payload_rejected_before_execution(self, pair):
         left, right = pair
@@ -195,13 +175,21 @@ class TestHandshakeCodec:
         cluster_tasks.TRIPWIRE.clear()
         send_frame(left, Frame(FrameKind.HELLO, {"mac": Evil()}))
         with pytest.raises(ClusterError, match="decode"):
-            recv_frame(right, HANDSHAKE_CODEC)
+            recv_frame(right, pre_auth=True)
         assert cluster_tasks.TRIPWIRE == []  # the payload never executed
 
-    def test_pickle_sessions_harden_custom_codecs_do_not(self):
-        assert handshake_codec(PICKLE_CODEC) is HANDSHAKE_CODEC
-        other = _JsonCodec()
-        assert handshake_codec(other) is other
+    def test_handshake_reject_surfaces_through_the_restricted_decode(self, pair):
+        """A coordinator's reject is primitives, so a pre-auth reader still names its reason."""
+        left, right = pair
+        send_frame(left, Frame(FrameKind.ERROR, (None, "protocol version mismatch")))
+        with pytest.raises(ClusterError, match="protocol version mismatch"):
+            expect_frame(right, FrameKind.CHALLENGE, pre_auth=True)
+
+    def test_expect_frame_decodes_pre_auth_frames_restricted(self, pair):
+        left, right = pair
+        send_frame(left, Frame(FrameKind.HELLO, os.system))
+        with pytest.raises(ClusterError, match="decode"):
+            expect_frame(right, FrameKind.HELLO, pre_auth=True)
 
 
 class TestMutualWelcome:

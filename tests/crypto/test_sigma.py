@@ -7,8 +7,6 @@ from repro.crypto.sigma import (
     SOUND_ORDER,
     UNSOUND_ORDER,
     SigmaSession,
-    SigmaTranscript,
-    require_move_order,
 )
 from repro.errors import ProtocolError
 
@@ -18,14 +16,12 @@ class TestSigmaSession:
         session = SigmaSession()
         for move in SOUND_ORDER:
             session.record(move)
-        assert session.is_complete
         assert session.is_sound_order
 
     def test_unsound_order_detected(self):
         session = SigmaSession()
         for move in UNSOUND_ORDER:
             session.record(move)
-        assert session.is_complete
         assert not session.is_sound_order
 
     def test_duplicate_move_rejected(self):
@@ -37,41 +33,4 @@ class TestSigmaSession:
     def test_incomplete_session_not_sound(self):
         session = SigmaSession()
         session.record(Move.COMMIT)
-        assert not session.is_complete
         assert not session.is_sound_order
-
-    def test_observed_order_exposed(self):
-        session = SigmaSession()
-        session.record(Move.CHALLENGE)
-        session.record(Move.COMMIT)
-        assert session.observed_order == (Move.CHALLENGE, Move.COMMIT)
-
-    def test_require_move_order_passes(self):
-        session = SigmaSession()
-        for move in SOUND_ORDER:
-            session.record(move)
-        require_move_order(session, SOUND_ORDER)
-
-    def test_require_move_order_raises(self):
-        session = SigmaSession()
-        for move in UNSOUND_ORDER:
-            session.record(move)
-        with pytest.raises(ProtocolError):
-            require_move_order(session, SOUND_ORDER, context="real credential")
-
-
-class TestSigmaTranscript:
-    def test_fingerprint_is_deterministic(self):
-        transcript = SigmaTranscript(statement=b"s", commit=b"c", challenge=1, response=2)
-        assert transcript.fingerprint() == transcript.fingerprint()
-
-    def test_fingerprint_changes_with_content(self):
-        a = SigmaTranscript(statement=b"s", commit=b"c", challenge=1, response=2)
-        b = SigmaTranscript(statement=b"s", commit=b"c", challenge=1, response=3)
-        assert a.fingerprint() != b.fingerprint()
-
-    def test_transcript_is_order_free(self):
-        """The printed artefact carries no trace of which move came first."""
-        transcript = SigmaTranscript(statement=b"s", commit=b"c", challenge=1, response=2)
-        field_names = set(vars(transcript))
-        assert "order" not in field_names and "moves" not in field_names

@@ -1,35 +1,45 @@
 """Distributed deterministic tagging (Votegral's linear-time filter)."""
 
-import pytest
+import dataclasses
 
+from repro.crypto.chaum_pedersen import chaum_pedersen_verify, fiat_shamir_prove
 from repro.crypto.schnorr import schnorr_keygen
-from repro.crypto.tagging import TaggingAuthority, assert_valid_tag, verify_blinded_tag
-from repro.errors import VerificationError
+from repro.crypto.tagging import TaggingAuthority, verify_ciphertext_tag_chain
+
+
+def _collective_power(authority, element):
+    """The reference tag: ``element ** ∏ z_i``."""
+    exponent = 1
+    for secret in authority.secrets:
+        exponent = (exponent * secret) % authority.group.order
+    return element ** exponent
 
 
 class TestDeterminism:
-    def test_same_input_same_tag(self, group):
+    def test_same_input_same_tag(self, group, elgamal, dkg):
         authority = TaggingAuthority.create(group, 3)
         element = group.power(1234)
-        assert authority.blind_element(element).value == authority.blind_element(element).value
+        first = authority.blind_and_decrypt(dkg, elgamal.encrypt(dkg.public_key, element))
+        second = authority.blind_and_decrypt(dkg, elgamal.encrypt(dkg.public_key, element))
+        assert first == second
 
-    def test_different_inputs_different_tags(self, group):
+    def test_different_inputs_different_tags(self, group, elgamal, dkg):
         authority = TaggingAuthority.create(group, 3)
-        assert authority.blind_element(group.power(1)).value != authority.blind_element(group.power(2)).value
-
-    def test_fresh_authority_produces_unlinkable_tags(self, group):
-        element = group.power(7)
-        first = TaggingAuthority.create(group, 2).blind_element(element).value
-        second = TaggingAuthority.create(group, 2).blind_element(element).value
+        first = authority.blind_and_decrypt(dkg, elgamal.encrypt(dkg.public_key, group.power(1)))
+        second = authority.blind_and_decrypt(dkg, elgamal.encrypt(dkg.public_key, group.power(2)))
         assert first != second
 
-    def test_tag_equals_collective_exponent(self, group):
+    def test_fresh_authority_produces_unlinkable_tags(self, group, elgamal, dkg):
+        ciphertext = elgamal.encrypt(dkg.public_key, group.power(7))
+        first = TaggingAuthority.create(group, 2).blind_and_decrypt(dkg, ciphertext)
+        second = TaggingAuthority.create(group, 2).blind_and_decrypt(dkg, ciphertext)
+        assert first != second
+
+    def test_tag_equals_collective_exponent(self, group, elgamal, dkg):
         authority = TaggingAuthority.create(group, 3)
         element = group.power(9)
-        exponent = 1
-        for secret in authority.secrets:
-            exponent = (exponent * secret) % group.order
-        assert authority.blind_element(element).value == element ** exponent
+        ciphertext = elgamal.encrypt(dkg.public_key, element)
+        assert authority.blind_and_decrypt(dkg, ciphertext) == _collective_power(authority, element)
 
 
 class TestCiphertextTagging:
@@ -37,46 +47,73 @@ class TestCiphertextTagging:
         authority = TaggingAuthority.create(group, dkg.num_members)
         credential = schnorr_keygen(group)
         ciphertext = elgamal.encrypt(dkg.public_key, credential.public)
-        assert authority.blind_and_decrypt(dkg, ciphertext) == authority.blind_element(credential.public).value
+        assert authority.blind_and_decrypt(dkg, ciphertext) == _collective_power(authority, credential.public)
 
     def test_real_matches_fake_does_not(self, group, elgamal, dkg):
         """The exact tally-filter situation: a real ballot's tag matches the
-        registration tag; a fake ballot's tag does not."""
+        registration tag; a fake ballot's tag does not.  Ballot credentials
+        enter the mix as trivial encryptions (randomness 0)."""
         authority = TaggingAuthority.create(group, dkg.num_members)
         real = schnorr_keygen(group)
         fake = schnorr_keygen(group)
         registration_tag = elgamal.encrypt(dkg.public_key, real.public)
         decrypted_tag = authority.blind_and_decrypt(dkg, registration_tag)
-        assert authority.blind_element(real.public).value == decrypted_tag
-        assert authority.blind_element(fake.public).value != decrypted_tag
+        for credential, matches in ((real, True), (fake, False)):
+            ballot_tag = elgamal.encrypt(dkg.public_key, credential.public, 0)
+            assert (authority.blind_and_decrypt(dkg, ballot_tag) == decrypted_tag) is matches
 
 
 class TestVerification:
-    def test_valid_chain_verifies(self, group):
+    def test_valid_chain_verifies(self, group, elgamal, dkg):
         authority = TaggingAuthority.create(group, 3)
-        element = group.power(5)
-        tag = authority.blind_element(element)
-        assert verify_blinded_tag(tag, element, authority.commitments)
+        ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
+        blinded, steps = authority.blind_ciphertext_with_proof(ciphertext)
+        assert blinded == authority.blind_ciphertext(ciphertext)
+        assert verify_ciphertext_tag_chain(steps, ciphertext, blinded, authority.commitments)
 
-    def test_chain_against_wrong_original_fails(self, group):
+    def test_chain_against_wrong_original_fails(self, group, elgamal, dkg):
         authority = TaggingAuthority.create(group, 3)
-        tag = authority.blind_element(group.power(5))
-        assert not verify_blinded_tag(tag, group.power(6), authority.commitments)
+        ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
+        blinded, steps = authority.blind_ciphertext_with_proof(ciphertext)
+        other = elgamal.encrypt(dkg.public_key, group.power(6))
+        assert not verify_ciphertext_tag_chain(steps, other, blinded, authority.commitments)
 
-    def test_chain_against_wrong_commitments_fails(self, group):
+    def test_chain_against_wrong_commitments_fails(self, group, elgamal, dkg):
         authority = TaggingAuthority.create(group, 2)
         other = TaggingAuthority.create(group, 2)
-        element = group.power(5)
-        tag = authority.blind_element(element)
-        assert not verify_blinded_tag(tag, element, other.commitments)
+        ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
+        blinded, steps = authority.blind_ciphertext_with_proof(ciphertext)
+        assert not verify_ciphertext_tag_chain(steps, ciphertext, blinded, other.commitments)
 
-    def test_assert_valid_tag_raises_on_failure(self, group):
+    def test_chain_against_wrong_final_fails(self, group, elgamal, dkg):
         authority = TaggingAuthority.create(group, 2)
-        tag = authority.blind_element(group.power(5))
-        with pytest.raises(VerificationError):
-            assert_valid_tag(tag, group.power(6), authority.commitments)
+        ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
+        blinded, steps = authority.blind_ciphertext_with_proof(ciphertext)
+        assert not verify_ciphertext_tag_chain(steps, ciphertext, blinded.exponentiate(2), authority.commitments)
 
-    def test_tag_key_is_canonical_bytes(self, group):
+    def test_reordered_steps_fail(self, group, elgamal, dkg):
+        authority = TaggingAuthority.create(group, 3)
+        ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
+        blinded, steps = authority.blind_ciphertext_with_proof(ciphertext)
+        reordered = [steps[1], steps[0], steps[2]]
+        assert not verify_ciphertext_tag_chain(reordered, ciphertext, blinded, authority.commitments)
+
+    def test_challenge_hashed_under_a_foreign_context_fails(self, group, elgamal, dkg):
+        """Proof algebra alone does not pass: the challenge must be this chain's hash."""
         authority = TaggingAuthority.create(group, 2)
-        tag = authority.blind_element(group.power(5))
-        assert tag.key() == tag.value.to_bytes()
+        ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
+        blinded, steps = authority.blind_ciphertext_with_proof(ciphertext)
+        foreign = fiat_shamir_prove(steps[0].proof_c1.statement, authority.secrets[0], context=b"another-domain")
+        assert chaum_pedersen_verify(foreign)
+        steps[0] = dataclasses.replace(steps[0], proof_c1=foreign)
+        assert not verify_ciphertext_tag_chain(steps, ciphertext, blinded, authority.commitments)
+
+    def test_tampered_response_fails(self, group, elgamal, dkg):
+        authority = TaggingAuthority.create(group, 2)
+        ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
+        blinded, steps = authority.blind_ciphertext_with_proof(ciphertext)
+        proof = steps[1].proof_c2
+        steps[1] = dataclasses.replace(
+            steps[1], proof_c2=dataclasses.replace(proof, response=(proof.response + 1) % group.order)
+        )
+        assert not verify_ciphertext_tag_chain(steps, ciphertext, blinded, authority.commitments)

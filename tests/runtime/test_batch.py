@@ -12,6 +12,7 @@ from repro.crypto.chaum_pedersen import (
     simulate_chaum_pedersen,
 )
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
+from repro.crypto.tagging import TaggingAuthority, ciphertext_tag_chain_transcripts
 from repro.runtime.batch import (
     batch_chaum_pedersen_verify,
     batch_reencryption_verify,
@@ -100,7 +101,6 @@ def chaum_pedersen_batch(group):
 class TestBatchChaumPedersen:
     def test_accepts_valid_transcripts(self, chaum_pedersen_batch):
         assert batch_chaum_pedersen_verify(chaum_pedersen_batch)
-        assert batch_chaum_pedersen_verify(chaum_pedersen_batch, context=b"batch-test")
 
     def test_accepts_simulated_transcripts_without_context(self, group):
         # The simulator forges verifying transcripts (that is its purpose);
@@ -115,15 +115,25 @@ class TestBatchChaumPedersen:
         transcripts = [simulate_chaum_pedersen(statement, group.random_scalar()) for _ in range(4)]
         assert batch_chaum_pedersen_verify(transcripts)
 
+    def test_folds_the_transcripts_of_tagging_chains(self, group, elgamal, dkg):
+        """The tally's tag proofs: the structural walk confirms the challenges, the fold the algebra."""
+        authority = TaggingAuthority.create(group, 3)
+        transcripts = []
+        for value in (3, 4):
+            ciphertext = elgamal.encrypt(dkg.public_key, group.power(value))
+            blinded, steps = authority.blind_ciphertext_with_proof(ciphertext)
+            transcripts += ciphertext_tag_chain_transcripts(steps, ciphertext, blinded, authority.commitments)
+        assert len(transcripts) == 2 * 2 * 3
+        assert batch_chaum_pedersen_verify(transcripts)
+        transcripts[5] = dataclasses.replace(transcripts[5], challenge=(transcripts[5].challenge + 1) % group.order)
+        assert not batch_chaum_pedersen_verify(transcripts)
+
     @pytest.mark.parametrize("index", [0, 3, 7])
     def test_rejects_single_tampered_response(self, group, chaum_pedersen_batch, index):
         tampered = list(chaum_pedersen_batch)
         transcript = tampered[index]
         tampered[index] = dataclasses.replace(transcript, response=(transcript.response + 1) % group.order)
         assert not batch_chaum_pedersen_verify(tampered)
-
-    def test_context_mismatch_rejected(self, chaum_pedersen_batch):
-        assert not batch_chaum_pedersen_verify(chaum_pedersen_batch, context=b"wrong-context")
 
 
 @pytest.fixture()

@@ -247,3 +247,40 @@ def test_the_init_allowances_are_still_needed():
     for name, (allowed, reason) in INIT_IMPORTS_ALLOWED.items():
         assert reason
         assert allowed <= _repro_imports(ROOT / name), name
+
+
+def _emitted_check_kinds():
+    """``(literal kinds, offenders)`` of every ``Check(...)`` / ``plan.add(...)`` under ``src/repro``.
+
+    An offender is a check whose kind is not a string literal, outside
+    ``AuditPlan.add`` itself, which forwards its caller's kind.
+    """
+    api = ROOT / "src" / "repro" / "audit" / "api.py"
+    kinds, offenders = set(), []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            is_check = isinstance(func, ast.Name) and func.id == "Check"
+            is_plan_add = (
+                isinstance(func, ast.Attribute) and func.attr == "add"
+                and isinstance(func.value, ast.Name) and "plan" in func.value.id
+            )
+            if not (is_check or is_plan_add):
+                continue
+            kind = node.args[0] if node.args else next((kw.value for kw in node.keywords if kw.arg == "kind"), None)
+            if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+                kinds.add(kind.value)
+            elif path != api:
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return kinds, offenders
+
+
+def test_every_audit_kind_has_a_producer_and_no_other_kind_exists():
+    """The kind table is exactly the kinds ``src/repro`` publishes checks under."""
+    from repro.audit.kinds import KINDS
+
+    kinds, offenders = _emitted_check_kinds()
+    assert offenders == []
+    assert kinds == set(KINDS)

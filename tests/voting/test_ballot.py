@@ -3,14 +3,12 @@
 import pytest
 
 from repro.crypto.schnorr import schnorr_keygen
-from repro.errors import VerificationError
 from repro.voting.ballot import (
     Ballot,
-    assert_valid_ballot,
+    audit_ballot,
     make_ballot,
     prove_wellformedness,
-    verify_ballot,
-    verify_wellformedness,
+    wellformedness_ok,
 )
 
 
@@ -27,7 +25,7 @@ def authority_key(dkg):
 class TestBallotRoundtrip:
     def test_valid_ballot_verifies(self, group, dkg, credential):
         ballot = make_ballot(group, dkg.public_key, credential, choice=1, num_options=3)
-        assert verify_ballot(group, dkg.public_key, ballot, num_options=3)
+        assert audit_ballot(group, dkg.public_key, ballot, num_options=3).ok
 
     def test_ballot_decrypts_to_choice(self, group, dkg, credential):
         ballot = make_ballot(group, dkg.public_key, credential, choice=2, num_options=3)
@@ -36,7 +34,7 @@ class TestBallotRoundtrip:
     def test_every_choice_in_range_works(self, group, dkg, credential):
         for choice in range(4):
             ballot = make_ballot(group, dkg.public_key, credential, choice, num_options=4)
-            assert verify_ballot(group, dkg.public_key, ballot, num_options=4)
+            assert audit_ballot(group, dkg.public_key, ballot, num_options=4).ok
 
     def test_choice_out_of_range_rejected(self, group, dkg, credential):
         with pytest.raises(ValueError):
@@ -60,7 +58,7 @@ class TestSignatureBinding:
             wellformedness=ballot.wellformedness,
             key_proof=ballot.key_proof,
         )
-        assert not verify_ballot(group, dkg.public_key, forged, 2)
+        assert not audit_ballot(group, dkg.public_key, forged, 2).ok
 
     def test_election_id_is_signed(self, group, dkg, credential):
         ballot = make_ballot(group, dkg.public_key, credential, 1, 2, election_id="a")
@@ -72,7 +70,7 @@ class TestSignatureBinding:
             key_proof=ballot.key_proof,
             election_id="b",
         )
-        assert not verify_ballot(group, dkg.public_key, forged, 2)
+        assert not audit_ballot(group, dkg.public_key, forged, 2).ok
 
     def test_key_proof_for_wrong_key_rejected(self, group, dkg, credential):
         from repro.crypto.dlog_proof import prove_dlog
@@ -86,9 +84,9 @@ class TestSignatureBinding:
             wellformedness=ballot.wellformedness,
             key_proof=prove_dlog(group.generator, other.secret, context=b"ballot-credential-key"),
         )
-        assert not verify_ballot(group, dkg.public_key, forged, 2)
+        assert not audit_ballot(group, dkg.public_key, forged, 2).ok
 
-    def test_assert_helper_raises(self, group, dkg, credential):
+    def test_report_names_the_failing_check(self, group, dkg, credential):
         ballot = make_ballot(group, dkg.public_key, credential, 1, 2)
         broken = Ballot(
             ciphertext=ballot.ciphertext,
@@ -98,8 +96,8 @@ class TestSignatureBinding:
             key_proof=ballot.key_proof,
             election_id="tampered",
         )
-        with pytest.raises(VerificationError):
-            assert_valid_ballot(group, dkg.public_key, broken, 2)
+        report = audit_ballot(group, dkg.public_key, broken, 2)
+        assert [failure.name for failure in report.failures] == ["ballot.signature"]
 
 
 class TestWellformedness:
@@ -110,7 +108,7 @@ class TestWellformedness:
         randomness = group.random_scalar()
         ciphertext = elgamal.encrypt_int(dkg.public_key, 1, randomness)
         proof = prove_wellformedness(group, dkg.public_key, ciphertext, 1, randomness, 3)
-        assert verify_wellformedness(group, dkg.public_key, ciphertext, proof, 3)
+        assert wellformedness_ok(group, dkg.public_key, ciphertext, proof, 3)
 
     def test_out_of_range_plaintext_cannot_be_proven(self, group, dkg):
         """An encryption of an invalid option has no accepting proof via the honest prover."""
@@ -121,7 +119,7 @@ class TestWellformedness:
         ciphertext = elgamal.encrypt_int(dkg.public_key, 7, randomness)
         # Claiming it encrypts option 1 yields a proof that fails verification.
         proof = prove_wellformedness(group, dkg.public_key, ciphertext, 1, randomness + 1, 3)
-        assert not verify_wellformedness(group, dkg.public_key, ciphertext, proof, 3)
+        assert not wellformedness_ok(group, dkg.public_key, ciphertext, proof, 3)
 
     def test_proof_does_not_transfer_to_other_ciphertext(self, group, dkg):
         from repro.crypto.elgamal import ElGamal
@@ -131,7 +129,7 @@ class TestWellformedness:
         ciphertext = elgamal.encrypt_int(dkg.public_key, 1, randomness)
         other = elgamal.encrypt_int(dkg.public_key, 1)
         proof = prove_wellformedness(group, dkg.public_key, ciphertext, 1, randomness, 3)
-        assert not verify_wellformedness(group, dkg.public_key, other, proof, 3)
+        assert not wellformedness_ok(group, dkg.public_key, other, proof, 3)
 
     def test_wrong_option_count_rejected(self, group, dkg):
         from repro.crypto.elgamal import ElGamal
@@ -140,4 +138,4 @@ class TestWellformedness:
         randomness = group.random_scalar()
         ciphertext = elgamal.encrypt_int(dkg.public_key, 1, randomness)
         proof = prove_wellformedness(group, dkg.public_key, ciphertext, 1, randomness, 3)
-        assert not verify_wellformedness(group, dkg.public_key, ciphertext, proof, 4)
+        assert not wellformedness_ok(group, dkg.public_key, ciphertext, proof, 4)

@@ -28,9 +28,9 @@ from repro.runtime import precompute
 from repro.voting.ballot import (
     BallotProof,
     _or_proof_challenge,
+    audit_ballot,
     make_ballot,
     prove_wellformedness,
-    verify_ballot,
     wellformedness_ok,
 )
 
@@ -59,7 +59,7 @@ def test_a_ballot_is_table_powers_only(ed25519_keys, powers, num_options):
 
     assert powers["plain"] == 0 and powers["multiexp"] == 0
     assert powers["table"] == 8 + 3 * (num_options - 1)  # 11 / 14 / 17
-    assert verify_ballot(group, election_key, ballot, num_options)
+    assert audit_ballot(group, election_key, ballot, num_options).ok
 
 
 @pytest.mark.parametrize("num_options", [2, 3, 4])
@@ -72,7 +72,7 @@ def test_without_tables_a_ballot_takes_the_same_powers_plainly(ed25519_keys, pow
     assert powers["plain"] + powers["table"] == 8 + 3 * (num_options - 1)
     assert not precompute.has_table(election_key)
     powers.clear()
-    assert verify_ballot(group, election_key, ballot, num_options)
+    assert audit_ballot(group, election_key, ballot, num_options).ok
 
 
 def _seeded_randomness(monkeypatch, seed: int) -> None:
