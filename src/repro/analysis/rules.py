@@ -324,7 +324,7 @@ class PickleSafetyRule(Rule):
                     self.rule_id,
                     node,
                     f"{flagged}() outside repro.cluster.protocol — route "
-                    f"deserialization through the restricted codec",
+                    f"deserialization through its decode_payload",
                 )
 
 

@@ -3,10 +3,10 @@
 Every proof obligation in the system — a Schnorr signature, a decryption
 share, a shuffle-round opening, a tagging chain, a ledger hash chain, a
 count invariant — is expressed as a typed :class:`Check`: a *kind* (which
-predicate of :data:`repro.audit.kinds.KINDS` judges it), a *name* (the failure locus an auditor
-reads), and the *evidence* tuple the predicate consumes.  Checks collect
-into an :class:`AuditPlan` and a pluggable :class:`Verifier` executes the
-plan with one of two strategies:
+predicate of :data:`repro.audit.kinds.KINDS` judges it), a *name* (the
+failure locus an auditor reads), and the *evidence* tuple the predicate
+consumes.  Checks collect into an :class:`AuditPlan` and a pluggable
+:class:`Verifier` executes the plan with one of two strategies:
 
 * :class:`EagerVerifier` — every check runs its kind's reference predicate,
   one by one, in plan order.  The semantics the batched strategy must
