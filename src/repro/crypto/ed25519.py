@@ -18,10 +18,18 @@ addition (nine field products), a dedicated doubling that reads no ``T``
 (dbl-2008-hwcd, seven products inside a run of doublings), and Euclid's
 ``pow(z, -1, p)`` for the one inversion an encode or a decode needs.  The
 plain power is :func:`repro.crypto.multiexp.signed_window_power` over those
-operations — 253 doublings and about fifty additions, ≈1.1 ms in CPython —
-and the same four operations (:data:`_EXTENDED_OPS`) are what Straus,
-Pippenger, the shared-base ladder and the fixed-base tables run on.  Every
-coordinate leaves a kernel reduced to ``[0, p)``.
+operations — 253 doublings and about fifty additions, ≈1.1 ms in CPython
+(≈1.3 ms when every product was taken ``% p``) — and the same four
+operations (:data:`_EXTENDED_OPS`) are what Straus, Pippenger, the
+shared-base ladder and the fixed-base tables run on.
+
+The two kernels that do the work, :func:`_ext_add` and :func:`_ext_advance`,
+never divide by ``p``: since ``2^255 ≡ 19 (mod p)`` they *fold* each product
+(:data:`_MASK`), and what they return is weakly reduced — congruent mod ``p``
+to the textbook result and below ``2^256`` in absolute value, sign either
+way.  An :class:`Ed25519Element` normalises its coordinates to ``[0, p)``
+once, when it is made, so pickled elements and every encoding carry what
+they carried before.
 """
 
 from __future__ import annotations
@@ -44,6 +52,14 @@ _BASE_Y = (4 * pow(5, -1, _P)) % _P
 
 
 _SQRT_M1 = pow(2, (_P - 1) // 4, _P)
+
+#: The low 255 bits.  Since ``2^255 ≡ 19 (mod p)``, a product ``t`` folds to
+#: ``(t & _MASK) + 19 * (t >> 255)``: congruent, 255 bits shorter, and a mask,
+#: a shift and a small product where ``t % _P`` is a long division.  ``>>``
+#: floors, so a negative ``t`` folds too.  With inputs below ``2^256`` in
+#: absolute value a kernel's products stay below ``2^529``; one fold brings
+#: them below ``2^278`` and a second into ``(−2^28, 2^255 + 2^28)``.
+_MASK = (1 << 255) - 1
 
 
 def _recover_x(y: int, sign: int) -> int:
@@ -78,20 +94,38 @@ Extended = Tuple[int, int, int, int]
 def _ext_add(p: Extended, q: Extended) -> Extended:
     """Unified point addition on the twisted Edwards curve (a = -1).
 
-    Sums and differences stay unreduced (within ``±2p``); the four closing
-    products bring every coordinate back into ``[0, p)``.
+    Every product is reduced by folding (:data:`_MASK`): once for the four
+    that feed sums, twice for the four coordinates returned.
     """
     x1, y1, z1, t1 = p
     x2, y2, z2, t2 = q
-    a = (y1 - x1) * (y2 - x2) % _P
-    b = (y1 + x1) * (y2 + x2) % _P
-    c = t1 * t2 * _D2 % _P
-    d = 2 * z1 * z2 % _P
+    a = (y1 - x1) * (y2 - x2)
+    a = (a & _MASK) + 19 * (a >> 255)
+    b = (y1 + x1) * (y2 + x2)
+    b = (b & _MASK) + 19 * (b >> 255)
+    c = t1 * t2
+    c = ((c & _MASK) + 19 * (c >> 255)) * _D2
+    c = (c & _MASK) + 19 * (c >> 255)
+    d = 2 * z1 * z2
+    d = (d & _MASK) + 19 * (d >> 255)
     e = b - a
     f = d - c
     g = d + c
     h = b + a
-    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+    x3 = e * f
+    x3 = (x3 & _MASK) + 19 * (x3 >> 255)
+    y3 = g * h
+    y3 = (y3 & _MASK) + 19 * (y3 >> 255)
+    z3 = f * g
+    z3 = (z3 & _MASK) + 19 * (z3 >> 255)
+    t3 = e * h
+    t3 = (t3 & _MASK) + 19 * (t3 >> 255)
+    return (
+        (x3 & _MASK) + 19 * (x3 >> 255),
+        (y3 & _MASK) + 19 * (y3 >> 255),
+        (z3 & _MASK) + 19 * (z3 >> 255),
+        (t3 & _MASK) + 19 * (t3 >> 255),
+    )
 
 
 def _ext_advance(point: Extended, k: int) -> Extended:
@@ -99,19 +133,35 @@ def _ext_advance(point: Extended, k: int) -> Extended:
 
     A doubling reads no ``T``, so a run of them forms it once, at the end:
     seven products a doubling and one a run, against nine for an addition.
+    Folded as :func:`_ext_add` is: once for ``x²``, ``y²``, ``2xy`` and
+    ``2z²``, twice for the coordinates every doubling hands on.
     """
     if k < 1:
         return point
     x, y, z, _ = point
     for _ in range(k):
         a = x * x
+        a = (a & _MASK) + 19 * (a >> 255)
         b = y * y
-        e = 2 * x * y % _P
-        g = (b - a) % _P
-        f = (g - 2 * z * z) % _P
-        h = -(a + b) % _P
-        x, y, z = e * f % _P, g * h % _P, f * g % _P
-    return (x, y, z, e * h % _P)
+        b = (b & _MASK) + 19 * (b >> 255)
+        e = 2 * x * y
+        e = (e & _MASK) + 19 * (e >> 255)
+        f = 2 * z * z
+        g = b - a
+        f = g - (f & _MASK) - 19 * (f >> 255)
+        h = -a - b
+        x = e * f
+        x = (x & _MASK) + 19 * (x >> 255)
+        x = (x & _MASK) + 19 * (x >> 255)
+        y = g * h
+        y = (y & _MASK) + 19 * (y >> 255)
+        y = (y & _MASK) + 19 * (y >> 255)
+        z = f * g
+        z = (z & _MASK) + 19 * (z >> 255)
+        z = (z & _MASK) + 19 * (z >> 255)
+    t = e * h
+    t = (t & _MASK) + 19 * (t >> 255)
+    return (x, y, z, (t & _MASK) + 19 * (t >> 255))
 
 
 def _ext_double(p: Extended) -> Extended:
@@ -169,19 +219,23 @@ def _ext_scalar_mul(scalar: int, point: Extended) -> Extended:
 
 
 #: What the planners are told, in units of one :func:`_ext_add`.  Measured
-#: once (CPython 3.11, 2 vCPUs, best of 7) and checked in — nothing is timed
-#: at import:
+#: once (CPython 3.11, 2 vCPUs, best of 4 alternating processes a tree, folding
+#: kernels) and checked in — nothing is timed at import:
 #:
-#:     _ext_add                       3.8 µs   1
-#:     doubling, alone / in a run     3.5 / 3.1 µs   0.8
-#:     _ext_negate                    0.2 µs   0.05 (told 0.1)
-#:     plain power, 253-bit scalar    1.13 ms  246 (the kernel's own count: 253)
-#:     a fixed-base comb lookup's loop  0.05 µs  0.01
+#:     _ext_add                          3.96 µs   1
+#:     doubling, alone / in a run        3.9 / 3.2 µs   0.8 (0.99 / 0.81)
+#:     _ext_negate                       0.28 µs   0.07 (told 0.1)
+#:     plain power, 253-bit scalar       1.09 ms   275 (the kernel's own count: 253)
+#:     a fixed-base comb lookup's loop   0.05 µs   0.013 (told 0.01)
 #:
-#: No ``exponentiate``: the plain power is the signed-window kernel, which the
-#: planners price from its operation count.  Negation is nearly free, so
-#: Pippenger and the shared-base ladder both sign their digits; against
-#: K = 2 / 4 / 8 plain powers a ladder runs at 0.65× / 0.46× / 0.36×.
+#: Folding took ≈ 14 % off an addition and ≈ 11 % off a doubling in a run, so
+#: a run's doubling moved from 0.79 to 0.81 of an addition and the squaring
+#: price stays.  No ``exponentiate``: the plain power is the signed-window
+#: kernel, which the planners price from its operation count.  Negation is
+#: nearly free, so Pippenger and the shared-base ladder both sign their
+#: digits; against K = 2 / 4 / 8 plain powers a ladder runs at 0.68× / 0.46× /
+#: 0.36×.  The comb geometry (8 teeth, 4 blocks, step 8) holds for any lookup
+#: price from 0 to 0.03.
 _COSTS = KernelCosts(square=0.8, invert=0.1, lookup=0.01)
 
 #: Encodings remembered by :meth:`Ed25519Group.element_from_bytes` before it
@@ -195,7 +249,8 @@ class Ed25519Element(GroupElement):
     __slots__ = ("_point", "_group", "_encoding")
 
     def __init__(self, point: Extended, group: "Ed25519Group"):
-        self._point = point
+        x, y, z, t = point
+        self._point = (x % _P, y % _P, z % _P, t % _P)
         self._group = group
         self._encoding: bytes | None = None
 

@@ -34,7 +34,6 @@ class Move(enum.Enum):
 
 
 SOUND_ORDER = (Move.COMMIT, Move.CHALLENGE, Move.RESPONSE)
-UNSOUND_ORDER = (Move.CHALLENGE, Move.COMMIT, Move.RESPONSE)
 
 
 @dataclass

@@ -2,22 +2,28 @@
 
 import hashlib
 import pickle
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import ed25519
 from repro.crypto.ed25519 import (
     _BASE_EXT,
     _BASE_X,
     _BASE_Y,
+    _D2,
     _IDENTITY_EXT,
     _P,
     _Q,
     _decode,
     _encode,
     _ext_add,
+    _ext_advance,
     _ext_double,
     _ext_equal,
+    _ext_negate,
     _ext_scalar_mul,
     ed25519_group,
 )
@@ -216,3 +222,114 @@ class TestKernels:
         for element in results:
             assert all(type(c) is int and 0 <= c < _P for c in element._point)
             assert pickle.loads(pickle.dumps(element)) == element
+
+
+# The textbook formulas, every product reduced ``% _P``: the oracle the folding
+# kernels must agree with coordinate for coordinate, mod p.
+
+
+def _reference_add(p, q):
+    x1, y1, z1, t1 = p
+    x2, y2, z2, t2 = q
+    a = (y1 - x1) * (y2 - x2) % _P
+    b = (y1 + x1) * (y2 + x2) % _P
+    c = t1 * t2 * _D2 % _P
+    d = 2 * z1 * z2 % _P
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+
+
+def _reference_advance(point, k):
+    x, y, z, t = point
+    if k < 1:
+        return point
+    for _ in range(k):
+        a, b = x * x % _P, y * y % _P
+        e = 2 * x * y % _P
+        g = (b - a) % _P
+        f = (g - 2 * z * z) % _P
+        h = -(a + b) % _P
+        x, y, z = e * f % _P, g * h % _P, f * g % _P
+    return (x, y, z, e * h % _P)
+
+
+def _reference_negate(p):
+    x, y, z, t = p
+    return (-x % _P, y, z, -t % _P)
+
+
+def _weakly_reduced(point, shifts):
+    """``point`` with each coordinate moved by ``-p``, ``0`` or ``+p`` — still below 2^256 in size."""
+    return tuple(c + shift * _P for c, shift in zip(point, shifts))
+
+
+_ORDER_TWO_EXT = _decode(ORDER_TWO)
+_HASHED = [ed25519_group().hash_to_element(tag)._point for tag in (b"oracle-a", b"oracle-b")]
+START_POINTS = [
+    _IDENTITY_EXT,
+    _ORDER_TWO_EXT,
+    _BASE_EXT,
+    *TORSION,
+    *_HASHED,
+    _weakly_reduced(_HASHED[0], (1, -1, 1, -1)),
+    _weakly_reduced(_HASHED[1], (-1, 1, -1, 1)),
+    _weakly_reduced(_BASE_EXT, (1, 1, 1, 1)),
+    _weakly_reduced(TORSION[2], (-1, -1, -1, -1)),
+    _ext_add(_HASHED[0], _HASHED[1]),  # a kernel's own output, unnormalised
+]
+
+_OPERATION = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, len(START_POINTS))),  # the last index adds the point to itself
+    st.tuples(st.just("advance"), st.integers(1, 8)),
+    st.tuples(st.just("negate"), st.just(0)),
+)
+
+
+def _run_chain(start, operations):
+    """Apply ``operations`` to ``start`` by kernel and by oracle, checking both after every step."""
+    point = reference = START_POINTS[start]
+    for name, argument in operations:
+        if name == "add":
+            other = (point, reference) if argument == len(START_POINTS) else (START_POINTS[argument],) * 2
+            point, reference = _ext_add(point, other[0]), _reference_add(reference, other[1])
+        elif name == "advance":
+            point, reference = _ext_advance(point, argument), _reference_advance(reference, argument)
+        else:
+            point, reference = _ext_negate(point), _reference_negate(reference)
+        assert all((c - r) % _P == 0 for c, r in zip(point, reference)), (name, argument)
+        assert all(abs(c) < 2**256 for c in point), (name, argument)
+    return point, reference
+
+
+class TestWeakReduction:
+    """The kernels fold instead of dividing by p: weakly reduced, never wrong, never growing."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, len(START_POINTS) - 1), st.lists(_OPERATION, min_size=1, max_size=24))
+    def test_kernels_agree_with_the_textbook_formulas(self, start, operations):
+        _run_chain(start, operations)
+
+    def test_a_long_chain_does_not_grow(self):
+        rng = random.Random(45)
+        operations = []
+        for _ in range(10_000):
+            kind = rng.randrange(3)
+            if kind == 0:
+                operations.append(("add", rng.randrange(len(START_POINTS) + 1)))
+            elif kind == 1:
+                operations.append(("advance", rng.randrange(1, 9)))
+            else:
+                operations.append(("negate", 0))
+        point, reference = _run_chain(rng.randrange(len(START_POINTS)), operations)
+        element = ed25519_group().wrap(point)
+        assert element._point == tuple(c % _P for c in reference)  # an element normalises once
+
+    def test_helpers_take_weakly_reduced_input(self):
+        group = ed25519_group()
+        for point in (_HASHED[0], TORSION[3], _BASE_EXT):
+            for shifts in ((1, 1, 1, 1), (-1, -1, -1, -1), (1, -1, -1, 1)):
+                weak = _weakly_reduced(point, shifts)
+                assert _ext_equal(weak, point) and _ext_equal(point, weak)
+                assert _encode(weak) == _encode(point)
+                assert _ext_equal(_ext_negate(weak), _reference_negate(point))
+                assert all(0 <= c < _P for c in group.wrap(weak)._point)

@@ -5,10 +5,12 @@ import pytest
 from repro.crypto.sigma import (
     Move,
     SOUND_ORDER,
-    UNSOUND_ORDER,
     SigmaSession,
 )
 from repro.errors import ProtocolError
+
+#: The simulator's order: the challenge is known before the commit is made.
+UNSOUND_ORDER = (Move.CHALLENGE, Move.COMMIT, Move.RESPONSE)
 
 
 class TestSigmaSession:

@@ -1,10 +1,18 @@
 """Distributed deterministic tagging (Votegral's linear-time filter)."""
 
 import dataclasses
+import random
 
-from repro.crypto.chaum_pedersen import chaum_pedersen_verify, fiat_shamir_prove
+import pytest
+
+from repro.crypto.chaum_pedersen import ChaumPedersenStatement, chaum_pedersen_verify, fiat_shamir_prove
+from repro.crypto.ed25519 import ed25519_group
+from repro.crypto.elgamal import ElGamalCiphertext
+from repro.crypto.group import Group
+from repro.crypto.modp_group import modp_group_256
+from repro.crypto.multiexp import plan_shared_base_powers
 from repro.crypto.schnorr import schnorr_keygen
-from repro.crypto.tagging import TaggingAuthority, verify_ciphertext_tag_chain
+from repro.crypto.tagging import CIPHERTEXT_TAG_CONTEXT, TaggingAuthority, verify_ciphertext_tag_chain
 
 
 def _collective_power(authority, element):
@@ -61,6 +69,46 @@ class TestCiphertextTagging:
         for credential, matches in ((real, True), (fake, False)):
             ballot_tag = elgamal.encrypt(dkg.public_key, credential.public, 0)
             assert (authority.blind_and_decrypt(dkg, ballot_tag) == decrypted_tag) is matches
+
+
+class TestProverReference:
+    """``blinding_material`` publishes exactly what ``fiat_shamir_prove`` would, nonce for nonce."""
+
+    @pytest.mark.parametrize("group_factory", [ed25519_group, modp_group_256], ids=["ed25519", "modp256"])
+    def test_transcripts_match_the_plain_power_prover(self, group_factory, monkeypatch):
+        group = group_factory()
+        authority = TaggingAuthority.create(group, 3)
+        ciphertext = ElGamalCiphertext(group.power(11), group.hash_to_element(b"tagged credential"))
+
+        def play_tape():
+            tape = random.Random(45)
+            monkeypatch.setattr(Group, "random_scalar", lambda self: tape.randrange(1, self.order))
+
+        play_tape()
+        blinded, material = authority.blinding_material(ciphertext)
+        published = [
+            proof.to_bytes()
+            for step in authority.steps_from_material(ciphertext, material)
+            for proof in (step.proof_c1, step.proof_c2)
+        ]
+
+        play_tape()
+        reference, current = [], ciphertext
+        for secret, commitment in zip(authority.secrets, authority.commitments):
+            parts = []
+            for before in (current.c1, current.c2):
+                after = before ** secret
+                statement = ChaumPedersenStatement(before, group.generator, after, commitment)
+                reference.append(fiat_shamir_prove(statement, secret, context=CIPHERTEXT_TAG_CONTEXT).to_bytes())
+                parts.append(after)
+            current = ElGamalCiphertext(*parts)
+
+        assert published == reference
+        assert blinded == current
+        if group_factory is ed25519_group:  # the material came off the shared ladder, not two plain powers
+            costs = group.kernel_costs(group.order.bit_length())
+            plan = plan_shared_base_powers(2, group.order.bit_length(), square_cost=costs.square, invert_cost=costs.invert)
+            assert plan.algorithm == "ladder"
 
 
 class TestVerification:
