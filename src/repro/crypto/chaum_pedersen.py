@@ -285,7 +285,9 @@ def fiat_shamir_prove(
 
     TRIP deliberately does **not** hand such a proof to the voter for
     credential realness — a NIZK would be transferable to a coercer (§4.3's
-    straw-man).
+    straw-man).  It is the plain-power reference that
+    :meth:`~repro.crypto.tagging.TaggingAuthority.blinding_material`
+    reproduces transcript for transcript under the same nonces.
     """
     prover = ChaumPedersenProver(statement, witness)
     commit = prover.commit()

@@ -18,18 +18,16 @@ addition (nine field products), a dedicated doubling that reads no ``T``
 (dbl-2008-hwcd, seven products inside a run of doublings), and Euclid's
 ``pow(z, -1, p)`` for the one inversion an encode or a decode needs.  The
 plain power is :func:`repro.crypto.multiexp.signed_window_power` over those
-operations — 253 doublings and about fifty additions, ≈1.1 ms in CPython
-(≈1.3 ms when every product was taken ``% p``) — and the same four
-operations (:data:`_EXTENDED_OPS`) are what Straus, Pippenger, the
-shared-base ladder and the fixed-base tables run on.
+operations — 253 doublings and about fifty additions, ≈1.1 ms in CPython —
+and the same four operations (:data:`_EXTENDED_OPS`) are what Straus,
+Pippenger, the shared-base ladder and the fixed-base tables run on.
 
 The two kernels that do the work, :func:`_ext_add` and :func:`_ext_advance`,
 never divide by ``p``: since ``2^255 ≡ 19 (mod p)`` they *fold* each product
 (:data:`_MASK`), and what they return is weakly reduced — congruent mod ``p``
 to the textbook result and below ``2^256`` in absolute value, sign either
 way.  An :class:`Ed25519Element` normalises its coordinates to ``[0, p)``
-once, when it is made, so pickled elements and every encoding carry what
-they carried before.
+once, when it is made, so pickled elements carry residues only.
 """
 
 from __future__ import annotations
@@ -195,7 +193,7 @@ def _decode(data: bytes) -> Extended:
         raise ValueError("an edwards25519 point encoding is 32 bytes")
     raw = int.from_bytes(data, "little")
     sign = raw >> 255
-    y = raw & ((1 << 255) - 1)
+    y = raw & _MASK
     if y >= _P:
         raise ValueError("y coordinate out of range")
     x = _recover_x(y, sign)
@@ -219,8 +217,8 @@ def _ext_scalar_mul(scalar: int, point: Extended) -> Extended:
 
 
 #: What the planners are told, in units of one :func:`_ext_add`.  Measured
-#: once (CPython 3.11, 2 vCPUs, best of 4 alternating processes a tree, folding
-#: kernels) and checked in — nothing is timed at import:
+#: once (CPython 3.11, 2 vCPUs, best of 4 processes) and checked in — nothing
+#: is timed at import:
 #:
 #:     _ext_add                          3.96 µs   1
 #:     doubling, alone / in a run        3.9 / 3.2 µs   0.8 (0.99 / 0.81)
@@ -228,14 +226,13 @@ def _ext_scalar_mul(scalar: int, point: Extended) -> Extended:
 #:     plain power, 253-bit scalar       1.09 ms   275 (the kernel's own count: 253)
 #:     a fixed-base comb lookup's loop   0.05 µs   0.013 (told 0.01)
 #:
-#: Folding took ≈ 14 % off an addition and ≈ 11 % off a doubling in a run, so
-#: a run's doubling moved from 0.79 to 0.81 of an addition and the squaring
-#: price stays.  No ``exponentiate``: the plain power is the signed-window
-#: kernel, which the planners price from its operation count.  Negation is
-#: nearly free, so Pippenger and the shared-base ladder both sign their
-#: digits; against K = 2 / 4 / 8 plain powers a ladder runs at 0.68× / 0.46× /
-#: 0.36×.  The comb geometry (8 teeth, 4 blocks, step 8) holds for any lookup
-#: price from 0 to 0.03.
+#: A doubling in a run is within 10 % of the squaring price told.  No
+#: ``exponentiate``: the plain power is the signed-window kernel, which the
+#: planners price from its operation count.  Negation is nearly free, so
+#: Pippenger and the shared-base ladder both sign their digits; against
+#: K = 2 / 4 / 8 plain powers a ladder runs at 0.68× / 0.46× / 0.36×.  The
+#: comb geometry (8 teeth, 4 blocks, step 8) holds for any lookup price from
+#: 0 to 0.03.
 _COSTS = KernelCosts(square=0.8, invert=0.1, lookup=0.01)
 
 #: Encodings remembered by :meth:`Ed25519Group.element_from_bytes` before it

@@ -240,9 +240,7 @@ def _reference_add(p, q):
 
 
 def _reference_advance(point, k):
-    x, y, z, t = point
-    if k < 1:
-        return point
+    x, y, z, _ = point
     for _ in range(k):
         a, b = x * x % _P, y * y % _P
         e = 2 * x * y % _P
