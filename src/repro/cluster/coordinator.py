@@ -43,7 +43,7 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.cluster.protocol import (
@@ -245,13 +245,26 @@ class ClusterCoordinator:
         with self._lock:
             self._warm_groups = kept
 
-    def wait_for_workers(self, count: int = 1, timeout: float = DEFAULT_ENROLL_TIMEOUT) -> None:
-        """Block until ``count`` workers are enrolled; :class:`ClusterError` on timeout."""
+    def wait_for_workers(
+        self,
+        count: int = 1,
+        timeout: float = DEFAULT_ENROLL_TIMEOUT,
+        give_up: Optional[Callable[[], Optional[str]]] = None,
+    ) -> None:
+        """Block until ``count`` workers are enrolled; :class:`ClusterError` on timeout.
+
+        ``give_up`` is polled at every wake-up (at least every 0.25 s): a
+        message from it ends the wait at once with that message, e.g. when
+        every worker the caller spawned has already exited.
+        """
         deadline = time.monotonic() + timeout
         with self._cond:
             while len(self._workers) < count:
                 if self._closed:
                     raise ClusterError("coordinator is shut down")
+                reason = give_up() if give_up is not None else None
+                if reason is not None:
+                    raise ClusterError(reason)
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise ClusterError(

@@ -141,19 +141,16 @@ class RemoteExecutor(Executor):
             floor = max(self.min_workers, self._spawn_workers, 1)
             # The span makes cold-start cost visible in the trace.
             with telemetry.span("cluster.warm", backend=self.name, workers=floor):
-                self.coordinator.wait_for_workers(floor, timeout=self.enroll_timeout)
+                self.coordinator.wait_for_workers(
+                    floor, timeout=self.enroll_timeout, give_up=self._every_spawned_worker_exited
+                )
             self._enrollment_complete = True
             return
         if self.coordinator.num_workers > 0:
             return
-        if (
-            self._spawned
-            and self.worker_processes
-            and all(process.poll() is not None for process in self.worker_processes)
-        ):
-            raise ClusterError(
-                "all cluster workers lost (every spawned worker subprocess exited)"
-            )
+        exited = self._every_spawned_worker_exited()
+        if exited is not None:
+            raise ClusterError(f"all cluster workers lost ({exited})")
         try:
             self.coordinator.wait_for_workers(1, timeout=self.rejoin_timeout)
         except ClusterError as exc:
@@ -161,6 +158,15 @@ class RemoteExecutor(Executor):
                 "all cluster workers lost and none re-enrolled within "
                 f"{self.rejoin_timeout:.0f}s"
             ) from exc
+
+    def _every_spawned_worker_exited(self) -> Optional[str]:
+        """Their exit codes, once every spawned worker subprocess has exited; else ``None``."""
+        if not self.worker_processes:
+            return None
+        codes = [process.poll() for process in self.worker_processes]
+        if any(code is None for code in codes):
+            return None
+        return "every spawned worker subprocess exited, exit codes " + ", ".join(map(str, codes))
 
     def close(self) -> None:
         self.coordinator.shutdown()

@@ -9,9 +9,30 @@ Two roles in the reproduction:
   tests quick.  Its parameters are clearly labelled and must never be used
   outside tests.
 
-A Schnorr group is the order-``q`` subgroup of Z_p* where ``p = 2q·r + 1``.
-We use safe primes (``p = 2q + 1``) so every quadratic residue generates the
-subgroup, which makes hashing to the group trivial (square the hash).
+Every group here is the order-``q`` subgroup of Z_p* for a prime ``q`` dividing
+``p − 1``; the presets come in two shapes, and each decodes by its own rule:
+
+* **Safe primes** (``p = 2q + 1``): ``modp_group_256`` and ``testing_group``.
+  The subgroup is the quadratic residues and the cofactor is 2, so the only
+  non-members in ``[1, p)`` are the non-residues.  Decode checks the length
+  and the range ``1 ≤ x < p`` and computes no power (ROADMAP item 2 decides
+  one rule for every mod-p group); hashing squares a field element.
+* **Schnorr groups with a 256-bit** ``q`` (``p = k·q + 1``): ``modp_group_2048``
+  and ``modp_group_3072``.  A 2048-bit field gives about 112-bit security
+  whatever ``q`` is, and NIST SP 800-57 Part 1 (Table 2) pairs L = 2048 with a
+  224- or 256-bit N, so every exponent is 256 bits instead of 2047.  The
+  cofactor ``(p − 1)/q`` is 1 792 or 2 816 bits, so Z_p* has elements of small
+  order that a voter could submit to confine a key power to a small subgroup
+  (Lim and Lee): decode also checks ``x^q = 1`` — one 256-bit power — and
+  hashing raises to the cofactor.
+
+The Schnorr presets are derived from :data:`SCHNORR_SEED` in the style of
+FIPS 186-4 §A.1.1.2: ``q`` is the first prime among ``SHA-256(seed ‖ "q" ‖
+counter)`` with its top bit set, ``p = X − (X mod 2q − 1)`` over a
+hash-expanded ``X`` of the field's size, and ``g = h^((p − 1)/q) ≠ 1``.
+``python tools/derive_modp_groups.py --check`` re-runs the search and fails
+unless it lands on the constants checked in below; the tests only re-check
+the constants (primes, sizes, ``q | p − 1``, ``g ≠ 1``, ``g^q = 1``).
 """
 
 from __future__ import annotations
@@ -94,9 +115,11 @@ class ModPElement(GroupElement):
 
 
 class ModPGroup(Group):
-    """The order-q subgroup of Z_p* for a safe prime p = 2q + 1.
+    """The order-q subgroup of Z_p* for primes q and p with q | p − 1.
 
-    Arithmetic runs on the process-wide big-integer backend
+    ``p = 2q + 1`` (a safe prime) or ``p = k·q + 1`` with a cofactor ``k > 2``
+    (a Schnorr group); the cofactor decides what decode checks (the module
+    docstring), and is read once, here.  Arithmetic runs on the process-wide big-integer backend
     (:func:`repro.crypto.bigint.active_backend`): the modulus and all element
     values are backend values, and exponentiation/inversion route through the
     backend's ``powmod``/``invert``.  The backend is captured at construction
@@ -109,6 +132,9 @@ class ModPGroup(Group):
         self._backend = bigint.active_backend()
         self.modulus = self._backend.convert(modulus)
         self._order = order
+        # Beyond the safe primes' cofactor 2, Z_p* holds small-order elements
+        # a range check lets through: decode must prove membership.
+        self._decode_checks_membership = (int(modulus) - 1) // order > 2
         self.element_bytes = (int(modulus).bit_length() + 7) // 8
         self._generator = ModPElement(generator, self)
         self._identity = ModPElement(1, self)
@@ -145,21 +171,27 @@ class ModPGroup(Group):
 
     def element_from_bytes(self, data: bytes) -> ModPElement:
         """Decode the canonical encoding: exactly :attr:`element_bytes` bytes,
-        a value in ``[1, p)``.  ``x^q = 1`` is not checked (ROADMAP item 2)."""
+        a value in ``[1, p)`` and, in a Schnorr group (cofactor above 2), a
+        subgroup member: ``x^q = 1``.  A safe-prime group computes no power
+        here, so a non-residue still decodes (ROADMAP item 2)."""
         if len(data) != self.element_bytes:
             raise ValueError(f"a {self.name} element encoding is {self.element_bytes} bytes")
         value = int.from_bytes(data, "big")
         if not 1 <= value < self.modulus:
             raise ValueError("encoded value outside the field")
-        return ModPElement(value, self)
+        element = ModPElement(value, self)
+        if self._decode_checks_membership and not self.is_member(element):
+            raise ValueError(f"encoded value outside the {self.name} subgroup")
+        return element
 
     def hash_to_element(self, data: bytes) -> ModPElement:
-        """Hash into the subgroup by squaring a field element derived from data."""
+        """Hash into the subgroup by raising a field element derived from data to the cofactor ``(p − 1)/q``."""
         digest = hashlib.sha512(data).digest()
         candidate = int.from_bytes(digest, "big") % self.modulus
         if candidate == 0:
             candidate = 1
-        return ModPElement(self._backend.powmod(candidate, 2, self.modulus), self)
+        cofactor = (int(self.modulus) - 1) // self._order
+        return ModPElement(self._backend.powmod(candidate, cofactor, self.modulus), self)
 
     def is_member(self, element: ModPElement) -> bool:
         """Subgroup membership test: x^q == 1 mod p."""
@@ -215,15 +247,20 @@ class ModPGroup(Group):
         Measured once (CPython 3.11, 2 vCPUs, ``REPRO_BIGINT=python``, best of
         7) and checked in — nothing is timed at import:
 
-        ========  =========  ============  =================
-        modulus   a·b % p    pow(a, s, p)  pow / mulmod / |s|
-        ========  =========  ============  =================
-        256 bit   0.48 µs    125 µs        1.02
-        2048 bit  12.4 µs    26.0 ms       1.03
-        3072 bit  24.4 µs    79.5 ms       1.06
-        ========  =========  ============  =================
+        ========  =====  =========  ============  =================
+        modulus   |s|    a·b % p    pow(a, s, p)  pow / mulmod / |s|
+        ========  =====  =========  ============  =================
+        256 bit   255    0.48 µs    125 µs        1.02
+        2048 bit  2047   12.4 µs    26.0 ms       1.03
+        3072 bit  3071   24.4 µs    79.5 ms       1.06
+        2048 bit  256    16.0 µs    4.10 ms       1.00
+        3072 bit  256    29.7 µs    8.34 ms       1.10
+        ========  =====  =========  ============  =================
 
-        One multiplication a scalar bit at every size: CPython's ``pow`` is a
+        The last two rows are the Schnorr presets' own 256-bit exponents,
+        read when they replaced the safe primes (best of 7, one process, a
+        host about 25 % slower than the first three rows').  One
+        multiplication a scalar bit at every size: CPython's ``pow`` is a
         sliding window over the same ``long`` multiplication the kernels call,
         so a shared ladder already pays at 255 bits (0.82× / 0.59× / 0.44× of
         K = 2 / 4 / 8 native powers).  gmpy2 is not installed where the table
@@ -272,37 +309,78 @@ class ModPGroup(Group):
 # Parameter presets
 # ---------------------------------------------------------------------------
 
-# RFC 3526 MODP group 14 (2048-bit) prime.  It is not a safe prime of the form
-# 2q+1 with prime q for the full group, but (p-1)/2 is prime for this modulus,
-# so the quadratic-residue subgroup has prime order (p-1)/2.
-_RFC3526_2048_P = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
+#: The published seed the modp-2048 and modp-3072 parameters are derived from:
+#: ``python tools/derive_modp_groups.py --check`` re-derives both and compares
+#: them with the constants below (the module docstring gives the recipe).
+SCHNORR_SEED = b"repro: Votegral/TRIP modp Schnorr groups, 256-bit q"
+
+# One 256-bit prime ``q`` shared by both Schnorr presets and, for each field
+# size, the prime ``p = k·q + 1`` and generator ``g = h^((p - 1)/q)`` the seed
+# derives.
+_SCHNORR_Q = int(
+    "A0ADC27E7E7E4EBC1FE878D0B53A626807E727BE31D7EDF6B92F883A239B0961",
     16,
 )
 
-# RFC 3526 MODP group 15 (3072-bit) prime.
-_RFC3526_3072_P = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AAAC42DAD33170D04507A33"
-    "A85521ABDF1CBA64ECFB850458DBEF0A8AEA71575D060C7DB3970F85A6E1E4C7"
-    "ABF5AE8CDB0933D71E8C94E04A25619DCEE3D2261AD2EE6BF12FFA06D98A0864"
-    "D87602733EC86A64521F2B18177B200CBBE117577A615D6C770988C0BAD946E2"
-    "08E24FA074E5AB3143DB5BFCE0FD108E4B82D120A93AD2CAFFFFFFFFFFFFFFFF",
+_SCHNORR_2048_P = int(
+    "84861997178A3336BA9C52727AED3B47462920432AA773BD5E791AEDAABF95D1"
+    "0DEC844AE40DCC5F9A672D8A92766D0DAF54512279F14018A480690A0A924C06"
+    "47B710CAE4C994A19705443D33544866464325B369F83C5706D99BC159685532"
+    "A3639AB48CB399F77862201D0A414B1E87B54983E808631590300DB778C0E2E6"
+    "01C4987C3F6856EFC1E1B853C638621885DAC095BF84D0B23132B746FC94136B"
+    "74F011C48FD47D1E2B822E496BE36ABC959C81F85ACA37E1E0EBF3CDE308A240"
+    "7BB7F3A04E3209BC8B8321F2BFBFCD7FF08D5D11D57E1E70C2BE3A03AFC23432"
+    "A3B68AAA8FCFFFC303B02D244A6EB420E20E66E302EBAA7E16CA192AE300C879",
     16,
 )
+_SCHNORR_2048_G = int(
+    "13F7AE628A12813172A3F1F6E0DE62A005F52BC05C59D07DB797BE89484191BD"
+    "6FF4FAFB205FD85F2CF721A49757776B040043A4945E3D3CC1A66D4D1AEEE953"
+    "D5BD30E1EFBF1AD4344CC4909C86DCEA0CF30AFE314CFEEE1C5F45F64E37860E"
+    "83ED582FCEB3A38F4FB3140B428F331DE6C284B3112981820A31D2805895FD09"
+    "498EF430A18F23BFCF34465C35D60DAF7F089C92D8DD2B92910062ECD0B3CDBD"
+    "E779839614FCDF652C3B35DCA039668F9EF8C7EE7897050C9B5580879D184D17"
+    "E188040EB8CF5DD7CC7E2BEF437B054373387F2D5C4913AE38C19C9E01C9DBA6"
+    "52CB5473B60CEE84954F6C1324131C7869DC408D91AD22C5FE34B79A85058DE4",
+    16,
+)
+
+_SCHNORR_3072_P = int(
+    "CE1E7E9882935E999945D47BBB5BDEE3F5810C812CBB7267B8C3C7A7EC87273B"
+    "71B658328F93A3D992D1EB6183F943BBE91574A80BC8E065B4E6DA6B7B877C40"
+    "7E165E518397DFAEB4893795E6968BAF538D2F92AB9283D6F51DB6A3FFDDA711"
+    "80C9EDC85B28596A71820B8EC2014930C39EE481FA9C7CFCDA681D8F5D628433"
+    "AEA2DC28BB5221C149FCCF0582E8645A23F5654BF2A52A995B63D542A2FCECEF"
+    "3293149996E46DFAA7638245C690B1248741EF299D9D8FAEA188386BCC9F4DD9"
+    "8D4EFBA13DAAE4B3AE052B50CED0D1A68116CEB4B538D5AC8084E3B45A95E9D4"
+    "9AA78E6E9895A408F4460DCB456585211CE3E8D5C19796F9BA6C329D18F27B65"
+    "56610A40458927550797C8F96962BDF458BA9491279F3B8F34967DD60213E26F"
+    "7833815C8BFACD5916F450D380A5E45F19F29EC43ED491F4F218CA6255390106"
+    "13AE613D1E6DF152CE44FF1832297DF32C4B95A5EFA9299509CEF1C3A27CCA30"
+    "F9434FB91EC8390AD9124F3ACE624B56396E0A0186DC0A2B48D2F16BF1CF6AD5",
+    16,
+)
+_SCHNORR_3072_G = int(
+    "4C09B97CC4897D335BDA9AED2D051AB341B360CB9FFED2B7F721F8AC7D411CA3"
+    "6ED040A7B0AA5A2EF1210C7FFFD8E528DA6304FEECFA6402A4E659BA89433C24"
+    "F6EBAC03B1D457F0F5AECF628D2C8AE004ABDF8FAB52B6482A30E47DBB6DE2FC"
+    "68E80E3C2A1D5A0783FD582DD0F925A0F6BC33419DD9D59CB2C8F00CD7814CC1"
+    "62816C10D62A18F69D931C118879F50C8D3CA63ABA997F19F95FD460F2F7A5FA"
+    "0698F97822A81D4CC105BB2E686647C482C4ADEE8E0B7BE683526A1D1283D468"
+    "C2396A835AC52782D417740670E82FEAD6BE66E8CD260FDC4EA4A01FC49C5A22"
+    "AB2FC32BE3DF2CF50B8C3EF88D266AD8CB4530CAD42D649833BD8F51C0CAB900"
+    "CD6052117A19BDDC64950AC986BE281D8C63D895751D674C69AE34BE40254AA9"
+    "A8B450EE66AD2C4C1A31D66B3039CEBFF3CECC362C7696C964776DDF269F2660"
+    "457450F1935B88A3E1CED1EF8B80D9BDEC389312DADD4136786B214728FCCBD8"
+    "68CB001A0C55813C60C04AB0B2B6ECD86E066702DB384952325B3292574D126E",
+    16,
+)
+
+#: ``(p, q, g)`` of each Schnorr preset, by field size.
+SCHNORR_PRESETS = {
+    2048: (_SCHNORR_2048_P, _SCHNORR_Q, _SCHNORR_2048_G),
+    3072: (_SCHNORR_3072_P, _SCHNORR_Q, _SCHNORR_3072_G),
+}
 
 # A 256-bit Schnorr group with a safe prime, generated offline.  Used as the
 # "elliptic-curve-equivalent small group" when Ed25519 is too slow for a given
@@ -333,18 +411,14 @@ def _group_from_params(name: str, modulus: int, order: int, generator: int) -> M
 
 @lru_cache(maxsize=None)
 def modp_group_2048() -> ModPGroup:
-    """The 2048-bit "Civitas-style" large-modulus group."""
-    p = _RFC3526_2048_P
-    q = (p - 1) // 2
-    return _group_from_params("modp-2048", p, q, _quadratic_residue_generator(p))
+    """The 2048-bit "Civitas-style" large-modulus group: a Schnorr group with a 256-bit order."""
+    return _group_from_params("modp-2048", *SCHNORR_PRESETS[2048])
 
 
 @lru_cache(maxsize=None)
 def modp_group_3072() -> ModPGroup:
-    """A 3072-bit large-modulus group (higher-security Civitas setting)."""
-    p = _RFC3526_3072_P
-    q = (p - 1) // 2
-    return _group_from_params("modp-3072", p, q, _quadratic_residue_generator(p))
+    """A 3072-bit large-modulus group (higher-security Civitas setting), also of 256-bit order."""
+    return _group_from_params("modp-3072", *SCHNORR_PRESETS[3072])
 
 
 @lru_cache(maxsize=None)

@@ -169,10 +169,13 @@ def plan_multi_exponentiation(
 
     The model only has to rank alternatives, not predict wall time, so the
     constants are deliberately coarse (calibrated once on the 2048-bit
-    group).  ``crypto.multiexp.self_s`` and ``audit_s`` on the
+    modulus with 2047-bit exponents, and re-read at the 256-bit exponents of
+    today's modp-2048 order: one multiplication a bit at both).
+    ``crypto.multiexp.self_s`` and ``audit_s`` on the
     ``tally_modp256_cluster2`` workload of ``benchmarks/e2e`` are the
     measurement: its audit folds 324–2 625 terms, where Straus and
-    Pippenger cross; ``tally_modp2048``'s folds are Straus of at most 32.
+    Pippenger cross; ``tally_modp2048``'s folds are Straus of at most 32
+    terms of at most 256 bits.
     """
     if num_terms < 1 or max_scalar_bits < 1:
         return MultiExpPlan("naive", 1, 0.0)

@@ -6,7 +6,7 @@ proof responses) or the election authority's public key ``A_pk`` (every
 ElGamal encryption and re-encryption).  For the large-modulus groups the
 paper's §7.3 blames for Civitas' slowness, a fixed-base table turns each
 such exponentiation from a full square-and-multiply into a short squaring
-chain and a few hundred multiplications of precomputed powers.
+chain and a few dozen multiplications of precomputed powers.
 
 The table for a base ``B`` is a Lim–Lee comb (:func:`repro.crypto.multiexp.
 comb_rows`): ``blocks`` rows of ``2^teeth`` entries, where block ``j``'s
@@ -22,8 +22,12 @@ replaced — the comb with ``step = 1``.  The geometry is planned
 (:func:`~repro.crypto.multiexp.plan_fixed_base_comb`) from the order's bit
 length and the group's :meth:`~repro.crypto.group.Group.kernel_costs`,
 within the windowed table's budget: no more elements (``⌈bits/5⌉·31``) and
-no dearer build.  On modp-2048 that is 11 teeth × 5 blocks × 38 columns,
-37 squarings and 190 lookups where the windowed table took 410.  Rows hold
+no dearer build.  On every accelerated preset's order of 255–256 bits
+(modp-256, the curve, and the 256-bit-order modp-2048 and modp-3072) that is
+8 teeth × 4 blocks × 8 columns, 7 squarings and 32 lookups where the
+windowed table took 52; a safe prime's 2047-bit order on the 2048-bit
+modulus would plan 11 × 5 × 38, 37 squarings and 190 lookups against 410.
+Rows hold
 the group's *native* values (raw residues mod ``p``, extended Edwards tuples
 — :attr:`Group.kernel_ops <repro.crypto.group.Group.kernel_ops>`, the seam
 the multi-exponentiation kernels run on) and a power wraps its result once,
@@ -216,8 +220,8 @@ def multi_element_power(
     the election public key) and many one-shot ones (commitments,
     ciphertext components).  This entry point splits them: bases that
     already have a :class:`FixedBaseTable` are evaluated through their
-    comb (a short squaring chain and a few hundred multiplications on
-    modp-2048), and only the remainder goes into the shared-squaring-chain
+    comb (a short squaring chain and about 32 multiplications at a
+    256-bit order), and only the remainder goes into the shared-squaring-chain
     multi-exponentiation (:meth:`Group.multi_exponentiate
     <repro.crypto.group.Group.multi_exponentiate>`).  Tables are *used* but
     never built here — one-shot RLC bases would churn the usage counters.

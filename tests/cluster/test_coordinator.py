@@ -221,6 +221,23 @@ class TestEnrollment:
             thread.join(timeout=30)
         assert status.get("code") == 0  # SHUTDOWN drained the worker cleanly
 
+    def test_workers_that_exit_before_enrolling_end_the_first_barrier_with_their_exit_codes(self, monkeypatch):
+        """Not the enrollment timeout: the barrier polls the processes it spawned."""
+        from repro.cluster import executor as executor_module
+
+        def exits_at_once(address, secret, worker_id=None):
+            return subprocess.Popen([sys.executable, "-c", "raise SystemExit(3)"])
+
+        monkeypatch.setattr(executor_module, "spawn_local_worker", exits_at_once)
+        executor = RemoteExecutor(secret=b"k" * 32, spawn_workers=2)
+        try:
+            with pytest.raises(ClusterError, match="exited, exit codes 3, 3") as raised:
+                executor.warm()
+            assert "timed out" not in str(raised.value)
+            assert executor.coordinator.num_workers == 0
+        finally:
+            executor.close()
+
     def test_duplicate_worker_identity_is_renamed(self):
         secret = b"k" * 32
         coordinator = ClusterCoordinator(secret=secret)

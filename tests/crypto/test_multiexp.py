@@ -566,9 +566,16 @@ class TestFixedBaseComb:
         for exponent in [0, 1, 2**64 - 1, 2**63] + [rng.getrandbits(64) for _ in range(50)]:
             assert comb_power(ADDITIVE, rows, teeth, step, exponent) == 12345 * exponent % _M
 
-    def test_a_modp2048_power_spends_at_most_six_tenths_of_the_windowed_tables_multiplications(self):
-        """Squarings counted at ``kernel_costs.square``; the windowed table spent one multiplication a 5-bit digit, 410."""
-        bits, costs, plan = _planned_comb(modp_group_2048())
+    def test_a_2047_bit_power_spends_at_most_six_tenths_of_the_windowed_tables_multiplications(self):
+        """Squarings counted at ``kernel_costs.square``; the windowed table spent one multiplication a 5-bit digit, 410.
+
+        A property of 2047-bit scalars (a safe prime's order) on the 2048-bit
+        modulus, so they are planned explicitly: the modp-2048 preset's own
+        scalars are 256 bits (the next test).
+        """
+        bits = 2047
+        costs = modp_group_2048().kernel_costs(bits)
+        plan = plan_fixed_base_comb(bits, square_cost=costs.square, lookup_cost=costs.lookup)
         rows = comb_rows(ADDITIVE, 7, plan.teeth, plan.blocks, plan.step)
         ops, spent = _counting(ADDITIVE, costs.square)
         rng = random.Random(bits)
@@ -577,6 +584,33 @@ class TestFixedBaseComb:
             assert comb_power(ops, rows, plan.teeth, plan.step, scalar) == 7 * scalar % _M
         assert spent[0] / len(scalars) <= 0.6 * -(-bits // 5)
         assert plan.power_cost <= 0.6 * -(-bits // 5)
+
+    def test_a_modp2048_power_spends_what_its_256_bit_plan_says(self):
+        """Exact, over scalars whose every block-and-column digit takes each value once.
+
+        The model charges ``(step − 1)`` squarings and ``1 − 2^−teeth`` of a
+        multiplication a digit, plus each lookup's loop (which a counter
+        cannot see); the walk's first lookup is a copy, not a multiplication.
+        Every scalar below has a non-zero digit in its first column, so all
+        ``step − 1`` squarings are paid.
+        """
+        bits, costs, plan = _planned_comb(modp_group_2048())
+        assert bits == 256 and plan.teeth * plan.blocks * plan.step == bits
+        lookups = plan.blocks * plan.step + (9 * plan.step if plan.step > 1 else 0)
+        counted_model = plan.power_cost - lookups * costs.lookup - 1
+        rows = comb_rows(ADDITIVE, 7, plan.teeth, plan.blocks, plan.step)
+        ops, spent = _counting(ADDITIVE, costs.square)
+        digits = 1 << plan.teeth
+        for k in range(digits):
+            scalar = 0
+            for block in range(plan.blocks):
+                for column in range(plan.step):
+                    digit = (k + 37 * (block * plan.step + column)) % digits
+                    for tooth in range(plan.teeth):
+                        scalar |= (digit >> tooth & 1) << (column + plan.step * (tooth + plan.teeth * block))
+            assert comb_power(ops, rows, plan.teeth, plan.step, scalar) == 7 * scalar % _M
+        assert spent[0] / digits == pytest.approx(counted_model, abs=1e-9)
+        assert plan.power_cost < -(-bits // 5) == 52
 
     @pytest.mark.parametrize("group_factory", [modp_group_256, modp_group_2048, ed25519_group])
     def test_a_build_spends_no_more_than_the_windowed_tables(self, group_factory):

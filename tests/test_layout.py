@@ -137,10 +137,9 @@ def test_the_runtime_and_crypto_do_not_import_the_audit():
 
 
 #: Test files that may still assert on a clock reading, each with its reason.
-#: Both go with ROADMAP item 18.
+#: It goes with ROADMAP item 18.
 CLOCK_ASSERTS_ALLOWED = {
     "tests/runtime/test_stream_pipeline.py": "the stream pipeline's teardown is bounded by wall time",
-    "tests/tally/test_streaming.py": "the tally pipeline's teardown is bounded by wall time",
 }
 
 
