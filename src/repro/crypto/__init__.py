@@ -6,8 +6,8 @@ this package exposes the same algebra behind an abstract :class:`~repro.crypto.g
 interface with several interchangeable backends:
 
 * :func:`repro.crypto.ed25519.ed25519_group` — the paper's curve, pure Python.
-* :func:`repro.crypto.modp_group.modp_group_2048` — a 2048-bit Schnorr group
-  (models the "large-modulus primitives" used by Civitas in §7.3).
+* :func:`repro.crypto.modp_group.modp_group_2048` — a 2048-bit Schnorr group of
+  256-bit order (models the "large-modulus primitives" used by Civitas in §7.3).
 * :func:`repro.crypto.modp_group.testing_group` — a small, *insecure* group for
   fast unit tests.
 

@@ -119,7 +119,9 @@ class ModPGroup(Group):
 
     ``p = 2q + 1`` (a safe prime) or ``p = k·q + 1`` with a cofactor ``k > 2``
     (a Schnorr group); the cofactor decides what decode checks (the module
-    docstring), and is read once, here.  Arithmetic runs on the process-wide big-integer backend
+    docstring), and is read once, here.
+
+    Arithmetic runs on the process-wide big-integer backend
     (:func:`repro.crypto.bigint.active_backend`): the modulus and all element
     values are backend values, and exponentiation/inversion route through the
     backend's ``powmod``/``invert``.  The backend is captured at construction

@@ -285,7 +285,7 @@ def test_a_read_failure_inside_the_read_ahead_propagates(voted_election):
                 voted_election, executor, tagging,
                 pipeline=PipelineSpec(streaming=True, queue_depth=1), page_size=1, board=board,
             )
-        except BaseException as exc:  # handed to the test thread below
+        except Exception as exc:  # handed to the test thread below
             raised.append(exc)
 
     caller = threading.Thread(target=tally, name="read-failure-tally")
