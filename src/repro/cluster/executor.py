@@ -148,16 +148,12 @@ class RemoteExecutor(Executor):
             return
         if self.coordinator.num_workers > 0:
             return
-        exited = self._every_spawned_worker_exited()
-        if exited is not None:
-            raise ClusterError(f"all cluster workers lost ({exited})")
         try:
-            self.coordinator.wait_for_workers(1, timeout=self.rejoin_timeout)
+            self.coordinator.wait_for_workers(
+                1, timeout=self.rejoin_timeout, give_up=self._every_spawned_worker_exited
+            )
         except ClusterError as exc:
-            raise ClusterError(
-                "all cluster workers lost and none re-enrolled within "
-                f"{self.rejoin_timeout:.0f}s"
-            ) from exc
+            raise ClusterError(f"all cluster workers lost ({exc})") from exc
 
     def _every_spawned_worker_exited(self) -> Optional[str]:
         """Their exit codes, once every spawned worker subprocess has exited; else ``None``."""

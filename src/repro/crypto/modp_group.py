@@ -2,9 +2,11 @@
 
 Two roles in the reproduction:
 
-* ``modp_group_2048`` / ``modp_group_3072`` model the "large-modulus
-  primitives" the Civitas implementation uses (§7.3 of the paper attributes a
-  large part of Civitas' slowness to this choice versus elliptic curves).
+* ``modp_group_2048`` / ``modp_group_3072`` are the large-modulus settings
+  (§7.3 of the paper attributes a large part of Civitas' slowness to
+  large-modulus primitives versus elliptic curves).  Fig. 5's Civitas cost
+  kernel does not use them: it keeps Civitas's own safe-prime parameters
+  (``benchmarks/figures/baselines/civitas.py``).
 * ``testing_group`` is a small, fast, **insecure** group used to keep the unit
   tests quick.  Its parameters are clearly labelled and must never be used
   outside tests.
@@ -28,7 +30,7 @@ Every group here is the order-``q`` subgroup of Z_p* for a prime ``q`` dividing
 
 The Schnorr presets are derived from :data:`SCHNORR_SEED` in the style of
 FIPS 186-4 §A.1.1.2: ``q`` is the first prime among ``SHA-256(seed ‖ "q" ‖
-counter)`` with its top bit set, ``p = X − (X mod 2q − 1)`` over a
+counter)`` with its top and bottom bits set, ``p = X − (X mod 2q − 1)`` over a
 hash-expanded ``X`` of the field's size, and ``g = h^((p − 1)/q) ≠ 1``.
 ``python tools/derive_modp_groups.py --check`` re-runs the search and fails
 unless it lands on the constants checked in below; the tests only re-check
@@ -259,9 +261,9 @@ class ModPGroup(Group):
         3072 bit  256    29.7 µs    8.34 ms       1.10
         ========  =====  =========  ============  =================
 
-        The last two rows are the Schnorr presets' own 256-bit exponents,
-        read when they replaced the safe primes (best of 7, one process, a
-        host about 25 % slower than the first three rows').  One
+        The last two rows are the Schnorr presets' own 256-bit exponents
+        (best of 7, one process, a host about 25 % slower than the first
+        three rows').  One
         multiplication a scalar bit at every size: CPython's ``pow`` is a
         sliding window over the same ``long`` multiplication the kernels call,
         so a shared ladder already pays at 255 bits (0.82× / 0.59× / 0.44× of
@@ -413,7 +415,7 @@ def _group_from_params(name: str, modulus: int, order: int, generator: int) -> M
 
 @lru_cache(maxsize=None)
 def modp_group_2048() -> ModPGroup:
-    """The 2048-bit "Civitas-style" large-modulus group: a Schnorr group with a 256-bit order."""
+    """The 2048-bit large-modulus group: a Schnorr group with a 256-bit order."""
     return _group_from_params("modp-2048", *SCHNORR_PRESETS[2048])
 
 

@@ -168,9 +168,9 @@ def plan_multi_exponentiation(
     then gets no ``invert`` either: :class:`KernelCosts`).
 
     The model only has to rank alternatives, not predict wall time, so the
-    constants are deliberately coarse (calibrated once on the 2048-bit
-    modulus with 2047-bit exponents, and re-read at the 256-bit exponents of
-    today's modp-2048 order: one multiplication a bit at both).
+    constants are deliberately coarse (calibrated on the 2048-bit modulus,
+    where a native power costs one multiplication a scalar bit at 256- and at
+    2047-bit exponents alike).
     ``crypto.multiexp.self_s`` and ``audit_s`` on the
     ``tally_modp256_cluster2`` workload of ``benchmarks/e2e`` are the
     measurement: its audit folds 324–2 625 terms, where Straus and

@@ -23,12 +23,9 @@ replaced — the comb with ``step = 1``.  The geometry is planned
 length and the group's :meth:`~repro.crypto.group.Group.kernel_costs`,
 within the windowed table's budget: no more elements (``⌈bits/5⌉·31``) and
 no dearer build.  On every accelerated preset's order of 255–256 bits
-(modp-256, the curve, and the 256-bit-order modp-2048 and modp-3072) that is
-8 teeth × 4 blocks × 8 columns, 7 squarings and 32 lookups where the
-windowed table took 52; a safe prime's 2047-bit order on the 2048-bit
-modulus would plan 11 × 5 × 38, 37 squarings and 190 lookups against 410.
-Rows hold
-the group's *native* values (raw residues mod ``p``, extended Edwards tuples
+(modp-256, the curve, modp-2048 and modp-3072) that is 8 teeth × 4 blocks
+× 8 columns, 7 squarings and 32 lookups where the windowed table took 52.
+Rows hold the group's *native* values (raw residues mod ``p``, extended Edwards tuples
 — :attr:`Group.kernel_ops <repro.crypto.group.Group.kernel_ops>`, the seam
 the multi-exponentiation kernels run on) and a power wraps its result once,
 at the end.  Building a table only pays off for bases that are reused; the
