@@ -28,6 +28,10 @@ with every connecting worker daemon, and then schedules *tasks* — pickled
   in ``WELCOME``; a reaper thread retires workers whose last frame is older
   than ``heartbeat_timeout`` and (optionally) re-dispatches tasks stuck
   in flight longer than ``task_timeout``.
+* **Teardown.**  :meth:`~ClusterCoordinator.shutdown` returns once every
+  thread the coordinator started has ended and its ports are released: a
+  long-lived tallier process that opens and closes clusters keeps no
+  thread, socket or port per cluster.
 
 The coordinator never initiates work functions itself — it is transport and
 scheduling only.  :class:`~repro.cluster.executor.RemoteExecutor` adapts it
@@ -176,6 +180,13 @@ class ClusterCoordinator:
         self._task_keys = itertools.count()
         self._worker_ids = itertools.count()
         self._closed = False
+        #: Set by :meth:`shutdown`; the reaper waits on it between sweeps.
+        #: Not ``_cond``, whose ``notify_all`` fires on every result.
+        self._stop = threading.Event()
+        #: One thread per accepted connection — the handshake, then the
+        #: worker's read loop — mapped to its socket.  Each thread removes
+        #: itself when it ends, so only live connections are held.
+        self._connections: Dict[threading.Thread, socket.socket] = {}
         #: Warm work sent to workers in the WARM frame (group factories whose
         #: generator tables a worker builds before it accepts TASK frames).
         self._warm_groups: List[Any] = []
@@ -192,21 +203,25 @@ class ClusterCoordinator:
             telemetry.counter("cluster.heartbeat.miss", 0)
 
         self._listeners: List[socket.socket] = []
-        self._threads: List[threading.Thread] = []
-        for host, port in listen:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((host, port))
-            sock.listen(64)
-            self._listeners.append(sock)
-            thread = threading.Thread(
-                target=self._accept_loop, args=(sock,), name=f"{name}-accept", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-        reaper = threading.Thread(target=self._reap_loop, name=f"{name}-reaper", daemon=True)
-        reaper.start()
-        self._threads.append(reaper)
+        self._accepters: List[threading.Thread] = []
+        try:
+            for host, port in listen:
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                self._listeners.append(sock)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                sock.bind((host, port))
+                sock.listen(64)
+                thread = threading.Thread(
+                    target=self._accept_loop, args=(sock,), name=f"{name}-accept", daemon=True
+                )
+                thread.start()
+                self._accepters.append(thread)
+        except BaseException:
+            # A later bind failed (address in use): release what is bound.
+            self._stop_accepting()
+            raise
+        self._reaper = threading.Thread(target=self._reap_loop, name=f"{name}-reaper", daemon=True)
+        self._reaper.start()
 
     # ------------------------------------------------------------------ surface
 
@@ -280,17 +295,32 @@ class ClusterCoordinator:
             try:
                 conn, address = listener.accept()
             except OSError:
-                return  # listener closed during shutdown
-            if self._closed:
-                conn.close()
-                return
-            threading.Thread(
-                target=self._enroll, args=(conn, address),
-                name=f"{self.name}-enroll", daemon=True,
-            ).start()
+                return  # listener shut down
+            with self._lock:
+                if self._closed:
+                    conn.close()
+                    return
+                thread = threading.Thread(
+                    target=self._serve, args=(conn, address),
+                    name=f"{self.name}-enroll", daemon=True,
+                )
+                self._connections[thread] = conn
+                thread.start()
 
-    def _enroll(self, conn: socket.socket, address: Tuple[str, int]) -> None:
-        """Run the challenge/hello/welcome handshake; admit or drop the peer."""
+    def _serve(self, conn: socket.socket, address: Tuple[str, int]) -> None:
+        """One connection's thread: the handshake, then the admitted worker's reads."""
+        try:
+            worker = self._enroll(conn, address)
+            if worker is not None:
+                threading.current_thread().name = f"{self.name}-read-{worker.worker_id}"
+                self._read_loop(worker)
+        finally:
+            with self._lock:
+                self._connections.pop(threading.current_thread(), None)
+            conn.close()
+
+    def _enroll(self, conn: socket.socket, address: Tuple[str, int]) -> Optional[_Worker]:
+        """Run the challenge/hello/welcome handshake; the admitted worker, or ``None``."""
         worker_id = ""
         try:
             conn.settimeout(HANDSHAKE_TIMEOUT_SECONDS)
@@ -312,14 +342,14 @@ class ClusterCoordinator:
             worker_id = str(payload.get("worker_id") or f"worker-{next(self._worker_ids)}")
             if version != PROTOCOL_VERSION:
                 self._reject(conn, f"protocol version mismatch: worker v{version}, coordinator v{PROTOCOL_VERSION}")
-                return
+                return None
             if self._secret is not None:
                 tag = payload.get("mac")
                 if not isinstance(tag, bytes):
                     tag = b""
                 if not verify_hello(self._secret, nonce, worker_id, tag):
                     self._reject(conn, "enrollment MAC verification failed")
-                    return
+                    return None
             # Reserve the identity before WELCOME goes out: two concurrent
             # enrollments under the same name must not overwrite each other
             # in the registry (the loser gets a uniquified alias).
@@ -357,15 +387,11 @@ class ClusterCoordinator:
         except Exception:  # noqa: BLE001 - any malformed pre-auth input
             # Enrollment failures are per-connection events, not cluster
             # failures; whatever a (pre-authentication!) peer sent, the only
-            # response is to drop the connection — never to leak the fd or
-            # kill the enroll thread with an unhandled traceback.
+            # response is to drop the connection (``_serve`` closes it) —
+            # never to kill the thread with an unhandled traceback.
             with self._lock:
                 self._enrolling_ids.discard(worker_id)
-            try:
-                conn.close()
-            except OSError:
-                pass
-            return
+            return None
 
         # Identity and address only — never the nonce, MAC, or secret the
         # handshake frames carried (see the module logger policy above).
@@ -375,18 +401,12 @@ class ClusterCoordinator:
         with self._cond:
             self._enrolling_ids.discard(worker_id)
             if self._closed:
-                conn.close()
-                return
+                return None
             self._workers[worker_id] = worker
             self._ever_enrolled += 1
             self._cond.notify_all()
-        # Reader threads are daemonic and exit with their connection; like
-        # the enroll threads they are fire-and-forget (retaining one per
-        # ever-enrolled worker would leak under churn).
-        threading.Thread(
-            target=self._read_loop, args=(worker,), name=f"{self.name}-read-{worker_id}", daemon=True
-        ).start()
         self._pump()
+        return worker
 
     def _reject(self, conn: socket.socket, reason: str) -> None:
         # The reason strings name the failed check, not its inputs — no
@@ -396,11 +416,6 @@ class ClusterCoordinator:
             send_frame(conn, Frame(FrameKind.ERROR, (None, reason)))
         except (ClusterError, OSError):
             pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------ reading
 
@@ -542,8 +557,10 @@ class ClusterCoordinator:
                     f"(last worker loss: {reason}); giving it up as poisoned"
                 ),
             )
+        # Wake the worker's read loop (its thread closes the socket); on
+        # Linux a close() from this thread would leave its recv() blocked.
         try:
-            worker.conn.close()
+            worker.conn.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._pump()
@@ -639,8 +656,7 @@ class ClusterCoordinator:
 
     def _reap_loop(self) -> None:
         interval = max(0.05, min(self._heartbeat_interval, 1.0) / 2)
-        while not self._closed:
-            time.sleep(interval)
+        while not self._stop.wait(interval):
             now = time.monotonic()
             stale: List[Tuple[_Worker, str]] = []
             with self._lock:
@@ -658,19 +674,36 @@ class ClusterCoordinator:
 
     # ------------------------------------------------------------------ lifecycle
 
+    def _stop_accepting(self) -> None:
+        """Wake and join the accept threads, then release their ports.
+
+        On Linux ``close()`` does not wake a thread blocked in ``accept()``
+        on the same socket; ``shutdown()`` does.
+        """
+        for listener in self._listeners:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # never listening: its bind failed
+        for thread in self._accepters:
+            thread.join()
+        for listener in self._listeners:
+            listener.close()
+
     def shutdown(self) -> None:
-        """Stop accepting, tell workers to exit, fail anything outstanding."""
+        """Stop accepting, tell workers to exit, fail anything outstanding.
+
+        Returns once every thread the coordinator started has ended and its
+        ports are released.  A second call does nothing.
+        """
         with self._cond:
             if self._closed:
                 return
             self._closed = True
             workers = list(self._workers.values())
             self._cond.notify_all()
-        for listener in self._listeners:
-            try:
-                listener.close()
-            except OSError:
-                pass
+        self._stop.set()
+        self._stop_accepting()
         for worker in workers:
             try:
                 # Same leaf send-lock as _pump: serializes one frame write.
@@ -679,6 +712,17 @@ class ClusterCoordinator:
             except (ClusterError, OSError):
                 pass
             self._retire(worker, "coordinator shutdown")
+        # No accept thread is left to add a connection.  Wake any handshake
+        # still waiting on its peer, then wait for every connection thread.
+        with self._lock:
+            connections = list(self._connections.items())
+        for thread, conn in connections:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            thread.join()
+        self._reaper.join()
         with self._cond:
             self._cond.notify_all()
 

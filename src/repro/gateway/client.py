@@ -26,8 +26,8 @@ from repro.crypto.group import Group
 from repro.crypto.registry import group_by_name
 from repro.crypto.schnorr import SigningKeyPair
 from repro.errors import GatewayError
-from repro.gateway.http import MAX_BODY_BYTES
 from repro.gateway.schemas import (
+    MAX_BODY_BYTES,
     AuditReportWire,
     AuditStreamEvent,
     BallotWire,
@@ -222,7 +222,7 @@ class GatewayClient:
         The stream has a connection of its own, as the keep-alive one stays
         free for requests.  Iteration ends when the server ends the stream
         (drain) or the caller closes the generator; a line longer than
-        :data:`~repro.gateway.http.MAX_BODY_BYTES`, or a ``data:`` line that
+        :data:`~repro.gateway.schemas.MAX_BODY_BYTES`, or a ``data:`` line that
         is not an :class:`AuditStreamEvent`, is a :class:`GatewayError`.
         """
         path = f"/v1/elections/{election_id}/audit/stream"

@@ -17,11 +17,12 @@ from typing import Dict, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.errors import GatewayError
+from repro.gateway.schemas import MAX_BODY_BYTES
 
-#: Reading limits: one header line, all headers, and the body.
+#: Reading limits: one header line and all headers (the body cap,
+#: ``MAX_BODY_BYTES``, is shared with the SDK and lives in the schemas).
 MAX_HEADER_LINE = 8 * 1024
 MAX_HEADER_COUNT = 64
-MAX_BODY_BYTES = 4 * 1024 * 1024
 
 STATUS_PHRASES: Dict[int, str] = {
     200: "OK",

@@ -55,6 +55,11 @@ SCHEMA_VERSION = 1
 #: cannot make the server parse an unbounded array).
 MAX_CAST_BATCH = 256
 
+#: Hard cap on one HTTP body, request or response.  It lives here rather
+#: than in :mod:`repro.gateway.http` so the SDK can bound its reads without
+#: importing asyncio.
+MAX_BODY_BYTES = 4 * 1024 * 1024
+
 #: Hard cap on string field lengths unless a spec narrows it further.
 MAX_STRING_LENGTH = 256
 

@@ -11,7 +11,7 @@ The cast path has one batcher and one sequencer, and both are the tenant's
 write-behind board (:class:`~repro.ledger.backends.memory.MemoryBackend` at
 the governor's batch size).  A ``POST .../ballots`` runs the governor's
 admission checks and then awaits one append of the request's records through
-the :class:`~repro.ledger.backends.memory.AsyncIngestionFrontend`: a plain
+the :class:`AsyncIngestionFrontend`: a plain
 queue push runs inline, an append that would trip a flush runs on a worker
 thread, so the event loop never chains or writes.  A registration is flushed
 before its response, so it is durable when acknowledged; ballots reach the
@@ -32,7 +32,7 @@ import asyncio
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, cast as narrowed
+from typing import Any, Dict, List, Optional, Sequence, Tuple, cast as narrowed
 
 from repro import telemetry
 from repro.crypto.registry import group_by_name
@@ -53,8 +53,8 @@ from repro.gateway.schemas import (
     SchemaError,
     TallyResponse,
 )
-from repro.ledger.backends.memory import AsyncIngestionFrontend
-from repro.ledger.records import BallotRecord, RegistrationRecord, RollEntry
+from repro.ledger.backends.memory import MemoryBackend
+from repro.ledger.records import BallotRecord, Record, RegistrationRecord, RollEntry
 from repro.spec import BOARD
 from repro.tally.pipeline import TallyResult
 
@@ -121,6 +121,34 @@ class ServiceConfig:
             board_spec=board_spec,
             audit_spec=self.audit_spec,
         )
+
+
+class AsyncIngestionFrontend:
+    """asyncio adapter for concurrent ballot casting against a store.
+
+    An append that is a plain queue push runs inline on the event loop; an
+    append that would wait for the lock or trip a flush is off-loaded to a
+    worker thread, so the loop never blocks on hashing or I/O.
+    """
+
+    def __init__(self, store: MemoryBackend) -> None:
+        self._store = store
+
+    async def append_many(self, records: Sequence[Record]) -> List[int]:
+        # try_append_many checks lock availability and the flush trigger
+        # atomically, so the inline path can neither block on a running
+        # flush nor start one on the event loop.
+        seqs = self._store.try_append_many(records)
+        if seqs is not None:
+            return seqs
+        return await asyncio.to_thread(self._store.append_many, records)
+
+    async def flush(self) -> None:
+        await asyncio.to_thread(self._store.flush)
+
+    async def drain(self) -> None:
+        """Flush, so every acknowledged record is on its chain (and persisted)."""
+        await self.flush()
 
 
 class ElectionTenant:

@@ -28,15 +28,13 @@ are pending, before any chain is read, and on :meth:`~MemoryBackend.flush` /
 :meth:`~MemoryBackend.close`; record reads never flush.  The chains a flush
 builds are the ones unbatched appends build, so every batch size publishes
 the same heads.  ``batch_size=1`` (the default) flushes after every append.
-
-:class:`AsyncIngestionFrontend` adapts a store for asyncio casting clients:
-an append that cannot block or flush runs on the event loop, any other on a
-worker thread.
+:meth:`MemoryBackend.try_append_many` is the non-blocking append an event
+loop may call inline (the gateway's
+:class:`~repro.gateway.service.AsyncIngestionFrontend`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -329,30 +327,3 @@ class MemoryBackend:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-
-class AsyncIngestionFrontend:
-    """asyncio adapter for concurrent ballot casting against a store.
-
-    An append that is a plain queue push runs inline on the event loop; an
-    append that would wait for the lock or trip a flush is off-loaded to a
-    worker thread, so the loop never blocks on hashing or I/O.
-    """
-
-    def __init__(self, store: MemoryBackend) -> None:
-        self._store = store
-
-    async def append_many(self, records: Sequence[Record]) -> List[int]:
-        # try_append_many checks lock availability and the flush trigger
-        # atomically, so the inline path can neither block on a running
-        # flush nor start one on the event loop.
-        seqs = self._store.try_append_many(records)
-        if seqs is not None:
-            return seqs
-        return await asyncio.to_thread(self._store.append_many, records)
-
-    async def flush(self) -> None:
-        await asyncio.to_thread(self._store.flush)
-
-    async def drain(self) -> None:
-        """Flush, so every acknowledged record is on its chain (and persisted)."""
-        await self.flush()

@@ -64,7 +64,7 @@ def test_close_awaits_a_cast_whose_client_hung_up(gateway):
     """An admitted cast outlives its connection: it lands exactly once, and
     ``close_election`` does not return before it has."""
     from repro.gateway.schemas import CastRequest
-    from repro.ledger.backends.memory import AsyncIngestionFrontend
+    from repro.gateway.service import AsyncIngestionFrontend
 
     class GatedFrontend(AsyncIngestionFrontend):
         """Holds every append until the test releases it."""

@@ -18,7 +18,8 @@ import pytest
 from repro.crypto.hashing import sha256
 from repro.crypto.modp_group import testing_group
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
-from repro.ledger.backends.memory import AsyncIngestionFrontend, MemoryBackend
+from repro.gateway.service import AsyncIngestionFrontend
+from repro.ledger.backends.memory import MemoryBackend
 from repro.ledger.backends.sqlite import SQLiteBackend
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.log import AppendOnlyLog

@@ -11,13 +11,18 @@ And a printed code is signed in one place: its ``signed`` constructor in
 or response message.  Value kinds are declared, and elements decoded, only
 under ``src/repro/crypto``; and the runtime and the crypto never import the
 audit.  No test asserts on a clock reading.  A package ``__init__`` is its
-docstring and nothing else, except the few named below.
+docstring and nothing else, except the few named below.  Only the gateway's
+HTTP side imports asyncio.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
@@ -154,19 +159,51 @@ def _reads_a_clock(node: ast.AST) -> bool:
     return isinstance(func, ast.Name) and func.id == "time"
 
 
-def _clock_asserts(path: Path):
-    """Line numbers of the asserts in ``path`` that read a clock."""
-    return [
-        node.lineno
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert) and any(map(_reads_a_clock, ast.walk(node)))
+def _clock_names(function: ast.AST):
+    """The names ``function`` binds from a clock reading, directly or through
+    another such name (``elapsed = time.monotonic() - start``)."""
+    bindings = [
+        (node.targets if isinstance(node, ast.Assign) else [node.target], node.value)
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None
     ]
+    names: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for targets, value in bindings:
+            if _mentions_a_clock(value, names):
+                bound = {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+                grew |= not bound <= names
+                names |= bound
+    return names
+
+
+def _mentions_a_clock(node: ast.AST, names) -> bool:
+    return any(
+        _reads_a_clock(sub) or (isinstance(sub, ast.Name) and sub.id in names) for sub in ast.walk(node)
+    )
+
+
+def _clock_asserts(path: Path):
+    """Line numbers of the asserts in ``path`` that read a clock, directly or
+    through a name their function binds from one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    scopes = [(tree, set())] + [(function, _clock_names(function)) for function in functions]
+    return sorted({
+        node.lineno
+        for scope, names in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Assert) and _mentions_a_clock(node, names)
+    })
 
 
 def test_no_test_asserts_on_a_clock_reading():
     """A test states its claim by events and counts, not by how long something
     took: no ``assert`` under ``tests/`` or in ``benchmarks/**/test_*.py``
-    calls ``perf_counter``, ``monotonic`` or ``time.time``, outside the files
+    calls ``perf_counter``, ``monotonic`` or ``time.time``, or names a value
+    its function bound from one, outside the files
     :data:`CLOCK_ASSERTS_ALLOWED` names."""
     paths = sorted((ROOT / "tests").rglob("*.py")) + sorted(BENCHMARKS.rglob("test_*.py"))
     offenders = [
@@ -176,6 +213,17 @@ def test_no_test_asserts_on_a_clock_reading():
         for lineno in _clock_asserts(path)
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("body, line", [
+    ("    start = time.monotonic()\n    work()\n    assert start > 0\n", 4),
+    ("    start = perf_counter()\n    elapsed = perf_counter() - start\n"
+     "    took = elapsed * 1000\n    assert took < 5\n", 5),
+], ids=["bound-from-a-clock", "bound-through-another-name"])
+def test_the_clock_guard_follows_a_name_bound_from_a_clock(tmp_path, body, line):
+    path = tmp_path / "test_snippet.py"
+    path.write_text("def test_snippet():\n" + body + "\n\ndef test_other(start):\n    assert start > 0\n")
+    assert _clock_asserts(path) == [line]
 
 
 def test_the_clock_allowances_are_still_needed():
@@ -283,3 +331,27 @@ def test_every_audit_kind_has_a_producer_and_no_other_kind_exists():
     kinds, offenders = _emitted_check_kinds()
     assert offenders == []
     assert kinds == set(KINDS)
+
+
+def _loads_asyncio(*modules: str) -> bool:
+    probe = (
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "print('asyncio' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *modules], capture_output=True, text=True, check=True
+    ).stdout
+    return out.strip() == "True"
+
+
+def test_only_the_gateway_service_imports_asyncio():
+    """asyncio brings in about 29 modules; a process that never serves HTTP —
+    an in-process election, a tally or audit, a cluster coordinator, an SDK
+    client — does not load it."""
+    assert not _loads_asyncio(
+        "repro.election", "repro.ledger.api", "repro.tally.pipeline", "repro.audit.checks",
+        "repro.cluster.executor", "repro.gateway.client",
+    )
+    assert _loads_asyncio("repro.gateway.service")
