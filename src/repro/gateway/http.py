@@ -19,8 +19,7 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 from repro.errors import GatewayError
 from repro.gateway.schemas import MAX_BODY_BYTES
 
-#: Reading limits: one header line and all headers (the body cap,
-#: ``MAX_BODY_BYTES``, is shared with the SDK and lives in the schemas).
+#: Reading limits: one header line and all headers.
 MAX_HEADER_LINE = 8 * 1024
 MAX_HEADER_COUNT = 64
 

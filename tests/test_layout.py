@@ -347,7 +347,7 @@ def _loads_asyncio(*modules: str) -> bool:
 
 
 def test_only_the_gateway_service_imports_asyncio():
-    """asyncio brings in about 29 modules; a process that never serves HTTP —
+    """asyncio brings in about 50 modules; a process that never serves HTTP —
     an in-process election, a tally or audit, a cluster coordinator, an SDK
     client — does not load it."""
     assert not _loads_asyncio(
