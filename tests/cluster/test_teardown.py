@@ -41,13 +41,7 @@ def test_a_coordinator_no_worker_joined_leaves_no_thread_and_no_port():
     coordinator.shutdown()
     assert set(threading.enumerate()) == before
     assert_refused(address)
-
-
-def test_a_second_shutdown_does_nothing():
-    before = set(threading.enumerate())
-    coordinator = ClusterCoordinator()
-    coordinator.shutdown()
-    coordinator.shutdown()
+    coordinator.shutdown()  # a second shutdown does nothing
     assert set(threading.enumerate()) == before
 
 
