@@ -11,7 +11,7 @@ with every connecting worker daemon, and then schedules *tasks* — pickled
   contract :class:`~repro.runtime.executor.Executor` backends honour, so
   distributed output stays bit-identical to the serial reference.
 * **At-least-once with idempotent task keys.**  Every task gets a unique
-  key; a worker death or timeout requeues its in-flight tasks onto the
+  key; a worker death requeues its in-flight task onto the
   remaining workers.  Tasks may therefore execute more than once, but the
   first ``RESULT`` per key wins and duplicates are dropped — safe because
   every shard the tally and audit layers dispatch is a deterministic
@@ -20,14 +20,14 @@ with every connecting worker daemon, and then schedules *tasks* — pickled
 * **Failure semantics.**  A *task* exception on a worker (an ``ERROR``
   frame) is an application error: it fails that :meth:`run_tasks` call and
   propagates to the caller unchanged, matching the serial executor.
-  A *transport* failure (socket death, missed heartbeats, task timeout) is
-  a scheduling event: the worker is retired and its tasks reassigned.
+  A *transport* failure (socket death, missed heartbeats) is a scheduling
+  event: the worker is retired and its task reassigned.
   When the last live worker is lost with tasks outstanding, every waiting
   call fails with a :class:`~repro.errors.ClusterError` naming the cause.
-* **Liveness.**  Workers heartbeat on an interval the coordinator announces
-  in ``WELCOME``; a reaper thread retires workers whose last frame is older
-  than ``heartbeat_timeout`` and (optionally) re-dispatches tasks stuck
-  in flight longer than ``task_timeout``.
+* **Liveness.**  Workers heartbeat every
+  :data:`~repro.cluster.protocol.HEARTBEAT_INTERVAL`; a reaper thread
+  retires workers whose last frame is older than
+  :data:`~repro.cluster.protocol.HEARTBEAT_TIMEOUT`.
 * **Teardown.**  :meth:`~ClusterCoordinator.shutdown` returns once every
   thread the coordinator started has ended and its ports are released: a
   long-lived tallier process that opens and closes clusters keeps no
@@ -51,6 +51,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.cluster.protocol import (
+    ENROLL_TIMEOUT,
+    HANDSHAKE_TIMEOUT,
+    HEARTBEAT_INTERVAL,
+    HEARTBEAT_TIMEOUT,
     PROTOCOL_VERSION,
     Frame,
     FrameKind,
@@ -62,7 +66,6 @@ from repro.cluster.protocol import (
     welcome_mac,
 )
 from repro.errors import ClusterError
-from repro.spec import env
 
 #: Module logger policy: per-task scheduling chatter (dispatch, result
 #: delivery) stays at DEBUG; worker lifecycle that an operator must see —
@@ -72,25 +75,6 @@ from repro.spec import env
 #: any level: a DEBUG log shipped off-box must not become an offline oracle
 #: against the enrollment MAC.
 logger = logging.getLogger(__name__)
-
-#: How long the enrollment handshake may take before the connection is dropped.
-HANDSHAKE_TIMEOUT_SECONDS = 30.0
-
-#: How often enrolled workers are told to heartbeat.
-DEFAULT_HEARTBEAT_INTERVAL = 2.0
-
-#: How stale a worker's last frame may be before it is declared dead.
-DEFAULT_HEARTBEAT_TIMEOUT = 30.0
-
-#: Default bound on waiting for worker enrollment (overridable per call and,
-#: fleet-wide, via the environment).  The single source of truth —
-#: :mod:`repro.cluster.executor` imports this rather than re-reading the env.
-DEFAULT_ENROLL_TIMEOUT: float = env("REPRO_CLUSTER_ENROLL_TIMEOUT")
-
-#: Default bound on one in-flight task before its worker is presumed stuck
-#: and the shard is reassigned (``None`` disables): a deadlocked work function
-#: keeps heartbeating, so only this timeout can unstick it.
-DEFAULT_TASK_TIMEOUT: Optional[float] = env("REPRO_CLUSTER_TASK_TIMEOUT")
 
 #: How many times one task may be reassigned before its group fails — a
 #: backstop against a poison shard that crashes every worker serving it,
@@ -103,7 +87,7 @@ class _Task:
     """One dispatchable unit: an idempotent key plus its payload and position."""
 
     __slots__ = ("key", "payload", "group", "index", "done", "result",
-                 "assigned_to", "dispatched_at", "attempts", "trace")
+                 "assigned_to", "attempts", "trace")
 
     def __init__(
         self, key: int, payload: Any, group: "_TaskGroup", index: int, trace: str = ""
@@ -115,7 +99,6 @@ class _Task:
         self.done = False
         self.result: Any = None
         self.assigned_to: Optional["_Worker"] = None
-        self.dispatched_at: float = 0.0
         self.attempts = 0
         #: The dispatching call's encoded traceparent (``""`` when tracing is
         #: off); rides every TASK frame so worker-side spans — piggybacked
@@ -137,10 +120,10 @@ class _TaskGroup:
 class _Worker:
     """Coordinator-side state for one enrolled worker connection.
 
-    A worker is one serial slot: at most one task is in flight on it.
+    A worker is one serial slot: ``task`` is the one in flight on it, if any.
     """
 
-    __slots__ = ("worker_id", "conn", "address", "alive", "last_seen", "send_lock", "in_flight")
+    __slots__ = ("worker_id", "conn", "address", "alive", "last_seen", "send_lock", "task")
 
     def __init__(self, worker_id: str, conn: socket.socket, address: Tuple[str, int]) -> None:
         self.worker_id = worker_id
@@ -149,32 +132,20 @@ class _Worker:
         self.alive = True
         self.last_seen = time.monotonic()
         self.send_lock = threading.Lock()
-        self.in_flight: Dict[int, _Task] = {}
+        self.task: Optional[_Task] = None
 
 
 class ClusterCoordinator:
     """Enrolls remote workers and schedules ordered task groups across them."""
 
     def __init__(
-        self,
-        listen: Sequence[Tuple[str, int]] = (("127.0.0.1", 0),),
-        secret: Optional[bytes] = None,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
-        task_timeout: Optional[float] = DEFAULT_TASK_TIMEOUT,
-        name: str = "cluster",
+        self, listen: Sequence[Tuple[str, int]] = (("127.0.0.1", 0),), *, secret: bytes
     ) -> None:
         self._secret = secret
-        self._heartbeat_interval = heartbeat_interval
-        self._heartbeat_timeout = heartbeat_timeout
-        self._task_timeout = task_timeout
-        self.name = name
-
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._workers: Dict[str, _Worker] = {}
         self._enrolling_ids: Set[str] = set()
-        self._ever_enrolled = 0
         self._pending: "deque[_Task]" = deque()
         self._tasks: Dict[int, _Task] = {}
         self._task_keys = itertools.count()
@@ -204,6 +175,9 @@ class ClusterCoordinator:
 
         self._listeners: List[socket.socket] = []
         self._accepters: List[threading.Thread] = []
+        #: The bound listen addresses (ports resolved, for ``:0`` binds),
+        #: recorded at bind time so they outlive :meth:`shutdown`.
+        self.addresses: List[Tuple[str, int]] = []
         try:
             for host, port in listen:
                 sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -211,8 +185,9 @@ class ClusterCoordinator:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 sock.bind((host, port))
                 sock.listen(64)
+                self.addresses.append(sock.getsockname()[:2])
                 thread = threading.Thread(
-                    target=self._accept_loop, args=(sock,), name=f"{name}-accept", daemon=True
+                    target=self._accept_loop, args=(sock,), name="cluster-accept", daemon=True
                 )
                 thread.start()
                 self._accepters.append(thread)
@@ -220,15 +195,10 @@ class ClusterCoordinator:
             # A later bind failed (address in use): release what is bound.
             self._stop_accepting()
             raise
-        self._reaper = threading.Thread(target=self._reap_loop, name=f"{name}-reaper", daemon=True)
+        self._reaper = threading.Thread(target=self._reap_loop, name="cluster-reaper", daemon=True)
         self._reaper.start()
 
     # ------------------------------------------------------------------ surface
-
-    @property
-    def addresses(self) -> List[Tuple[str, int]]:
-        """The bound listen addresses (ports resolved, for ``:0`` binds)."""
-        return [sock.getsockname()[:2] for sock in self._listeners]
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -263,7 +233,7 @@ class ClusterCoordinator:
     def wait_for_workers(
         self,
         count: int = 1,
-        timeout: float = DEFAULT_ENROLL_TIMEOUT,
+        timeout: float = ENROLL_TIMEOUT,
         give_up: Optional[Callable[[], Optional[str]]] = None,
     ) -> None:
         """Block until ``count`` workers are enrolled; :class:`ClusterError` on timeout.
@@ -302,7 +272,7 @@ class ClusterCoordinator:
                     return
                 thread = threading.Thread(
                     target=self._serve, args=(conn, address),
-                    name=f"{self.name}-enroll", daemon=True,
+                    name="cluster-enroll", daemon=True,
                 )
                 self._connections[thread] = conn
                 thread.start()
@@ -312,7 +282,7 @@ class ClusterCoordinator:
         try:
             worker = self._enroll(conn, address)
             if worker is not None:
-                threading.current_thread().name = f"{self.name}-read-{worker.worker_id}"
+                threading.current_thread().name = f"cluster-read-{worker.worker_id}"
                 self._read_loop(worker)
         finally:
             with self._lock:
@@ -323,14 +293,11 @@ class ClusterCoordinator:
         """Run the challenge/hello/welcome handshake; the admitted worker, or ``None``."""
         worker_id = ""
         try:
-            conn.settimeout(HANDSHAKE_TIMEOUT_SECONDS)
+            conn.settimeout(HANDSHAKE_TIMEOUT)
             nonce = secrets.token_bytes(16)
             send_frame(conn, Frame(FrameKind.CHALLENGE, {
                 "nonce": nonce,
                 "protocol_version": PROTOCOL_VERSION,
-                "coordinator": self.name,
-                "heartbeat_interval": self._heartbeat_interval,
-                "authenticated": self._secret is not None,
             }))
             # Decode the (pre-authentication) hello with the restricted
             # unpickler: nothing an unauthenticated peer sends may execute
@@ -343,13 +310,10 @@ class ClusterCoordinator:
             if version != PROTOCOL_VERSION:
                 self._reject(conn, f"protocol version mismatch: worker v{version}, coordinator v{PROTOCOL_VERSION}")
                 return None
-            if self._secret is not None:
-                tag = payload.get("mac")
-                if not isinstance(tag, bytes):
-                    tag = b""
-                if not verify_hello(self._secret, nonce, worker_id, tag):
-                    self._reject(conn, "enrollment MAC verification failed")
-                    return None
+            tag = payload.get("mac")
+            if not isinstance(tag, bytes) or not verify_hello(self._secret, nonce, worker_id, tag):
+                self._reject(conn, "enrollment MAC verification failed")
+                return None
             # Reserve the identity before WELCOME goes out: two concurrent
             # enrollments under the same name must not overwrite each other
             # in the registry (the loser gets a uniquified alias).
@@ -360,21 +324,17 @@ class ClusterCoordinator:
             # WELCOME is primitives-only (the worker decodes it with the
             # restricted unpickler) and carries the coordinator's half
             # of mutual authentication: a MAC over the worker's fresh nonce.
-            welcome: Dict[str, Any] = {
+            worker_nonce = payload.get("nonce")
+            if not isinstance(worker_nonce, bytes):
+                worker_nonce = b""
+            send_frame(conn, Frame(FrameKind.WELCOME, {
                 "worker_id": worker_id,
-                "heartbeat_interval": self._heartbeat_interval,
-                # Primitives-only flag (the worker decodes WELCOME with the
-                # restricted unpickler): when the coordinator is collecting
-                # telemetry, workers buffer spans in memory and piggyback
-                # them on RESULT frames for one merged fleet snapshot.
+                # When the coordinator is collecting telemetry, workers
+                # buffer spans in memory and piggyback them on RESULT frames
+                # for one merged fleet snapshot.
                 "telemetry": telemetry.enabled(),
-            }
-            if self._secret is not None:
-                worker_nonce = payload.get("nonce")
-                if not isinstance(worker_nonce, bytes):
-                    worker_nonce = b""
-                welcome["mac"] = welcome_mac(self._secret, worker_nonce, worker_id)
-            send_frame(conn, Frame(FrameKind.WELCOME, welcome))
+                "mac": welcome_mac(self._secret, worker_nonce, worker_id),
+            }))
             # Warm work (group factories — arbitrary picklables) only ships
             # after both sides are authenticated.
             with self._lock:
@@ -403,7 +363,6 @@ class ClusterCoordinator:
             if self._closed:
                 return None
             self._workers[worker_id] = worker
-            self._ever_enrolled += 1
             self._cond.notify_all()
         self._pump()
         return worker
@@ -447,6 +406,13 @@ class ClusterCoordinator:
         finally:
             self._retire(worker, "connection lost")
 
+    @staticmethod
+    def _release(task: _Task) -> None:
+        """Free the slot ``task`` holds, if it is in flight (under the lock)."""
+        if task.assigned_to is not None:
+            task.assigned_to.task = None
+            task.assigned_to = None
+
     def _complete(self, key: int, value: Any) -> None:
         with self._cond:
             task = self._tasks.pop(key, None)
@@ -454,9 +420,7 @@ class ClusterCoordinator:
                 return  # duplicate delivery after a reassignment: first wins
             task.done = True
             task.result = value
-            if task.assigned_to is not None:
-                task.assigned_to.in_flight.pop(key, None)
-                task.assigned_to = None
+            self._release(task)
             task.group.remaining -= 1
             self._cond.notify_all()
         self._pump()
@@ -470,9 +434,7 @@ class ClusterCoordinator:
                 if not sibling.done:
                     sibling.done = True
                     self._tasks.pop(sibling.key, None)
-                    if sibling.assigned_to is not None:
-                        sibling.assigned_to.in_flight.pop(sibling.key, None)
-                        sibling.assigned_to = None
+                    self._release(sibling)
             self._pending = deque(t for t in self._pending if t.group is not group)
             group.remaining = 0
             self._cond.notify_all()
@@ -485,9 +447,7 @@ class ClusterCoordinator:
             if task is None or task.done:
                 return
             task.done = True
-            if task.assigned_to is not None:
-                task.assigned_to.in_flight.pop(task.key, None)
-                task.assigned_to = None
+            self._release(task)
             group = task.group
         # Cancel the group's other tasks: drop pending ones, forget
         # in-flight ones (late results for them are ignored idempotently).
@@ -495,30 +455,26 @@ class ClusterCoordinator:
         self._pump()
 
     def _retire(self, worker: _Worker, reason: str) -> None:
-        """Drop a dead worker and requeue its in-flight tasks (at-least-once)."""
-        poisoned: List[_Task] = []
-        requeued: List[int] = []
+        """Drop a dead worker and requeue its in-flight task (at-least-once)."""
+        poisoned: Optional[_Task] = None
+        requeued: Optional[int] = None
         with self._cond:
             if not worker.alive:
                 return
             worker.alive = False
             closing = self._closed
             self._workers.pop(worker.worker_id, None)
-            orphans = sorted(worker.in_flight.values(), key=lambda task: task.index)
-            worker.in_flight.clear()
-            # Requeued ahead of fresh work, in index order (appendleft of the
-            # reversed list keeps the lowest index at the queue front), so a
-            # reassigned early shard does not wait behind the whole backlog.
-            for task in reversed(orphans):
-                if task.done:
-                    continue
-                task.assigned_to = None
-                task.attempts += 1
-                if task.attempts >= MAX_TASK_ATTEMPTS:
-                    poisoned.append(task)
+            orphan, worker.task = worker.task, None
+            if orphan is not None and not orphan.done:
+                orphan.assigned_to = None
+                orphan.attempts += 1
+                if orphan.attempts >= MAX_TASK_ATTEMPTS:
+                    poisoned = orphan
                 else:
-                    self._pending.appendleft(task)
-                    requeued.append(task.key)
+                    # Requeued ahead of fresh work, so a reassigned early
+                    # shard does not wait behind the whole backlog.
+                    self._pending.appendleft(orphan)
+                    requeued = orphan.key
             if not self._workers and self._tasks:
                 lost = ClusterError(
                     f"all cluster workers lost ({reason}); "
@@ -541,19 +497,19 @@ class ClusterCoordinator:
             logger.debug("worker %s retired (%s)", worker.worker_id, reason)
         else:
             logger.warning(
-                "worker %s lost (%s); requeued task key(s) %s",
-                worker.worker_id, reason, sorted(requeued) or "none",
+                "worker %s lost (%s); requeued task key %s",
+                worker.worker_id, reason, "none" if requeued is None else requeued,
             )
             telemetry.counter("cluster.worker.lost", worker=worker.worker_id, reason=reason)
             if reason == "heartbeat timeout":
                 telemetry.counter("cluster.heartbeat.miss", worker=worker.worker_id)
-            if requeued:
-                telemetry.counter("cluster.reassign", len(requeued), worker=worker.worker_id)
-        for task in poisoned:
+            if requeued is not None:
+                telemetry.counter("cluster.reassign", 1, worker=worker.worker_id)
+        if poisoned is not None:
             self._cancel_group(
-                task.group,
+                poisoned.group,
                 ClusterError(
-                    f"shard {task.index} was reassigned {task.attempts} times "
+                    f"shard {poisoned.index} was reassigned {poisoned.attempts} times "
                     f"(last worker loss: {reason}); giving it up as poisoned"
                 ),
             )
@@ -570,19 +526,18 @@ class ClusterCoordinator:
     def _assign(self) -> List[Tuple[_Worker, _Task]]:
         """Pair pending tasks with idle workers (called under the lock).
 
-        At most one task is in flight per worker; idle workers are taken in
-        enrollment order (dict order).
+        A worker takes a task only when its slot is free; idle workers are
+        taken in enrollment order (dict order).
         """
         assignments: List[Tuple[_Worker, _Task]] = []
-        idle = deque(w for w in self._workers.values() if w.alive and not w.in_flight)
+        idle = deque(w for w in self._workers.values() if w.alive and w.task is None)
         while self._pending and idle:
             task = self._pending.popleft()
             if task.done:
                 continue
             target = idle.popleft()
             task.assigned_to = target
-            task.dispatched_at = time.monotonic()
-            target.in_flight[task.key] = task
+            target.task = task
             assignments.append((target, task))
         return assignments
 
@@ -655,22 +610,12 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ liveness
 
     def _reap_loop(self) -> None:
-        interval = max(0.05, min(self._heartbeat_interval, 1.0) / 2)
-        while not self._stop.wait(interval):
+        while not self._stop.wait(min(HEARTBEAT_INTERVAL, 1.0) / 2):
             now = time.monotonic()
-            stale: List[Tuple[_Worker, str]] = []
             with self._lock:
-                for worker in self._workers.values():
-                    if now - worker.last_seen > self._heartbeat_timeout:
-                        stale.append((worker, "heartbeat timeout"))
-                    elif self._task_timeout is not None and worker.in_flight:
-                        # One task in flight per worker: it has been running
-                        # since its dispatch.
-                        started = min(task.dispatched_at for task in worker.in_flight.values())
-                        if now - started > self._task_timeout:
-                            stale.append((worker, "task timeout"))
-            for worker, reason in stale:
-                self._retire(worker, reason)
+                stale = [w for w in self._workers.values() if now - w.last_seen > HEARTBEAT_TIMEOUT]
+            for worker in stale:
+                self._retire(worker, "heartbeat timeout")
 
     # ------------------------------------------------------------------ lifecycle
 

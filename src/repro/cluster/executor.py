@@ -32,16 +32,12 @@ import sys
 import threading
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cluster.coordinator import (
-    DEFAULT_ENROLL_TIMEOUT,
-    DEFAULT_TASK_TIMEOUT,
-    ClusterCoordinator,
-)
-from repro.cluster.protocol import decode_secret, format_address
+from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.protocol import REJOIN_TIMEOUT, format_address, secret_from_env
 from repro import telemetry
 from repro.errors import ClusterError
 from repro.runtime.executor import Executor, chunk_evenly
-from repro.spec import EXECUTOR, env
+from repro.spec import EXECUTOR
 
 #: Chunks handed out per worker: fine enough for load balancing, coarse
 #: enough to amortize dispatch.  Chunk boundaries are not observable.
@@ -56,9 +52,9 @@ def spawn_local_worker(
     """Spawn one worker daemon subprocess enrolled against ``address``.
 
     The child inherits the parent environment (so ``PYTHONPATH`` carries
-    over) with the enrollment secret
-    injected as hex through ``REPRO_CLUSTER_SECRET`` — via the environment,
-    not argv, so it never shows up in process listings.
+    over) with ``secret`` injected as hex through ``REPRO_CLUSTER_SECRET``,
+    the one place a worker reads it — via the environment, not argv, so it
+    never shows up in process listings.
     """
     child_env = dict(os.environ)
     child_env["REPRO_CLUSTER_SECRET"] = secret.hex()
@@ -83,23 +79,14 @@ class RemoteExecutor(Executor):
 
     def __init__(
         self,
-        coordinator: Optional[ClusterCoordinator] = None,
         listen: Sequence[Tuple[str, int]] = (("127.0.0.1", 0),),
-        secret: Optional[bytes] = None,
-        min_workers: int = 1,
-        enroll_timeout: float = DEFAULT_ENROLL_TIMEOUT,
-        rejoin_timeout: float = 10.0,
+        *,
+        secret: bytes,
         spawn_workers: int = 0,
-        task_timeout: Optional[float] = DEFAULT_TASK_TIMEOUT,
     ) -> None:
-        if coordinator is None:
-            coordinator = ClusterCoordinator(listen=listen, secret=secret, task_timeout=task_timeout)
-        self.coordinator = coordinator
-        self.min_workers = max(1, min_workers)
-        self.enroll_timeout = enroll_timeout
-        #: How long a fully-degraded cluster (every worker lost after a
-        #: completed enrollment) waits for a re-enrollment before raising.
-        self.rejoin_timeout = rejoin_timeout
+        self.coordinator = ClusterCoordinator(listen, secret=secret)
+        #: The first barrier waits for this many workers: every spawned one.
+        self._floor = max(spawn_workers, 1)
         self._secret = secret
         self._spawn_workers = spawn_workers
         self._spawn_lock = threading.Lock()
@@ -117,8 +104,6 @@ class RemoteExecutor(Executor):
         with self._spawn_lock:
             if self._spawned:
                 return
-            if self._secret is None:
-                raise ClusterError("auto-spawned clusters require an enrollment secret")
             for index in range(self._spawn_workers):
                 self.worker_processes.append(
                     spawn_local_worker(self.coordinator.address, self._secret, worker_id=f"local-{index}")
@@ -129,8 +114,8 @@ class RemoteExecutor(Executor):
         """Spawn (if configured) and block until the worker floor is enrolled.
 
         The enrollment barrier the tally passes before its first shard:
-        afterwards at least ``min_workers`` daemons have honoured their warm
-        lists and sent the ready heartbeat.  The full floor is only demanded
+        afterwards every spawned daemon (at least one) has honoured its warm
+        list and sent the ready heartbeat.  The full floor is only demanded
         for the *first* barrier; once the cluster has been up, a degraded
         complement (workers died, shards reassigned) keeps dispatching on
         whoever is left rather than stalling for replacements that may never
@@ -138,19 +123,16 @@ class RemoteExecutor(Executor):
         """
         self._ensure_workers()
         if not self._enrollment_complete:
-            floor = max(self.min_workers, self._spawn_workers, 1)
             # The span makes cold-start cost visible in the trace.
-            with telemetry.span("cluster.warm", backend=self.name, workers=floor):
-                self.coordinator.wait_for_workers(
-                    floor, timeout=self.enroll_timeout, give_up=self._every_spawned_worker_exited
-                )
+            with telemetry.span("cluster.warm", backend=self.name, workers=self._floor):
+                self.coordinator.wait_for_workers(self._floor, give_up=self._every_spawned_worker_exited)
             self._enrollment_complete = True
             return
         if self.coordinator.num_workers > 0:
             return
         try:
             self.coordinator.wait_for_workers(
-                1, timeout=self.rejoin_timeout, give_up=self._every_spawned_worker_exited
+                1, timeout=REJOIN_TIMEOUT, give_up=self._every_spawned_worker_exited
             )
         except ClusterError as exc:
             raise ClusterError(f"all cluster workers lost ({exc})") from exc
@@ -186,7 +168,7 @@ class RemoteExecutor(Executor):
         enrolled = self.coordinator.num_workers
         if enrolled:
             return enrolled
-        return max(self.min_workers, self._spawn_workers, 1)
+        return self._floor
 
     def set_warm(self, groups: Sequence[Any]) -> None:
         """Advertise precompute warm work to workers (see coordinator docs)."""
@@ -239,19 +221,14 @@ def remote_executor_from_spec(spec: str) -> RemoteExecutor:
     """Build the executor of a ``cluster``/``remote`` head of :data:`repro.spec.EXECUTOR`.
 
     ``remote`` coordinators take their enrollment secret from
-    ``REPRO_CLUSTER_SECRET``; ``cluster`` coordinators generate a fresh one
-    and hand it to their spawned workers through the environment.
+    ``REPRO_CLUSTER_SECRET`` and raise :class:`ClusterError` before binding
+    when it is unset; ``cluster`` coordinators generate a fresh one and hand
+    it to their spawned workers through the environment.
     """
     head, given = EXECUTOR.parse(spec)
     if head == "cluster":
         count = given["num_workers"]
-        return RemoteExecutor(
-            listen=(("127.0.0.1", 0),),
-            secret=secrets.token_bytes(32),
-            min_workers=count,
-            spawn_workers=count,
-        )
+        return RemoteExecutor(secret=secrets.token_bytes(32), spawn_workers=count)
     if head == "remote":
-        secret = decode_secret(env("REPRO_CLUSTER_SECRET"))
-        return RemoteExecutor(listen=given["listen"], secret=secret, min_workers=1)
+        return RemoteExecutor(given["listen"], secret=secret_from_env())
     raise ValueError(f"executor spec {spec!r} is not served by repro.cluster")

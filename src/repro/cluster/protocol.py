@@ -29,8 +29,10 @@ TCP socket.  The format is deliberately tiny:
   a worker proves knowledge of the shared cluster secret by MACing the
   coordinator's challenge nonce together with its announced identity and
   protocol version (:func:`hello_mac`, HMAC-SHA256 via
-  :mod:`repro.crypto.mac`).  No TEE, no key exchange — just enough that a
-  stray process cannot enroll into a secret-bearing cluster by accident.
+  :mod:`repro.crypto.mac`).  No TEE, no key exchange — but every cluster
+  holds a secret, so no peer that proves nothing is ever enrolled.
+* **Fixed timings.**  The heartbeat interval and every timeout are the
+  constants below, the same on both sides; nothing announces or tunes them.
 """
 
 from __future__ import annotations
@@ -45,11 +47,30 @@ from typing import Any, Optional
 
 from repro.crypto.mac import mac_sign, mac_verify
 from repro.errors import ClusterError
-from repro.spec import parse_host_port
+from repro.spec import env, parse_host_port
 
 #: Bump on any incompatible change to the frame format or handshake (2: the
-#: HELLO names and MACs the worker's identity, no slot count).
-PROTOCOL_VERSION = 2
+#: HELLO names and MACs the worker's identity, no slot count; 3: every
+#: enrollment is MACed and no frame announces a timing).
+PROTOCOL_VERSION = 3
+
+#: How often an enrolled worker heartbeats.
+HEARTBEAT_INTERVAL = 2.0
+
+#: How stale a worker's last frame may be before it is declared dead.
+HEARTBEAT_TIMEOUT = 30.0
+
+#: How long the enrollment handshake may take before the connection is dropped.
+HANDSHAKE_TIMEOUT = 30.0
+
+#: How long a worker waits to reach its coordinator.
+CONNECT_TIMEOUT = 30.0
+
+#: How long the first barrier waits for the worker floor to enroll.
+ENROLL_TIMEOUT = 120.0
+
+#: How long a cluster that lost every worker waits for one to re-enroll.
+REJOIN_TIMEOUT = 10.0
 
 #: Frame magic: rejects cross-talk from non-cluster peers at the first read.
 MAGIC = b"RPCL"
@@ -89,8 +110,8 @@ class ConnectionClosed(ClusterError):
 def encode_payload(payload: Any) -> bytes:
     """A frame body: pickle at the highest shared protocol.
 
-    Never point a coordinator at an untrusted network without the shared
-    secret, and never run a worker against an untrusted coordinator.
+    The enrollment MAC keeps out peers without the shared secret, not an
+    attacker on the wire: run clusters on trusted networks only.
     """
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -267,13 +288,27 @@ def format_address(address: "tuple[str, int]") -> str:
 def decode_secret(text: Optional[str]) -> Optional[bytes]:
     """Decode the ``REPRO_CLUSTER_SECRET`` environment form (hex) to key bytes.
 
-    Returns ``None`` for unset/empty values — the unauthenticated mode used
-    by loopback test clusters that generate and pass their own secret.
+    Returns ``None`` for an unset or empty value; anything else must be hex,
+    so one secret has one spelling.
     """
     if not text:
         return None
     try:
         return bytes.fromhex(text)
     except ValueError:
-        # Tolerate raw (non-hex) secrets so hand-run deployments can use any string.
-        return text.encode()
+        raise ClusterError("REPRO_CLUSTER_SECRET is not hex") from None
+
+
+def secret_from_env() -> bytes:
+    """The enrollment secret from ``REPRO_CLUSTER_SECRET``; :class:`ClusterError` when unset.
+
+    A coordinator or worker without a secret would enroll a peer that
+    proves nothing, so neither starts without one.
+    """
+    secret = decode_secret(env("REPRO_CLUSTER_SECRET"))
+    if secret is None:
+        raise ClusterError(
+            "REPRO_CLUSTER_SECRET is unset: export the cluster's shared enrollment "
+            "secret (hex) on the coordinator and on every worker"
+        )
+    return secret

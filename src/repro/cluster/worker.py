@@ -16,9 +16,9 @@ before it works**, and then executes ``TASK`` frames one at a time:
   ``ERROR`` frame (falling back to a :class:`~repro.errors.ClusterError`
   carrying the repr when the exception itself will not pickle), so the
   coordinator re-raises what the work function actually raised.
-* **Liveness.**  A background thread heartbeats on the interval the
-  coordinator announced; the daemon exits on ``SHUTDOWN``, on EOF (the
-  coordinator went away), or on SIGTERM.
+* **Liveness.**  A background thread heartbeats every
+  :data:`~repro.cluster.protocol.HEARTBEAT_INTERVAL`; the daemon exits on
+  ``SHUTDOWN``, on EOF (the coordinator went away), or on SIGTERM.
 """
 
 from __future__ import annotations
@@ -35,22 +35,23 @@ from typing import Any, List, Optional, Tuple
 from repro import telemetry
 from repro.runtime import precompute
 from repro.cluster.protocol import (
+    CONNECT_TIMEOUT,
+    HEARTBEAT_INTERVAL,
     PROTOCOL_VERSION,
     ConnectionClosed,
     Frame,
     FrameKind,
     decode_payload,
-    decode_secret,
     encode_payload,
     expect_frame,
     hello_mac,
     parse_address,
     recv_frame,
+    secret_from_env,
     send_frame,
     verify_welcome,
 )
 from repro.errors import ClusterError
-from repro.spec import env
 
 #: Shard functions arrive pickled by module path, with their payloads.  These
 #: are the modules that define the seven functions executors ship and the
@@ -76,8 +77,6 @@ PRELOAD = (
 for _module in PRELOAD:
     importlib.import_module(_module)
 
-CONNECT_TIMEOUT_SECONDS = 30.0
-
 
 class WorkerDaemon:
     """One coordinator connection, served one task at a time."""
@@ -85,7 +84,7 @@ class WorkerDaemon:
     def __init__(
         self,
         address: Tuple[str, int],
-        secret: Optional[bytes] = None,
+        secret: bytes,
         worker_id: Optional[str] = None,
     ) -> None:
         self.address = address
@@ -110,8 +109,8 @@ class WorkerDaemon:
                 raise ClusterError("worker connection is closed")
             send_frame(sock, frame)  # repro: noqa[REP004]
 
-    def _heartbeat_loop(self, interval: float) -> None:
-        while not self._stop.wait(interval):
+    def _heartbeat_loop(self) -> None:
+        while not self._stop.wait(HEARTBEAT_INTERVAL):
             try:
                 self._send(Frame(FrameKind.HEARTBEAT))
             except (ClusterError, OSError):
@@ -119,10 +118,10 @@ class WorkerDaemon:
 
     # ------------------------------------------------------------------ enrollment
 
-    def _enroll(self) -> float:
-        """Dial, handshake, warm; returns the announced heartbeat interval."""
-        sock = socket.create_connection(self.address, timeout=CONNECT_TIMEOUT_SECONDS)
-        sock.settimeout(CONNECT_TIMEOUT_SECONDS)
+    def _enroll(self) -> None:
+        """Dial, handshake, warm."""
+        sock = socket.create_connection(self.address, timeout=CONNECT_TIMEOUT)
+        sock.settimeout(CONNECT_TIMEOUT)
         self._sock = sock
         # Everything before mutual authentication completes is decoded with
         # the restricted unpickler: an impostor squatting on the
@@ -134,38 +133,21 @@ class WorkerDaemon:
                 f"coordinator speaks cluster protocol v{version}, "
                 f"this worker speaks v{PROTOCOL_VERSION}"
             )
-        if challenge.get("authenticated") and self.secret is None:
-            raise ClusterError(
-                "coordinator requires an enrollment secret "
-                "(set REPRO_CLUSTER_SECRET for this worker)"
-            )
-        if self.secret is not None and not challenge.get("authenticated"):
-            raise ClusterError(
-                "this worker holds an enrollment secret but the coordinator "
-                "does not authenticate — refusing to enroll"
-            )
         nonce = challenge.get("nonce") or b""
         # Handshake nonces are key material: draw from the CSPRNG seam the
         # determinism rule (REP002) sanctions, not ambient os.urandom.
         my_nonce = secrets.token_bytes(16)
-        hello = {
+        self._send(Frame(FrameKind.HELLO, {
             "protocol_version": PROTOCOL_VERSION,
             "worker_id": self.worker_id,
             "nonce": my_nonce,
-        }
-        if self.secret is not None:
-            hello["mac"] = hello_mac(self.secret, nonce, self.worker_id)
-        self._send(Frame(FrameKind.HELLO, hello))
+            "mac": hello_mac(self.secret, nonce, self.worker_id),
+        }))
         welcome = expect_frame(sock, FrameKind.WELCOME, pre_auth=True).payload or {}
         assigned_id = str(welcome.get("worker_id", self.worker_id))
-        if self.secret is not None:
-            tag = welcome.get("mac")
-            if not isinstance(tag, bytes) or not verify_welcome(
-                self.secret, my_nonce, assigned_id, tag
-            ):
-                raise ClusterError(
-                    "coordinator failed mutual authentication (bad WELCOME tag)"
-                )
+        tag = welcome.get("mac")
+        if not isinstance(tag, bytes) or not verify_welcome(self.secret, my_nonce, assigned_id, tag):
+            raise ClusterError("coordinator failed mutual authentication (bad WELCOME tag)")
         self.worker_id = assigned_id
         # A telemetry-collecting coordinator asks workers to buffer spans in
         # memory and piggyback them on RESULT frames (one merged fleet
@@ -188,7 +170,6 @@ class WorkerDaemon:
         # The ready signal: dispatch is gated on this first heartbeat.
         self._send(Frame(FrameKind.HEARTBEAT))
         sock.settimeout(None)
-        return float(welcome.get("heartbeat_interval", 2.0))
 
     # ------------------------------------------------------------------ serving
 
@@ -250,14 +231,13 @@ class WorkerDaemon:
     def run(self) -> int:
         """Enroll and serve until shutdown; returns a process exit status."""
         try:
-            interval = self._enroll()
+            self._enroll()
         except (ClusterError, OSError) as exc:
             print(f"repro.cluster.worker: enrollment failed: {exc}", file=sys.stderr)
             self.close()
             return 1
         heartbeat = threading.Thread(
-            target=self._heartbeat_loop, args=(interval,),
-            name="cluster-worker-heartbeat", daemon=True,
+            target=self._heartbeat_loop, name="cluster-worker-heartbeat", daemon=True
         )
         heartbeat.start()
         try:
@@ -290,7 +270,8 @@ class WorkerDaemon:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster.worker",
-        description="Enroll one repro.cluster tally/audit worker: one serial slot, so run one per core.",
+        description="Enroll one repro.cluster tally/audit worker: one serial slot, so run one per core. "
+                    "The hex enrollment secret is read from REPRO_CLUSTER_SECRET.",
     )
     parser.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
@@ -299,18 +280,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--id", default=None, help="worker identity (default hostname-pid)",
     )
-    parser.add_argument(
-        "--secret-env", default="REPRO_CLUSTER_SECRET", metavar="VAR",
-        help="environment variable holding the hex enrollment secret "
-             "(default REPRO_CLUSTER_SECRET; secrets never appear in argv)",
-    )
     args = parser.parse_args(argv)
-    daemon = WorkerDaemon(
-        address=parse_address(args.connect),
-        secret=decode_secret(env("REPRO_CLUSTER_SECRET", var=args.secret_env)),
-        worker_id=args.id,
-    )
-    return daemon.run()
+    address = parse_address(args.connect)
+    # The secret comes from the environment, never argv; without it the
+    # worker refuses to start rather than dial.
+    try:
+        secret = secret_from_env()
+    except ClusterError as exc:
+        print(f"repro.cluster.worker: {exc}", file=sys.stderr)
+        return 1
+    return WorkerDaemon(address=address, secret=secret, worker_id=args.id).run()
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry point

@@ -64,7 +64,6 @@ _TYPES: Dict[str, Tuple[Callable[[str], Any], str]] = {
     "inner-spec": (str, "rest"),
     "host:port[,host:port…]": (_addresses, "rest"),
     "str": (str, "rest"),
-    "seconds>=0.001": (lambda text: _number(text, float, 0.001), "rest"),
     "rate 0-1 (clamped)": (lambda text: min(1.0, max(0.0, _number(text, float))), "rest"),
     "flag (1 = on)": (lambda text: text == "1", "rest"),
 }
@@ -196,11 +195,7 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_TELEMETRY_SAMPLE", "rate 0-1 (clamped)", 1.0, "repro.telemetry.context",
          "Head-sampling probability of new traces; an unparsable value samples everything."),
     Knob("REPRO_CLUSTER_SECRET", "str", None, "repro.cluster",
-         "Shared enrollment secret (hex, or any string taken literally); `--secret-env` names another variable."),
-    Knob("REPRO_CLUSTER_ENROLL_TIMEOUT", "seconds>=0.001", 120.0, "repro.cluster.coordinator",
-         "How long to wait for the worker floor to enroll (read at import)."),
-    Knob("REPRO_CLUSTER_TASK_TIMEOUT", "seconds>=0.001", None, "repro.cluster.coordinator",
-         "How long one in-flight task may run before its shard is reassigned (read at import); unset disables."),
+         "Shared enrollment secret, hex; `remote:` coordinators and workers refuse to start without it."),
     Knob("REPRO_GATEWAY_BATCH_SIZE", "int>=1", 64, "repro.gateway.governor", "Ballots per tenant-board flush."),
     Knob("REPRO_GATEWAY_QUEUE_DEPTH", "int>=1", 1024, "repro.gateway.governor",
          "Bound on casts admitted but not yet acknowledged before requests are shed with 429."),
@@ -217,20 +212,19 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
 )}
 
 
-def env(name: str, var: Optional[str] = None) -> Any:
+def env(name: str) -> Any:
     """The typed value of knob ``name``, or its default when unset or empty.
 
-    ``var`` reads another variable under the same row (the worker's
-    ``--secret-env VAR``).  Garbage raises :class:`ValueError` naming the variable.
+    Garbage raises :class:`ValueError` naming the variable.
     """
     knob = KNOBS[name]
-    raw = os.environ.get(var or name)
+    raw = os.environ.get(name)
     if not raw:
         return knob.default
     try:
         return _TYPES[knob.type][0](raw)
     except ValueError as exc:
-        raise ValueError(f"{var or name}: {exc} (expected {knob.type})") from None
+        raise ValueError(f"{name}: {exc} (expected {knob.type})") from None
 
 
 # ------------------------------- generated reference (python -m repro.spec)

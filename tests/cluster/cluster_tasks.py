@@ -68,20 +68,6 @@ def module_loaded(name):
     return name in sys.modules
 
 
-def stuck_once(marker_path, value):
-    """Hang (only) the first worker that runs this; re-executions return fast.
-
-    The marker file is the cross-process memory that makes a task-timeout
-    reassignment observable: attempt one parks forever, attempt two — on
-    another worker, after the reaper retires the stuck one — completes.
-    """
-    if not os.path.exists(marker_path):
-        with open(marker_path, "w"):
-            pass
-        time.sleep(600)
-    return value
-
-
 #: Evidence that a crafted pickle payload executed during decode (it must not).
 TRIPWIRE = []
 

@@ -144,7 +144,7 @@ class TestSignedHello:
 
     def test_rejects_a_v1_tag_over_a_slot_count(self):
         v1_message = b"|".join([b"repro-cluster-hello", b"1", self.NONCE, b"worker-1", b"1"])
-        assert PROTOCOL_VERSION == 2
+        assert PROTOCOL_VERSION == 3
         assert not verify_hello(self.SECRET, self.NONCE, "worker-1", mac_sign(self.SECRET, v1_message))
 
 
@@ -227,5 +227,6 @@ class TestAddressAndSecretParsing:
         assert decode_secret(None) is None
         assert decode_secret("") is None
         assert decode_secret("00ff") == b"\x00\xff"
-        # Non-hex secrets are taken literally so operators can use any string.
-        assert decode_secret("hunter2!") == b"hunter2!"
+        # Hex only: one secret has one spelling.
+        with pytest.raises(ClusterError, match="REPRO_CLUSTER_SECRET is not hex"):
+            decode_secret("hunter2!")

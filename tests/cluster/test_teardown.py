@@ -36,7 +36,7 @@ def test_a_closed_cluster_executor_leaves_no_thread_and_no_port():
 
 def test_a_coordinator_no_worker_joined_leaves_no_thread_and_no_port():
     before = set(threading.enumerate())
-    coordinator = ClusterCoordinator()
+    coordinator = ClusterCoordinator(secret=b"k" * 32)
     address = coordinator.address
     coordinator.shutdown()
     assert set(threading.enumerate()) == before
@@ -56,6 +56,18 @@ def test_a_failed_bind_releases_the_listeners_already_bound():
         probe.close()
         before = set(threading.enumerate())
         with pytest.raises(OSError):
-            ClusterCoordinator(listen=[free, taken.getsockname()])
+            ClusterCoordinator(listen=[free, taken.getsockname()], secret=b"k" * 32)
         assert set(threading.enumerate()) == before
         assert_refused(free)
+
+
+def test_a_closed_executor_still_names_its_address():
+    """The bound addresses are recorded at bind time, not read off the
+    closed listeners."""
+    executor = executor_from_spec("cluster:1")
+    address = executor.coordinator.address
+    executor.close()
+    assert executor.coordinator.address == address
+    assert executor.coordinator.addresses == [address]
+    assert f"address={address[0]}:{address[1]}" in repr(executor)
+    assert "workers=0" in repr(executor.coordinator)

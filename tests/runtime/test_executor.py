@@ -48,9 +48,10 @@ class TestBackends:
             executor.map(cluster_tasks.explode, list(range(20)))
 
     @pytest.mark.parametrize("spec", ["serial", "remote:127.0.0.1:0", "cluster:1"])
-    def test_close_is_idempotent(self, spec):
+    def test_close_is_idempotent(self, spec, monkeypatch):
         # Each case closes an executor of its own: closing the shared cluster
         # would strand the rest of the module.
+        monkeypatch.setenv("REPRO_CLUSTER_SECRET", "00ff")
         executor = executor_from_spec(spec)
         workers = []
         if spec.startswith("cluster"):
