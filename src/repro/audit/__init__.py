@@ -5,10 +5,11 @@ into an :class:`~repro.audit.api.AuditPlan` and executed by a pluggable
 :class:`~repro.audit.api.Verifier`:
 
 * ``eager`` — reference one-by-one semantics;
-* ``batched`` — same-kind checks cut into chunks and sent to the executor
+* ``batched`` — every kind dealt evenly over chunks sent to the executor
   in one ``starmap`` (cluster workers, under a :mod:`repro.cluster`
-  executor), each chunk folded into one random-linear-combination batch
-  equation (:mod:`repro.runtime.batch`) and bisected on rejection.
+  executor), each chunk's foldable checks, of every kind, folded into one
+  random-linear-combination batch equation (:mod:`repro.runtime.batch`) and
+  bisected on rejection.
 
 Both check the full plan and return a structured :class:`~repro.audit.api.AuditReport`
 (per-check outcomes, failure locus, counts, timings) whose outcomes are

@@ -11,11 +11,11 @@ consumes.  Checks collect into an :class:`AuditPlan` and a pluggable
 * :class:`EagerVerifier` — every check runs its kind's reference predicate,
   one by one, in plan order.  The semantics the batched strategy must
   reproduce verdict-for-verdict.
-* :class:`BatchedVerifier` — checks are grouped by kind and cut into
-  contiguous chunks, and all chunks of all kinds go to the executor in one
-  ``starmap``; for kinds with a *fold*, a chunk collapses into a
-  single random-linear-combination product check
-  (:mod:`repro.runtime.batch`).  A rejected chunk bisects to isolate exact
+* :class:`BatchedVerifier` — every kind is dealt evenly over the chunks,
+  and all chunks go to the executor in one ``starmap``; the checks of a
+  chunk whose kinds state equations collapse into a single
+  random-linear-combination product check (:mod:`repro.runtime.batch`),
+  whatever their kinds.  A rejected chunk bisects to isolate exact
   per-check verdicts, so the common all-valid case pays one batched
   equation and a corrupted transcript still names its locus.
 
@@ -47,7 +47,7 @@ from repro.spec import AUDIT
 #: (2: the ``chaum-pedersen`` and ``tag-chain`` kinds are gone).
 AUDIT_API_VERSION = 2
 
-#: Default number of same-kind checks folded into one batched equation.
+#: Default most checks in one chunk, folded into one batched equation.
 DEFAULT_CHUNK_SIZE = 256
 
 
@@ -245,11 +245,11 @@ class EagerVerifier(Verifier):
 
 
 class BatchedVerifier(Verifier):
-    """Group by kind, fold chunks into RLC batch equations, bisect failures.
+    """Deal the plan into chunks, fold each into one RLC equation, bisect failures.
 
-    Every chunk of every kind goes to ``executor`` in one ``starmap``; a
-    kind is cut into at least as many chunks as the executor has workers
-    (:func:`repro.audit.kinds.evaluate_batched`).
+    Every chunk goes to ``executor`` in one ``starmap``; there are at least
+    as many chunks as the executor has workers, and every kind is dealt
+    evenly over them (:func:`repro.audit.kinds.evaluate_batched`).
     """
 
     strategy = "batched"

@@ -199,7 +199,7 @@ def cascade_checks(
 
     Then the proofs: per-stage Fiat–Shamir coins and per-round openings.
     Under the batched strategy the ``shuffle-round`` checks of *all* stages
-    fold their re-encryption openings into one RLC product per public key —
+    fold their re-encryption openings into their chunk's one RLC product —
     the largest single saving in tally verification.
     """
     from repro.tally.mixnet import round_mapping_sides

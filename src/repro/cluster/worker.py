@@ -281,7 +281,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--id", default=None, help="worker identity (default hostname-pid)",
     )
     args = parser.parse_args(argv)
-    address = parse_address(args.connect)
+    try:
+        address = parse_address(args.connect)
+    except ClusterError as exc:
+        parser.error(str(exc))
     # The secret comes from the environment, never argv; without it the
     # worker refuses to start rather than dial.
     try:

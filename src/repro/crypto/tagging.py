@@ -205,8 +205,9 @@ def ciphertext_tag_chain_transcripts(
     check passes — step linkage, statement bases, commitment bindings, chain
     endpoint — otherwise ``None``.  What is left is the two group equations
     per transcript: :func:`verify_ciphertext_tag_chain` checks them one by
-    one, and :func:`repro.runtime.batch.batch_chaum_pedersen_verify` folds
-    them over whole batches of chains.
+    one, and the audit's batched strategy folds their
+    :func:`repro.runtime.batch.chaum_pedersen_equations` over whole batches
+    of chains.
     """
     current = original
     transcripts: List[ChaumPedersenTranscript] = []

@@ -17,11 +17,12 @@ exercising the full SQL path in tests without touching disk.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import sqlite3
 from functools import lru_cache
-from itertools import groupby
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Type
 
 from repro.crypto.group import Group
 from repro.errors import LedgerError
@@ -34,7 +35,8 @@ from repro.ledger.records import RECORD_TYPES, Record
 # rows in commit_seq order so reopened chains are bit-identical to the
 # pre-restart ones.  A unique kind's key column is UNIQUE in a new table; there
 # are no other indexes: every read is served by the in-memory store and SQLite
-# is only read by full-table SELECT at restore.
+# is only read at restore, by one full-table SELECT per table in commit_seq
+# (rowid) order.
 
 
 class _Statements(NamedTuple):
@@ -56,7 +58,7 @@ def _statements(record_type: Type[Record]) -> _Statements:
     return _Statements(
         f"CREATE TABLE IF NOT EXISTS {table} (commit_seq INTEGER PRIMARY KEY, seq INTEGER NOT NULL{columns})",
         f"INSERT INTO {table} (commit_seq, seq, {names}) VALUES (?, ?{', ?' * len(record_type.COLUMNS)})",
-        f"SELECT commit_seq, {names} FROM {table}",
+        f"SELECT commit_seq, {names} FROM {table} ORDER BY commit_seq",
     )
 
 
@@ -83,32 +85,30 @@ class SQLiteBackend(MemoryBackend):
     def _restore(self) -> None:
         """Create missing tables, then replay every persisted command in commit order.
 
+        The tables are read through one ``ORDER BY commit_seq`` cursor each,
+        merged row by row, so a reopen never holds the board a second time.
         Anything unreadable — a damaged file, a row that is not the strict
         encoding of a record — is a :class:`LedgerError` naming the table
         (and the row's ``commit_seq``), never a silently different board.
         """
-        commands: List[Tuple[int, Type[Record], Tuple[object, ...]]] = []
         for kind in RECORD_TYPES:
-            statements = _statements(kind)
             try:
-                self._conn.execute(statements.create)
-                commands += [(row[0], kind, row[1:]) for row in self._conn.execute(statements.select)]
+                self._conn.execute(_statements(kind).create)
             except sqlite3.Error as error:
-                raise LedgerError(
-                    f"board database {self._path!r}: table {kind.TABLE} is unreadable: {error}"
-                ) from error
+                raise self._unreadable(kind, error) from error
         self._conn.commit()
-        if not commands:
+        commands = heapq.merge(*(self._rows(kind) for kind in RECORD_TYPES), key=itemgetter(0))
+        first = next(commands, None)
+        if first is None:
             return
         if self._group is None:
             raise LedgerError(
                 f"board database {self._path!r} holds records; pass the election group so they can be decoded"
             )
         group = self._group
-        commands.sort(key=itemgetter(0))
         self._restoring = True
         try:
-            for commit_seq, kind, row in commands:
+            for commit_seq, kind, row in itertools.chain((first,), commands):
                 try:
                     self.append(kind.from_row(group, row))
                 except LedgerError as error:
@@ -118,7 +118,18 @@ class SQLiteBackend(MemoryBackend):
             self.flush()
         finally:
             self._restoring = False
-        self._commit_seq = commands[-1][0] + 1
+        self._commit_seq = commit_seq + 1
+
+    def _rows(self, kind: Type[Record]) -> Iterator[Tuple[int, Type[Record], Tuple[object, ...]]]:
+        """``(commit_seq, kind, columns)`` of ``kind``'s table, in commit order, one row at a time."""
+        try:
+            for row in self._conn.execute(_statements(kind).select):
+                yield row[0], kind, row[1:]
+        except sqlite3.Error as error:
+            raise self._unreadable(kind, error) from error
+
+    def _unreadable(self, kind: Type[Record], error: sqlite3.Error) -> LedgerError:
+        return LedgerError(f"board database {self._path!r}: table {kind.TABLE} is unreadable: {error}")
 
     # ------------------------------------------------------------- writes
 
@@ -139,7 +150,7 @@ class SQLiteBackend(MemoryBackend):
         commit_seq = self._commit_seq
         try:
             # One executemany per run of appends bound for the same table.
-            for kind, run in groupby(pending, key=lambda entry: type(entry[1])):
+            for kind, run in itertools.groupby(pending, key=lambda entry: type(entry[1])):
                 rows = [(commit_seq + offset, seq) + record.to_row() for offset, (seq, record) in enumerate(run)]
                 self._conn.executemany(_statements(kind).insert, rows)
                 commit_seq += len(rows)

@@ -14,18 +14,24 @@ the generator, the election public key, shared proof bases — collapse into a
 *single* exponentiation with the summed exponent, which is where the batch
 saves most of its work.
 
-The verifiers:
+Each proof kind has an equation builder and a verifier that folds it:
 
-* :func:`batch_schnorr_verify` — ballot, registration and rotation
-  signatures (the tally's check of the ballots last-write-wins can count is
-  :func:`verify_signatures`);
-* :func:`batch_chaum_pedersen_verify` — Chaum–Pedersen transcripts (tagging
-  steps, their challenges already checked by the caller), and through it
+* :func:`schnorr_equations` / :func:`batch_schnorr_verify` — ballot,
+  registration and rotation signatures (the tally's check of the ballots
+  last-write-wins can count is :func:`verify_signatures`);
+* :func:`chaum_pedersen_equations` / :func:`batch_chaum_pedersen_verify` —
+  Chaum–Pedersen transcripts (tagging steps, their challenges already checked
+  by the caller), and through them :func:`decryption_share_equations` /
   :func:`batch_decryption_share_verify`;
-* :func:`batch_dlog_verify` — dlog proofs of knowledge;
-* :func:`batch_reencryption_verify` — the shadow-mix openings of the shuffle
-  proofs, where the per-item work drops from two full-width exponentiations
-  to two ``|w|``-bit ones.
+* :func:`dlog_equations` / :func:`batch_dlog_verify` — dlog proofs of
+  knowledge;
+* :func:`reencryption_equations` / :func:`batch_reencryption_verify` — the
+  shadow-mix openings of the shuffle proofs, where the per-item work drops
+  from two full-width exponentiations to two ``|w|``-bit ones.
+
+The verifiers serve the tally and the threshold decryption.  The audit's
+batched strategy (:mod:`repro.audit.kinds`) takes the builders instead and
+folds every equation of a chunk, whatever its kind, in one :func:`_fold`.
 
 A fold is an accept/reject for the *whole* batch; :func:`fold_verdicts`
 turns one into exact per-item verdicts, bisecting only a rejected batch, so
@@ -141,8 +147,7 @@ def fold_verdicts(
     """Exact per-item verdicts: ``fold`` a batch, bisecting only on rejection.
 
     A lone item, and every item when there is no ``fold``, goes to the
-    reference predicate ``verify_one(*item)``.  ``fold`` is looked up by the
-    caller at call time, so a wrapper installed on its name sees every fold.
+    reference predicate ``verify_one(*item)``.
     """
     if fold is None or len(items) < 2:
         return [bool(verify_one(*item)) for item in items]
@@ -157,27 +162,24 @@ def fold_verdicts(
 # ---------------------------------------------------------------------------
 
 
+def schnorr_equations(items: Sequence[SignatureItem]) -> List[Equation]:
+    """``g^s == R · pk^e`` per ``(public, message, signature)`` triple, ``e``
+    the signature's challenge."""
+    equations: List[Equation] = []
+    for public, message, signature in items:
+        group = public.group
+        challenge = schnorr_challenge(group, signature.commitment, public, message)
+        equations.append(
+            (((group.generator, signature.response),), ((signature.commitment, 1), (public, challenge)))
+        )
+    return equations
+
+
 def batch_schnorr_verify(items: Sequence[SignatureItem], weight_bits: int = DEFAULT_WEIGHT_BITS) -> bool:
-    """Accept iff every ``(public, message, signature)`` triple verifies:
-    ``g^s == R · pk^e`` with ``e`` the signature's challenge."""
+    """Accept iff every ``(public, message, signature)`` triple verifies."""
     if not items:
         return True
-    group = items[0][0].group
-    generator = group.generator
-    return _fold(
-        group,
-        [
-            (
-                ((generator, signature.response),),
-                (
-                    (signature.commitment, 1),
-                    (public, schnorr_challenge(group, signature.commitment, public, message)),
-                ),
-            )
-            for public, message, signature in items
-        ],
-        weight_bits,
-    )
+    return _fold(items[0][0].group, schnorr_equations(items), weight_bits)
 
 
 def _verify_signature_chunk(items: Sequence[SignatureItem]) -> List[bool]:
@@ -203,14 +205,8 @@ def verify_signatures(
 # ---------------------------------------------------------------------------
 
 
-def batch_chaum_pedersen_verify(
-    transcripts: Sequence[ChaumPedersenTranscript],
-    weight_bits: int = DEFAULT_WEIGHT_BITS,
-) -> bool:
-    """Accept iff every transcript satisfies ``Y1 == g^r · C1^e`` and
-    ``Y2 == h^r · X^e``."""
-    if not transcripts:
-        return True
+def chaum_pedersen_equations(transcripts: Sequence[ChaumPedersenTranscript]) -> List[Equation]:
+    """``Y1 == g^r · C1^e`` and ``Y2 == h^r · X^e`` per transcript."""
     equations: List[Equation] = []
     for transcript in transcripts:
         statement, challenge, response = transcript.statement, transcript.challenge, transcript.response
@@ -220,23 +216,37 @@ def batch_chaum_pedersen_verify(
         equations.append(
             (((statement.base_h, response), (statement.value_h, challenge)), ((transcript.commit.commit_h, 1),))
         )
-    return _fold(transcripts[0].statement.group, equations, weight_bits)
+    return equations
+
+
+def batch_chaum_pedersen_verify(
+    transcripts: Sequence[ChaumPedersenTranscript],
+    weight_bits: int = DEFAULT_WEIGHT_BITS,
+) -> bool:
+    """Accept iff every transcript satisfies its two equations."""
+    if not transcripts:
+        return True
+    return _fold(transcripts[0].statement.group, chaum_pedersen_equations(transcripts), weight_bits)
+
+
+def decryption_share_equations(items: Sequence[DecryptionShareItem]) -> List[Equation]:
+    """The two equations of each ``(public_share, ciphertext, share)`` triple:
+    the Chaum–Pedersen transcript
+    :func:`~repro.crypto.chaum_pedersen.decryption_share_transcript` states."""
+    return chaum_pedersen_equations(
+        [decryption_share_transcript(public_share, ciphertext, share) for public_share, ciphertext, share in items]
+    )
 
 
 def batch_decryption_share_verify(
     items: Sequence[DecryptionShareItem],
     weight_bits: int = DEFAULT_WEIGHT_BITS,
 ) -> bool:
-    """Accept iff every ``(public_share, ciphertext, share)`` triple verifies.
-
-    Each share is the Chaum–Pedersen transcript
-    :func:`~repro.crypto.chaum_pedersen.decryption_share_transcript` states,
-    so a whole quorum's shares cost a couple of full-width exponentiations.
-    """
-    return batch_chaum_pedersen_verify(
-        [decryption_share_transcript(public_share, ciphertext, share) for public_share, ciphertext, share in items],
-        weight_bits=weight_bits,
-    )
+    """Accept iff every ``(public_share, ciphertext, share)`` triple verifies,
+    so a whole quorum's shares cost a couple of full-width exponentiations."""
+    if not items:
+        return True
+    return _fold(items[0][0].group, decryption_share_equations(items), weight_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +254,42 @@ def batch_decryption_share_verify(
 # ---------------------------------------------------------------------------
 
 
+def dlog_equations(items: Sequence[DlogItem]) -> List[Equation]:
+    """``base^r · value^{-e} == commit`` per ``(proof, context)``, with ``e``
+    recomputed (Fiat–Shamir), so a tampered transcript changes ``e`` or
+    breaks the equation."""
+    return [
+        (((proof.base, proof.response), (proof.value, -dlog_challenge(proof, context))), ((proof.commitment, 1),))
+        for proof, context in items
+    ]
+
+
 def batch_dlog_verify(items: Sequence[DlogItem], weight_bits: int = DEFAULT_WEIGHT_BITS) -> bool:
-    """Accept iff every ``(proof, context)`` dlog proof verifies:
-    ``base^r · value^{-e} == commit``, with ``e`` recomputed (Fiat–Shamir), so
-    a tampered transcript changes ``e`` or breaks the equation."""
+    """Accept iff every ``(proof, context)`` dlog proof verifies."""
     if not items:
         return True
-    return _fold(
-        items[0][0].base.group,
-        [
-            (((proof.base, proof.response), (proof.value, -dlog_challenge(proof, context))), ((proof.commitment, 1),))
-            for proof, context in items
-        ],
-        weight_bits,
-    )
+    return _fold(items[0][0].base.group, dlog_equations(items), weight_bits)
 
 
 # ---------------------------------------------------------------------------
 # Re-encryption openings (shuffle proofs)
 # ---------------------------------------------------------------------------
+
+
+def reencryption_equations(
+    elgamal: ElGamal, public_key: GroupElement, items: Sequence[ReencryptionItem]
+) -> List[Equation]:
+    """``src.c1 · g^r == tgt.c1`` and ``src.c2 · pk^r == tgt.c2`` per
+    ``(source, target, randomness)`` item: ``target == reencrypt(source, r)``.
+    Every generator (resp. public-key) factor collapses into a single
+    full-width exponentiation, leaving only ``|w|``-bit work per ciphertext
+    component."""
+    generator = elgamal.group.generator
+    equations: List[Equation] = []
+    for source, target, randomness in items:
+        equations.append((((source.c1, 1), (generator, randomness)), ((target.c1, 1),)))
+        equations.append((((source.c2, 1), (public_key, randomness)), ((target.c2, 1),)))
+    return equations
 
 
 def batch_reencryption_verify(
@@ -271,14 +298,5 @@ def batch_reencryption_verify(
     items: Sequence[ReencryptionItem],
     weight_bits: int = DEFAULT_WEIGHT_BITS,
 ) -> bool:
-    """Accept iff ``target_i == reencrypt(source_i, r_i)`` for every item:
-    ``src.c1 · g^r == tgt.c1`` and ``src.c2 · pk^r == tgt.c2``.  Every
-    generator (resp. public-key) factor collapses into a single full-width
-    exponentiation, leaving only ``|w|``-bit work per ciphertext component.
-    """
-    generator = elgamal.group.generator
-    equations: List[Equation] = []
-    for source, target, randomness in items:
-        equations.append((((source.c1, 1), (generator, randomness)), ((target.c1, 1),)))
-        equations.append((((source.c2, 1), (public_key, randomness)), ((target.c2, 1),)))
-    return _fold(elgamal.group, equations, weight_bits)
+    """Accept iff ``target_i == reencrypt(source_i, r_i)`` for every item."""
+    return _fold(elgamal.group, reencryption_equations(elgamal, public_key, items), weight_bits)

@@ -225,8 +225,8 @@ def round_mapping_items(
     """Structural half of one opening check: permutation + shapes.
 
     Returns the flat ``(source, target, randomness)`` re-encryption items the
-    opening claims — two equations each for :func:`repro.runtime.batch.
-    batch_reencryption_verify`, which folds items from *many* openings into
+    opening claims — two equations each by :func:`repro.runtime.batch.
+    reencryption_equations`, which the audit folds from *many* openings into
     one product — or ``None`` when the opening is structurally invalid (bad
     permutation, mismatched lengths).
     """

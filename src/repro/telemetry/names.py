@@ -54,6 +54,7 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
 COUNTER_NAMES: FrozenSet[str] = frozenset(
     {
         "audit.checks",
+        "audit.fold.equations",
         "audit.reports",
         "cluster.dispatch",
         "cluster.enroll",

@@ -106,8 +106,8 @@ class TestStrategies:
 
     def test_batched_spends_at_most_half_the_eager_exponentiations(self, monkeypatch):
         """What batching buys, as a count: one random-linear-combination
-        product per chunk per kind does the work of one verification per
-        check.  (A 256-bit group: the toy group's multi-exp stays naive.)"""
+        fold per chunk, whatever its kinds, does the work of one verification
+        per check.  (A 256-bit group: the toy group's multi-exp stays naive.)"""
         group = modp_group_256()
         plan = AuditPlan(_signature_checks(group, 16) + _decryption_share_checks(group, 16))
         element_type = type(group.generator)
@@ -133,8 +133,8 @@ class TestStrategies:
         assert batched_fingerprint == eager_fingerprint
         assert eager_spent >= 2 * len(plan) and eager_products == 0
         assert 2 * batched_spent <= eager_spent
-        # Two kinds, one chunk each: a product per side of a folded equation.
-        assert 1 <= batched_products <= 4
+        # Two kinds in one chunk: one fold, a product per side of it.
+        assert 1 <= batched_products <= 2
 
     def test_batched_bisects_to_exact_verdicts(self, group):
         bad = {3, 7}
@@ -145,8 +145,9 @@ class TestStrategies:
         assert {result.name for result in batched.failures} == {f"sig[{i}]" for i in bad}
 
     def test_batched_sends_the_plan_in_one_starmap_cut_per_worker(self, group):
-        """One round trip a plan; every kind, fold-less too, in at least
-        ``num_workers`` contiguous chunks of at most ``chunk_size``."""
+        """One round trip a plan: ``max(⌈n/chunk_size⌉, num_workers)`` chunks,
+        rounded up to a multiple of ``num_workers``, with the plan's checks,
+        grouped by kind, dealt round them — fold-less kinds too."""
 
         class ThreeWorkers(SerialExecutor):
             def __init__(self):
@@ -161,21 +162,37 @@ class TestStrategies:
 
             def starmap(self, fn, items, chunksize=None):
                 items = list(items)
-                self.calls.append([(kind, len(evidences)) for kind, evidences in items])
+                self.calls.append([list(kinds) for kinds, _ in items])
                 return super().starmap(fn, items, chunksize)
 
-        plan = AuditPlan(_signature_checks(group, 10, bad={6}) + [_predicate_check("p", True)] * 2)
+        plan = AuditPlan(
+            _signature_checks(group, 10, bad={6}) + [_predicate_check("p", True), _predicate_check("q", False)]
+        )
         eager = EagerVerifier().run(plan)
+        sig, pred = "schnorr", "predicate"
         for chunk_size, expected in (
-            (4, [("schnorr", 4), ("schnorr", 3), ("schnorr", 3), ("predicate", 1), ("predicate", 1)]),
-            (2, [("schnorr", 2)] * 5 + [("predicate", 1)] * 2),
+            # 12 checks: ⌈12/4⌉ = 3 chunks; s0..s9 p q dealt round three.
+            (4, [[sig] * 4, [sig] * 3 + [pred], [sig] * 3 + [pred]]),
+            # ⌈12/5⌉ = 3 is already a multiple of three.
+            (5, [[sig] * 4, [sig] * 3 + [pred], [sig] * 3 + [pred]]),
+            # ⌈12/2⌉ = 6: sig[4] and sig[5] share their chunks with p and q.
+            (2, [[sig] * 2] * 4 + [[sig, pred]] * 2),
+            # The floor: ⌈12/256⌉ = 1 chunk becomes three.
+            (256, [[sig] * 4, [sig] * 3 + [pred], [sig] * 3 + [pred]]),
         ):
             executor = ThreeWorkers()
             assert BatchedVerifier(chunk_size=chunk_size, executor=executor).run(plan) == eager
             assert executor.calls == [expected]
+        # ⌈12/3⌉ = 4 chunks round up to six; and a plan smaller than the
+        # workers ships only the chunks it fills.
+        for checks, chunk_size, sizes in ((plan.checks, 3, [2] * 6), (plan.checks[:2], 256, [1, 1])):
+            executor = ThreeWorkers()
+            BatchedVerifier(chunk_size=chunk_size, executor=executor).run(AuditPlan(checks))
+            assert [len(kinds) for kinds in executor.calls[0]] == sizes
 
-    def test_batched_in_process_cuts_each_kind_by_chunk_size_alone(self, group):
-        """With one worker the floor is inert: a kind that fits one chunk is one fold."""
+    def test_batched_in_process_cuts_the_plan_by_chunk_size_alone(self, group):
+        """With one worker the floor is inert: a plan that fits one chunk is
+        one fold over every kind in it."""
 
         class Recording(SerialExecutor):
             def __init__(self):
@@ -183,14 +200,16 @@ class TestStrategies:
 
             def starmap(self, fn, items, chunksize=None):
                 items = list(items)
-                self.calls.append([(kind, len(evidences)) for kind, evidences in items])
+                self.calls.append([list(kinds) for kinds, _ in items])
                 return super().starmap(fn, items, chunksize)
 
         plan = AuditPlan(_signature_checks(group, 10, bad={3}) + _decryption_share_checks(group, 3))
         eager = EagerVerifier().run(plan)
+        sig, share = "schnorr", "decryption-share"
         for chunk_size, expected in (
-            (256, [("schnorr", 10), ("decryption-share", 3)]),
-            (4, [("schnorr", 4), ("schnorr", 3), ("schnorr", 3), ("decryption-share", 3)]),
+            (256, [[sig] * 10 + [share] * 3]),
+            # 13 checks: ⌈13/4⌉ = 4 chunks; s0..s9 d0 d1 d2 dealt round four.
+            (4, [[sig] * 3 + [share], [sig] * 3, [sig] * 2 + [share], [sig] * 2 + [share]]),
         ):
             executor = Recording()
             assert executor.num_workers == 1

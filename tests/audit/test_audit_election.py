@@ -14,10 +14,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro import telemetry
 from repro.audit.api import BatchedVerifier, EagerVerifier
-from repro.audit.checks import audit_election, audit_tally
+from repro.audit.checks import audit_election, audit_tally, ballot_checks, tally_audit_plan
+from repro.crypto.schnorr import schnorr_keygen
 from repro.election.config import ElectionConfig
 from repro.election.pipeline import VotegralElection
+from repro.voting.ballot import make_ballot
 
 STRATEGIES = ("eager", "batched:8", "batched:2")
 
@@ -232,6 +235,41 @@ class TestBatchedBoardAudit:
             )
             assert report.ok
             assert report.counts_by_kind()["ledger-chain"] == (3, 0)
+
+
+class TestFoldAttribution:
+    def test_per_kind_equation_counts_total_what_the_plan_states(self, voted_election):
+        """``audit.fold.equations`` splits the one fold of a chunk by kind: 2 per
+        Chaum–Pedersen transcript, 2 per re-encryption item, 1 per signature
+        or dlog proof."""
+        election, result = voted_election
+        group, public_key = election.group, election.setup.authority.public_key
+        plan = tally_audit_plan(
+            group, election.setup.authority, election.setup.board, result, election_id=election.config.election_id
+        )
+        # The tally plan checks no signature or dlog proof; a ballot's checks do.
+        plan.extend(ballot_checks(group, public_key, make_ballot(group, public_key, schnorr_keygen(group), 1, 2), 2))
+        stated = {
+            "schnorr": lambda public, message, signature: 1,
+            "dlog": lambda proof, context: 1,
+            "decryption-share": lambda public_share, ciphertext, share: 2,
+            # Two transcripts a step, one per ciphertext component.
+            "ciphertext-tag-chain": lambda steps, original, final, commitments: 2 * 2 * len(steps),
+            # One re-encryption item per ciphertext of every target tuple.
+            "shuffle-round": lambda elgamal, public_key, sources, targets, opening: 2 * sum(map(len, targets)),
+        }
+        expected = {}
+        for check in plan:
+            if check.kind in stated:
+                expected[check.kind] = expected.get(check.kind, 0) + stated[check.kind](*check.evidence)
+        assert set(expected) == set(stated)
+        telemetry.configure("mem", propagate=False)
+        try:
+            assert BatchedVerifier(chunk_size=len(plan)).run(plan).ok
+            snapshot = telemetry.snapshot()
+        finally:
+            telemetry.configure("off")
+        assert {kind: snapshot.counter_total("audit.fold.equations", kind=kind) for kind in stated} == expected
 
 
 class TestVerifierClasses:

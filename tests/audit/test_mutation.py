@@ -18,6 +18,7 @@ from dataclasses import replace
 import pytest
 
 from repro.audit.api import AuditPlan, BatchedVerifier, CheckStatus, EagerVerifier
+from repro.audit.kinds import KINDS
 from repro.audit.checks import (
     audit_election, audit_tally, ballot_checks, cascade_checks, chain_checks, decryption_checks,
 )
@@ -34,6 +35,7 @@ from repro.election import ElectionConfig, VotegralElection
 from repro.ledger.backends.memory import MemoryBackend
 from repro.ledger.log import AppendOnlyLog
 from repro.ledger.records import RollEntry
+from repro.runtime.executor import SerialExecutor
 from repro.tally.decrypt import aggregate, decrypt_votes
 from repro.tally.filter import filter_ballots
 from repro.tally.mixnet import (
@@ -326,6 +328,96 @@ class TestTagChainMutations:
         reports = run_all(self._plan(tagging, chain))
         assert all(report.ok for report in reports.values())
         assert len({report.fingerprint() for report in reports.values()}) == 1
+
+
+class TestCrossKindBisection:
+    """Forgeries of three kinds in one chunk, beside valid checks of every other kind.
+
+    A batched chunk folds the equations of every foldable kind in one
+    product, so one forgery rejects the whole chunk and the bisection must
+    cross kinds to land on exactly the forged checks — a decryption share
+    whose proof fails, a shuffle opening whose randomness is wrong, and an
+    opening that is not a permutation (it states no equations at all).
+    """
+
+    FORGERIES = {
+        "share": "decryption[0].share[2]",
+        "opening": "cascade[0].round[1]",
+        "permutation": "cascade[1].round[0]",
+    }
+
+    @staticmethod
+    def _reopen(stages, stage_index, round_index, **changes):
+        stage = stages[stage_index]
+        round_ = stage.rounds[round_index]
+        rounds = list(stage.rounds)
+        rounds[round_index] = replace(round_, opening=replace(round_.opening, **changes))
+        return stages[:stage_index] + [replace(stage, rounds=rounds)] + stages[stage_index + 1:]
+
+    def _plan(self, group, dkg, tagging, forgeries):
+        elgamal = ElGamal(group)
+        ballot = make_ballot(group, dkg.public_key, schnorr_keygen(group), 1, 3)
+        inputs = [
+            (elgamal.encrypt(dkg.public_key, group.power(i + 2)), elgamal.encrypt(dkg.public_key, group.power(i + 9)))
+            for i in range(5)
+        ]
+        stages = list(tuple_mix_cascade(elgamal, dkg.public_key, inputs, 2, 3).stages)
+        if "opening" in forgeries:
+            randomness = [list(row) for row in stages[0].rounds[1].opening.randomness]
+            randomness[2][1] ^= 1
+            stages = self._reopen(stages, 0, 1, randomness=randomness)
+        if "permutation" in forgeries:
+            permutation = list(stages[1].rounds[0].opening.permutation)
+            permutation[0] = permutation[1]
+            stages = self._reopen(stages, 1, 0, permutation=permutation)
+        ciphertext = elgamal.encrypt(dkg.public_key, group.power(5))
+        transcript = decryption_transcript(dkg, ciphertext)
+        if "share" in forgeries:
+            bad = replace(transcript.shares[1], response=transcript.shares[1].response ^ 1)
+            transcript = replace(transcript, shares=(transcript.shares[0], bad) + transcript.shares[2:])
+        blinded, steps = tagging.blind_ciphertext_with_proof(ciphertext)
+        log = AppendOnlyLog("L_V")
+        for index in range(3):
+            log.append(b"payload-%d" % index)
+        checks = (
+            ballot_checks(group, dkg.public_key, ballot, 3)
+            + cascade_checks(elgamal, dkg.public_key, inputs, TupleCascade(stages=stages))
+            + decryption_checks(transcript, [member.public for member in dkg.members], "decryption[0]")
+            + [
+                Check("ciphertext-tag-chain", "tag[0].blind-steps",
+                      (tuple(steps), ciphertext, blinded, tuple(tagging.commitments))),
+                Check("ledger-chain", "ledger.ballot-chain", ("ballot", tuple(log.entries()))),
+            ]
+        )
+        assert {check.kind for check in checks} == set(KINDS)
+        return AuditPlan(checks)
+
+    @pytest.mark.parametrize(
+        "forgeries", [(), ("share",), ("opening",), ("permutation",), ("share", "opening", "permutation")]
+    )
+    def test_one_chunk_bisects_across_kinds_to_the_forged_checks(self, group, dkg, tagging, schedules, forgeries):
+        plan = self._plan(group, dkg, tagging, forgeries)
+        verifiers = dict(STRATEGIES, **{"batched-one-chunk": lambda executor: BatchedVerifier(
+            chunk_size=len(plan), executor=executor
+        )})
+        reports = {
+            (name, schedule): build(executor).run(plan)
+            for name, build in verifiers.items()
+            for schedule, executor in schedules.items()
+        }
+        expected = {self.FORGERIES[forgery] for forgery in forgeries}
+        for key, report in reports.items():
+            assert {failure.name for failure in report.failures} == expected, key
+            assert report.fingerprint() == reports["eager", "serial"].fingerprint(), key
+
+        class Recording(SerialExecutor):
+            def starmap(self, fn, items, chunksize=None):
+                self.chunks = [list(kinds) for kinds, _ in items]
+                return super().starmap(fn, items, chunksize)
+
+        executor = Recording()
+        assert verifiers["batched-one-chunk"](executor).run(plan) == reports["eager", "serial"]
+        assert len(executor.chunks) == 1 and len(executor.chunks[0]) == len(plan)
 
 
 class TestLedgerChainMutations:

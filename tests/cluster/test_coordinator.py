@@ -401,3 +401,12 @@ class TestSpecParsing:
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "unrecognized arguments: --executor serial" in err
+
+    def test_worker_cli_rejects_a_bad_address_with_a_usage_line(self, capsys):
+        """A malformed ``--connect`` is argparse's usage error, not a traceback."""
+        with pytest.raises(SystemExit) as exited:
+            worker_main(["--connect", "nohost"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "'nohost' is not host:port" in err
+        assert "Traceback" not in err

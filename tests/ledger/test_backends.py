@@ -7,6 +7,7 @@ board stores its records.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -185,6 +186,35 @@ class TestSQLitePersistence:
         reopened.append(make_registration(group, keypair, "bob"))
         assert reopened.verify_all_chains()
         reopened.close()
+
+    def test_reopen_replays_in_bounded_memory(self, group, keypair, tmp_path):
+        """What a reopen allocates above the store it rebuilds does not grow with the board."""
+        signature = make_ballot(group, keypair, 0).signature
+
+        def transient(num_ballots):
+            path = str(tmp_path / f"board-{num_ballots}.db")
+            backend = SQLiteBackend(path, group=group, batch_size=num_ballots)
+            backend.append_many([
+                BallotRecord(
+                    credential_public_key=group.power(index + 1), ciphertext_c1=group.power(index + 2),
+                    ciphertext_c2=group.power(index + 3), signature=signature,
+                )
+                for index in range(num_ballots)
+            ])
+            backend.close()
+            tracemalloc.start()
+            try:
+                reopened = SQLiteBackend(path, group=group)
+                store, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert reopened.count(BallotRecord) == num_ballots
+            reopened.close()
+            return peak - store
+
+        small, large = transient(256), transient(1024)
+        # Holding every row before the replay costs ≈ 250 bytes a ballot here.
+        assert large - small < 32 * 1024, (small, large)
 
     def test_reopen_without_group_is_rejected(self, group, keypair, tmp_path):
         path = str(tmp_path / "board.db")
